@@ -302,8 +302,11 @@ def effort_response(model: EffortVarianceModel, a_total: float) -> float:
     family = model.family
     if isinstance(family, (ExponentialVariance, InversePowerVariance)):
         e = family.closed_form_effort(a_total)
-        # guard tiny negative round-off at a_total == a_lower
-        return 0.0 if -1e-15 < e < 0.0 else e
+        # guard round-off at the ends of the range: a tiny negative at
+        # a_total == a_lower, an overshoot past e_max at a_total == a_upper
+        if -1e-15 < e < 0.0:
+            return 0.0
+        return min(e, model.effort_set.e_max) if model.effort_set.bounded else e
     return _solve_foc(model, a_total)
 
 

@@ -15,8 +15,8 @@ clamping at the incentive bounds.
 
 The module also provides a canonical (proportional-surplus) selection of c,
 polytope membership tests, an independent certification harness (analytic
-stationarity plus brute-force grid deviations of each aggregator's reduced
-loss), and a coupling-strength sweep.
+stationarity plus grid deviations of each aggregator's reduced loss), and a
+coupling-strength sweep.
 """
 
 from __future__ import annotations
@@ -355,18 +355,13 @@ def _branch(params: DerivedParameters, a: dict[tuple[str, str], float],
     return max(0.0, target), label
 
 
-def _branch_target(params: DerivedParameters, a: dict[tuple[str, str], float],
-                   sid: str, bid: str) -> float:
-    return _branch(params, a, sid, bid)[0]
-
-
 def best_response_residual(params: DerivedParameters,
                            a: dict[tuple[str, str], float]) -> float:
     """Sup-norm distance of a quality-weight table from its own best-response
     targets; zero exactly at a bounded-game equilibrium."""
     worst = 0.0
     for (sid, bid) in params.pairs:
-        worst = max(worst, abs(a[(sid, bid)] - _branch_target(params, a, sid, bid)))
+        worst = max(worst, abs(a[(sid, bid)] - _branch(params, a, sid, bid)[0]))
     return worst
 
 
@@ -402,7 +397,7 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
         residual = 0.0
         for bid in params.scenario.aggregator_ids:
             for sid in params.scenario.dataset(bid):
-                target = _branch_target(params, a, sid, bid)
+                target, _ = _branch(params, a, sid, bid)
                 delta = target - a[(sid, bid)]
                 residual = max(residual, abs(delta))
                 a[(sid, bid)] += damping * delta
@@ -439,28 +434,61 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def _reduced_loss(params: DerivedParameters, bid: str,
-                  a: dict[tuple[str, str], float]) -> float:
-    """Aggregator b's objective after substituting the binding participation
-    constraint: own estimation loss plus the payment obligations created by
-    rivals' contracts plus the efforts it must help compensate.  Constant
-    terms (rival c parameters) are dropped; only differences matter."""
-    totals = _a_total(params, a)
+def _worst_grid_deviation(params: DerivedParameters, a: dict[tuple[str, str], float],
+                          totals: dict[str, float], grid) -> tuple[float, str]:
+    """Largest improvement of any aggregator's reduced loss over the feasible
+    single-coordinate deviations on the grid, and where it occurs ("" when no
+    deviation improves).
+
+    The reduced loss of aggregator b is its own estimation loss plus the
+    payment obligations created by rivals' contracts plus the efforts it must
+    help compensate; rival constant terms drop out.  It is linear in the
+    variances and efforts.  Deviating a[(s, b)] by delta moves only a_total[s],
+    hence only e_s and sigma_s^2, whose coefficient in b's loss is
+
+        w_b[s] = gamma[s, b] + sum_{j != b} sum_{i in D_b & D_j} a[i, j] xi_j(i, s).
+
+    Each deviation therefore improves b's loss by
+    -(w_b[s] * (change in sigma_s^2) + (change in e_s)): one pass over the
+    grid costs one effort evaluation per point.  The weights come from the xi
+    tables, not from the solver's coupling matrix, so the check stays
+    independent of it.  Feasibility is judged on the given totals, the loss
+    on the totals of `a` itself.
+    """
     clamp = params.effort_kind == "bounded"
-    _, variances = _efforts_and_variances(params, totals, clamp=clamp)
-    efforts = {sid: _effort_at(params, sid, totals[sid], clamp=clamp)
-               for sid in params.scenario.source_ids}
-    value = 0.0
-    for i in params.scenario.dataset(bid):
-        value += params.gamma[(i, bid)] * variances[i]
-        value += efforts[i]
-        for j in params.scenario.sources_by_id[i].sharing:
-            if j == bid:
-                continue
-            coupling = sum(params.xi[j][(i, l)] * variances[l]
-                           for l in params.scenario.dataset(j))
-            value += a[(i, j)] * coupling
-    return value
+    loss_totals = _a_total(params, a)
+    efforts, variances = _efforts_and_variances(params, loss_totals, clamp=clamp)
+    worst, worst_at = 0.0, ""
+    for bid in params.scenario.aggregator_ids:
+        weights = {sid: params.gamma[(sid, bid)] for sid in params.scenario.dataset(bid)}
+        for i in params.scenario.dataset(bid):
+            for j in params.scenario.sources_by_id[i].sharing:
+                if j == bid:
+                    continue
+                a_ij, xi_j = a[(i, j)], params.xi[j]
+                for l in params.scenario.dataset(j):
+                    if l in weights:
+                        weights[l] += a_ij * xi_j[(i, l)]
+        for sid, weight in weights.items():
+            a_sb = a[(sid, bid)]
+            bounds = params.bounds[sid]
+            model = params.effort_model(sid)
+            for delta in grid:
+                if delta == 0.0:
+                    continue
+                new_total = totals[sid] + delta
+                if a_sb + delta < 0 or new_total < bounds.a_lower:
+                    continue
+                if clamp and new_total > bounds.a_upper:
+                    continue
+                e = _effort_at(params, sid, loss_totals[sid] + delta, clamp=clamp)
+                sigma = model.sigma(e)
+                improvement = -(weight * (sigma * sigma - variances[sid])
+                                + (e - efforts[sid]))
+                if improvement > worst:
+                    worst = improvement
+                    worst_at = f"aggregator {bid}, pair ({sid}, {bid}), delta {delta:+.3f}"
+    return worst, worst_at
 
 
 def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
@@ -470,10 +498,9 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
     """Independent verification of a solved equilibrium.
 
     (i) analytic stationarity (unbounded) or best-response branch consistency
-    (bounded); (ii) brute force: no single-coordinate feasible deviation on a
-    symmetric grid improves any aggregator's reduced loss; (iii) the
-    canonical constant terms bind participation and keep payments
-    nonnegative.
+    (bounded); (ii) no single-coordinate feasible deviation on a symmetric
+    grid improves any aggregator's reduced loss; (iii) the canonical constant
+    terms bind participation and keep payments nonnegative.
     """
     if not result.solved or result.a is None:
         raise DomainError("certification requires a solved equilibrium")
@@ -494,29 +521,8 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
             f"best-response residual {worst:.3e} (tol {stationarity_tol:.1e})"))
 
     totals = result.a.a_total
-    bounded = params.effort_kind == "bounded"
     grid = np.linspace(-grid_radius, grid_radius, grid_points)
-    worst_improvement = 0.0
-    worst_at = ""
-    for bid in params.scenario.aggregator_ids:
-        base = _reduced_loss(params, bid, a)
-        for sid in params.scenario.dataset(bid):
-            bounds = params.bounds[sid]
-            for delta in grid:
-                if delta == 0.0:
-                    continue
-                new_value = a[(sid, bid)] + delta
-                new_total = totals[sid] + delta
-                if new_value < 0 or new_total < bounds.a_lower:
-                    continue
-                if bounded and new_total > bounds.a_upper:
-                    continue
-                perturbed = dict(a)
-                perturbed[(sid, bid)] = new_value
-                improvement = base - _reduced_loss(params, bid, perturbed)
-                if improvement > worst_improvement:
-                    worst_improvement = improvement
-                    worst_at = f"aggregator {bid}, pair ({sid}, {bid}), delta {delta:+.3f}"
+    worst_improvement, worst_at = _worst_grid_deviation(params, a, totals, grid)
     checks.append(CheckResult(
         "best-response-grid", worst_improvement <= improvement_tol,
         f"largest grid improvement {worst_improvement:.3e}"

@@ -192,10 +192,17 @@ class MarketScenario:
     def dimension(self) -> int:
         return len(self.sources[0].feature)
 
+    @cached_property
+    def _datasets(self) -> dict[str, tuple[str, ...]]:
+        members: dict[str, list[str]] = {bid: [] for bid in self.aggregator_ids}
+        for sid in self.source_ids:
+            for bid in self.sources_by_id[sid].sharing:
+                members[bid].append(sid)
+        return {bid: tuple(sids) for bid, sids in members.items()}
+
     def dataset(self, aggregator_id: str) -> tuple[str, ...]:
         """Sorted ids of the sources selling to this aggregator."""
-        return tuple(sid for sid in self.source_ids
-                     if aggregator_id in self.sources_by_id[sid].sharing)
+        return self._datasets.get(aggregator_id, ())
 
     def sharing_pairs(self) -> tuple[tuple[str, str], ...]:
         """All (source, aggregator) pairs with an active contract, in the
@@ -335,7 +342,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _direct_tables(scenario: MarketScenario):
+def _derive_tables(scenario: MarketScenario):
+    """(beta, xi): derived in estimator mode, copied in direct mode."""
+    if scenario.mode == MODE_ESTIMATOR:
+        return derive_beta(scenario), derive_xi(scenario)
     return dict(scenario.direct_beta), {b: dict(t) for b, t in scenario.direct_xi.items()}
 
 
@@ -345,6 +355,17 @@ def validate_scenario(scenario: MarketScenario) -> ValidationReport:
     Returns a structured report; nothing is raised so callers can decide
     whether to proceed, but solvers refuse scenarios whose report is not ok.
     """
+    try:
+        beta, _ = _derive_tables(scenario)
+    except IllDefinedEstimatorError as exc:
+        return _validation_report(scenario, ill_defined=str(exc))
+    return _validation_report(scenario, derive_gamma(scenario, beta))
+
+
+def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
+                       *, ill_defined: str | None = None) -> ValidationReport:
+    """The checks of validate_scenario, given the derived (gamma, gamma_total)
+    tables, or the error that made the estimator ill-defined."""
     violations: list[Violation] = []
     notes: list[str] = []
 
@@ -364,17 +385,11 @@ def validate_scenario(scenario: MarketScenario) -> ValidationReport:
             notes.append(f"aggregator {bid}: payment scale {agg.payment_scale} "
                          "normalized to 1 (demand rescaled accordingly)")
 
-    try:
-        if scenario.mode == MODE_ESTIMATOR:
-            beta = derive_beta(scenario)
-            derive_xi(scenario)
-        else:
-            beta, _ = _direct_tables(scenario)
-    except IllDefinedEstimatorError as exc:
-        violations.append(Violation("ill-defined-estimator", "scenario", str(exc)))
+    if ill_defined is not None:
+        violations.append(Violation("ill-defined-estimator", "scenario", ill_defined))
         return ValidationReport(tuple(violations), tuple(notes))
 
-    gamma, gamma_total = derive_gamma(scenario, beta)
+    gamma, gamma_total = demand
     for (sid, bid), value in gamma.items():
         if value <= 0:
             violations.append(Violation(
@@ -453,13 +468,9 @@ def derive_parameters(scenario: MarketScenario, *,
     violations raises ScenarioValidationError; pass False to inspect derived
     tables of an ill-posed market.
     """
-    validation = validate_scenario(scenario)
-    if scenario.mode == MODE_ESTIMATOR:
-        beta = derive_beta(scenario)
-        xi = derive_xi(scenario)
-    else:
-        beta, xi = _direct_tables(scenario)
+    beta, xi = _derive_tables(scenario)
     gamma, gamma_total = derive_gamma(scenario, beta)
+    validation = _validation_report(scenario, (gamma, gamma_total))
     bounds = {sid: incentive_bounds(scenario.sources_by_id[sid].effort_model)
               for sid in scenario.source_ids}
     xi_matrix, pairs = assemble_xi_matrix(scenario, xi)

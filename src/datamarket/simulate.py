@@ -163,17 +163,15 @@ def payment_statistics(scenario: MarketScenario, result: EquilibriumResult,
     that expected compensation equals effort at the canonical contract."""
     if n_rounds < 2:
         raise DomainError("payment statistics need at least 2 rounds")
-    sums = {sid: 0.0 for sid in scenario.source_ids}
-    sumsq = {sid: 0.0 for sid in scenario.source_ids}
-    for round_ in iter_rounds(scenario, result, n_rounds, seed):
+    # Welford's update: no cancellation when the mean dwarfs the spread
+    mean = {sid: 0.0 for sid in scenario.source_ids}
+    m2 = {sid: 0.0 for sid in scenario.source_ids}
+    for count, round_ in enumerate(iter_rounds(scenario, result, n_rounds, seed), 1):
         for sid in scenario.source_ids:
             total = sum(round_.payments[(sid, bid)]
                         for bid in scenario.sources_by_id[sid].sharing)
-            sums[sid] += total
-            sumsq[sid] += total * total
-    mean = {sid: sums[sid] / n_rounds for sid in sums}
-    se = {}
-    for sid in sums:
-        var = (sumsq[sid] - n_rounds * mean[sid] ** 2) / (n_rounds - 1)
-        se[sid] = (max(var, 0.0) / n_rounds) ** 0.5
+            delta = total - mean[sid]
+            mean[sid] += delta / count
+            m2[sid] += delta * (total - mean[sid])
+    se = {sid: (m2[sid] / (n_rounds - 1) / n_rounds) ** 0.5 for sid in mean}
     return PaymentStats(rounds=n_rounds, mean_total=mean, se_total=se)

@@ -94,6 +94,24 @@ class TestBatches:
             gap = abs(stats.mean_total[sid] - result.efforts[sid])
             assert gap <= 3 * stats.se_total[sid], (sid, gap, stats.se_total[sid])
 
+    def test_standard_error_survives_a_large_mean(self, solved_line):
+        # a constant far above the payment spread: sum-of-squares variance
+        # cancels to ~1e-5 relative here, the streaming update keeps ~1e-12
+        scenario, _, result = solved_line
+        shifted = replace(result, canonical_c={pair: c + 1e5
+                                               for pair, c in result.canonical_c.items()})
+        n = 200
+        stats = payment_statistics(scenario, shifted, n_rounds=n, seed=5)
+        totals = {sid: [] for sid in scenario.source_ids}
+        for round_ in iter_rounds(scenario, shifted, n, seed=5):
+            for sid in scenario.source_ids:
+                totals[sid].append(sum(round_.payments[(sid, bid)]
+                                       for bid in scenario.sources_by_id[sid].sharing))
+        for sid, values in totals.items():
+            expected = np.std(values, ddof=1) / np.sqrt(n)
+            assert abs(stats.se_total[sid] - expected) <= 1e-9 * expected
+            assert stats.mean_total[sid] == pytest.approx(np.mean(values), rel=1e-12)
+
     def test_mean_per_pair_payment_matches_expectation(self, solved_line):
         scenario, params, result = solved_line
         sums = {pair: 0.0 for pair in scenario.sharing_pairs()}

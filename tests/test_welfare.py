@@ -11,6 +11,7 @@ from conftest import make_line_scenario, make_random_direct, make_symmetric_dire
 from datamarket.equilibrium import solve_bounded, solve_unbounded
 from datamarket.errors import DomainError
 from datamarket.market import derive_parameters
+from datamarket.scenario import GenerationSpec, generate_scenario
 from datamarket.welfare import (
     efficiency_predicate,
     optimal_efforts,
@@ -169,6 +170,17 @@ class TestPriceOfAnarchy:
         # clamped total 3 still exceeds the demand 2, so inefficiency persists
         assert report.poa > 1.0
         assert report.optimal_efforts["s1"] == pytest.approx(math.log(2.0), rel=1e-9)
+
+    def test_saturated_efforts_stay_inside_the_cap(self):
+        # clamped totals sit at a_upper, where the closed-form effort map
+        # lands a rounding error above e_max unless it is clamped too
+        scn = generate_scenario(GenerationSpec(64, 4, family="mixed", bounded=True), 0)
+        params = derive_parameters(scn)
+        result = solve_bounded(params)
+        report = price_of_anarchy(result, params)
+        assert report.poa >= 1.0
+        for sid, effort in result.efforts.items():
+            assert effort <= params.effort_model(sid).effort_set.e_max
 
     def test_over_provision_in_inefficient_equilibria(self):
         rng = np.random.default_rng(23)
