@@ -146,6 +146,8 @@ class EffortVarianceModel:
 
     family: ExponentialVariance | InversePowerVariance | CustomVariance
     effort_set: EffortSet = UNBOUNDED
+    _incentive_bounds: IncentiveBounds | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.family, CustomVariance):
@@ -159,6 +161,29 @@ class EffortVarianceModel:
 
     def sigma_second(self, e: float) -> float:
         return self.family.sigma_second(e)
+
+    @property
+    def incentive_bounds(self) -> IncentiveBounds:
+        """[a_lower, a_upper], computed on first use and kept (the model is
+        immutable).
+
+        The first-order condition at effort 0 gives
+        a_lower = -1/(2*sigma(0)*sigma'(0)); for bounded sets the same identity
+        at e_max gives a_upper, otherwise +inf.  Kept in a declared field,
+        not with functools.cached_property: writing to an instance's
+        __dict__ slows every later attribute read on it (CPython 3.11).
+        """
+        bounds = self._incentive_bounds
+        if bounds is None:
+            a_lower = -1.0 / (2.0 * self.sigma(0.0) * self.sigma_prime(0.0))
+            if self.effort_set.bounded:
+                e_max = self.effort_set.e_max
+                a_upper = -1.0 / (2.0 * self.sigma(e_max) * self.sigma_prime(e_max))
+            else:
+                a_upper = math.inf
+            bounds = IncentiveBounds(a_lower, a_upper)
+            object.__setattr__(self, "_incentive_bounds", bounds)
+        return bounds
 
     @property
     def family_name(self) -> str:
@@ -221,24 +246,14 @@ class IncentiveBounds:
 
 
 def incentive_bounds(model: EffortVarianceModel) -> IncentiveBounds:
-    """Compute [a_lower, a_upper] for a model.
-
-    The first-order condition at effort 0 gives a_lower = -1/(2*sigma(0)*sigma'(0));
-    for bounded sets the same identity at e_max gives a_upper, otherwise +inf.
-    """
-    a_lower = -1.0 / (2.0 * model.sigma(0.0) * model.sigma_prime(0.0))
-    if model.effort_set.bounded:
-        e_max = model.effort_set.e_max
-        a_upper = -1.0 / (2.0 * model.sigma(e_max) * model.sigma_prime(e_max))
-    else:
-        a_upper = math.inf
-    return IncentiveBounds(a_lower, a_upper)
+    """[a_lower, a_upper] for a model (see EffortVarianceModel.incentive_bounds)."""
+    return model.incentive_bounds
 
 
 def _check_in_range(model: EffortVarianceModel, a_total: float) -> IncentiveBounds:
     if not (math.isfinite(a_total) and a_total > 0):
         raise DomainError(f"a_total must be positive and finite, got {a_total}")
-    bounds = incentive_bounds(model)
+    bounds = model.incentive_bounds
     if a_total < bounds.a_lower:
         raise IncentiveRangeError(
             f"a_total={a_total} is below the minimum incentive a_lower={bounds.a_lower}",

@@ -195,6 +195,10 @@ def _efforts_and_variances(params: DerivedParameters, a_total: dict[str, float],
     return efforts, variances
 
 
+def _pair_dict(params: DerivedParameters, a_vec: np.ndarray) -> dict[tuple[str, str], float]:
+    return {pair: float(v) for pair, v in zip(params.pairs, a_vec)}
+
+
 def _a_total(params: DerivedParameters, a: dict[tuple[str, str], float]) -> dict[str, float]:
     return {sid: sum(a[(sid, bid)] for bid in params.scenario.sources_by_id[sid].sharing)
             for sid in params.scenario.source_ids}
@@ -321,9 +325,8 @@ def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
             f"{float(a_vec.min())} out of tolerance inside the existence regime",
             condition=float(np.linalg.cond(system)))
     a_vec = np.where(a_vec < 0, 0.0, a_vec)
-    a_dict = {pair: float(v) for pair, v in zip(params.pairs, a_vec)}
     diag = SolveDiagnostics(spectral_radius=rho, iterations=1, max_residual=residual)
-    return _finish(params, a_dict, STATUS_UNIQUE, diag)
+    return _finish(params, _pair_dict(params, a_vec), STATUS_UNIQUE, diag)
 
 
 def _branch(params: DerivedParameters, a: dict[tuple[str, str], float],
@@ -378,9 +381,13 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
 
     Aggregators update in id order (Gauss-Seidel: later updates see earlier
     ones), each coordinate moving a `damping` fraction toward its
-    best-response target.  Deterministic for fixed options.  Exhausting
-    max_iter raises NonConvergenceError carrying the last iterate; existence
-    is guaranteed, so non-convergence is a solver limitation, never a
+    best-response target.  One aggregator's coordinates update together, as
+    one vector step: the target of (s, b) reads a[(s, j)] and a[(l, j)] only
+    for j != b (the own-aggregator block of Xi is zero), so updating b's
+    block at once gives exactly the coordinate-by-coordinate iterates, up to
+    summation order.  Deterministic for fixed options.  Exhausting max_iter
+    raises NonConvergenceError carrying the last iterate; existence is
+    guaranteed, so non-convergence is a solver limitation, never a
     nonexistence claim.
     """
     params.require_valid()
@@ -390,25 +397,42 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
         raise DomainError(f"damping must lie in (0, 1], got {damping}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     rho = spectral_radius(params.xi_matrix)
-    a = dict(params.gamma)  # start from the decoupled demands
+    sources, aggregators = zip(*params.pairs)
+    source_index = {sid: k for k, sid in enumerate(params.scenario.source_ids)}
+    owner = np.array([source_index[sid] for sid in sources])
+    lower = np.array([params.bounds[sid].a_lower for sid in sources])
+    upper = np.array([params.bounds[sid].a_upper for sid in sources])
+    # each aggregator's pair indices, found without params.pair_index: that
+    # cached_property writes to params.__dict__, which slows every later
+    # attribute read on params (CPython 3.11), the certificate's included
+    aggregators = np.array(aggregators)
+    blocks = [np.flatnonzero(aggregators == bid) for bid in params.scenario.aggregator_ids]
+    n_sources = len(source_index)
+    a = params.gamma_vector.copy()  # start from the decoupled demands
     iterations = 0
     for iterations in range(1, max_iter + 1):
         residual = 0.0
-        for bid in params.scenario.aggregator_ids:
-            for sid in params.scenario.dataset(bid):
-                target, _ = _branch(params, a, sid, bid)
-                delta = target - a[(sid, bid)]
-                residual = max(residual, abs(delta))
-                a[(sid, bid)] += damping * delta
+        for blk in blocks:
+            interior = params.gamma_vector[blk] + (params.xi_matrix @ a)[blk]
+            own = a[blk]
+            rivals = np.bincount(owner, weights=a, minlength=n_sources)[owner[blk]] - own
+            t = interior + rivals
+            target = np.where(t < lower[blk], lower[blk] - rivals,
+                              np.where(t > upper[blk], upper[blk] - rivals, interior))
+            delta = np.maximum(0.0, target) - own
+            residual = max(residual, float(np.abs(delta).max(initial=0.0)))
+            a[blk] += damping * delta
         if residual < tol:
             diag = SolveDiagnostics(spectral_radius=rho, iterations=iterations,
                                     max_residual=residual)
-            return _finish(params, a, STATUS_BOUNDED, diag)
+            return _finish(params, _pair_dict(params, a), STATUS_BOUNDED, diag)
     raise NonConvergenceError(
         f"best-response iteration did not reach tol={tol} within "
         f"{max_iter} sweeps (existence is guaranteed; consider more damping)",
-        last_iterate=a, residual=residual, iterations=iterations)
+        last_iterate=_pair_dict(params, a), residual=residual, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +545,8 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
             f"best-response residual {worst:.3e} (tol {stationarity_tol:.1e})"))
 
     totals = result.a.a_total
-    grid = np.linspace(-grid_radius, grid_radius, grid_points)
+    # scaled after spacing, so the centre point is exactly 0 and skipped
+    grid = grid_radius * np.linspace(-1.0, 1.0, grid_points)
     worst_improvement, worst_at = _worst_grid_deviation(params, a, totals, grid)
     checks.append(CheckResult(
         "best-response-grid", worst_improvement <= improvement_tol,
@@ -581,8 +606,7 @@ def alpha_sweep(params: DerivedParameters, alphas) -> list[AlphaPoint]:
             continue
         a_vec = np.linalg.solve(np.eye(n) - alpha * params.xi_matrix,
                                 params.gamma_vector)
-        a_dict = {pair: float(v) for pair, v in zip(params.pairs, a_vec)}
-        totals = _a_total(params, a_dict)
+        totals = _a_total(params, _pair_dict(params, a_vec))
         points.append(AlphaPoint(float(alpha), float(rho), STATUS_UNIQUE,
                                  float(max(totals.values()))))
     return points

@@ -211,3 +211,16 @@ def test_random_direct_markets_match_reference(seed, n, m, bounded, density, spr
     grid = _fine_grid(bad)
     assert_same(_worst_grid_deviation(params, bad, bad_totals, grid),
                 brute_force_grid(params, bad, bad_totals, grid))
+
+
+@pytest.mark.parametrize("grid_points", [11, 21])
+def test_grid_centre_is_exactly_zero(grid_points):
+    # np.linspace(-3.9, 3.9, k) puts a ~1e-16 step at the centre; scored, it
+    # gave a noise-level improvement reported at "delta +0.000"
+    assert np.linspace(-3.9, 3.9, grid_points)[grid_points // 2] != 0.0
+    params, result = _solved(MARKETS["unbounded"]())
+    for radius in (3.9, *np.linspace(0.5, 10.0, 20)):
+        report = certify_equilibrium(result, params, grid_radius=float(radius),
+                                     grid_points=grid_points)
+        grid_check = next(c for c in report.checks if c.name == "best-response-grid")
+        assert not grid_check.detail.endswith(("delta +0.000", "delta -0.000"))

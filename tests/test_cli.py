@@ -57,6 +57,12 @@ class TestSolve:
         assert doc["status"] == "converged_bounded"
         assert doc["a_total"]["s1"] == pytest.approx(3.0, abs=1e-8)
 
+    def test_unreachable_tolerance_exit_one(self, tmp_path):
+        path = tmp_path / "bounded.json"
+        path.write_text(serialize_scenario(
+            make_symmetric_direct(e_max=math.log(3.0))))
+        assert cli(["solve", str(path), "--tol", "0"]) == 1
+
 
 class TestValidate:
     def test_valid_scenario(self, symmetric_file):

@@ -135,6 +135,24 @@ class TestIncentiveBounds:
             assert abs(effort_response(m, b.a_lower)) < 1e-10
             assert abs(effort_response(m, b.a_upper) - e_max) < 1e-10
 
+    def test_computed_once_per_model(self):
+        m = inverse_power_model(1.2, 0.8, EffortSet("bounded", e_max=2.0))
+        assert incentive_bounds(m) is incentive_bounds(m)
+        effort_response(m, 1.5 * incentive_bounds(m).a_lower)
+        assert incentive_bounds(m) is incentive_bounds(m)
+
+    @pytest.mark.parametrize("factor, bound", [(0.5, "lower"), (2.0, "upper")])
+    def test_out_of_range_after_caching(self, factor, bound):
+        m = exponential_model(1.0, 0.5, EffortSet("bounded", e_max=math.log(4.0)))
+        b = incentive_bounds(m)
+        limit = b.a_lower if bound == "lower" else b.a_upper
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            with pytest.raises(IncentiveRangeError) as info:
+                effort_response(m, factor * limit)
+            assert info.value.bound == bound
+            assert info.value.limit == limit
+            assert info.value.value == factor * limit
+
 
 class TestVarianceAt:
     def test_examples(self):

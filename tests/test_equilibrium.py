@@ -248,6 +248,13 @@ class TestSolveBounded:
         with pytest.raises(DomainError):
             solve_bounded(params, damping=0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_unreachable_tolerance(self, tol):
+        # no sweep can meet such a tol: all max_iter sweeps would run
+        params = derive_parameters(make_symmetric_direct(e_max=math.log(3.0)))
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            solve_bounded(params, tol=tol)
+
 
 class TestCertification:
     def test_certifies_symmetric_fixture(self, symmetric_direct):

@@ -1,0 +1,142 @@
+"""The block-vector bounded solver against the coordinate-by-coordinate
+reference: damped Gauss-Seidel best responses with one `_branch` call per
+(source, aggregator) pair.  Both must take the same number of sweeps and agree
+per coordinate within 1e-12 relative; on a too-small sweep budget both must
+raise NonConvergenceError with the same last iterate and residual."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from conftest import make_line_scenario, make_random_direct, make_symmetric_direct
+
+from datamarket.effort import CustomVariance, EffortSet, EffortVarianceModel, effort_response
+from datamarket.equilibrium import _branch, branch_profile, solve_bounded
+from datamarket.errors import NonConvergenceError
+from datamarket.market import MarketScenario, derive_gamma, derive_parameters
+from datamarket.scenario import GenerationSpec, generate_scenario
+
+REL_TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Coordinate-by-coordinate reference
+# ---------------------------------------------------------------------------
+
+def gauss_seidel_reference(params, *, damping=0.5, max_iter=100_000, tol=1e-10):
+    """(a, sweeps, residual): aggregators in id order, each coordinate moved
+    a damping fraction toward its `_branch` target as soon as it is computed.
+    sweeps is None when max_iter ran out."""
+    a = dict(params.gamma)
+    residual = math.nan
+    for sweeps in range(1, max_iter + 1):
+        residual = 0.0
+        for bid in params.scenario.aggregator_ids:
+            for sid in params.scenario.dataset(bid):
+                target, _ = _branch(params, a, sid, bid)
+                delta = target - a[(sid, bid)]
+                residual = max(residual, abs(delta))
+                a[(sid, bid)] += damping * delta
+        if residual < tol:
+            return a, sweeps, residual
+    return a, None, residual
+
+
+def assert_close(fast, reference):
+    assert fast.keys() == reference.keys()
+    for pair, value in reference.items():
+        assert abs(fast[pair] - value) <= REL_TOL * abs(value), pair
+
+
+# ---------------------------------------------------------------------------
+# Markets
+# ---------------------------------------------------------------------------
+
+def _c06_spec(k):
+    """The direct-bounded specs of acceptance criterion 6."""
+    return GenerationSpec(
+        n_sources=1 + k % 4, n_aggregators=1 + (k // 4) % 4,
+        mode="direct", bounded=True,
+        coupling_scale=(0.05, 0.15, 0.3, 0.7, 1.2)[k % 5],
+        sharing_density=1.0 if k % 3 else 0.8)
+
+
+def _custom_bounded_line():
+    """Estimator-mode line market whose sources use a custom family (the
+    exponential one, given by callables) on a bounded effort set capped just
+    above the largest demand, so that some coordinates clamp."""
+    base = make_line_scenario(n_aggregators=2, zeta=0.1, n_points=8)
+    _, gamma_total = derive_gamma(base, derive_parameters(base).beta)
+    sigma0, lam = 8.0, 1.0
+    family = CustomVariance(
+        sigma_fn=lambda e: sigma0 * math.exp(-lam * e),
+        sigma_prime_fn=lambda e: -lam * sigma0 * math.exp(-lam * e),
+        sigma_second_fn=lambda e: lam * lam * sigma0 * math.exp(-lam * e))
+    e_max = effort_response(EffortVarianceModel(family), 1.05 * max(gamma_total.values()))
+    model = EffortVarianceModel(family, EffortSet("bounded", e_max=e_max))
+    sources = tuple(replace(s, effort_model=model) for s in base.sources)
+    return MarketScenario(sources, base.aggregators, base.ground_truth)
+
+
+MARKETS = {
+    "estimator-full": lambda: generate_scenario(
+        GenerationSpec(24, 3, family="mixed", bounded=True), 0),
+    "estimator-partial": lambda: generate_scenario(
+        GenerationSpec(30, 4, family="mixed", bounded=True, sharing_density=0.7), 3),
+    "direct-partial": lambda: make_random_direct(
+        np.random.default_rng(5), n=9, m=4, coupling=0.3, bounded=True,
+        sharing_density=0.6),
+    "custom-family": _custom_bounded_line,
+    "symmetric-clamped": lambda: make_symmetric_direct(e_max=math.log(3.0)),
+    **{f"c06-{k}": (lambda k=k: generate_scenario(_c06_spec(k), seed=6000 + k))
+       for k in (4, 9, 14, 17, 19, 23, 33, 39)},  # coupling 1.2 at k % 5 == 4
+}
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("market", sorted(MARKETS))
+def test_matches_reference(market):
+    params = derive_parameters(MARKETS[market]())
+    reference, sweeps, _ = gauss_seidel_reference(params)
+    result = solve_bounded(params)
+    assert result.diagnostics.iterations == sweeps
+    assert_close(result.a.a, reference)
+
+
+def test_markets_cover_clamped_and_interior_equilibria():
+    clamped = interior = 0
+    for market in MARKETS:
+        params = derive_parameters(MARKETS[market]())
+        result = solve_bounded(params)
+        profile = set(branch_profile(params, result.a.a).values())
+        clamped += profile != {"interior"}
+        interior += profile == {"interior"}
+    assert clamped >= 3 and interior >= 3, (clamped, interior)
+
+
+@pytest.mark.parametrize("damping", [0.3, 1.0])
+def test_matches_reference_at_other_damping(damping):
+    params = derive_parameters(MARKETS["estimator-partial"]())
+    reference, sweeps, _ = gauss_seidel_reference(params, damping=damping)
+    result = solve_bounded(params, damping=damping)
+    assert result.diagnostics.iterations == sweeps
+    assert_close(result.a.a, reference)
+
+
+@pytest.mark.parametrize("market", ["estimator-partial", "custom-family",
+                                    "symmetric-clamped", "c06-14"])
+def test_exhausted_budget_carries_reference_iterate(market):
+    params = derive_parameters(MARKETS[market]())
+    reference, sweeps, residual = gauss_seidel_reference(params, max_iter=3)
+    assert sweeps is None
+    with pytest.raises(NonConvergenceError) as info:
+        solve_bounded(params, max_iter=3)
+    assert info.value.iterations == 3
+    assert abs(info.value.residual - residual) <= REL_TOL * residual
+    assert_close(info.value.last_iterate, reference)
+
