@@ -61,7 +61,6 @@ from .estimators import (
     SeparabilityCoefficients,
     SeparabilityReport,
     g_value,
-    loo_prediction,
     ols_coefficients,
     point_mass,
     validate_separability,

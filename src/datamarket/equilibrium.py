@@ -199,21 +199,35 @@ def _pair_dict(params: DerivedParameters, a_vec: np.ndarray) -> dict[tuple[str, 
     return {pair: float(v) for pair, v in zip(params.pairs, a_vec)}
 
 
+def _vector(table, keys) -> np.ndarray:
+    return np.array([table[key] for key in keys], dtype=float)
+
+
 def _a_total(params: DerivedParameters, a: dict[tuple[str, str], float]) -> dict[str, float]:
     return {sid: sum(a[(sid, bid)] for bid in params.scenario.sources_by_id[sid].sharing)
             for sid in params.scenario.source_ids}
 
 
-def payment_floors(params: DerivedParameters, a: dict[tuple[str, str], float],
-                   variances: dict[str, float]) -> dict[tuple[str, str], float]:
+def payment_floors(params: DerivedParameters, a: np.ndarray,
+                   variances: np.ndarray) -> np.ndarray:
     """Expected penalty terms q_s^b = a_s^b * sum_i xi_b[s, i] * variance_i:
-    the minimum constant term that keeps b's expected payment to s nonnegative."""
-    floors = {}
-    for (sid, bid) in params.pairs:
-        coupling = sum(params.xi[bid][(sid, i)] * variances[i]
-                       for i in params.scenario.dataset(bid))
-        floors[(sid, bid)] = a[(sid, bid)] * coupling
-    return floors
+    the minimum constant term that keeps b's expected payment to s
+    nonnegative.  `a` and the result run over params.pairs, `variances` over
+    the source ids."""
+    return a * (params.xi @ variances)[params.pair_aggregator, params.pair_source]
+
+
+def _contract(params: DerivedParameters, a_vec: np.ndarray, a_total: dict[str, float],
+              *, clamp: bool
+              ) -> tuple[dict[str, float], np.ndarray, dict[tuple[str, str], float]]:
+    """(efforts, floors over params.pairs, canonical c) at quality weights
+    a_vec with per-source totals a_total."""
+    sids = params.scenario.source_ids
+    efforts, variances = _efforts_and_variances(params, a_total, clamp=clamp)
+    floors = payment_floors(params, a_vec, _vector(variances, sids))
+    share = a_vec / _vector(a_total, sids)[params.pair_source]
+    c = floors + share * _vector(efforts, sids)[params.pair_source]
+    return efforts, floors, _pair_dict(params, c)
 
 
 def _build_polytope(params: DerivedParameters, efforts: dict[str, float],
@@ -236,14 +250,8 @@ def canonical_c(a: AParameters, params: DerivedParameters) -> dict[tuple[str, st
     penalty plus a share of the source's effort proportional to its quality
     weight.  Always lies in the equilibrium polytope and binds the sources'
     participation constraint exactly."""
-    clamp = params.effort_kind == "bounded"
-    efforts, variances = _efforts_and_variances(params, a.a_total, clamp=clamp)
-    floors = payment_floors(params, a.a, variances)
-    c = {}
-    for (sid, bid) in params.pairs:
-        share = a.a[(sid, bid)] / a.a_total[sid]
-        c[(sid, bid)] = floors[(sid, bid)] + share * efforts[sid]
-    return c
+    return _contract(params, _vector(a.a, params.pairs), a.a_total,
+                     clamp=params.effort_kind == "bounded")[2]
 
 
 def polytope_membership(c, a: AParameters, params: DerivedParameters,
@@ -254,9 +262,9 @@ def polytope_membership(c, a: AParameters, params: DerivedParameters,
     if missing:
         raise DomainError(f"candidate c table does not match the sharing "
                           f"structure (mismatched pairs: {sorted(missing)})")
-    clamp = params.effort_kind == "bounded"
-    efforts, variances = _efforts_and_variances(params, a.a_total, clamp=clamp)
-    floors = payment_floors(params, a.a, variances)
+    efforts, floors, _ = _contract(params, _vector(a.a, params.pairs), a.a_total,
+                                   clamp=params.effort_kind == "bounded")
+    floors = _pair_dict(params, floors)
     violations: list[str] = []
     dimensions: dict[str, int] = {}
     for sid in params.scenario.source_ids:
@@ -278,17 +286,14 @@ def polytope_membership(c, a: AParameters, params: DerivedParameters,
 # Solvers
 # ---------------------------------------------------------------------------
 
-def _finish(params: DerivedParameters, a_dict: dict[tuple[str, str], float],
+def _finish(params: DerivedParameters, a_vec: np.ndarray,
             status: str, diagnostics: SolveDiagnostics) -> EquilibriumResult:
+    a_dict = _pair_dict(params, a_vec)
     totals = _a_total(params, a_dict)
-    clamp = status == STATUS_BOUNDED
-    efforts, variances = _efforts_and_variances(params, totals, clamp=clamp)
-    floors = payment_floors(params, a_dict, variances)
-    a = AParameters(a=a_dict, a_total=totals)
+    efforts, floors, c = _contract(params, a_vec, totals, clamp=status == STATUS_BOUNDED)
     return EquilibriumResult(
-        status=status, a=a,
-        canonical_c=canonical_c(a, params),
-        polytope=_build_polytope(params, efforts, floors),
+        status=status, a=AParameters(a=a_dict, a_total=totals), canonical_c=c,
+        polytope=_build_polytope(params, efforts, _pair_dict(params, floors)),
         efforts=efforts, diagnostics=diagnostics)
 
 
@@ -326,53 +331,71 @@ def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
             condition=float(np.linalg.cond(system)))
     a_vec = np.where(a_vec < 0, 0.0, a_vec)
     diag = SolveDiagnostics(spectral_radius=rho, iterations=1, max_residual=residual)
-    return _finish(params, _pair_dict(params, a_vec), STATUS_UNIQUE, diag)
+    return _finish(params, a_vec, STATUS_UNIQUE, diag)
 
 
-def _branch(params: DerivedParameters, a: dict[tuple[str, str], float],
-            sid: str, bid: str) -> tuple[float, str]:
-    """Best-response target for one (source, aggregator) coordinate, holding
-    every other coordinate fixed, with the incentive interval enforced and
-    negative demands floored at zero.  Returns (target, branch label)."""
-    bounds = params.bounds[sid]
-    sharing = params.scenario.sources_by_id[sid].sharing
-    rivals_same_source = sum(a[(sid, j)] for j in sharing if j != bid)
-    coupling = 0.0
-    for j in sharing:
-        if j == bid:
-            continue
-        for l in params.scenario.dataset(j):
-            if l == sid:
-                continue
-            if bid not in params.scenario.sources_by_id[l].sharing:
-                continue
-            coupling += a[(l, j)] * params.xi[j][(l, sid)]
-    interior = params.gamma[(sid, bid)] + coupling
-    t = interior + rivals_same_source
-    if t < bounds.a_lower:
-        target, label = bounds.a_lower - rivals_same_source, "at-minimum"
-    elif t > bounds.a_upper:
-        target, label = bounds.a_upper - rivals_same_source, "at-maximum"
-    else:
-        target, label = interior, "interior"
-    return max(0.0, target), label
+_BRANCHES = ("at-minimum", "interior", "at-maximum")
+
+
+def _clamp(interior: np.ndarray, rivals: np.ndarray, lower: np.ndarray,
+           upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, branches indexing _BRANCHES) of coordinates (s, b) with the
+    given interior targets: the incentive interval is enforced on the total
+    interior + rivals, rivals = sum_{j != b} a[(s, j)], then targets floor at 0."""
+    total = interior + rivals
+    branch = np.where(total < lower, 0, np.where(total > upper, 2, 1))
+    target = np.choose(branch, (lower - rivals, interior, upper - rivals))
+    return np.maximum(0.0, target), branch
+
+
+def _bound_vectors(params: DerivedParameters) -> np.ndarray:
+    """(a_lower, a_upper) of each pair's source, over params.pairs."""
+    bounds = [params.bounds[sid] for sid in params.scenario.source_ids]
+    return np.array([(b.a_lower, b.a_upper) for b in bounds])[params.pair_source].T
+
+
+def _variance_weights(params: DerivedParameters, a_vec: np.ndarray) -> np.ndarray:
+    """Per pair (s, b): the coefficient of sigma_s^2 in aggregator b's
+    reduced loss,
+
+        w_b[s] = gamma[s, b] + sum_{j != b} sum_{i in D_b & D_j} a[i, j] xi_j(i, s),
+
+    read from the xi array, never from the solver's coupling matrix.  The
+    terms i = s sum to the same source's weight at its other aggregators, so
+    w_b[s] is also the best-response total (interior target plus rivals)."""
+    n, m = params.membership.shape
+    a_table = np.zeros((n, m))
+    a_table[params.pair_source, params.pair_aggregator] = a_vec
+    # a[i, j] * [i in D_b] * [j != b] * xi_j(i, s), summed over i and j
+    coupling = np.einsum("ij,ib,jb,jis->bs", a_table, params.membership,
+                         1.0 - np.eye(m), params.xi)
+    return params.gamma_vector + coupling[params.pair_aggregator, params.pair_source]
+
+
+def _best_responses(params: DerivedParameters, a: dict[tuple[str, str], float]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, targets, branches) over params.pairs: every coordinate's
+    best-response target holding all others fixed."""
+    a_vec = _vector(a, params.pairs)
+    rivals = np.bincount(params.pair_source, weights=a_vec)[params.pair_source] - a_vec
+    interior = _variance_weights(params, a_vec) - rivals
+    return (a_vec, *_clamp(interior, rivals, *_bound_vectors(params)))
 
 
 def best_response_residual(params: DerivedParameters,
                            a: dict[tuple[str, str], float]) -> float:
     """Sup-norm distance of a quality-weight table from its own best-response
     targets; zero exactly at a bounded-game equilibrium."""
-    worst = 0.0
-    for (sid, bid) in params.pairs:
-        worst = max(worst, abs(a[(sid, bid)] - _branch(params, a, sid, bid)[0]))
-    return worst
+    a_vec, targets, _ = _best_responses(params, a)
+    return float(np.abs(a_vec - targets).max(initial=0.0))
 
 
 def branch_profile(params: DerivedParameters,
                    a: dict[tuple[str, str], float]) -> dict[tuple[str, str], str]:
     """Which best-response branch each coordinate sits on ("interior",
     "at-minimum", "at-maximum"); all-interior means no clamp is active."""
-    return {pair: _branch(params, a, pair[0], pair[1])[1] for pair in params.pairs}
+    _, _, branches = _best_responses(params, a)
+    return {pair: _BRANCHES[k] for pair, k in zip(params.pairs, branches.tolist())}
 
 
 def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
@@ -400,17 +423,9 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
     if not (0.0 < tol < math.inf):
         raise DomainError(f"tol must be positive and finite, got {tol}")
     rho = spectral_radius(params.xi_matrix)
-    sources, aggregators = zip(*params.pairs)
-    source_index = {sid: k for k, sid in enumerate(params.scenario.source_ids)}
-    owner = np.array([source_index[sid] for sid in sources])
-    lower = np.array([params.bounds[sid].a_lower for sid in sources])
-    upper = np.array([params.bounds[sid].a_upper for sid in sources])
-    # each aggregator's pair indices, found without params.pair_index: that
-    # cached_property writes to params.__dict__, which slows every later
-    # attribute read on params (CPython 3.11), the certificate's included
-    aggregators = np.array(aggregators)
-    blocks = [np.flatnonzero(aggregators == bid) for bid in params.scenario.aggregator_ids]
-    n_sources = len(source_index)
+    lower, upper = _bound_vectors(params)
+    blocks = [np.flatnonzero(params.pair_aggregator == b)
+              for b in range(len(params.scenario.aggregator_ids))]
     a = params.gamma_vector.copy()  # start from the decoupled demands
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -418,17 +433,16 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
         for blk in blocks:
             interior = params.gamma_vector[blk] + (params.xi_matrix @ a)[blk]
             own = a[blk]
-            rivals = np.bincount(owner, weights=a, minlength=n_sources)[owner[blk]] - own
-            t = interior + rivals
-            target = np.where(t < lower[blk], lower[blk] - rivals,
-                              np.where(t > upper[blk], upper[blk] - rivals, interior))
-            delta = np.maximum(0.0, target) - own
+            totals = np.bincount(params.pair_source, weights=a)
+            target, _ = _clamp(interior, totals[params.pair_source[blk]] - own,
+                               lower[blk], upper[blk])
+            delta = target - own
             residual = max(residual, float(np.abs(delta).max(initial=0.0)))
             a[blk] += damping * delta
         if residual < tol:
             diag = SolveDiagnostics(spectral_radius=rho, iterations=iterations,
                                     max_residual=residual)
-            return _finish(params, _pair_dict(params, a), STATUS_BOUNDED, diag)
+            return _finish(params, a, STATUS_BOUNDED, diag)
     raise NonConvergenceError(
         f"best-response iteration did not reach tol={tol} within "
         f"{max_iter} sweeps (existence is guaranteed; consider more damping)",
@@ -475,43 +489,37 @@ def _worst_grid_deviation(params: DerivedParameters, a: dict[tuple[str, str], fl
     Each deviation therefore improves b's loss by
     -(w_b[s] * (change in sigma_s^2) + (change in e_s)): one pass over the
     grid costs one effort evaluation per point.  The weights come from the xi
-    tables, not from the solver's coupling matrix, so the check stays
+    array, not from the solver's coupling matrix, so the check stays
     independent of it.  Feasibility is judged on the given totals, the loss
-    on the totals of `a` itself.
+    on the totals of `a` itself.  Aggregators are visited in id order, each
+    one's sources in id order; the first of equal improvements is reported.
     """
     clamp = params.effort_kind == "bounded"
     loss_totals = _a_total(params, a)
     efforts, variances = _efforts_and_variances(params, loss_totals, clamp=clamp)
+    weights = _variance_weights(params, _vector(a, params.pairs)).tolist()
     worst, worst_at = 0.0, ""
-    for bid in params.scenario.aggregator_ids:
-        weights = {sid: params.gamma[(sid, bid)] for sid in params.scenario.dataset(bid)}
-        for i in params.scenario.dataset(bid):
-            for j in params.scenario.sources_by_id[i].sharing:
-                if j == bid:
-                    continue
-                a_ij, xi_j = a[(i, j)], params.xi[j]
-                for l in params.scenario.dataset(j):
-                    if l in weights:
-                        weights[l] += a_ij * xi_j[(i, l)]
-        for sid, weight in weights.items():
-            a_sb = a[(sid, bid)]
-            bounds = params.bounds[sid]
-            model = params.effort_model(sid)
-            for delta in grid:
-                if delta == 0.0:
-                    continue
-                new_total = totals[sid] + delta
-                if a_sb + delta < 0 or new_total < bounds.a_lower:
-                    continue
-                if clamp and new_total > bounds.a_upper:
-                    continue
-                e = _effort_at(params, sid, loss_totals[sid] + delta, clamp=clamp)
-                sigma = model.sigma(e)
-                improvement = -(weight * (sigma * sigma - variances[sid])
-                                + (e - efforts[sid]))
-                if improvement > worst:
-                    worst = improvement
-                    worst_at = f"aggregator {bid}, pair ({sid}, {bid}), delta {delta:+.3f}"
+    for k in np.argsort(params.pair_aggregator, kind="stable").tolist():
+        sid, bid = params.pairs[k]
+        weight = weights[k]
+        a_sb = a[(sid, bid)]
+        bounds = params.bounds[sid]
+        model = params.effort_model(sid)
+        for delta in grid:
+            if delta == 0.0:
+                continue
+            new_total = totals[sid] + delta
+            if a_sb + delta < 0 or new_total < bounds.a_lower:
+                continue
+            if clamp and new_total > bounds.a_upper:
+                continue
+            e = _effort_at(params, sid, loss_totals[sid] + delta, clamp=clamp)
+            sigma = model.sigma(e)
+            improvement = -(weight * (sigma * sigma - variances[sid])
+                            + (e - efforts[sid]))
+            if improvement > worst:
+                worst = improvement
+                worst_at = f"aggregator {bid}, pair ({sid}, {bid}), delta {delta:+.3f}"
     return worst, worst_at
 
 
@@ -532,7 +540,7 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
     checks: list[CheckResult] = []
 
     if result.status == STATUS_UNIQUE:
-        a_vec = np.array([a[p] for p in params.pairs])
+        a_vec = _vector(a, params.pairs)
         residual = float(np.abs(a_vec - (params.xi_matrix @ a_vec
                                          + params.gamma_vector)).max())
         checks.append(CheckResult(
@@ -553,21 +561,22 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
         f"largest grid improvement {worst_improvement:.3e}"
         + (f" at {worst_at}" if worst_at else "")))
 
-    c = canonical_c(result.a, params)
-    clamp = params.effort_kind == "bounded"
-    efforts, variances = _efforts_and_variances(params, totals, clamp=clamp)
-    floors = payment_floors(params, a, variances)
-    worst_binding = 0.0
-    payments_ok = True
-    for sid in params.scenario.source_ids:
-        sharing = params.scenario.sources_by_id[sid].sharing
-        expected_total = sum(c[(sid, bid)] - floors[(sid, bid)] for bid in sharing)
-        worst_binding = max(worst_binding, abs(expected_total - efforts[sid]))
-        payments_ok &= all(c[(sid, bid)] - floors[(sid, bid)] >= -1e-12
-                           for bid in sharing)
+    # the document's c and efforts, against floors and efforts recomputed
+    # from its quality weights and totals
+    efforts, floors, _ = _contract(params, _vector(a, params.pairs), totals,
+                                   clamp=params.effort_kind == "bounded")
+    surplus = _vector(result.canonical_c, params.pairs) - floors
+    claimed = _vector(result.efforts, params.scenario.source_ids)
+    worst_binding = float(np.abs(np.bincount(params.pair_source, weights=surplus)
+                                 - claimed).max())
+    recomputed = _vector(efforts, params.scenario.source_ids)
+    worst_effort = float(np.abs(claimed - recomputed).max())
+    payments_ok = bool(np.all(surplus >= -1e-12))
     checks.append(CheckResult(
-        "participation-binding", worst_binding < 1e-9 and payments_ok,
+        "participation-binding",
+        worst_binding < 1e-9 and worst_effort < 1e-9 and payments_ok,
         f"payment-vs-effort residual {worst_binding:.3e}, "
+        f"effort-vs-total residual {worst_effort:.3e}, "
         f"nonnegative payments: {payments_ok}"))
 
     return CertificateReport(all(c.passed for c in checks), tuple(checks))
@@ -606,7 +615,6 @@ def alpha_sweep(params: DerivedParameters, alphas) -> list[AlphaPoint]:
             continue
         a_vec = np.linalg.solve(np.eye(n) - alpha * params.xi_matrix,
                                 params.gamma_vector)
-        totals = _a_total(params, _pair_dict(params, a_vec))
-        points.append(AlphaPoint(float(alpha), float(rho), STATUS_UNIQUE,
-                                 float(max(totals.values()))))
+        max_total = float(np.bincount(params.pair_source, weights=a_vec).max())
+        points.append(AlphaPoint(float(alpha), float(rho), STATUS_UNIQUE, max_total))
     return points

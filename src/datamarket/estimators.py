@@ -6,8 +6,9 @@ sigma_i^2, the expected squared prediction error at a query point decomposes
 as sum_i h_i * sigma_i^2 where h_i are nonnegative weights depending only on
 the feature geometry and the query distribution.  That decomposition is what
 lets payment contracts be priced from geometry alone; this module computes
-the weights, leave-one-out predictions for realized payments, and a
-Monte-Carlo validation of the decomposition.
+the weights, the leave-one-out prediction weights behind both the payment
+coupling and the realized payments, and a Monte-Carlo validation of the
+decomposition.
 """
 
 from __future__ import annotations
@@ -111,23 +112,51 @@ def design_matrix(points) -> np.ndarray:
     return np.hstack([pts, np.ones((pts.shape[0], 1))])
 
 
-def _gram_or_raise(X: np.ndarray, error_cls, message: str, **error_kwargs) -> np.ndarray:
+def prediction_weights(points, queries) -> np.ndarray:
+    """Columns are X (X^T X)^{-1} [q^T, 1]^T for each query q: the weights an
+    OLS prediction at q places on each observed response (one row per point).
+    Raises IllDefinedEstimatorError on rank-deficient designs."""
+    X = design_matrix(points)
     gram = X.T @ X
     if X.shape[0] < X.shape[1]:
-        raise error_cls(f"{message}: {X.shape[0]} points cannot identify "
-                        f"{X.shape[1]} regression parameters", **error_kwargs)
+        raise IllDefinedEstimatorError(
+            f"estimator is ill-defined: {X.shape[0]} points cannot identify "
+            f"{X.shape[1]} regression parameters")
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
-        raise error_cls(f"{message}: design Gram matrix condition {cond:.3e} "
-                        f"exceeds {CONDITION_LIMIT:.0e}", **error_kwargs)
-    return gram
+        raise IllDefinedEstimatorError(
+            f"estimator is ill-defined: design Gram matrix condition {cond:.3e} "
+            f"exceeds {CONDITION_LIMIT:.0e}")
+    return X @ np.linalg.solve(gram, design_matrix(queries).T)
 
 
-def _prediction_weights(X: np.ndarray, gram: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Columns are X (X^T X)^{-1} [q^T, 1]^T for each query q: the weights an
-    OLS prediction at q places on each observed response."""
-    A = design_matrix(queries)
-    return X @ np.linalg.solve(gram, A.T)
+def leave_one_out_weights(points, *, aggregator: str, sources) -> np.ndarray:
+    """W[i, l]: the weight that the OLS fit on every point but i places on
+    point l's response when it predicts at point i (W[i, i] = 0), from one
+    batched solve.  Each leave-one-out Gram is summed over the other rows, so
+    its rank test is that of a separate fit; the first rank-deficient one
+    raises IllDefinedPaymentError naming the aggregator and the source id
+    (from `sources`) of the point left out."""
+    X = design_matrix(points)
+    k, p = X.shape
+    if k == 1:
+        return np.zeros((1, 1))  # no other point to predict from
+    others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # row i: all but i
+    X_others = X[others]                                               # (k, k - 1, p)
+    grams = X_others.transpose(0, 2, 1) @ X_others
+    cond = np.linalg.cond(grams) if k > p else np.full(k, np.inf)
+    failing = np.flatnonzero(~(cond < CONDITION_LIMIT))  # NaN and inf fail too
+    if failing.size:
+        source = str(sources[failing[0]])
+        raise IllDefinedPaymentError(
+            f"aggregator {aggregator!r}: leave-one-out design excluding source "
+            f"{source!r} is rank deficient ({k - 1} points for {p} parameters, Gram "
+            f"condition {cond[failing[0]]:.3e}, limit {CONDITION_LIMIT:.0e})",
+            aggregator=aggregator, source=source)
+    weights = np.zeros((k, k))
+    at_left_out = np.linalg.solve(grams, X[:, :, None])  # G_i^{-1} [x_i, 1]
+    weights[np.arange(k)[:, None], others] = (X_others @ at_left_out)[:, :, 0]
+    return weights
 
 
 def ols_coefficients(points, query_dist: QueryDistribution) -> SeparabilityCoefficients:
@@ -136,12 +165,11 @@ def ols_coefficients(points, query_dist: QueryDistribution) -> SeparabilityCoeff
     h_i = sum over atoms of prob * w_i^2, with w the prediction-weight vector
     at the atom.  Raises IllDefinedEstimatorError on rank-deficient designs.
     """
-    X = design_matrix(points)
-    if query_dist.dimension != X.shape[1] - 1:
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if query_dist.dimension != pts.shape[1]:
         raise ShapeError(f"query dimension {query_dist.dimension} does not match "
-                         f"feature dimension {X.shape[1] - 1}")
-    gram = _gram_or_raise(X, IllDefinedEstimatorError, "estimator is ill-defined")
-    W = _prediction_weights(X, gram, query_dist.points())
+                         f"feature dimension {pts.shape[1]}")
+    W = prediction_weights(pts, query_dist.points())
     h = (W ** 2) @ query_dist.weights()
     return SeparabilityCoefficients(tuple(float(v) for v in h))
 
@@ -156,23 +184,6 @@ def g_value(points, query_dist: QueryDistribution, variances) -> float:
     if np.any(var < 0):
         raise DomainError("variances must be nonnegative")
     return float(h @ var)
-
-
-def loo_prediction(points, responses, exclude: int, at) -> float:
-    """OLS fit on all data except index `exclude`, evaluated at `at`."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    y = np.asarray(responses, dtype=float)
-    if y.shape[0] != pts.shape[0]:
-        raise ShapeError(f"{y.shape[0]} responses for {pts.shape[0]} points")
-    if not 0 <= exclude < pts.shape[0]:
-        raise DomainError(f"exclude index {exclude} out of range")
-    keep = np.arange(pts.shape[0]) != exclude
-    X = design_matrix(pts[keep])
-    gram = _gram_or_raise(X, IllDefinedPaymentError,
-                          "leave-one-out payment is ill-defined")
-    coef = np.linalg.solve(gram, X.T @ y[keep])
-    pred = design_matrix(np.atleast_2d(np.asarray(at, dtype=float))) @ coef
-    return float(pred[0])
 
 
 def trial_stream(seed: int, index: int) -> np.random.Generator:

@@ -6,8 +6,8 @@ distribution, competition weights, payment scale).  From these we derive the
 contract parameters that drive everything downstream:
 
   beta[s, b]   relevance of source s's data to aggregator b's estimate,
-  xi[b][i, l]  coupling: weight of source l's variance inside the payment
-               aggregator b owes source s=i (leave-one-out geometry),
+  xi[b, i, l]  coupling: weight of source l's variance inside the payment
+               aggregator b owes source s=i (leave-one-out geometry, dense),
   gamma[s, b]  b's net demand for quality from s after subtracting the
                competition-weighted benefit to b's rivals,
   Xi           the square coupling matrix of the equilibrium system
@@ -22,20 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from .effort import EffortVarianceModel, IncentiveBounds, incentive_bounds
-from .errors import DomainError, IllDefinedEstimatorError, IllDefinedPaymentError, ScenarioValidationError
+from .errors import DomainError, IllDefinedEstimatorError, ScenarioValidationError
 from .estimators import (
     EstimatorSpec,
     FeaturePoint,
     QueryDistribution,
     as_feature_point,
+    leave_one_out_weights,
     ols_coefficients,
-    point_mass,
 )
 
 MODE_ESTIMATOR = "estimator_derived"
@@ -101,6 +100,14 @@ class MarketScenario:
     mode: str = MODE_ESTIMATOR
     direct_beta: Mapping[tuple[str, str], float] | None = None
     direct_xi: Mapping[str, Mapping[tuple[str, str], float]] | None = None
+    # Lookups filled at construction, not cached on first read: writing to an
+    # instance's __dict__ later slows every attribute read on it (CPython 3.11).
+    source_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    aggregator_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    sources_by_id: dict[str, DataSourceSpec] = field(init=False, repr=False, compare=False)
+    aggregators_by_id: dict[str, AggregatorSpec] = field(init=False, repr=False,
+                                                        compare=False)
+    _datasets: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
@@ -115,6 +122,10 @@ class MarketScenario:
             raise DomainError("duplicate aggregator ids")
         if set(sids) & set(bids):
             raise DomainError("source and aggregator ids must be disjoint")
+        object.__setattr__(self, "source_ids", tuple(sorted(sids)))
+        object.__setattr__(self, "aggregator_ids", tuple(sorted(bids)))
+        object.__setattr__(self, "sources_by_id", {s.id: s for s in self.sources})
+        object.__setattr__(self, "aggregators_by_id", {b.id: b for b in self.aggregators})
         dims = {len(s.feature) for s in self.sources}
         if len(dims) != 1:
             raise DomainError(f"sources mix feature dimensions {sorted(dims)}")
@@ -128,6 +139,9 @@ class MarketScenario:
             if unknown:
                 raise DomainError(f"source {s.id!r} shares with unknown "
                                   f"aggregators {sorted(unknown)}")
+        object.__setattr__(self, "_datasets", {
+            bid: tuple(s for s in self.source_ids if bid in self.sources_by_id[s].sharing)
+            for bid in self.aggregator_ids})
         for b in self.aggregators:
             unknown = set(b.zeta) - known
             if unknown:
@@ -172,33 +186,9 @@ class MarketScenario:
         object.__setattr__(self, "direct_beta", beta)
         object.__setattr__(self, "direct_xi", xi)
 
-    @cached_property
-    def source_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(s.id for s in self.sources))
-
-    @cached_property
-    def aggregator_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(b.id for b in self.aggregators))
-
-    @cached_property
-    def sources_by_id(self) -> dict[str, DataSourceSpec]:
-        return {s.id: s for s in self.sources}
-
-    @cached_property
-    def aggregators_by_id(self) -> dict[str, AggregatorSpec]:
-        return {b.id: b for b in self.aggregators}
-
     @property
     def dimension(self) -> int:
         return len(self.sources[0].feature)
-
-    @cached_property
-    def _datasets(self) -> dict[str, tuple[str, ...]]:
-        members: dict[str, list[str]] = {bid: [] for bid in self.aggregator_ids}
-        for sid in self.source_ids:
-            for bid in self.sources_by_id[sid].sharing:
-                members[bid].append(sid)
-        return {bid: tuple(sids) for bid, sids in members.items()}
 
     def dataset(self, aggregator_id: str) -> tuple[str, ...]:
         """Sorted ids of the sources selling to this aggregator."""
@@ -236,33 +226,32 @@ def derive_beta(scenario: MarketScenario) -> dict[tuple[str, str], float]:
     return beta
 
 
-def derive_xi(scenario: MarketScenario) -> dict[str, dict[tuple[str, str], float]]:
-    """Coupling weights per aggregator: xi[b][(i, l)] is the weight of source
-    l's variance in b's leave-one-out prediction at source i's feature point
-    (1 when i == l by definition)."""
+def _membership(scenario: MarketScenario) -> np.ndarray:
+    """n x m booleans, [s, b] true when source s sells to aggregator b (id
+    order); its nonzero entries, row by row, are the sharing pairs in order."""
+    return np.array([np.isin(scenario.aggregator_ids, scenario.sources_by_id[sid].sharing)
+                     for sid in scenario.source_ids])
+
+
+def derive_xi(scenario: MarketScenario) -> np.ndarray:
+    """Coupling weights xi[b, i, l] (aggregators x sources x sources, id
+    order): the weight of source l's variance in b's leave-one-out prediction
+    at source i's feature point, 1 when i == l, and 0 unless both sources
+    sell to b.  One batched leave-one-out solve per aggregator."""
     if scenario.mode != MODE_ESTIMATOR:
         raise DomainError("derive_xi applies to estimator-derived scenarios; "
                           "direct mode carries its own xi table")
-    xi: dict[str, dict[tuple[str, str], float]] = {}
-    for bid in scenario.aggregator_ids:
-        ds = scenario.dataset(bid)
-        table: dict[tuple[str, str], float] = {}
-        for i_pos, i in enumerate(ds):
-            table[(i, i)] = 1.0
-            others = [sid for sid in ds if sid != i]
-            if not others:
-                continue
-            pts = np.array([scenario.sources_by_id[sid].feature for sid in others])
-            try:
-                h = ols_coefficients(pts, point_mass(scenario.sources_by_id[i].feature))
-            except IllDefinedEstimatorError as exc:
-                raise IllDefinedPaymentError(
-                    f"aggregator {bid!r}: leave-one-out design excluding source "
-                    f"{i!r} is rank deficient ({exc})",
-                    aggregator=bid, source=i) from exc
-            for l, value in zip(others, h):
-                table[(i, l)] = float(value)
-        xi[bid] = table
+    membership = _membership(scenario)
+    n, m = membership.shape
+    features = np.array([scenario.sources_by_id[s].feature for s in scenario.source_ids])
+    ids = np.array(scenario.source_ids)
+    xi = np.zeros((m, n, n))
+    for b, bid in enumerate(scenario.aggregator_ids):
+        members = np.flatnonzero(membership[:, b])
+        block = leave_one_out_weights(features[members], aggregator=bid,
+                                      sources=ids[members]) ** 2
+        np.fill_diagonal(block, 1.0)
+        xi[b][np.ix_(members, members)] = block
     return xi
 
 
@@ -286,30 +275,30 @@ def derive_gamma(scenario: MarketScenario, beta: Mapping[tuple[str, str], float]
     return gamma, gamma_total
 
 
-def assemble_xi_matrix(scenario: MarketScenario,
-                       xi: Mapping[str, Mapping[tuple[str, str], float]],
+def assemble_xi_matrix(scenario: MarketScenario, xi: np.ndarray,
                        ) -> tuple[np.ndarray, tuple[tuple[str, str], ...]]:
     """Coupling matrix of the equilibrium system a = Xi a + gamma.
 
     Rows/columns are the sharing pairs in lexicographic (source, aggregator)
-    order.  Entry at row (s, b), column (l, j) is xi[j][(l, s)] when j != b,
+    order.  Entry at row (s, b), column (l, j) is xi[j, l, s] when j != b,
     l != s, and both s and l sell to both j and b; otherwise 0.  The own-
     aggregator (j == b) and own-source (l == s) blocks are identically zero.
+    Filled one block per ordered aggregator pair (b, j); xi[j] is zero unless
+    s sells to j, so only "l sells to b" needs a test.
     """
-    pairs = scenario.sharing_pairs()
-    index = {pair: k for k, pair in enumerate(pairs)}
-    matrix = np.zeros((len(pairs), len(pairs)))
-    for (s, b), row in index.items():
-        sharing_s = scenario.sources_by_id[s].sharing
-        for (l, j), col in index.items():
-            if j == b or l == s:
+    membership = _membership(scenario)
+    pair_source, pair_aggregator = np.nonzero(membership)
+    blocks = [np.flatnonzero(pair_aggregator == b) for b in range(membership.shape[1])]
+    matrix = np.zeros((len(pair_source), len(pair_source)))
+    for b, rows in enumerate(blocks):
+        s = pair_source[rows]
+        for j, cols in enumerate(blocks):
+            if j == b:
                 continue
-            if j not in sharing_s:          # s must also sell to j
-                continue
-            if b not in scenario.sources_by_id[l].sharing:  # l must sell to b
-                continue
-            matrix[row, col] = xi[j][(l, s)]
-    return matrix, pairs
+            cols = cols[membership[pair_source[cols], b]]
+            l = pair_source[cols]
+            matrix[np.ix_(rows, cols)] = xi[j][np.ix_(l, s)].T * (s[:, None] != l)
+    return matrix, scenario.sharing_pairs()
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +332,16 @@ class ValidationReport:
 
 
 def _derive_tables(scenario: MarketScenario):
-    """(beta, xi): derived in estimator mode, copied in direct mode."""
+    """(beta, xi): derived in estimator mode; in direct mode copied, the
+    id-keyed xi tables converted to the dense array."""
     if scenario.mode == MODE_ESTIMATOR:
         return derive_beta(scenario), derive_xi(scenario)
-    return dict(scenario.direct_beta), {b: dict(t) for b, t in scenario.direct_xi.items()}
+    position = {sid: k for k, sid in enumerate(scenario.source_ids)}
+    xi = np.zeros((len(scenario.aggregator_ids), len(position), len(position)))
+    for b, bid in enumerate(scenario.aggregator_ids):
+        for (i, l), value in scenario.direct_xi[bid].items():
+            xi[b, position[i], position[l]] = value
+    return dict(scenario.direct_beta), xi
 
 
 def validate_scenario(scenario: MarketScenario) -> ValidationReport:
@@ -377,10 +372,6 @@ def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
 
     for bid in scenario.aggregator_ids:
         agg = scenario.aggregators_by_id[bid]
-        total = sum(w for _, w in agg.query_dist.atoms)
-        if abs(total - 1.0) > 1e-12:
-            violations.append(Violation(
-                "bad-probabilities", bid, f"query probabilities sum to {total}"))
         if agg.payment_scale != 1.0:
             notes.append(f"aggregator {bid}: payment scale {agg.payment_scale} "
                          "normalized to 1 (demand rescaled accordingly)")
@@ -424,7 +415,7 @@ class DerivedParameters:
     scenario: MarketScenario
     mode: str
     beta: dict[tuple[str, str], float]
-    xi: dict[str, dict[tuple[str, str], float]]
+    xi: np.ndarray          # [b, i, l], aggregators x sources x sources, id order
     gamma: dict[tuple[str, str], float]
     gamma_total: dict[str, float]
     bounds: dict[str, IncentiveBounds]
@@ -432,10 +423,20 @@ class DerivedParameters:
     xi_matrix: np.ndarray
     gamma_vector: np.ndarray
     validation: ValidationReport
+    # Filled at construction, as on MarketScenario.  Pair k is (source_ids[
+    # pair_source[k]], aggregator_ids[pair_aggregator[k]]); see _membership.
+    pair_index: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    pair_source: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_aggregator: np.ndarray = field(init=False, repr=False, compare=False)
+    membership: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def pair_index(self) -> dict[tuple[str, str], int]:
-        return {pair: k for k, pair in enumerate(self.pairs)}
+    def __post_init__(self):
+        membership = _membership(self.scenario)
+        pair_source, pair_aggregator = np.nonzero(membership)
+        object.__setattr__(self, "pair_index", {p: k for k, p in enumerate(self.pairs)})
+        object.__setattr__(self, "pair_source", pair_source)
+        object.__setattr__(self, "pair_aggregator", pair_aggregator)
+        object.__setattr__(self, "membership", membership)
 
     @property
     def effort_kind(self) -> str:
@@ -446,12 +447,8 @@ class DerivedParameters:
         return self.scenario.sources_by_id[source_id].effort_model
 
     def offdiagonal_xi_max(self) -> float:
-        worst = 0.0
-        for table in self.xi.values():
-            for (i, l), v in table.items():
-                if i != l:
-                    worst = max(worst, abs(v))
-        return worst
+        off_diagonal = ~np.eye(self.xi.shape[1], dtype=bool)
+        return float(np.abs(self.xi[:, off_diagonal]).max(initial=0.0))
 
     def require_valid(self) -> None:
         if not self.validation.ok:

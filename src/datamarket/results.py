@@ -165,10 +165,13 @@ def gamma_csv(params: DerivedParameters) -> str:
 
 
 def xi_csv(params: DerivedParameters) -> str:
+    """The xi array keyed by id, over each aggregator's dataset pairs."""
     rows = [("aggregator", "paid_source", "coupled_source", "xi")]
-    for bid in sorted(params.xi):
-        for (i, l) in sorted(params.xi[bid]):
-            rows.append((bid, i, l, params.xi[bid][(i, l)]))
+    sids = params.scenario.source_ids
+    for b, bid in enumerate(params.scenario.aggregator_ids):
+        members = params.pair_source[params.pair_aggregator == b].tolist()
+        rows += [(bid, sids[i], sids[l], float(params.xi[b, i, l]))
+                 for i in members for l in members]
     return _csv(rows)
 
 

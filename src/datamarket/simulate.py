@@ -14,14 +14,14 @@ independent of iteration or parallel schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .equilibrium import EquilibriumResult
 from .errors import DomainError
-from .estimators import design_matrix, trial_stream
-from .market import MODE_ESTIMATOR, MarketScenario
+from .estimators import leave_one_out_weights, prediction_weights, trial_stream
+from .market import MODE_ESTIMATOR, MarketScenario, _membership
 
 
 @dataclass(frozen=True)
@@ -34,98 +34,64 @@ class MarketRound:
     losses: dict[str, float]
 
 
-@dataclass(frozen=True)
-class _Geometry:
-    """Response-linear weights precomputed from the feature layout."""
-
-    dataset: dict[str, tuple[str, ...]]
-    loo_weights: dict[tuple[str, str], np.ndarray]   # over dataset minus the source
-    atom_weights: dict[str, np.ndarray]              # (atoms, dataset) of own fit
-    cross_weights: dict[tuple[str, str], np.ndarray]  # b's atoms under j's fit
-    truth_at_sources: dict[str, float]
-    truth_at_atoms: dict[str, np.ndarray]
-    atom_probs: dict[str, np.ndarray]
-
-
-def _prediction_weights(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    X = design_matrix(points)
-    A = design_matrix(queries)
-    return (X @ np.linalg.solve(X.T @ X, A.T)).T  # (queries, points)
-
-
-def _build_geometry(scenario: MarketScenario) -> _Geometry:
+def _round_player(scenario: MarketScenario, result: EquilibriumResult
+                  ) -> Callable[[int, int], MarketRound]:
+    """play(seed, index) -> MarketRound, with everything a round reads
+    computed once: the response-linear weights of the feature layout and the
+    contract at the solved equilibrium (pairs in sharing-pair order)."""
     if scenario.mode != MODE_ESTIMATOR:
         raise DomainError("round simulation needs estimator-derived scenarios "
                           "(direct mode has no regression geometry)")
-    dataset = {bid: scenario.dataset(bid) for bid in scenario.aggregator_ids}
-    loo, atom_w, cross = {}, {}, {}
-    for bid in scenario.aggregator_ids:
-        ds = dataset[bid]
-        points = scenario.dataset_points(bid)
-        agg = scenario.aggregators_by_id[bid]
-        atom_w[bid] = _prediction_weights(points, agg.query_dist.points())
-        for sid in ds:
-            keep = [k for k, other in enumerate(ds) if other != sid]
-            target = np.array([scenario.sources_by_id[sid].feature])
-            loo[(sid, bid)] = _prediction_weights(points[keep], target)[0]
-        for other in scenario.aggregator_ids:
-            if agg.zeta.get(other, 0.0) != 0.0:
-                cross[(bid, other)] = _prediction_weights(
-                    scenario.dataset_points(other), agg.query_dist.points())
-    truth_sources = {sid: scenario.ground_truth(scenario.sources_by_id[sid].feature)
-                     for sid in scenario.source_ids}
-    truth_atoms = {bid: np.array([scenario.ground_truth(p)
-                                  for p in scenario.aggregators_by_id[bid]
-                                  .query_dist.points()])
-                   for bid in scenario.aggregator_ids}
-    probs = {bid: scenario.aggregators_by_id[bid].query_dist.weights()
-             for bid in scenario.aggregator_ids}
-    return _Geometry(dataset, loo, atom_w, cross, truth_sources, truth_atoms, probs)
+    sids, bids = scenario.source_ids, scenario.aggregator_ids
+    pairs = scenario.sharing_pairs()
+    membership = _membership(scenario)
+    members = {bid: np.flatnonzero(membership[:, b]) for b, bid in enumerate(bids)}
+    _, pair_aggregator = np.nonzero(membership)
+    rows = {bid: np.flatnonzero(pair_aggregator == b) for b, bid in enumerate(bids)}
+    queries = {bid: scenario.aggregators_by_id[bid].query_dist for bid in bids}
+    loo = {bid: leave_one_out_weights(scenario.dataset_points(bid), aggregator=bid,
+                                      sources=np.array(sids)[members[bid]])
+           for bid in bids}
+    # fit[(b, j)]: j's fit evaluated at b's query atoms, for b itself and its rivals
+    fit = {(bid, other): prediction_weights(scenario.dataset_points(other),
+                                            queries[bid].points()).T
+           for bid in bids for other in bids
+           if other == bid or scenario.aggregators_by_id[bid].zeta.get(other, 0.0) != 0.0}
+    probs = {bid: queries[bid].weights() for bid in bids}
+    truth_at_atoms = {bid: np.array([scenario.ground_truth(p) for p in q.points()])
+                      for bid, q in queries.items()}
+    truth_at_sources = np.array([scenario.ground_truth(scenario.sources_by_id[sid].feature)
+                                 for sid in sids])
+    sigma = np.array([scenario.sources_by_id[sid].effort_model.sigma(result.efforts[sid])
+                      for sid in sids])
+    c = np.array([result.canonical_c[pair] for pair in pairs])
+    a = np.array([result.a.a[pair] for pair in pairs])
 
+    def atom_error(bid: str, fitted: np.ndarray) -> float:
+        return float(probs[bid] @ (fitted - truth_at_atoms[bid]) ** 2)
 
-def _play_round(scenario: MarketScenario, result: EquilibriumResult,
-                geometry: _Geometry, seed: int, index: int) -> MarketRound:
-    rng = trial_stream(seed, index)
-    sigma = {sid: scenario.sources_by_id[sid].effort_model.sigma(result.efforts[sid])
-             for sid in scenario.source_ids}
-    noise = rng.normal(size=len(scenario.source_ids))
-    responses = {sid: geometry.truth_at_sources[sid] + sigma[sid] * float(eps)
-                 for sid, eps in zip(scenario.source_ids, noise)}
+    def play(seed: int, index: int) -> MarketRound:
+        y = truth_at_sources + sigma * trial_stream(seed, index).normal(size=len(sids))
+        payments = np.empty(len(pairs))
+        for bid in bids:
+            y_b = y[members[bid]]
+            gap = y_b - loo[bid] @ y_b
+            payments[rows[bid]] = c[rows[bid]] - a[rows[bid]] * gap * gap
+        estimates, losses = {}, {}
+        for bid in bids:
+            agg = scenario.aggregators_by_id[bid]
+            fitted = fit[(bid, bid)] @ y[members[bid]]
+            estimates[bid] = tuple(fitted.tolist())
+            value = atom_error(bid, fitted)
+            for other, weight in agg.zeta.items():
+                if weight != 0.0:
+                    value -= weight * atom_error(bid, fit[(bid, other)] @ y[members[other]])
+            losses[bid] = value + agg.payment_scale * sum(payments[rows[bid]].tolist())
+        return MarketRound(seed=seed, index=index, responses=dict(zip(sids, y.tolist())),
+                           payments=dict(zip(pairs, payments.tolist())),
+                           estimates=estimates, losses=losses)
 
-    payments: dict[tuple[str, str], float] = {}
-    estimates: dict[str, tuple[float, ...]] = {}
-    own_error: dict[str, float] = {}
-    y_by_agg = {bid: np.array([responses[sid] for sid in geometry.dataset[bid]])
-                for bid in scenario.aggregator_ids}
-    for bid in scenario.aggregator_ids:
-        y = y_by_agg[bid]
-        fitted = geometry.atom_weights[bid] @ y
-        estimates[bid] = tuple(float(v) for v in fitted)
-        own_error[bid] = float(geometry.atom_probs[bid]
-                               @ (fitted - geometry.truth_at_atoms[bid]) ** 2)
-        for pos, sid in enumerate(geometry.dataset[bid]):
-            others = np.delete(y, pos)
-            predicted = float(geometry.loo_weights[(sid, bid)] @ others)
-            gap = responses[sid] - predicted
-            payments[(sid, bid)] = (result.canonical_c[(sid, bid)]
-                                    - result.a.a[(sid, bid)] * gap * gap)
-
-    losses: dict[str, float] = {}
-    for bid in scenario.aggregator_ids:
-        agg = scenario.aggregators_by_id[bid]
-        value = own_error[bid]
-        for other, weight in agg.zeta.items():
-            if weight == 0.0:
-                continue
-            rival_fit = geometry.cross_weights[(bid, other)] @ y_by_agg[other]
-            rival_err = float(geometry.atom_probs[bid]
-                              @ (rival_fit - geometry.truth_at_atoms[bid]) ** 2)
-            value -= weight * rival_err
-        value += agg.payment_scale * sum(payments[(sid, bid)]
-                                         for sid in geometry.dataset[bid])
-        losses[bid] = value
-    return MarketRound(seed=seed, index=index, responses=responses,
-                       payments=payments, estimates=estimates, losses=losses)
+    return play
 
 
 def simulate_round(scenario: MarketScenario, result: EquilibriumResult,
@@ -133,7 +99,7 @@ def simulate_round(scenario: MarketScenario, result: EquilibriumResult,
     """Play a single market round at the solved equilibrium."""
     if not result.solved:
         raise DomainError("round simulation requires a solved equilibrium")
-    return _play_round(scenario, result, _build_geometry(scenario), seed, index)
+    return _round_player(scenario, result)(seed, index)
 
 
 def iter_rounds(scenario: MarketScenario, result: EquilibriumResult,
@@ -143,9 +109,9 @@ def iter_rounds(scenario: MarketScenario, result: EquilibriumResult,
         raise DomainError("round simulation requires a solved equilibrium")
     if n_rounds < 1:
         raise DomainError("n_rounds must be at least 1")
-    geometry = _build_geometry(scenario)
+    play = _round_player(scenario, result)
     for r in range(n_rounds):
-        yield _play_round(scenario, result, geometry, seed, r)
+        yield play(seed, r)
 
 
 @dataclass(frozen=True)
@@ -163,15 +129,16 @@ def payment_statistics(scenario: MarketScenario, result: EquilibriumResult,
     that expected compensation equals effort at the canonical contract."""
     if n_rounds < 2:
         raise DomainError("payment statistics need at least 2 rounds")
+    owner = np.nonzero(_membership(scenario))[0]  # source of each payment of a round
     # Welford's update: no cancellation when the mean dwarfs the spread
-    mean = {sid: 0.0 for sid in scenario.source_ids}
-    m2 = {sid: 0.0 for sid in scenario.source_ids}
+    mean = np.zeros(len(scenario.source_ids))
+    m2 = np.zeros(len(scenario.source_ids))
     for count, round_ in enumerate(iter_rounds(scenario, result, n_rounds, seed), 1):
-        for sid in scenario.source_ids:
-            total = sum(round_.payments[(sid, bid)]
-                        for bid in scenario.sources_by_id[sid].sharing)
-            delta = total - mean[sid]
-            mean[sid] += delta / count
-            m2[sid] += delta * (total - mean[sid])
-    se = {sid: (m2[sid] / (n_rounds - 1) / n_rounds) ** 0.5 for sid in mean}
-    return PaymentStats(rounds=n_rounds, mean_total=mean, se_total=se)
+        total = np.bincount(owner, weights=list(round_.payments.values()))
+        delta = total - mean
+        mean += delta / count
+        m2 += delta * (total - mean)
+    se = (m2 / (n_rounds - 1) / n_rounds) ** 0.5
+    sids = scenario.source_ids
+    return PaymentStats(rounds=n_rounds, mean_total=dict(zip(sids, mean.tolist())),
+                        se_total=dict(zip(sids, se.tolist())))

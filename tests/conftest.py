@@ -141,6 +141,16 @@ def make_random_direct(rng, n, m, coupling=0.3, bounded=False, cap_ratio=None,
     raise AssertionError("random direct scenario generation exhausted retries")
 
 
+def xi_tables(params):
+    """The dense xi array of derived parameters as id-keyed tables, the form
+    direct-mode input takes: {b: {(i, l): xi_b(i, l)}} over b's dataset."""
+    scenario = params.scenario
+    position = {sid: k for k, sid in enumerate(scenario.source_ids)}
+    return {bid: {(i, l): float(params.xi[b, position[i], position[l]])
+                  for i in scenario.dataset(bid) for l in scenario.dataset(bid)}
+            for b, bid in enumerate(scenario.aggregator_ids)}
+
+
 @pytest.fixture
 def symmetric_direct():
     return make_symmetric_direct()

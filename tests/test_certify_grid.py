@@ -40,6 +40,8 @@ def reduced_loss_terms(params, bid, a):
     payment obligations created by rivals' contracts plus the efforts it must
     help compensate.  Constant terms (rival c parameters) are dropped; only
     differences matter."""
+    position = {sid: k for k, sid in enumerate(params.scenario.source_ids)}
+    column = {b: k for k, b in enumerate(params.scenario.aggregator_ids)}
     totals = _a_total(params, a)
     clamp = params.effort_kind == "bounded"
     _, variances = _efforts_and_variances(params, totals, clamp=clamp)
@@ -52,8 +54,8 @@ def reduced_loss_terms(params, bid, a):
         for j in params.scenario.sources_by_id[i].sharing:
             if j == bid:
                 continue
-            terms.extend(a[(i, j)] * params.xi[j][(i, l)] * variances[l]
-                         for l in params.scenario.dataset(j))
+            terms.extend(a[(i, j)] * float(params.xi[column[j], position[i], position[l]])
+                         * variances[l] for l in params.scenario.dataset(j))
     return terms
 
 

@@ -12,7 +12,7 @@ from conftest import make_line_scenario, make_symmetric_direct
 from datamarket.cli import cli
 from datamarket.effort import EffortSet, exponential_model
 from datamarket.market import DataSourceSpec, MarketScenario
-from datamarket.scenario import serialize_scenario
+from datamarket.scenario import GenerationSpec, generate_scenario, serialize_scenario
 
 
 @pytest.fixture
@@ -139,6 +139,23 @@ class TestCertifyAndWelfare:
         corrupted = tmp_path / "corrupted.json"
         corrupted.write_text(json.dumps(doc))
         assert cli(["certify", str(symmetric_file), str(corrupted)]) == 2
+
+    @pytest.mark.parametrize("field, value", [("canonical_c", 1e6), ("efforts", 123.0)])
+    def test_certify_checks_document_c_and_efforts(self, tmp_path, field, value):
+        # every c set to 1e6, or every effort to 123, with a and a_total intact
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(serialize_scenario(generate_scenario(GenerationSpec(8, 2), 0)))
+        out = tmp_path / "result.json"
+        assert cli(["solve", str(scenario), "--output", str(out)]) == 0
+        assert cli(["certify", str(scenario), str(out)]) == 0
+        doc = json.loads(out.read_text())
+        if field == "canonical_c":
+            doc[field] = {sid: {bid: value for bid in row} for sid, row in doc[field].items()}
+        else:
+            doc[field] = {sid: value for sid in doc[field]}
+        corrupted = tmp_path / "corrupted.json"
+        corrupted.write_text(json.dumps(doc))
+        assert cli(["certify", str(scenario), str(corrupted)]) == 2
 
     def test_welfare_report(self, symmetric_file, tmp_path):
         result = tmp_path / "result.json"

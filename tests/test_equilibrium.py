@@ -277,6 +277,23 @@ class TestCertification:
         stat = [c for c in report.checks if c.name == "stationarity"][0]
         assert not stat.passed
 
+    def test_fails_on_efforts_not_following_from_totals(self, symmetric_direct):
+        # every effort raised by 1 and every c raised by its share of that, so
+        # the constant terms still pay exactly the claimed efforts
+        params = derive_parameters(symmetric_direct)
+        result = solve_unbounded(params)
+        a, totals = result.a.a, result.a.a_total
+        bad = replace(result,
+                      efforts={sid: e + 1.0 for sid, e in result.efforts.items()},
+                      canonical_c={(sid, bid): c + a[(sid, bid)] / totals[sid]
+                                   for (sid, bid), c in result.canonical_c.items()})
+        check = next(c for c in certify_equilibrium(bad, params).checks
+                     if c.name == "participation-binding")
+        assert not check.passed
+        binding = float(check.detail.split("payment-vs-effort residual ")[1].split(",")[0])
+        assert binding < 1e-9
+        assert "effort-vs-total residual 1.000e+00" in check.detail
+
     def test_requires_solved_result(self):
         params = derive_parameters(make_symmetric_direct(xi_offdiag=1.0))
         result = solve_unbounded(params)

@@ -1,5 +1,5 @@
 """OLS separability weights against hand linear algebra and a Monte-Carlo
-oracle; leave-one-out predictions; rank-deficiency errors."""
+oracle; leave-one-out prediction weights; rank-deficiency errors."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from datamarket.errors import (
 from datamarket.estimators import (
     QueryDistribution,
     g_value,
-    loo_prediction,
+    leave_one_out_weights,
     ols_coefficients,
     point_mass,
     validate_separability,
@@ -101,18 +101,26 @@ class TestGValue:
             g_value([(0.0,), (1.0,)], point_mass((0.0,)), [1.0, 2.0, 3.0])
 
 
-class TestLooPrediction:
+def loo_predictions(points, responses):
+    """Each point's prediction from the fit on all the other points."""
+    weights = leave_one_out_weights(points, aggregator="b1",
+                                    sources=[f"s{k + 1}" for k in range(len(points))])
+    return weights @ np.asarray(responses, dtype=float)
+
+
+class TestLeaveOneOutWeights:
     def test_collinear_exact_fit(self):
-        assert loo_prediction([(0.0,), (1.0,), (2.0,)], [0.0, 1.0, 2.0],
-                              exclude=1, at=(1.0,)) == pytest.approx(1.0, abs=1e-12)
+        predictions = loo_predictions([(0.0,), (1.0,), (2.0,)], [0.0, 1.0, 2.0])
+        np.testing.assert_allclose(predictions, [0.0, 1.0, 2.0], atol=1e-12)
 
     def test_two_points_rank_deficient(self):
-        with pytest.raises(IllDefinedPaymentError):
-            loo_prediction([(0.0,), (1.0,)], [3.0, 4.0], exclude=0, at=(0.0,))
+        with pytest.raises(IllDefinedPaymentError) as info:
+            loo_predictions([(0.0,), (1.0,)], [3.0, 4.0])
+        assert (info.value.aggregator, info.value.source) == ("b1", "s1")
 
     def test_flat_line_extrapolation(self):
-        assert loo_prediction([(0.0,), (1.0,), (2.0,)], [1.0, 1.0, 4.0],
-                              exclude=2, at=(2.0,)) == pytest.approx(1.0, abs=1e-12)
+        assert loo_predictions([(0.0,), (1.0,), (2.0,)], [1.0, 1.0, 4.0])[2] == \
+            pytest.approx(1.0, abs=1e-12)
 
 
 class TestSeparabilityMonteCarlo:

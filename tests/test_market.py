@@ -4,7 +4,7 @@ matrix, against hand linear algebra and structural invariants."""
 import numpy as np
 import pytest
 
-from conftest import OLS, make_line_scenario, make_symmetric_direct
+from conftest import OLS, make_line_scenario, make_symmetric_direct, xi_tables
 
 from datamarket.effort import EffortSet, exponential_model
 from datamarket.errors import DomainError, IllDefinedPaymentError, ScenarioValidationError
@@ -69,20 +69,18 @@ class TestDeriveBeta:
 class TestDeriveXi:
     def test_diagonal_is_one(self, line_two_aggregators):
         xi = derive_xi(line_two_aggregators)
-        for table in xi.values():
-            for (i, l), v in table.items():
-                if i == l:
-                    assert v == 1.0
+        for table in xi:
+            assert np.all(np.diag(table) == 1.0)
 
     def test_hand_example_center_of_three(self):
         scn = make_line_scenario(n_aggregators=1)
         sources = scn.sources[:3]  # points 0, 1, 2
         scn3 = MarketScenario(sources, scn.aggregators, scn.ground_truth)
-        xi = derive_xi(scn3)["b1"]
+        xi = derive_xi(scn3)[0]
         # leave out the center point: interpolation through 0 and 2 puts
         # weight 1/2 on each, so the coupling is 1/4 on each neighbor
-        assert xi[("s2", "s1")] == pytest.approx(0.25, rel=1e-12)
-        assert xi[("s2", "s3")] == pytest.approx(0.25, rel=1e-12)
+        assert xi[1, 0] == pytest.approx(0.25, rel=1e-12)
+        assert xi[1, 2] == pytest.approx(0.25, rel=1e-12)
 
     def test_two_sources_leave_one_out_ill_defined(self):
         scn = two_point_scenario(point_mass((0.5,)))
@@ -160,12 +158,13 @@ class TestXiMatrix:
         xi = {"b1": {("s1", "s1"): 1.0}, "b2": {("s1", "s1"): 1.0}}
         scn = MarketScenario(sources, aggs, GroundTruth((1.0,), 0.0),
                              mode="direct", direct_beta=beta, direct_xi=xi)
-        matrix, pairs = assemble_xi_matrix(scn, scn.direct_xi)
+        matrix, pairs = assemble_xi_matrix(scn, derive_parameters(scn).xi)
         assert matrix.shape == (2, 2)
         assert np.all(matrix == 0.0)
 
     def test_symmetric_pairing_structure(self, symmetric_direct):
-        matrix, pairs = assemble_xi_matrix(symmetric_direct, symmetric_direct.direct_xi)
+        matrix, pairs = assemble_xi_matrix(symmetric_direct,
+                                           derive_parameters(symmetric_direct).xi)
         assert pairs == (("s1", "b1"), ("s1", "b2"), ("s2", "b1"), ("s2", "b2"))
         assert matrix.shape == (4, 4)
         # exactly one 0.5 per row, pairing (s, b) with the opposite pair
@@ -188,7 +187,7 @@ class TestXiMatrix:
         scn = line_two_aggregators
         direct = MarketScenario(scn.sources, scn.aggregators, scn.ground_truth,
                                 mode="direct", direct_beta=params.beta,
-                                direct_xi=params.xi)
+                                direct_xi=xi_tables(params))
         reparams = derive_parameters(direct)
         np.testing.assert_array_equal(params.xi_matrix, reparams.xi_matrix)
         assert params.gamma == reparams.gamma
@@ -275,3 +274,22 @@ class TestConstructionErrors:
     def test_zeta_range(self):
         with pytest.raises(DomainError):
             AggregatorSpec("b1", OLS, point_mass((0.0,)), zeta={"b2": 1.5})
+
+
+class TestLookupsFilledAtConstruction:
+    """Cached lookups written into an instance's __dict__ after construction
+    slow every later attribute read on it, so they are filled up front."""
+
+    def test_reads_add_no_instance_keys(self):
+        scenario = make_line_scenario(n_aggregators=2)
+        keys = set(vars(scenario))
+        for name in ("source_ids", "aggregator_ids", "sources_by_id",
+                     "aggregators_by_id", "_datasets"):
+            getattr(scenario, name)
+        scenario.dataset("b1")
+        assert set(vars(scenario)) == keys
+
+        params = derive_parameters(make_line_scenario(n_aggregators=2))
+        keys = set(vars(params))
+        params.pair_index
+        assert set(vars(params)) == keys

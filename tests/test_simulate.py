@@ -1,5 +1,7 @@
-"""Realized rounds: determinism, the noiseless limit, and Monte-Carlo
-agreement of payments with the participation constraint."""
+"""Realized rounds: determinism, the noiseless limit, Monte-Carlo agreement
+of payments with the participation constraint, and agreement with the
+per-source reference round (one leave-one-out fit per source, `np.delete`
+for its responses)."""
 
 from dataclasses import replace
 
@@ -10,12 +12,96 @@ from conftest import make_line_scenario
 
 from datamarket.equilibrium import solve_unbounded
 from datamarket.errors import DomainError
+from datamarket.estimators import design_matrix, trial_stream
 from datamarket.market import derive_parameters
+from datamarket.scenario import GenerationSpec, generate_scenario
 from datamarket.simulate import (
     iter_rounds,
     payment_statistics,
     simulate_round,
 )
+
+
+# ---------------------------------------------------------------------------
+# Per-source reference round
+# ---------------------------------------------------------------------------
+
+def _fit_weights(points, queries):
+    X = design_matrix(points)
+    A = design_matrix(queries)
+    return (X @ np.linalg.solve(X.T @ X, A.T)).T  # (queries, points)
+
+
+def reference_round(scenario, result, seed, index):
+    """(responses, payments, estimates, losses) of one round, every
+    leave-one-out prediction from its own fit."""
+    rng = trial_stream(seed, index)
+    noise = rng.normal(size=len(scenario.source_ids))
+    responses = {sid: scenario.ground_truth(scenario.sources_by_id[sid].feature)
+                 + scenario.sources_by_id[sid].effort_model.sigma(result.efforts[sid])
+                 * float(eps)
+                 for sid, eps in zip(scenario.source_ids, noise)}
+
+    def error_at_atoms(bid, weights, y):
+        query = scenario.aggregators_by_id[bid].query_dist
+        truth = np.array([scenario.ground_truth(p) for p in query.points()])
+        return float(query.weights() @ (weights @ y - truth) ** 2)
+
+    payments, estimates, own_error, y_by_agg = {}, {}, {}, {}
+    for bid in scenario.aggregator_ids:
+        ds = scenario.dataset(bid)
+        points = scenario.dataset_points(bid)
+        y = y_by_agg[bid] = np.array([responses[sid] for sid in ds])
+        atom_weights = _fit_weights(points, scenario.aggregators_by_id[bid]
+                                    .query_dist.points())
+        estimates[bid] = tuple(float(v) for v in atom_weights @ y)
+        own_error[bid] = error_at_atoms(bid, atom_weights, y)
+        for pos, sid in enumerate(ds):
+            loo = _fit_weights(np.delete(points, pos, axis=0),
+                               np.array([scenario.sources_by_id[sid].feature]))[0]
+            gap = responses[sid] - float(loo @ np.delete(y, pos))
+            payments[(sid, bid)] = (result.canonical_c[(sid, bid)]
+                                    - result.a.a[(sid, bid)] * gap * gap)
+    losses = {}
+    for bid in scenario.aggregator_ids:
+        agg = scenario.aggregators_by_id[bid]
+        value = own_error[bid]
+        for other, weight in agg.zeta.items():
+            if weight != 0.0:
+                rival = _fit_weights(scenario.dataset_points(other),
+                                     agg.query_dist.points())
+                value -= weight * error_at_atoms(bid, rival, y_by_agg[other])
+        value += agg.payment_scale * sum(payments[(sid, bid)]
+                                         for sid in scenario.dataset(bid))
+        losses[bid] = value
+    return responses, payments, estimates, losses
+
+
+ROUND_MARKETS = {
+    "line": lambda: make_line_scenario(n_aggregators=2, zeta=0.1, n_points=8),
+    "full-d1": lambda: generate_scenario(GenerationSpec(20, 3, family="mixed"), 0),
+    "partial-d2": lambda: generate_scenario(
+        GenerationSpec(24, 4, dimension=2, family="mixed", sharing_density=0.7), 1),
+}
+
+
+@pytest.mark.parametrize("market", sorted(ROUND_MARKETS))
+def test_rounds_match_per_source_reference(market):
+    scenario = ROUND_MARKETS[market]()
+    result = solve_unbounded(derive_parameters(scenario))
+    assert result.solved
+    for round_ in iter_rounds(scenario, result, 4, seed=17):
+        responses, payments, estimates, losses = reference_round(
+            scenario, result, 17, round_.index)
+        assert round_.responses == responses  # drawn and formed exactly as before
+        for got, expected in ((round_.payments, payments), (round_.losses, losses)):
+            assert got.keys() == expected.keys()
+            for key, value in expected.items():
+                assert abs(got[key] - value) <= 1e-10 * abs(value), (key, got[key], value)
+        assert round_.estimates.keys() == estimates.keys()
+        for bid, values in estimates.items():
+            for got, value in zip(round_.estimates[bid], values, strict=True):
+                assert abs(got - value) <= 1e-10 * abs(value), bid
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,10 @@
 reference: damped Gauss-Seidel best responses with one `_branch` call per
 (source, aggregator) pair.  Both must take the same number of sweeps and agree
 per coordinate within 1e-12 relative; on a too-small sweep budget both must
-raise NonConvergenceError with the same last iterate and residual."""
+raise NonConvergenceError with the same last iterate and residual.  The
+certificate's best responses (`best_response_residual`, `branch_profile`)
+must match `_branch` too: the same targets within 1e-12 relative and the
+same branch labels."""
 
 import math
 from dataclasses import replace
@@ -10,10 +13,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_line_scenario, make_random_direct, make_symmetric_direct
+from conftest import make_line_scenario, make_random_direct, make_symmetric_direct, xi_tables
 
 from datamarket.effort import CustomVariance, EffortSet, EffortVarianceModel, effort_response
-from datamarket.equilibrium import _branch, branch_profile, solve_bounded
+from datamarket.equilibrium import (
+    _best_responses,
+    best_response_residual,
+    branch_profile,
+    solve_bounded,
+)
 from datamarket.errors import NonConvergenceError
 from datamarket.market import MarketScenario, derive_gamma, derive_parameters
 from datamarket.scenario import GenerationSpec, generate_scenario
@@ -25,17 +33,47 @@ REL_TOL = 1e-12
 # Coordinate-by-coordinate reference
 # ---------------------------------------------------------------------------
 
+def _branch(params, xi, a, sid, bid):
+    """Best-response target for one (source, aggregator) coordinate, holding
+    every other coordinate fixed, with the incentive interval enforced and
+    negative demands floored at zero; xi holds the id-keyed tables.  Returns
+    (target, branch label)."""
+    bounds = params.bounds[sid]
+    sharing = params.scenario.sources_by_id[sid].sharing
+    rivals_same_source = sum(a[(sid, j)] for j in sharing if j != bid)
+    coupling = 0.0
+    for j in sharing:
+        if j == bid:
+            continue
+        for l in params.scenario.dataset(j):
+            if l == sid:
+                continue
+            if bid not in params.scenario.sources_by_id[l].sharing:
+                continue
+            coupling += a[(l, j)] * xi[j][(l, sid)]
+    interior = params.gamma[(sid, bid)] + coupling
+    t = interior + rivals_same_source
+    if t < bounds.a_lower:
+        target, label = bounds.a_lower - rivals_same_source, "at-minimum"
+    elif t > bounds.a_upper:
+        target, label = bounds.a_upper - rivals_same_source, "at-maximum"
+    else:
+        target, label = interior, "interior"
+    return max(0.0, target), label
+
+
 def gauss_seidel_reference(params, *, damping=0.5, max_iter=100_000, tol=1e-10):
     """(a, sweeps, residual): aggregators in id order, each coordinate moved
     a damping fraction toward its `_branch` target as soon as it is computed.
     sweeps is None when max_iter ran out."""
+    xi = xi_tables(params)
     a = dict(params.gamma)
     residual = math.nan
     for sweeps in range(1, max_iter + 1):
         residual = 0.0
         for bid in params.scenario.aggregator_ids:
             for sid in params.scenario.dataset(bid):
-                target, _ = _branch(params, a, sid, bid)
+                target, _ = _branch(params, xi, a, sid, bid)
                 delta = target - a[(sid, bid)]
                 residual = max(residual, abs(delta))
                 a[(sid, bid)] += damping * delta
@@ -140,3 +178,41 @@ def test_exhausted_budget_carries_reference_iterate(market):
     assert abs(info.value.residual - residual) <= REL_TOL * residual
     assert_close(info.value.last_iterate, reference)
 
+
+
+def _probe_weights(params):
+    """The equilibrium, slightly perturbed weights, and weights scaled far
+    down (at-minimum branches: a coordinate's own demand can sit below the
+    bound) and far up (at-maximum branches)."""
+    solved = solve_bounded(params).a.a
+    rng = np.random.default_rng(7)
+    scaled = [{pair: value * rng.uniform(low, high) for pair, value in solved.items()}
+              for low, high in ((0.8, 1.25), (0.001, 0.01), (2.0, 5.0))]
+    return solved, scaled
+
+
+@pytest.mark.parametrize("market", sorted(MARKETS))
+def test_best_responses_match_reference(market):
+    params = derive_parameters(MARKETS[market]())
+    xi = xi_tables(params)
+    solved, scaled = _probe_weights(params)
+    for a in (solved, *scaled):
+        reference = {pair: _branch(params, xi, a, *pair) for pair in params.pairs}
+        _, targets, _ = _best_responses(params, a)
+        assert_close(dict(zip(params.pairs, targets.tolist())),
+                     {pair: target for pair, (target, _) in reference.items()})
+        assert branch_profile(params, a) == {pair: label
+                                             for pair, (_, label) in reference.items()}
+    for a in scaled:  # away from equilibrium, where the residual is not noise
+        residual = max(abs(a[pair] - _branch(params, xi, a, *pair)[0])
+                       for pair in params.pairs)
+        assert abs(best_response_residual(params, a) - residual) <= REL_TOL * residual
+
+
+def test_probe_weights_reach_every_branch():
+    labels = set()
+    for market in MARKETS:
+        params = derive_parameters(MARKETS[market]())
+        for a in _probe_weights(params)[1]:
+            labels |= set(branch_profile(params, a).values())
+    assert labels == {"at-minimum", "interior", "at-maximum"}

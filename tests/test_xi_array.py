@@ -1,0 +1,207 @@
+"""The dense coupling array xi[b, i, l] and its readers against the id-keyed
+references they replaced: one ordinary least-squares fit per left-out source
+for xi itself, and nested walks of the id-keyed tables for the coupling
+matrix Xi, the payment floors and the largest off-diagonal coupling."""
+
+import numpy as np
+import pytest
+
+from conftest import (
+    OLS,
+    make_line_scenario,
+    make_random_direct,
+    make_symmetric_direct,
+    xi_tables,
+)
+
+from datamarket.effort import exponential_model
+from datamarket.equilibrium import payment_floors, solve_unbounded
+from datamarket.errors import IllDefinedEstimatorError, IllDefinedPaymentError
+from datamarket.estimators import ols_coefficients, point_mass
+from datamarket.market import (
+    AggregatorSpec,
+    DataSourceSpec,
+    GroundTruth,
+    MarketScenario,
+    derive_parameters,
+    derive_xi,
+)
+from datamarket.scenario import GenerationSpec, generate_scenario
+
+
+# ---------------------------------------------------------------------------
+# References: the id-keyed code the array replaced
+# ---------------------------------------------------------------------------
+
+def reference_xi(scenario):
+    """{b: {(i, l): xi}} from one OLS fit per left-out source."""
+    xi = {}
+    for bid in scenario.aggregator_ids:
+        ds = scenario.dataset(bid)
+        table = {}
+        for i in ds:
+            table[(i, i)] = 1.0
+            others = [sid for sid in ds if sid != i]
+            if not others:
+                continue
+            pts = np.array([scenario.sources_by_id[sid].feature for sid in others])
+            try:
+                h = ols_coefficients(pts, point_mass(scenario.sources_by_id[i].feature))
+            except IllDefinedEstimatorError as exc:
+                raise IllDefinedPaymentError(str(exc), aggregator=bid, source=i) from exc
+            for l, value in zip(others, h):
+                table[(i, l)] = float(value)
+        xi[bid] = table
+    return xi
+
+
+def reference_xi_matrix(scenario, xi):
+    """The double loop over pairs, fed id-keyed tables."""
+    pairs = scenario.sharing_pairs()
+    index = {pair: k for k, pair in enumerate(pairs)}
+    matrix = np.zeros((len(pairs), len(pairs)))
+    for (s, b), row in index.items():
+        sharing_s = scenario.sources_by_id[s].sharing
+        for (l, j), col in index.items():
+            if j == b or l == s:
+                continue
+            if j not in sharing_s:
+                continue
+            if b not in scenario.sources_by_id[l].sharing:
+                continue
+            matrix[row, col] = xi[j][(l, s)]
+    return matrix
+
+
+# ---------------------------------------------------------------------------
+# Markets
+# ---------------------------------------------------------------------------
+
+ESTIMATOR_MARKETS = {
+    "line-two": lambda: make_line_scenario(n_aggregators=2, zeta=0.2),
+    "line-partial": lambda: make_line_scenario(
+        n_aggregators=2, sharing={"s1": ("b1",), "s2": ("b1", "b2"),
+                                  "s3": ("b1", "b2"), "s4": ("b2",)}, n_points=4),
+    "full-d1": lambda: generate_scenario(GenerationSpec(30, 4, family="mixed"), 0),
+    "partial-d1": lambda: generate_scenario(
+        GenerationSpec(30, 4, family="mixed", sharing_density=0.7), 3),
+    "full-d2": lambda: generate_scenario(GenerationSpec(24, 3, dimension=2), 1),
+    "partial-d2": lambda: generate_scenario(
+        GenerationSpec(40, 5, dimension=2, sharing_density=0.6), 0),
+    "partial-d3": lambda: generate_scenario(
+        GenerationSpec(30, 3, dimension=3, sharing_density=0.8), 4),
+}
+
+DIRECT_MARKETS = {
+    "symmetric": make_symmetric_direct,
+    "random-full": lambda: make_random_direct(np.random.default_rng(3), n=7, m=3),
+    "random-partial": lambda: make_random_direct(np.random.default_rng(5), n=9, m=4,
+                                                 sharing_density=0.6),
+}
+
+
+def _line_market(features, datasets):
+    """Estimator-mode market on the given feature points; datasets maps each
+    aggregator to the indices of its sources."""
+    model = exponential_model(8.0, 1.0)
+    ids = [f"s{k + 1}" for k in range(len(features))]
+    sharing = {sid: tuple(bid for bid, members in datasets.items() if k in members)
+               for k, sid in enumerate(ids)}
+    dim = len(features[0])
+    sources = tuple(DataSourceSpec(sid, point, model, sharing[sid])
+                    for sid, point in zip(ids, features))
+    aggregators = tuple(AggregatorSpec(bid, OLS, point_mass(features[0]))
+                        for bid in datasets)
+    return MarketScenario(sources, aggregators, GroundTruth((1.0,) * dim, 0.0))
+
+
+RANK_DEFICIENT = {
+    # one point left: two parameters cannot be identified
+    "two-points": lambda: _line_market([(0.0,), (1.0,)], {"b1": [0, 1]}),
+    # only the last source's leave-one-out design is singular
+    "last-source": lambda: _line_market([(0.0,), (0.0,), (0.0,), (1.0,)],
+                                        {"b1": [0, 1, 2, 3]}),
+    # the first aggregator is fine, the second fails at its first source
+    "second-aggregator": lambda: _line_market(
+        [(0.0,), (1.0,), (5.0,), (5.0,), (5.0,)],
+        {"b1": [0, 1, 2], "b2": [1, 2, 3, 4]}),
+    # collinear once the off-line point is left out
+    "collinear-d2": lambda: _line_market(
+        [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (0.0, 1.0)],
+        {"b1": [0, 1, 2, 3, 4]}),
+    # nearly collinear: condition far above the limit, not exactly singular
+    "near-collinear-d2": lambda: _line_market(
+        [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0 + 1e-9), (0.0, 1.0)],
+        {"b1": [0, 1, 2, 3]}),
+}
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("market", sorted(ESTIMATOR_MARKETS))
+def test_xi_matches_per_source_fits(market):
+    scenario = ESTIMATOR_MARKETS[market]()
+    xi = derive_xi(scenario)
+    reference = reference_xi(scenario)
+    ids = scenario.source_ids
+    assert xi.shape == (len(scenario.aggregator_ids), len(ids), len(ids))
+    for b, bid in enumerate(scenario.aggregator_ids):
+        for i, si in enumerate(ids):
+            for l, sl in enumerate(ids):
+                expected = reference[bid].get((si, sl), 0.0)
+                assert abs(xi[b, i, l] - expected) <= 1e-9 * abs(expected), (bid, si, sl)
+
+
+@pytest.mark.parametrize("market", sorted(RANK_DEFICIENT))
+def test_rank_deficient_design_names_the_reference_pair(market):
+    scenario = RANK_DEFICIENT[market]()
+    with pytest.raises(IllDefinedPaymentError) as expected:
+        reference_xi(scenario)
+    with pytest.raises(IllDefinedPaymentError) as got:
+        derive_xi(scenario)
+    assert (got.value.aggregator, got.value.source) == (expected.value.aggregator,
+                                                        expected.value.source)
+    assert type(got.value.source) is str
+    assert f"excluding source {expected.value.source!r}" in str(got.value)
+
+
+@pytest.mark.parametrize("market", sorted(ESTIMATOR_MARKETS) + sorted(DIRECT_MARKETS))
+def test_coupling_matrix_matches_double_loop(market):
+    scenario = {**ESTIMATOR_MARKETS, **DIRECT_MARKETS}[market]()
+    params = derive_parameters(scenario, require_valid=False)
+    reference = reference_xi_matrix(scenario, xi_tables(params))
+    np.testing.assert_array_equal(params.xi_matrix != 0.0, reference != 0.0)
+    np.testing.assert_allclose(params.xi_matrix, reference, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("market", sorted(ESTIMATOR_MARKETS) + sorted(DIRECT_MARKETS))
+def test_floors_and_largest_coupling_match_table_walks(market):
+    params = derive_parameters({**ESTIMATOR_MARKETS, **DIRECT_MARKETS}[market](),
+                               require_valid=False)
+    tables = xi_tables(params)
+    assert params.offdiagonal_xi_max() == max(
+        abs(v) for table in tables.values() for (i, l), v in table.items() if i != l)
+
+    rng = np.random.default_rng(11)
+    a = {pair: rng.uniform(0.5, 2.0) for pair in params.pairs}
+    variances = {sid: rng.uniform(0.1, 3.0) for sid in params.scenario.source_ids}
+    floors = payment_floors(params, np.array([a[p] for p in params.pairs]),
+                            np.array([variances[s] for s in params.scenario.source_ids]))
+    for k, (sid, bid) in enumerate(params.pairs):
+        expected = a[(sid, bid)] * sum(tables[bid][(sid, i)] * variances[i]
+                                       for i in params.scenario.dataset(bid))
+        assert abs(floors[k] - expected) <= 1e-12 * expected
+
+
+def test_solved_market_is_unchanged_by_direct_reentry_of_the_array():
+    # the array written back as direct-mode tables reproduces the solution
+    scenario = ESTIMATOR_MARKETS["partial-d2"]()
+    params = derive_parameters(scenario)
+    direct = MarketScenario(scenario.sources, scenario.aggregators, scenario.ground_truth,
+                            mode="direct", direct_beta=params.beta,
+                            direct_xi=xi_tables(params))
+    reparams = derive_parameters(direct)
+    np.testing.assert_array_equal(params.xi, reparams.xi)
+    assert solve_unbounded(params).a == solve_unbounded(reparams).a
