@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effort import effort_response
-from .errors import DomainError, NonConvergenceError, NumericalFailureError
+from .errors import DomainError, NonConvergenceError, NumericalFailureError, ParseError
 from .market import DerivedParameters
 
 STATUS_UNIQUE = "unique_a_infinite_c"
@@ -166,12 +166,11 @@ class EquilibriumResult:
 # Shared evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _effort_at(params: DerivedParameters, sid: str, a_total: float,
-               *, clamp: bool) -> float:
+def _effort_at(model, a_total: float, *, clamp: bool) -> float:
     """Evaluate the effort map, absorbing floating-point overshoot at the
     validated incentive bounds.  With clamp=True (bounded solver only) values
     beyond the bounds are projected onto them."""
-    bounds = params.bounds[sid]
+    bounds = model.incentive_bounds
     value = a_total
     if clamp:
         value = min(max(value, bounds.a_lower), bounds.a_upper)
@@ -181,18 +180,17 @@ def _effort_at(params: DerivedParameters, sid: str, a_total: float,
             value = bounds.a_lower
         if bounds.bounded and bounds.a_upper < value <= bounds.a_upper + slack:
             value = bounds.a_upper
-    return effort_response(params.effort_model(sid), value)
+    return effort_response(model, value)
 
 
-def _efforts_and_variances(params: DerivedParameters, a_total: dict[str, float],
-                           *, clamp: bool) -> tuple[dict[str, float], dict[str, float]]:
-    efforts, variances = {}, {}
-    for sid in params.scenario.source_ids:
-        e = _effort_at(params, sid, a_total[sid], clamp=clamp)
-        efforts[sid] = e
-        s = params.effort_model(sid).sigma(e)
-        variances[sid] = s * s
-    return efforts, variances
+def _efforts_and_variances(params: DerivedParameters, a_total: np.ndarray,
+                           *, clamp: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Efforts and variances sigma^2 over the source ids, at per-source totals
+    a_total (over the source ids too)."""
+    models = [params.effort_model(sid) for sid in params.scenario.source_ids]
+    efforts = [_effort_at(m, total, clamp=clamp) for m, total in zip(models, a_total.tolist())]
+    sigmas = np.array([m.sigma(e) for m, e in zip(models, efforts)])
+    return np.array(efforts), sigmas * sigmas
 
 
 def _pair_dict(params: DerivedParameters, a_vec: np.ndarray) -> dict[tuple[str, str], float]:
@@ -203,9 +201,22 @@ def _vector(table, keys) -> np.ndarray:
     return np.array([table[key] for key in keys], dtype=float)
 
 
-def _a_total(params: DerivedParameters, a: dict[tuple[str, str], float]) -> dict[str, float]:
-    return {sid: sum(a[(sid, bid)] for bid in params.scenario.sources_by_id[sid].sharing)
-            for sid in params.scenario.source_ids}
+def check_result_matches(result: EquilibriumResult, scenario) -> None:
+    """Raise ParseError unless every table of a solved result is keyed by the
+    scenario's sharing pairs or source ids, naming the first mismatch: a
+    result of another market must not be read against this one."""
+    expected = {"pair": set(scenario.sharing_pairs()), "source": set(scenario.source_ids)}
+    floors = [(sid, bid) for sid, p in result.polytope.items() for bid in p.floors]
+    for name, keys, kind in (("a", result.a.a, "pair"), ("a_total", result.a.a_total, "source"),
+                             ("canonical_c", result.canonical_c, "pair"),
+                             ("efforts", result.efforts, "source"),
+                             ("polytope floors", floors, "pair")):
+        mismatched = set(keys) ^ expected[kind]
+        if mismatched:
+            first = min(mismatched)
+            shown = first if kind == "source" else f"({first[0]}, {first[1]})"
+            raise ParseError(f"{name} does not match the scenario: first mismatched "
+                             f"{kind} {shown}", location="result")
 
 
 def payment_floors(params: DerivedParameters, a: np.ndarray,
@@ -217,32 +228,16 @@ def payment_floors(params: DerivedParameters, a: np.ndarray,
     return a * (params.xi @ variances)[params.pair_aggregator, params.pair_source]
 
 
-def _contract(params: DerivedParameters, a_vec: np.ndarray, a_total: dict[str, float],
-              *, clamp: bool
-              ) -> tuple[dict[str, float], np.ndarray, dict[tuple[str, str], float]]:
-    """(efforts, floors over params.pairs, canonical c) at quality weights
-    a_vec with per-source totals a_total."""
-    sids = params.scenario.source_ids
-    efforts, variances = _efforts_and_variances(params, a_total, clamp=clamp)
-    floors = payment_floors(params, a_vec, _vector(variances, sids))
-    share = a_vec / _vector(a_total, sids)[params.pair_source]
-    c = floors + share * _vector(efforts, sids)[params.pair_source]
-    return efforts, floors, _pair_dict(params, c)
-
-
-def _build_polytope(params: DerivedParameters, efforts: dict[str, float],
-                    floors: dict[tuple[str, str], float]) -> dict[str, SourcePolytope]:
-    polytope = {}
-    for sid in params.scenario.source_ids:
-        sharing = params.scenario.sources_by_id[sid].sharing
-        per_b = {bid: floors[(sid, bid)] for bid in sharing}
-        floor_sum = sum(per_b.values())
-        polytope[sid] = SourcePolytope(
-            surplus=efforts[sid],
-            floors=per_b,
-            total=floor_sum + efforts[sid],
-            dimension=len(sharing) - 1)
-    return polytope
+def _contract(params: DerivedParameters, a_vec: np.ndarray, a_total: np.ndarray,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(efforts over the source ids, floors and canonical c over params.pairs)
+    at quality weights a_vec with per-source totals a_total; the effort map
+    clamps at the incentive bounds on bounded markets only."""
+    efforts, variances = _efforts_and_variances(params, a_total,
+                                                clamp=params.effort_kind == "bounded")
+    floors = payment_floors(params, a_vec, variances)
+    share = a_vec / a_total[params.pair_source]
+    return efforts, floors, floors + share * efforts[params.pair_source]
 
 
 def canonical_c(a: AParameters, params: DerivedParameters) -> dict[tuple[str, str], float]:
@@ -250,8 +245,9 @@ def canonical_c(a: AParameters, params: DerivedParameters) -> dict[tuple[str, st
     penalty plus a share of the source's effort proportional to its quality
     weight.  Always lies in the equilibrium polytope and binds the sources'
     participation constraint exactly."""
-    return _contract(params, _vector(a.a, params.pairs), a.a_total,
-                     clamp=params.effort_kind == "bounded")[2]
+    c = _contract(params, _vector(a.a, params.pairs),
+                  _vector(a.a_total, params.scenario.source_ids))[2]
+    return _pair_dict(params, c)
 
 
 def polytope_membership(c, a: AParameters, params: DerivedParameters,
@@ -262,12 +258,13 @@ def polytope_membership(c, a: AParameters, params: DerivedParameters,
     if missing:
         raise DomainError(f"candidate c table does not match the sharing "
                           f"structure (mismatched pairs: {sorted(missing)})")
-    efforts, floors, _ = _contract(params, _vector(a.a, params.pairs), a.a_total,
-                                   clamp=params.effort_kind == "bounded")
-    floors = _pair_dict(params, floors)
+    sids = params.scenario.source_ids
+    efforts, floors, _ = _contract(params, _vector(a.a, params.pairs),
+                                   _vector(a.a_total, sids))
+    efforts, floors = dict(zip(sids, efforts.tolist())), _pair_dict(params, floors)
     violations: list[str] = []
     dimensions: dict[str, int] = {}
-    for sid in params.scenario.source_ids:
+    for sid in sids:
         sharing = params.scenario.sources_by_id[sid].sharing
         dimensions[sid] = len(sharing) - 1
         total = sum(c[(sid, bid)] for bid in sharing)
@@ -288,13 +285,22 @@ def polytope_membership(c, a: AParameters, params: DerivedParameters,
 
 def _finish(params: DerivedParameters, a_vec: np.ndarray,
             status: str, diagnostics: SolveDiagnostics) -> EquilibriumResult:
-    a_dict = _pair_dict(params, a_vec)
-    totals = _a_total(params, a_dict)
-    efforts, floors, c = _contract(params, a_vec, totals, clamp=status == STATUS_BOUNDED)
+    """The result of quality weights a_vec; its id-keyed tables are built here."""
+    sids = params.scenario.source_ids
+    totals = np.bincount(params.pair_source, weights=a_vec)
+    efforts, floors, c = _contract(params, a_vec, totals)
+    polytope_totals = np.bincount(params.pair_source, weights=floors) + efforts
+    per_source: dict[str, dict[str, float]] = {sid: {} for sid in sids}
+    for (sid, bid), floor in zip(params.pairs, floors.tolist()):
+        per_source[sid][bid] = floor
+    polytope = {sid: SourcePolytope(surplus=e, floors=per_source[sid], total=t,
+                                    dimension=len(per_source[sid]) - 1)
+                for sid, e, t in zip(sids, efforts.tolist(), polytope_totals.tolist())}
     return EquilibriumResult(
-        status=status, a=AParameters(a=a_dict, a_total=totals), canonical_c=c,
-        polytope=_build_polytope(params, efforts, _pair_dict(params, floors)),
-        efforts=efforts, diagnostics=diagnostics)
+        status=status,
+        a=AParameters(a=_pair_dict(params, a_vec), a_total=dict(zip(sids, totals.tolist()))),
+        canonical_c=_pair_dict(params, c), polytope=polytope,
+        efforts=dict(zip(sids, efforts.tolist())), diagnostics=diagnostics)
 
 
 def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
@@ -318,12 +324,12 @@ def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
     n = len(params.pairs)
     system = np.eye(n) - params.xi_matrix
     try:
-        a_vec = np.linalg.solve(system, params.gamma_vector)
+        a_vec = np.linalg.solve(system, params.gamma)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
             f"(I - Xi) is singular although the radius {rho} is below 1",
             condition=float(np.linalg.cond(system))) from exc
-    residual = float(np.abs(a_vec - (params.xi_matrix @ a_vec + params.gamma_vector)).max())
+    residual = float(np.abs(a_vec - (params.xi_matrix @ a_vec + params.gamma)).max())
     if residual >= 1e-9 or np.any(a_vec < -1e-9):
         raise NumericalFailureError(
             f"linear solve residual {residual} or negativity "
@@ -348,12 +354,6 @@ def _clamp(interior: np.ndarray, rivals: np.ndarray, lower: np.ndarray,
     return np.maximum(0.0, target), branch
 
 
-def _bound_vectors(params: DerivedParameters) -> np.ndarray:
-    """(a_lower, a_upper) of each pair's source, over params.pairs."""
-    bounds = [params.bounds[sid] for sid in params.scenario.source_ids]
-    return np.array([(b.a_lower, b.a_upper) for b in bounds])[params.pair_source].T
-
-
 def _variance_weights(params: DerivedParameters, a_vec: np.ndarray) -> np.ndarray:
     """Per pair (s, b): the coefficient of sigma_s^2 in aggregator b's
     reduced loss,
@@ -363,13 +363,13 @@ def _variance_weights(params: DerivedParameters, a_vec: np.ndarray) -> np.ndarra
     read from the xi array, never from the solver's coupling matrix.  The
     terms i = s sum to the same source's weight at its other aggregators, so
     w_b[s] is also the best-response total (interior target plus rivals)."""
-    n, m = params.membership.shape
-    a_table = np.zeros((n, m))
+    membership = params.scenario.membership
+    a_table = np.zeros(membership.shape)
     a_table[params.pair_source, params.pair_aggregator] = a_vec
     # a[i, j] * [i in D_b] * [j != b] * xi_j(i, s), summed over i and j
-    coupling = np.einsum("ij,ib,jb,jis->bs", a_table, params.membership,
-                         1.0 - np.eye(m), params.xi)
-    return params.gamma_vector + coupling[params.pair_aggregator, params.pair_source]
+    coupling = np.einsum("ij,ib,jb,jis->bs", a_table, membership,
+                         1.0 - np.eye(membership.shape[1]), params.xi)
+    return params.gamma + coupling[params.pair_aggregator, params.pair_source]
 
 
 def _best_responses(params: DerivedParameters, a: dict[tuple[str, str], float]
@@ -379,7 +379,8 @@ def _best_responses(params: DerivedParameters, a: dict[tuple[str, str], float]
     a_vec = _vector(a, params.pairs)
     rivals = np.bincount(params.pair_source, weights=a_vec)[params.pair_source] - a_vec
     interior = _variance_weights(params, a_vec) - rivals
-    return (a_vec, *_clamp(interior, rivals, *_bound_vectors(params)))
+    return (a_vec, *_clamp(interior, rivals, params.a_lower[params.pair_source],
+                           params.a_upper[params.pair_source]))
 
 
 def best_response_residual(params: DerivedParameters,
@@ -423,15 +424,15 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
     if not (0.0 < tol < math.inf):
         raise DomainError(f"tol must be positive and finite, got {tol}")
     rho = spectral_radius(params.xi_matrix)
-    lower, upper = _bound_vectors(params)
+    lower, upper = params.a_lower[params.pair_source], params.a_upper[params.pair_source]
     blocks = [np.flatnonzero(params.pair_aggregator == b)
               for b in range(len(params.scenario.aggregator_ids))]
-    a = params.gamma_vector.copy()  # start from the decoupled demands
+    a = params.gamma.copy()  # start from the decoupled demands
     iterations = 0
     for iterations in range(1, max_iter + 1):
         residual = 0.0
         for blk in blocks:
-            interior = params.gamma_vector[blk] + (params.xi_matrix @ a)[blk]
+            interior = params.gamma[blk] + (params.xi_matrix @ a)[blk]
             own = a[blk]
             totals = np.bincount(params.pair_source, weights=a)
             target, _ = _clamp(interior, totals[params.pair_source[blk]] - own,
@@ -472,8 +473,8 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def _worst_grid_deviation(params: DerivedParameters, a: dict[tuple[str, str], float],
-                          totals: dict[str, float], grid) -> tuple[float, str]:
+def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray,
+                          totals: np.ndarray, grid) -> tuple[float, str]:
     """Largest improvement of any aggregator's reduced loss over the feasible
     single-coordinate deviations on the grid, and where it occurs ("" when no
     deviation improves).
@@ -491,32 +492,36 @@ def _worst_grid_deviation(params: DerivedParameters, a: dict[tuple[str, str], fl
     grid costs one effort evaluation per point.  The weights come from the xi
     array, not from the solver's coupling matrix, so the check stays
     independent of it.  Feasibility is judged on the given totals, the loss
-    on the totals of `a` itself.  Aggregators are visited in id order, each
+    on the totals of `a_vec` itself.  Aggregators are visited in id order, each
     one's sources in id order; the first of equal improvements is reported.
     """
     clamp = params.effort_kind == "bounded"
-    loss_totals = _a_total(params, a)
+    loss_totals = np.bincount(params.pair_source, weights=a_vec)
     efforts, variances = _efforts_and_variances(params, loss_totals, clamp=clamp)
-    weights = _variance_weights(params, _vector(a, params.pairs)).tolist()
+    efforts, variances = efforts.tolist(), variances.tolist()
+    weights = _variance_weights(params, a_vec).tolist()
+    a_list, totals, loss_totals = a_vec.tolist(), totals.tolist(), loss_totals.tolist()
+    sources = params.pair_source.tolist()
     worst, worst_at = 0.0, ""
     for k in np.argsort(params.pair_aggregator, kind="stable").tolist():
         sid, bid = params.pairs[k]
+        i = sources[k]
         weight = weights[k]
-        a_sb = a[(sid, bid)]
-        bounds = params.bounds[sid]
+        a_sb = a_list[k]
         model = params.effort_model(sid)
+        bounds = model.incentive_bounds
         for delta in grid:
             if delta == 0.0:
                 continue
-            new_total = totals[sid] + delta
+            new_total = totals[i] + delta
             if a_sb + delta < 0 or new_total < bounds.a_lower:
                 continue
             if clamp and new_total > bounds.a_upper:
                 continue
-            e = _effort_at(params, sid, loss_totals[sid] + delta, clamp=clamp)
+            e = _effort_at(model, loss_totals[i] + delta, clamp=clamp)
             sigma = model.sigma(e)
-            improvement = -(weight * (sigma * sigma - variances[sid])
-                            + (e - efforts[sid]))
+            improvement = -(weight * (sigma * sigma - variances[i])
+                            + (e - efforts[i]))
             if improvement > worst:
                 worst = improvement
                 worst_at = f"aggregator {bid}, pair ({sid}, {bid}), delta {delta:+.3f}"
@@ -531,52 +536,68 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
 
     (i) analytic stationarity (unbounded) or best-response branch consistency
     (bounded); (ii) no single-coordinate feasible deviation on a symmetric
-    grid improves any aggregator's reduced loss; (iii) the canonical constant
-    terms bind participation and keep payments nonnegative.
+    grid improves any aggregator's reduced loss; (iii) the document's constant
+    terms bind participation and keep payments nonnegative, and its efforts,
+    totals and polytope are those its quality weights imply.  A result whose
+    tables are not keyed by this scenario's pairs and sources raises
+    ParseError.
     """
     if not result.solved or result.a is None:
         raise DomainError("certification requires a solved equilibrium")
-    a = result.a.a
+    check_result_matches(result, params.scenario)
+    sids = params.scenario.source_ids
+    a_vec = _vector(result.a.a, params.pairs)
+    totals = _vector(result.a.a_total, sids)
     checks: list[CheckResult] = []
 
     if result.status == STATUS_UNIQUE:
-        a_vec = _vector(a, params.pairs)
         residual = float(np.abs(a_vec - (params.xi_matrix @ a_vec
-                                         + params.gamma_vector)).max())
+                                         + params.gamma)).max())
         checks.append(CheckResult(
             "stationarity", residual < stationarity_tol,
             f"fixed-point residual {residual:.3e} (tol {stationarity_tol:.1e})"))
     else:
-        worst = best_response_residual(params, a)
+        worst = best_response_residual(params, result.a.a)
         checks.append(CheckResult(
             "branch-consistency", worst < stationarity_tol,
             f"best-response residual {worst:.3e} (tol {stationarity_tol:.1e})"))
 
-    totals = result.a.a_total
     # scaled after spacing, so the centre point is exactly 0 and skipped
     grid = grid_radius * np.linspace(-1.0, 1.0, grid_points)
-    worst_improvement, worst_at = _worst_grid_deviation(params, a, totals, grid)
+    worst_improvement, worst_at = _worst_grid_deviation(params, a_vec, totals, grid)
     checks.append(CheckResult(
         "best-response-grid", worst_improvement <= improvement_tol,
         f"largest grid improvement {worst_improvement:.3e}"
         + (f" at {worst_at}" if worst_at else "")))
 
-    # the document's c and efforts, against floors and efforts recomputed
-    # from its quality weights and totals
-    efforts, floors, _ = _contract(params, _vector(a, params.pairs), totals,
-                                   clamp=params.effort_kind == "bounded")
+    # the document's c, efforts, totals and polytope, against values
+    # recomputed from its quality weights and totals
+    efforts, floors, _ = _contract(params, a_vec, totals)
     surplus = _vector(result.canonical_c, params.pairs) - floors
-    claimed = _vector(result.efforts, params.scenario.source_ids)
+    claimed = _vector(result.efforts, sids)
     worst_binding = float(np.abs(np.bincount(params.pair_source, weights=surplus)
                                  - claimed).max())
-    recomputed = _vector(efforts, params.scenario.source_ids)
-    worst_effort = float(np.abs(claimed - recomputed).max())
+    worst_effort = float(np.abs(claimed - efforts).max())
+    worst_total = float(np.abs(totals - np.bincount(params.pair_source,
+                                                    weights=a_vec)).max())
+    polytope = result.polytope
+    claimed_floors = np.array([polytope[sid].floors[bid] for sid, bid in params.pairs])
+    claimed_sources = np.array([(polytope[sid].surplus, polytope[sid].total,
+                                 polytope[sid].dimension) for sid in sids])
+    implied_sources = np.column_stack((
+        efforts, np.bincount(params.pair_source, weights=floors) + efforts,
+        np.bincount(params.pair_source) - 1))
+    worst_polytope = max(float(np.abs(claimed_floors - floors).max()),
+                         float(np.abs(claimed_sources - implied_sources).max()))
     payments_ok = bool(np.all(surplus >= -1e-12))
     checks.append(CheckResult(
         "participation-binding",
-        worst_binding < 1e-9 and worst_effort < 1e-9 and payments_ok,
+        max(worst_binding, worst_effort, worst_total, worst_polytope) < 1e-9
+        and payments_ok,
         f"payment-vs-effort residual {worst_binding:.3e}, "
         f"effort-vs-total residual {worst_effort:.3e}, "
+        f"total-vs-a residual {worst_total:.3e}, "
+        f"polytope residual {worst_polytope:.3e}, "
         f"nonnegative payments: {payments_ok}"))
 
     return CertificateReport(all(c.passed for c in checks), tuple(checks))
@@ -614,7 +635,7 @@ def alpha_sweep(params: DerivedParameters, alphas) -> list[AlphaPoint]:
             points.append(AlphaPoint(float(alpha), float(rho), STATUS_NONE, math.nan))
             continue
         a_vec = np.linalg.solve(np.eye(n) - alpha * params.xi_matrix,
-                                params.gamma_vector)
+                                params.gamma)
         max_total = float(np.bincount(params.pair_source, weights=a_vec).max())
         points.append(AlphaPoint(float(alpha), float(rho), STATUS_UNIQUE, max_total))
     return points

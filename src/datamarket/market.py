@@ -13,6 +13,9 @@ contract parameters that drive everything downstream:
   Xi           the square coupling matrix of the equilibrium system
                a = Xi a + gamma over (source, aggregator) pairs.
 
+Every table is a numpy array: beta and gamma over the sharing pairs (in
+`sharing_pairs()` order), per-source totals over `source_ids`, xi in id order.
+
 Parameters can instead be entered directly (``direct`` mode) so analytic
 fixtures that no small regression design realizes stay testable in closed
 form.  All derivations are pure functions over immutable scenarios.
@@ -26,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .effort import EffortVarianceModel, IncentiveBounds, incentive_bounds
+from .effort import EffortVarianceModel
 from .errors import DomainError, IllDefinedEstimatorError, ScenarioValidationError
 from .estimators import (
     EstimatorSpec,
@@ -108,6 +111,9 @@ class MarketScenario:
     aggregators_by_id: dict[str, AggregatorSpec] = field(init=False, repr=False,
                                                         compare=False)
     _datasets: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    #: n x m booleans, [s, b] true when source s sells to aggregator b (id
+    #: order); its nonzero entries, row by row, are the sharing pairs in order.
+    membership: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
@@ -139,9 +145,12 @@ class MarketScenario:
             if unknown:
                 raise DomainError(f"source {s.id!r} shares with unknown "
                                   f"aggregators {sorted(unknown)}")
+        membership = np.array([[bid in self.sources_by_id[sid].sharing
+                                for bid in self.aggregator_ids] for sid in self.source_ids])
+        object.__setattr__(self, "membership", membership)
         object.__setattr__(self, "_datasets", {
-            bid: tuple(s for s in self.source_ids if bid in self.sources_by_id[s].sharing)
-            for bid in self.aggregator_ids})
+            bid: tuple(self.source_ids[i] for i in np.flatnonzero(membership[:, b]).tolist())
+            for b, bid in enumerate(self.aggregator_ids)})
         for b in self.aggregators:
             unknown = set(b.zeta) - known
             if unknown:
@@ -210,27 +219,50 @@ class MarketScenario:
 # Parameter derivation
 # ---------------------------------------------------------------------------
 
-def derive_beta(scenario: MarketScenario) -> dict[tuple[str, str], float]:
-    """Relevance weights: per aggregator, the separability coefficients of its
-    dataset under its own query distribution."""
-    if scenario.mode != MODE_ESTIMATOR:
-        raise DomainError("derive_beta applies to estimator-derived scenarios; "
-                          "direct mode carries its own beta table")
-    beta: dict[tuple[str, str], float] = {}
-    for bid in scenario.aggregator_ids:
-        ds = scenario.dataset(bid)
-        agg = scenario.aggregators_by_id[bid]
-        h = ols_coefficients(scenario.dataset_points(bid), agg.query_dist)
-        for sid, value in zip(ds, h):
-            beta[(sid, bid)] = float(value)
+def _relevance(features: np.ndarray, membership: np.ndarray, aggregators,
+               ) -> np.ndarray:
+    """beta over the sharing pairs of `membership`: per aggregator (the
+    sequence `aggregators`, in id order), the separability coefficients of its
+    dataset (rows of `features`) under its own query distribution.  Needs no
+    effort model, so generation calls it before drawing any."""
+    pair_source, pair_aggregator = np.nonzero(membership)
+    beta = np.empty(len(pair_source))
+    for b, agg in enumerate(aggregators):
+        rows = np.flatnonzero(pair_aggregator == b)
+        beta[rows] = ols_coefficients(features[pair_source[rows]],
+                                      agg.query_dist).as_array()
     return beta
 
 
-def _membership(scenario: MarketScenario) -> np.ndarray:
-    """n x m booleans, [s, b] true when source s sells to aggregator b (id
-    order); its nonzero entries, row by row, are the sharing pairs in order."""
-    return np.array([np.isin(scenario.aggregator_ids, scenario.sources_by_id[sid].sharing)
-                     for sid in scenario.source_ids])
+def _net_demand(beta: np.ndarray, membership: np.ndarray, aggregators,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma over the sharing pairs, gamma_total over the sources) from beta
+    over the same pairs; see derive_gamma.  Each rival sum runs over j in id
+    order and each total over b in id order, one addition at a time."""
+    pair_source, pair_aggregator = np.nonzero(membership)
+    ids = [agg.id for agg in aggregators]
+    zeta = np.array([[agg.zeta.get(j, 0.0) for j in ids] for agg in aggregators])
+    scale = np.array([agg.payment_scale for agg in aggregators])
+    table = np.zeros(membership.shape)
+    table[pair_source, pair_aggregator] = beta
+    rival_benefit = np.zeros(len(beta))
+    for j in range(len(ids)):
+        # exact zeros where s does not sell to j (table) or j == b (zeta)
+        rival_benefit += zeta[pair_aggregator, j] * table[pair_source, j]
+    gamma = (beta - rival_benefit) / scale[pair_aggregator]
+    return gamma, np.bincount(pair_source, weights=gamma)
+
+
+def derive_beta(scenario: MarketScenario) -> np.ndarray:
+    """Relevance weights over scenario.sharing_pairs(): per aggregator, the
+    separability coefficients of its dataset under its own query
+    distribution."""
+    if scenario.mode != MODE_ESTIMATOR:
+        raise DomainError("derive_beta applies to estimator-derived scenarios; "
+                          "direct mode carries its own beta table")
+    features = np.array([scenario.sources_by_id[s].feature for s in scenario.source_ids])
+    return _relevance(features, scenario.membership,
+                      [scenario.aggregators_by_id[b] for b in scenario.aggregator_ids])
 
 
 def derive_xi(scenario: MarketScenario) -> np.ndarray:
@@ -241,7 +273,7 @@ def derive_xi(scenario: MarketScenario) -> np.ndarray:
     if scenario.mode != MODE_ESTIMATOR:
         raise DomainError("derive_xi applies to estimator-derived scenarios; "
                           "direct mode carries its own xi table")
-    membership = _membership(scenario)
+    membership = scenario.membership
     n, m = membership.shape
     features = np.array([scenario.sources_by_id[s].feature for s in scenario.source_ids])
     ids = np.array(scenario.source_ids)
@@ -255,24 +287,13 @@ def derive_xi(scenario: MarketScenario) -> np.ndarray:
     return xi
 
 
-def derive_gamma(scenario: MarketScenario, beta: Mapping[tuple[str, str], float],
-                 ) -> tuple[dict[tuple[str, str], float], dict[str, float]]:
+def derive_gamma(scenario: MarketScenario, beta: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Net demand gamma[s, b] = (beta[s, b] - sum over rivals j in B_s of
-    zeta_j^b * beta[s, j]) / payment_scale_b, and totals per source."""
-    gamma: dict[tuple[str, str], float] = {}
-    gamma_total: dict[str, float] = {}
-    for sid in scenario.source_ids:
-        src = scenario.sources_by_id[sid]
-        total = 0.0
-        for bid in src.sharing:
-            agg = scenario.aggregators_by_id[bid]
-            rival_benefit = sum(agg.zeta.get(j, 0.0) * beta[(sid, j)]
-                                for j in src.sharing if j != bid)
-            value = (beta[(sid, bid)] - rival_benefit) / agg.payment_scale
-            gamma[(sid, bid)] = value
-            total += value
-        gamma_total[sid] = total
-    return gamma, gamma_total
+    zeta_j^b * beta[s, j]) / payment_scale_b over scenario.sharing_pairs()
+    (beta runs over the same pairs), and its totals over scenario.source_ids."""
+    return _net_demand(beta, scenario.membership,
+                       [scenario.aggregators_by_id[b] for b in scenario.aggregator_ids])
 
 
 def assemble_xi_matrix(scenario: MarketScenario, xi: np.ndarray,
@@ -286,7 +307,7 @@ def assemble_xi_matrix(scenario: MarketScenario, xi: np.ndarray,
     Filled one block per ordered aggregator pair (b, j); xi[j] is zero unless
     s sells to j, so only "l sells to b" needs a test.
     """
-    membership = _membership(scenario)
+    membership = scenario.membership
     pair_source, pair_aggregator = np.nonzero(membership)
     blocks = [np.flatnonzero(pair_aggregator == b) for b in range(membership.shape[1])]
     matrix = np.zeros((len(pair_source), len(pair_source)))
@@ -341,7 +362,7 @@ def _derive_tables(scenario: MarketScenario):
     for b, bid in enumerate(scenario.aggregator_ids):
         for (i, l), value in scenario.direct_xi[bid].items():
             xi[b, position[i], position[l]] = value
-    return dict(scenario.direct_beta), xi
+    return np.array([scenario.direct_beta[p] for p in scenario.sharing_pairs()]), xi
 
 
 def validate_scenario(scenario: MarketScenario) -> ValidationReport:
@@ -360,7 +381,7 @@ def validate_scenario(scenario: MarketScenario) -> ValidationReport:
 def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
                        *, ill_defined: str | None = None) -> ValidationReport:
     """The checks of validate_scenario, given the derived (gamma, gamma_total)
-    tables, or the error that made the estimator ill-defined."""
+    arrays, or the error that made the estimator ill-defined."""
     violations: list[Violation] = []
     notes: list[str] = []
 
@@ -381,16 +402,15 @@ def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
         return ValidationReport(tuple(violations), tuple(notes))
 
     gamma, gamma_total = demand
-    for (sid, bid), value in gamma.items():
+    for (sid, bid), value in zip(scenario.sharing_pairs(), gamma.tolist()):
         if value <= 0:
             violations.append(Violation(
                 "nonpositive-demand", f"({sid}, {bid})",
                 f"net demand {value} must be positive"))
 
-    for sid in scenario.source_ids:
+    for sid, total in zip(scenario.source_ids, gamma_total.tolist()):
         model = scenario.sources_by_id[sid].effort_model
-        bounds = incentive_bounds(model)
-        total = gamma_total[sid]
+        bounds = model.incentive_bounds
         if total < bounds.a_lower:
             violations.append(Violation(
                 "demand-below-minimum", sid,
@@ -410,33 +430,32 @@ def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
 
 @dataclass(frozen=True, eq=False)
 class DerivedParameters:
-    """Everything the solvers need, derived once from a scenario."""
+    """Everything the solvers need, derived once from a scenario.  beta and
+    gamma run over `pairs` (pair k is (source_ids[pair_source[k]],
+    aggregator_ids[pair_aggregator[k]])); gamma_total, a_lower and a_upper
+    (inf for unbounded effort sets) over scenario.source_ids."""
 
     scenario: MarketScenario
     mode: str
-    beta: dict[tuple[str, str], float]
+    beta: np.ndarray
     xi: np.ndarray          # [b, i, l], aggregators x sources x sources, id order
-    gamma: dict[tuple[str, str], float]
-    gamma_total: dict[str, float]
-    bounds: dict[str, IncentiveBounds]
+    gamma: np.ndarray
+    gamma_total: np.ndarray
+    a_lower: np.ndarray
+    a_upper: np.ndarray
     pairs: tuple[tuple[str, str], ...]
     xi_matrix: np.ndarray
-    gamma_vector: np.ndarray
     validation: ValidationReport
-    # Filled at construction, as on MarketScenario.  Pair k is (source_ids[
-    # pair_source[k]], aggregator_ids[pair_aggregator[k]]); see _membership.
+    # Filled at construction, as on MarketScenario.
     pair_index: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     pair_source: np.ndarray = field(init=False, repr=False, compare=False)
     pair_aggregator: np.ndarray = field(init=False, repr=False, compare=False)
-    membership: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        membership = _membership(self.scenario)
-        pair_source, pair_aggregator = np.nonzero(membership)
+        pair_source, pair_aggregator = np.nonzero(self.scenario.membership)
         object.__setattr__(self, "pair_index", {p: k for k, p in enumerate(self.pairs)})
         object.__setattr__(self, "pair_source", pair_source)
         object.__setattr__(self, "pair_aggregator", pair_aggregator)
-        object.__setattr__(self, "membership", membership)
 
     @property
     def effort_kind(self) -> str:
@@ -468,14 +487,14 @@ def derive_parameters(scenario: MarketScenario, *,
     beta, xi = _derive_tables(scenario)
     gamma, gamma_total = derive_gamma(scenario, beta)
     validation = _validation_report(scenario, (gamma, gamma_total))
-    bounds = {sid: incentive_bounds(scenario.sources_by_id[sid].effort_model)
-              for sid in scenario.source_ids}
+    bounds = [scenario.sources_by_id[sid].effort_model.incentive_bounds
+              for sid in scenario.source_ids]
+    a_lower, a_upper = np.array([(b.a_lower, b.a_upper) for b in bounds]).T
     xi_matrix, pairs = assemble_xi_matrix(scenario, xi)
-    gamma_vector = np.array([gamma[p] for p in pairs])
     params = DerivedParameters(
         scenario=scenario, mode=scenario.mode, beta=beta, xi=xi, gamma=gamma,
-        gamma_total=gamma_total, bounds=bounds, pairs=pairs,
-        xi_matrix=xi_matrix, gamma_vector=gamma_vector, validation=validation)
+        gamma_total=gamma_total, a_lower=a_lower, a_upper=a_upper, pairs=pairs,
+        xi_matrix=xi_matrix, validation=validation)
     if require_valid:
         params.require_valid()
     return params

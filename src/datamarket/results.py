@@ -154,13 +154,13 @@ def _csv(rows) -> str:
 
 def beta_csv(params: DerivedParameters) -> str:
     rows = [("source", "aggregator", "beta")]
-    rows += [(s, b, params.beta[(s, b)]) for (s, b) in sorted(params.beta)]
+    rows += [(s, b, v) for (s, b), v in zip(params.pairs, params.beta.tolist())]
     return _csv(rows)
 
 
 def gamma_csv(params: DerivedParameters) -> str:
     rows = [("source", "aggregator", "gamma")]
-    rows += [(s, b, params.gamma[(s, b)]) for (s, b) in sorted(params.gamma)]
+    rows += [(s, b, v) for (s, b), v in zip(params.pairs, params.gamma.tolist())]
     return _csv(rows)
 
 

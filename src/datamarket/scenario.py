@@ -27,7 +27,7 @@ from .errors import (
     InfeasibleSpecError,
     ParseError,
 )
-from .estimators import EstimatorSpec, QueryDistribution, ols_coefficients
+from .estimators import EstimatorSpec, QueryDistribution
 from .market import (
     MODE_DIRECT,
     MODE_ESTIMATOR,
@@ -35,6 +35,8 @@ from .market import (
     DataSourceSpec,
     GroundTruth,
     MarketScenario,
+    _net_demand,
+    _relevance,
     validate_scenario,
 )
 
@@ -52,15 +54,39 @@ _EFFORT_FIELDS = {"family", "sigma0", "lambda", "k", "set"}
 # ---------------------------------------------------------------------------
 
 def _expect(mapping, key, types, location, default=_TOP_FIELDS):
+    """mapping[key] checked against `types`; types=float asks for a finite
+    number (see _number)."""
     if key not in mapping:
         if default is not _TOP_FIELDS:
             return default
         raise ParseError(f"missing field {key!r}", location=location)
     value = mapping[key]
+    if types is float:
+        return _number(value, key, location)
     if not isinstance(value, types):
         raise ParseError(f"field {key!r} has type {type(value).__name__}",
                          location=location)
     return value
+
+
+def _number(value, name, location) -> float:
+    """A finite JSON number as a float; booleans, strings, NaN and infinities
+    raise ParseError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"field {name!r} has type {type(value).__name__}",
+                         location=location)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"field {name!r} must be a finite number, got {number}",
+                         location=location)
+    return number
+
+
+def _numbers(values, name, location) -> tuple[float, ...]:
+    return tuple(_number(v, f"{name}[{k}]", location) for k, v in enumerate(values))
 
 
 def _no_unknown_fields(mapping, allowed, location):
@@ -76,19 +102,19 @@ def _parse_effort(doc, location) -> EffortVarianceModel:
     kind = _expect(set_doc, "kind", str, f"{location}.set")
     try:
         if kind == "bounded":
-            effort_set = EffortSet("bounded", e_max=float(
-                _expect(set_doc, "e_max", (int, float), f"{location}.set")))
+            effort_set = EffortSet("bounded", e_max=_expect(
+                set_doc, "e_max", float, f"{location}.set"))
         else:
             effort_set = EffortSet(kind)
-        sigma0 = float(_expect(doc, "sigma0", (int, float), location))
+        sigma0 = _expect(doc, "sigma0", float, location)
         if family == "exponential":
             model = EffortVarianceModel(
-                ExponentialVariance(sigma0, float(
-                    _expect(doc, "lambda", (int, float), location))), effort_set)
+                ExponentialVariance(sigma0, _expect(doc, "lambda", float, location)),
+                effort_set)
         elif family == "inverse_power":
             model = EffortVarianceModel(
-                InversePowerVariance(sigma0, float(
-                    _expect(doc, "k", (int, float), location))), effort_set)
+                InversePowerVariance(sigma0, _expect(doc, "k", float, location)),
+                effort_set)
         else:
             raise ParseError(f"unknown effort family {family!r}", location=location)
     except DomainError as exc:
@@ -100,12 +126,12 @@ def _parse_source(doc, index) -> DataSourceSpec:
     location = f"sources[{index}]"
     _no_unknown_fields(doc, _SOURCE_FIELDS, location)
     sid = _expect(doc, "id", str, location)
-    feature = _expect(doc, "feature", list, location)
+    feature = _numbers(_expect(doc, "feature", list, location), "feature", location)
     sharing = _expect(doc, "sharing", list, location)
     effort = _parse_effort(_expect(doc, "effort", dict, location),
                            f"{location}.effort")
     try:
-        return DataSourceSpec(sid, tuple(float(c) for c in feature), effort,
+        return DataSourceSpec(sid, feature, effort,
                               tuple(str(b) for b in sharing))
     except (DomainError, TypeError, ValueError) as exc:
         raise ParseError(str(exc), location=location) from exc
@@ -123,16 +149,15 @@ def _parse_aggregator(doc, index) -> AggregatorSpec:
         if not isinstance(atom, dict):
             raise ParseError("atom must be an object", location=aloc)
         _no_unknown_fields(atom, {"point", "probability"}, aloc)
-        point = _expect(atom, "point", list, aloc)
-        prob = _expect(atom, "probability", (int, float), aloc)
-        atoms.append((tuple(float(c) for c in point), float(prob)))
+        point = _numbers(_expect(atom, "point", list, aloc), "point", aloc)
+        atoms.append((point, _expect(atom, "probability", float, aloc)))
     zeta_doc = _expect(doc, "zeta", dict, location, default={})
-    eta = float(_expect(doc, "eta", (int, float), location, default=1.0))
+    zeta = {str(j): _number(z, f"zeta[{j}]", location) for j, z in zeta_doc.items()}
+    eta = _expect(doc, "eta", float, location, default=1.0)
     try:
         return AggregatorSpec(bid, EstimatorSpec(kind),
                               QueryDistribution(tuple(atoms)),
-                              zeta={str(j): float(z) for j, z in zeta_doc.items()},
-                              payment_scale=eta)
+                              zeta=zeta, payment_scale=eta)
     except DomainError as exc:
         raise ParseError(str(exc), location=location) from exc
 
@@ -152,7 +177,7 @@ def _parse_direct_tables(doc, source_ids, aggregator_ids):
             if bid not in aggregator_ids:
                 raise ParseError(f"beta[{sid!r}] names unknown aggregator {bid!r}",
                                  location=location)
-            beta[(sid, bid)] = float(value)
+            beta[(sid, bid)] = _number(value, f"beta[{sid}][{bid}]", location)
     xi = {}
     for bid, rows in xi_doc.items():
         if bid not in aggregator_ids:
@@ -166,11 +191,7 @@ def _parse_direct_tables(doc, source_ids, aggregator_ids):
                 raise ParseError(f"xi[{bid!r}][{i!r}] must be an object",
                                  location=location)
             for l, value in row.items():
-                value = float(value)
-                if i == l and value != 1.0:
-                    raise ParseError(f"diagonal xi must be 1 (aggregator {bid!r}, "
-                                     f"source {i!r} has {value})", location=location)
-                table[(str(i), str(l))] = value
+                table[(str(i), str(l))] = _number(value, f"xi[{bid}][{i}][{l}]", location)
         xi[bid] = table
     return beta, xi
 
@@ -193,8 +214,9 @@ def parse_scenario(text: str) -> MarketScenario:
     gt_doc = _expect(doc, "ground_truth", dict, "document")
     _no_unknown_fields(gt_doc, {"coefficients", "intercept"}, "ground_truth")
     ground_truth = GroundTruth(
-        tuple(float(c) for c in _expect(gt_doc, "coefficients", list, "ground_truth")),
-        float(_expect(gt_doc, "intercept", (int, float), "ground_truth")))
+        _numbers(_expect(gt_doc, "coefficients", list, "ground_truth"),
+                 "coefficients", "ground_truth"),
+        _expect(gt_doc, "intercept", float, "ground_truth"))
 
     sources_doc = _expect(doc, "sources", list, "document")
     sources = tuple(_parse_source(s, k) for k, s in enumerate(sources_doc))
@@ -382,6 +404,7 @@ def _attempt(spec: GenerationSpec, rng) -> MarketScenario:
     features = _latin_features(rng, spec.n_sources, spec.dimension)
     sharing = _draw_sharing(spec, rng, sids, bids)
     datasets = {bid: [sid for sid in sids if bid in sharing[sid]] for bid in bids}
+    membership = np.array([[bid in sharing[sid] for bid in bids] for sid in sids])
 
     aggregators = []
     for bid in bids:
@@ -404,31 +427,17 @@ def _attempt(spec: GenerationSpec, rng) -> MarketScenario:
 
     direct_beta = direct_xi = None
     if spec.mode == MODE_DIRECT:
-        beta = {(sid, bid): float(rng.uniform(0.5, 2.0))
-                for sid in sids for bid in sharing[sid]}
-        direct_beta = beta
+        direct_beta = {(sid, bid): float(rng.uniform(0.5, 2.0))
+                       for sid in sids for bid in sharing[sid]}
+        beta = np.array(list(direct_beta.values()))  # sharing-pair order
         direct_xi = {
             bid: {(i, l): 1.0 if i == l else float(rng.uniform(0.0, spec.coupling_scale))
                   for i in datasets[bid] for l in datasets[bid]}
             for bid in bids}
     else:
         # relevance is pure geometry, derivable before any effort family exists
-        beta = {}
-        for k, bid in enumerate(bids):
-            pts = features[[sids.index(s) for s in datasets[bid]]]
-            h = ols_coefficients(pts, aggregators[k].query_dist)
-            for sid, value in zip(datasets[bid], h):
-                beta[(sid, bid)] = float(value)
-
-    zeta_by_bid = {a.id: a.zeta for a in aggregators}
-    gamma_total = {}
-    for sid in sids:
-        total = 0.0
-        for bid in sharing[sid]:
-            rival = sum(zeta_by_bid[bid].get(j, 0.0) * beta[(sid, j)]
-                        for j in sharing[sid] if j != bid)
-            total += beta[(sid, bid)] - rival
-        gamma_total[sid] = total
+        beta = _relevance(features, membership, aggregators)
+    gamma_total = dict(zip(sids, _net_demand(beta, membership, aggregators)[1].tolist()))
     if min(gamma_total.values()) <= 0:
         raise DomainError("competition cancelled some source's demand")  # retried
 

@@ -18,10 +18,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .equilibrium import EquilibriumResult
+from .equilibrium import EquilibriumResult, check_result_matches
 from .errors import DomainError
 from .estimators import leave_one_out_weights, prediction_weights, trial_stream
-from .market import MODE_ESTIMATOR, MarketScenario, _membership
+from .market import MODE_ESTIMATOR, MarketScenario
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,16 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
                   ) -> Callable[[int, int], MarketRound]:
     """play(seed, index) -> MarketRound, with everything a round reads
     computed once: the response-linear weights of the feature layout and the
-    contract at the solved equilibrium (pairs in sharing-pair order)."""
+    contract at the solved equilibrium (pairs in sharing-pair order).  A
+    result whose tables are not keyed by this scenario's pairs and sources
+    raises ParseError."""
     if scenario.mode != MODE_ESTIMATOR:
         raise DomainError("round simulation needs estimator-derived scenarios "
                           "(direct mode has no regression geometry)")
+    check_result_matches(result, scenario)
     sids, bids = scenario.source_ids, scenario.aggregator_ids
     pairs = scenario.sharing_pairs()
-    membership = _membership(scenario)
+    membership = scenario.membership
     members = {bid: np.flatnonzero(membership[:, b]) for b, bid in enumerate(bids)}
     _, pair_aggregator = np.nonzero(membership)
     rows = {bid: np.flatnonzero(pair_aggregator == b) for b, bid in enumerate(bids)}
@@ -129,7 +132,7 @@ def payment_statistics(scenario: MarketScenario, result: EquilibriumResult,
     that expected compensation equals effort at the canonical contract."""
     if n_rounds < 2:
         raise DomainError("payment statistics need at least 2 rounds")
-    owner = np.nonzero(_membership(scenario))[0]  # source of each payment of a round
+    owner = np.nonzero(scenario.membership)[0]  # source of each payment of a round
     # Welford's update: no cancellation when the mean dwarfs the spread
     mean = np.zeros(len(scenario.source_ids))
     m2 = np.zeros(len(scenario.source_ids))

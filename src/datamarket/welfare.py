@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .effort import effort_response
 from .errors import DomainError, ScenarioValidationError
-from .equilibrium import EquilibriumResult
+from .equilibrium import EquilibriumResult, check_result_matches
 from .market import MODE_DIRECT, ESTIMATOR_ZERO_TOL, DerivedParameters
 
 
@@ -38,13 +38,13 @@ class WelfareReport:
 def social_cost(efforts: dict[str, float], params: DerivedParameters) -> float:
     """Ex-ante social cost of an effort profile (payments excluded)."""
     total = 0.0
-    for sid in params.scenario.source_ids:
+    for sid, demand in zip(params.scenario.source_ids, params.gamma_total.tolist()):
         model = params.effort_model(sid)
         e = efforts[sid]
         if not model.effort_set.contains(e):
             raise DomainError(f"effort {e} of source {sid} outside its feasible set")
         s = model.sigma(e)
-        total += params.gamma_total[sid] * s * s + e
+        total += demand * s * s + e
     return total
 
 
@@ -56,10 +56,9 @@ def optimal_efforts(params: DerivedParameters) -> dict[str, float]:
     onto the feasible interval (demand at or beyond the saturation incentive
     pins the optimum at the effort cap)."""
     out = {}
-    for sid in params.scenario.source_ids:
+    for sid, demand in zip(params.scenario.source_ids, params.gamma_total.tolist()):
         model = params.effort_model(sid)
-        bounds = params.bounds[sid]
-        demand = params.gamma_total[sid]
+        bounds = model.incentive_bounds
         if demand < bounds.a_lower:
             raise ScenarioValidationError(
                 f"total demand {demand} of source {sid} is below the minimum "
@@ -80,9 +79,12 @@ def efficiency_predicate(params: DerivedParameters) -> bool:
 
 
 def price_of_anarchy(result: EquilibriumResult, params: DerivedParameters) -> WelfareReport:
-    """Equilibrium social cost over the optimal social cost (>= 1)."""
+    """Equilibrium social cost over the optimal social cost (>= 1).  A result
+    whose tables are not keyed by this scenario's pairs and sources raises
+    ParseError."""
     if not result.solved or result.efforts is None:
         raise DomainError("price of anarchy requires a solved equilibrium")
+    check_result_matches(result, params.scenario)
     optimum = optimal_efforts(params)
     cost_opt = social_cost(optimum, params)
     cost_eq = social_cost(result.efforts, params)

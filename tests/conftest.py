@@ -1,5 +1,6 @@
 """Shared scenario builders for the test suite."""
 
+import numpy as np
 import pytest
 
 from datamarket.effort import (
@@ -117,11 +118,11 @@ def make_random_direct(rng, n, m, coupling=0.3, bounded=False, cap_ratio=None,
         scenario = MarketScenario(sources, aggregators, GroundTruth((1.0,), 0.0),
                                   mode="direct", direct_beta=beta, direct_xi=xi)
         if bounded:
-            _, gamma_total = derive_gamma(scenario, beta)
+            _, gamma_total = derive_gamma(scenario, pair_array(scenario, beta))
             capped = []
             for k, sid in enumerate(sids):
                 ratio = cap_ratio if cap_ratio is not None else rng.uniform(1.05, 3.0)
-                a_upper = gamma_total[sid] * ratio
+                a_upper = gamma_total[k] * ratio
                 if a_upper <= incentive_bounds(models[sid]).a_lower:
                     break
                 e_max = effort_response(models[sid], a_upper)
@@ -139,6 +140,16 @@ def make_random_direct(rng, n, m, coupling=0.3, bounded=False, cap_ratio=None,
         if validate_scenario(scenario).ok:
             return scenario
     raise AssertionError("random direct scenario generation exhausted retries")
+
+
+def by_pair(scenario, values):
+    """An array over scenario.sharing_pairs() as a dict keyed by pair."""
+    return dict(zip(scenario.sharing_pairs(), np.asarray(values).tolist()))
+
+
+def pair_array(scenario, table):
+    """A dict keyed by pair as an array over scenario.sharing_pairs()."""
+    return np.array([table[pair] for pair in scenario.sharing_pairs()])
 
 
 def xi_tables(params):

@@ -137,8 +137,8 @@ def test_c01_single_aggregator_efficiency():
         params = derive_parameters(scenario)
         result = solve_unbounded(params)
         assert result.status == STATUS_UNIQUE
-        for pair in params.pairs:
-            assert abs(result.a.a[pair] - params.gamma[pair]) <= 1e-10
+        for k, pair in enumerate(params.pairs):
+            assert abs(result.a.a[pair] - params.gamma[k]) <= 1e-10
         report = price_of_anarchy(result, params)
         assert abs(report.poa - 1.0) <= 1e-9
 
@@ -163,7 +163,7 @@ def test_c02_leontief_dichotomy():
         exists += 1
         a_vec = np.array([result.a.a[p] for p in params.pairs])
         residual = np.abs(a_vec - (params.xi_matrix @ a_vec
-                                   + params.gamma_vector)).max()
+                                   + params.gamma)).max()
         assert residual < 1e-9
         solved += 1
     assert exists >= 20 and missing >= 20, (exists, missing)

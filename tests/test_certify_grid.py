@@ -16,7 +16,6 @@ from conftest import make_line_scenario, make_random_direct, make_symmetric_dire
 from datamarket.effort import CustomVariance, EffortVarianceModel
 from datamarket.equilibrium import (
     AParameters,
-    _a_total,
     _effort_at,
     _efforts_and_variances,
     _worst_grid_deviation,
@@ -35,6 +34,19 @@ DEFAULT_GRID = np.linspace(-0.5, 0.5, 11)
 # Brute-force reference
 # ---------------------------------------------------------------------------
 
+def _a_total(params, a):
+    """Per-source sums of an id-keyed quality-weight table."""
+    return {sid: sum(a[(sid, bid)] for bid in params.scenario.sources_by_id[sid].sharing)
+            for sid in params.scenario.source_ids}
+
+
+def one_pass(params, a, totals, grid):
+    """_worst_grid_deviation on id-keyed tables."""
+    return _worst_grid_deviation(
+        params, np.array([a[pair] for pair in params.pairs]),
+        np.array([totals[sid] for sid in params.scenario.source_ids]), grid)
+
+
 def reduced_loss_terms(params, bid, a):
     """The terms of aggregator b's reduced loss: own estimation loss plus the
     payment obligations created by rivals' contracts plus the efforts it must
@@ -42,14 +54,17 @@ def reduced_loss_terms(params, bid, a):
     differences matter."""
     position = {sid: k for k, sid in enumerate(params.scenario.source_ids)}
     column = {b: k for k, b in enumerate(params.scenario.aggregator_ids)}
+    sids = params.scenario.source_ids
     totals = _a_total(params, a)
     clamp = params.effort_kind == "bounded"
-    _, variances = _efforts_and_variances(params, totals, clamp=clamp)
-    efforts = {sid: _effort_at(params, sid, totals[sid], clamp=clamp)
-               for sid in params.scenario.source_ids}
+    _, variances = _efforts_and_variances(params, np.array([totals[s] for s in sids]),
+                                          clamp=clamp)
+    variances = dict(zip(sids, variances.tolist()))
+    efforts = {sid: _effort_at(params.effort_model(sid), totals[sid], clamp=clamp)
+               for sid in sids}
     terms = []
     for i in params.scenario.dataset(bid):
-        terms.append(params.gamma[(i, bid)] * variances[i])
+        terms.append(params.gamma[params.pair_index[(i, bid)]] * variances[i])
         terms.append(efforts[i])
         for j in params.scenario.sources_by_id[i].sharing:
             if j == bid:
@@ -70,7 +85,7 @@ def brute_force_grid(params, a, totals, grid):
     for bid in params.scenario.aggregator_ids:
         base = reduced_loss_terms(params, bid, a)
         for sid in params.scenario.dataset(bid):
-            bounds = params.bounds[sid]
+            bounds = params.effort_model(sid).incentive_bounds
             for delta in grid:
                 if delta == 0.0:
                     continue
@@ -157,7 +172,7 @@ def test_solved_market_matches_reference(market):
     params, result = _solved(MARKETS[market]())
     a, totals = result.a.a, result.a.a_total
     reference = brute_force_grid(params, a, totals, DEFAULT_GRID)
-    assert_same(_worst_grid_deviation(params, a, totals, DEFAULT_GRID), reference)
+    assert_same(one_pass(params, a, totals, DEFAULT_GRID), reference)
     report = certify_equilibrium(result, params)
     grid_check = next(c for c in report.checks if c.name == "best-response-grid")
     assert grid_check.passed == (reference[0] <= 1e-9)
@@ -171,7 +186,7 @@ def test_corrupted_weights_on_fine_grid_match_reference(market):
     grid = _fine_grid(bad)
     reference = brute_force_grid(params, bad, totals, grid)
     assert reference[0] > 0.0  # a gainful deviation exists, so the location is tested
-    assert_same(_worst_grid_deviation(params, bad, totals, grid), reference)
+    assert_same(one_pass(params, bad, totals, grid), reference)
 
     corrupted = replace(result, a=AParameters(a=bad, a_total=totals))
     report = certify_equilibrium(corrupted, params, grid_radius=3.0 * max(bad.values()),
@@ -191,7 +206,7 @@ def test_exact_ties_report_the_first_location():
     reference = brute_force_grid(params, bad, totals, grid)
     assert reference[0] > 0.0
     assert reference[1].startswith("aggregator b1, pair (s1, b1)")
-    assert_same(_worst_grid_deviation(params, bad, totals, grid), reference)
+    assert_same(one_pass(params, bad, totals, grid), reference)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -206,12 +221,13 @@ def test_random_direct_markets_match_reference(seed, n, m, bounded, density, spr
     result = (solve_bounded if bounded else solve_unbounded)(params)
     assume(result.solved)
     a, totals = result.a.a, result.a.a_total
-    assert_same(_worst_grid_deviation(params, a, totals, DEFAULT_GRID),
+    assert_same(one_pass(params, a, totals, DEFAULT_GRID),
                 brute_force_grid(params, a, totals, DEFAULT_GRID))
     bad, bad_totals = _corrupt(params, a, rng, 1.0 - spread, 1.0 + spread)
-    assume(all(bad_totals[s] >= params.bounds[s].a_lower for s in bad_totals))
+    assume(all(bad_totals[s] >= params.effort_model(s).incentive_bounds.a_lower
+               for s in bad_totals))
     grid = _fine_grid(bad)
-    assert_same(_worst_grid_deviation(params, bad, bad_totals, grid),
+    assert_same(one_pass(params, bad, bad_totals, grid),
                 brute_force_grid(params, bad, bad_totals, grid))
 
 

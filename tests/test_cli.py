@@ -169,6 +169,27 @@ class TestCertifyAndWelfare:
         assert doc["efficient_possible"] is False
 
 
+class TestResultOfAnotherMarket:
+    # markets a (8 sources) and b (9 sources); certify b with a's result,
+    # welfare and simulate a with b's result
+    @pytest.mark.parametrize("command, market, solved", [
+        ("certify", "b", "a"), ("welfare", "a", "b"), ("simulate", "a", "b")])
+    def test_exit_one_naming_the_pair(self, tmp_path, capsys, command, market, solved):
+        for name, n in (("a", 8), ("b", 9)):
+            (tmp_path / f"{name}.json").write_text(
+                serialize_scenario(generate_scenario(GenerationSpec(n, 2), 0)))
+        result = tmp_path / f"r{solved}.json"
+        assert cli(["solve", str(tmp_path / f"{solved}.json"), "--output", str(result)]) == 0
+        out = tmp_path / "out"
+        options = {"certify": [], "welfare": ["--output", str(out)],
+                   "simulate": ["--rounds", "2", "--seed", "0", "--output", str(out)]}
+        capsys.readouterr()
+        assert cli([command, str(tmp_path / f"{market}.json"), str(result),
+                    *options[command]]) == 1
+        assert "first mismatched pair (s009, b001)" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_csv_schema_and_determinism(self, line_file, tmp_path):
         result = tmp_path / "result.json"

@@ -15,14 +15,17 @@ from datamarket.equilibrium import (
     STATUS_NONE,
     STATUS_UNIQUE,
     AParameters,
+    SourcePolytope,
     alpha_sweep,
     canonical_c,
     certify_equilibrium,
+    payment_floors,
     polytope_membership,
     solve_bounded,
     solve_unbounded,
     spectral_radius,
 )
+from datamarket.effort import effort_response
 from datamarket.errors import DomainError, ScenarioValidationError
 from datamarket.market import derive_parameters
 
@@ -81,7 +84,8 @@ class TestSolveUnbounded:
         result = solve_unbounded(params)
         assert result.status == STATUS_UNIQUE
         for pair in params.pairs:
-            assert result.a.a[pair] == pytest.approx(params.gamma[pair], abs=1e-14)
+            assert result.a.a[pair] == pytest.approx(params.gamma[params.pair_index[pair]],
+                                                     abs=1e-14)
 
     def test_symmetric_fixture_closed_form(self, symmetric_direct):
         params = derive_parameters(symmetric_direct)
@@ -119,12 +123,12 @@ class TestSolveUnbounded:
             assert result.diagnostics.spectral_radius >= 1 - 1e-9
             return
         a_vec = np.array([result.a.a[p] for p in params.pairs])
-        residual = np.abs(a_vec - (params.xi_matrix @ a_vec + params.gamma_vector)).max()
+        residual = np.abs(a_vec - (params.xi_matrix @ a_vec + params.gamma)).max()
         assert residual < 1e-9
-        for pair in params.pairs:
-            assert result.a.a[pair] >= params.gamma[pair] - 1e-12
-        for sid, total in result.a.a_total.items():
-            assert total >= params.gamma_total[sid] - 1e-12
+        for k, pair in enumerate(params.pairs):
+            assert result.a.a[pair] >= params.gamma[k] - 1e-12
+        for sid, demand in zip(params.scenario.source_ids, params.gamma_total):
+            assert result.a.a_total[sid] >= demand - 1e-12
 
     def test_refuses_invalid_scenario(self):
         scn = make_symmetric_direct(beta_value=0.25)  # demand below minimum
@@ -293,6 +297,48 @@ class TestCertification:
         binding = float(check.detail.split("payment-vs-effort residual ")[1].split(",")[0])
         assert binding < 1e-9
         assert "effort-vs-total residual 1.000e+00" in check.detail
+
+    @pytest.mark.parametrize("field", ["floors", "total", "surplus", "dimension"])
+    def test_fails_on_corrupted_polytope(self, symmetric_direct, field):
+        params = derive_parameters(symmetric_direct)
+        result = solve_unbounded(params)
+        entry = result.polytope["s1"]
+        corrupted = {"floors": {**entry.floors, "b1": entry.floors["b1"] + 5.0},
+                     "total": entry.total + 5.0, "surplus": entry.surplus + 5.0,
+                     "dimension": entry.dimension + 5}[field]
+        bad = replace(result, polytope={**result.polytope,
+                                        "s1": replace(entry, **{field: corrupted})})
+        report = certify_equilibrium(bad, params)
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["participation-binding"]
+        assert "polytope residual 5.000e+00" in failed[0].detail
+
+    def test_fails_on_totals_not_summing_a(self, symmetric_direct):
+        # a_total of s1 raised by 0.1, with efforts, c (effort shares by the
+        # sum of a) and polytope all following from the raised totals
+        params = derive_parameters(symmetric_direct)
+        result = solve_unbounded(params)
+        sids = params.scenario.source_ids
+        totals = dict(result.a.a_total, s1=result.a.a_total["s1"] + 0.1)
+        efforts = {sid: effort_response(params.effort_model(sid), totals[sid])
+                   for sid in sids}
+        variances = np.array([params.effort_model(sid).sigma(efforts[sid]) ** 2
+                              for sid in sids])
+        a_vec = np.array([result.a.a[pair] for pair in params.pairs])
+        floors = dict(zip(params.pairs, payment_floors(params, a_vec, variances)))
+        a_sums = {sid: sum(v for (s, _), v in result.a.a.items() if s == sid) for sid in sids}
+        c = {(sid, bid): floor + result.a.a[(sid, bid)] / a_sums[sid] * efforts[sid]
+             for (sid, bid), floor in floors.items()}
+        polytope = {sid: SourcePolytope(
+            surplus=efforts[sid], floors={b: floors[(s, b)] for s, b in floors if s == sid},
+            total=sum(floors[(s, b)] for s, b in floors if s == sid) + efforts[sid],
+            dimension=p.dimension) for sid, p in result.polytope.items()}
+        bad = replace(result, a=AParameters(a=result.a.a, a_total=totals),
+                      canonical_c=c, efforts=efforts, polytope=polytope)
+        report = certify_equilibrium(bad, params)
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["participation-binding"]
+        assert "total-vs-a residual 1.000e-01" in failed[0].detail
 
     def test_requires_solved_result(self):
         params = derive_parameters(make_symmetric_direct(xi_offdiag=1.0))

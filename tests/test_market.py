@@ -4,7 +4,7 @@ matrix, against hand linear algebra and structural invariants."""
 import numpy as np
 import pytest
 
-from conftest import OLS, make_line_scenario, make_symmetric_direct, xi_tables
+from conftest import OLS, by_pair, make_line_scenario, make_symmetric_direct, pair_array, xi_tables
 
 from datamarket.effort import EffortSet, exponential_model
 from datamarket.errors import DomainError, IllDefinedPaymentError, ScenarioValidationError
@@ -33,7 +33,8 @@ def two_point_scenario(query):
 
 class TestDeriveBeta:
     def test_two_point_delta_query(self):
-        beta = derive_beta(two_point_scenario(point_mass((0.0,))))
+        scn = two_point_scenario(point_mass((0.0,)))
+        beta = by_pair(scn, derive_beta(scn))
         assert beta[("s1", "b1")] == pytest.approx(1.0, abs=1e-14)
         assert beta[("s2", "b1")] == pytest.approx(0.0, abs=1e-14)
 
@@ -45,7 +46,7 @@ class TestDeriveBeta:
         sources = scenario.sources[:3]
         agg = AggregatorSpec("b1", OLS, uniform)
         scn = MarketScenario(sources, (agg,), scenario.ground_truth)
-        beta = derive_beta(scn)
+        beta = by_pair(scn, derive_beta(scn))
         from datamarket.estimators import ols_coefficients
         per_atom = [ols_coefficients(pts, point_mass(p)).as_array() for p in pts]
         expected = np.mean(per_atom, axis=0)
@@ -56,7 +57,7 @@ class TestDeriveBeta:
         scn = make_line_scenario(n_aggregators=2,
                                  sharing={"s1": ("b1",), "s2": ("b1", "b2"),
                                           "s3": ("b1", "b2"), "s4": ("b2",)})
-        beta = derive_beta(scn)
+        beta = by_pair(scn, derive_beta(scn))
         assert ("s1", "b2") not in beta
         assert ("s4", "b1") not in beta
         assert ("s2", "b1") in beta and ("s2", "b2") in beta
@@ -95,7 +96,7 @@ class TestDeriveGamma:
         scn = make_line_scenario(n_aggregators=2, zeta=0.0)
         beta = derive_beta(scn)
         gamma, _ = derive_gamma(scn, beta)
-        assert gamma == beta
+        assert by_pair(scn, gamma) == by_pair(scn, beta)
 
     def test_full_cancellation_flagged_not_raised(self):
         scn = make_symmetric_direct()
@@ -107,8 +108,8 @@ class TestDeriveGamma:
         cancelled = MarketScenario(scn.sources, aggs, scn.ground_truth,
                                    mode="direct", direct_beta=scn.direct_beta,
                                    direct_xi=scn.direct_xi)
-        gamma, _ = derive_gamma(cancelled, dict(cancelled.direct_beta))
-        assert all(v == pytest.approx(0.0) for v in gamma.values())
+        gamma, _ = derive_gamma(cancelled, pair_array(cancelled, cancelled.direct_beta))
+        assert all(v == pytest.approx(0.0) for v in by_pair(cancelled, gamma).values())
         report = validate_scenario(cancelled)
         assert not report.ok
         assert any(v.code == "nonpositive-demand" for v in report.violations)
@@ -124,7 +125,8 @@ class TestDeriveGamma:
         xi = {"b1": {("s1", "s1"): 1.0}, "b2": {("s1", "s1"): 1.0}}
         scn = MarketScenario(sources, aggregators, GroundTruth((1.0,), 0.0),
                              mode="direct", direct_beta=beta, direct_xi=xi)
-        gamma, total = derive_gamma(scn, beta)
+        gamma, total = derive_gamma(scn, pair_array(scn, beta))
+        gamma, total = by_pair(scn, gamma), dict(zip(scn.source_ids, total.tolist()))
         assert gamma[("s1", "b1")] == pytest.approx(0.35, rel=1e-12)
         assert gamma[("s1", "b2")] == pytest.approx(0.38, rel=1e-12)
         assert total["s1"] == pytest.approx(0.73, rel=1e-12)
@@ -137,8 +139,8 @@ class TestDeriveGamma:
         scaled = MarketScenario(scn.sources, scaled_aggs, scn.ground_truth,
                                 mode="direct", direct_beta=scn.direct_beta,
                                 direct_xi=scn.direct_xi)
-        gamma, _ = derive_gamma(scaled, dict(scaled.direct_beta))
-        assert all(v == pytest.approx(0.5) for v in gamma.values())
+        gamma, _ = derive_gamma(scaled, pair_array(scaled, scaled.direct_beta))
+        assert all(v == pytest.approx(0.5) for v in by_pair(scaled, gamma).values())
         report = validate_scenario(scaled)
         assert any("normalized" in n for n in report.notes)
 
@@ -186,11 +188,11 @@ class TestXiMatrix:
         params = derive_parameters(line_two_aggregators)
         scn = line_two_aggregators
         direct = MarketScenario(scn.sources, scn.aggregators, scn.ground_truth,
-                                mode="direct", direct_beta=params.beta,
+                                mode="direct", direct_beta=by_pair(scn, params.beta),
                                 direct_xi=xi_tables(params))
         reparams = derive_parameters(direct)
         np.testing.assert_array_equal(params.xi_matrix, reparams.xi_matrix)
-        assert params.gamma == reparams.gamma
+        assert by_pair(scn, params.gamma) == by_pair(scn, reparams.gamma)
         assert params.pairs == reparams.pairs
 
     def test_partial_sharing_deletes_rows_only(self):
@@ -293,3 +295,13 @@ class TestLookupsFilledAtConstruction:
         keys = set(vars(params))
         params.pair_index
         assert set(vars(params)) == keys
+
+    def test_membership_is_a_field_filled_at_construction(self):
+        scenario = make_line_scenario(n_aggregators=3,
+                                      sharing={"s1": ("b1",), "s2": ("b1", "b3"),
+                                               "s3": ("b2", "b3"), "s4": ("b1", "b2", "b3")})
+        assert "membership" in vars(scenario)
+        np.testing.assert_array_equal(scenario.membership, [[True, False, False],
+                                                            [True, False, True],
+                                                            [False, True, True],
+                                                            [True, True, True]])

@@ -2,7 +2,9 @@
 generation."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from conftest import make_line_scenario, make_symmetric_direct
@@ -47,8 +49,8 @@ class TestRoundTrip:
         params = derive_parameters(scenario)
         reparsed = parse_scenario(serialize_scenario(scenario))
         reparams = derive_parameters(reparsed)
-        assert params.beta == reparams.beta
-        assert params.gamma == reparams.gamma
+        np.testing.assert_array_equal(params.beta, reparams.beta)
+        np.testing.assert_array_equal(params.gamma, reparams.gamma)
 
 
 class TestParseErrors:
@@ -64,6 +66,29 @@ class TestParseErrors:
             parse_scenario(json.dumps(doc))
         assert "aggregators[0]" in str(exc.value)
         assert "0.9" in str(exc.value)
+
+    @pytest.mark.parametrize("path, value, location, field", [
+        (("aggregators", 0, "query_distribution", 0, "probability"), math.nan,
+         "aggregators[0].query_distribution[0]", "probability"),
+        (("ground_truth", "intercept"), math.inf, "ground_truth", "intercept"),
+        (("aggregators", 0, "eta"), True, "aggregators[0]", "eta"),
+        (("sources", 0, "feature", 0), True, "sources[0]", "feature[0]"),
+        (("aggregators", 0, "zeta"), {"b2": "abc"}, "aggregators[0]", "zeta[b2]"),
+        (("aggregators", 0, "zeta"), {"b2": "0.1"}, "aggregators[0]", "zeta[b2]"),
+        (("direct_parameters", "beta", "s1", "b1"), -math.inf, "direct_parameters",
+         "beta[s1][b1]"),
+    ], ids=["nan-probability", "infinite-intercept", "true-eta", "true-feature",
+            "string-zeta", "numeric-string-zeta", "infinite-beta"])
+    def test_non_finite_and_mistyped_numbers(self, path, value, location, field):
+        doc = self.doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(json.dumps(doc))  # NaN and Infinity as JSON extensions
+        assert exc.value.location == location
+        assert f"field {field!r}" in str(exc.value)
 
     def test_nonunit_diagonal_xi(self):
         doc = self.doc()
@@ -140,9 +165,9 @@ class TestGeneration:
         scenario = generate_scenario(spec, seed=3)
         assert validate_scenario(scenario).ok
         params = derive_parameters(scenario)
-        for sid in params.scenario.source_ids:
-            assert (params.bounds[sid].a_lower <= params.gamma_total[sid]
-                    < params.bounds[sid].a_upper)
+        for k in range(len(params.scenario.source_ids)):
+            assert (params.a_lower[k] <= params.gamma_total[k]
+                    < params.a_upper[k])
 
     def test_direct_mode_generation(self):
         spec = GenerationSpec(n_sources=3, n_aggregators=3, mode="direct",

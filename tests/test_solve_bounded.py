@@ -38,7 +38,7 @@ def _branch(params, xi, a, sid, bid):
     every other coordinate fixed, with the incentive interval enforced and
     negative demands floored at zero; xi holds the id-keyed tables.  Returns
     (target, branch label)."""
-    bounds = params.bounds[sid]
+    bounds = params.effort_model(sid).incentive_bounds
     sharing = params.scenario.sources_by_id[sid].sharing
     rivals_same_source = sum(a[(sid, j)] for j in sharing if j != bid)
     coupling = 0.0
@@ -51,7 +51,7 @@ def _branch(params, xi, a, sid, bid):
             if bid not in params.scenario.sources_by_id[l].sharing:
                 continue
             coupling += a[(l, j)] * xi[j][(l, sid)]
-    interior = params.gamma[(sid, bid)] + coupling
+    interior = params.gamma[params.pair_index[(sid, bid)]] + coupling
     t = interior + rivals_same_source
     if t < bounds.a_lower:
         target, label = bounds.a_lower - rivals_same_source, "at-minimum"
@@ -67,7 +67,7 @@ def gauss_seidel_reference(params, *, damping=0.5, max_iter=100_000, tol=1e-10):
     a damping fraction toward its `_branch` target as soon as it is computed.
     sweeps is None when max_iter ran out."""
     xi = xi_tables(params)
-    a = dict(params.gamma)
+    a = dict(zip(params.pairs, params.gamma.tolist()))
     residual = math.nan
     for sweeps in range(1, max_iter + 1):
         residual = 0.0
@@ -107,6 +107,7 @@ def _custom_bounded_line():
     above the largest demand, so that some coordinates clamp."""
     base = make_line_scenario(n_aggregators=2, zeta=0.1, n_points=8)
     _, gamma_total = derive_gamma(base, derive_parameters(base).beta)
+    gamma_total = dict(zip(base.source_ids, gamma_total.tolist()))
     sigma0, lam = 8.0, 1.0
     family = CustomVariance(
         sigma_fn=lambda e: sigma0 * math.exp(-lam * e),

@@ -102,9 +102,8 @@ class TestOptimalEfforts:
         rng = np.random.default_rng(42)
         scn = make_random_direct(rng, n=3, m=2)
         params = derive_parameters(scn)
-        for sid in params.scenario.source_ids:
+        for sid, g in zip(params.scenario.source_ids, params.gamma_total):
             model = params.effort_model(sid)
-            g = params.gamma_total[sid]
             for e in np.linspace(0.0, 3.0, 7):
                 sp, s = model.sigma_prime(e), model.sigma(e)
                 curvature = 2 * g * (sp * sp + s * model.sigma_second(e))
@@ -190,8 +189,9 @@ class TestPriceOfAnarchy:
         assert result.solved
         if not efficiency_predicate(params):
             totals = result.a.a_total
-            assert all(totals[s] >= params.gamma_total[s] - 1e-12 for s in totals)
-            assert any(totals[s] > params.gamma_total[s] + 1e-9 for s in totals)
+            demand = dict(zip(params.scenario.source_ids, params.gamma_total))
+            assert all(totals[s] >= demand[s] - 1e-12 for s in totals)
+            assert any(totals[s] > demand[s] + 1e-9 for s in totals)
 
     def test_requires_solved_result(self):
         params = derive_parameters(make_symmetric_direct(xi_offdiag=1.0))

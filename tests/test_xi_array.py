@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     OLS,
+    by_pair,
     make_line_scenario,
     make_random_direct,
     make_symmetric_direct,
@@ -200,7 +201,7 @@ def test_solved_market_is_unchanged_by_direct_reentry_of_the_array():
     scenario = ESTIMATOR_MARKETS["partial-d2"]()
     params = derive_parameters(scenario)
     direct = MarketScenario(scenario.sources, scenario.aggregators, scenario.ground_truth,
-                            mode="direct", direct_beta=params.beta,
+                            mode="direct", direct_beta=by_pair(scenario, params.beta),
                             direct_xi=xi_tables(params))
     reparams = derive_parameters(direct)
     np.testing.assert_array_equal(params.xi, reparams.xi)
