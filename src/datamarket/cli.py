@@ -34,10 +34,8 @@ from .errors import (
     DataMarketError,
     DomainError,
     GenerationError,
-    IllDefinedEstimatorError,
     InfeasibleSpecError,
     ParseError,
-    ScenarioValidationError,
     SolverError,
 )
 from .market import derive_parameters, validate_scenario
@@ -57,23 +55,11 @@ EXIT_SOLVER = 2
 EXIT_USAGE = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with the usage exit code pinned to 3."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with_usage(message))
-
-    def exit_with_usage(self, message):
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="datamarket",
-                     description="Equilibrium solver and simulator for "
-                                 "competitive data-acquisition markets.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="datamarket",
+                                     description="Equilibrium solver and simulator for "
+                                                 "competitive data-acquisition markets.")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check scenario well-posedness")
     p.add_argument("scenario", type=Path)
@@ -296,7 +282,7 @@ def cli(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 0 for --help; anything else is a usage error
+        # argparse exits 0 for --help and 2 on a usage error, mapped to 3
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
@@ -306,11 +292,7 @@ def cli(argv=None) -> int:
     except (SolverError, GenerationError) as exc:
         print(f"datamarket: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ParseError, ScenarioValidationError, IllDefinedEstimatorError,
-            DomainError) as exc:
-        print(f"datamarket: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except DataMarketError as exc:
+    except DataMarketError as exc:  # parse, validation and domain errors
         print(f"datamarket: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

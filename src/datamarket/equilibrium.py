@@ -28,7 +28,7 @@ import numpy as np
 
 from .effort import effort_response
 from .errors import DomainError, NonConvergenceError, NumericalFailureError, ParseError
-from .market import DerivedParameters
+from .market import DerivedParameters, spectral_radius  # noqa: F401  (public here too)
 
 STATUS_UNIQUE = "unique_a_infinite_c"
 STATUS_NONE = "none"
@@ -40,80 +40,6 @@ MARGINAL_BAND = 1e-9
 
 #: Tolerated floating-point overshoot past a validated incentive bound.
 BOUNDARY_SLACK = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Spectral radius
-# ---------------------------------------------------------------------------
-
-def spectral_radius(matrix, *, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """Spectral radius of a nonnegative square matrix.
-
-    Shift-free power iteration from the all-ones vector, certified each sweep
-    by the Collatz-Wielandt interval [min_i (Mx)_i/x_i, max_i (Mx)_i/x_i]
-    (valid brackets for any strictly positive x).  Structurally periodic
-    matrices (every two-aggregator market) make that interval oscillate, so
-    on stall the routine falls back to the row/column-sum bracket applied to
-    repeatedly squared, normalized powers, which converges to the radius for
-    every nonnegative matrix.
-    """
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError(f"spectral radius needs a square matrix, got shape {M.shape}")
-    if M.size and (not np.all(np.isfinite(M)) or np.any(M < 0)):
-        raise DomainError("spectral radius is defined here for finite nonnegative matrices")
-    n = M.shape[0]
-    if n == 0 or not M.any():
-        return 0.0
-
-    x = np.ones(n)
-    best_width = math.inf
-    since_improvement = 0
-    for _ in range(max_iter):
-        y = M @ x
-        norm = y.max()
-        if norm == 0.0:
-            return 0.0  # positive vector annihilated: nilpotent direction only
-        if np.all(x > 0):
-            ratios = y / x
-            lo, hi = float(ratios.min()), float(ratios.max())
-            width = hi - lo
-            if width <= tol * max(1.0, hi):
-                return 0.5 * (lo + hi)
-            if width < 0.5 * best_width:
-                best_width = width
-                since_improvement = 0
-            else:
-                since_improvement += 1
-                if since_improvement >= 100:
-                    break  # oscillating interval: periodic or reducible
-        else:
-            break  # lost strict positivity: certificate unavailable
-        x = y / norm
-    return _gelfand_radius(M, tol=tol)
-
-
-def _gelfand_radius(M: np.ndarray, *, tol: float = 1e-10, max_squarings: int = 64) -> float:
-    """max row/column-sum bracket along repeated squarings: the norm estimates
-    ||M^(2^m)||^(1/2^m) converge to the radius (Gelfand); normalization keeps
-    the powers representable."""
-    B = M.copy()
-    log_acc = 0.0      # sum over levels i of log(scale_i) / 2^i
-    estimate = math.inf
-    for level in range(max_squarings):
-        row = float(np.abs(B).sum(axis=1).max())
-        col = float(np.abs(B).sum(axis=0).max())
-        scale = min(row, col)
-        if scale == 0.0:
-            return 0.0
-        new_estimate = math.exp(log_acc + math.log(scale) / (2 ** level))
-        if abs(new_estimate - estimate) <= tol * max(1.0, new_estimate) and level > 2:
-            return new_estimate
-        estimate = new_estimate
-        B = B / scale
-        log_acc += math.log(scale) / (2 ** level)
-        B = B @ B
-    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +127,27 @@ def _vector(table, keys) -> np.ndarray:
     return np.array([table[key] for key in keys], dtype=float)
 
 
-def check_result_matches(result: EquilibriumResult, scenario) -> None:
-    """Raise ParseError unless every table of a solved result is keyed by the
-    scenario's sharing pairs or source ids, naming the first mismatch: a
-    result of another market must not be read against this one."""
+def _check_keys(scenario, a: AParameters, *tables) -> None:
+    """Raise ParseError unless the weights a and each further (name, keys,
+    kind) table are keyed by exactly the scenario's sharing pairs (kind
+    "pair") or source ids (kind "source"), naming the first mismatch."""
     expected = {"pair": set(scenario.sharing_pairs()), "source": set(scenario.source_ids)}
-    floors = [(sid, bid) for sid, p in result.polytope.items() for bid in p.floors]
-    for name, keys, kind in (("a", result.a.a, "pair"), ("a_total", result.a.a_total, "source"),
-                             ("canonical_c", result.canonical_c, "pair"),
-                             ("efforts", result.efforts, "source"),
-                             ("polytope floors", floors, "pair")):
+    for name, keys, kind in (("a", a.a, "pair"), ("a_total", a.a_total, "source"), *tables):
         mismatched = set(keys) ^ expected[kind]
         if mismatched:
             first = min(mismatched)
             shown = first if kind == "source" else f"({first[0]}, {first[1]})"
             raise ParseError(f"{name} does not match the scenario: first mismatched "
                              f"{kind} {shown}", location="result")
+
+
+def check_result_matches(result: EquilibriumResult, scenario) -> None:
+    """Raise ParseError unless every table of a solved result is keyed by the
+    scenario's sharing pairs or source ids, naming the first mismatch: a
+    result of another market must not be read against this one."""
+    floors = [(sid, bid) for sid, p in result.polytope.items() for bid in p.floors]
+    _check_keys(scenario, result.a, ("canonical_c", result.canonical_c, "pair"),
+                ("efforts", result.efforts, "source"), ("polytope floors", floors, "pair"))
 
 
 def payment_floors(params: DerivedParameters, a: np.ndarray,
@@ -244,7 +175,8 @@ def canonical_c(a: AParameters, params: DerivedParameters) -> dict[tuple[str, st
     """Proportional-surplus selection: each aggregator covers its own expected
     penalty plus a share of the source's effort proportional to its quality
     weight.  Always lies in the equilibrium polytope and binds the sources'
-    participation constraint exactly."""
+    participation constraint exactly.  Another market's weights raise ParseError."""
+    _check_keys(params.scenario, a)
     c = _contract(params, _vector(a.a, params.pairs),
                   _vector(a.a_total, params.scenario.source_ids))[2]
     return _pair_dict(params, c)
@@ -253,7 +185,9 @@ def canonical_c(a: AParameters, params: DerivedParameters) -> dict[tuple[str, st
 def polytope_membership(c, a: AParameters, params: DerivedParameters,
                         tol: float = 1e-9):
     """Check whether a candidate c table lies in the equilibrium polytope of
-    the given quality weights.  Returns (member, violations, dimensions)."""
+    the given quality weights.  Returns (member, violations, dimensions).
+    Another market's weights raise ParseError."""
+    _check_keys(params.scenario, a)
     missing = set(params.pairs) ^ set(c)
     if missing:
         raise DomainError(f"candidate c table does not match the sharing "
@@ -303,6 +237,32 @@ def _finish(params: DerivedParameters, a_vec: np.ndarray,
         efforts=dict(zip(sids, efforts.tolist())), diagnostics=diagnostics)
 
 
+def _solve_coupled(params: DerivedParameters, alpha: float) -> tuple[np.ndarray, float] | None:
+    """(a over params.pairs, residual) solving a = alpha Xi a + gamma by LU,
+    or None once alpha * rho(Xi) >= 1 - MARGINAL_BAND.  A singular, inaccurate
+    or negative solve raises NumericalFailureError."""
+    rho = alpha * params.spectral_radius
+    if rho >= 1.0 - MARGINAL_BAND:
+        return None
+    # the bits of np.eye(n) - alpha * Xi, with no second n x n temporary
+    system = np.multiply(params.xi_matrix, -alpha)
+    system.flat[::len(system) + 1] += 1.0
+    try:
+        a_vec = np.linalg.solve(system, params.gamma)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(
+            f"(I - alpha Xi) is singular at alpha={alpha} although alpha * rho = {rho} < 1",
+            condition=float(np.linalg.cond(system))) from exc
+    residual = float(np.abs(a_vec - (alpha * (params.xi_matrix @ a_vec)
+                                     + params.gamma)).max())
+    if residual >= 1e-9 or np.any(a_vec < -1e-9):
+        raise NumericalFailureError(
+            f"linear solve residual {residual} or negativity "
+            f"{float(a_vec.min())} out of tolerance inside the existence regime",
+            condition=float(np.linalg.cond(system)))
+    return np.where(a_vec < 0, 0.0, a_vec), residual
+
+
 def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
     """Solve the equilibrium system for unbounded effort sets.
 
@@ -313,29 +273,15 @@ def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
     params.require_valid()
     if params.effort_kind != "unbounded":
         raise DomainError("solve_unbounded requires all effort sets unbounded")
-    rho = spectral_radius(params.xi_matrix)
-    if rho >= 1.0 - MARGINAL_BAND:
+    rho = params.spectral_radius
+    solved = _solve_coupled(params, 1.0)
+    if solved is None:
         diag = SolveDiagnostics(spectral_radius=rho, iterations=0,
                                 max_residual=math.nan,
                                 marginal=abs(rho - 1.0) < MARGINAL_BAND)
         return EquilibriumResult(status=STATUS_NONE, a=None, canonical_c=None,
                                  polytope=None, efforts=None, diagnostics=diag)
-
-    n = len(params.pairs)
-    system = np.eye(n) - params.xi_matrix
-    try:
-        a_vec = np.linalg.solve(system, params.gamma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            f"(I - Xi) is singular although the radius {rho} is below 1",
-            condition=float(np.linalg.cond(system))) from exc
-    residual = float(np.abs(a_vec - (params.xi_matrix @ a_vec + params.gamma)).max())
-    if residual >= 1e-9 or np.any(a_vec < -1e-9):
-        raise NumericalFailureError(
-            f"linear solve residual {residual} or negativity "
-            f"{float(a_vec.min())} out of tolerance inside the existence regime",
-            condition=float(np.linalg.cond(system)))
-    a_vec = np.where(a_vec < 0, 0.0, a_vec)
+    a_vec, residual = solved
     diag = SolveDiagnostics(spectral_radius=rho, iterations=1, max_residual=residual)
     return _finish(params, a_vec, STATUS_UNIQUE, diag)
 
@@ -423,16 +369,16 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     if not (0.0 < tol < math.inf):
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    rho = spectral_radius(params.xi_matrix)
     lower, upper = params.a_lower[params.pair_source], params.a_upper[params.pair_source]
     blocks = [np.flatnonzero(params.pair_aggregator == b)
               for b in range(len(params.scenario.aggregator_ids))]
+    block_rows = [params.xi_matrix[blk] for blk in blocks]  # sliced once, read per step
     a = params.gamma.copy()  # start from the decoupled demands
     iterations = 0
     for iterations in range(1, max_iter + 1):
         residual = 0.0
-        for blk in blocks:
-            interior = params.gamma[blk] + (params.xi_matrix @ a)[blk]
+        for blk, xi_rows in zip(blocks, block_rows):
+            interior = params.gamma[blk] + xi_rows @ a
             own = a[blk]
             totals = np.bincount(params.pair_source, weights=a)
             target, _ = _clamp(interior, totals[params.pair_source[blk]] - own,
@@ -441,8 +387,8 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
             residual = max(residual, float(np.abs(delta).max(initial=0.0)))
             a[blk] += damping * delta
         if residual < tol:
-            diag = SolveDiagnostics(spectral_radius=rho, iterations=iterations,
-                                    max_residual=residual)
+            diag = SolveDiagnostics(spectral_radius=params.spectral_radius,
+                                    iterations=iterations, max_residual=residual)
             return _finish(params, a, STATUS_BOUNDED, diag)
     raise NonConvergenceError(
         f"best-response iteration did not reach tol={tol} within "
@@ -620,22 +566,18 @@ def alpha_sweep(params: DerivedParameters, alphas) -> list[AlphaPoint]:
 
     The radius scales linearly, so existence flips to "none" once
     alpha * rho(Xi) reaches 1; approaching it from below the demands blow up
-    like 1/(1 - alpha * rho)."""
+    like 1/(1 - alpha * rho).  A failed solve inside the existence regime
+    raises NumericalFailureError, as in solve_unbounded."""
     params.require_valid()
     if params.effort_kind != "unbounded":
         raise DomainError("alpha_sweep requires unbounded effort sets")
-    rho_base = spectral_radius(params.xi_matrix)
-    n = len(params.pairs)
     points = []
     for alpha in alphas:
         if alpha < 0 or not math.isfinite(alpha):
             raise DomainError(f"alpha must be finite and nonnegative, got {alpha}")
-        rho = alpha * rho_base
-        if rho >= 1.0 - MARGINAL_BAND:
-            points.append(AlphaPoint(float(alpha), float(rho), STATUS_NONE, math.nan))
-            continue
-        a_vec = np.linalg.solve(np.eye(n) - alpha * params.xi_matrix,
-                                params.gamma)
-        max_total = float(np.bincount(params.pair_source, weights=a_vec).max())
-        points.append(AlphaPoint(float(alpha), float(rho), STATUS_UNIQUE, max_total))
+        solved = _solve_coupled(params, alpha)
+        max_total = (math.nan if solved is None
+                     else float(np.bincount(params.pair_source, weights=solved[0]).max()))
+        points.append(AlphaPoint(float(alpha), float(alpha * params.spectral_radius),
+                                 STATUS_NONE if solved is None else STATUS_UNIQUE, max_total))
     return points

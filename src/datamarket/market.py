@@ -323,6 +323,80 @@ def assemble_xi_matrix(scenario: MarketScenario, xi: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# Spectral radius
+# ---------------------------------------------------------------------------
+
+def spectral_radius(matrix, *, tol: float = 1e-10, max_iter: int = 100_000) -> float:
+    """Spectral radius of a nonnegative square matrix.
+
+    Shift-free power iteration from the all-ones vector, certified each sweep
+    by the Collatz-Wielandt interval [min_i (Mx)_i/x_i, max_i (Mx)_i/x_i]
+    (valid brackets for any strictly positive x).  Structurally periodic
+    matrices (every two-aggregator market) make that interval oscillate, so
+    on stall the routine falls back to the row/column-sum bracket applied to
+    repeatedly squared, normalized powers, which converges to the radius for
+    every nonnegative matrix.
+    """
+    M = np.asarray(matrix, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DomainError(f"spectral radius needs a square matrix, got shape {M.shape}")
+    if M.size and (not np.all(np.isfinite(M)) or np.any(M < 0)):
+        raise DomainError("spectral radius is defined here for finite nonnegative matrices")
+    n = M.shape[0]
+    if n == 0 or not M.any():
+        return 0.0
+
+    x = np.ones(n)
+    best_width = math.inf
+    since_improvement = 0
+    for _ in range(max_iter):
+        y = M @ x
+        norm = y.max()
+        if norm == 0.0:
+            return 0.0  # positive vector annihilated: nilpotent direction only
+        if np.all(x > 0):
+            ratios = y / x
+            lo, hi = float(ratios.min()), float(ratios.max())
+            width = hi - lo
+            if width <= tol * max(1.0, hi):
+                return 0.5 * (lo + hi)
+            if width < 0.5 * best_width:
+                best_width = width
+                since_improvement = 0
+            else:
+                since_improvement += 1
+                if since_improvement >= 100:
+                    break  # oscillating interval: periodic or reducible
+        else:
+            break  # lost strict positivity: certificate unavailable
+        x = y / norm
+    return _gelfand_radius(M, tol=tol)
+
+
+def _gelfand_radius(M: np.ndarray, *, tol: float = 1e-10, max_squarings: int = 64) -> float:
+    """max row/column-sum bracket along repeated squarings: the norm estimates
+    ||M^(2^m)||^(1/2^m) converge to the radius (Gelfand); normalization keeps
+    the powers representable."""
+    B = M.copy()
+    log_acc = 0.0      # sum over levels i of log(scale_i) / 2^i
+    estimate = math.inf
+    for level in range(max_squarings):
+        row = float(np.abs(B).sum(axis=1).max())
+        col = float(np.abs(B).sum(axis=0).max())
+        scale = min(row, col)
+        if scale == 0.0:
+            return 0.0
+        new_estimate = math.exp(log_acc + math.log(scale) / (2 ** level))
+        if abs(new_estimate - estimate) <= tol * max(1.0, new_estimate) and level > 2:
+            return new_estimate
+        estimate = new_estimate
+        B = B / scale
+        log_acc += math.log(scale) / (2 ** level)
+        B = B @ B
+    return estimate
+
+
+# ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 
@@ -450,12 +524,22 @@ class DerivedParameters:
     pair_index: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     pair_source: np.ndarray = field(init=False, repr=False, compare=False)
     pair_aggregator: np.ndarray = field(init=False, repr=False, compare=False)
+    _spectral_radius: float | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         pair_source, pair_aggregator = np.nonzero(self.scenario.membership)
         object.__setattr__(self, "pair_index", {p: k for k, p in enumerate(self.pairs)})
         object.__setattr__(self, "pair_source", pair_source)
         object.__setattr__(self, "pair_aggregator", pair_aggregator)
+
+    @property
+    def spectral_radius(self) -> float:
+        """rho(Xi), computed on first read and kept in a declared field, as
+        EffortVarianceModel keeps its incentive bounds; derivation needs none."""
+        if self._spectral_radius is None:
+            object.__setattr__(self, "_spectral_radius", spectral_radius(self.xi_matrix))
+        return self._spectral_radius
 
     @property
     def effort_kind(self) -> str:

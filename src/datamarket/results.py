@@ -13,6 +13,7 @@ CSV schemas (v1, fixed column order, full-precision decimals):
 from __future__ import annotations
 
 import io
+import itertools
 import json
 
 from .equilibrium import (
@@ -152,16 +153,17 @@ def _csv(rows) -> str:
     return buffer.getvalue()
 
 
+def _pair_csv(params: DerivedParameters, name: str, values) -> str:
+    return _csv([("source", "aggregator", name),
+                 *((s, b, v) for (s, b), v in zip(params.pairs, values.tolist()))])
+
+
 def beta_csv(params: DerivedParameters) -> str:
-    rows = [("source", "aggregator", "beta")]
-    rows += [(s, b, v) for (s, b), v in zip(params.pairs, params.beta.tolist())]
-    return _csv(rows)
+    return _pair_csv(params, "beta", params.beta)
 
 
 def gamma_csv(params: DerivedParameters) -> str:
-    rows = [("source", "aggregator", "gamma")]
-    rows += [(s, b, v) for (s, b), v in zip(params.pairs, params.gamma.tolist())]
-    return _csv(rows)
+    return _pair_csv(params, "gamma", params.gamma)
 
 
 def xi_csv(params: DerivedParameters) -> str:
@@ -192,19 +194,9 @@ def sweep_csv(points) -> str:
 
 def rounds_csv(scenario, rounds) -> str:
     """Streamed per-round table; column blocks follow sorted ids."""
-    sids = scenario.source_ids
-    pairs = scenario.sharing_pairs()
-    bids = scenario.aggregator_ids
-    header = ["round"]
-    header += [f"y_{s}" for s in sids]
-    header += [f"p_{s}_{b}" for (s, b) in pairs]
-    header += [f"loss_{b}" for b in bids]
-    buffer = io.StringIO()
-    buffer.write(",".join(header) + "\n")
-    for round_ in rounds:
-        row = [round_.index]
-        row += [round_.responses[s] for s in sids]
-        row += [round_.payments[p] for p in pairs]
-        row += [round_.losses[b] for b in bids]
-        buffer.write(",".join(_fmt(v) for v in row) + "\n")
-    return buffer.getvalue()
+    sids, pairs, bids = scenario.source_ids, scenario.sharing_pairs(), scenario.aggregator_ids
+    header = ["round", *(f"y_{s}" for s in sids), *(f"p_{s}_{b}" for s, b in pairs),
+              *(f"loss_{b}" for b in bids)]
+    return _csv(itertools.chain([header], (
+        [r.index, *(r.responses[s] for s in sids), *(r.payments[p] for p in pairs),
+         *(r.losses[b] for b in bids)] for r in rounds)))

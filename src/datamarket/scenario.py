@@ -55,7 +55,7 @@ _EFFORT_FIELDS = {"family", "sigma0", "lambda", "k", "set"}
 
 def _expect(mapping, key, types, location, default=_TOP_FIELDS):
     """mapping[key] checked against `types`; types=float asks for a finite
-    number (see _number)."""
+    number (see _number).  Booleans never pass: no field is boolean."""
     if key not in mapping:
         if default is not _TOP_FIELDS:
             return default
@@ -63,7 +63,7 @@ def _expect(mapping, key, types, location, default=_TOP_FIELDS):
     value = mapping[key]
     if types is float:
         return _number(value, key, location)
-    if not isinstance(value, types):
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ParseError(f"field {key!r} has type {type(value).__name__}",
                          location=location)
     return value
@@ -407,16 +407,15 @@ def _attempt(spec: GenerationSpec, rng) -> MarketScenario:
     membership = np.array([[bid in sharing[sid] for bid in bids] for sid in sids])
 
     aggregators = []
-    for bid in bids:
-        ds = datasets[bid]
+    for k, bid in enumerate(bids):
+        points = features[membership[:, k]]
         n_atoms = int(rng.integers(1, 4))
         atoms = []
         weights = rng.dirichlet(np.ones(n_atoms))
         for w in weights:
             # queries mix dataset points so relevance is spread over sources
-            mix = rng.dirichlet(np.ones(len(ds)))
-            point = tuple(float(c) for c in
-                          mix @ features[[sids.index(s) for s in ds]])
+            mix = rng.dirichlet(np.ones(len(points)))
+            point = tuple(float(c) for c in mix @ points)
             atoms.append((point, float(w)))
         zeta = {j: float(rng.uniform(0.0, spec.zeta_max)) for j in bids if j != bid}
         aggregators.append(AggregatorSpec(bid, EstimatorSpec(),

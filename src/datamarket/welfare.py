@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .effort import effort_response
+import numpy as np
+
 from .errors import DomainError, ScenarioValidationError
-from .equilibrium import EquilibriumResult, check_result_matches
+from .equilibrium import EquilibriumResult, _efforts_and_variances, check_result_matches
 from .market import MODE_DIRECT, ESTIMATOR_ZERO_TOL, DerivedParameters
 
 
@@ -55,18 +56,15 @@ def optimal_efforts(params: DerivedParameters) -> dict[str, float]:
     effort sets the convex objective's minimizer is the same value projected
     onto the feasible interval (demand at or beyond the saturation incentive
     pins the optimum at the effort cap)."""
-    out = {}
-    for sid, demand in zip(params.scenario.source_ids, params.gamma_total.tolist()):
-        model = params.effort_model(sid)
-        bounds = model.incentive_bounds
-        if demand < bounds.a_lower:
-            raise ScenarioValidationError(
-                f"total demand {demand} of source {sid} is below the minimum "
-                f"incentive {bounds.a_lower}; the efficient effort would be negative")
-        if model.effort_set.bounded:
-            demand = min(demand, bounds.a_upper)
-        out[sid] = effort_response(model, demand)
-    return out
+    sids = params.scenario.source_ids
+    below = np.flatnonzero(params.gamma_total < params.a_lower)
+    if below.size:
+        k = int(below[0])
+        raise ScenarioValidationError(
+            f"total demand {params.gamma_total[k]} of source {sids[k]} is below the "
+            f"minimum incentive {params.a_lower[k]}; the efficient effort would be negative")
+    efforts, _ = _efforts_and_variances(params, params.gamma_total, clamp=True)
+    return dict(zip(sids, efforts.tolist()))
 
 
 def efficiency_predicate(params: DerivedParameters) -> bool:

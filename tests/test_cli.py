@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import make_line_scenario, make_symmetric_direct
@@ -122,6 +123,14 @@ class TestSweepAlpha:
 
     def test_bad_alphas_exit_one(self, symmetric_file):
         assert cli(["sweep-alpha", str(symmetric_file), "--alphas", "x,y"]) == 1
+
+    def test_failed_solve_exit_two(self, symmetric_file, monkeypatch, capsys):
+        def singular(system, rhs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert cli(["sweep-alpha", str(symmetric_file), "--alphas", "0.5"]) == 2
+        assert "solver failure" in capsys.readouterr().err
 
 
 class TestCertifyAndWelfare:

@@ -25,9 +25,16 @@ from datamarket.equilibrium import (
     solve_unbounded,
     spectral_radius,
 )
+from datamarket import market
 from datamarket.effort import effort_response
-from datamarket.errors import DomainError, ScenarioValidationError
+from datamarket.errors import (
+    DomainError,
+    NumericalFailureError,
+    ParseError,
+    ScenarioValidationError,
+)
 from datamarket.market import derive_parameters
+from datamarket.scenario import GenerationSpec, generate_scenario
 
 
 class TestSpectralRadius:
@@ -203,6 +210,55 @@ class TestCanonicalC:
         params = derive_parameters(make_line_scenario(n_aggregators=1))
         result = solve_unbounded(params)
         assert all(p.dimension == 0 for p in result.polytope.values())
+
+
+class TestWeightsOfAnotherMarket:
+    # the weights of an 8-source market read against a 9-source one
+    @pytest.mark.parametrize("check", ["canonical_c", "polytope_membership"])
+    def test_parse_error_naming_the_pair(self, check):
+        ra, rb = (solve_unbounded(derive_parameters(generate_scenario(GenerationSpec(n, 2), 0)))
+                  for n in (8, 9))
+        params_b = derive_parameters(generate_scenario(GenerationSpec(9, 2), 0))
+        with pytest.raises(ParseError, match=r"first mismatched pair \(s009, b001\)"):
+            if check == "canonical_c":
+                canonical_c(ra.a, params_b)
+            else:
+                polytope_membership(rb.canonical_c, ra.a, params_b)
+
+
+class TestCoupledSolve:
+    def test_one_spectral_radius_per_parameters(self, monkeypatch):
+        calls = []
+        original = market.spectral_radius
+
+        def counted(matrix, **options):
+            calls.append(matrix.shape)
+            return original(matrix, **options)
+
+        monkeypatch.setattr(market, "spectral_radius", counted)
+        unbounded = derive_parameters(generate_scenario(GenerationSpec(8, 2), 0))
+        bounded = derive_parameters(make_symmetric_direct(e_max=math.log(3.0)))
+        assert calls == []  # derivation reads no radius
+        solve_unbounded(unbounded)
+        points = alpha_sweep(unbounded, [0.5, 1.0, 1e9])
+        solve_unbounded(unbounded)
+        assert [p.status for p in points] == [STATUS_UNIQUE, STATUS_UNIQUE, STATUS_NONE]
+        solve_bounded(bounded)
+        solve_bounded(bounded)
+        assert calls == [unbounded.xi_matrix.shape, bounded.xi_matrix.shape]
+
+    @pytest.mark.parametrize("failure", ["singular", "inaccurate"])
+    def test_alpha_sweep_failed_solve(self, symmetric_direct, monkeypatch, failure):
+        params = derive_parameters(symmetric_direct)
+
+        def broken(system, rhs):
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return rhs  # the decoupled demands, off by the coupling
+
+        monkeypatch.setattr(np.linalg, "solve", broken)
+        with pytest.raises(NumericalFailureError):
+            alpha_sweep(params, [0.5])
 
 
 class TestSolveBounded:

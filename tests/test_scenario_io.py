@@ -72,12 +72,14 @@ class TestParseErrors:
          "aggregators[0].query_distribution[0]", "probability"),
         (("ground_truth", "intercept"), math.inf, "ground_truth", "intercept"),
         (("aggregators", 0, "eta"), True, "aggregators[0]", "eta"),
+        (("schema_version",), True, "document", "schema_version"),
         (("sources", 0, "feature", 0), True, "sources[0]", "feature[0]"),
         (("aggregators", 0, "zeta"), {"b2": "abc"}, "aggregators[0]", "zeta[b2]"),
         (("aggregators", 0, "zeta"), {"b2": "0.1"}, "aggregators[0]", "zeta[b2]"),
         (("direct_parameters", "beta", "s1", "b1"), -math.inf, "direct_parameters",
          "beta[s1][b1]"),
-    ], ids=["nan-probability", "infinite-intercept", "true-eta", "true-feature",
+    ], ids=["nan-probability", "infinite-intercept", "true-eta", "true-schema-version",
+            "true-feature",
             "string-zeta", "numeric-string-zeta", "infinite-beta"])
     def test_non_finite_and_mistyped_numbers(self, path, value, location, field):
         doc = self.doc()
