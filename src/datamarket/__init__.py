@@ -11,6 +11,7 @@ inefficiency the coupling causes.
 
 from .effort import (
     CustomVariance,
+    EffortMap,
     EffortSet,
     EffortVarianceModel,
     ExponentialVariance,

@@ -9,11 +9,14 @@ receives across all buyers, through the first-order condition
     2 * a_total * sigma(e) * sigma'(e) + 1 = 0.
 
 This module provides the two concrete families below, an extension seam for
-custom families, the induced effort map (`effort_response`), its derivative,
-and the incentive range [a_lower, a_upper] on which the map is meaningful.
+custom families, the induced effort map, its derivative, and the incentive
+range [a_lower, a_upper] on which the map is meaningful.
 
     exponential:    sigma(e) = sigma0 * exp(-lam * e)
     inverse_power:  sigma(e) = sigma0 * (1 + e) ** -k
+
+Each closed form is written once, as numpy ufuncs; `EffortMap` evaluates it
+for many sources at once, and the scalar API gives the same bits.
 
 All functions are pure and the model values immutable, so unrestricted
 concurrent use is safe.
@@ -24,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from .errors import DomainError, IncentiveRangeError
 
@@ -76,17 +81,13 @@ class ExponentialVariance:
             raise DomainError("exponential family requires lambda > 0")
 
     def sigma(self, e: float) -> float:
-        return self.sigma0 * math.exp(-self.lam * e)
+        return _sigma_at(self, e)
 
     def sigma_prime(self, e: float) -> float:
         return -self.lam * self.sigma(e)
 
     def sigma_second(self, e: float) -> float:
         return self.lam * self.lam * self.sigma(e)
-
-    def closed_form_effort(self, a_total: float) -> float:
-        # root of 2*a*sigma*sigma' + 1 = 0:  exp(-2*lam*e) = 1/(2*a*lam*sigma0^2)
-        return math.log(2.0 * a_total * self.lam * self.sigma0**2) / (2.0 * self.lam)
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class InversePowerVariance:
             raise DomainError("inverse_power family requires k > 0")
 
     def sigma(self, e: float) -> float:
-        return self.sigma0 * (1.0 + e) ** (-self.k)
+        return _sigma_at(self, e)
 
     def sigma_prime(self, e: float) -> float:
         return -self.k * self.sigma0 * (1.0 + e) ** (-self.k - 1.0)
@@ -111,10 +112,26 @@ class InversePowerVariance:
     def sigma_second(self, e: float) -> float:
         return self.k * (self.k + 1.0) * self.sigma0 * (1.0 + e) ** (-self.k - 2.0)
 
-    def closed_form_effort(self, a_total: float) -> float:
+
+#: sigma(e) and the effort map of each closed-form family, written once over
+#: its two fields (sigma0, then lam or k), as numpy ufuncs: on floats these
+#: run the array loops, so a scalar and an array evaluation agree bit for bit
+#: (a scalar ** is a different routine, off in the last bit on some inputs).
+_CLOSED_FORMS = {
+    ExponentialVariance: (
+        lambda e, sigma0, lam: sigma0 * np.exp(-lam * e),
+        # root of 2*a*sigma*sigma' + 1 = 0:  exp(-2*lam*e) = 1/(2*a*lam*sigma0^2)
+        lambda a, sigma0, lam: np.log(2.0 * a * lam * np.square(sigma0)) / (2.0 * lam)),
+    InversePowerVariance: (
+        lambda e, sigma0, k: sigma0 * np.power(1.0 + e, -k),
         # (1 + e) ** (2k + 1) = 2 * a * k * sigma0^2
-        base = 2.0 * a_total * self.k * self.sigma0**2
-        return base ** (1.0 / (2.0 * self.k + 1.0)) - 1.0
+        lambda a, sigma0, k: np.power(2.0 * a * k * np.square(sigma0), 1.0 / (2.0 * k + 1.0))
+        - 1.0),
+}
+
+
+def _sigma_at(family: ExponentialVariance | InversePowerVariance, e: float) -> float:
+    return float(_CLOSED_FORMS[type(family)][0](e, *vars(family).values()))
 
 
 @dataclass(frozen=True)
@@ -241,28 +258,10 @@ class IncentiveBounds:
     def bounded(self) -> bool:
         return math.isfinite(self.a_upper)
 
-    def contains(self, a_total: float) -> bool:
-        return self.a_lower <= a_total <= self.a_upper
-
 
 def incentive_bounds(model: EffortVarianceModel) -> IncentiveBounds:
     """[a_lower, a_upper] for a model (see EffortVarianceModel.incentive_bounds)."""
     return model.incentive_bounds
-
-
-def _check_in_range(model: EffortVarianceModel, a_total: float) -> IncentiveBounds:
-    if not (math.isfinite(a_total) and a_total > 0):
-        raise DomainError(f"a_total must be positive and finite, got {a_total}")
-    bounds = model.incentive_bounds
-    if a_total < bounds.a_lower:
-        raise IncentiveRangeError(
-            f"a_total={a_total} is below the minimum incentive a_lower={bounds.a_lower}",
-            bound="lower", limit=bounds.a_lower, value=a_total)
-    if a_total > bounds.a_upper:
-        raise IncentiveRangeError(
-            f"a_total={a_total} exceeds the saturation incentive a_upper={bounds.a_upper}",
-            bound="upper", limit=bounds.a_upper, value=a_total)
-    return bounds
 
 
 def _foc(model: EffortVarianceModel, a_total: float, e: float) -> float:
@@ -305,6 +304,77 @@ def _solve_foc(model: EffortVarianceModel, a_total: float) -> float:
     return e
 
 
+class EffortMap:
+    """The effort map and sigma of a sequence of models, over numpy arrays
+    of their parameters, gathered once (a_upper and e_max are inf for
+    unbounded sets).  An evaluation takes values and the indices of their
+    models (all models, in order, when None).  Custom families go through
+    the bracketed root-finder, the only per-point loop."""
+
+    def __init__(self, models):
+        self.models = tuple(models)
+        params = [tuple(vars(m.family).values()) if type(m.family) in _CLOSED_FORMS
+                  else (1.0, 1.0) for m in self.models]
+        bounds = [m.incentive_bounds for m in self.models]
+        self.family = np.array([type(m.family) for m in self.models], dtype=object)
+        self.sigma0 = np.array([p[0] for p in params], dtype=float)
+        self.rate = np.array([p[1] for p in params], dtype=float)
+        self.a_lower = np.array([b.a_lower for b in bounds], dtype=float)
+        self.a_upper = np.array([b.a_upper for b in bounds], dtype=float)
+        self.e_max = np.array([m.effort_set.e_max if m.effort_set.bounded else math.inf
+                               for m in self.models], dtype=float)
+
+    def _each(self, values: np.ndarray, index, form: int, custom) -> np.ndarray:
+        """Closed form `form` (0: sigma, 1: effort map), or custom(model, value)."""
+        index = np.arange(len(self.models)) if index is None else np.asarray(index)
+        families = self.family[index]
+        out = np.empty(len(values))
+        for family, forms in _CLOSED_FORMS.items():
+            rows = np.flatnonzero(families == family)
+            at = index[rows]
+            out[rows] = forms[form](values[rows], self.sigma0[at], self.rate[at])
+        for k in np.flatnonzero(families == CustomVariance).tolist():
+            out[k] = custom(self.models[index[k]], float(values[k]))
+        return out
+
+    def sigma(self, efforts, index=None) -> np.ndarray:
+        return self._each(np.asarray(efforts, dtype=float), index, 0, EffortVarianceModel.sigma)
+
+    def efforts(self, a_total, index=None, *, clamp: bool = False,
+                slack: float = 0.0) -> np.ndarray:
+        """Efforts induced by totals a_total (see effort_response).  Totals
+        within slack * max(1, a_lower) outside an incentive bound snap onto
+        it; clamp (the bounded solver's projection) projects all onto
+        [a_lower, a_upper].  Then the first total out of range raises."""
+        values = np.array(a_total, dtype=float, ndmin=1)
+        at = slice(None) if index is None else np.asarray(index)
+        lower, upper = self.a_lower[at], self.a_upper[at]
+        margin = slack * np.maximum(1.0, lower)
+        values = np.where((lower - margin <= values) & (values < lower), lower, values)
+        values = np.where((upper < values) & (values <= upper + margin), upper, values)
+        if clamp:
+            values = np.minimum(np.maximum(values, lower), upper)
+        bad = ~(np.isfinite(values) & (values > 0)) | (values < lower) | (values > upper)
+        if bad.any():
+            k = int(np.argmax(bad))
+            _raise_out_of_range(float(values[k]), float(lower[k]), float(upper[k]))
+        efforts = self._each(values, index, 1, _solve_foc)
+        # guard round-off at the ends of the range: a tiny negative at
+        # a_total == a_lower, an overshoot past e_max at a_total == a_upper
+        efforts[(-1e-15 < efforts) & (efforts < 0.0)] = 0.0
+        return np.minimum(efforts, self.e_max[at])
+
+
+def _raise_out_of_range(a_total: float, a_lower: float, a_upper: float):
+    if not (math.isfinite(a_total) and a_total > 0):
+        raise DomainError(f"a_total must be positive and finite, got {a_total}")
+    if a_total < a_lower:
+        raise IncentiveRangeError(f"a_total={a_total} is below the minimum incentive "
+                                  f"a_lower={a_lower}", bound="lower", limit=a_lower, value=a_total)
+    raise IncentiveRangeError(f"a_total={a_total} exceeds the saturation incentive "
+                              f"a_upper={a_upper}", bound="upper", limit=a_upper, value=a_total)
+
+
 def effort_response(model: EffortVarianceModel, a_total: float) -> float:
     """Effort induced by total quality weight a_total.
 
@@ -313,16 +383,7 @@ def effort_response(model: EffortVarianceModel, a_total: float) -> float:
     IncentiveRangeError; there is no silent clamping here (only the bounded
     equilibrium solver clamps, explicitly).
     """
-    _check_in_range(model, a_total)
-    family = model.family
-    if isinstance(family, (ExponentialVariance, InversePowerVariance)):
-        e = family.closed_form_effort(a_total)
-        # guard round-off at the ends of the range: a tiny negative at
-        # a_total == a_lower, an overshoot past e_max at a_total == a_upper
-        if -1e-15 < e < 0.0:
-            return 0.0
-        return min(e, model.effort_set.e_max) if model.effort_set.bounded else e
-    return _solve_foc(model, a_total)
+    return float(EffortMap((model,)).efforts(a_total)[0])
 
 
 def effort_response_derivative(model: EffortVarianceModel, a_total: float) -> float:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effort import effort_response
 from .errors import DomainError, NonConvergenceError, NumericalFailureError, ParseError
 from .market import DerivedParameters, spectral_radius  # noqa: F401  (public here too)
 
@@ -92,31 +91,15 @@ class EquilibriumResult:
 # Shared evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _effort_at(model, a_total: float, *, clamp: bool) -> float:
-    """Evaluate the effort map, absorbing floating-point overshoot at the
-    validated incentive bounds.  With clamp=True (bounded solver only) values
-    beyond the bounds are projected onto them."""
-    bounds = model.incentive_bounds
-    value = a_total
-    if clamp:
-        value = min(max(value, bounds.a_lower), bounds.a_upper)
-    else:
-        slack = BOUNDARY_SLACK * max(1.0, bounds.a_lower)
-        if bounds.a_lower - slack <= value < bounds.a_lower:
-            value = bounds.a_lower
-        if bounds.bounded and bounds.a_upper < value <= bounds.a_upper + slack:
-            value = bounds.a_upper
-    return effort_response(model, value)
-
-
 def _efforts_and_variances(params: DerivedParameters, a_total: np.ndarray,
-                           *, clamp: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Efforts and variances sigma^2 over the source ids, at per-source totals
-    a_total (over the source ids too)."""
-    models = [params.effort_model(sid) for sid in params.scenario.source_ids]
-    efforts = [_effort_at(m, total, clamp=clamp) for m, total in zip(models, a_total.tolist())]
-    sigmas = np.array([m.sigma(e) for m, e in zip(models, efforts)])
-    return np.array(efforts), sigmas * sigmas
+                           index=None) -> tuple[np.ndarray, np.ndarray]:
+    """Efforts and variances sigma^2 of the sources `index` (all, in order,
+    when None) at totals a_total, snapped within BOUNDARY_SLACK of a bound
+    and clamped on bounded markets."""
+    efforts = params.effort_map.efforts(a_total, index, slack=BOUNDARY_SLACK,
+                                        clamp=params.effort_kind == "bounded")
+    sigmas = params.effort_map.sigma(efforts, index)
+    return efforts, sigmas * sigmas
 
 
 def _pair_dict(params: DerivedParameters, a_vec: np.ndarray) -> dict[tuple[str, str], float]:
@@ -162,10 +145,8 @@ def payment_floors(params: DerivedParameters, a: np.ndarray,
 def _contract(params: DerivedParameters, a_vec: np.ndarray, a_total: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(efforts over the source ids, floors and canonical c over params.pairs)
-    at quality weights a_vec with per-source totals a_total; the effort map
-    clamps at the incentive bounds on bounded markets only."""
-    efforts, variances = _efforts_and_variances(params, a_total,
-                                                clamp=params.effort_kind == "bounded")
+    at quality weights a_vec with per-source totals a_total."""
+    efforts, variances = _efforts_and_variances(params, a_total)
     floors = payment_floors(params, a_vec, variances)
     share = a_vec / a_total[params.pair_source]
     return efforts, floors, floors + share * efforts[params.pair_source]
@@ -186,12 +167,8 @@ def polytope_membership(c, a: AParameters, params: DerivedParameters,
                         tol: float = 1e-9):
     """Check whether a candidate c table lies in the equilibrium polytope of
     the given quality weights.  Returns (member, violations, dimensions).
-    Another market's weights raise ParseError."""
-    _check_keys(params.scenario, a)
-    missing = set(params.pairs) ^ set(c)
-    if missing:
-        raise DomainError(f"candidate c table does not match the sharing "
-                          f"structure (mismatched pairs: {sorted(missing)})")
+    Weights or a c table of another market raise ParseError."""
+    _check_keys(params.scenario, a, ("c", c, "pair"))
     sids = params.scenario.source_ids
     efforts, floors, _ = _contract(params, _vector(a.a, params.pairs),
                                    _vector(a.a_total, sids))
@@ -318,15 +295,20 @@ def _variance_weights(params: DerivedParameters, a_vec: np.ndarray) -> np.ndarra
     return params.gamma + coupling[params.pair_aggregator, params.pair_source]
 
 
+def _targets(params: DerivedParameters, a_vec: np.ndarray, weights: np.ndarray,
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, branches) over params.pairs: every coordinate's best-response
+    target holding all others fixed, from the variance weights of a_vec."""
+    rivals = np.bincount(params.pair_source, weights=a_vec)[params.pair_source] - a_vec
+    return _clamp(weights - rivals, rivals, params.a_lower[params.pair_source],
+                  params.a_upper[params.pair_source])
+
+
 def _best_responses(params: DerivedParameters, a: dict[tuple[str, str], float]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, targets, branches) over params.pairs: every coordinate's
-    best-response target holding all others fixed."""
+    """(a, targets, branches) over params.pairs, from an id-keyed table."""
     a_vec = _vector(a, params.pairs)
-    rivals = np.bincount(params.pair_source, weights=a_vec)[params.pair_source] - a_vec
-    interior = _variance_weights(params, a_vec) - rivals
-    return (a_vec, *_clamp(interior, rivals, params.a_lower[params.pair_source],
-                           params.a_upper[params.pair_source]))
+    return (a_vec, *_targets(params, a_vec, _variance_weights(params, a_vec)))
 
 
 def best_response_residual(params: DerivedParameters,
@@ -420,58 +402,51 @@ class CertificateReport:
 
 
 def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray,
-                          totals: np.ndarray, grid) -> tuple[float, str]:
+                          totals: np.ndarray, grid, weights: np.ndarray
+                          ) -> tuple[float, str]:
     """Largest improvement of any aggregator's reduced loss over the feasible
     single-coordinate deviations on the grid, and where it occurs ("" when no
     deviation improves).
 
-    The reduced loss of aggregator b is its own estimation loss plus the
-    payment obligations created by rivals' contracts plus the efforts it must
-    help compensate; rival constant terms drop out.  It is linear in the
-    variances and efforts.  Deviating a[(s, b)] by delta moves only a_total[s],
-    hence only e_s and sigma_s^2, whose coefficient in b's loss is
-
-        w_b[s] = gamma[s, b] + sum_{j != b} sum_{i in D_b & D_j} a[i, j] xi_j(i, s).
-
-    Each deviation therefore improves b's loss by
-    -(w_b[s] * (change in sigma_s^2) + (change in e_s)): one pass over the
-    grid costs one effort evaluation per point.  The weights come from the xi
-    array, not from the solver's coupling matrix, so the check stays
-    independent of it.  Feasibility is judged on the given totals, the loss
-    on the totals of `a_vec` itself.  Aggregators are visited in id order, each
-    one's sources in id order; the first of equal improvements is reported.
+    The reduced loss of aggregator b (own estimation loss, plus payment
+    obligations created by rivals' contracts, plus the efforts it helps
+    compensate) is linear in the variances and efforts.  Deviating a[(s, b)]
+    by delta moves only a_total[s], hence only e_s and sigma_s^2, whose
+    coefficient in b's loss is the variance weight w_b[s] (`weights`).  So
+    the deviation improves b's loss by -(w_b[s] * (change in sigma_s^2) +
+    (change in e_s)).  Efforts are evaluated once per (source, delta) that
+    some pair may take, as one array.  Feasibility is judged on the given
+    totals, the loss on the totals of `a_vec`.  The first of equal
+    improvements is reported, visiting aggregators in id order, each one's
+    sources in id order, then the grid in order.
     """
-    clamp = params.effort_kind == "bounded"
+    grid = np.asarray(grid, dtype=float)
+    order = np.argsort(params.pair_aggregator, kind="stable")
+    source = params.pair_source[order]
+    new_totals = totals[source, None] + grid
+    infeasible = (a_vec[order, None] + grid < 0) | (new_totals < params.a_lower[source, None])
+    if params.effort_kind == "bounded":
+        infeasible |= new_totals > params.a_upper[source, None]
+    feasible = (grid != 0.0) & ~infeasible
     loss_totals = np.bincount(params.pair_source, weights=a_vec)
-    efforts, variances = _efforts_and_variances(params, loss_totals, clamp=clamp)
-    efforts, variances = efforts.tolist(), variances.tolist()
-    weights = _variance_weights(params, a_vec).tolist()
-    a_list, totals, loss_totals = a_vec.tolist(), totals.tolist(), loss_totals.tolist()
-    sources = params.pair_source.tolist()
-    worst, worst_at = 0.0, ""
-    for k in np.argsort(params.pair_aggregator, kind="stable").tolist():
-        sid, bid = params.pairs[k]
-        i = sources[k]
-        weight = weights[k]
-        a_sb = a_list[k]
-        model = params.effort_model(sid)
-        bounds = model.incentive_bounds
-        for delta in grid:
-            if delta == 0.0:
-                continue
-            new_total = totals[i] + delta
-            if a_sb + delta < 0 or new_total < bounds.a_lower:
-                continue
-            if clamp and new_total > bounds.a_upper:
-                continue
-            e = _effort_at(model, loss_totals[i] + delta, clamp=clamp)
-            sigma = model.sigma(e)
-            improvement = -(weight * (sigma * sigma - variances[i])
-                            + (e - efforts[i]))
-            if improvement > worst:
-                worst = improvement
-                worst_at = f"aggregator {bid}, pair ({sid}, {bid}), delta {delta:+.3f}"
-    return worst, worst_at
+    base_efforts, base_variances = _efforts_and_variances(params, loss_totals)
+    efforts = np.repeat(base_efforts[:, None], len(grid), axis=1)
+    variances = np.repeat(base_variances[:, None], len(grid), axis=1)
+    rows, columns = np.nonzero(feasible)
+    needed = np.zeros(efforts.shape, dtype=bool)
+    needed[source[rows], columns] = True
+    at, steps = np.nonzero(needed)
+    efforts[at, steps], variances[at, steps] = _efforts_and_variances(
+        params, loss_totals[at] + grid[steps], at)
+    improvement = -(weights[order, None] * (variances[source] - base_variances[source, None])
+                    + (efforts[source] - base_efforts[source, None]))
+    improvement = np.where(feasible & (improvement > 0.0), improvement, 0.0)
+    worst = float(improvement.max(initial=0.0))
+    if worst == 0.0:
+        return 0.0, ""
+    best = int(np.argmax(improvement))  # the first maximum, in visiting order
+    sid, bid = params.pairs[order[best // len(grid)]]
+    return worst, f"aggregator {bid}, pair ({sid}, {bid}), delta {grid[best % len(grid)]:+.3f}"
 
 
 def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
@@ -494,23 +469,26 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
     sids = params.scenario.source_ids
     a_vec = _vector(result.a.a, params.pairs)
     totals = _vector(result.a.a_total, sids)
+    weights = _variance_weights(params, a_vec)
     checks: list[CheckResult] = []
 
     if result.status == STATUS_UNIQUE:
-        residual = float(np.abs(a_vec - (params.xi_matrix @ a_vec
-                                         + params.gamma)).max())
+        # sum_j a[s, j] - w_b[s] is a - (Xi a + gamma) at (s, b), read from xi
+        sums = np.bincount(params.pair_source, weights=a_vec)[params.pair_source]
+        residual = float(np.abs(sums - weights).max())
         checks.append(CheckResult(
             "stationarity", residual < stationarity_tol,
             f"fixed-point residual {residual:.3e} (tol {stationarity_tol:.1e})"))
     else:
-        worst = best_response_residual(params, result.a.a)
+        worst = float(np.abs(a_vec - _targets(params, a_vec, weights)[0]).max(initial=0.0))
         checks.append(CheckResult(
             "branch-consistency", worst < stationarity_tol,
             f"best-response residual {worst:.3e} (tol {stationarity_tol:.1e})"))
 
     # scaled after spacing, so the centre point is exactly 0 and skipped
     grid = grid_radius * np.linspace(-1.0, 1.0, grid_points)
-    worst_improvement, worst_at = _worst_grid_deviation(params, a_vec, totals, grid)
+    worst_improvement, worst_at = _worst_grid_deviation(params, a_vec, totals, grid,
+                                                         weights)
     checks.append(CheckResult(
         "best-response-grid", worst_improvement <= improvement_tol,
         f"largest grid improvement {worst_improvement:.3e}"

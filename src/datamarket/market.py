@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .effort import EffortVarianceModel
+from .effort import EffortMap, EffortVarianceModel
 from .errors import DomainError, IllDefinedEstimatorError, ScenarioValidationError
 from .estimators import (
     EstimatorSpec,
@@ -331,11 +331,14 @@ def spectral_radius(matrix, *, tol: float = 1e-10, max_iter: int = 100_000) -> f
 
     Shift-free power iteration from the all-ones vector, certified each sweep
     by the Collatz-Wielandt interval [min_i (Mx)_i/x_i, max_i (Mx)_i/x_i]
-    (valid brackets for any strictly positive x).  Structurally periodic
-    matrices (every two-aggregator market) make that interval oscillate, so
-    on stall the routine falls back to the row/column-sum bracket applied to
-    repeatedly squared, normalized powers, which converges to the radius for
-    every nonnegative matrix.
+    over the support x_i > 0: the zero set of x = M^t 1 is closed under M's
+    out-edges, so M is block-triangular with a nilpotent block there and
+    rho(M) is the radius on the support (a zero row of Xi costs nothing).
+    Structurally periodic matrices (every two-aggregator market) and some
+    reducible ones make that interval oscillate, so on stall the routine
+    falls back to the row/column-sum bracket applied to repeatedly squared,
+    normalized powers, which converges to the radius for every nonnegative
+    matrix.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -354,21 +357,19 @@ def spectral_radius(matrix, *, tol: float = 1e-10, max_iter: int = 100_000) -> f
         norm = y.max()
         if norm == 0.0:
             return 0.0  # positive vector annihilated: nilpotent direction only
-        if np.all(x > 0):
-            ratios = y / x
-            lo, hi = float(ratios.min()), float(ratios.max())
-            width = hi - lo
-            if width <= tol * max(1.0, hi):
-                return 0.5 * (lo + hi)
-            if width < 0.5 * best_width:
-                best_width = width
-                since_improvement = 0
-            else:
-                since_improvement += 1
-                if since_improvement >= 100:
-                    break  # oscillating interval: periodic or reducible
+        support = x > 0
+        ratios = y[support] / x[support]
+        lo, hi = float(ratios.min()), float(ratios.max())
+        width = hi - lo
+        if width <= tol * max(1.0, hi):
+            return 0.5 * (lo + hi)
+        if width < 0.5 * best_width:
+            best_width = width
+            since_improvement = 0
         else:
-            break  # lost strict positivity: certificate unavailable
+            since_improvement += 1
+            if since_improvement >= 100:
+                break  # oscillating interval: periodic or reducible
         x = y / norm
     return _gelfand_radius(M, tol=tol)
 
@@ -452,6 +453,12 @@ def validate_scenario(scenario: MarketScenario) -> ValidationReport:
     return _validation_report(scenario, derive_gamma(scenario, beta))
 
 
+def _effort_kind(scenario: MarketScenario) -> str:
+    """The sources' one effort-set kind, or "mixed"."""
+    kinds = {s.effort_model.effort_set.kind for s in scenario.sources}
+    return kinds.pop() if len(kinds) == 1 else "mixed"
+
+
 def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
                        *, ill_defined: str | None = None) -> ValidationReport:
     """The checks of validate_scenario, given the derived (gamma, gamma_total)
@@ -459,8 +466,7 @@ def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
     violations: list[Violation] = []
     notes: list[str] = []
 
-    kinds = {s.effort_model.effort_set.kind for s in scenario.sources}
-    if len(kinds) > 1:
+    if _effort_kind(scenario) == "mixed":
         violations.append(Violation(
             "mixed-effort-kinds", "sources",
             "all effort sets must share one kind (all bounded or all unbounded)"))
@@ -506,8 +512,9 @@ def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
 class DerivedParameters:
     """Everything the solvers need, derived once from a scenario.  beta and
     gamma run over `pairs` (pair k is (source_ids[pair_source[k]],
-    aggregator_ids[pair_aggregator[k]])); gamma_total, a_lower and a_upper
-    (inf for unbounded effort sets) over scenario.source_ids."""
+    aggregator_ids[pair_aggregator[k]])); gamma_total, the effort map's
+    models, a_lower and a_upper (inf for unbounded effort sets) over
+    scenario.source_ids."""
 
     scenario: MarketScenario
     mode: str
@@ -515,12 +522,14 @@ class DerivedParameters:
     xi: np.ndarray          # [b, i, l], aggregators x sources x sources, id order
     gamma: np.ndarray
     gamma_total: np.ndarray
-    a_lower: np.ndarray
-    a_upper: np.ndarray
+    effort_map: EffortMap
     pairs: tuple[tuple[str, str], ...]
     xi_matrix: np.ndarray
     validation: ValidationReport
     # Filled at construction, as on MarketScenario.
+    a_lower: np.ndarray = field(init=False, repr=False, compare=False)
+    a_upper: np.ndarray = field(init=False, repr=False, compare=False)
+    effort_kind: str = field(init=False, repr=False, compare=False)
     pair_index: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     pair_source: np.ndarray = field(init=False, repr=False, compare=False)
     pair_aggregator: np.ndarray = field(init=False, repr=False, compare=False)
@@ -529,6 +538,9 @@ class DerivedParameters:
 
     def __post_init__(self):
         pair_source, pair_aggregator = np.nonzero(self.scenario.membership)
+        object.__setattr__(self, "a_lower", self.effort_map.a_lower)
+        object.__setattr__(self, "a_upper", self.effort_map.a_upper)
+        object.__setattr__(self, "effort_kind", _effort_kind(self.scenario))
         object.__setattr__(self, "pair_index", {p: k for k, p in enumerate(self.pairs)})
         object.__setattr__(self, "pair_source", pair_source)
         object.__setattr__(self, "pair_aggregator", pair_aggregator)
@@ -540,11 +552,6 @@ class DerivedParameters:
         if self._spectral_radius is None:
             object.__setattr__(self, "_spectral_radius", spectral_radius(self.xi_matrix))
         return self._spectral_radius
-
-    @property
-    def effort_kind(self) -> str:
-        kinds = {s.effort_model.effort_set.kind for s in self.scenario.sources}
-        return kinds.pop() if len(kinds) == 1 else "mixed"
 
     def effort_model(self, source_id: str) -> EffortVarianceModel:
         return self.scenario.sources_by_id[source_id].effort_model
@@ -571,13 +578,12 @@ def derive_parameters(scenario: MarketScenario, *,
     beta, xi = _derive_tables(scenario)
     gamma, gamma_total = derive_gamma(scenario, beta)
     validation = _validation_report(scenario, (gamma, gamma_total))
-    bounds = [scenario.sources_by_id[sid].effort_model.incentive_bounds
-              for sid in scenario.source_ids]
-    a_lower, a_upper = np.array([(b.a_lower, b.a_upper) for b in bounds]).T
+    effort_map = EffortMap([scenario.sources_by_id[sid].effort_model
+                            for sid in scenario.source_ids])
     xi_matrix, pairs = assemble_xi_matrix(scenario, xi)
     params = DerivedParameters(
         scenario=scenario, mode=scenario.mode, beta=beta, xi=xi, gamma=gamma,
-        gamma_total=gamma_total, a_lower=a_lower, a_upper=a_upper, pairs=pairs,
+        gamma_total=gamma_total, effort_map=effort_map, pairs=pairs,
         xi_matrix=xi_matrix, validation=validation)
     if require_valid:
         params.require_valid()

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effort import (
+    EffortMap,
     EffortSet,
     EffortVarianceModel,
     ExponentialVariance,
     InversePowerVariance,
-    effort_response,
 )
 from .errors import (
     DomainError,
@@ -448,10 +448,9 @@ def _attempt(spec: GenerationSpec, rng) -> MarketScenario:
     if spec.bounded:
         # caps a random factor above total demand satisfy the saturation
         # hypothesis by construction
-        for sid in sids:
-            a_upper = gamma_total[sid] * float(rng.uniform(1.1, 2.5))
-            e_max = effort_response(models[sid], a_upper)
-            effort_sets[sid] = EffortSet("bounded", e_max=e_max)
+        a_upper = [gamma_total[sid] * float(rng.uniform(1.1, 2.5)) for sid in sids]
+        e_max = EffortMap([models[sid] for sid in sids]).efforts(a_upper).tolist()
+        effort_sets = {sid: EffortSet("bounded", e_max=e) for sid, e in zip(sids, e_max)}
     sources = tuple(
         DataSourceSpec(sid, tuple(map(float, features[k])),
                        EffortVarianceModel(models[sid].family, effort_sets[sid]),

@@ -18,6 +18,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .effort import EffortMap
 from .equilibrium import EquilibriumResult, check_result_matches
 from .errors import DomainError
 from .estimators import leave_one_out_weights, prediction_weights, trial_stream
@@ -65,8 +66,8 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
                       for bid, q in queries.items()}
     truth_at_sources = np.array([scenario.ground_truth(scenario.sources_by_id[sid].feature)
                                  for sid in sids])
-    sigma = np.array([scenario.sources_by_id[sid].effort_model.sigma(result.efforts[sid])
-                      for sid in sids])
+    sigma = EffortMap([scenario.sources_by_id[sid].effort_model for sid in sids]).sigma(
+        [result.efforts[sid] for sid in sids])
     c = np.array([result.canonical_c[pair] for pair in pairs])
     a = np.array([result.a.a[pair] for pair in pairs])
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ScenarioValidationError
-from .equilibrium import EquilibriumResult, _efforts_and_variances, check_result_matches
+from .equilibrium import (EquilibriumResult, _efforts_and_variances, _vector,
+                          check_result_matches)
 from .market import MODE_DIRECT, ESTIMATOR_ZERO_TOL, DerivedParameters
 
 
@@ -38,15 +39,13 @@ class WelfareReport:
 
 def social_cost(efforts: dict[str, float], params: DerivedParameters) -> float:
     """Ex-ante social cost of an effort profile (payments excluded)."""
-    total = 0.0
-    for sid, demand in zip(params.scenario.source_ids, params.gamma_total.tolist()):
-        model = params.effort_model(sid)
-        e = efforts[sid]
-        if not model.effort_set.contains(e):
-            raise DomainError(f"effort {e} of source {sid} outside its feasible set")
-        s = model.sigma(e)
-        total += demand * s * s + e
-    return total
+    sids = params.scenario.source_ids
+    for sid in sids:
+        if not params.effort_model(sid).effort_set.contains(efforts[sid]):
+            raise DomainError(f"effort {efforts[sid]} of source {sid} outside its feasible set")
+    e = _vector(efforts, sids)
+    sigma = params.effort_map.sigma(e)
+    return float(np.sum(params.gamma_total * sigma * sigma + e))
 
 
 def optimal_efforts(params: DerivedParameters) -> dict[str, float]:
@@ -63,7 +62,7 @@ def optimal_efforts(params: DerivedParameters) -> dict[str, float]:
         raise ScenarioValidationError(
             f"total demand {params.gamma_total[k]} of source {sids[k]} is below the "
             f"minimum incentive {params.a_lower[k]}; the efficient effort would be negative")
-    efforts, _ = _efforts_and_variances(params, params.gamma_total, clamp=True)
+    efforts, _ = _efforts_and_variances(params, params.gamma_total)
     return dict(zip(sids, efforts.tolist()))
 
 

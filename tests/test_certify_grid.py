@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from conftest import make_line_scenario, make_random_direct, make_symmetric_direct
 
-from datamarket.effort import CustomVariance, EffortVarianceModel
+from datamarket.effort import CustomVariance, EffortVarianceModel, effort_response, variance_at
 from datamarket.equilibrium import (
+    BOUNDARY_SLACK,
     AParameters,
-    _effort_at,
-    _efforts_and_variances,
+    _variance_weights,
     _worst_grid_deviation,
     certify_equilibrium,
     solve_bounded,
@@ -42,9 +42,26 @@ def _a_total(params, a):
 
 def one_pass(params, a, totals, grid):
     """_worst_grid_deviation on id-keyed tables."""
+    a_vec = np.array([a[pair] for pair in params.pairs])
     return _worst_grid_deviation(
-        params, np.array([a[pair] for pair in params.pairs]),
-        np.array([totals[sid] for sid in params.scenario.source_ids]), grid)
+        params, a_vec, np.array([totals[sid] for sid in params.scenario.source_ids]), grid,
+        _variance_weights(params, a_vec))
+
+
+def effort_at(model, a_total, clamp):
+    """The public effort map under the solver's rule at the incentive bounds:
+    clamped onto them on bounded markets, else snapped onto a bound from
+    within BOUNDARY_SLACK * max(1, a_lower)."""
+    bounds = model.incentive_bounds
+    if clamp:
+        a_total = min(max(a_total, bounds.a_lower), bounds.a_upper)
+    else:
+        slack = BOUNDARY_SLACK * max(1.0, bounds.a_lower)
+        if bounds.a_lower - slack <= a_total < bounds.a_lower:
+            a_total = bounds.a_lower
+        if bounds.bounded and bounds.a_upper < a_total <= bounds.a_upper + slack:
+            a_total = bounds.a_upper
+    return effort_response(model, a_total)
 
 
 def reduced_loss_terms(params, bid, a):
@@ -57,11 +74,8 @@ def reduced_loss_terms(params, bid, a):
     sids = params.scenario.source_ids
     totals = _a_total(params, a)
     clamp = params.effort_kind == "bounded"
-    _, variances = _efforts_and_variances(params, np.array([totals[s] for s in sids]),
-                                          clamp=clamp)
-    variances = dict(zip(sids, variances.tolist()))
-    efforts = {sid: _effort_at(params.effort_model(sid), totals[sid], clamp=clamp)
-               for sid in sids}
+    efforts = {sid: effort_at(params.effort_model(sid), totals[sid], clamp) for sid in sids}
+    variances = {sid: variance_at(params.effort_model(sid), efforts[sid]) for sid in sids}
     terms = []
     for i in params.scenario.dataset(bid):
         terms.append(params.gamma[params.pair_index[(i, bid)]] * variances[i])

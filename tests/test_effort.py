@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from datamarket.effort import (
+    UNBOUNDED,
     CustomVariance,
+    EffortMap,
     EffortSet,
     EffortVarianceModel,
     effort_response,
@@ -17,6 +19,7 @@ from datamarket.effort import (
     inverse_power_model,
     variance_at,
 )
+from datamarket.equilibrium import BOUNDARY_SLACK
 from datamarket.errors import DomainError, IncentiveRangeError
 
 
@@ -232,3 +235,91 @@ class TestConstructionValidation:
             EffortSet("unbounded", e_max=1.0)
         with pytest.raises(DomainError):
             EffortSet("open")
+
+
+def _custom_exponential(sigma0, lam, effort_set):
+    return EffortVarianceModel(CustomVariance(
+        sigma_fn=lambda e: sigma0 * math.exp(-lam * e),
+        sigma_prime_fn=lambda e: -lam * sigma0 * math.exp(-lam * e),
+        sigma_second_fn=lambda e: lam * lam * sigma0 * math.exp(-lam * e)), effort_set)
+
+
+def _random_models(rng, bounded, count=60):
+    """Exponential, inverse-power and custom models, unbounded or bounded."""
+    models = []
+    for k in range(count):
+        sigma0, p = rng.uniform(0.5, 80.0), rng.uniform(0.2, 3.0)
+        effort_set = EffortSet("bounded", e_max=rng.uniform(0.2, 3.0)) if bounded else UNBOUNDED
+        make = (exponential_model, inverse_power_model, _custom_exponential)[k % 3]
+        models.append(make(sigma0, p, effort_set))
+    return models
+
+
+class TestArrayEvaluation:
+    """EffortMap evaluates many models at once; the scalar API evaluates a
+    one-element array through the same code, so the two agree bit for bit."""
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_array_and_scalar_are_bitwise_equal(self, bounded):
+        rng = np.random.default_rng(3)
+        models = _random_models(rng, bounded)
+        emap = EffortMap(models)
+        # every model at a_lower, inside its range and (bounded) at a_upper
+        index = np.repeat(np.arange(len(models)), 3)
+        upper = np.where(np.isfinite(emap.a_upper), emap.a_upper, 50.0 * emap.a_lower)
+        totals = np.column_stack((emap.a_lower,
+                                  rng.uniform(emap.a_lower, upper),
+                                  emap.a_upper if bounded else upper)).ravel()
+        efforts = emap.efforts(totals, index)
+        scalar = [effort_response(models[i], t) for i, t in zip(index, totals.tolist())]
+        assert efforts.tolist() == scalar
+        sigmas = emap.sigma(efforts, index)
+        assert sigmas.tolist() == [models[i].sigma(e) for i, e in zip(index, scalar)]
+        assert (sigmas * sigmas).tolist() == [variance_at(models[i], e)
+                                              for i, e in zip(index, scalar)]
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_totals_inside_the_slack_snap_onto_the_bound(self, bounded):
+        models = _random_models(np.random.default_rng(4), bounded, count=9)
+        emap = EffortMap(models)
+        margin = 0.5 * BOUNDARY_SLACK * np.maximum(1.0, emap.a_lower)
+        efforts = emap.efforts(emap.a_lower - margin, slack=BOUNDARY_SLACK)
+        assert efforts.tolist() == [effort_response(m, float(b))
+                                    for m, b in zip(models, emap.a_lower)]
+        if bounded:
+            efforts = emap.efforts(emap.a_upper + margin, slack=BOUNDARY_SLACK)
+            assert efforts.tolist() == [effort_response(m, float(b))
+                                        for m, b in zip(models, emap.a_upper)]
+            # clamped (the bounded solver's projection): far outside, onto the bounds
+            assert emap.efforts(10.0 * emap.a_upper, clamp=True).tolist() == efforts.tolist()
+        with pytest.raises(IncentiveRangeError):
+            emap.efforts(emap.a_lower - 3.0 * margin, slack=BOUNDARY_SLACK)
+
+    @pytest.mark.parametrize("factor, bound", [(0.5, "lower"), (2.0, "upper")])
+    def test_out_of_range_payload_matches_the_scalar_error(self, factor, bound):
+        models = [exponential_model(1.0, 0.5, EffortSet("bounded", e_max=math.log(4.0))),
+                  inverse_power_model(2.0, 1.5, EffortSet("bounded", e_max=1.0))]
+        emap = EffortMap(models)
+        limit = (emap.a_lower if bound == "lower" else emap.a_upper)[1]
+        totals = [1.5, factor * limit]  # the first total is in range
+        with pytest.raises(IncentiveRangeError) as scalar:
+            effort_response(models[1], factor * limit)
+        with pytest.raises(IncentiveRangeError) as array:
+            emap.efforts(totals)
+        assert (array.value.bound, array.value.limit, array.value.value) == (
+            scalar.value.bound, scalar.value.limit, scalar.value.value) == (
+            bound, limit, factor * limit)
+        assert str(array.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("total", [0.0, -1.0, math.nan, math.inf])
+    def test_nonpositive_or_non_finite_total_is_a_domain_error(self, total):
+        emap = EffortMap([exponential_model(1.0, 0.5)] * 2)
+        with pytest.raises(DomainError, match="positive and finite"):
+            emap.efforts([2.0, total])
+
+    def test_scalar_api_returns_floats(self):
+        for model in (exponential_model(1.0, 0.5), inverse_power_model(1.0, 1.0),
+                      _custom_exponential(1.0, 0.5, UNBOUNDED)):
+            assert type(effort_response(model, 4.0)) is float
+            assert type(model.sigma(1.0)) is float
+            assert type(variance_at(model, 1.0)) is float

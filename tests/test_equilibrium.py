@@ -85,6 +85,32 @@ class TestSpectralRadius:
         assert spectral_radius(m) == pytest.approx(0.9, rel=1e-8)
 
 
+class TestSpectralRadiusOverTheSupport:
+    """A zero row of Xi (a source selling to one aggregator) leaves the power
+    iterate with zero entries; the bracket over its support is still exact,
+    so no Gelfand fallback is needed."""
+
+    @pytest.fixture(autouse=True)
+    def no_gelfand(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Gelfand fallback taken")
+        monkeypatch.setattr(market, "_gelfand_radius", refuse)
+
+    def test_zero_row_feeding_a_positive_block(self):
+        m = np.array([[0.0, 0.0, 0.0],
+                      [0.7, 0.2, 0.5],
+                      [0.3, 0.4, 0.1]])
+        oracle = max(abs(np.linalg.eigvals(m)))
+        assert abs(spectral_radius(m) - oracle) <= 1e-10
+
+    def test_half_sharing_market(self):
+        params = derive_parameters(generate_scenario(
+            GenerationSpec(40, 4, dimension=2, sharing_density=0.6), 1))
+        assert not params.xi_matrix.any(axis=1).all()  # a single-buyer source
+        oracle = max(abs(np.linalg.eigvals(params.xi_matrix)))
+        assert abs(spectral_radius(params.xi_matrix) - oracle) <= 1e-10
+
+
 class TestSolveUnbounded:
     def test_single_aggregator_demands_are_the_solution(self):
         params = derive_parameters(make_line_scenario(n_aggregators=1))
@@ -214,7 +240,8 @@ class TestCanonicalC:
 
 class TestWeightsOfAnotherMarket:
     # the weights of an 8-source market read against a 9-source one
-    @pytest.mark.parametrize("check", ["canonical_c", "polytope_membership"])
+    @pytest.mark.parametrize("check", ["canonical_c", "polytope_membership",
+                                       "polytope_membership_c"])
     def test_parse_error_naming_the_pair(self, check):
         ra, rb = (solve_unbounded(derive_parameters(generate_scenario(GenerationSpec(n, 2), 0)))
                   for n in (8, 9))
@@ -222,8 +249,10 @@ class TestWeightsOfAnotherMarket:
         with pytest.raises(ParseError, match=r"first mismatched pair \(s009, b001\)"):
             if check == "canonical_c":
                 canonical_c(ra.a, params_b)
-            else:
+            elif check == "polytope_membership":
                 polytope_membership(rb.canonical_c, ra.a, params_b)
+            else:  # the weights match, the c table is another market's
+                polytope_membership(ra.canonical_c, rb.a, params_b)
 
 
 class TestCoupledSolve:
@@ -322,6 +351,20 @@ class TestCertification:
         result = solve_unbounded(params)
         report = certify_equilibrium(result, params)
         assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("market_kind", ["unbounded", "bounded", "partial-sharing"])
+    def test_reads_no_coupling_matrix(self, market_kind):
+        # the checks read the xi array only, so a NaN Xi changes nothing
+        spec = {"unbounded": GenerationSpec(8, 3, family="mixed"),
+                "bounded": GenerationSpec(8, 3, family="mixed", bounded=True),
+                "partial-sharing": GenerationSpec(10, 3, dimension=2, sharing_density=0.6)}
+        params = derive_parameters(generate_scenario(spec[market_kind], 1))
+        result = (solve_bounded if params.effort_kind == "bounded" else solve_unbounded)(params)
+        expected = certify_equilibrium(result, params)
+        blind = replace(params, xi_matrix=np.full_like(params.xi_matrix, np.nan))
+        report = certify_equilibrium(result, blind)
+        assert report.passed, report.summary()
+        assert report == expected
 
     @pytest.mark.parametrize("offset", [0.1, -0.1])
     def test_fails_on_corrupted_a(self, symmetric_direct, offset):

@@ -305,3 +305,10 @@ class TestLookupsFilledAtConstruction:
                                                             [True, False, True],
                                                             [False, True, True],
                                                             [True, True, True]])
+
+    def test_effort_kind_is_a_field_filled_at_construction(self):
+        params = derive_parameters(make_line_scenario(n_aggregators=2))
+        assert "effort_kind" in vars(params)
+        assert params.effort_kind == "unbounded"
+        bounded = derive_parameters(make_symmetric_direct(e_max=1.0))
+        assert bounded.effort_kind == "bounded"
