@@ -40,6 +40,11 @@ MARGINAL_BAND = 1e-9
 #: Tolerated floating-point overshoot past a validated incentive bound.
 BOUNDARY_SLACK = 1e-9
 
+#: Certificate tolerances: the stationarity or best-response residual, and
+#: the largest tolerated improvement of a grid deviation.
+STATIONARITY_TOL = 1e-8
+IMPROVEMENT_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # Result containers
@@ -106,31 +111,33 @@ def _pair_dict(params: DerivedParameters, a_vec: np.ndarray) -> dict[tuple[str, 
     return {pair: float(v) for pair, v in zip(params.pairs, a_vec)}
 
 
-def _vector(table, keys) -> np.ndarray:
+def _vector(table, keys, name: str) -> np.ndarray:
+    """An id-keyed table's values in the order of `keys` (the market's pairs
+    or source ids).  A missing, extra or wrongly kinded key (another market's
+    table) raises ParseError naming the first mismatch in id order."""
+    if len(table) != len(keys) or not all(key in table for key in keys):
+        first = min(set(keys).symmetric_difference(table),
+                    key=lambda k: tuple(map(str, k)) if isinstance(k, tuple) else (str(k),))
+        shown = (f"pair ({', '.join(map(str, first))})" if isinstance(first, tuple)
+                 else f"source {first}")
+        raise ParseError(f"{name} does not match the scenario: first mismatched {shown}",
+                         location="result")
     return np.array([table[key] for key in keys], dtype=float)
 
 
-def _check_keys(scenario, a: AParameters, *tables) -> None:
-    """Raise ParseError unless the weights a and each further (name, keys,
-    kind) table are keyed by exactly the scenario's sharing pairs (kind
-    "pair") or source ids (kind "source"), naming the first mismatch."""
-    expected = {"pair": set(scenario.sharing_pairs()), "source": set(scenario.source_ids)}
-    for name, keys, kind in (("a", a.a, "pair"), ("a_total", a.a_total, "source"), *tables):
-        mismatched = set(keys) ^ expected[kind]
-        if mismatched:
-            first = min(mismatched)
-            shown = first if kind == "source" else f"({first[0]}, {first[1]})"
-            raise ParseError(f"{name} does not match the scenario: first mismatched "
-                             f"{kind} {shown}", location="result")
-
-
-def check_result_matches(result: EquilibriumResult, scenario) -> None:
-    """Raise ParseError unless every table of a solved result is keyed by the
-    scenario's sharing pairs or source ids, naming the first mismatch: a
-    result of another market must not be read against this one."""
-    floors = [(sid, bid) for sid, p in result.polytope.items() for bid in p.floors]
-    _check_keys(scenario, result.a, ("canonical_c", result.canonical_c, "pair"),
-                ("efforts", result.efforts, "source"), ("polytope floors", floors, "pair"))
+def result_arrays(result: EquilibriumResult, scenario) -> tuple[np.ndarray, ...]:
+    """(a, a_total, canonical_c, efforts, polytope floors, polytope (surplus,
+    total, dimension) rows) of a solved result over the scenario's sharing
+    pairs or source ids.  A result of another market raises ParseError
+    naming the first mismatch."""
+    pairs, sids = scenario.sharing_pairs(), scenario.source_ids
+    floors = {(sid, bid): floor for sid, p in result.polytope.items()
+              for bid, floor in p.floors.items()}
+    sources = {sid: (p.surplus, p.total, p.dimension) for sid, p in result.polytope.items()}
+    return (_vector(result.a.a, pairs, "a"), _vector(result.a.a_total, sids, "a_total"),
+            _vector(result.canonical_c, pairs, "canonical_c"),
+            _vector(result.efforts, sids, "efforts"), _vector(floors, pairs, "polytope floors"),
+            _vector(sources, sids, "polytope"))
 
 
 def payment_floors(params: DerivedParameters, a: np.ndarray,
@@ -157,37 +164,32 @@ def canonical_c(a: AParameters, params: DerivedParameters) -> dict[tuple[str, st
     penalty plus a share of the source's effort proportional to its quality
     weight.  Always lies in the equilibrium polytope and binds the sources'
     participation constraint exactly.  Another market's weights raise ParseError."""
-    _check_keys(params.scenario, a)
-    c = _contract(params, _vector(a.a, params.pairs),
-                  _vector(a.a_total, params.scenario.source_ids))[2]
+    c = _contract(params, _vector(a.a, params.pairs, "a"),
+                  _vector(a.a_total, params.scenario.source_ids, "a_total"))[2]
     return _pair_dict(params, c)
 
 
 def polytope_membership(c, a: AParameters, params: DerivedParameters,
                         tol: float = 1e-9):
     """Check whether a candidate c table lies in the equilibrium polytope of
-    the given quality weights.  Returns (member, violations, dimensions).
-    Weights or a c table of another market raise ParseError."""
-    _check_keys(params.scenario, a, ("c", c, "pair"))
+    the given quality weights.  Returns (member, violations, dimensions); the
+    violations list the sources whose terms miss their total, then the pairs
+    below their floor.  Weights or a c table of another market raise
+    ParseError."""
     sids = params.scenario.source_ids
-    efforts, floors, _ = _contract(params, _vector(a.a, params.pairs),
-                                   _vector(a.a_total, sids))
-    efforts, floors = dict(zip(sids, efforts.tolist())), _pair_dict(params, floors)
-    violations: list[str] = []
-    dimensions: dict[str, int] = {}
-    for sid in sids:
-        sharing = params.scenario.sources_by_id[sid].sharing
-        dimensions[sid] = len(sharing) - 1
-        total = sum(c[(sid, bid)] for bid in sharing)
-        expected = sum(floors[(sid, bid)] for bid in sharing) + efforts[sid]
-        if abs(total - expected) > tol:
-            violations.append(f"source {sid}: constant terms sum to {total}, "
-                              f"equilibrium requires {expected}")
-        for bid in sharing:
-            if c[(sid, bid)] < floors[(sid, bid)] - tol:
-                violations.append(f"pair ({sid}, {bid}): constant term "
-                                  f"{c[(sid, bid)]} below floor {floors[(sid, bid)]}")
-    return (not violations), tuple(violations), dimensions
+    a_vec, totals = _vector(a.a, params.pairs, "a"), _vector(a.a_total, sids, "a_total")
+    c_vec = _vector(c, params.pairs, "c")
+    efforts, floors, _ = _contract(params, a_vec, totals)
+    sums = np.bincount(params.pair_source, weights=c_vec).tolist()
+    expected = (np.bincount(params.pair_source, weights=floors) + efforts).tolist()
+    violations = tuple(
+        [f"source {sid}: constant terms sum to {total}, equilibrium requires {x}"
+         for sid, total, x in zip(sids, sums, expected) if abs(total - x) > tol]
+        + [f"pair ({sid}, {bid}): constant term {v} below floor {floor}"
+           for (sid, bid), v, floor in zip(params.pairs, c_vec.tolist(), floors.tolist())
+           if v < floor - tol])
+    dimensions = dict(zip(sids, (np.bincount(params.pair_source) - 1).tolist()))
+    return not violations, violations, dimensions
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +309,7 @@ def _targets(params: DerivedParameters, a_vec: np.ndarray, weights: np.ndarray,
 def _best_responses(params: DerivedParameters, a: dict[tuple[str, str], float]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, targets, branches) over params.pairs, from an id-keyed table."""
-    a_vec = _vector(a, params.pairs)
+    a_vec = _vector(a, params.pairs, "a")
     return (a_vec, *_targets(params, a_vec, _variance_weights(params, a_vec)))
 
 
@@ -401,9 +403,8 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray,
-                          totals: np.ndarray, grid, weights: np.ndarray
-                          ) -> tuple[float, str]:
+def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray, grid,
+                          weights: np.ndarray) -> tuple[float, str]:
     """Largest improvement of any aggregator's reduced loss over the feasible
     single-coordinate deviations on the grid, and where it occurs ("" when no
     deviation improves).
@@ -415,21 +416,21 @@ def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray,
     coefficient in b's loss is the variance weight w_b[s] (`weights`).  So
     the deviation improves b's loss by -(w_b[s] * (change in sigma_s^2) +
     (change in e_s)).  Efforts are evaluated once per (source, delta) that
-    some pair may take, as one array.  Feasibility is judged on the given
-    totals, the loss on the totals of `a_vec`.  The first of equal
-    improvements is reported, visiting aggregators in id order, each one's
-    sources in id order, then the grid in order.
+    some pair may take, as one array.  Feasibility and the loss are both
+    judged on the totals of `a_vec`.  The first of equal improvements is
+    reported, visiting aggregators in id order, each one's sources in id
+    order, then the grid in order.
     """
     grid = np.asarray(grid, dtype=float)
     order = np.argsort(params.pair_aggregator, kind="stable")
     source = params.pair_source[order]
+    totals = np.bincount(params.pair_source, weights=a_vec)
     new_totals = totals[source, None] + grid
     infeasible = (a_vec[order, None] + grid < 0) | (new_totals < params.a_lower[source, None])
     if params.effort_kind == "bounded":
         infeasible |= new_totals > params.a_upper[source, None]
     feasible = (grid != 0.0) & ~infeasible
-    loss_totals = np.bincount(params.pair_source, weights=a_vec)
-    base_efforts, base_variances = _efforts_and_variances(params, loss_totals)
+    base_efforts, base_variances = _efforts_and_variances(params, totals)
     efforts = np.repeat(base_efforts[:, None], len(grid), axis=1)
     variances = np.repeat(base_variances[:, None], len(grid), axis=1)
     rows, columns = np.nonzero(feasible)
@@ -437,7 +438,7 @@ def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray,
     needed[source[rows], columns] = True
     at, steps = np.nonzero(needed)
     efforts[at, steps], variances[at, steps] = _efforts_and_variances(
-        params, loss_totals[at] + grid[steps], at)
+        params, totals[at] + grid[steps], at)
     improvement = -(weights[order, None] * (variances[source] - base_variances[source, None])
                     + (efforts[source] - base_efforts[source, None]))
     improvement = np.where(feasible & (improvement > 0.0), improvement, 0.0)
@@ -450,73 +451,65 @@ def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray,
 
 
 def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
-                        grid_radius: float = 0.5, grid_points: int = 11,
-                        stationarity_tol: float = 1e-8,
-                        improvement_tol: float = 1e-9) -> CertificateReport:
+                        grid_radius: float = 0.5, grid_points: int = 11) -> CertificateReport:
     """Independent verification of a solved equilibrium.
 
     (i) analytic stationarity (unbounded) or best-response branch consistency
     (bounded); (ii) no single-coordinate feasible deviation on a symmetric
-    grid improves any aggregator's reduced loss; (iii) the document's constant
-    terms bind participation and keep payments nonnegative, and its efforts,
-    totals and polytope are those its quality weights imply.  A result whose
-    tables are not keyed by this scenario's pairs and sources raises
-    ParseError.
+    grid of `grid_points` points over [-grid_radius, grid_radius] improves
+    any aggregator's reduced loss; (iii) the document's constant terms bind
+    participation and keep payments nonnegative, and its efforts, totals and
+    polytope are those its quality weights imply.  A result whose tables are
+    not keyed by this scenario's pairs and sources raises ParseError.
     """
     if not result.solved or result.a is None:
         raise DomainError("certification requires a solved equilibrium")
-    check_result_matches(result, params.scenario)
-    sids = params.scenario.source_ids
-    a_vec = _vector(result.a.a, params.pairs)
-    totals = _vector(result.a.a_total, sids)
+    if grid_points < 1 or not (0.0 < grid_radius < math.inf):
+        raise DomainError(f"the grid needs grid_points >= 1 and a positive finite "
+                          f"grid_radius, got {grid_points} and {grid_radius}")
+    a_vec, totals, claimed_c, claimed, claimed_floors, claimed_sources = result_arrays(
+        result, params.scenario)
+    a_sum = np.bincount(params.pair_source, weights=a_vec)
     weights = _variance_weights(params, a_vec)
     checks: list[CheckResult] = []
 
     if result.status == STATUS_UNIQUE:
         # sum_j a[s, j] - w_b[s] is a - (Xi a + gamma) at (s, b), read from xi
-        sums = np.bincount(params.pair_source, weights=a_vec)[params.pair_source]
-        residual = float(np.abs(sums - weights).max())
+        residual = float(np.abs(a_sum[params.pair_source] - weights).max())
         checks.append(CheckResult(
-            "stationarity", residual < stationarity_tol,
-            f"fixed-point residual {residual:.3e} (tol {stationarity_tol:.1e})"))
+            "stationarity", residual < STATIONARITY_TOL,
+            f"fixed-point residual {residual:.3e} (tol {STATIONARITY_TOL:.1e})"))
     else:
         worst = float(np.abs(a_vec - _targets(params, a_vec, weights)[0]).max(initial=0.0))
         checks.append(CheckResult(
-            "branch-consistency", worst < stationarity_tol,
-            f"best-response residual {worst:.3e} (tol {stationarity_tol:.1e})"))
+            "branch-consistency", worst < STATIONARITY_TOL,
+            f"best-response residual {worst:.3e} (tol {STATIONARITY_TOL:.1e})"))
 
     # scaled after spacing, so the centre point is exactly 0 and skipped
     grid = grid_radius * np.linspace(-1.0, 1.0, grid_points)
-    worst_improvement, worst_at = _worst_grid_deviation(params, a_vec, totals, grid,
-                                                         weights)
+    worst_improvement, worst_at = _worst_grid_deviation(params, a_vec, grid, weights)
     checks.append(CheckResult(
-        "best-response-grid", worst_improvement <= improvement_tol,
+        "best-response-grid", worst_improvement <= IMPROVEMENT_TOL,
         f"largest grid improvement {worst_improvement:.3e}"
         + (f" at {worst_at}" if worst_at else "")))
 
     # the document's c, efforts, totals and polytope, against values
-    # recomputed from its quality weights and totals
-    efforts, floors, _ = _contract(params, a_vec, totals)
-    surplus = _vector(result.canonical_c, params.pairs) - floors
-    claimed = _vector(result.efforts, sids)
+    # recomputed from its quality weights; NaN anywhere fails the check
+    efforts, floors, _ = _contract(params, a_vec, a_sum)
+    surplus = claimed_c - floors
     worst_binding = float(np.abs(np.bincount(params.pair_source, weights=surplus)
                                  - claimed).max())
     worst_effort = float(np.abs(claimed - efforts).max())
-    worst_total = float(np.abs(totals - np.bincount(params.pair_source,
-                                                    weights=a_vec)).max())
-    polytope = result.polytope
-    claimed_floors = np.array([polytope[sid].floors[bid] for sid, bid in params.pairs])
-    claimed_sources = np.array([(polytope[sid].surplus, polytope[sid].total,
-                                 polytope[sid].dimension) for sid in sids])
+    worst_total = float(np.abs(totals - a_sum).max())
     implied_sources = np.column_stack((
         efforts, np.bincount(params.pair_source, weights=floors) + efforts,
         np.bincount(params.pair_source) - 1))
-    worst_polytope = max(float(np.abs(claimed_floors - floors).max()),
-                         float(np.abs(claimed_sources - implied_sources).max()))
+    worst_polytope = float(np.maximum(np.abs(claimed_floors - floors).max(),
+                                      np.abs(claimed_sources - implied_sources).max()))
     payments_ok = bool(np.all(surplus >= -1e-12))
     checks.append(CheckResult(
         "participation-binding",
-        max(worst_binding, worst_effort, worst_total, worst_polytope) < 1e-9
+        bool(np.max([worst_binding, worst_effort, worst_total, worst_polytope]) < 1e-9)
         and payments_ok,
         f"payment-vs-effort residual {worst_binding:.3e}, "
         f"effort-vs-total residual {worst_effort:.3e}, "

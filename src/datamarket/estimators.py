@@ -188,7 +188,9 @@ def g_value(points, query_dist: QueryDistribution, variances) -> float:
 
 def trial_stream(seed: int, index: int) -> np.random.Generator:
     """Deterministic per-index substream: results do not depend on execution
-    order or parallel schedule."""
+    order or parallel schedule.  A negative seed raises DomainError."""
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 

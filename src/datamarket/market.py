@@ -326,7 +326,14 @@ def assemble_xi_matrix(scenario: MarketScenario, xi: np.ndarray,
 # Spectral radius
 # ---------------------------------------------------------------------------
 
-def spectral_radius(matrix, *, tol: float = 1e-10, max_iter: int = 100_000) -> float:
+#: Relative width at which a radius bracket is accepted, the power-iteration
+#: sweep budget, and the squaring budget of the Gelfand fallback.
+RADIUS_TOL = 1e-10
+RADIUS_MAX_SWEEPS = 100_000
+GELFAND_MAX_SQUARINGS = 64
+
+
+def spectral_radius(matrix) -> float:
     """Spectral radius of a nonnegative square matrix.
 
     Shift-free power iteration from the all-ones vector, certified each sweep
@@ -352,7 +359,7 @@ def spectral_radius(matrix, *, tol: float = 1e-10, max_iter: int = 100_000) -> f
     x = np.ones(n)
     best_width = math.inf
     since_improvement = 0
-    for _ in range(max_iter):
+    for _ in range(RADIUS_MAX_SWEEPS):
         y = M @ x
         norm = y.max()
         if norm == 0.0:
@@ -361,7 +368,7 @@ def spectral_radius(matrix, *, tol: float = 1e-10, max_iter: int = 100_000) -> f
         ratios = y[support] / x[support]
         lo, hi = float(ratios.min()), float(ratios.max())
         width = hi - lo
-        if width <= tol * max(1.0, hi):
+        if width <= RADIUS_TOL * max(1.0, hi):
             return 0.5 * (lo + hi)
         if width < 0.5 * best_width:
             best_width = width
@@ -371,24 +378,24 @@ def spectral_radius(matrix, *, tol: float = 1e-10, max_iter: int = 100_000) -> f
             if since_improvement >= 100:
                 break  # oscillating interval: periodic or reducible
         x = y / norm
-    return _gelfand_radius(M, tol=tol)
+    return _gelfand_radius(M)
 
 
-def _gelfand_radius(M: np.ndarray, *, tol: float = 1e-10, max_squarings: int = 64) -> float:
+def _gelfand_radius(M: np.ndarray) -> float:
     """max row/column-sum bracket along repeated squarings: the norm estimates
     ||M^(2^m)||^(1/2^m) converge to the radius (Gelfand); normalization keeps
     the powers representable."""
     B = M.copy()
     log_acc = 0.0      # sum over levels i of log(scale_i) / 2^i
     estimate = math.inf
-    for level in range(max_squarings):
+    for level in range(GELFAND_MAX_SQUARINGS):
         row = float(np.abs(B).sum(axis=1).max())
         col = float(np.abs(B).sum(axis=0).max())
         scale = min(row, col)
         if scale == 0.0:
             return 0.0
         new_estimate = math.exp(log_acc + math.log(scale) / (2 ** level))
-        if abs(new_estimate - estimate) <= tol * max(1.0, new_estimate) and level > 2:
+        if abs(new_estimate - estimate) <= RADIUS_TOL * max(1.0, new_estimate) and level > 2:
             return new_estimate
         estimate = new_estimate
         B = B / scale

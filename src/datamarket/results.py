@@ -15,8 +15,12 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 
 from .equilibrium import (
+    STATUS_BOUNDED,
+    STATUS_NONE,
+    STATUS_UNIQUE,
     AParameters,
     EquilibriumResult,
     SolveDiagnostics,
@@ -24,6 +28,7 @@ from .equilibrium import (
 )
 from .errors import ParseError
 from .market import DerivedParameters
+from .scenario import _expect, _number
 from .welfare import WelfareReport
 
 RESULT_SCHEMA_VERSION = 1
@@ -36,9 +41,30 @@ def _nest(table: dict[tuple[str, str], float]) -> dict[str, dict[str, float]]:
     return out
 
 
-def _flatten(doc: dict) -> dict[tuple[str, str], float]:
-    return {(sid, bid): float(v)
-            for sid, row in doc.items() for bid, v in row.items()}
+def _numbers_by_id(doc, key, location) -> dict[str, float]:
+    """doc[key]: an object of finite numbers keyed by id."""
+    table, location = _expect(doc, key, dict, location), f"{location}.{key}"
+    # the written form, checked at once: a finite sum of floats has no NaN
+    # or infinity in it (a sum that overflows falls through to the check)
+    if all(type(v) is float for v in table.values()) and math.isfinite(sum(table.values())):
+        return dict(table)
+    return {name: _number(v, name, location) for name, v in table.items()}
+
+
+def _pairs_by_id(doc, key, location) -> dict[tuple[str, str], float]:
+    """doc[key]: an object of _numbers_by_id rows keyed by source id."""
+    rows = _expect(doc, key, dict, location)
+    return {(sid, bid): v for sid in rows
+            for bid, v in _numbers_by_id(rows, sid, f"{location}.{key}").items()}
+
+
+def _source_polytope(doc, sid, location) -> SourcePolytope:
+    """doc[sid]: one source's polytope entry."""
+    p, location = _expect(doc, sid, dict, location), f"{location}.{sid}"
+    return SourcePolytope(surplus=_expect(p, "surplus", float, location),
+                          floors=_numbers_by_id(p, "floors", location),
+                          total=_expect(p, "total", float, location),
+                          dimension=_expect(p, "dimension", int, location))
 
 
 def result_to_dict(result: EquilibriumResult) -> dict:
@@ -71,39 +97,39 @@ def result_to_dict(result: EquilibriumResult) -> dict:
 
 
 def result_from_dict(doc: dict) -> EquilibriumResult:
-    try:
-        version = doc["schema_version"]
-        if version != RESULT_SCHEMA_VERSION:
-            raise ParseError(f"result schema_version {version} unsupported")
-        diag_doc = doc["diagnostics"]
-        diagnostics = SolveDiagnostics(
-            spectral_radius=float(diag_doc["spectral_radius"]),
-            iterations=int(diag_doc["iterations"]),
-            max_residual=float(diag_doc["max_residual"]),
-            marginal=bool(diag_doc.get("marginal", False)))
-        status = str(doc["status"])
-        if "a" not in doc:
-            return EquilibriumResult(status=status, a=None, canonical_c=None,
-                                     polytope=None, efforts=None,
-                                     diagnostics=diagnostics)
-        polytope = {
-            sid: SourcePolytope(
-                surplus=float(p["surplus"]),
-                floors={bid: float(v) for bid, v in p["floors"].items()},
-                total=float(p["total"]),
-                dimension=int(p["dimension"]))
-            for sid, p in doc["polytope"].items()
-        }
-        return EquilibriumResult(
-            status=status,
-            a=AParameters(a=_flatten(doc["a"]),
-                          a_total={s: float(v) for s, v in doc["a_total"].items()}),
-            canonical_c=_flatten(doc["canonical_c"]),
-            polytope=polytope,
-            efforts={s: float(v) for s, v in doc["efforts"].items()},
-            diagnostics=diagnostics)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed result document: {exc}") from exc
+    """A result document under the scenario number rule: numbers finite (an
+    unsolved result's max_residual may be NaN), counts integers, `marginal`
+    a boolean, tables objects keyed by id.  Unknown fields are ignored;
+    anything else raises ParseError naming the field."""
+    version = _expect(doc, "schema_version", int, "result")
+    if version != RESULT_SCHEMA_VERSION:
+        raise ParseError(f"result schema_version {version} unsupported")
+    status = _expect(doc, "status", str, "result")
+    if status not in (STATUS_UNIQUE, STATUS_BOUNDED, STATUS_NONE):
+        raise ParseError(f"unknown status {status!r}", location="result")
+    where = "result.diagnostics"
+    diag_doc = _expect(doc, "diagnostics", dict, "result")
+    residual = _expect(diag_doc, "max_residual", (int, float), where)
+    if not (status == STATUS_NONE and math.isnan(residual)):
+        residual = _number(residual, "max_residual", where)
+    diagnostics = SolveDiagnostics(
+        spectral_radius=_expect(diag_doc, "spectral_radius", float, where),
+        iterations=_expect(diag_doc, "iterations", int, where),
+        max_residual=residual,
+        marginal=_expect(diag_doc, "marginal", bool, where, default=False))
+    if status == STATUS_NONE:
+        return EquilibriumResult(status=status, a=None, canonical_c=None,
+                                 polytope=None, efforts=None, diagnostics=diagnostics)
+    polytope_doc = _expect(doc, "polytope", dict, "result")
+    return EquilibriumResult(
+        status=status,
+        a=AParameters(a=_pairs_by_id(doc, "a", "result"),
+                      a_total=_numbers_by_id(doc, "a_total", "result")),
+        canonical_c=_pairs_by_id(doc, "canonical_c", "result"),
+        polytope={sid: _source_polytope(polytope_doc, sid, "result.polytope")
+                  for sid in polytope_doc},
+        efforts=_numbers_by_id(doc, "efforts", "result"),
+        diagnostics=diagnostics)
 
 
 def result_to_json(result: EquilibriumResult) -> str:
@@ -140,16 +166,11 @@ def welfare_to_json(report: WelfareReport) -> str:
 # CSV emission (full double precision; schemas documented above)
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))  # numpy scalars repr differently
-    return str(value)
-
-
 def _csv(rows) -> str:
+    """Rows of Python ints, floats and strings; str of a float is its repr."""
     buffer = io.StringIO()
     for row in rows:
-        buffer.write(",".join(_fmt(v) for v in row) + "\n")
+        buffer.write(",".join(map(str, row)) + "\n")
     return buffer.getvalue()
 
 

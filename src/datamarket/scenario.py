@@ -55,7 +55,7 @@ _EFFORT_FIELDS = {"family", "sigma0", "lambda", "k", "set"}
 
 def _expect(mapping, key, types, location, default=_TOP_FIELDS):
     """mapping[key] checked against `types`; types=float asks for a finite
-    number (see _number).  Booleans never pass: no field is boolean."""
+    number (see _number).  Booleans pass only where types is bool."""
     if key not in mapping:
         if default is not _TOP_FIELDS:
             return default
@@ -63,7 +63,7 @@ def _expect(mapping, key, types, location, default=_TOP_FIELDS):
     value = mapping[key]
     if types is float:
         return _number(value, key, location)
-    if isinstance(value, bool) or not isinstance(value, types):
+    if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
         raise ParseError(f"field {key!r} has type {type(value).__name__}",
                          location=location)
     return value
@@ -348,6 +348,8 @@ class GenerationSpec:
             raise InfeasibleSpecError("sharing density must lie in (0, 1]")
         if not 0.0 <= self.zeta_max <= 1.0:
             raise InfeasibleSpecError("zeta_max must lie in [0, 1]")
+        if not 0.0 <= self.coupling_scale < math.inf:
+            raise InfeasibleSpecError("coupling_scale must be finite and nonnegative")
 
 
 MAX_GENERATION_ATTEMPTS = 60
@@ -476,6 +478,10 @@ def generate_scenario(spec: GenerationSpec, seed: int) -> MarketScenario:
 
 def generate_scenario_with_attempts(spec: GenerationSpec, seed: int
                                     ) -> tuple[MarketScenario, int]:
+    """generate_scenario with the number of attempts it took.  A negative
+    seed raises InfeasibleSpecError."""
+    if seed < 0:
+        raise InfeasibleSpecError(f"seed must be a nonnegative integer, got {seed}")
     last_failure = "no attempt recorded"
     for attempt in range(MAX_GENERATION_ATTEMPTS):
         rng = np.random.default_rng(

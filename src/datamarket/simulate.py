@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .effort import EffortMap
-from .equilibrium import EquilibriumResult, check_result_matches
+from .equilibrium import EquilibriumResult, result_arrays
 from .errors import DomainError
 from .estimators import leave_one_out_weights, prediction_weights, trial_stream
 from .market import MODE_ESTIMATOR, MarketScenario
@@ -45,7 +45,7 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
     if scenario.mode != MODE_ESTIMATOR:
         raise DomainError("round simulation needs estimator-derived scenarios "
                           "(direct mode has no regression geometry)")
-    check_result_matches(result, scenario)
+    a, _, c, efforts, _, _ = result_arrays(result, scenario)
     sids, bids = scenario.source_ids, scenario.aggregator_ids
     pairs = scenario.sharing_pairs()
     membership = scenario.membership
@@ -66,10 +66,7 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
                       for bid, q in queries.items()}
     truth_at_sources = np.array([scenario.ground_truth(scenario.sources_by_id[sid].feature)
                                  for sid in sids])
-    sigma = EffortMap([scenario.sources_by_id[sid].effort_model for sid in sids]).sigma(
-        [result.efforts[sid] for sid in sids])
-    c = np.array([result.canonical_c[pair] for pair in pairs])
-    a = np.array([result.a.a[pair] for pair in pairs])
+    sigma = EffortMap([scenario.sources_by_id[sid].effort_model for sid in sids]).sigma(efforts)
 
     def atom_error(bid: str, fitted: np.ndarray) -> float:
         return float(probs[bid] @ (fitted - truth_at_atoms[bid]) ** 2)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ScenarioValidationError
-from .equilibrium import (EquilibriumResult, _efforts_and_variances, _vector,
-                          check_result_matches)
+from .equilibrium import EquilibriumResult, _efforts_and_variances, _vector, result_arrays
 from .market import MODE_DIRECT, ESTIMATOR_ZERO_TOL, DerivedParameters
 
 
@@ -38,12 +37,19 @@ class WelfareReport:
 
 
 def social_cost(efforts: dict[str, float], params: DerivedParameters) -> float:
-    """Ex-ante social cost of an effort profile (payments excluded)."""
-    sids = params.scenario.source_ids
-    for sid in sids:
-        if not params.effort_model(sid).effort_set.contains(efforts[sid]):
-            raise DomainError(f"effort {efforts[sid]} of source {sid} outside its feasible set")
-    e = _vector(efforts, sids)
+    """Ex-ante social cost of an effort profile (payments excluded).  A table
+    not keyed by the scenario's source ids raises ParseError."""
+    return _social_cost(_vector(efforts, params.scenario.source_ids, "efforts"), params)
+
+
+def _social_cost(e: np.ndarray, params: DerivedParameters) -> float:
+    """social_cost of efforts over the source ids; an effort outside its
+    source's feasible set raises DomainError."""
+    outside = np.flatnonzero(~(np.isfinite(e) & (e >= 0) & (e <= params.effort_map.e_max)))
+    if outside.size:
+        k = int(outside[0])
+        raise DomainError(f"effort {e[k]} of source {params.scenario.source_ids[k]} "
+                          f"outside its feasible set")
     sigma = params.effort_map.sigma(e)
     return float(np.sum(params.gamma_total * sigma * sigma + e))
 
@@ -81,10 +87,10 @@ def price_of_anarchy(result: EquilibriumResult, params: DerivedParameters) -> We
     ParseError."""
     if not result.solved or result.efforts is None:
         raise DomainError("price of anarchy requires a solved equilibrium")
-    check_result_matches(result, params.scenario)
+    efforts = result_arrays(result, params.scenario)[3]
     optimum = optimal_efforts(params)
     cost_opt = social_cost(optimum, params)
-    cost_eq = social_cost(result.efforts, params)
+    cost_eq = _social_cost(efforts, params)
     if cost_opt <= 0:
         # impossible under validation (positive demand, positive variance)
         raise DomainError(f"optimal social cost {cost_opt} is not positive")

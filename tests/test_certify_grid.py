@@ -40,12 +40,10 @@ def _a_total(params, a):
             for sid in params.scenario.source_ids}
 
 
-def one_pass(params, a, totals, grid):
-    """_worst_grid_deviation on id-keyed tables."""
+def one_pass(params, a, grid):
+    """_worst_grid_deviation on an id-keyed table."""
     a_vec = np.array([a[pair] for pair in params.pairs])
-    return _worst_grid_deviation(
-        params, a_vec, np.array([totals[sid] for sid in params.scenario.source_ids]), grid,
-        _variance_weights(params, a_vec))
+    return _worst_grid_deviation(params, a_vec, grid, _variance_weights(params, a_vec))
 
 
 def effort_at(model, a_total, clamp):
@@ -186,7 +184,7 @@ def test_solved_market_matches_reference(market):
     params, result = _solved(MARKETS[market]())
     a, totals = result.a.a, result.a.a_total
     reference = brute_force_grid(params, a, totals, DEFAULT_GRID)
-    assert_same(one_pass(params, a, totals, DEFAULT_GRID), reference)
+    assert_same(one_pass(params, a, DEFAULT_GRID), reference)
     report = certify_equilibrium(result, params)
     grid_check = next(c for c in report.checks if c.name == "best-response-grid")
     assert grid_check.passed == (reference[0] <= 1e-9)
@@ -200,7 +198,7 @@ def test_corrupted_weights_on_fine_grid_match_reference(market):
     grid = _fine_grid(bad)
     reference = brute_force_grid(params, bad, totals, grid)
     assert reference[0] > 0.0  # a gainful deviation exists, so the location is tested
-    assert_same(one_pass(params, bad, totals, grid), reference)
+    assert_same(one_pass(params, bad, grid), reference)
 
     corrupted = replace(result, a=AParameters(a=bad, a_total=totals))
     report = certify_equilibrium(corrupted, params, grid_radius=3.0 * max(bad.values()),
@@ -220,7 +218,7 @@ def test_exact_ties_report_the_first_location():
     reference = brute_force_grid(params, bad, totals, grid)
     assert reference[0] > 0.0
     assert reference[1].startswith("aggregator b1, pair (s1, b1)")
-    assert_same(one_pass(params, bad, totals, grid), reference)
+    assert_same(one_pass(params, bad, grid), reference)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -235,13 +233,13 @@ def test_random_direct_markets_match_reference(seed, n, m, bounded, density, spr
     result = (solve_bounded if bounded else solve_unbounded)(params)
     assume(result.solved)
     a, totals = result.a.a, result.a.a_total
-    assert_same(one_pass(params, a, totals, DEFAULT_GRID),
+    assert_same(one_pass(params, a, DEFAULT_GRID),
                 brute_force_grid(params, a, totals, DEFAULT_GRID))
     bad, bad_totals = _corrupt(params, a, rng, 1.0 - spread, 1.0 + spread)
     assume(all(bad_totals[s] >= params.effort_model(s).incentive_bounds.a_lower
                for s in bad_totals))
     grid = _fine_grid(bad)
-    assert_same(one_pass(params, bad, bad_totals, grid),
+    assert_same(one_pass(params, bad, grid),
                 brute_force_grid(params, bad, bad_totals, grid))
 
 

@@ -241,6 +241,52 @@ class TestGenerate:
         assert cli(["generate", "--n", "2", "--m", "1", "--d", "1"]) == 3
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("args, code", [
+        (["certify", "{scenario}", "{result}", "--grid-points", "-1"], 1),
+        (["certify", "{scenario}", "{result}", "--grid-points", "0"], 1),
+        (["certify", "{scenario}", "{result}", "--grid-radius", "inf"], 1),
+        (["certify", "{scenario}", "{result}", "--grid-radius", "nan"], 1),
+        (["certify", "{scenario}", "{result}", "--grid-radius", "0"], 1),
+        (["simulate", "{scenario}", "{result}", "--rounds", "2", "--seed", "-1",
+          "--output", "{out}"], 1),
+        (["generate", "--n", "8", "--m", "2", "--seed", "-3", "--output", "{out}"], 3),
+        (["generate", "--n", "4", "--m", "2", "--mode", "direct", "--coupling-scale", "-1",
+          "--output", "{out}"], 3),
+        (["generate", "--n", "4", "--m", "2", "--mode", "direct", "--coupling-scale", "nan",
+          "--output", "{out}"], 3),
+    ])
+    def test_flag_out_of_range_exits_without_traceback(self, line_file, tmp_path, capsys,
+                                                       args, code):
+        result, out = tmp_path / "result.json", tmp_path / "out"
+        assert cli(["solve", str(line_file), "--output", str(result)]) == 0
+        capsys.readouterr()
+        paths = {"scenario": line_file, "result": result, "out": out}
+        assert cli([arg.format(**paths) for arg in args]) == code
+        assert capsys.readouterr().err.startswith("datamarket: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("direction", ["above", "below-a_lower"])
+    def test_a_total_off_its_a_exits_two(self, tmp_path, capsys, direction):
+        # a single-buyer source's total moved, a grid reaching past a_lower
+        scenario = generate_scenario(GenerationSpec(8, 2, sharing_density=0.5), 0)
+        path, result = tmp_path / "scenario.json", tmp_path / "result.json"
+        path.write_text(serialize_scenario(scenario))
+        assert cli(["solve", str(path), "--output", str(result)]) == 0
+        doc = json.loads(result.read_text())
+        sid = next(s for s, p in doc["polytope"].items() if p["dimension"] == 0)
+        lower = scenario.sources_by_id[sid].effort_model.incentive_bounds.a_lower
+        total = doc["a_total"][sid]
+        moved = total + 0.5 * (total - lower) if direction == "above" else 0.5 * lower
+        doc["a_total"][sid] = moved
+        result.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli(["certify", str(path), str(result), "--grid-radius", str(2.0 * moved),
+                    "--grid-points", "201"]) == 2
+        failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+        assert len(failed) == 1 and "participation-binding" in failed[0]
+
+
 class TestUsage:
     def test_unknown_command(self):
         assert cli(["frobnicate"]) == 3

@@ -439,6 +439,47 @@ class TestCertification:
         assert [c.name for c in failed] == ["participation-binding"]
         assert "total-vs-a residual 1.000e-01" in failed[0].detail
 
+    @pytest.mark.parametrize("field", ["floors", "total", "surplus", "dimension"])
+    def test_fails_on_nan_polytope_field(self, symmetric_direct, field):
+        # the NaN sits in the last source, behind finite residuals
+        params = derive_parameters(symmetric_direct)
+        result = solve_unbounded(params)
+        entry = result.polytope["s2"]
+        nan = {**entry.floors, "b2": math.nan} if field == "floors" else math.nan
+        bad = replace(result, polytope={**result.polytope,
+                                        "s2": replace(entry, **{field: nan})})
+        failed = [c for c in certify_equilibrium(bad, params).checks if not c.passed]
+        assert [c.name for c in failed] == ["participation-binding"]
+        assert "polytope residual nan" in failed[0].detail
+
+    @pytest.mark.parametrize("direction", ["above", "below-a_lower"])
+    def test_a_total_off_its_a_fails_instead_of_raising(self, direction):
+        # a single-buyer source's total moved, a grid reaching past a_lower:
+        # feasibility and effort are judged on the sum of a, so only the
+        # total-vs-a residual notices
+        params = derive_parameters(generate_scenario(
+            GenerationSpec(8, 2, sharing_density=0.5), 0))
+        result = solve_unbounded(params)
+        sid = next(s for s, p in result.polytope.items() if p.dimension == 0)
+        lower = params.effort_model(sid).incentive_bounds.a_lower
+        total = result.a.a_total[sid]
+        moved = total + 0.5 * (total - lower) if direction == "above" else 0.5 * lower
+        bad = replace(result, a=AParameters(a=result.a.a,
+                                            a_total={**result.a.a_total, sid: moved}))
+        report = certify_equilibrium(bad, params, grid_radius=2.0 * moved, grid_points=201)
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["participation-binding"]
+        assert f"total-vs-a residual {abs(moved - total):.3e}" in failed[0].detail
+
+    @pytest.mark.parametrize("options", [{"grid_points": 0}, {"grid_points": -1},
+                                         {"grid_radius": 0.0}, {"grid_radius": -0.5},
+                                         {"grid_radius": math.inf},
+                                         {"grid_radius": math.nan}])
+    def test_refuses_an_empty_or_unbounded_grid(self, symmetric_direct, options):
+        params = derive_parameters(symmetric_direct)
+        with pytest.raises(DomainError, match="grid"):
+            certify_equilibrium(solve_unbounded(params), params, **options)
+
     def test_requires_solved_result(self):
         params = derive_parameters(make_symmetric_direct(xi_offdiag=1.0))
         result = solve_unbounded(params)

@@ -1,0 +1,88 @@
+"""Every public entry point that reads an id-keyed table checks its keys
+against the market: a missing key, an extra key or a table of the other key
+kind (source ids where pairs belong, or pairs where source ids belong)
+raises ParseError naming the first mismatch, never KeyError or TypeError and
+never a silent answer."""
+
+import re
+from dataclasses import replace
+
+import pytest
+
+from datamarket.equilibrium import (
+    AParameters,
+    SourcePolytope,
+    best_response_residual,
+    branch_profile,
+    canonical_c,
+    certify_equilibrium,
+    polytope_membership,
+    solve_unbounded,
+)
+from datamarket.errors import ParseError
+from datamarket.market import derive_parameters
+from datamarket.scenario import GenerationSpec, generate_scenario
+from datamarket.simulate import iter_rounds
+from datamarket.welfare import price_of_anarchy, social_cost
+
+
+@pytest.fixture(scope="module")
+def market():
+    params = derive_parameters(generate_scenario(GenerationSpec(8, 2), 0))
+    return params, solve_unbounded(params)
+
+
+# entry point -> (kind of the table it is given, call with that table)
+ENTRY_POINTS = {
+    "canonical_c": ("pair", lambda p, r, t: canonical_c(replace(r.a, a=t), p)),
+    "polytope_membership": ("pair", lambda p, r, t: polytope_membership(t, r.a, p)),
+    "best_response_residual": ("pair", lambda p, r, t: best_response_residual(p, t)),
+    "branch_profile": ("pair", lambda p, r, t: branch_profile(p, t)),
+    "social_cost": ("source", lambda p, r, t: social_cost(t, p)),
+    "certify_equilibrium": ("source", lambda p, r, t: certify_equilibrium(
+        replace(r, a=AParameters(a=r.a.a, a_total=t)), p)),
+    "price_of_anarchy": ("source", lambda p, r, t: price_of_anarchy(replace(r, efforts=t), p)),
+    "iter_rounds": ("pair", lambda p, r, t: next(iter_rounds(
+        p.scenario, replace(r, canonical_c=t), 1, 0))),
+}
+
+
+def _table(result, kind):
+    return dict(result.canonical_c if kind == "pair" else result.efforts)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("corruption", ["missing", "extra", "wrong-kind"])
+def test_mismatched_table_raises_parse_error(market, entry, corruption):
+    params, result = market
+    kind, call = ENTRY_POINTS[entry]
+    call(params, result, _table(result, kind))  # the market's own table is read
+    table = _table(result, kind)
+    if corruption == "missing":
+        key = ("s008", "b002") if kind == "pair" else "s008"
+        del table[key]
+        expected = "pair (s008, b002)" if kind == "pair" else "source s008"
+    elif corruption == "extra":
+        table[("s999", "b001") if kind == "pair" else "s999"] = 1.0
+        expected = "pair (s999, b001)" if kind == "pair" else "source s999"
+    else:
+        table = _table(result, "source" if kind == "pair" else "pair")
+        # id order puts source s001 before its pair (s001, b001)
+        expected = "source s001"
+    with pytest.raises(ParseError, match=re.escape(f"first mismatched {expected}")):
+        call(params, result, table)
+
+
+@pytest.mark.parametrize("entry", ["certify_equilibrium", "price_of_anarchy", "iter_rounds"])
+def test_polytope_of_an_extra_source_raises_parse_error(market, entry):
+    # an extra source with no floors adds no pair, so only the polytope's
+    # own source keys can show it
+    params, result = market
+    extra = SourcePolytope(surplus=1.0, floors={}, total=1.0, dimension=0)
+    bad = replace(result, polytope={**result.polytope, "s999": extra})
+    read = {"certify_equilibrium": lambda: certify_equilibrium(bad, params),
+            "price_of_anarchy": lambda: price_of_anarchy(bad, params),
+            "iter_rounds": lambda: next(iter_rounds(params.scenario, bad, 1, 0))}[entry]
+    with pytest.raises(ParseError, match=re.escape("polytope does not match the scenario: "
+                                                   "first mismatched source s999")):
+        read()
