@@ -172,24 +172,28 @@ def canonical_c(a: AParameters, params: DerivedParameters) -> dict[tuple[str, st
 def polytope_membership(c, a: AParameters, params: DerivedParameters,
                         tol: float = 1e-9):
     """Check whether a candidate c table lies in the equilibrium polytope of
-    the given quality weights.  Returns (member, violations, dimensions); the
-    violations list the sources whose terms miss their total, then the pairs
-    below their floor.  Weights or a c table of another market raise
-    ParseError."""
+    the given quality weights.  Returns (member, violations, dimensions).
+    Weights or a c table of another market raise ParseError."""
     sids = params.scenario.source_ids
-    a_vec, totals = _vector(a.a, params.pairs, "a"), _vector(a.a_total, sids, "a_total")
-    c_vec = _vector(c, params.pairs, "c")
-    efforts, floors, _ = _contract(params, a_vec, totals)
-    sums = np.bincount(params.pair_source, weights=c_vec).tolist()
-    expected = (np.bincount(params.pair_source, weights=floors) + efforts).tolist()
-    violations = tuple(
-        [f"source {sid}: constant terms sum to {total}, equilibrium requires {x}"
-         for sid, total, x in zip(sids, sums, expected) if abs(total - x) > tol]
-        + [f"pair ({sid}, {bid}): constant term {v} below floor {floor}"
-           for (sid, bid), v, floor in zip(params.pairs, c_vec.tolist(), floors.tolist())
-           if v < floor - tol])
-    dimensions = dict(zip(sids, (np.bincount(params.pair_source) - 1).tolist()))
-    return not violations, violations, dimensions
+    efforts, floors, _ = _contract(params, _vector(a.a, params.pairs, "a"),
+                                   _vector(a.a_total, sids, "a_total"))
+    c = _pair_dict(params, _vector(c, params.pairs, "c"))
+    efforts, floors = dict(zip(sids, efforts.tolist())), _pair_dict(params, floors)
+    violations: list[str] = []
+    dimensions: dict[str, int] = {}
+    for sid in sids:
+        sharing = params.scenario.sources_by_id[sid].sharing
+        dimensions[sid] = len(sharing) - 1
+        total = sum(c[(sid, bid)] for bid in sharing)
+        expected = sum(floors[(sid, bid)] for bid in sharing) + efforts[sid]
+        if abs(total - expected) > tol:
+            violations.append(f"source {sid}: constant terms sum to {total}, "
+                              f"equilibrium requires {expected}")
+        for bid in sharing:
+            if c[(sid, bid)] < floors[(sid, bid)] - tol:
+                violations.append(f"pair ({sid}, {bid}): constant term "
+                                  f"{c[(sid, bid)]} below floor {floors[(sid, bid)]}")
+    return (not violations), tuple(violations), dimensions
 
 
 # ---------------------------------------------------------------------------

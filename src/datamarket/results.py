@@ -44,10 +44,6 @@ def _nest(table: dict[tuple[str, str], float]) -> dict[str, dict[str, float]]:
 def _numbers_by_id(doc, key, location) -> dict[str, float]:
     """doc[key]: an object of finite numbers keyed by id."""
     table, location = _expect(doc, key, dict, location), f"{location}.{key}"
-    # the written form, checked at once: a finite sum of floats has no NaN
-    # or infinity in it (a sum that overflows falls through to the check)
-    if all(type(v) is float for v in table.values()) and math.isfinite(sum(table.values())):
-        return dict(table)
     return {name: _number(v, name, location) for name, v in table.items()}
 
 
@@ -61,10 +57,13 @@ def _pairs_by_id(doc, key, location) -> dict[tuple[str, str], float]:
 def _source_polytope(doc, sid, location) -> SourcePolytope:
     """doc[sid]: one source's polytope entry."""
     p, location = _expect(doc, sid, dict, location), f"{location}.{sid}"
-    return SourcePolytope(surplus=_expect(p, "surplus", float, location),
-                          floors=_numbers_by_id(p, "floors", location),
-                          total=_expect(p, "total", float, location),
-                          dimension=_expect(p, "dimension", int, location))
+    floors = _numbers_by_id(p, "floors", location)
+    dimension = _expect(p, "dimension", int, location)
+    if not 0 <= dimension < len(floors):
+        raise ParseError(f"field 'dimension' must lie in [0, {len(floors)}) "
+                         f"for {len(floors)} floors", location=location)
+    return SourcePolytope(surplus=_expect(p, "surplus", float, location), floors=floors,
+                          total=_expect(p, "total", float, location), dimension=dimension)
 
 
 def result_to_dict(result: EquilibriumResult) -> dict:
@@ -98,9 +97,10 @@ def result_to_dict(result: EquilibriumResult) -> dict:
 
 def result_from_dict(doc: dict) -> EquilibriumResult:
     """A result document under the scenario number rule: numbers finite (an
-    unsolved result's max_residual may be NaN), counts integers, `marginal`
-    a boolean, tables objects keyed by id.  Unknown fields are ignored;
-    anything else raises ParseError naming the field."""
+    unsolved result's max_residual may be NaN), counts integers (a polytope's
+    dimension below its number of floors), `marginal` a boolean, tables
+    objects keyed by id.  Unknown fields are ignored; anything else raises
+    ParseError naming the field."""
     version = _expect(doc, "schema_version", int, "result")
     if version != RESULT_SCHEMA_VERSION:
         raise ParseError(f"result schema_version {version} unsupported")
@@ -110,7 +110,7 @@ def result_from_dict(doc: dict) -> EquilibriumResult:
     where = "result.diagnostics"
     diag_doc = _expect(doc, "diagnostics", dict, "result")
     residual = _expect(diag_doc, "max_residual", (int, float), where)
-    if not (status == STATUS_NONE and math.isnan(residual)):
+    if not (status == STATUS_NONE and isinstance(residual, float) and math.isnan(residual)):
         residual = _number(residual, "max_residual", where)
     diagnostics = SolveDiagnostics(
         spectral_radius=_expect(diag_doc, "spectral_radius", float, where),

@@ -39,17 +39,11 @@ class WelfareReport:
 def social_cost(efforts: dict[str, float], params: DerivedParameters) -> float:
     """Ex-ante social cost of an effort profile (payments excluded).  A table
     not keyed by the scenario's source ids raises ParseError."""
-    return _social_cost(_vector(efforts, params.scenario.source_ids, "efforts"), params)
-
-
-def _social_cost(e: np.ndarray, params: DerivedParameters) -> float:
-    """social_cost of efforts over the source ids; an effort outside its
-    source's feasible set raises DomainError."""
-    outside = np.flatnonzero(~(np.isfinite(e) & (e >= 0) & (e <= params.effort_map.e_max)))
-    if outside.size:
-        k = int(outside[0])
-        raise DomainError(f"effort {e[k]} of source {params.scenario.source_ids[k]} "
-                          f"outside its feasible set")
+    sids = params.scenario.source_ids
+    e = _vector(efforts, sids, "efforts")
+    for sid, effort in zip(sids, e.tolist()):
+        if not params.effort_model(sid).effort_set.contains(effort):
+            raise DomainError(f"effort {effort} of source {sid} outside its feasible set")
     sigma = params.effort_map.sigma(e)
     return float(np.sum(params.gamma_total * sigma * sigma + e))
 
@@ -87,10 +81,10 @@ def price_of_anarchy(result: EquilibriumResult, params: DerivedParameters) -> We
     ParseError."""
     if not result.solved or result.efforts is None:
         raise DomainError("price of anarchy requires a solved equilibrium")
-    efforts = result_arrays(result, params.scenario)[3]
+    result_arrays(result, params.scenario)  # a result of another market raises ParseError
     optimum = optimal_efforts(params)
     cost_opt = social_cost(optimum, params)
-    cost_eq = _social_cost(efforts, params)
+    cost_eq = social_cost(result.efforts, params)
     if cost_opt <= 0:
         # impossible under validation (positive demand, positive variance)
         raise DomainError(f"optimal social cost {cost_opt} is not positive")

@@ -85,10 +85,19 @@ def test_one_field_corruption_raises_parse_error(data, kind, corruption):
     (("a", "s001"), 0.5),
     (("status",), "solved"),
     (("schema_version",), 1.0),
+    pytest.param(("polytope", "s001", "dimension"), 10**400, id="dimension-beyond-float"),
+    (("polytope", "s001", "dimension"), -1),
+    (("polytope", "s001", "dimension"), 2),  # s001 has two floors
 ])
 def test_cast_values_are_refused(path, value):
     with pytest.raises(ParseError):
         result_from_json(_corrupted(TEXTS["solved"], path, value)[0])
+
+
+def test_unsolved_residual_beyond_the_float_range_is_refused():
+    text = _corrupted(TEXTS["unsolved"], ("diagnostics", "max_residual"), 10**400)[0]
+    with pytest.raises(ParseError, match="max_residual"):
+        result_from_json(text)
 
 
 def test_unknown_fields_are_tolerated():
