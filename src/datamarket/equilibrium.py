@@ -220,38 +220,73 @@ def _finish(params: DerivedParameters, a_vec: np.ndarray,
         efforts=dict(zip(sids, efforts.tolist())), diagnostics=diagnostics)
 
 
-def _solve_coupled(params: DerivedParameters, alpha: float) -> tuple[np.ndarray, float] | None:
-    """(a over params.pairs, residual) solving a = alpha Xi a + gamma by LU,
-    or None once alpha * rho(Xi) >= 1 - MARGINAL_BAND.  A singular, inaccurate
-    or negative solve raises NumericalFailureError."""
+def _coupled_system(params: DerivedParameters, alpha: float) -> np.ndarray:
+    """The bits of np.eye(P) - alpha * Xi, with no second P x P temporary."""
+    system = np.multiply(params.xi_matrix, -alpha)
+    system.flat[::len(system) + 1] += 1.0
+    return system
+
+
+def _solve_coupled(params: DerivedParameters, alpha: float,
+                   ) -> tuple[np.ndarray, float, int] | None:
+    """(a over params.pairs, residual, products) solving a = alpha Xi a + gamma,
+    or None once alpha * rho(Xi) >= 1 - MARGINAL_BAND.
+
+    The fixed point a <- gamma + alpha Xi a is iterated from a = gamma when
+    the products predicted to shrink a step to float eps, log(eps) /
+    log(alpha rho) (1 at alpha rho = 0), number fewer than P // 3: one
+    product costs 2 P^2 flops, one LU 2/3 P^3.  Xi >= 0 and gamma > 0 make
+    the iterates rise monotonically; the first iterate whose step (its
+    residual) is at most eps times each of its elements is returned with
+    the count of products taken.  The bound is per element, so a pair whose
+    demand is orders of magnitude below another's keeps its relative
+    accuracy.  When that budget runs out first (a non-normal transient, a
+    nilpotent chain), or P < 3, an LU solves (I - alpha Xi) a = gamma and
+    `products` is 1; I - alpha Xi is built only then.  A singular,
+    inaccurate or negative answer of either path raises
+    NumericalFailureError, carrying the condition number of I - alpha Xi."""
     rho = alpha * params.spectral_radius
     if rho >= 1.0 - MARGINAL_BAND:
         return None
-    # the bits of np.eye(n) - alpha * Xi, with no second n x n temporary
-    system = np.multiply(params.xi_matrix, -alpha)
-    system.flat[::len(system) + 1] += 1.0
-    try:
-        a_vec = np.linalg.solve(system, params.gamma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            f"(I - alpha Xi) is singular at alpha={alpha} although alpha * rho = {rho} < 1",
-            condition=float(np.linalg.cond(system))) from exc
-    residual = float(np.abs(a_vec - (alpha * (params.xi_matrix @ a_vec)
-                                     + params.gamma)).max())
+    xi, gamma = params.xi_matrix, params.gamma
+    eps, budget = float(np.finfo(float).eps), len(gamma) // 3
+    predicted = math.log(eps) / math.log(rho) if rho > 0.0 else 1.0
+    a_vec = None
+    if predicted < budget:
+        a = gamma
+        for products in range(1, budget + 1):
+            image = alpha * (xi @ a) + gamma
+            step = np.abs(a - image)  # the residual of a
+            if np.all(step <= eps * a):
+                a_vec, residual = a, float(step.max())
+                break
+            a = image
+    if a_vec is None:
+        products, system = 1, _coupled_system(params, alpha)
+        try:
+            a_vec = np.linalg.solve(system, gamma)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(
+                f"(I - alpha Xi) is singular at alpha={alpha} although alpha * rho = {rho} < 1",
+                condition=float(np.linalg.cond(system))) from exc
+        residual = float(np.abs(a_vec - (alpha * (xi @ a_vec) + gamma)).max())
     if residual >= 1e-9 or np.any(a_vec < -1e-9):
         raise NumericalFailureError(
             f"linear solve residual {residual} or negativity "
             f"{float(a_vec.min())} out of tolerance inside the existence regime",
-            condition=float(np.linalg.cond(system)))
-    return np.where(a_vec < 0, 0.0, a_vec), residual
+            condition=float(np.linalg.cond(_coupled_system(params, alpha))))
+    return np.where(a_vec < 0, 0.0, a_vec), residual, products
 
 
 def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
     """Solve the equilibrium system for unbounded effort sets.
 
     Returns status "none" (with diagnostics) when the coupling radius reaches
-    1, else the unique quality weights via a direct LU solve of
-    (I - Xi) a = gamma, with the c-degeneracy described by the polytope.
+    1, else the unique quality weights of a = Xi a + gamma, with the
+    c-degeneracy described by the polytope.  They come from fixed-point
+    products when those are predicted to cost less than an LU of I - Xi, and
+    from the LU otherwise (see _solve_coupled); diagnostics.iterations is the
+    number of products, or 1 when the LU ran.
     """
     params.require_valid()
     if params.effort_kind != "unbounded":
@@ -264,8 +299,8 @@ def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
                                 marginal=abs(rho - 1.0) < MARGINAL_BAND)
         return EquilibriumResult(status=STATUS_NONE, a=None, canonical_c=None,
                                  polytope=None, efforts=None, diagnostics=diag)
-    a_vec, residual = solved
-    diag = SolveDiagnostics(spectral_radius=rho, iterations=1, max_residual=residual)
+    a_vec, residual, products = solved
+    diag = SolveDiagnostics(spectral_radius=rho, iterations=products, max_residual=residual)
     return _finish(params, a_vec, STATUS_UNIQUE, diag)
 
 

@@ -139,7 +139,7 @@ def result_to_json(result: EquilibriumResult) -> str:
 def result_from_json(text: str) -> EquilibriumResult:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ParseError(f"result is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("result document root must be an object")

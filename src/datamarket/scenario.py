@@ -203,6 +203,8 @@ def parse_scenario(text: str) -> MarketScenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}", location=f"line {exc.lineno}") from exc
+    except ValueError as exc:  # an integer literal too long to convert
+        raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     _no_unknown_fields(doc, _TOP_FIELDS, "document")

@@ -142,6 +142,31 @@ def make_random_direct(rng, n, m, coupling=0.3, bounded=False, cap_ratio=None,
     raise AssertionError("random direct scenario generation exhausted retries")
 
 
+def make_coupled_direct(n, m, offdiag, beta=lambda i, b: 1.0, sells=lambda i, b: True):
+    """n sources and m aggregators in direct mode: source i sells to b when
+    sells(i, b), every aggregator's xi(i, l) is offdiag(i, l) off the
+    diagonal and beta[(s, b)] is beta(i, b), with i, l and b positions in id
+    order.  Xi's entry at row (s, b), column (l, j != b) is offdiag(l, s)
+    when s and l both sell to b and j; under full sharing a constant c gives
+    the radius c (n - 1)(m - 1) and a = beta / (1 - radius) under constant
+    beta."""
+    sids = [f"s{k + 1:02d}" for k in range(n)]
+    bids = [f"b{k + 1:02d}" for k in range(m)]
+    model = exponential_model(1.0, 0.5)
+    sources = tuple(
+        DataSourceSpec(sid, (float(i),), model,
+                       tuple(bid for b, bid in enumerate(bids) if sells(i, b)))
+        for i, sid in enumerate(sids))
+    aggregators = tuple(AggregatorSpec(bid, OLS, point_mass((0.5,))) for bid in bids)
+    members = [[i for i in range(n) if sells(i, b)] for b in range(m)]
+    xi = {bid: {(sids[i], sids[l]): 1.0 if i == l else float(offdiag(i, l))
+                for i in members[b] for l in members[b]} for b, bid in enumerate(bids)}
+    direct_beta = {(sids[i], bid): float(beta(i, b)) for b, bid in enumerate(bids)
+                   for i in members[b]}
+    return MarketScenario(sources, aggregators, GroundTruth((1.0,), 0.0),
+                          mode="direct", direct_beta=direct_beta, direct_xi=xi)
+
+
 def by_pair(scenario, values):
     """An array over scenario.sharing_pairs() as a dict keyed by pair."""
     return dict(zip(scenario.sharing_pairs(), np.asarray(values).tolist()))

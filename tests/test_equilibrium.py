@@ -3,12 +3,20 @@ the closed-form symmetric fixture, bounded/unbounded agreement, polytope and
 certification behavior."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_line_scenario, make_random_direct, make_symmetric_direct
+from conftest import (
+    make_coupled_direct,
+    make_line_scenario,
+    make_random_direct,
+    make_symmetric_direct,
+)
 
 from datamarket.equilibrium import (
     STATUS_BOUNDED,
@@ -29,6 +37,7 @@ from datamarket import market
 from datamarket.effort import effort_response
 from datamarket.errors import (
     DomainError,
+    GenerationError,
     NumericalFailureError,
     ParseError,
     ScenarioValidationError,
@@ -288,6 +297,130 @@ class TestCoupledSolve:
         monkeypatch.setattr(np.linalg, "solve", broken)
         with pytest.raises(NumericalFailureError):
             alpha_sweep(params, [0.5])
+
+
+def _lu_answer(params, alpha=1.0):
+    """a = alpha Xi a + gamma by one dense LU, the reference for both paths."""
+    return np.linalg.solve(np.eye(len(params.gamma)) - alpha * params.xi_matrix,
+                           params.gamma)
+
+
+def _count_lu_calls(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(system, rhs):
+        calls.append(system.shape)
+        return solve(system, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+# (market, alpha * rho of each sweep point, path of solve_unbounded, path of
+# each sweep point).  Fixed-point products are predicted to cost less than one
+# LU while log(eps) / log(alpha rho) < P // 3.
+SOLVE_PATH_CASES = {
+    # P = 240, rho = 0.13: about 18 products at alpha = 1; at alpha rho = 0.999
+    # the prediction (36,000 products) exceeds the budget of 80
+    "generated": (lambda: generate_scenario(GenerationSpec(60, 4), 0),
+                  (0.05, 0.5, 0.999), "fixed-point",
+                  ("fixed-point", "fixed-point", "lu")),
+    # P = 4: a budget of one product, so always the LU, up to alpha = 1.99
+    "symmetric": (make_symmetric_direct, (0.25, 0.5, 0.995), "lu", ("lu", "lu", "lu")),
+    # P = 60, rho = 0.99: too close to 1 for 20 products
+    "uniform-near-one": (lambda: make_coupled_direct(20, 3, lambda i, l: 0.99 / 38),
+                         (0.1, 0.99), "lu", ("fixed-point", "lu")),
+    # rho = 0.1 and a single-buyer source, decoupled, with 1e8 times the
+    # others' demand: a step bound of eps * max(a) would stop the others
+    # at a residual near 1e-8
+    "single-buyer-giant": (lambda: make_coupled_direct(
+        21, 3, lambda i, l: 0.1 / 38, beta=lambda i, b: 1e8 if i == 20 else 1.0,
+        sells=lambda i, b: i < 20 or b == 0),
+        (0.05, 0.5), "fixed-point", ("fixed-point", "lu")),
+}
+
+
+class TestSolvePaths:
+    @pytest.mark.parametrize("case", sorted(SOLVE_PATH_CASES))
+    def test_both_paths_agree_with_the_lu(self, case, monkeypatch):
+        build, scaled_radii, solve_path, sweep_paths = SOLVE_PATH_CASES[case]
+        params = derive_parameters(build())
+        rho = params.spectral_radius
+        alphas = [target / rho for target in scaled_radii]
+        expected = [_lu_answer(params, alpha) for alpha in (1.0, *alphas)]
+        lu_calls = _count_lu_calls(monkeypatch)
+
+        result = solve_unbounded(params)
+        a_vec = np.array([result.a.a[p] for p in params.pairs])
+        np.testing.assert_allclose(a_vec, expected[0], rtol=1e-12, atol=0)
+        # iterations counts the fixed-point products, or is 1 for the LU
+        assert (result.diagnostics.iterations > 1) == (solve_path == "fixed-point")
+        assert len(lu_calls) == (solve_path == "lu")
+
+        for alpha, reference, path in zip(alphas, expected[1:], sweep_paths):
+            del lu_calls[:]
+            (point,) = alpha_sweep(params, [alpha])
+            assert point.status == STATUS_UNIQUE
+            total = np.bincount(params.pair_source, weights=reference).max()
+            assert point.max_a_total == pytest.approx(total, rel=1e-12, abs=0)
+            assert len(lu_calls) == (path == "lu"), (alpha * rho, path)
+
+    def test_exhausted_budget_falls_through_to_the_lu(self, monkeypatch):
+        # the chain (s, b) <- (s + 1, j != b) is nilpotent: rho = 0 predicts
+        # one product, but the steps, doubling, vanish only after n = 12
+        # products, past the budget P // 3 = 8
+        n = 12
+        params = derive_parameters(make_coupled_direct(
+            n, 2, lambda i, l: 2.0 if i == l + 1 else 0.0))
+        assert params.spectral_radius == 0.0
+        lu_calls = _count_lu_calls(monkeypatch)
+        result = solve_unbounded(params)
+        assert result.diagnostics.iterations == 1 and len(lu_calls) == 1
+        # a[(s, b)] = sum over t < n - s of 2^t
+        closed_form = [2.0 ** (n - params.pair_source[k]) - 1.0
+                       for k in range(len(params.pairs))]
+        a_vec = np.array([result.a.a[p] for p in params.pairs])
+        np.testing.assert_allclose(a_vec, closed_form, rtol=1e-12, atol=0)
+
+    def test_fixed_point_answer_failing_the_residual_check(self, monkeypatch):
+        # with a near 1e8 the stopped iteration's step of a few ulps exceeds
+        # the absolute residual tolerance 1e-9 (so does the LU's residual)
+        beta = np.random.default_rng(0).uniform(1e8, 2e8, size=(20, 3))
+        params = derive_parameters(make_coupled_direct(
+            20, 3, lambda i, l: 0.1 / 38, lambda i, b: beta[i, b]))
+
+        def no_lu(system, rhs):
+            raise AssertionError("the LU ran on a fixed-point-path market")
+
+        monkeypatch.setattr(np.linalg, "solve", no_lu)
+        with pytest.raises(NumericalFailureError, match="residual") as exc:
+            solve_unbounded(params)
+        assert exc.value.condition >= 1.0
+
+    def test_fixed_point_path_holds_no_second_coupling_matrix(self):
+        params = derive_parameters(generate_scenario(GenerationSpec(128, 4), 0))
+        assert len(params.pairs) >= 500
+        tracemalloc.start()
+        try:
+            result = solve_unbounded(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.diagnostics.iterations > 1
+        assert peak < params.xi_matrix.nbytes
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 40), m=st.integers(2, 4), seed=st.integers(0, 2**16))
+    def test_weights_dominate_demand(self, n, m, seed):
+        try:
+            params = derive_parameters(generate_scenario(GenerationSpec(n, m), seed))
+        except GenerationError:
+            assume(False)
+        assume(params.spectral_radius < 1.0 - 1e-9)
+        result = solve_unbounded(params)
+        a_vec = np.array([result.a.a[p] for p in params.pairs])
+        assert np.all(a_vec >= params.gamma)
 
 
 class TestSolveBounded:

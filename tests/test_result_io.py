@@ -100,6 +100,12 @@ def test_unsolved_residual_beyond_the_float_range_is_refused():
         result_from_json(text)
 
 
+def test_integer_literal_too_long_to_convert_is_refused():
+    # json.loads raises a bare ValueError past the 4300-digit limit
+    with pytest.raises(ParseError, match="not valid JSON"):
+        result_from_json('{"schema_version": 1' + "0" * 5000 + "}")
+
+
 def test_unknown_fields_are_tolerated():
     doc = json.loads(TEXTS["solved"])
     doc["note"] = {"written by": "a later version"}

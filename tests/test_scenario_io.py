@@ -127,6 +127,11 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_scenario("sources: []")
 
+    def test_integer_literal_too_long_to_convert(self):
+        # json.loads raises a bare ValueError past the 4300-digit limit
+        with pytest.raises(ParseError, match="not valid JSON"):
+            parse_scenario('{"schema_version": 1' + "0" * 5000 + "}")
+
     def test_unknown_effort_family(self):
         doc = self.doc()
         doc["sources"][0]["effort"] = {"family": "quadratic", "sigma0": 1.0,
