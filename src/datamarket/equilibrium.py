@@ -234,22 +234,26 @@ def _solve_coupled(params: DerivedParameters, alpha: float,
 
     The fixed point a <- gamma + alpha Xi a is iterated from a = gamma when
     the products predicted to shrink a step to float eps, log(eps) /
-    log(alpha rho) (1 at alpha rho = 0), number fewer than P // 3: one
-    product costs 2 P^2 flops, one LU 2/3 P^3.  Xi >= 0 and gamma > 0 make
-    the iterates rise monotonically; the first iterate whose step (its
-    residual) is at most eps times each of its elements is returned with
-    the count of products taken.  The bound is per element, so a pair whose
-    demand is orders of magnitude below another's keeps its relative
-    accuracy.  When that budget runs out first (a non-normal transient, a
-    nilpotent chain), or P < 3, an LU solves (I - alpha Xi) a = gamma and
-    `products` is 1; I - alpha Xi is built only then.  A singular,
-    inaccurate or negative answer of either path raises
-    NumericalFailureError, carrying the condition number of I - alpha Xi."""
+    log(alpha rho) (1 at alpha rho = 0), number fewer than min(P // 8, 64),
+    the budget.  One LU-path solve (building I - alpha Xi, the LU and the
+    residual product) was timed at 2-3 products for P <= 24, 6-18 for
+    P = 64-192 and 69-158 for P = 512-3000 (OpenBLAS, one thread, x86 Xeon),
+    so the budget is near that cost at small P and below it at large P.
+    Xi >= 0 and gamma > 0 make the iterates rise monotonically; the first
+    iterate whose step (its residual) is at most eps times each of its
+    elements is returned with the count of products taken.  The bound is per
+    element, so a pair whose demand is orders of magnitude below another's
+    keeps its relative accuracy.  When the budget runs out first (a
+    non-normal transient, a nilpotent chain), or P < 8, an LU solves
+    (I - alpha Xi) a = gamma and `products` is 1; I - alpha Xi is built only
+    then.  A singular system, or an answer whose residual or negativity
+    exceeds 1e-9 times its largest element, raises NumericalFailureError
+    with the condition number of I - alpha Xi."""
     rho = alpha * params.spectral_radius
     if rho >= 1.0 - MARGINAL_BAND:
         return None
     xi, gamma = params.xi_matrix, params.gamma
-    eps, budget = float(np.finfo(float).eps), len(gamma) // 3
+    eps, budget = float(np.finfo(float).eps), min(len(gamma) // 8, 64)
     predicted = math.log(eps) / math.log(rho) if rho > 0.0 else 1.0
     a_vec = None
     if predicted < budget:
@@ -270,10 +274,11 @@ def _solve_coupled(params: DerivedParameters, alpha: float,
                 f"(I - alpha Xi) is singular at alpha={alpha} although alpha * rho = {rho} < 1",
                 condition=float(np.linalg.cond(system))) from exc
         residual = float(np.abs(a_vec - (alpha * (xi @ a_vec) + gamma)).max())
-    if residual >= 1e-9 or np.any(a_vec < -1e-9):
+    tolerance = 1e-9 * float(np.abs(a_vec).max())  # relative to a: scale-free
+    if not (residual <= tolerance and a_vec.min() >= -tolerance):  # NaN fails too
         raise NumericalFailureError(
-            f"linear solve residual {residual} or negativity "
-            f"{float(a_vec.min())} out of tolerance inside the existence regime",
+            f"linear solve residual {residual} or negativity {float(a_vec.min())} "
+            f"exceeds {tolerance} (1e-9 of max |a|) inside the existence regime",
             condition=float(np.linalg.cond(_coupled_system(params, alpha))))
     return np.where(a_vec < 0, 0.0, a_vec), residual, products
 

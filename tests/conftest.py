@@ -142,8 +142,10 @@ def make_random_direct(rng, n, m, coupling=0.3, bounded=False, cap_ratio=None,
     raise AssertionError("random direct scenario generation exhausted retries")
 
 
-def make_coupled_direct(n, m, offdiag, beta=lambda i, b: 1.0, sells=lambda i, b: True):
-    """n sources and m aggregators in direct mode: source i sells to b when
+def make_coupled_direct(n, m, offdiag, beta=lambda i, b: 1.0, sells=lambda i, b: True,
+                        model=exponential_model(1.0, 0.5)):
+    """n sources and m aggregators in direct mode, each with effort model
+    `model` (minimum incentive 1 by default): source i sells to b when
     sells(i, b), every aggregator's xi(i, l) is offdiag(i, l) off the
     diagonal and beta[(s, b)] is beta(i, b), with i, l and b positions in id
     order.  Xi's entry at row (s, b), column (l, j != b) is offdiag(l, s)
@@ -152,7 +154,6 @@ def make_coupled_direct(n, m, offdiag, beta=lambda i, b: 1.0, sells=lambda i, b:
     beta."""
     sids = [f"s{k + 1:02d}" for k in range(n)]
     bids = [f"b{k + 1:02d}" for k in range(m)]
-    model = exponential_model(1.0, 0.5)
     sources = tuple(
         DataSourceSpec(sid, (float(i),), model,
                        tuple(bid for b, bid in enumerate(bids) if sells(i, b)))

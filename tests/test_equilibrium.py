@@ -34,7 +34,7 @@ from datamarket.equilibrium import (
     spectral_radius,
 )
 from datamarket import market
-from datamarket.effort import effort_response
+from datamarket.effort import effort_response, exponential_model
 from datamarket.errors import (
     DomainError,
     GenerationError,
@@ -285,13 +285,15 @@ class TestCoupledSolve:
         solve_bounded(bounded)
         assert calls == [unbounded.xi_matrix.shape, bounded.xi_matrix.shape]
 
-    @pytest.mark.parametrize("failure", ["singular", "inaccurate"])
+    @pytest.mark.parametrize("failure", ["singular", "inaccurate", "nan"])
     def test_alpha_sweep_failed_solve(self, symmetric_direct, monkeypatch, failure):
         params = derive_parameters(symmetric_direct)
 
         def broken(system, rhs):
             if failure == "singular":
                 raise np.linalg.LinAlgError("Singular matrix")
+            if failure == "nan":
+                return np.full_like(rhs, np.nan)
             return rhs  # the decoupled demands, off by the coupling
 
         monkeypatch.setattr(np.linalg, "solve", broken)
@@ -317,26 +319,37 @@ def _count_lu_calls(monkeypatch):
     return calls
 
 
+def _scaled_demands(n, m, scale):
+    """Direct-mode demands drawn from U(1, 2) times scale."""
+    return np.random.default_rng(0).uniform(1.0, 2.0, size=(n, m)) * scale
+
+
 # (market, alpha * rho of each sweep point, path of solve_unbounded, path of
 # each sweep point).  Fixed-point products are predicted to cost less than one
-# LU while log(eps) / log(alpha rho) < P // 3.
+# LU while log(eps) / log(alpha rho) < min(P // 8, 64).
 SOLVE_PATH_CASES = {
-    # P = 240, rho = 0.13: about 18 products at alpha = 1; at alpha rho = 0.999
-    # the prediction (36,000 products) exceeds the budget of 80
+    # P = 240, rho = 0.13: about 18 products at alpha = 1; at alpha rho = 0.5
+    # the prediction (52 products) exceeds the budget of 30
     "generated": (lambda: generate_scenario(GenerationSpec(60, 4), 0),
                   (0.05, 0.5, 0.999), "fixed-point",
-                  ("fixed-point", "fixed-point", "lu")),
-    # P = 4: a budget of one product, so always the LU, up to alpha = 1.99
+                  ("fixed-point", "lu", "lu")),
+    # P = 4: a budget of no product, so always the LU, up to alpha = 1.99
     "symmetric": (make_symmetric_direct, (0.25, 0.5, 0.995), "lu", ("lu", "lu", "lu")),
-    # P = 60, rho = 0.99: too close to 1 for 20 products
-    "uniform-near-one": (lambda: make_coupled_direct(20, 3, lambda i, l: 0.99 / 38),
-                         (0.1, 0.99), "lu", ("fixed-point", "lu")),
+    # P = 120, rho = 0.99: too close to 1 for a budget of 15 products
+    "uniform-near-one": (lambda: make_coupled_direct(40, 3, lambda i, l: 0.99 / 78),
+                         (0.05, 0.99), "lu", ("fixed-point", "lu")),
     # rho = 0.1 and a single-buyer source, decoupled, with 1e8 times the
     # others' demand: a step bound of eps * max(a) would stop the others
     # at a residual near 1e-8
     "single-buyer-giant": (lambda: make_coupled_direct(
-        21, 3, lambda i, l: 0.1 / 38, beta=lambda i, b: 1e8 if i == 20 else 1.0,
-        sells=lambda i, b: i < 20 or b == 0),
+        81, 3, lambda i, l: 0.1 / 158, beta=lambda i, b: 1e8 if i == 80 else 1.0,
+        sells=lambda i, b: i < 80 or b == 0),
+        (0.05, 0.5), "fixed-point", ("fixed-point", "lu")),
+    # rho = 0.1 with every demand near 1e8: both paths' residuals, a few ulps
+    # of a, exceed 1e-9, which an absolute tolerance rejected
+    "demands-near-1e8": (lambda: make_coupled_direct(
+        80, 3, lambda i, l: 0.1 / 158,
+        beta=lambda i, b, beta=_scaled_demands(80, 3, 1e8): beta[i, b]),
         (0.05, 0.5), "fixed-point", ("fixed-point", "lu")),
 }
 
@@ -369,7 +382,7 @@ class TestSolvePaths:
     def test_exhausted_budget_falls_through_to_the_lu(self, monkeypatch):
         # the chain (s, b) <- (s + 1, j != b) is nilpotent: rho = 0 predicts
         # one product, but the steps, doubling, vanish only after n = 12
-        # products, past the budget P // 3 = 8
+        # products, past the budget min(P // 8, 64) = 3
         n = 12
         params = derive_parameters(make_coupled_direct(
             n, 2, lambda i, l: 2.0 if i == l + 1 else 0.0))
@@ -383,19 +396,24 @@ class TestSolvePaths:
         a_vec = np.array([result.a.a[p] for p in params.pairs])
         np.testing.assert_allclose(a_vec, closed_form, rtol=1e-12, atol=0)
 
-    def test_fixed_point_answer_failing_the_residual_check(self, monkeypatch):
-        # with a near 1e8 the stopped iteration's step of a few ulps exceeds
-        # the absolute residual tolerance 1e-9 (so does the LU's residual)
-        beta = np.random.default_rng(0).uniform(1e8, 2e8, size=(20, 3))
-        params = derive_parameters(make_coupled_direct(
-            20, 3, lambda i, l: 0.1 / 38, lambda i, b: beta[i, b]))
+    @pytest.mark.parametrize("scale", [1e-6, 1e8])
+    def test_inaccurate_answer_fails_at_every_scale(self, monkeypatch, scale):
+        # an answer 1e-6 relative off fails the residual check whatever the
+        # demands' scale; at 1e-6 its residual (~1e-12) is below an absolute
+        # 1e-9.  A fixed-point answer cannot fail it: its stop rule bounds its
+        # residual by eps * max(a).
+        beta = _scaled_demands(20, 3, scale)
+        params = derive_parameters(make_coupled_direct(  # minimum incentive 1e-6
+            20, 3, lambda i, l: 0.1 / 38, lambda i, b: beta[i, b],
+            model=exponential_model(1e3, 0.5)))
+        solve = np.linalg.solve
 
-        def no_lu(system, rhs):
-            raise AssertionError("the LU ran on a fixed-point-path market")
+        def inaccurate(system, rhs):
+            return solve(system, rhs) * (1.0 + 1e-6)
 
-        monkeypatch.setattr(np.linalg, "solve", no_lu)
+        monkeypatch.setattr(np.linalg, "solve", inaccurate)
         with pytest.raises(NumericalFailureError, match="residual") as exc:
-            solve_unbounded(params)
+            solve_unbounded(params)  # P = 60 takes the LU
         assert exc.value.condition >= 1.0
 
     def test_fixed_point_path_holds_no_second_coupling_matrix(self):
