@@ -392,10 +392,7 @@ def effort_response_derivative(model: EffortVarianceModel, a_total: float) -> fl
     Implicit differentiation of the first-order condition gives
     1 / (2 * a_total^2 * (sigma'(e)^2 + sigma(e) * sigma''(e))) at e = effort_response.
     """
-    e = effort_response(model, a_total)
-    sp = model.sigma_prime(e)
-    denom = 2.0 * a_total * a_total * (sp * sp + model.sigma(e) * model.sigma_second(e))
-    return 1.0 / denom
+    return 1.0 / (a_total * _foc_prime(model, a_total, effort_response(model, a_total)))
 
 
 def variance_at(model: EffortVarianceModel, effort: float) -> float:

@@ -459,30 +459,26 @@ def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray, grid,
     by delta moves only a_total[s], hence only e_s and sigma_s^2, whose
     coefficient in b's loss is the variance weight w_b[s] (`weights`).  So
     the deviation improves b's loss by -(w_b[s] * (change in sigma_s^2) +
-    (change in e_s)).  Efforts are evaluated once per (source, delta) that
-    some pair may take, as one array.  Feasibility and the loss are both
-    judged on the totals of `a_vec`.  The first of equal improvements is
-    reported, visiting aggregators in id order, each one's sources in id
+    (change in e_s)).  Efforts are evaluated once per (source, delta) in the
+    source's incentive range, as one array.  Feasibility and the loss are
+    both judged on the totals of `a_vec`.  The first of equal improvements
+    is reported, visiting aggregators in id order, each one's sources in id
     order, then the grid in order.
     """
     grid = np.asarray(grid, dtype=float)
     order = np.argsort(params.pair_aggregator, kind="stable")
     source = params.pair_source[order]
     totals = np.bincount(params.pair_source, weights=a_vec)
-    new_totals = totals[source, None] + grid
-    infeasible = (a_vec[order, None] + grid < 0) | (new_totals < params.a_lower[source, None])
-    if params.effort_kind == "bounded":
-        infeasible |= new_totals > params.a_upper[source, None]
-    feasible = (grid != 0.0) & ~infeasible
+    shifted = totals[:, None] + grid
+    in_range = ((grid != 0.0) & (shifted >= params.a_lower[:, None])
+                & (shifted <= params.a_upper[:, None]))  # a_upper is inf if unbounded
     base_efforts, base_variances = _efforts_and_variances(params, totals)
     efforts = np.repeat(base_efforts[:, None], len(grid), axis=1)
     variances = np.repeat(base_variances[:, None], len(grid), axis=1)
-    rows, columns = np.nonzero(feasible)
-    needed = np.zeros(efforts.shape, dtype=bool)
-    needed[source[rows], columns] = True
-    at, steps = np.nonzero(needed)
+    at, steps = np.nonzero(in_range)
     efforts[at, steps], variances[at, steps] = _efforts_and_variances(
-        params, totals[at] + grid[steps], at)
+        params, shifted[at, steps], at)
+    feasible = in_range[source] & (a_vec[order, None] + grid >= 0)
     improvement = -(weights[order, None] * (variances[source] - base_variances[source, None])
                     + (efforts[source] - base_efforts[source, None]))
     improvement = np.where(feasible & (improvement > 0.0), improvement, 0.0)

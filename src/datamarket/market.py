@@ -326,11 +326,10 @@ def assemble_xi_matrix(scenario: MarketScenario, xi: np.ndarray,
 # Spectral radius
 # ---------------------------------------------------------------------------
 
-#: Relative width at which a radius bracket is accepted, the power-iteration
-#: sweep budget, and the squaring budget of the Gelfand fallback.
+#: Relative width at which a radius bracket is accepted, and the power-
+#: iteration sweep budget; past it, or on a stall, the eigenvalues decide.
 RADIUS_TOL = 1e-10
 RADIUS_MAX_SWEEPS = 100_000
-GELFAND_MAX_SQUARINGS = 64
 
 
 def spectral_radius(matrix) -> float:
@@ -343,9 +342,8 @@ def spectral_radius(matrix) -> float:
     rho(M) is the radius on the support (a zero row of Xi costs nothing).
     Structurally periodic matrices (every two-aggregator market) and some
     reducible ones make that interval oscillate, so on stall the routine
-    falls back to the row/column-sum bracket applied to repeatedly squared,
-    normalized powers, which converges to the radius for every nonnegative
-    matrix.
+    returns max |eigenvalue| from one dense LAPACK call (np.linalg.eigvals),
+    exact to rounding for every matrix.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -378,30 +376,11 @@ def spectral_radius(matrix) -> float:
             if since_improvement >= 100:
                 break  # oscillating interval: periodic or reducible
         x = y / norm
-    return _gelfand_radius(M)
+    return _eigenvalue_radius(M)
 
 
-def _gelfand_radius(M: np.ndarray) -> float:
-    """max row/column-sum bracket along repeated squarings: the norm estimates
-    ||M^(2^m)||^(1/2^m) converge to the radius (Gelfand); normalization keeps
-    the powers representable."""
-    B = M.copy()
-    log_acc = 0.0      # sum over levels i of log(scale_i) / 2^i
-    estimate = math.inf
-    for level in range(GELFAND_MAX_SQUARINGS):
-        row = float(np.abs(B).sum(axis=1).max())
-        col = float(np.abs(B).sum(axis=0).max())
-        scale = min(row, col)
-        if scale == 0.0:
-            return 0.0
-        new_estimate = math.exp(log_acc + math.log(scale) / (2 ** level))
-        if abs(new_estimate - estimate) <= RADIUS_TOL * max(1.0, new_estimate) and level > 2:
-            return new_estimate
-        estimate = new_estimate
-        B = B / scale
-        log_acc += math.log(scale) / (2 ** level)
-        B = B @ B
-    return estimate
+def _eigenvalue_radius(M: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvals(M)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -28,17 +28,10 @@ from .equilibrium import (
 )
 from .errors import ParseError
 from .market import DerivedParameters
-from .scenario import _expect, _number
+from .scenario import _expect, _nest, _number
 from .welfare import WelfareReport
 
 RESULT_SCHEMA_VERSION = 1
-
-
-def _nest(table: dict[tuple[str, str], float]) -> dict[str, dict[str, float]]:
-    out: dict[str, dict[str, float]] = {}
-    for (sid, bid), v in sorted(table.items()):
-        out.setdefault(sid, {})[bid] = v
-    return out
 
 
 def _numbers_by_id(doc, key, location) -> dict[str, float]:

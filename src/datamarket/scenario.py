@@ -27,7 +27,7 @@ from .errors import (
     InfeasibleSpecError,
     ParseError,
 )
-from .estimators import EstimatorSpec, QueryDistribution
+from .estimators import EstimatorSpec, QueryDistribution, trial_stream
 from .market import (
     MODE_DIRECT,
     MODE_ESTIMATOR,
@@ -266,6 +266,13 @@ def _effort_to_dict(model: EffortVarianceModel) -> dict:
     return out
 
 
+def _nest(table: dict[tuple[str, str], float]) -> dict[str, dict[str, float]]:
+    out: dict[str, dict[str, float]] = {}
+    for (first, second), v in sorted(table.items()):
+        out.setdefault(first, {})[second] = v
+    return out
+
+
 def scenario_to_dict(scenario: MarketScenario) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -297,16 +304,10 @@ def scenario_to_dict(scenario: MarketScenario) -> dict:
         ],
     }
     if scenario.mode == MODE_DIRECT:
-        beta: dict[str, dict[str, float]] = {}
-        for (sid, bid), v in sorted(scenario.direct_beta.items()):
-            beta.setdefault(sid, {})[bid] = v
-        xi: dict[str, dict[str, dict[str, float]]] = {}
-        for bid in sorted(scenario.direct_xi):
-            table: dict[str, dict[str, float]] = {}
-            for (i, l), v in sorted(scenario.direct_xi[bid].items()):
-                table.setdefault(i, {})[l] = v
-            xi[bid] = table
-        doc["direct_parameters"] = {"beta": beta, "xi": xi}
+        doc["direct_parameters"] = {
+            "beta": _nest(scenario.direct_beta),
+            "xi": {bid: _nest(scenario.direct_xi[bid]) for bid in sorted(scenario.direct_xi)},
+        }
     return doc
 
 
@@ -486,10 +487,8 @@ def generate_scenario_with_attempts(spec: GenerationSpec, seed: int
         raise InfeasibleSpecError(f"seed must be a nonnegative integer, got {seed}")
     last_failure = "no attempt recorded"
     for attempt in range(MAX_GENERATION_ATTEMPTS):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         try:
-            scenario = _attempt(spec, rng)
+            scenario = _attempt(spec, trial_stream(seed, attempt))
         except DomainError as exc:
             last_failure = str(exc)
             continue

@@ -9,9 +9,10 @@ effort:
 It is strictly convex with a unique minimizer: per source, the efficient
 effort solves the same first-order condition as the contract-induced effort
 map, evaluated at the total demand instead of the (weakly larger)
-equilibrium quality weights.  Equilibria are therefore efficient exactly
-when the coupling table has no off-diagonal mass; any single positive
-off-diagonal entry forces over-provision and a price of anarchy above 1.
+equilibrium quality weights.  With positive demand, a = gamma + Xi a equals
+gamma exactly when Xi = 0, so equilibria are efficient exactly then (a single
+aggregator or disjoint datasets, whatever the off-diagonal xi); any positive
+entry of Xi forces over-provision and a price of anarchy above 1.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ def optimal_efforts(params: DerivedParameters) -> dict[str, float]:
 
 
 def efficiency_predicate(params: DerivedParameters) -> bool:
-    """True iff no payment couples to another source's variance.
+    """True iff the coupling matrix Xi is zero.
 
     Direct-mode tables are inputs, so the test is exact; estimator-derived
     couplings are computed values and use a zero threshold of 1e-14."""
     threshold = 0.0 if params.mode == MODE_DIRECT else ESTIMATOR_ZERO_TOL
-    return params.offdiagonal_xi_max() <= threshold
+    return bool(params.xi_matrix.max(initial=0.0) <= threshold)
 
 
 def price_of_anarchy(result: EquilibriumResult, params: DerivedParameters) -> WelfareReport:

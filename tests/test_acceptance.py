@@ -423,8 +423,8 @@ def test_c11_social_optimum_oracle():
 
 @criterion(12, "regression-derived markets always couple and lose efficiency")
 def test_c12_ols_always_inefficient():
-    # multi-aggregator markets only: with a single aggregator the coupling
-    # sums are empty and PoA = 1 (criterion 1) despite the nonzero tables
+    # multi-aggregator markets only: with a single aggregator Xi is zero, so
+    # the market is efficient and PoA = 1 (criterion 1) although xi is not
     solved = 0
     for k in range(40):
         spec = GenerationSpec(n_sources=5 + k % 4, n_aggregators=2 + k % 2,

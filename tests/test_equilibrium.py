@@ -47,6 +47,18 @@ from datamarket.scenario import GenerationSpec, generate_scenario
 
 
 class TestSpectralRadius:
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """The matrices handed to the eigenvalue fallback, which still runs."""
+        calls = []
+        original = market._eigenvalue_radius
+
+        def counted(M):
+            calls.append(M)
+            return original(M)
+        monkeypatch.setattr(market, "_eigenvalue_radius", counted)
+        return calls
+
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((3, 3))) == 0.0
 
@@ -76,7 +88,7 @@ class TestSpectralRadius:
         assert spectral_radius(m) == pytest.approx(oracle, rel=1e-8, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_periodic_bipartite_blocks(self, seed):
+    def test_periodic_bipartite_blocks(self, seed, fallbacks):
         # the structure every two-aggregator market produces: eigenvalues in
         # +/- pairs, where naive power iteration oscillates
         rng = np.random.default_rng(100 + seed)
@@ -86,24 +98,34 @@ class TestSpectralRadius:
         m = np.block([[np.zeros((k, k)), B], [C, np.zeros((k, k))]])
         oracle = max(abs(np.linalg.eigvals(m)))
         assert spectral_radius(m) == pytest.approx(oracle, rel=1e-8, abs=1e-10)
+        assert len(fallbacks) == 1
 
-    def test_reducible_distinct_blocks(self):
+    def test_reducible_distinct_blocks(self, fallbacks):
         m = np.array([[0.9, 0.0, 0.3],
                       [0.0, 0.4, 0.2],
                       [0.0, 0.0, 0.4]])
         assert spectral_radius(m) == pytest.approx(0.9, rel=1e-8)
+        assert len(fallbacks) == 1
+
+    def test_stalled_market_matches_eigvals(self, fallbacks):
+        # a two-aggregator direct market (P = 100 pairs) stalls the bracket
+        params = derive_parameters(generate_scenario(
+            GenerationSpec(50, 2, mode="direct", coupling_scale=0.002), 0))
+        oracle = max(abs(np.linalg.eigvals(params.xi_matrix)))
+        assert abs(spectral_radius(params.xi_matrix) - oracle) <= 1e-12 * oracle
+        assert len(fallbacks) == 1
 
 
 class TestSpectralRadiusOverTheSupport:
     """A zero row of Xi (a source selling to one aggregator) leaves the power
     iterate with zero entries; the bracket over its support is still exact,
-    so no Gelfand fallback is needed."""
+    so no eigenvalue fallback is needed."""
 
     @pytest.fixture(autouse=True)
-    def no_gelfand(self, monkeypatch):
+    def no_fallback(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("Gelfand fallback taken")
-        monkeypatch.setattr(market, "_gelfand_radius", refuse)
+            raise AssertionError("eigenvalue fallback taken")
+        monkeypatch.setattr(market, "_eigenvalue_radius", refuse)
 
     def test_zero_row_feeding_a_positive_block(self):
         m = np.array([[0.0, 0.0, 0.0],

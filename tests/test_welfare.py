@@ -6,11 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_line_scenario, make_random_direct, make_symmetric_direct
+from conftest import OLS, make_line_scenario, make_random_direct, make_symmetric_direct
 
+from datamarket.effort import exponential_model
 from datamarket.equilibrium import solve_bounded, solve_unbounded
 from datamarket.errors import DomainError
-from datamarket.market import derive_parameters
+from datamarket.estimators import QueryDistribution
+from datamarket.market import (
+    AggregatorSpec,
+    DataSourceSpec,
+    GroundTruth,
+    MarketScenario,
+    derive_parameters,
+)
+from datamarket.results import welfare_to_json
 from datamarket.scenario import GenerationSpec, generate_scenario
 from datamarket.welfare import (
     efficiency_predicate,
@@ -126,6 +135,26 @@ class TestPriceOfAnarchy:
         result = solve_unbounded(params)
         report = price_of_anarchy(result, params)
         assert report.poa == pytest.approx(1.0, abs=1e-9)
+        assert report.efficient_possible is True
+
+    def test_disjoint_datasets_are_efficient(self):
+        # xi couples sources within each dataset, but no source sells to
+        # both aggregators, so Xi = 0 and the weights are the demands
+        model = exponential_model(100.0, 0.5)
+        sources = [DataSourceSpec(f"s{x}", (float(x),), model, (bid,))
+                   for x, bid in ((0, "b1"), (1, "b1"), (2, "b1"),
+                                  (4, "b2"), (5, "b2"), (6, "b2"))]
+        aggregators = [AggregatorSpec(bid, OLS, QueryDistribution(
+                           (((centre - 0.5,), 0.5), ((centre + 0.5,), 0.5))))
+                       for bid, centre in (("b1", 1.0), ("b2", 5.0))]
+        params = derive_parameters(MarketScenario(sources, aggregators,
+                                                  GroundTruth((0.5,), 1.0)))
+        assert params.offdiagonal_xi_max() > 0
+        assert not params.xi_matrix.any()
+        report = price_of_anarchy(solve_unbounded(params), params)
+        assert report.poa == 1.0
+        assert report.efficient_possible is True
+        assert '"efficient_possible": true' in welfare_to_json(report)
 
     def test_decoupled_market_is_efficient(self):
         params = derive_parameters(make_symmetric_direct(xi_offdiag=0.0))
