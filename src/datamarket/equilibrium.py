@@ -27,7 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, NumericalFailureError, ParseError
-from .market import DerivedParameters, spectral_radius  # noqa: F401  (public here too)
+from .market import (  # noqa: F401  (spectral_radius is public here too)
+    CouplingOperator,
+    DerivedParameters,
+    spectral_radius,
+)
 
 STATUS_UNIQUE = "unique_a_infinite_c"
 STATUS_NONE = "none"
@@ -234,11 +238,23 @@ def _solve_coupled(params: DerivedParameters, alpha: float,
 
     The fixed point a <- gamma + alpha Xi a is iterated from a = gamma when
     the products predicted to shrink a step to float eps, log(eps) /
-    log(alpha rho) (1 at alpha rho = 0), number fewer than min(P // 8, 64),
-    the budget.  One LU-path solve (building I - alpha Xi, the LU and the
-    residual product) was timed at 2-3 products for P <= 24, 6-18 for
-    P = 64-192 and 69-158 for P = 512-3000 (OpenBLAS, one thread, x86 Xeon),
-    so the budget is near that cost at small P and below it at large P.
+    log(alpha rho) (1 at alpha rho = 0), number fewer than the budget, with
+    Xi a read from params.coupling.  The budget is near or below the cost of
+    one LU-path solve (building I - alpha Xi, the LU and the residual
+    product) counted in products, timed with OpenBLAS on one thread (x86
+    Xeon).  With the assembled matrix (P < COUPLING_OPERATOR_MIN_PAIRS) it
+    is min(P // 8, 64): the LU path cost 2-3 products for P <= 24 and 6-18
+    for P = 64-192.  With the CouplingOperator it is P // 4, against an LU
+    path of, in operator products (two runs each):
+
+        P     sharing, m    one product   LU path     LU path + Xi's assembly
+        512   full, 4       28-39 us      259-301     361-399
+        603   half, 8       55-86 us      131-142     174-203
+        1200  full, 8       86-136 us     459-574     677-797
+        1465  half, 10      213-300 us    282-390     378-481
+        2000  full, 10      240-377 us    816-818     1040-1083
+        3000  full, 10      436-608 us    1320-1349   1668-1715
+
     Xi >= 0 and gamma > 0 make the iterates rise monotonically; the first
     iterate whose step (its residual) is at most eps times each of its
     elements is returned with the count of products taken.  The bound is per
@@ -252,8 +268,9 @@ def _solve_coupled(params: DerivedParameters, alpha: float,
     rho = alpha * params.spectral_radius
     if rho >= 1.0 - MARGINAL_BAND:
         return None
-    xi, gamma = params.xi_matrix, params.gamma
-    eps, budget = float(np.finfo(float).eps), min(len(gamma) // 8, 64)
+    xi, gamma = params.coupling, params.gamma
+    eps = float(np.finfo(float).eps)
+    budget = len(gamma) // 4 if isinstance(xi, CouplingOperator) else min(len(gamma) // 8, 64)
     predicted = math.log(eps) / math.log(rho) if rho > 0.0 else 1.0
     a_vec = None
     if predicted < budget:

@@ -322,6 +322,69 @@ def assemble_xi_matrix(scenario: MarketScenario, xi: np.ndarray,
     return matrix, scenario.sharing_pairs()
 
 
+#: Pair count P from which DerivedParameters applies Xi as a CouplingOperator
+#: rather than as the assembled matrix.  One product, OpenBLAS on one thread:
+#: dense 4 / 9 / 32 / 152 / 605 us against the operator's 27 / 35 / 49 / 119
+#: / 186 us at P = 96 / 192 / 384 / 603 (half sharing) / 1200.
+COUPLING_OPERATOR_MIN_PAIRS = 512
+
+
+class CouplingOperator:
+    """Xi as a product over the sharing pairs, from the xi array, with no
+    P x P matrix:
+
+        (Xi a)[s, b] = sum_{j != b} sum_l X_j[l, s] a[l, j] [l sells to b],
+
+    where X_j is xi[j] on D_j x D_j (D_j the sources selling to j) with its
+    diagonal zeroed.  Per aggregator j, the columns b != j of the membership
+    restricted to D_j are deduplicated, so a full-sharing market costs one
+    matrix-vector product per aggregator.  The j = b term is left out by
+    selecting the columns b != j, never added and subtracted: a large weight
+    would not cancel exactly."""
+
+    def __init__(self, scenario: MarketScenario, xi: np.ndarray):
+        membership = scenario.membership
+        pair_source, pair_aggregator = np.nonzero(membership)
+        pair_at = np.full(membership.shape, -1)
+        pair_at[pair_source, pair_aggregator] = np.arange(len(pair_source))
+        self.shape = (len(pair_source), len(pair_source))
+        self._scenario, self._xi = scenario, xi
+        self._terms = []
+        gather, targets, offset = [], [], 0
+        aggregators = np.arange(membership.shape[1])
+        for j in aggregators.tolist():
+            members, others = np.flatnonzero(membership[:, j]), np.flatnonzero(aggregators != j)
+            block = xi[j][np.ix_(members, members)]
+            np.fill_diagonal(block, 0.0)
+            keys = [membership[members, b].tobytes() for b in others.tolist()]
+            distinct = list(dict.fromkeys(keys))  # [c]: D_j's column of a rival
+            columns = np.frombuffer(b"".join(distinct), dtype=bool)
+            self._terms.append((pair_at[members, j], block,
+                                columns.reshape(len(distinct), len(members)).astype(float)))
+            # row c of term j's sums lands at the pairs (s, b) of the rivals b
+            # with column c; a source in D_j that does not sell to b has no pair
+            at = pair_at[np.ix_(members, others)].T
+            b, s = np.nonzero(at >= 0)
+            column = np.array([distinct.index(key) for key in keys], dtype=np.intp)
+            gather.append(offset + column[b] * len(members) + s)
+            targets.append(at[b, s])
+            offset += len(distinct) * len(members)
+        self._gather = np.concatenate(gather)
+        self._targets = np.concatenate(targets)
+        self.blocks = tuple(term[1] for term in self._terms)  # the X_j, in id order
+
+    def __matmul__(self, a: np.ndarray) -> np.ndarray:
+        sums = np.concatenate([((columns * a[inputs]) @ block).ravel()
+                               for inputs, block, columns in self._terms])
+        return np.bincount(self._targets, weights=sums[self._gather],
+                           minlength=self.shape[0])
+
+    def toarray(self) -> np.ndarray:
+        """The assembled matrix (assemble_xi_matrix), for the readers that need
+        its entries."""
+        return assemble_xi_matrix(self._scenario, self._xi)[0]
+
+
 # ---------------------------------------------------------------------------
 # Spectral radius
 # ---------------------------------------------------------------------------
@@ -333,7 +396,9 @@ RADIUS_MAX_SWEEPS = 100_000
 
 
 def spectral_radius(matrix) -> float:
-    """Spectral radius of a nonnegative square matrix.
+    """Spectral radius of a nonnegative square matrix, or of Xi given as a
+    CouplingOperator (whose stored blocks must then be finite and
+    nonnegative).
 
     Shift-free power iteration from the all-ones vector, certified each sweep
     by the Collatz-Wielandt interval [min_i (Mx)_i/x_i, max_i (Mx)_i/x_i]
@@ -343,15 +408,19 @@ def spectral_radius(matrix) -> float:
     Structurally periodic matrices (every two-aggregator market) and some
     reducible ones make that interval oscillate, so on stall the routine
     returns max |eigenvalue| from one dense LAPACK call (np.linalg.eigvals),
-    exact to rounding for every matrix.
+    exact to rounding for every matrix; an operator is assembled only then.
     """
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DomainError(f"spectral radius needs a square matrix, got shape {M.shape}")
-    if M.size and (not np.all(np.isfinite(M)) or np.any(M < 0)):
+    if isinstance(matrix, CouplingOperator):
+        M, entries = matrix, matrix.blocks
+    else:
+        M = np.asarray(matrix, dtype=float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise DomainError(f"spectral radius needs a square matrix, got shape {M.shape}")
+        entries = (M,)
+    if not all(np.all(np.isfinite(e)) and not np.any(e < 0) for e in entries):
         raise DomainError("spectral radius is defined here for finite nonnegative matrices")
     n = M.shape[0]
-    if n == 0 or not M.any():
+    if n == 0 or not any(e.any() for e in entries):
         return 0.0
 
     x = np.ones(n)
@@ -376,7 +445,7 @@ def spectral_radius(matrix) -> float:
             if since_improvement >= 100:
                 break  # oscillating interval: periodic or reducible
         x = y / norm
-    return _eigenvalue_radius(M)
+    return _eigenvalue_radius(M.toarray() if isinstance(M, CouplingOperator) else M)
 
 
 def _eigenvalue_radius(M: np.ndarray) -> float:
@@ -500,7 +569,14 @@ class DerivedParameters:
     gamma run over `pairs` (pair k is (source_ids[pair_source[k]],
     aggregator_ids[pair_aggregator[k]])); gamma_total, the effort map's
     models, a_lower and a_upper (inf for unbounded effort sets) over
-    scenario.source_ids."""
+    scenario.source_ids.
+
+    Xi is built on first read, in one of two forms.  `coupling` is the form
+    the unbounded path applies (the radius, the fixed-point products and the
+    solve's residual check): the assembled matrix below
+    COUPLING_OPERATOR_MIN_PAIRS pairs, a CouplingOperator from there.
+    `xi_matrix` is the assembled matrix; on the operator side only the LU
+    path, a stalled radius bracket, xi_matrix.csv and solve_bounded read it."""
 
     scenario: MarketScenario
     mode: str
@@ -510,7 +586,6 @@ class DerivedParameters:
     gamma_total: np.ndarray
     effort_map: EffortMap
     pairs: tuple[tuple[str, str], ...]
-    xi_matrix: np.ndarray
     validation: ValidationReport
     # Filled at construction, as on MarketScenario.
     a_lower: np.ndarray = field(init=False, repr=False, compare=False)
@@ -519,6 +594,11 @@ class DerivedParameters:
     pair_index: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     pair_source: np.ndarray = field(init=False, repr=False, compare=False)
     pair_aggregator: np.ndarray = field(init=False, repr=False, compare=False)
+    # Filled on first read; derivation needs none of them.
+    _xi_matrix: np.ndarray | None = field(default=None, init=False, repr=False,
+                                          compare=False)
+    _coupling: np.ndarray | CouplingOperator | None = field(default=None, init=False,
+                                                            repr=False, compare=False)
     _spectral_radius: float | None = field(default=None, init=False, repr=False,
                                            compare=False)
 
@@ -532,19 +612,38 @@ class DerivedParameters:
         object.__setattr__(self, "pair_aggregator", pair_aggregator)
 
     @property
+    def xi_matrix(self) -> np.ndarray:
+        """The assembled coupling matrix (assemble_xi_matrix)."""
+        if self._xi_matrix is None:
+            object.__setattr__(self, "_xi_matrix",
+                               assemble_xi_matrix(self.scenario, self.xi)[0])
+        return self._xi_matrix
+
+    @property
+    def coupling(self) -> np.ndarray | CouplingOperator:
+        """Xi in the form chosen for this market's size; `coupling @ a` is Xi a."""
+        if self._coupling is None:
+            object.__setattr__(self, "_coupling", (
+                self.xi_matrix if len(self.pairs) < COUPLING_OPERATOR_MIN_PAIRS
+                else CouplingOperator(self.scenario, self.xi)))
+        return self._coupling
+
+    @property
     def spectral_radius(self) -> float:
         """rho(Xi), computed on first read and kept in a declared field, as
-        EffortVarianceModel keeps its incentive bounds; derivation needs none."""
+        EffortVarianceModel keeps its incentive bounds."""
         if self._spectral_radius is None:
-            object.__setattr__(self, "_spectral_radius", spectral_radius(self.xi_matrix))
+            object.__setattr__(self, "_spectral_radius", spectral_radius(self.coupling))
         return self._spectral_radius
 
     def effort_model(self, source_id: str) -> EffortVarianceModel:
         return self.scenario.sources_by_id[source_id].effort_model
 
     def offdiagonal_xi_max(self) -> float:
-        off_diagonal = ~np.eye(self.xi.shape[1], dtype=bool)
-        return float(np.abs(self.xi[:, off_diagonal]).max(initial=0.0))
+        # |xi| over the aggregators as one n x n table, not a copy of xi
+        largest = np.maximum(self.xi.max(axis=0), -self.xi.min(axis=0))
+        np.fill_diagonal(largest, 0.0)
+        return float(largest.max())
 
     def require_valid(self) -> None:
         if not self.validation.ok:
@@ -555,7 +654,8 @@ class DerivedParameters:
 
 def derive_parameters(scenario: MarketScenario, *,
                       require_valid: bool = True) -> DerivedParameters:
-    """Derive beta/xi/gamma, the incentive bounds, and the coupling matrix.
+    """Derive beta/xi/gamma and the incentive bounds; Xi waits for its
+    first reader (see DerivedParameters).
 
     With require_valid (the default) a scenario whose validation report has
     violations raises ScenarioValidationError; pass False to inspect derived
@@ -566,11 +666,10 @@ def derive_parameters(scenario: MarketScenario, *,
     validation = _validation_report(scenario, (gamma, gamma_total))
     effort_map = EffortMap([scenario.sources_by_id[sid].effort_model
                             for sid in scenario.source_ids])
-    xi_matrix, pairs = assemble_xi_matrix(scenario, xi)
     params = DerivedParameters(
         scenario=scenario, mode=scenario.mode, beta=beta, xi=xi, gamma=gamma,
-        gamma_total=gamma_total, effort_map=effort_map, pairs=pairs,
-        xi_matrix=xi_matrix, validation=validation)
+        gamma_total=gamma_total, effort_map=effort_map, pairs=scenario.sharing_pairs(),
+        validation=validation)
     if require_valid:
         params.require_valid()
     return params

@@ -67,13 +67,24 @@ def optimal_efforts(params: DerivedParameters) -> dict[str, float]:
     return dict(zip(sids, efforts.tolist()))
 
 
+def _largest_coupling(params: DerivedParameters) -> float:
+    """The largest entry of Xi (0 when it has none), read from xi and the
+    membership without assembling Xi: its entries are the xi[j, l, s] with
+    l != s for which some aggregator b != j also holds both sources."""
+    membership = params.scenario.membership.astype(float)
+    shared = membership @ membership.T  # aggregators holding both l and s
+    np.fill_diagonal(shared, 0.0)
+    # xi >= 0 is zero off D_j x D_j, so j is a holder wherever xi[j] counts
+    return float(params.xi.max(axis=0)[shared >= 2.0].max(initial=0.0))
+
+
 def efficiency_predicate(params: DerivedParameters) -> bool:
     """True iff the coupling matrix Xi is zero.
 
     Direct-mode tables are inputs, so the test is exact; estimator-derived
     couplings are computed values and use a zero threshold of 1e-14."""
     threshold = 0.0 if params.mode == MODE_DIRECT else ESTIMATOR_ZERO_TOL
-    return bool(params.xi_matrix.max(initial=0.0) <= threshold)
+    return bool(_largest_coupling(params) <= threshold)
 
 
 def price_of_anarchy(result: EquilibriumResult, params: DerivedParameters) -> WelfareReport:

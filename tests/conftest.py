@@ -168,6 +168,28 @@ def make_coupled_direct(n, m, offdiag, beta=lambda i, b: 1.0, sells=lambda i, b:
                           mode="direct", direct_beta=direct_beta, direct_xi=xi)
 
 
+def make_single_buyer_giant():
+    """rho = 0.1 and a single-buyer source, decoupled, with 1e8 times the
+    others' demand (81 sources, 3 aggregators, direct mode)."""
+    return make_coupled_direct(81, 3, lambda i, l: 0.1 / 158,
+                               beta=lambda i, b: 1e8 if i == 80 else 1.0,
+                               sells=lambda i, b: i < 80 or b == 0)
+
+
+def make_disjoint_datasets():
+    """Sources at features 0-2 sell only to b1, at 4-6 only to b2 (exponential
+    model, sigma0 100, lambda 0.5): xi couples sources within each dataset,
+    but no source sells to both aggregators, so Xi = 0."""
+    model = exponential_model(100.0, 0.5)
+    sources = [DataSourceSpec(f"s{x}", (float(x),), model, (bid,))
+               for x, bid in ((0, "b1"), (1, "b1"), (2, "b1"),
+                              (4, "b2"), (5, "b2"), (6, "b2"))]
+    aggregators = [AggregatorSpec(bid, OLS, QueryDistribution(
+                       (((centre - 0.5,), 0.5), ((centre + 0.5,), 0.5))))
+                   for bid, centre in (("b1", 1.0), ("b2", 5.0))]
+    return MarketScenario(sources, aggregators, GroundTruth((0.5,), 1.0))
+
+
 def by_pair(scenario, values):
     """An array over scenario.sharing_pairs() as a dict keyed by pair."""
     return dict(zip(scenario.sharing_pairs(), np.asarray(values).tolist()))

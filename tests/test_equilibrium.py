@@ -15,6 +15,7 @@ from conftest import (
     make_coupled_direct,
     make_line_scenario,
     make_random_direct,
+    make_single_buyer_giant,
     make_symmetric_direct,
 )
 
@@ -24,6 +25,7 @@ from datamarket.equilibrium import (
     STATUS_UNIQUE,
     AParameters,
     SourcePolytope,
+    _solve_coupled,
     alpha_sweep,
     canonical_c,
     certify_equilibrium,
@@ -44,6 +46,7 @@ from datamarket.errors import (
 )
 from datamarket.market import derive_parameters
 from datamarket.scenario import GenerationSpec, generate_scenario
+from datamarket.welfare import price_of_anarchy
 
 
 class TestSpectralRadius:
@@ -106,6 +109,14 @@ class TestSpectralRadius:
                       [0.0, 0.0, 0.4]])
         assert spectral_radius(m) == pytest.approx(0.9, rel=1e-8)
         assert len(fallbacks) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_operator_input_is_checked(self, bad):
+        scenario = make_symmetric_direct()
+        xi = derive_parameters(scenario).xi.copy()
+        xi[0, 0, 1] = bad  # inside the first aggregator's stored block
+        with pytest.raises(DomainError):
+            spectral_radius(market.CouplingOperator(scenario, xi))
 
     def test_stalled_market_matches_eigvals(self, fallbacks):
         # a two-aggregator direct market (P = 100 pairs) stalls the bracket
@@ -363,10 +374,8 @@ SOLVE_PATH_CASES = {
     # rho = 0.1 and a single-buyer source, decoupled, with 1e8 times the
     # others' demand: a step bound of eps * max(a) would stop the others
     # at a residual near 1e-8
-    "single-buyer-giant": (lambda: make_coupled_direct(
-        81, 3, lambda i, l: 0.1 / 158, beta=lambda i, b: 1e8 if i == 80 else 1.0,
-        sells=lambda i, b: i < 80 or b == 0),
-        (0.05, 0.5), "fixed-point", ("fixed-point", "lu")),
+    "single-buyer-giant": (make_single_buyer_giant,
+                           (0.05, 0.5), "fixed-point", ("fixed-point", "lu")),
     # rho = 0.1 with every demand near 1e8: both paths' residuals, a few ulps
     # of a, exceed 1e-9, which an absolute tolerance rejected
     "demands-near-1e8": (lambda: make_coupled_direct(
@@ -463,6 +472,60 @@ class TestSolvePaths:
         assert np.all(a_vec >= params.gamma)
 
 
+class TestOperatorSide:
+    """A market of COUPLING_OPERATOR_MIN_PAIRS pairs: the unbounded path reads
+    Xi through the operator and never assembles it."""
+
+    @pytest.fixture
+    def scenario(self):
+        scenario = generate_scenario(GenerationSpec(128, 4), 0)
+        assert len(scenario.sharing_pairs()) == market.COUPLING_OPERATOR_MIN_PAIRS
+        return scenario
+
+    def test_never_assembles(self, scenario, monkeypatch):
+        calls = []
+        assemble = market.assemble_xi_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(market, "assemble_xi_matrix", counted)
+        tracemalloc.start()
+        try:
+            params = derive_parameters(scenario)
+            result = solve_unbounded(params)
+            # at alpha rho = 0.7, 101 predicted products: within the budget
+            # P // 4 = 128 of the operator, past min(P // 8, 64) of the matrix
+            points = alpha_sweep(params, [target / params.spectral_radius
+                                          for target in (0.5, 0.7)])
+            price_of_anarchy(result, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert isinstance(params.coupling, market.CouplingOperator)
+        assert result.diagnostics.iterations > 1
+        assert [p.status for p in points] == [STATUS_UNIQUE, STATUS_UNIQUE]
+        dense_bytes = len(params.pairs) ** 2 * np.dtype(float).itemsize
+        assert peak < dense_bytes
+        # the dense Xi, read on demand, is the assembled one bit for bit
+        np.testing.assert_array_equal(params.xi_matrix, assemble(scenario, params.xi)[0])
+        assert len(calls) == 1
+
+    def test_lu_point_matches_the_oracle(self, scenario, monkeypatch):
+        params = derive_parameters(scenario)
+        alpha = 0.9 / params.spectral_radius  # 343 predicted products
+        expected = _lu_answer(params, alpha)
+        lu_calls = _count_lu_calls(monkeypatch)
+        a_vec, _, products = _solve_coupled(params, alpha)
+        assert products == 1 and len(lu_calls) == 1
+        np.testing.assert_allclose(a_vec, expected, rtol=1e-12, atol=0)
+        (point,) = alpha_sweep(params, [alpha])
+        total = np.bincount(params.pair_source, weights=expected).max()
+        assert point.max_a_total == pytest.approx(total, rel=1e-12, abs=0)
+
+
 class TestSolveBounded:
     def test_interior_solution_matches_unbounded(self):
         # cap far above the unconstrained total of 4
@@ -527,14 +590,20 @@ class TestCertification:
 
     @pytest.mark.parametrize("market_kind", ["unbounded", "bounded", "partial-sharing"])
     def test_reads_no_coupling_matrix(self, market_kind):
-        # the checks read the xi array only, so a NaN Xi changes nothing
+        # the checks read the xi array only, so a NaN Xi, in either of the
+        # forms the solvers read (assembled, operator), changes nothing
         spec = {"unbounded": GenerationSpec(8, 3, family="mixed"),
                 "bounded": GenerationSpec(8, 3, family="mixed", bounded=True),
                 "partial-sharing": GenerationSpec(10, 3, dimension=2, sharing_density=0.6)}
         params = derive_parameters(generate_scenario(spec[market_kind], 1))
         result = (solve_bounded if params.effort_kind == "bounded" else solve_unbounded)(params)
         expected = certify_equilibrium(result, params)
-        blind = replace(params, xi_matrix=np.full_like(params.xi_matrix, np.nan))
+        blind = replace(params)  # the cached forms of Xi are not copied
+        object.__setattr__(blind, "_xi_matrix", np.full_like(params.xi_matrix, np.nan))
+        object.__setattr__(blind, "_coupling", market.CouplingOperator(
+            params.scenario, np.full_like(params.xi, np.nan)))
+        # NaN on every pair with coupling (a single-buyer source has none)
+        assert np.isnan(blind.xi_matrix).all() and np.isnan(blind.coupling @ params.gamma).any()
         report = certify_equilibrium(result, blind)
         assert report.passed, report.summary()
         assert report == expected

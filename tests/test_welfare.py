@@ -6,19 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OLS, make_line_scenario, make_random_direct, make_symmetric_direct
+from conftest import (
+    make_disjoint_datasets,
+    make_line_scenario,
+    make_random_direct,
+    make_symmetric_direct,
+)
 
-from datamarket.effort import exponential_model
 from datamarket.equilibrium import solve_bounded, solve_unbounded
 from datamarket.errors import DomainError
-from datamarket.estimators import QueryDistribution
-from datamarket.market import (
-    AggregatorSpec,
-    DataSourceSpec,
-    GroundTruth,
-    MarketScenario,
-    derive_parameters,
-)
+from datamarket.market import derive_parameters
 from datamarket.results import welfare_to_json
 from datamarket.scenario import GenerationSpec, generate_scenario
 from datamarket.welfare import (
@@ -138,17 +135,8 @@ class TestPriceOfAnarchy:
         assert report.efficient_possible is True
 
     def test_disjoint_datasets_are_efficient(self):
-        # xi couples sources within each dataset, but no source sells to
-        # both aggregators, so Xi = 0 and the weights are the demands
-        model = exponential_model(100.0, 0.5)
-        sources = [DataSourceSpec(f"s{x}", (float(x),), model, (bid,))
-                   for x, bid in ((0, "b1"), (1, "b1"), (2, "b1"),
-                                  (4, "b2"), (5, "b2"), (6, "b2"))]
-        aggregators = [AggregatorSpec(bid, OLS, QueryDistribution(
-                           (((centre - 0.5,), 0.5), ((centre + 0.5,), 0.5))))
-                       for bid, centre in (("b1", 1.0), ("b2", 5.0))]
-        params = derive_parameters(MarketScenario(sources, aggregators,
-                                                  GroundTruth((0.5,), 1.0)))
+        # Xi = 0, so the weights are the demands
+        params = derive_parameters(make_disjoint_datasets())
         assert params.offdiagonal_xi_max() > 0
         assert not params.xi_matrix.any()
         report = price_of_anarchy(solve_unbounded(params), params)

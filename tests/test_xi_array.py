@@ -9,9 +9,12 @@ import pytest
 from conftest import (
     OLS,
     by_pair,
+    make_disjoint_datasets,
     make_line_scenario,
     make_random_direct,
+    make_single_buyer_giant,
     make_symmetric_direct,
+    pair_array,
     xi_tables,
 )
 
@@ -19,15 +22,22 @@ from datamarket.effort import exponential_model
 from datamarket.equilibrium import payment_floors, solve_unbounded
 from datamarket.errors import IllDefinedEstimatorError, IllDefinedPaymentError
 from datamarket.estimators import ols_coefficients, point_mass
+from datamarket import market as market_module
 from datamarket.market import (
+    ESTIMATOR_ZERO_TOL,
+    MODE_DIRECT,
+    RADIUS_TOL,
     AggregatorSpec,
+    CouplingOperator,
     DataSourceSpec,
     GroundTruth,
     MarketScenario,
+    assemble_xi_matrix,
     derive_parameters,
     derive_xi,
 )
 from datamarket.scenario import GenerationSpec, generate_scenario
+from datamarket.welfare import _largest_coupling, efficiency_predicate
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +108,15 @@ DIRECT_MARKETS = {
     "random-full": lambda: make_random_direct(np.random.default_rng(3), n=7, m=3),
     "random-partial": lambda: make_random_direct(np.random.default_rng(5), n=9, m=4,
                                                  sharing_density=0.6),
+}
+
+# every market above, plus edge cases of the operator's term j != b: a
+# decoupled 1e8 demand, one aggregator (no rival), disjoint datasets (Xi = 0)
+OPERATOR_MARKETS = {
+    **ESTIMATOR_MARKETS, **DIRECT_MARKETS,
+    "single-buyer-giant": make_single_buyer_giant,
+    "single-aggregator": lambda: make_line_scenario(n_aggregators=1),
+    "disjoint-datasets": make_disjoint_datasets,
 }
 
 
@@ -194,6 +213,48 @@ def test_floors_and_largest_coupling_match_table_walks(market):
         expected = a[(sid, bid)] * sum(tables[bid][(sid, i)] * variances[i]
                                        for i in params.scenario.dataset(bid))
         assert abs(floors[k] - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("market", sorted(OPERATOR_MARKETS))
+def test_operator_product_matches_assembled_matrix(market):
+    # built whatever the market's size, where the solvers pick it from P
+    scenario = OPERATOR_MARKETS[market]()
+    params = derive_parameters(scenario, require_valid=False)
+    operator = CouplingOperator(scenario, params.xi)
+    matrix, _ = assemble_xi_matrix(scenario, params.xi)
+    assert operator.shape == matrix.shape
+    rng = np.random.default_rng(7)
+    for a in (rng.uniform(0.0, 1.0, len(params.pairs)),
+              rng.uniform(0.0, 1.0, len(params.pairs)) * np.abs(params.gamma)):
+        np.testing.assert_allclose(operator @ a, matrix @ a, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("market", sorted(OPERATOR_MARKETS))
+def test_operator_path_matches_dense_path(market, monkeypatch):
+    scenario = OPERATOR_MARKETS[market]()
+    dense = derive_parameters(scenario, require_valid=False)
+    rho = dense.spectral_radius  # read before the threshold moves
+    assert isinstance(dense.coupling, np.ndarray)
+    monkeypatch.setattr(market_module, "COUPLING_OPERATOR_MIN_PAIRS", 0)
+    operated = derive_parameters(scenario, require_valid=False)
+    assert isinstance(operated.coupling, CouplingOperator)
+    assert abs(operated.spectral_radius - rho) <= RADIUS_TOL * max(1.0, rho)
+    if not dense.validation.ok or dense.effort_kind != "unbounded":
+        return
+    expected, got = solve_unbounded(dense), solve_unbounded(operated)
+    assert got.status == expected.status
+    if expected.solved:
+        np.testing.assert_allclose(pair_array(scenario, got.a.a),
+                                   pair_array(scenario, expected.a.a), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("market", sorted(OPERATOR_MARKETS))
+def test_largest_coupling_matches_assembled_max(market):
+    params = derive_parameters(OPERATOR_MARKETS[market](), require_valid=False)
+    largest = params.xi_matrix.max(initial=0.0)
+    assert _largest_coupling(params) == largest
+    threshold = 0.0 if params.mode == MODE_DIRECT else ESTIMATOR_ZERO_TOL
+    assert efficiency_predicate(params) is bool(largest <= threshold)
 
 
 def test_solved_market_is_unchanged_by_direct_reentry_of_the_array():
