@@ -188,9 +188,11 @@ def g_value(points, query_dist: QueryDistribution, variances) -> float:
 
 def trial_stream(seed: int, index: int) -> np.random.Generator:
     """Deterministic per-index substream: results do not depend on execution
-    order or parallel schedule.  A negative seed raises DomainError."""
+    order or parallel schedule.  A negative seed or index raises DomainError."""
     if seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+    if index < 0:
+        raise DomainError(f"substream index must be a nonnegative integer, got {index}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 

@@ -212,5 +212,5 @@ def rounds_csv(scenario, rounds) -> str:
     header = ["round", *(f"y_{s}" for s in sids), *(f"p_{s}_{b}" for s, b in pairs),
               *(f"loss_{b}" for b in bids)]
     return _csv(itertools.chain([header], (
-        [r.index, *(r.responses[s] for s in sids), *(r.payments[p] for p in pairs),
-         *(r.losses[b] for b in bids)] for r in rounds)))
+        [r.index, *map(r.responses.__getitem__, sids), *map(r.payments.__getitem__, pairs),
+         *map(r.losses.__getitem__, bids)] for r in rounds)))

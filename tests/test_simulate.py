@@ -3,17 +3,21 @@ of payments with the participation constraint, and agreement with the
 per-source reference round (one leave-one-out fit per source, `np.delete`
 for its responses)."""
 
+import tracemalloc
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
 
 from conftest import make_line_scenario
 
+from datamarket import simulate
 from datamarket.equilibrium import solve_unbounded
 from datamarket.errors import DomainError
 from datamarket.estimators import design_matrix, trial_stream
 from datamarket.market import derive_parameters
+from datamarket.results import rounds_csv
 from datamarket.scenario import GenerationSpec, generate_scenario
 from datamarket.simulate import (
     iter_rounds,
@@ -85,11 +89,17 @@ ROUND_MARKETS = {
 }
 
 
-@pytest.mark.parametrize("market", sorted(ROUND_MARKETS))
-def test_rounds_match_per_source_reference(market):
+@cache
+def solved_market(market):
     scenario = ROUND_MARKETS[market]()
     result = solve_unbounded(derive_parameters(scenario))
     assert result.solved
+    return scenario, result
+
+
+@pytest.mark.parametrize("market", sorted(ROUND_MARKETS))
+def test_rounds_match_per_source_reference(market):
+    scenario, result = solved_market(market)
     for round_ in iter_rounds(scenario, result, 4, seed=17):
         responses, payments, estimates, losses = reference_round(
             scenario, result, 17, round_.index)
@@ -144,6 +154,11 @@ class TestSingleRound:
         with pytest.raises(DomainError):
             simulate_round(symmetric_direct, result, seed=0)
 
+    def test_negative_index_rejected(self, solved_line):
+        scenario, _, result = solved_line
+        with pytest.raises(DomainError, match="index"):
+            simulate_round(scenario, result, seed=0, index=-1)
+
     def test_unsolved_result_rejected(self, solved_line):
         scenario, _, result = solved_line
         none_result = replace(result, status="none")
@@ -165,11 +180,33 @@ class TestSingleRound:
 
 
 class TestBatches:
-    def test_iter_matches_indexed_single_rounds(self, solved_line):
-        scenario, _, result = solved_line
+    @pytest.mark.parametrize("market", sorted(ROUND_MARKETS))
+    def test_iter_matches_indexed_single_rounds(self, market):
+        scenario, result = solved_market(market)
         batch = list(iter_rounds(scenario, result, 5, seed=123))
         for r, round_ in enumerate(batch):
             assert round_ == simulate_round(scenario, result, seed=123, index=r)
+
+    @pytest.mark.parametrize("market", sorted(ROUND_MARKETS))
+    def test_block_size_is_invisible(self, market, monkeypatch):
+        scenario, result = solved_market(market)
+        tables = set()
+        for block in (1, 3, simulate.ROUND_BLOCK):
+            monkeypatch.setattr(simulate, "ROUND_BLOCK", block)
+            tables.add(rounds_csv(scenario, iter_rounds(scenario, result, 7, seed=8)))
+        assert len(tables) == 1
+
+    def test_iter_rounds_plays_one_block_at_a_time(self):
+        scenario = generate_scenario(GenerationSpec(48, 4, family="mixed"), 0)
+        result = solve_unbounded(derive_parameters(scenario))
+        floats_per_round = len(scenario.source_ids) + len(scenario.sharing_pairs())
+        tracemalloc.start()
+        try:
+            next(iter_rounds(scenario, result, 10**6, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * simulate.ROUND_BLOCK * floats_per_round * 8
 
     def test_mean_payment_matches_effort(self, solved_line):
         # participation binds at the canonical contract: expected total
