@@ -59,7 +59,6 @@ from .errors import (
 from .estimators import (
     EstimatorSpec,
     QueryDistribution,
-    SeparabilityCoefficients,
     SeparabilityReport,
     g_value,
     ols_coefficients,

@@ -176,27 +176,28 @@ def canonical_c(a: AParameters, params: DerivedParameters) -> dict[tuple[str, st
 def polytope_membership(c, a: AParameters, params: DerivedParameters,
                         tol: float = 1e-9):
     """Check whether a candidate c table lies in the equilibrium polytope of
-    the given quality weights.  Returns (member, violations, dimensions).
-    Weights or a c table of another market raise ParseError."""
+    the given quality weights.  Returns (member, violations, dimensions); a
+    NaN fails both tests.  Weights or a c table of another market raise
+    ParseError, a negative or non-finite tol DomainError."""
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"polytope tolerance must be finite and nonnegative, got {tol}")
     sids = params.scenario.source_ids
     efforts, floors, _ = _contract(params, _vector(a.a, params.pairs, "a"),
                                    _vector(a.a_total, sids, "a_total"))
-    c = _pair_dict(params, _vector(c, params.pairs, "c"))
-    efforts, floors = dict(zip(sids, efforts.tolist())), _pair_dict(params, floors)
+    c = _vector(c, params.pairs, "c")
+    totals = np.bincount(params.pair_source, weights=c)  # added in pair order
+    expected = np.bincount(params.pair_source, weights=floors) + efforts
+    off_sum, below = ~(np.abs(totals - expected) <= tol), ~(c >= floors - tol)
     violations: list[str] = []
-    dimensions: dict[str, int] = {}
-    for sid in sids:
-        sharing = params.scenario.sources_by_id[sid].sharing
-        dimensions[sid] = len(sharing) - 1
-        total = sum(c[(sid, bid)] for bid in sharing)
-        expected = sum(floors[(sid, bid)] for bid in sharing) + efforts[sid]
-        if abs(total - expected) > tol:
-            violations.append(f"source {sid}: constant terms sum to {total}, "
-                              f"equilibrium requires {expected}")
-        for bid in sharing:
-            if c[(sid, bid)] < floors[(sid, bid)] - tol:
-                violations.append(f"pair ({sid}, {bid}): constant term "
-                                  f"{c[(sid, bid)]} below floor {floors[(sid, bid)]}")
+    for k in np.flatnonzero(below | off_sum[params.pair_source]).tolist():
+        (sid, bid), s = params.pairs[k], params.pair_source[k]
+        if off_sum[s] and (k == 0 or params.pair_source[k - 1] != s):  # s's first pair
+            violations.append(f"source {sid}: constant terms sum to {float(totals[s])}, "
+                              f"equilibrium requires {float(expected[s])}")
+        if below[k]:
+            violations.append(f"pair ({sid}, {bid}): constant term "
+                              f"{float(c[k])} below floor {float(floors[k])}")
+    dimensions = dict(zip(sids, (np.bincount(params.pair_source) - 1).tolist()))
     return (not violations), tuple(violations), dimensions
 
 

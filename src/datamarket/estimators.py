@@ -88,25 +88,6 @@ class EstimatorSpec:
             raise DomainError(f"unknown estimator kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class SeparabilityCoefficients:
-    """Per-source weights h_i such that expected squared error = h . sigma^2."""
-
-    values: tuple[float, ...]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
-
-
 def design_matrix(points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return np.hstack([pts, np.ones((pts.shape[0], 1))])
@@ -159,8 +140,9 @@ def leave_one_out_weights(points, *, aggregator: str, sources) -> np.ndarray:
     return weights
 
 
-def ols_coefficients(points, query_dist: QueryDistribution) -> SeparabilityCoefficients:
-    """Separability weights of OLS-with-intercept under a query distribution.
+def ols_coefficients(points, query_dist: QueryDistribution) -> np.ndarray:
+    """Separability weights of OLS-with-intercept under a query distribution,
+    one float64 per point: the error decomposes as h . sigma^2.
 
     h_i = sum over atoms of prob * w_i^2, with w the prediction-weight vector
     at the atom.  Raises IllDefinedEstimatorError on rank-deficient designs.
@@ -170,20 +152,23 @@ def ols_coefficients(points, query_dist: QueryDistribution) -> SeparabilityCoeff
         raise ShapeError(f"query dimension {query_dist.dimension} does not match "
                          f"feature dimension {pts.shape[1]}")
     W = prediction_weights(pts, query_dist.points())
-    h = (W ** 2) @ query_dist.weights()
-    return SeparabilityCoefficients(tuple(float(v) for v in h))
+    return (W ** 2) @ query_dist.weights()
 
 
 def g_value(points, query_dist: QueryDistribution, variances) -> float:
     """Expected squared prediction error: dot(h, variances)."""
-    h = ols_coefficients(points, query_dist).as_array()
+    h = ols_coefficients(points, query_dist)
     var = np.asarray(variances, dtype=float)
     if var.shape != h.shape:
         raise ShapeError(f"got {var.shape[0] if var.ndim else 0} variances "
                          f"for {h.shape[0]} points")
-    if np.any(var < 0):
-        raise DomainError("variances must be nonnegative")
+    _check_variances(var)
     return float(h @ var)
+
+
+def _check_variances(var: np.ndarray) -> None:
+    if not np.all((var >= 0) & (var < math.inf)):  # NaN fails both
+        raise DomainError("variances must be finite and nonnegative")
 
 
 def trial_stream(seed: int, index: int) -> np.random.Generator:
@@ -220,7 +205,8 @@ def validate_separability(points, query_dist: QueryDistribution, variances,
     var = np.asarray(variances, dtype=float)
     if var.shape[0] != pts.shape[0]:
         raise ShapeError(f"{var.shape[0]} variances for {pts.shape[0]} points")
-    h = ols_coefficients(points, query_dist).as_array()
+    _check_variances(var)
+    h = ols_coefficients(points, query_dist)
     predicted = float(h @ var)
 
     theta = np.asarray(ground_truth, dtype=float)  # d coefficients then intercept

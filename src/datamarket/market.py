@@ -229,8 +229,7 @@ def _relevance(features: np.ndarray, membership: np.ndarray, aggregators,
     beta = np.empty(len(pair_source))
     for b, agg in enumerate(aggregators):
         rows = np.flatnonzero(pair_aggregator == b)
-        beta[rows] = ols_coefficients(features[pair_source[rows]],
-                                      agg.query_dist).as_array()
+        beta[rows] = ols_coefficients(features[pair_source[rows]], agg.query_dist)
     return beta
 
 
@@ -304,22 +303,10 @@ def assemble_xi_matrix(scenario: MarketScenario, xi: np.ndarray,
     order.  Entry at row (s, b), column (l, j) is xi[j, l, s] when j != b,
     l != s, and both s and l sell to both j and b; otherwise 0.  The own-
     aggregator (j == b) and own-source (l == s) blocks are identically zero.
-    Filled one block per ordered aggregator pair (b, j); xi[j] is zero unless
-    s sells to j, so only "l sells to b" needs a test.
+    Scattered from CouplingOperator's terms, the one description of its
+    sparsity.
     """
-    membership = scenario.membership
-    pair_source, pair_aggregator = np.nonzero(membership)
-    blocks = [np.flatnonzero(pair_aggregator == b) for b in range(membership.shape[1])]
-    matrix = np.zeros((len(pair_source), len(pair_source)))
-    for b, rows in enumerate(blocks):
-        s = pair_source[rows]
-        for j, cols in enumerate(blocks):
-            if j == b:
-                continue
-            cols = cols[membership[pair_source[cols], b]]
-            l = pair_source[cols]
-            matrix[np.ix_(rows, cols)] = xi[j][np.ix_(l, s)].T * (s[:, None] != l)
-    return matrix, scenario.sharing_pairs()
+    return CouplingOperator(scenario, xi).toarray(), scenario.sharing_pairs()
 
 
 #: Pair count P from which DerivedParameters applies Xi as a CouplingOperator
@@ -348,7 +335,6 @@ class CouplingOperator:
         pair_at = np.full(membership.shape, -1)
         pair_at[pair_source, pair_aggregator] = np.arange(len(pair_source))
         self.shape = (len(pair_source), len(pair_source))
-        self._scenario, self._xi = scenario, xi
         self._terms = []
         gather, targets, offset = [], [], 0
         aggregators = np.arange(membership.shape[1])
@@ -380,9 +366,16 @@ class CouplingOperator:
                            minlength=self.shape[0])
 
     def toarray(self) -> np.ndarray:
-        """The assembled matrix (assemble_xi_matrix), for the readers that need
-        its entries."""
-        return assemble_xi_matrix(self._scenario, self._xi)[0]
+        """The assembled matrix (assemble_xi_matrix).  The sums entry c, s of
+        term j lands at the pair (s, b) of each rival b with column c, so that
+        row of Xi holds columns[c] * X_j[:, s] at the pairs (l, j)."""
+        matrix, offset = np.zeros(self.shape), 0
+        for inputs, block, columns in self._terms:
+            here = (self._gather >= offset) & (self._gather < offset + columns.size)
+            c, s = np.divmod(self._gather[here] - offset, len(inputs))
+            matrix[self._targets[here, None], inputs] = columns[c] * block.T[s]
+            offset += columns.size
+        return matrix
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,45 @@ class TestCanonicalC:
         assert not member
         assert any("s1" in v and "sum" in v for v in violations)
 
+    def test_membership_lists_every_violation_in_source_order(self, symmetric_direct):
+        params = derive_parameters(symmetric_direct)
+        result = solve_unbounded(params)
+        c = dict(result.canonical_c)
+        c[("s1", "b2")] = -1.0          # below its floor, and off the sum
+        c[("s2", "b1")] += 1.0          # the sum holds; b2's term falls below its floor
+        c[("s2", "b2")] -= 1.0
+        p1, p2 = result.polytope["s1"], result.polytope["s2"]
+        member, violations, _ = polytope_membership(c, result.a, params)
+        assert not member
+        assert violations == (
+            f"source s1: constant terms sum to {c[('s1', 'b1')] + c[('s1', 'b2')]}, "
+            f"equilibrium requires {p1.total}",
+            f"pair (s1, b2): constant term -1.0 below floor {p1.floors['b2']}",
+            f"pair (s2, b2): constant term {c[('s2', 'b2')]} below floor {p2.floors['b2']}")
+
+    @pytest.mark.parametrize("pair", [("s1", "b1"), ("s2", "b2")])
+    def test_membership_rejects_nan_entry(self, symmetric_direct, pair):
+        params = derive_parameters(symmetric_direct)
+        result = solve_unbounded(params)
+        c = dict(result.canonical_c)
+        c[pair] = math.nan
+        member, violations, _ = polytope_membership(c, result.a, params)
+        assert not member
+        assert violations == (
+            f"source {pair[0]}: constant terms sum to nan, "
+            f"equilibrium requires {result.polytope[pair[0]].total}",
+            f"pair ({pair[0]}, {pair[1]}): constant term nan below floor "
+            f"{result.polytope[pair[0]].floors[pair[1]]}")
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_membership_refuses_a_bad_tolerance(self, symmetric_direct, tol):
+        params = derive_parameters(symmetric_direct)
+        result = solve_unbounded(params)
+        shifted = dict(result.canonical_c)
+        shifted[("s1", "b1")] += 5.0
+        with pytest.raises(DomainError, match="tolerance"):
+            polytope_membership(shifted, result.a, params, tol=tol)
+
     def test_single_aggregator_polytope_is_a_point(self):
         params = derive_parameters(make_line_scenario(n_aggregators=1))
         result = solve_unbounded(params)

@@ -27,11 +27,11 @@ def dist(*atoms):
 class TestOlsCoefficients:
     def test_two_point_interpolation_indicator(self):
         h = ols_coefficients([(0.0,), (1.0,)], point_mass((0.0,)))
-        np.testing.assert_allclose(h.as_array(), [1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(h, [1.0, 0.0], atol=1e-14)
 
     def test_three_collinear_points_at_center(self):
         h = ols_coefficients([(0.0,), (1.0,), (2.0,)], point_mass((1.0,)))
-        np.testing.assert_allclose(h.as_array(), [1 / 9, 1 / 9, 1 / 9], rtol=1e-12)
+        np.testing.assert_allclose(h, [1 / 9, 1 / 9, 1 / 9], rtol=1e-12)
 
     def test_single_point_rank_deficient(self):
         with pytest.raises(IllDefinedEstimatorError):
@@ -49,14 +49,14 @@ class TestOlsCoefficients:
             pts = rng.uniform(-2, 2, size=(n, d))
             atoms = rng.uniform(-2, 2, size=(2, d))
             q = dist((atoms[0], 0.3), (atoms[1], 0.7))
-            h = ols_coefficients(pts, q).as_array()
+            h = ols_coefficients(pts, q)
             assert np.all(h >= 0)
 
     def test_interpolation_gives_indicator_weights(self):
         # with exactly d+1 points the fit interpolates; querying a dataset
         # point puts weight 1 there and 0 elsewhere
         pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-        h = ols_coefficients(pts, point_mass((1.0, 0.0))).as_array()
+        h = ols_coefficients(pts, point_mass((1.0, 0.0)))
         np.testing.assert_allclose(h, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_mixture_linearity(self):
@@ -65,9 +65,9 @@ class TestOlsCoefficients:
         q1 = rng.uniform(-1, 1, size=2)
         q2 = rng.uniform(-1, 1, size=2)
         alpha = 0.35
-        h1 = ols_coefficients(pts, point_mass(q1)).as_array()
-        h2 = ols_coefficients(pts, point_mass(q2)).as_array()
-        mixed = ols_coefficients(pts, dist((q1, alpha), (q2, 1 - alpha))).as_array()
+        h1 = ols_coefficients(pts, point_mass(q1))
+        h2 = ols_coefficients(pts, point_mass(q2))
+        mixed = ols_coefficients(pts, dist((q1, alpha), (q2, 1 - alpha)))
         np.testing.assert_allclose(mixed, alpha * h1 + (1 - alpha) * h2, atol=1e-12)
 
     def test_query_dimension_mismatch(self):
@@ -99,6 +99,11 @@ class TestGValue:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             g_value([(0.0,), (1.0,)], point_mass((0.0,)), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_variance(self, bad):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            g_value([(0.0,), (1.0,)], point_mass((0.0,)), [1.0, bad])
 
 
 def loo_predictions(points, responses):
@@ -145,6 +150,12 @@ class TestSeparabilityMonteCarlo:
         r1 = validate_separability(*args, trials=2000, seed=9)
         r2 = validate_separability(*args, trials=2000, seed=9)
         assert r1 == r2
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_variance(self, bad):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            validate_separability([(0.0,), (1.0,), (2.0,)], point_mass((1.0,)),
+                                  [1.0, bad, 1.0], [1.0, 0.0], trials=1000, seed=0)
 
     def test_trial_floor(self):
         with pytest.raises(DomainError):

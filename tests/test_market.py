@@ -48,7 +48,7 @@ class TestDeriveBeta:
         scn = MarketScenario(sources, (agg,), scenario.ground_truth)
         beta = by_pair(scn, derive_beta(scn))
         from datamarket.estimators import ols_coefficients
-        per_atom = [ols_coefficients(pts, point_mass(p)).as_array() for p in pts]
+        per_atom = [ols_coefficients(pts, point_mass(p)) for p in pts]
         expected = np.mean(per_atom, axis=0)
         got = np.array([beta[(s.id, "b1")] for s in sources])
         np.testing.assert_allclose(got, expected, atol=1e-14)

@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_line_scenario, make_symmetric_direct
 
-from datamarket.errors import InfeasibleSpecError, ParseError
-from datamarket.market import derive_parameters, validate_scenario
+from datamarket.errors import GenerationError, InfeasibleSpecError, ParseError
+from datamarket.market import MODE_DIRECT, MODE_ESTIMATOR, derive_parameters, validate_scenario
 from datamarket.scenario import (
     GenerationSpec,
     generate_scenario,
@@ -43,6 +45,25 @@ class TestRoundTrip:
         doc["aggregators"] = list(reversed(doc["aggregators"]))
         shuffled = json.dumps(doc)
         assert serialize_scenario(parse_scenario(shuffled)) == serialize_scenario(scenario)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 12), m=st.integers(1, 4), d=st.integers(1, 3),
+           family=st.sampled_from(["exponential", "inverse_power", "mixed"]),
+           bounded=st.booleans(), mode=st.sampled_from([MODE_ESTIMATOR, MODE_DIRECT]),
+           density=st.floats(0.2, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_parse_of_serialize_is_identity(self, n, m, d, family, bounded, mode,
+                                            density, seed):
+        try:
+            scenario = generate_scenario(GenerationSpec(
+                n, m, dimension=d, family=family, bounded=bounded, mode=mode,
+                sharing_density=density), seed)
+        except GenerationError:  # an infeasible spec, or every draw rejected
+            assume(False)
+        text = serialize_scenario(scenario)
+        reparsed = parse_scenario(text)
+        assert serialize_scenario(reparsed) == text
+        assert reparsed.mode == scenario.mode
+        np.testing.assert_array_equal(reparsed.membership, scenario.membership)
 
     def test_derived_parameters_survive_round_trip(self):
         scenario = make_line_scenario(n_aggregators=2, zeta=0.1, n_points=8)
