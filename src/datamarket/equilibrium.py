@@ -30,6 +30,7 @@ from .errors import DomainError, NonConvergenceError, NumericalFailureError, Par
 from .market import (  # noqa: F401  (spectral_radius is public here too)
     CouplingOperator,
     DerivedParameters,
+    _first_mismatch,
     spectral_radius,
 )
 
@@ -120,8 +121,7 @@ def _vector(table, keys, name: str) -> np.ndarray:
     or source ids).  A missing, extra or wrongly kinded key (another market's
     table) raises ParseError naming the first mismatch in id order."""
     if len(table) != len(keys) or not all(key in table for key in keys):
-        first = min(set(keys).symmetric_difference(table),
-                    key=lambda k: tuple(map(str, k)) if isinstance(k, tuple) else (str(k),))
+        first = _first_mismatch(keys, table)
         shown = (f"pair ({', '.join(map(str, first))})" if isinstance(first, tuple)
                  else f"source {first}")
         raise ParseError(f"{name} does not match the scenario: first mismatched {shown}",
@@ -244,8 +244,8 @@ def _solve_coupled(params: DerivedParameters, alpha: float,
     one LU-path solve (building I - alpha Xi, the LU and the residual
     product) counted in products, timed with OpenBLAS on one thread (x86
     Xeon).  With the assembled matrix (P < COUPLING_OPERATOR_MIN_PAIRS) it
-    is min(P // 8, 64): the LU path cost 2-3 products for P <= 24 and 6-18
-    for P = 64-192.  With the CouplingOperator it is P // 4, against an LU
+    is P // 8 (at most 63): the LU path cost 2-3 products for P <= 24 and
+    6-18 for P = 64-192.  With the CouplingOperator it is P // 4, against an LU
     path of, in operator products (two runs each):
 
         P     sharing, m    one product   LU path     LU path + Xi's assembly
@@ -271,7 +271,7 @@ def _solve_coupled(params: DerivedParameters, alpha: float,
         return None
     xi, gamma = params.coupling, params.gamma
     eps = float(np.finfo(float).eps)
-    budget = len(gamma) // 4 if isinstance(xi, CouplingOperator) else min(len(gamma) // 8, 64)
+    budget = len(gamma) // 4 if isinstance(xi, CouplingOperator) else len(gamma) // 8
     predicted = math.log(eps) / math.log(rho) if rho > 0.0 else 1.0
     a_vec = None
     if predicted < budget:

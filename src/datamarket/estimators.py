@@ -158,17 +158,17 @@ def ols_coefficients(points, query_dist: QueryDistribution) -> np.ndarray:
 def g_value(points, query_dist: QueryDistribution, variances) -> float:
     """Expected squared prediction error: dot(h, variances)."""
     h = ols_coefficients(points, query_dist)
+    return float(h @ _variances(variances, h.shape[0]))
+
+
+def _variances(variances, n: int) -> np.ndarray:
+    """variances as n floats, each finite and >= 0 (a scalar is a ShapeError)."""
     var = np.asarray(variances, dtype=float)
-    if var.shape != h.shape:
-        raise ShapeError(f"got {var.shape[0] if var.ndim else 0} variances "
-                         f"for {h.shape[0]} points")
-    _check_variances(var)
-    return float(h @ var)
-
-
-def _check_variances(var: np.ndarray) -> None:
+    if var.shape != (n,):
+        raise ShapeError(f"variances of shape {var.shape} for {n} points")
     if not np.all((var >= 0) & (var < math.inf)):  # NaN fails both
         raise DomainError("variances must be finite and nonnegative")
+    return var
 
 
 def trial_stream(seed: int, index: int) -> np.random.Generator:
@@ -202,17 +202,16 @@ def validate_separability(points, query_dist: QueryDistribution, variances,
     if trials < 1000:
         raise DomainError("separability validation needs trials >= 1000")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    var = np.asarray(variances, dtype=float)
-    if var.shape[0] != pts.shape[0]:
-        raise ShapeError(f"{var.shape[0]} variances for {pts.shape[0]} points")
-    _check_variances(var)
+    var = _variances(variances, pts.shape[0])
     h = ols_coefficients(points, query_dist)
     predicted = float(h @ var)
 
     theta = np.asarray(ground_truth, dtype=float)  # d coefficients then intercept
-    if theta.shape[0] != pts.shape[1] + 1:
+    if theta.shape != (pts.shape[1] + 1,):
         raise ShapeError(f"ground truth needs {pts.shape[1]} coefficients "
                          "plus an intercept")
+    if not np.all(np.isfinite(theta)):
+        raise DomainError("ground truth coefficients must be finite")
     X = design_matrix(pts)
     gram = X.T @ X
     A = design_matrix(query_dist.points())

@@ -24,6 +24,7 @@ form.  All derivations are pure functions over immutable scenarios.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -95,6 +96,12 @@ class GroundTruth:
                      + self.intercept)
 
 
+def _first_mismatch(keys, others):
+    """The first key, in id order, in just one of the two (ids or id pairs)."""
+    return min(set(keys).symmetric_difference(others),
+               key=lambda k: tuple(map(str, k)) if isinstance(k, tuple) else (str(k),))
+
+
 @dataclass(frozen=True, eq=False)
 class MarketScenario:
     sources: tuple[DataSourceSpec, ...]
@@ -122,10 +129,10 @@ class MarketScenario:
             raise DomainError("a scenario needs at least one source and one aggregator")
         sids = [s.id for s in self.sources]
         bids = [b.id for b in self.aggregators]
-        if len(set(sids)) != len(sids):
-            raise DomainError("duplicate source ids")
-        if len(set(bids)) != len(bids):
-            raise DomainError("duplicate aggregator ids")
+        for name, ids in (("source", sids), ("aggregator", bids)):
+            dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
+            if dupes:
+                raise DomainError(f"duplicate {name} ids {dupes}")
         if set(sids) & set(bids):
             raise DomainError("source and aggregator ids must be disjoint")
         object.__setattr__(self, "source_ids", tuple(sorted(sids)))
@@ -170,21 +177,23 @@ class MarketScenario:
         if self.direct_beta is None or self.direct_xi is None:
             raise DomainError("direct mode requires beta and xi tables")
         beta = {(s, b): float(v) for (s, b), v in dict(self.direct_beta).items()}
-        expected = {(s, b) for s, b in self.sharing_pairs()}
+        expected = set(self.sharing_pairs())
         if set(beta) != expected:
-            raise DomainError("direct beta table must cover exactly the sharing pairs")
+            raise DomainError("direct beta table must cover exactly the sharing pairs "
+                              f"(first mismatch {_first_mismatch(beta, expected)})")
         if any(not math.isfinite(v) for v in beta.values()):
             raise DomainError("direct beta values must be finite")
         xi = {b: {pair: float(v) for pair, v in table.items()}
               for b, table in dict(self.direct_xi).items()}
-        for b in self.aggregator_ids:
+        if set(xi) != set(self.aggregator_ids):
+            raise DomainError("direct xi tables must name exactly the aggregators "
+                              f"(first mismatch {_first_mismatch(xi, self.aggregator_ids)!r})")
+        for b, table in sorted(xi.items()):
             ds = self.dataset(b)
-            table = xi.get(b)
-            if table is None:
-                raise DomainError(f"direct xi table missing aggregator {b!r}")
             expected_pairs = {(i, l) for i in ds for l in ds}
             if set(table) != expected_pairs:
-                raise DomainError(f"direct xi table of {b!r} must cover its dataset pairs")
+                raise DomainError(f"direct xi table of {b!r} must cover its dataset pairs "
+                                  f"(first mismatch {_first_mismatch(table, expected_pairs)})")
             for (i, l), v in table.items():
                 if i == l and v != 1.0:
                     raise DomainError(f"diagonal xi must be 1 (aggregator {b!r}, "

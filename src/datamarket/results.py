@@ -28,23 +28,10 @@ from .equilibrium import (
 )
 from .errors import ParseError
 from .market import DerivedParameters
-from .scenario import _expect, _nest, _number
+from .scenario import _expect, _nest, _number, _numbers_by_id, _pairs_by_id
 from .welfare import WelfareReport
 
 RESULT_SCHEMA_VERSION = 1
-
-
-def _numbers_by_id(doc, key, location) -> dict[str, float]:
-    """doc[key]: an object of finite numbers keyed by id."""
-    table, location = _expect(doc, key, dict, location), f"{location}.{key}"
-    return {name: _number(v, name, location) for name, v in table.items()}
-
-
-def _pairs_by_id(doc, key, location) -> dict[tuple[str, str], float]:
-    """doc[key]: an object of _numbers_by_id rows keyed by source id."""
-    rows = _expect(doc, key, dict, location)
-    return {(sid, bid): v for sid in rows
-            for bid, v in _numbers_by_id(rows, sid, f"{location}.{key}").items()}
 
 
 def _source_polytope(doc, sid, location) -> SourcePolytope:

@@ -26,6 +26,7 @@ from .errors import (
     GenerationError,
     InfeasibleSpecError,
     ParseError,
+    ShapeError,
 )
 from .estimators import EstimatorSpec, QueryDistribution, trial_stream
 from .market import (
@@ -89,7 +90,24 @@ def _numbers(values, name, location) -> tuple[float, ...]:
     return tuple(_number(v, f"{name}[{k}]", location) for k, v in enumerate(values))
 
 
+def _numbers_by_id(doc, key, location) -> dict[str, float]:
+    """doc[key]: an object of finite numbers keyed by id."""
+    table, location = _expect(doc, key, dict, location), f"{location}.{key}"
+    return {name: _number(v, name, location) for name, v in table.items()}
+
+
+def _pairs_by_id(doc, key, location) -> dict[tuple[str, str], float]:
+    """doc[key]: an object of _numbers_by_id rows keyed by source id."""
+    rows = _expect(doc, key, dict, location)
+    return {(sid, bid): v for sid in rows
+            for bid, v in _numbers_by_id(rows, sid, f"{location}.{key}").items()}
+
+
 def _no_unknown_fields(mapping, allowed, location):
+    """The parser's object check: mapping is an object with fields in allowed."""
+    if not isinstance(mapping, dict):
+        raise ParseError(f"must be an object, not {type(mapping).__name__}",
+                         location=location)
     unknown = set(mapping) - allowed
     if unknown:
         raise ParseError(f"unknown fields {sorted(unknown)}", location=location)
@@ -146,8 +164,6 @@ def _parse_aggregator(doc, index) -> AggregatorSpec:
     atoms = []
     for k, atom in enumerate(atoms_doc):
         aloc = f"{location}.query_distribution[{k}]"
-        if not isinstance(atom, dict):
-            raise ParseError("atom must be an object", location=aloc)
         _no_unknown_fields(atom, {"point", "probability"}, aloc)
         point = _numbers(_expect(atom, "point", list, aloc), "point", aloc)
         atoms.append((point, _expect(atom, "probability", float, aloc)))
@@ -158,42 +174,16 @@ def _parse_aggregator(doc, index) -> AggregatorSpec:
         return AggregatorSpec(bid, EstimatorSpec(kind),
                               QueryDistribution(tuple(atoms)),
                               zeta=zeta, payment_scale=eta)
-    except DomainError as exc:
+    except (DomainError, ShapeError) as exc:  # ShapeError: atoms of mixed dimensions
         raise ParseError(str(exc), location=location) from exc
 
 
-def _parse_direct_tables(doc, source_ids, aggregator_ids):
+def _parse_direct_tables(doc):
     location = "direct_parameters"
     _no_unknown_fields(doc, {"beta", "xi"}, location)
-    beta_doc = _expect(doc, "beta", dict, location)
+    beta = _pairs_by_id(doc, "beta", location)
     xi_doc = _expect(doc, "xi", dict, location)
-    beta = {}
-    for sid, row in beta_doc.items():
-        if sid not in source_ids:
-            raise ParseError(f"beta row for unknown source {sid!r}", location=location)
-        if not isinstance(row, dict):
-            raise ParseError(f"beta[{sid!r}] must be an object", location=location)
-        for bid, value in row.items():
-            if bid not in aggregator_ids:
-                raise ParseError(f"beta[{sid!r}] names unknown aggregator {bid!r}",
-                                 location=location)
-            beta[(sid, bid)] = _number(value, f"beta[{sid}][{bid}]", location)
-    xi = {}
-    for bid, rows in xi_doc.items():
-        if bid not in aggregator_ids:
-            raise ParseError(f"xi table for unknown aggregator {bid!r}",
-                             location=location)
-        if not isinstance(rows, dict):
-            raise ParseError(f"xi[{bid!r}] must be an object", location=location)
-        table = {}
-        for i, row in rows.items():
-            if not isinstance(row, dict):
-                raise ParseError(f"xi[{bid!r}][{i!r}] must be an object",
-                                 location=location)
-            for l, value in row.items():
-                table[(str(i), str(l))] = _number(value, f"xi[{bid}][{i}][{l}]", location)
-        xi[bid] = table
-    return beta, xi
+    return beta, {bid: _pairs_by_id(xi_doc, bid, f"{location}.xi") for bid in xi_doc}
 
 
 def parse_scenario(text: str) -> MarketScenario:
@@ -205,8 +195,6 @@ def parse_scenario(text: str) -> MarketScenario:
         raise ParseError(f"not valid JSON: {exc}", location=f"line {exc.lineno}") from exc
     except ValueError as exc:  # an integer literal too long to convert
         raise ParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("document root must be an object")
     _no_unknown_fields(doc, _TOP_FIELDS, "document")
     version = _expect(doc, "schema_version", int, "document")
     if version != SCHEMA_VERSION:
@@ -224,22 +212,9 @@ def parse_scenario(text: str) -> MarketScenario:
     sources = tuple(_parse_source(s, k) for k, s in enumerate(sources_doc))
     agg_doc = _expect(doc, "aggregators", list, "document")
     aggregators = tuple(_parse_aggregator(a, k) for k, a in enumerate(agg_doc))
-
-    sids = [s.id for s in sources]
-    bids = [a.id for a in aggregators]
-    for name, ids in (("source", sids), ("aggregator", bids)):
-        dupes = {i for i in ids if ids.count(i) > 1}
-        if dupes:
-            raise ParseError(f"duplicate {name} ids {sorted(dupes)}", location="document")
-
     direct_beta = direct_xi = None
-    if mode == MODE_DIRECT:
-        direct_beta, direct_xi = _parse_direct_tables(
-            _expect(doc, "direct_parameters", dict, "document"),
-            set(sids), set(bids))
-    elif "direct_parameters" in doc:
-        raise ParseError("direct_parameters given in estimator mode",
-                         location="document")
+    if "direct_parameters" in doc:
+        direct_beta, direct_xi = _parse_direct_tables(doc["direct_parameters"])
     try:
         return MarketScenario(sources, aggregators, ground_truth, mode=mode,
                               direct_beta=direct_beta, direct_xi=direct_xi)

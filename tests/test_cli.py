@@ -87,6 +87,19 @@ class TestValidate:
         bad.write_text("{not json")
         assert cli(["validate", str(bad)]) == 1
 
+    @pytest.mark.parametrize("edit, location", [
+        (lambda doc: doc["sources"].__setitem__(0, 7), "sources[0]"),
+        (lambda doc: doc["direct_parameters"]["xi"].update(b9={"s1": {"s1": 1.0}}),
+         "document"),
+    ], ids=["non-object-source", "xi-of-unknown-aggregator"])
+    def test_malformed_document_exit_one(self, tmp_path, capsys, edit, location):
+        doc = json.loads(serialize_scenario(make_symmetric_direct()))
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli(["validate", str(bad)]) == 1
+        assert f"datamarket: {location}: " in capsys.readouterr().err
+
 
 class TestDerive:
     def test_writes_all_tables(self, symmetric_file, tmp_path):

@@ -398,7 +398,7 @@ def _scaled_demands(n, m, scale):
 
 # (market, alpha * rho of each sweep point, path of solve_unbounded, path of
 # each sweep point).  Fixed-point products are predicted to cost less than one
-# LU while log(eps) / log(alpha rho) < min(P // 8, 64).
+# LU while log(eps) / log(alpha rho) < P // 8.
 SOLVE_PATH_CASES = {
     # P = 240, rho = 0.13: about 18 products at alpha = 1; at alpha rho = 0.5
     # the prediction (52 products) exceeds the budget of 30
@@ -452,7 +452,7 @@ class TestSolvePaths:
     def test_exhausted_budget_falls_through_to_the_lu(self, monkeypatch):
         # the chain (s, b) <- (s + 1, j != b) is nilpotent: rho = 0 predicts
         # one product, but the steps, doubling, vanish only after n = 12
-        # products, past the budget min(P // 8, 64) = 3
+        # products, past the budget P // 8 = 3
         n = 12
         params = derive_parameters(make_coupled_direct(
             n, 2, lambda i, l: 2.0 if i == l + 1 else 0.0))
@@ -535,7 +535,7 @@ class TestOperatorSide:
             params = derive_parameters(scenario)
             result = solve_unbounded(params)
             # at alpha rho = 0.7, 101 predicted products: within the budget
-            # P // 4 = 128 of the operator, past min(P // 8, 64) of the matrix
+            # P // 4 = 128 of the operator, past P // 8 of the matrix
             points = alpha_sweep(params, [target / params.spectral_radius
                                           for target in (0.5, 0.7)])
             price_of_anarchy(result, params)

@@ -100,6 +100,11 @@ class TestGValue:
         with pytest.raises(ShapeError):
             g_value([(0.0,), (1.0,)], point_mass((0.0,)), [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("variances", [1.0, [[1.0, 2.0]]], ids=["scalar", "row"])
+    def test_scalar_or_row_variances(self, variances):
+        with pytest.raises(ShapeError):
+            g_value([(0.0,), (1.0,)], point_mass((0.0,)), variances)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_variance(self, bad):
         with pytest.raises(DomainError, match="finite and nonnegative"):
@@ -156,6 +161,24 @@ class TestSeparabilityMonteCarlo:
         with pytest.raises(DomainError, match="finite and nonnegative"):
             validate_separability([(0.0,), (1.0,), (2.0,)], point_mass((1.0,)),
                                   [1.0, bad, 1.0], [1.0, 0.0], trials=1000, seed=0)
+
+    def test_scalar_variances(self):
+        with pytest.raises(ShapeError):
+            validate_separability([(0.0,), (1.0,), (2.0,)], point_mass((1.0,)),
+                                  1.0, [1.0, 0.0], trials=1000, seed=0)
+
+    @pytest.mark.parametrize("truth", [1.0, [[1.0], [0.0]], [1.0, 0.0, 0.0]],
+                             ids=["scalar", "column", "too-long"])
+    def test_ground_truth_shape(self, truth):
+        with pytest.raises(ShapeError):
+            validate_separability([(0.0,), (1.0,), (2.0,)], point_mass((1.0,)),
+                                  [1.0, 1.0, 1.0], truth, trials=1000, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_ground_truth(self, bad):
+        with pytest.raises(DomainError, match="must be finite"):
+            validate_separability([(0.0,), (1.0,), (2.0,)], point_mass((1.0,)),
+                                  [1.0, 1.0, 1.0], [1.0, bad], trials=1000, seed=0)
 
     def test_trial_floor(self):
         with pytest.raises(DomainError):

@@ -263,8 +263,24 @@ class TestConstructionErrors:
         s = DataSourceSpec("s1", (0.0,), model, ("b1",))
         dup = DataSourceSpec("s1", (1.0,), model, ("b1",))
         agg = AggregatorSpec("b1", OLS, point_mass((0.0,)))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"duplicate source ids \['s1'\]"):
             MarketScenario((s, dup), (agg,), GroundTruth((1.0,), 0.0))
+
+    def test_direct_xi_of_unknown_aggregator(self):
+        # serialize_scenario would write a table that parse_scenario refuses
+        scn = make_symmetric_direct()
+        xi = {**scn.direct_xi, "b9": {("s1", "s1"): 1.0}}
+        with pytest.raises(DomainError, match="first mismatch 'b9'"):
+            MarketScenario(scn.sources, scn.aggregators, scn.ground_truth,
+                           mode="direct", direct_beta=scn.direct_beta, direct_xi=xi)
+
+    def test_direct_beta_keyed_by_an_id_of_another_type(self):
+        scn = make_symmetric_direct()
+        beta = dict(scn.direct_beta)
+        beta[(1, "b1")] = beta.pop(("s1", "b1"))
+        with pytest.raises(DomainError, match=r"first mismatch \(1, 'b1'\)"):
+            MarketScenario(scn.sources, scn.aggregators, scn.ground_truth,
+                           mode="direct", direct_beta=beta, direct_xi=scn.direct_xi)
 
     def test_unknown_sharing_target(self):
         model = exponential_model(1.0, 0.5)

@@ -97,8 +97,8 @@ class TestParseErrors:
         (("sources", 0, "feature", 0), True, "sources[0]", "feature[0]"),
         (("aggregators", 0, "zeta"), {"b2": "abc"}, "aggregators[0]", "zeta[b2]"),
         (("aggregators", 0, "zeta"), {"b2": "0.1"}, "aggregators[0]", "zeta[b2]"),
-        (("direct_parameters", "beta", "s1", "b1"), -math.inf, "direct_parameters",
-         "beta[s1][b1]"),
+        (("direct_parameters", "beta", "s1", "b1"), -math.inf, "direct_parameters.beta.s1",
+         "b1"),
     ], ids=["nan-probability", "infinite-intercept", "true-eta", "true-schema-version",
             "true-feature",
             "string-zeta", "numeric-string-zeta", "infinite-beta"])
@@ -139,6 +139,38 @@ class TestParseErrors:
             parse_scenario(json.dumps(doc))
         assert "duplicate" in str(exc.value)
 
+    @pytest.mark.parametrize("section", ["sources", "aggregators"])
+    @pytest.mark.parametrize("value", [7, 0, None, True, [[1.0]]],
+                             ids=["int", "zero", "null", "true", "nested-list"])
+    def test_non_object_entry(self, section, value):
+        doc = self.doc()
+        doc[section][0] = value
+        with pytest.raises(ParseError, match="must be an object") as exc:
+            parse_scenario(json.dumps(doc))
+        assert exc.value.location == f"{section}[0]"
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["direct_parameters"]["beta"].update(s9={"b1": 1.0}),
+        lambda doc: doc["direct_parameters"]["beta"]["s1"].update(b9=1.0),
+        lambda doc: doc["direct_parameters"]["xi"].update(b9={"s1": {"s1": 1.0}}),
+        lambda doc: doc["direct_parameters"]["xi"].pop("b2"),
+        lambda doc: doc["direct_parameters"]["beta"].update(s1=[1.0, 1.0]),
+        lambda doc: doc["direct_parameters"]["xi"].update(b1=[[1.0]]),
+        lambda doc: doc["direct_parameters"]["xi"]["b1"].update(s1=[1.0, 0.5]),
+        lambda doc: doc["sources"].append(dict(doc["sources"][0])),
+        lambda doc: doc.update(mode="estimator_derived"),
+        lambda doc: doc.pop("direct_parameters"),
+        lambda doc: doc["direct_parameters"]["beta"]["s1"].update(b1=math.nan),
+    ], ids=["beta-unknown-source", "beta-unknown-aggregator", "xi-unknown-aggregator",
+            "xi-missing-aggregator", "beta-row-list", "xi-rows-list", "xi-row-list",
+            "duplicate-source", "tables-in-estimator-mode", "direct-without-tables",
+            "nan-beta"])
+    def test_malformed_direct_tables_and_ids(self, edit):
+        doc = self.doc()
+        edit(doc)
+        with pytest.raises(ParseError):
+            parse_scenario(json.dumps(doc))
+
     def test_version_mismatch(self):
         with pytest.raises(ParseError) as exc:
             parse_scenario(json.dumps(self.doc(schema_version=2)))
@@ -160,6 +192,57 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse_scenario(json.dumps(doc))
         assert "quadratic" in str(exc.value)
+
+
+#: Replacement values of the mutation sweep: every JSON type, the numbers the
+#: parser refuses (NaN, infinities, the literal 1E400 past the float range)
+#: and ids of the market.  DELETE removes the field or list item instead.
+BIG_LITERAL, DELETE = "<1E400>", "<delete>"
+MUTATIONS = [None, True, False, 0, -1, math.nan, math.inf, BIG_LITERAL, "x", "s001",
+             "b001", [], {}, [[1.0]], [7], DELETE]
+
+
+def _field_paths(node, path=()):
+    """The path of every field and list item of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+def _mutants(text):
+    """Each document with one field or list item replaced or deleted."""
+    for path in _field_paths(json.loads(text)):
+        for value in MUTATIONS:
+            doc = json.loads(text)
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            if value is DELETE:
+                del target[path[-1]]
+            else:
+                target[path[-1]] = value
+            yield path, value, json.dumps(doc).replace(json.dumps(BIG_LITERAL), "1E400")
+
+
+class TestMutationSweep:
+    @pytest.mark.parametrize("mode", [MODE_ESTIMATOR, MODE_DIRECT])
+    @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+    def test_mutants_parse_and_round_trip_or_raise_parse_error(self, mode, bounded):
+        text = serialize_scenario(generate_scenario(GenerationSpec(
+            4, 2, family="mixed", bounded=bounded, mode=mode, sharing_density=0.7), 0))
+        failures = []
+        for path, value, mutant in _mutants(text):
+            try:
+                canonical = serialize_scenario(parse_scenario(mutant))
+                if serialize_scenario(parse_scenario(canonical)) != canonical:
+                    failures.append((path, value, "round trip differs"))
+            except ParseError:
+                pass
+            except Exception as exc:  # any other escape is what the sweep looks for
+                failures.append((path, value, repr(exc)))
+        assert not failures, failures[:5]
 
 
 class TestGeneration:
