@@ -113,18 +113,23 @@ def prediction_weights(points, queries) -> np.ndarray:
 
 def leave_one_out_weights(points, *, aggregator: str, sources) -> np.ndarray:
     """W[i, l]: the weight that the OLS fit on every point but i places on
-    point l's response when it predicts at point i (W[i, i] = 0), from one
-    batched solve.  Each leave-one-out Gram is summed over the other rows, so
-    its rank test is that of a separate fit; the first rank-deficient one
-    raises IllDefinedPaymentError naming the aggregator and the source id
-    (from `sources`) of the point left out."""
+    point l's response when it predicts at point i (W[i, i] = 0).
+
+    Each leave-one-out Gram G_i = sum_{l != i} x_l x_l^T is a running sum of
+    the rows' outer products before i plus one of those after i: still a sum
+    over the other rows, never the downdate G - x_i x_i^T, so its rank test
+    is that of a separate fit.  The first rank-deficient one raises
+    IllDefinedPaymentError naming the aggregator and the source id (from
+    `sources`) of the point left out.  Then one batched solve gives
+    z_i = G_i^{-1} x_i, and W[i, l] = z_i . x_l is one (k x p)(p x k) product."""
     X = design_matrix(points)
     k, p = X.shape
     if k == 1:
         return np.zeros((1, 1))  # no other point to predict from
-    others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # row i: all but i
-    X_others = X[others]                                               # (k, k - 1, p)
-    grams = X_others.transpose(0, 2, 1) @ X_others
+    outer = X[:, :, None] * X[:, None, :]                   # (k, p, p): x_l x_l^T
+    grams = np.zeros((k, p, p))
+    np.cumsum(outer[:-1], axis=0, out=grams[1:])           # rows before i
+    grams[:-1] += np.cumsum(outer[:0:-1], axis=0)[::-1]     # rows after i
     cond = np.linalg.cond(grams) if k > p else np.full(k, np.inf)
     failing = np.flatnonzero(~(cond < CONDITION_LIMIT))  # NaN and inf fail too
     if failing.size:
@@ -134,9 +139,8 @@ def leave_one_out_weights(points, *, aggregator: str, sources) -> np.ndarray:
             f"{source!r} is rank deficient ({k - 1} points for {p} parameters, Gram "
             f"condition {cond[failing[0]]:.3e}, limit {CONDITION_LIMIT:.0e})",
             aggregator=aggregator, source=source)
-    weights = np.zeros((k, k))
-    at_left_out = np.linalg.solve(grams, X[:, :, None])  # G_i^{-1} [x_i, 1]
-    weights[np.arange(k)[:, None], others] = (X_others @ at_left_out)[:, :, 0]
+    weights = np.linalg.solve(grams, X[:, :, None])[:, :, 0] @ X.T
+    np.fill_diagonal(weights, 0.0)
     return weights
 
 

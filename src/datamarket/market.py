@@ -277,7 +277,8 @@ def derive_xi(scenario: MarketScenario) -> np.ndarray:
     """Coupling weights xi[b, i, l] (aggregators x sources x sources, id
     order): the weight of source l's variance in b's leave-one-out prediction
     at source i's feature point, 1 when i == l, and 0 unless both sources
-    sell to b.  One batched leave-one-out solve per aggregator."""
+    sell to b.  Per aggregator, one leave_one_out_weights call: running Gram
+    sums, one batched solve and one product."""
     if scenario.mode != MODE_ESTIMATOR:
         raise DomainError("derive_xi applies to estimator-derived scenarios; "
                           "direct mode carries its own xi table")
@@ -371,8 +372,9 @@ class CouplingOperator:
     def __matmul__(self, a: np.ndarray) -> np.ndarray:
         sums = np.concatenate([((columns * a[inputs]) @ block).ravel()
                                for inputs, block, columns in self._terms])
+        # float even with no coupling: bincount over no weights counts, in int64
         return np.bincount(self._targets, weights=sums[self._gather],
-                           minlength=self.shape[0])
+                           minlength=self.shape[0]).astype(float, copy=False)
 
     def toarray(self) -> np.ndarray:
         """The assembled matrix (assemble_xi_matrix).  The sums entry c, s of
@@ -395,6 +397,11 @@ class CouplingOperator:
 #: iteration sweep budget; past it, or on a stall, the eigenvalues decide.
 RADIUS_TOL = 1e-10
 RADIUS_MAX_SWEEPS = 100_000
+#: Arnoldi steps (products) behind the power iteration's start vector: at 12
+#: a periodic two-aggregator market's first bracket matches eigvals to 1.5e-13
+#: relative (10 steps: 6e-12), and the n=150 shapes take 13 products (full
+#: sharing) and 25-28 (half sharing), where ones took 60-68 and 33-40.
+RADIUS_KRYLOV_DIM = 12
 
 
 def spectral_radius(matrix) -> float:
@@ -402,15 +409,19 @@ def spectral_radius(matrix) -> float:
     CouplingOperator (whose stored blocks must then be finite and
     nonnegative).
 
-    Shift-free power iteration from the all-ones vector, certified each sweep
-    by the Collatz-Wielandt interval [min_i (Mx)_i/x_i, max_i (Mx)_i/x_i]
-    over the support x_i > 0: the zero set of x = M^t 1 is closed under M's
-    out-edges, so M is block-triangular with a nilpotent block there and
-    rho(M) is the radius on the support (a zero row of Xi costs nothing).
-    Structurally periodic matrices (every two-aggregator market) and some
-    reducible ones make that interval oscillate, so on stall the routine
-    returns max |eigenvalue| from one dense LAPACK call (np.linalg.eigvals),
-    exact to rounding for every matrix; an operator is assembled only then.
+    Shift-free power iteration from a strictly positive start x_0 (see
+    _ritz_start), certified each sweep by the Collatz-Wielandt interval
+    [min_i (Mx)_i/x_i, max_i (Mx)_i/x_i] over the support x_i > 0: the zero
+    set of x = M^t x_0 is that of M^t 1, closed under M's out-edges, so M is
+    block-triangular with a nilpotent block there and rho(M) is the radius
+    on the support (a zero row of Xi costs nothing).  Started from the Ritz
+    vector, the bracket of a full-sharing market typically closes within
+    RADIUS_TOL on the first sweep, periodic ones (eigenvalues +/- rho)
+    included.  Where it
+    oscillates instead (some reducible matrices, or a periodic one started
+    from ones), the stall returns max |eigenvalue| from one dense LAPACK
+    call (np.linalg.eigvals), exact to rounding for every matrix; an
+    operator is assembled only then.
     """
     if isinstance(matrix, CouplingOperator):
         M, entries = matrix, matrix.blocks
@@ -425,7 +436,7 @@ def spectral_radius(matrix) -> float:
     if n == 0 or not any(e.any() for e in entries):
         return 0.0
 
-    x = np.ones(n)
+    x = _ritz_start(M, n)
     best_width = math.inf
     since_improvement = 0
     for _ in range(RADIUS_MAX_SWEEPS):
@@ -448,6 +459,35 @@ def spectral_radius(matrix) -> float:
                 break  # oscillating interval: periodic or reducible
         x = y / norm
     return _eigenvalue_radius(M.toarray() if isinstance(M, CouplingOperator) else M)
+
+
+def _ritz_start(M, n: int) -> np.ndarray:
+    """Start of spectral_radius's power iteration: |u| for the Ritz vector u
+    of the largest real Ritz value of a RADIUS_KRYLOV_DIM-step Arnoldi pass
+    from the normalised ones vector (Gram-Schmidt run twice per step), when
+    that value is above 0 and |u| is strictly positive; the ones vector
+    otherwise (a nilpotent matrix, say).  Any strictly positive start keeps
+    the bracket a certificate; a good one only closes it sooner."""
+    steps = min(RADIUS_KRYLOV_DIM, n)
+    V = np.empty((steps + 1, n))
+    H = np.zeros((steps + 1, steps))
+    V[0] = 1.0 / math.sqrt(n)
+    for j in range(steps):
+        w = M @ V[j]
+        for _ in range(2):
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
+            H[:j + 1, j] += h
+        H[j + 1, j] = np.linalg.norm(w)
+        if not H[j + 1, j] > 1e-12 * np.linalg.norm(H[:j + 2, j]):  # invariant subspace
+            steps = j + 1
+            break
+        V[j + 1] = w / H[j + 1, j]
+    values, vectors = np.linalg.eig(H[:steps, :steps])
+    real = np.where(values.imag == 0, values.real, -math.inf)
+    top = int(np.argmax(real))
+    u = np.abs(V[:steps].T @ vectors[:, top].real)
+    return u if real[top] > 0 and np.all(u > 0) else np.ones(n)
 
 
 def _eigenvalue_radius(M: np.ndarray) -> float:

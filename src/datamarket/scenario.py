@@ -48,6 +48,8 @@ _TOP_FIELDS = {"schema_version", "mode", "ground_truth", "sources",
 _SOURCE_FIELDS = {"id", "feature", "effort", "sharing"}
 _AGG_FIELDS = {"id", "estimator", "query_distribution", "zeta", "eta"}
 _EFFORT_FIELDS = {"family", "sigma0", "lambda", "k", "set"}
+#: The other family's parameter, refused beside the family's own.
+_FOREIGN_PARAMETER = {"exponential": "k", "inverse_power": "lambda"}
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +116,15 @@ def _no_unknown_fields(mapping, allowed, location):
 
 
 def _parse_effort(doc, location) -> EffortVarianceModel:
+    """Reads exactly the fields _effort_to_dict writes: the family's own
+    parameter (not the other family's), and e_max only in a bounded set."""
     _no_unknown_fields(doc, _EFFORT_FIELDS, location)
     family = _expect(doc, "family", str, location)
+    _no_unknown_fields(doc, _EFFORT_FIELDS - {_FOREIGN_PARAMETER.get(family)}, location)
     set_doc = _expect(doc, "set", dict, location, default={"kind": "unbounded"})
     kind = _expect(set_doc, "kind", str, f"{location}.set")
+    _no_unknown_fields(set_doc, {"kind", "e_max"} if kind == "bounded" else {"kind"},
+                       f"{location}.set")
     try:
         if kind == "bounded":
             effort_set = EffortSet("bounded", e_max=_expect(

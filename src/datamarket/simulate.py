@@ -81,11 +81,17 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
     loo = {bid: leave_one_out_weights(features[members[bid]], aggregator=bid,
                                       sources=np.array(sids)[members[bid]])
            for bid in bids}
-    # fit[(b, j)]: j's fit evaluated at b's query atoms, for b itself and its rivals
-    fit = {(bid, other): prediction_weights(features[members[other]],
-                                            queries[bid].points()).T
-           for bid in bids for other in bids
-           if other == bid or scenario.aggregators_by_id[bid].zeta.get(other, 0.0) != 0.0}
+    # fit[(b, j)]: j's fit evaluated at b's query atoms, for b itself and its
+    # rivals; each dataset j is fitted once, at the atoms of every b reading it
+    fit = {}
+    for other in bids:
+        readers = [bid for bid in bids if bid == other
+                   or scenario.aggregators_by_id[bid].zeta.get(other, 0.0) != 0.0]
+        atoms = [queries[bid].points() for bid in readers]
+        weights = prediction_weights(features[members[other]], np.vstack(atoms))
+        ends = np.cumsum([len(points) for points in atoms])[:-1]
+        fit.update(((bid, other), columns.T) for bid, columns
+                   in zip(readers, np.split(weights, ends, axis=1)))
     probs = {bid: queries[bid].weights() for bid in bids}
     truth_at_atoms = {bid: np.array([scenario.ground_truth(p) for p in q.points()])
                       for bid, q in queries.items()}

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import make_line_scenario, make_symmetric_direct
 
+from datamarket.effort import EffortSet, exponential_model, inverse_power_model
 from datamarket.errors import GenerationError, InfeasibleSpecError, ParseError
 from datamarket.market import MODE_DIRECT, MODE_ESTIMATOR, derive_parameters, validate_scenario
 from datamarket.scenario import (
     GenerationSpec,
+    _effort_to_dict,
+    _parse_effort,
     generate_scenario,
     generate_scenario_with_attempts,
     parse_scenario,
@@ -192,6 +195,38 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse_scenario(json.dumps(doc))
         assert "quadratic" in str(exc.value)
+
+    @pytest.mark.parametrize("effort, location, field", [
+        ({"family": "exponential", "sigma0": 1.0, "lambda": 0.5,
+          "set": {"kind": "unbounded", "e_max": 5.0, "junk": 1}}, ".set", "e_max"),
+        ({"family": "exponential", "sigma0": 1.0, "lambda": 0.5,
+          "set": {"kind": "unbounded", "e_max": 5.0}}, ".set", "e_max"),
+        ({"family": "exponential", "sigma0": 1.0, "lambda": 0.5,
+          "set": {"kind": "bounded", "e_max": 5.0, "junk": 1}}, ".set", "junk"),
+        ({"family": "exponential", "sigma0": 1.0, "lambda": 0.5, "k": 2.0,
+          "set": {"kind": "unbounded"}}, "", "'k'"),
+        ({"family": "inverse_power", "sigma0": 1.0, "k": 2.0, "lambda": 0.5,
+          "set": {"kind": "unbounded"}}, "", "'lambda'"),
+    ], ids=["set-junk-and-e_max", "unbounded-e_max", "bounded-junk",
+            "k-on-exponential", "lambda-on-inverse_power"])
+    def test_effort_fields_not_read_are_refused(self, effort, location, field):
+        # at the parent each of these parsed, and the field was dropped
+        doc = self.doc()
+        doc["sources"][0]["effort"] = effort
+        with pytest.raises(ParseError, match="unknown fields") as exc:
+            parse_scenario(json.dumps(doc))
+        assert exc.value.location == "sources[0].effort" + location
+        assert field in str(exc.value)
+
+    @pytest.mark.parametrize("model", [
+        exponential_model(1.0, 0.5), exponential_model(1.0, 0.5, EffortSet("bounded", 2.0)),
+        inverse_power_model(1.0, 2.0),
+        inverse_power_model(1.0, 2.0, EffortSet("bounded", 2.0)),
+    ], ids=["exponential", "exponential-bounded", "inverse_power", "inverse_power-bounded"])
+    def test_every_serialized_effort_parses(self, model):
+        # the parser accepts exactly the fields _effort_to_dict writes
+        effort = _effort_to_dict(model)
+        assert _parse_effort(effort, "effort") == model
 
 
 #: Replacement values of the mutation sweep: every JSON type, the numbers the

@@ -5,6 +5,8 @@ matrix Xi, the payment floors and the largest off-diagonal coupling."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     OLS,
@@ -21,7 +23,7 @@ from conftest import (
 from datamarket.effort import exponential_model
 from datamarket.equilibrium import payment_floors, solve_unbounded
 from datamarket.errors import IllDefinedEstimatorError, IllDefinedPaymentError
-from datamarket.estimators import ols_coefficients, point_mass
+from datamarket.estimators import leave_one_out_weights, ols_coefficients, point_mass
 from datamarket import market as market_module
 from datamarket.market import (
     ESTIMATOR_ZERO_TOL,
@@ -228,7 +230,9 @@ def test_operator_product_matches_assembled_matrix(market):
     rng = np.random.default_rng(7)
     for a in (rng.uniform(0.0, 1.0, len(params.pairs)),
               rng.uniform(0.0, 1.0, len(params.pairs)) * np.abs(params.gamma)):
-        np.testing.assert_allclose(operator @ a, matrix @ a, rtol=1e-12, atol=0.0)
+        product = operator @ a
+        assert product.dtype == np.float64  # also with no coupling term at all
+        np.testing.assert_allclose(product, matrix @ a, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("market", sorted(OPERATOR_MARKETS))
@@ -269,3 +273,48 @@ def test_solved_market_is_unchanged_by_direct_reentry_of_the_array():
     reparams = derive_parameters(direct)
     np.testing.assert_array_equal(params.xi, reparams.xi)
     assert solve_unbounded(params).a == solve_unbounded(reparams).a
+
+
+@st.composite
+def loo_designs(draw):
+    """Feature points for leave_one_out_weights: d in {1, 2, 3}, k from d + 2
+    to 40 points, small integer coordinates (so leave-one-out designs can be
+    exactly singular) or floats, some points repeated, and at most one
+    leverage point with a coordinate at 1e6."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(d + 2, 40))
+    coordinate = st.one_of(st.integers(-3, 3).map(float),
+                           st.floats(-10.0, 10.0, allow_nan=False))
+    points = [draw(st.tuples(*[coordinate] * d)) for _ in range(k)]
+    for _ in range(draw(st.integers(0, 3))):  # repeats of earlier points
+        points[draw(st.integers(0, k - 1))] = points[draw(st.integers(0, k - 1))]
+    if draw(st.booleans()):
+        at, axis = draw(st.integers(0, k - 1)), draw(st.integers(0, d - 1))
+        points[at] = tuple(1e6 if c == axis else x for c, x in enumerate(points[at]))
+    return points
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(points=loo_designs())
+def test_leave_one_out_weights_match_per_source_fits(points):
+    scenario = _line_market(points, {"b1": list(range(len(points)))})
+    ids = scenario.source_ids
+    features = np.array([scenario.sources_by_id[sid].feature for sid in ids])
+    try:
+        reference = reference_xi(scenario)["b1"]
+    except IllDefinedPaymentError as expected:
+        with pytest.raises(IllDefinedPaymentError) as got:
+            leave_one_out_weights(features, aggregator="b1", sources=np.array(ids))
+        assert (got.value.aggregator, got.value.source) == (expected.aggregator,
+                                                            expected.source)
+        return
+    weights = leave_one_out_weights(features, aggregator="b1", sources=np.array(ids))
+    for i, si in enumerate(ids):
+        assert weights[i, i] == 0.0
+        others = [l for l in range(len(ids)) if l != i]
+        # the reference holds squared weights; a weight that is 0 in exact
+        # arithmetic is rounding noise in both, so the floor is 1e-9 of the
+        # row's largest weight
+        expected = np.sqrt([reference[(si, ids[l])] for l in others])
+        np.testing.assert_allclose(np.abs(weights[i, others]), expected, rtol=1e-9,
+                                   atol=1e-9 * expected.max(), err_msg=si)
