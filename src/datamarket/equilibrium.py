@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, NumericalFailureError, ParseError
 from .market import (  # noqa: F401  (spectral_radius is public here too)
-    CouplingOperator,
     DerivedParameters,
     _first_mismatch,
     spectral_radius,
@@ -239,22 +238,24 @@ def _solve_coupled(params: DerivedParameters, alpha: float,
 
     The fixed point a <- gamma + alpha Xi a is iterated from a = gamma when
     the products predicted to shrink a step to float eps, log(eps) /
-    log(alpha rho) (1 at alpha rho = 0), number fewer than the budget, with
-    Xi a read from params.coupling.  The budget is near or below the cost of
-    one LU-path solve (building I - alpha Xi, the LU and the residual
-    product) counted in products, timed with OpenBLAS on one thread (x86
-    Xeon).  With the assembled matrix (P < COUPLING_OPERATOR_MIN_PAIRS) it
-    is P // 8 (at most 63): the LU path cost 2-3 products for P <= 24 and
-    6-18 for P = 64-192.  With the CouplingOperator it is P // 4, against an LU
-    path of, in operator products (two runs each):
+    log(alpha rho) (1 at alpha rho = 0), number fewer than the budget P // 4,
+    with Xi a read from params.coupling.  From P of about 192 on, the budget
+    is at or below the cost of one LU-path solve (assembling Xi, building
+    I - alpha Xi, the LU and the residual product) counted in operator
+    products, timed with OpenBLAS on one thread (x86 Xeon, two runs each):
 
-        P     sharing, m    one product   LU path     LU path + Xi's assembly
-        512   full, 4       28-39 us      259-301     361-399
-        603   half, 8       55-86 us      131-142     174-203
-        1200  full, 8       86-136 us     459-574     677-797
-        1465  half, 10      213-300 us    282-390     378-481
-        2000  full, 10      240-377 us    816-818     1040-1083
-        3000  full, 10      436-608 us    1320-1349   1668-1715
+        P     sharing, m    one product   LU path incl. Xi's assembly
+        96    full, 3       18-21 us      13-14
+        192   full, 4       24-27 us      48-53
+        384   full, 4       33-38 us      213
+        512   full, 4       46-48 us      312-339
+        603   half, 8       67-89 us      203-235
+        1200  full, 8       118-132 us    630-700
+        1465  half, 10      269-304 us    436-439
+        2000  full, 10      289-298 us    1120-1144
+        3000  full, 10      493-540 us    1529-1765
+
+    At P = 96 the budget, 24 products, is above the LU path's cost.
 
     Xi >= 0 and gamma > 0 make the iterates rise monotonically; the first
     iterate whose step (its residual) is at most eps times each of its
@@ -271,7 +272,7 @@ def _solve_coupled(params: DerivedParameters, alpha: float,
         return None
     xi, gamma = params.coupling, params.gamma
     eps = float(np.finfo(float).eps)
-    budget = len(gamma) // 4 if isinstance(xi, CouplingOperator) else len(gamma) // 8
+    budget = len(gamma) // 4
     predicted = math.log(eps) / math.log(rho) if rho > 0.0 else 1.0
     a_vec = None
     if predicted < budget:
@@ -306,10 +307,10 @@ def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
 
     Returns status "none" (with diagnostics) when the coupling radius reaches
     1, else the unique quality weights of a = Xi a + gamma, with the
-    c-degeneracy described by the polytope.  They come from fixed-point
-    products when those are predicted to cost less than an LU of I - Xi, and
-    from the LU otherwise (see _solve_coupled); diagnostics.iterations is the
-    number of products, or 1 when the LU ran.
+    c-degeneracy described by the polytope.  They come from at most P // 4
+    fixed-point products of the CouplingOperator when those are predicted
+    to suffice, and from an LU of I - Xi otherwise (see _solve_coupled);
+    diagnostics.iterations is the number of products, or 1 when the LU ran.
     """
     params.require_valid()
     if params.effort_kind != "unbounded":

@@ -319,13 +319,6 @@ def assemble_xi_matrix(scenario: MarketScenario, xi: np.ndarray,
     return CouplingOperator(scenario, xi).toarray(), scenario.sharing_pairs()
 
 
-#: Pair count P from which DerivedParameters applies Xi as a CouplingOperator
-#: rather than as the assembled matrix.  One product, OpenBLAS on one thread:
-#: dense 4 / 9 / 32 / 152 / 605 us against the operator's 27 / 35 / 49 / 119
-#: / 186 us at P = 96 / 192 / 384 / 603 (half sharing) / 1200.
-COUPLING_OPERATOR_MIN_PAIRS = 512
-
-
 class CouplingOperator:
     """Xi as a product over the sharing pairs, from the xi array, with no
     P x P matrix:
@@ -613,12 +606,11 @@ class DerivedParameters:
     models, a_lower and a_upper (inf for unbounded effort sets) over
     scenario.source_ids.
 
-    Xi is built on first read, in one of two forms.  `coupling` is the form
+    Xi is built on first read, as one CouplingOperator, `coupling`, which
     the unbounded path applies (the radius, the fixed-point products and the
-    solve's residual check): the assembled matrix below
-    COUPLING_OPERATOR_MIN_PAIRS pairs, a CouplingOperator from there.
-    `xi_matrix` is the assembled matrix; on the operator side only the LU
-    path, a stalled radius bracket, xi_matrix.csv and solve_bounded read it."""
+    solve's residual check).  `xi_matrix` is the assembled matrix, scattered
+    from that operator on first read; only the LU path, xi_matrix.csv and
+    solve_bounded read it (a stalled radius bracket assembles its own)."""
 
     scenario: MarketScenario
     mode: str
@@ -639,8 +631,8 @@ class DerivedParameters:
     # Filled on first read; derivation needs none of them.
     _xi_matrix: np.ndarray | None = field(default=None, init=False, repr=False,
                                           compare=False)
-    _coupling: np.ndarray | CouplingOperator | None = field(default=None, init=False,
-                                                            repr=False, compare=False)
+    _coupling: CouplingOperator | None = field(default=None, init=False, repr=False,
+                                               compare=False)
     _spectral_radius: float | None = field(default=None, init=False, repr=False,
                                            compare=False)
 
@@ -655,19 +647,17 @@ class DerivedParameters:
 
     @property
     def xi_matrix(self) -> np.ndarray:
-        """The assembled coupling matrix (assemble_xi_matrix)."""
+        """The assembled coupling matrix (assemble_xi_matrix), scattered from
+        `coupling`, so each market builds one operator."""
         if self._xi_matrix is None:
-            object.__setattr__(self, "_xi_matrix",
-                               assemble_xi_matrix(self.scenario, self.xi)[0])
+            object.__setattr__(self, "_xi_matrix", self.coupling.toarray())
         return self._xi_matrix
 
     @property
-    def coupling(self) -> np.ndarray | CouplingOperator:
-        """Xi in the form chosen for this market's size; `coupling @ a` is Xi a."""
+    def coupling(self) -> CouplingOperator:
+        """Xi as a CouplingOperator; `coupling @ a` is Xi a."""
         if self._coupling is None:
-            object.__setattr__(self, "_coupling", (
-                self.xi_matrix if len(self.pairs) < COUPLING_OPERATOR_MIN_PAIRS
-                else CouplingOperator(self.scenario, self.xi)))
+            object.__setattr__(self, "_coupling", CouplingOperator(self.scenario, self.xi))
         return self._coupling
 
     @property

@@ -1,10 +1,14 @@
 """The benchmark reads the package by name: it traces functions by module
 and name (bench/tracing.py, TRACED), and its workloads call attributes of the
-imported package.  Each name must still resolve, or a benchmark run fails."""
+imported package.  Each name must still resolve, or a benchmark run fails.
+Its workloads' seed-0 answers must also match the stored references
+(bench/references.json), or every benchmark run counts them as failed."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,11 +17,16 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
 
 
-def _traced():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
+
+
+def _traced():
+    return _load(TRACING).TRACED
 
 
 def _bench_reads():
@@ -63,3 +72,20 @@ def test_bench_read_resolves(file, module_name, chain):
     for name in chain.split("."):
         assert hasattr(target, name), f"{file}: {module_name}.{chain}"
         target = getattr(target, name)
+
+
+WORKLOADS = _load(BENCH / "workloads.py")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_seed_zero_answers_match_the_references(name):
+    # a solve-path change that moves an answer past REL_TOL, or changes a
+    # bounded sweep count, fails here and not only in a benchmark run
+    workload = WORKLOADS.WORKLOADS[name]
+    references = json.loads((BENCH / "references.json").read_text())["seeds"]["0"][name]
+    prepared = workload.setup(workload.plan(0, False), False)
+    assert sorted(key for key, _ in prepared.items) == sorted(references)
+    for key, payload in prepared.items:
+        outcome = workload.operation(payload)
+        assert workload.problems(outcome) == [], key
+        assert WORKLOADS.drift(workload.fingerprint(outcome), references[key]) == [], key

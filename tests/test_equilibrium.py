@@ -45,6 +45,7 @@ from datamarket.errors import (
     ScenarioValidationError,
 )
 from datamarket.market import derive_parameters
+from datamarket.results import xi_matrix_csv
 from datamarket.scenario import GenerationSpec, generate_scenario
 from datamarket.welfare import price_of_anarchy
 
@@ -142,7 +143,7 @@ class TestSpectralRadius:
         # the benchmark's certify and best-response shapes: the Arnoldi pass
         # and one or two sweeps, where a start from ones took 54-75 products
         params = derive_parameters(generate_scenario(spec, 0))
-        expected = params.spectral_radius  # from the assembled matrix, uncounted
+        expected = params.spectral_radius  # read before the counter, uncounted
         products = []
         original = market.CouplingOperator.__matmul__
 
@@ -426,29 +427,31 @@ def _scaled_demands(n, m, scale):
 
 # (market, alpha * rho of each sweep point, path of solve_unbounded, path of
 # each sweep point).  Fixed-point products are predicted to cost less than one
-# LU while log(eps) / log(alpha rho) < P // 8.
+# LU while log(eps) / log(alpha rho) < P // 4: 12 products at alpha rho =
+# 0.05, 52 at 0.5, 101 at 0.7 and 342 at 0.9.
 SOLVE_PATH_CASES = {
-    # P = 240, rho = 0.13: about 18 products at alpha = 1; at alpha rho = 0.5
-    # the prediction (52 products) exceeds the budget of 30
+    # P = 240, rho = 0.13: about 18 products at alpha = 1, and within the
+    # budget of 60 at alpha rho = 0.5; 0.999 takes the LU
     "generated": (lambda: generate_scenario(GenerationSpec(60, 4), 0),
                   (0.05, 0.5, 0.999), "fixed-point",
-                  ("fixed-point", "lu", "lu")),
-    # P = 4: a budget of no product, so always the LU, up to alpha = 1.99
+                  ("fixed-point", "fixed-point", "lu")),
+    # P = 4: a budget of one product, below every prediction, so always the
+    # LU, up to alpha = 1.99
     "symmetric": (make_symmetric_direct, (0.25, 0.5, 0.995), "lu", ("lu", "lu", "lu")),
-    # P = 120, rho = 0.99: too close to 1 for a budget of 15 products
+    # P = 120, rho = 0.99: too close to 1 for a budget of 30 products
     "uniform-near-one": (lambda: make_coupled_direct(40, 3, lambda i, l: 0.99 / 78),
                          (0.05, 0.99), "lu", ("fixed-point", "lu")),
     # rho = 0.1 and a single-buyer source, decoupled, with 1e8 times the
     # others' demand: a step bound of eps * max(a) would stop the others
-    # at a residual near 1e-8
-    "single-buyer-giant": (make_single_buyer_giant,
-                           (0.05, 0.5), "fixed-point", ("fixed-point", "lu")),
+    # at a residual near 1e-8.  P = 241: alpha rho = 0.9 takes the LU
+    "single-buyer-giant": (make_single_buyer_giant, (0.05, 0.5, 0.9), "fixed-point",
+                           ("fixed-point", "fixed-point", "lu")),
     # rho = 0.1 with every demand near 1e8: both paths' residuals, a few ulps
-    # of a, exceed 1e-9, which an absolute tolerance rejected
+    # of a, exceed 1e-9, which an absolute tolerance rejected.  P = 240
     "demands-near-1e8": (lambda: make_coupled_direct(
         80, 3, lambda i, l: 0.1 / 158,
         beta=lambda i, b, beta=_scaled_demands(80, 3, 1e8): beta[i, b]),
-        (0.05, 0.5), "fixed-point", ("fixed-point", "lu")),
+        (0.05, 0.5, 0.9), "fixed-point", ("fixed-point", "fixed-point", "lu")),
 }
 
 
@@ -480,7 +483,7 @@ class TestSolvePaths:
     def test_exhausted_budget_falls_through_to_the_lu(self, monkeypatch):
         # the chain (s, b) <- (s + 1, j != b) is nilpotent: rho = 0 predicts
         # one product, but the steps, doubling, vanish only after n = 12
-        # products, past the budget P // 8 = 3
+        # products, past the budget P // 4 = 6
         n = 12
         params = derive_parameters(make_coupled_direct(
             n, 2, lambda i, l: 2.0 if i == l + 1 else 0.0))
@@ -540,45 +543,81 @@ class TestSolvePaths:
 
 
 class TestOperatorSide:
-    """A market of COUPLING_OPERATOR_MIN_PAIRS pairs: the unbounded path reads
-    Xi through the operator and never assembles it."""
+    """The unbounded path reads Xi through the one CouplingOperator of each
+    market, and assembles it only for an LU."""
+
+    # (market, alpha * rho of each sweep point), each within the budget P // 4
+    NEVER_ASSEMBLED = {
+        # P = 192, the simulate-rounds market: 26 predicted products at
+        # alpha rho = 0.25, within 48
+        "n48-m4": (GenerationSpec(48, 4, family="mixed"), (0.25,)),
+        # P = 512: 101 at alpha rho = 0.7, within 128
+        "n128-m4": (GenerationSpec(128, 4), (0.5, 0.7)),
+    }
 
     @pytest.fixture
     def scenario(self):
-        scenario = generate_scenario(GenerationSpec(128, 4), 0)
-        assert len(scenario.sharing_pairs()) == market.COUPLING_OPERATOR_MIN_PAIRS
-        return scenario
+        return generate_scenario(GenerationSpec(128, 4), 0)
 
-    def test_never_assembles(self, scenario, monkeypatch):
+    @pytest.mark.parametrize("shape", sorted(NEVER_ASSEMBLED))
+    def test_never_assembles(self, shape, monkeypatch):
+        spec, targets = self.NEVER_ASSEMBLED[shape]
+        scenario = generate_scenario(spec, 0)
         calls = []
-        assemble = market.assemble_xi_matrix
+        toarray = market.CouplingOperator.toarray
 
-        def counted(*args):
-            calls.append(args)
-            return assemble(*args)
+        def counted(self):
+            calls.append(self.shape)
+            return toarray(self)
 
-        monkeypatch.setattr(market, "assemble_xi_matrix", counted)
+        monkeypatch.setattr(market.CouplingOperator, "toarray", counted)
         tracemalloc.start()
         try:
             params = derive_parameters(scenario)
             result = solve_unbounded(params)
-            # at alpha rho = 0.7, 101 predicted products: within the budget
-            # P // 4 = 128 of the operator, past P // 8 of the matrix
             points = alpha_sweep(params, [target / params.spectral_radius
-                                          for target in (0.5, 0.7)])
+                                          for target in targets])
             price_of_anarchy(result, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        certificate = certify_equilibrium(result, params)
         assert calls == []
         assert isinstance(params.coupling, market.CouplingOperator)
         assert result.diagnostics.iterations > 1
-        assert [p.status for p in points] == [STATUS_UNIQUE, STATUS_UNIQUE]
+        assert [p.status for p in points] == [STATUS_UNIQUE] * len(targets)
+        assert certificate.passed
         dense_bytes = len(params.pairs) ** 2 * np.dtype(float).itemsize
-        assert peak < dense_bytes
+        if len(params.pairs) >= 512:  # at P = 192 derivation alone peaks above Xi's size
+            assert peak < dense_bytes
         # the dense Xi, read on demand, is the assembled one bit for bit
-        np.testing.assert_array_equal(params.xi_matrix, assemble(scenario, params.xi)[0])
+        matrix = params.xi_matrix
         assert len(calls) == 1
+        np.testing.assert_array_equal(matrix, market.assemble_xi_matrix(scenario, params.xi)[0])
+
+    @pytest.mark.parametrize("path", ["bounded", "unbounded-lu"])
+    def test_one_operator_per_market(self, path, monkeypatch):
+        # P = 512: the radius, the solve (best responses on the dense Xi, or
+        # an LU at alpha rho = 0.9) and the xi_matrix.csv export share one
+        built = []
+        init = market.CouplingOperator.__init__
+
+        def counted(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(market.CouplingOperator, "__init__", counted)
+        params = derive_parameters(generate_scenario(
+            GenerationSpec(128, 4, family="mixed", bounded=path == "bounded"), 0))
+        assert len(params.pairs) == 512
+        rho = params.spectral_radius
+        if path == "bounded":
+            assert solve_bounded(params).status == STATUS_BOUNDED
+        else:
+            (point,) = alpha_sweep(params, [0.9 / rho])
+            assert point.status == STATUS_UNIQUE
+        assert xi_matrix_csv(params).count("\n") == 513
+        assert len(built) == 1
 
     def test_lu_point_matches_the_oracle(self, scenario, monkeypatch):
         params = derive_parameters(scenario)
