@@ -127,11 +127,23 @@ def _read(path: Path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: Path, text: str | None) -> None:
+    """Write text to path, or make path a directory (parents too) when text
+    is None; a failure is the ParseError that _read raises, naming the path."""
+    try:
+        if text is None:
+            path.mkdir(parents=True, exist_ok=True)
+        else:
+            path.write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, output: Path | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        output.write_text(text)
+        _write(output, text)
 
 
 def _info(message: str) -> None:
@@ -181,9 +193,9 @@ def _cmd_derive(args) -> int:
             print(f"# {name}")
             sys.stdout.write(text)
     else:
-        args.output.mkdir(parents=True, exist_ok=True)
+        _write(args.output, None)
         for name, text in tables.items():
-            (args.output / name).write_text(text)
+            _write(args.output / name, text)
         _info(f"wrote {', '.join(tables)} to {args.output}")
     _info(params.validation.summary())
     return EXIT_OK if params.validation.ok else EXIT_VALIDATION

@@ -354,9 +354,9 @@ def _variance_weights(params: DerivedParameters, a_vec: np.ndarray) -> np.ndarra
     membership = params.scenario.membership
     a_table = np.zeros(membership.shape)
     a_table[params.pair_source, params.pair_aggregator] = a_vec
-    # a[i, j] * [i in D_b] * [j != b] * xi_j(i, s), summed over i and j
-    coupling = np.einsum("ij,ib,jb,jis->bs", a_table, membership,
-                         1.0 - np.eye(membership.shape[1]), params.xi)
+    # u[j, b, i] = a[i, j] * [i in D_b] * [j != b], contracted with xi_j(i, s)
+    u = a_table.T[:, None, :] * membership.T * (1.0 - np.eye(membership.shape[1]))[:, :, None]
+    coupling = np.einsum("jbi,jis->bs", u, params.xi)
     return params.gamma + coupling[params.pair_aggregator, params.pair_source]
 
 
@@ -400,12 +400,12 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
     ones), each coordinate moving a `damping` fraction toward its
     best-response target.  One aggregator's coordinates update together, as
     one vector step: the target of (s, b) reads a[(s, j)] and a[(l, j)] only
-    for j != b (the own-aggregator block of Xi is zero), so updating b's
-    block at once gives exactly the coordinate-by-coordinate iterates, up to
-    summation order.  Deterministic for fixed options.  Exhausting max_iter
-    raises NonConvergenceError carrying the last iterate; existence is
-    guaranteed, so non-convergence is a solver limitation, never a
-    nonexistence claim.
+    for j != b, so this gives the coordinate-by-coordinate iterates up to
+    summation order.  Its coupling is params.coupling's terms, kept between
+    steps: after b moves only term b (b's pairs alone) is recomputed.
+    Deterministic for fixed options.  Exhausting max_iter raises
+    NonConvergenceError carrying the last iterate; existence is guaranteed,
+    so non-convergence is a solver limitation, never a nonexistence claim.
     """
     params.require_valid()
     if params.effort_kind != "bounded":
@@ -419,13 +419,13 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
     lower, upper = params.a_lower[params.pair_source], params.a_upper[params.pair_source]
     blocks = [np.flatnonzero(params.pair_aggregator == b)
               for b in range(len(params.scenario.aggregator_ids))]
-    block_rows = [params.xi_matrix[blk] for blk in blocks]  # sliced once, read per step
     a = params.gamma.copy()  # start from the decoupled demands
+    sums = [params.coupling.term(b, a) for b in range(len(blocks))]
     iterations = 0
     for iterations in range(1, max_iter + 1):
         residual = 0.0
-        for blk, xi_rows in zip(blocks, block_rows):
-            interior = params.gamma[blk] + xi_rows @ a
+        for b, blk in enumerate(blocks):
+            interior = params.gamma[blk] + params.coupling.scatter(sums)[blk]
             own = a[blk]
             totals = np.bincount(params.pair_source, weights=a)
             target, _ = _clamp(interior, totals[params.pair_source[blk]] - own,
@@ -433,6 +433,7 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
             delta = target - own
             residual = max(residual, float(np.abs(delta).max(initial=0.0)))
             a[blk] += damping * delta
+            sums[b] = params.coupling.term(b, a)  # term b reads b's own pairs only
         if residual < tol:
             diag = SolveDiagnostics(spectral_radius=params.spectral_radius,
                                     iterations=iterations, max_residual=residual)

@@ -130,14 +130,16 @@ def leave_one_out_weights(points, *, aggregator: str, sources) -> np.ndarray:
     grams = np.zeros((k, p, p))
     np.cumsum(outer[:-1], axis=0, out=grams[1:])           # rows before i
     grams[:-1] += np.cumsum(outer[:0:-1], axis=0)[::-1]     # rows after i
-    cond = np.linalg.cond(grams) if k > p else np.full(k, np.inf)
-    failing = np.flatnonzero(~(cond < CONDITION_LIMIT))  # NaN and inf fail too
-    if failing.size:
+    # symmetric PSD Grams: cond_2 = |lambda|max / |lambda|min; k <= p: all singular
+    size = np.abs(np.linalg.eigvalsh(grams)) if k > p else np.zeros((k, p))
+    failing = np.flatnonzero(~(size.max(axis=1) < CONDITION_LIMIT * size.min(axis=1)))
+    if failing.size:  # a NaN eigenvalue fails too; no division by a zero one
         source = str(sources[failing[0]])
+        cond = np.linalg.cond(grams[failing[0]]) if k > p else math.inf
         raise IllDefinedPaymentError(
             f"aggregator {aggregator!r}: leave-one-out design excluding source "
             f"{source!r} is rank deficient ({k - 1} points for {p} parameters, Gram "
-            f"condition {cond[failing[0]]:.3e}, limit {CONDITION_LIMIT:.0e})",
+            f"condition {cond:.3e}, limit {CONDITION_LIMIT:.0e})",
             aggregator=aggregator, source=source)
     weights = np.linalg.solve(grams, X[:, :, None])[:, :, 0] @ X.T
     np.fill_diagonal(weights, 0.0)

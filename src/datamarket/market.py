@@ -363,10 +363,17 @@ class CouplingOperator:
         self.blocks = tuple(term[1] for term in self._terms)  # the X_j, in id order
 
     def __matmul__(self, a: np.ndarray) -> np.ndarray:
-        sums = np.concatenate([((columns * a[inputs]) @ block).ravel()
-                               for inputs, block, columns in self._terms])
+        return self.scatter([self.term(j, a) for j in range(len(self._terms))])
+
+    def term(self, j: int, a: np.ndarray) -> np.ndarray:
+        """Aggregator j's sums (rivals' distinct columns times X_j): a at j's pairs only."""
+        inputs, block, columns = self._terms[j]
+        return ((columns * a[inputs]) @ block).ravel()
+
+    def scatter(self, sums: list[np.ndarray]) -> np.ndarray:
+        """Xi a from every aggregator's term(j, a), in id order."""
         # float even with no coupling: bincount over no weights counts, in int64
-        return np.bincount(self._targets, weights=sums[self._gather],
+        return np.bincount(self._targets, weights=np.concatenate(sums)[self._gather],
                            minlength=self.shape[0]).astype(float, copy=False)
 
     def toarray(self) -> np.ndarray:
@@ -607,10 +614,10 @@ class DerivedParameters:
     scenario.source_ids.
 
     Xi is built on first read, as one CouplingOperator, `coupling`, which
-    the unbounded path applies (the radius, the fixed-point products and the
-    solve's residual check).  `xi_matrix` is the assembled matrix, scattered
-    from that operator on first read; only the LU path, xi_matrix.csv and
-    solve_bounded read it (a stalled radius bracket assembles its own)."""
+    both solvers read (the radius, the fixed-point products, the residual
+    check, and the best responses through its terms).  `xi_matrix` is the
+    assembled matrix, scattered from it on first read: an export that only
+    the LU path and xi_matrix.csv read (a stalled radius assembles its own)."""
 
     scenario: MarketScenario
     mode: str
@@ -647,8 +654,8 @@ class DerivedParameters:
 
     @property
     def xi_matrix(self) -> np.ndarray:
-        """The assembled coupling matrix (assemble_xi_matrix), scattered from
-        `coupling`, so each market builds one operator."""
+        """The assembled Xi (assemble_xi_matrix), scattered from `coupling`:
+        an export for the LU path and xi_matrix.csv, one operator per market."""
         if self._xi_matrix is None:
             object.__setattr__(self, "_xi_matrix", self.coupling.toarray())
         return self._xi_matrix

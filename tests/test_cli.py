@@ -279,6 +279,30 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith("datamarket: ")
         assert not out.exists()
 
+    # an output in a missing directory, or derive's table directory over an
+    # existing file: exit 1 with the CLI's message naming the path, where an
+    # OSError escaping cli() would end in a traceback
+    @pytest.mark.parametrize("args", [
+        ["solve", "{scenario}", "--output", "{missing}"],
+        ["welfare", "{scenario}", "{result}", "--output", "{missing}"],
+        ["sweep-alpha", "{scenario}", "--alphas", "0.5", "--output", "{missing}"],
+        ["simulate", "{scenario}", "{result}", "--rounds", "2", "--seed", "0",
+         "--output", "{missing}"],
+        ["generate", "--n", "4", "--m", "2", "--output", "{missing}"],
+        ["derive", "{scenario}", "--output", "{result}"],
+    ], ids=lambda args: args[0])
+    def test_unwritable_output_exits_one(self, line_file, tmp_path, capsys, args):
+        result = tmp_path / "result.json"
+        assert cli(["solve", str(line_file), "--output", str(result)]) == 0
+        capsys.readouterr()
+        paths = {"scenario": line_file, "result": result,
+                 "missing": tmp_path / "missing" / "out"}
+        argv = [arg.format(**paths) for arg in args]
+        assert cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("datamarket: cannot write ") and argv[-1] in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("direction", ["above", "below-a_lower"])
     def test_a_total_off_its_a_exits_two(self, tmp_path, capsys, direction):
         # a single-buyer source's total moved, a grid reaching past a_lower

@@ -420,6 +420,18 @@ def _count_lu_calls(monkeypatch):
     return calls
 
 
+def _count_assemblies(monkeypatch):
+    calls = []
+    toarray = market.CouplingOperator.toarray
+
+    def counted(self):
+        calls.append(self.shape)
+        return toarray(self)
+
+    monkeypatch.setattr(market.CouplingOperator, "toarray", counted)
+    return calls
+
+
 def _scaled_demands(n, m, scale):
     """Direct-mode demands drawn from U(1, 2) times scale."""
     return np.random.default_rng(0).uniform(1.0, 2.0, size=(n, m)) * scale
@@ -543,8 +555,9 @@ class TestSolvePaths:
 
 
 class TestOperatorSide:
-    """The unbounded path reads Xi through the one CouplingOperator of each
-    market, and assembles it only for an LU."""
+    """Both solve paths read Xi through the one CouplingOperator of each
+    market: the unbounded path assembles it only for an LU, and the bounded
+    best responses never."""
 
     # (market, alpha * rho of each sweep point), each within the budget P // 4
     NEVER_ASSEMBLED = {
@@ -563,14 +576,7 @@ class TestOperatorSide:
     def test_never_assembles(self, shape, monkeypatch):
         spec, targets = self.NEVER_ASSEMBLED[shape]
         scenario = generate_scenario(spec, 0)
-        calls = []
-        toarray = market.CouplingOperator.toarray
-
-        def counted(self):
-            calls.append(self.shape)
-            return toarray(self)
-
-        monkeypatch.setattr(market.CouplingOperator, "toarray", counted)
+        calls = _count_assemblies(monkeypatch)
         tracemalloc.start()
         try:
             params = derive_parameters(scenario)
@@ -597,8 +603,9 @@ class TestOperatorSide:
 
     @pytest.mark.parametrize("path", ["bounded", "unbounded-lu"])
     def test_one_operator_per_market(self, path, monkeypatch):
-        # P = 512: the radius, the solve (best responses on the dense Xi, or
-        # an LU at alpha rho = 0.9) and the xi_matrix.csv export share one
+        # P = 512: the radius, the solve (best responses on the operator's
+        # terms, or an LU at alpha rho = 0.9) and the xi_matrix.csv export
+        # share one
         built = []
         init = market.CouplingOperator.__init__
 
@@ -618,6 +625,25 @@ class TestOperatorSide:
             assert point.status == STATUS_UNIQUE
         assert xi_matrix_csv(params).count("\n") == 513
         assert len(built) == 1
+
+    def test_bounded_never_assembles(self, monkeypatch):
+        # P = 512: best responses read the operator's terms, and hold no
+        # second copy of Xi while they sweep
+        calls = _count_assemblies(monkeypatch)
+        params = derive_parameters(generate_scenario(
+            GenerationSpec(128, 4, family="mixed", bounded=True), 0))
+        assert len(params.pairs) == 512
+        assert params.spectral_radius < 1.0
+        tracemalloc.start()
+        try:
+            result = solve_bounded(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.status == STATUS_BOUNDED
+        assert certify_equilibrium(result, params).passed
+        assert calls == []
+        assert peak < len(params.pairs) ** 2 * np.dtype(float).itemsize
 
     def test_lu_point_matches_the_oracle(self, scenario, monkeypatch):
         params = derive_parameters(scenario)
