@@ -182,6 +182,8 @@ def _cmd_validate(args) -> int:
 def _cmd_derive(args) -> int:
     scenario = _load_scenario(args.scenario)
     params = derive_parameters(scenario, require_valid=False)
+    if any(v.code == "nonfinite-demand" for v in params.validation.violations):
+        params.require_valid()  # an ill-posed market's tables, but none holding inf or NaN
     tables = {
         "beta.csv": reports.beta_csv(params),
         "gamma.csv": reports.gamma_csv(params),

@@ -159,16 +159,21 @@ class CustomVariance:
 
 @dataclass(frozen=True)
 class EffortVarianceModel:
-    """A source's sigma family together with its feasible effort set."""
+    """A source's sigma family, its feasible effort set, and the incentive
+    range [a_lower, a_upper] they imply, set once at construction: the
+    first-order condition gives a_lower = -1/(2*sigma(0)*sigma'(0)) and, for
+    bounded sets, a_upper at e_max (+inf otherwise).  A bound that is not
+    finite (2*sigma*sigma' underflowing to 0, or NaN) raises DomainError."""
 
     family: ExponentialVariance | InversePowerVariance | CustomVariance
     effort_set: EffortSet = UNBOUNDED
-    _incentive_bounds: IncentiveBounds | None = field(
-        default=None, init=False, repr=False, compare=False)
+    incentive_bounds: IncentiveBounds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.family, CustomVariance):
             _vet_custom_family(self.family, self.effort_set)
+        object.__setattr__(self, "incentive_bounds", IncentiveBounds(
+            _incentive_at(self, 0.0), _incentive_at(self, self.effort_set.e_max)))
 
     def sigma(self, e: float) -> float:
         return self.family.sigma(e)
@@ -180,35 +185,24 @@ class EffortVarianceModel:
         return self.family.sigma_second(e)
 
     @property
-    def incentive_bounds(self) -> IncentiveBounds:
-        """[a_lower, a_upper], computed on first use and kept (the model is
-        immutable).
-
-        The first-order condition at effort 0 gives
-        a_lower = -1/(2*sigma(0)*sigma'(0)); for bounded sets the same identity
-        at e_max gives a_upper, otherwise +inf.  Kept in a declared field,
-        not with functools.cached_property: writing to an instance's
-        __dict__ slows every later attribute read on it (CPython 3.11).
-        """
-        bounds = self._incentive_bounds
-        if bounds is None:
-            a_lower = -1.0 / (2.0 * self.sigma(0.0) * self.sigma_prime(0.0))
-            if self.effort_set.bounded:
-                e_max = self.effort_set.e_max
-                a_upper = -1.0 / (2.0 * self.sigma(e_max) * self.sigma_prime(e_max))
-            else:
-                a_upper = math.inf
-            bounds = IncentiveBounds(a_lower, a_upper)
-            object.__setattr__(self, "_incentive_bounds", bounds)
-        return bounds
-
-    @property
     def family_name(self) -> str:
         return {
             ExponentialVariance: "exponential",
             InversePowerVariance: "inverse_power",
             CustomVariance: "custom",
         }[type(self.family)]
+
+
+def _incentive_at(model: EffortVarianceModel, e: float | None) -> float:
+    """-1/(2*sigma(e)*sigma'(e)), the total weight at which effort e is
+    optimal: +inf at e None (no cap), DomainError where it is not finite."""
+    if e is None:
+        return math.inf
+    slope = 2.0 * model.sigma(e) * model.sigma_prime(e)
+    bound = -1.0 / slope if slope else math.inf
+    if not math.isfinite(bound):
+        raise DomainError(f"incentive bound {bound} at effort {e} is not finite")
+    return bound
 
 
 def exponential_model(sigma0: float, lam: float,
@@ -260,7 +254,7 @@ class IncentiveBounds:
 
 
 def incentive_bounds(model: EffortVarianceModel) -> IncentiveBounds:
-    """[a_lower, a_upper] for a model (see EffortVarianceModel.incentive_bounds)."""
+    """[a_lower, a_upper] for a model (see EffortVarianceModel)."""
     return model.incentive_bounds
 
 

@@ -93,21 +93,31 @@ def design_matrix(points) -> np.ndarray:
     return np.hstack([pts, np.ones((pts.shape[0], 1))])
 
 
+def _rank_deficient(grams: np.ndarray) -> np.ndarray:
+    """Indices of the failing Grams of a (k, p, p) stack of symmetric PSD
+    matrices: one passes when |lambda|max < CONDITION_LIMIT * |lambda|min
+    (eigvalsh), so a zero or NaN eigenvalue fails, as does a non-finite
+    entry (tested as zeros: LAPACK's eigenvalues of a NaN are undefined)."""
+    finite = np.isfinite(grams).all(axis=(1, 2))
+    size = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], grams, 0.0)))
+    return np.flatnonzero(~(size.max(axis=1) < CONDITION_LIMIT * size.min(axis=1)))
+
+
 def prediction_weights(points, queries) -> np.ndarray:
     """Columns are X (X^T X)^{-1} [q^T, 1]^T for each query q: the weights an
     OLS prediction at q places on each observed response (one row per point).
-    Raises IllDefinedEstimatorError on rank-deficient designs."""
+    Raises IllDefinedEstimatorError on rank-deficient designs: too few
+    points, or a Gram failing _rank_deficient, the leave-one-out fits' test."""
     X = design_matrix(points)
     gram = X.T @ X
     if X.shape[0] < X.shape[1]:
         raise IllDefinedEstimatorError(
             f"estimator is ill-defined: {X.shape[0]} points cannot identify "
             f"{X.shape[1]} regression parameters")
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
+    if _rank_deficient(gram[None]).size:
         raise IllDefinedEstimatorError(
-            f"estimator is ill-defined: design Gram matrix condition {cond:.3e} "
-            f"exceeds {CONDITION_LIMIT:.0e}")
+            f"estimator is ill-defined: design Gram matrix condition "
+            f"{np.linalg.cond(gram):.3e} exceeds {CONDITION_LIMIT:.0e}")
     return X @ np.linalg.solve(gram, design_matrix(queries).T)
 
 
@@ -130,12 +140,10 @@ def leave_one_out_weights(points, *, aggregator: str, sources) -> np.ndarray:
     grams = np.zeros((k, p, p))
     np.cumsum(outer[:-1], axis=0, out=grams[1:])           # rows before i
     grams[:-1] += np.cumsum(outer[:0:-1], axis=0)[::-1]     # rows after i
-    # symmetric PSD Grams: cond_2 = |lambda|max / |lambda|min; k <= p: all singular
-    size = np.abs(np.linalg.eigvalsh(grams)) if k > p else np.zeros((k, p))
-    failing = np.flatnonzero(~(size.max(axis=1) < CONDITION_LIMIT * size.min(axis=1)))
-    if failing.size:  # a NaN eigenvalue fails too; no division by a zero one
-        source = str(sources[failing[0]])
-        cond = np.linalg.cond(grams[failing[0]]) if k > p else math.inf
+    failing = _rank_deficient(grams)  # every one when k <= p: G_i has rank k - 1
+    if failing.size:
+        source, gram = str(sources[failing[0]]), grams[failing[0]]
+        cond = math.inf if np.isnan(gram).any() else np.linalg.cond(gram)  # SVD of a NaN fails
         raise IllDefinedPaymentError(
             f"aggregator {aggregator!r}: leave-one-out design excluding source "
             f"{source!r} is rank deficient ({k - 1} points for {p} parameters, Gram "

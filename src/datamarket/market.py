@@ -257,8 +257,9 @@ def _net_demand(beta: np.ndarray, membership: np.ndarray, aggregators,
     for j in range(len(ids)):
         # exact zeros where s does not sell to j (table) or j == b (zeta)
         rival_benefit += zeta[pair_aggregator, j] * table[pair_source, j]
-    gamma = (beta - rival_benefit) / scale[pair_aggregator]
-    return gamma, np.bincount(pair_source, weights=gamma)
+    with np.errstate(over="ignore"):  # validation reports it as nonfinite-demand
+        gamma = (beta - rival_benefit) / scale[pair_aggregator]
+        return gamma, np.bincount(pair_source, weights=gamma)
 
 
 def derive_beta(scenario: MarketScenario) -> np.ndarray:
@@ -375,6 +376,16 @@ class CouplingOperator:
         # float even with no coupling: bincount over no weights counts, in int64
         return np.bincount(self._targets, weights=np.concatenate(sums)[self._gather],
                            minlength=self.shape[0]).astype(float, copy=False)
+
+    def largest_entry(self) -> float:
+        """The largest entry of Xi, 0 with no coupling: X_j[l, s] is an
+        entry wherever some rival column on D_j holds both l and s."""
+        largest = 0.0
+        for _, block, columns in self._terms:
+            held = columns > 0  # as booleans: a float product takes longer
+            both = (held[:, :, None] & held[:, None, :]).any(axis=0)
+            largest = max(largest, float(np.max(block, where=both, initial=0.0)))
+        return largest
 
     def toarray(self) -> np.ndarray:
         """The assembled matrix (assemble_xi_matrix).  The sums entry c, s of
@@ -580,7 +591,10 @@ def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
 
     gamma, gamma_total = demand
     for (sid, bid), value in zip(scenario.sharing_pairs(), gamma.tolist()):
-        if value <= 0:
+        if not math.isfinite(value):
+            violations.append(Violation(
+                "nonfinite-demand", f"({sid}, {bid})", "net demand is not finite"))
+        elif value <= 0:
             violations.append(Violation(
                 "nonpositive-demand", f"({sid}, {bid})",
                 f"net demand {value} must be positive"))
@@ -588,7 +602,10 @@ def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
     for sid, total in zip(scenario.source_ids, gamma_total.tolist()):
         model = scenario.sources_by_id[sid].effort_model
         bounds = model.incentive_bounds
-        if total < bounds.a_lower:
+        if not math.isfinite(total):
+            violations.append(Violation(
+                "nonfinite-demand", sid, "total demand is not finite"))
+        elif total < bounds.a_lower:
             violations.append(Violation(
                 "demand-below-minimum", sid,
                 f"total demand {total} is below the minimum incentive "
@@ -669,8 +686,8 @@ class DerivedParameters:
 
     @property
     def spectral_radius(self) -> float:
-        """rho(Xi), computed on first read and kept in a declared field, as
-        EffortVarianceModel keeps its incentive bounds."""
+        """rho(Xi), computed on first read and kept in a declared field, not
+        a cached_property (see MarketScenario)."""
         if self._spectral_radius is None:
             object.__setattr__(self, "_spectral_radius", spectral_radius(self.coupling))
         return self._spectral_radius

@@ -431,18 +431,16 @@ def _attempt(spec: GenerationSpec, rng) -> MarketScenario:
     models = {sid: _draw_model(spec, rng,
                                gamma_total[sid] * float(rng.uniform(0.05, 0.6)))
               for sid in sids}
-    effort_sets = {sid: EffortSet("unbounded") for sid in sids}
     if spec.bounded:
         # caps a random factor above total demand satisfy the saturation
         # hypothesis by construction
         a_upper = [gamma_total[sid] * float(rng.uniform(1.1, 2.5)) for sid in sids]
         e_max = EffortMap([models[sid] for sid in sids]).efforts(a_upper).tolist()
-        effort_sets = {sid: EffortSet("bounded", e_max=e) for sid, e in zip(sids, e_max)}
-    sources = tuple(
-        DataSourceSpec(sid, tuple(map(float, features[k])),
-                       EffortVarianceModel(models[sid].family, effort_sets[sid]),
-                       sharing[sid])
-        for k, sid in enumerate(sids))
+        models = {sid: EffortVarianceModel(models[sid].family, EffortSet("bounded", e_max=e))
+                  for sid, e in zip(sids, e_max)}
+    sources = tuple(DataSourceSpec(sid, tuple(map(float, features[k])), models[sid],
+                                   sharing[sid])
+                    for k, sid in enumerate(sids))
     return MarketScenario(sources, tuple(aggregators), ground_truth,
                           mode=spec.mode, direct_beta=direct_beta,
                           direct_xi=direct_xi)

@@ -65,7 +65,9 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
     one block, with everything a round reads computed once: the
     response-linear weights of the feature layout and the contract at the
     solved equilibrium (pairs in sharing-pair order).  A result whose tables
-    are not keyed by this scenario's pairs and sources raises ParseError."""
+    are not keyed by this scenario's pairs and sources raises ParseError; a
+    round with a non-finite response, payment, estimate or loss raises
+    DomainError naming the first such round of the block."""
     if scenario.mode != MODE_ESTIMATOR:
         raise DomainError("round simulation needs estimator-derived scenarios "
                           "(direct mode has no regression geometry)")
@@ -131,12 +133,18 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
 
     def play(seed: int, indices: Sequence[int]) -> Iterator[MarketRound]:
         y = np.empty((len(indices), len(sids)))
-        for r, index in enumerate(indices):
-            y[r] = truth_at_sources + sigma * trial_stream(seed, index).normal(size=len(sids))
         payments = np.empty((len(indices), len(pairs)))
         estimates, losses = {}, np.empty((len(indices), len(bids)))
-        for b, bid in enumerate(bids):
-            payments[:, rows[bid]], estimates[bid], losses[:, b] = settle(bid, y)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked per round below
+            for r, index in enumerate(indices):
+                y[r] = truth_at_sources + sigma * trial_stream(seed, index).normal(size=len(sids))
+            for b, bid in enumerate(bids):
+                payments[:, rows[bid]], estimates[bid], losses[:, b] = settle(bid, y)
+        finite = np.logical_and.reduce([np.isfinite(values).all(axis=1) for values
+                                        in (y, payments, losses, *estimates.values())])
+        if not finite.all():
+            raise DomainError(f"round {indices[int(np.argmin(finite))]} (seed {seed}) has a "
+                              "non-finite response, payment, estimate or loss")
         for r, index in enumerate(indices):
             yield MarketRound(seed=seed, index=index,
                               responses=dict(zip(sids, y[r].tolist())),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -322,6 +323,105 @@ class TestBadInput:
                     "--grid-points", "201"]) == 2
         failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
         assert len(failed) == 1 and "participation-binding" in failed[0]
+
+
+def small_document(bounded):
+    """The sweep's document: 8 sources of both families, 2 aggregators."""
+    spec = GenerationSpec(8, 2, family="mixed", bounded=bounded)
+    return json.loads(serialize_scenario(generate_scenario(spec, 3)))
+
+
+def edited(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def numeric_fields(doc, path=()):
+    """The path of every float in a document, in document order."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from numeric_fields(value, path + (key,))
+    elif isinstance(doc, float):
+        yield path
+
+
+NONFINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+class TestNonfiniteInput:
+    # one field at a value whose bound, net demand or round is not finite:
+    # exit 1 naming the field, pair or round, nothing non-finite on stdout
+    @pytest.mark.parametrize("bounded, path, value, commands, named", [
+        (True, ("sources", 2, "effort", "set", "e_max"), 1000.0,
+         ("validate", "derive", "solve"), "sources[2].effort: incentive bound inf at effort 1000"),
+        (False, ("sources", 0, "effort", "sigma0"), 1e-300,
+         ("validate", "derive", "solve"), "sources[0].effort: incentive bound inf at effort 0"),
+        (False, ("aggregators", 0, "eta"), 5e-324,
+         ("validate", "derive", "solve"), "[nonfinite-demand] (s001, b001)"),
+        (False, ("ground_truth", "intercept"), 1e300,
+         ("simulate",), "round 0 (seed 1) has a non-finite"),
+    ], ids=["e_max", "sigma0", "eta", "intercept"])
+    def test_exit_one_naming_the_field(self, tmp_path, capsys, bounded, path, value,
+                                       commands, named):
+        doc = small_document(bounded)
+        scenario, result = tmp_path / "scenario.json", tmp_path / "result.json"
+        scenario.write_text(json.dumps(doc))
+        assert cli(["solve", str(scenario), "--output", str(result)]) == 0
+        scenario.write_text(json.dumps(edited(doc, path, value)))
+        for command in commands:
+            extra = {"simulate": [str(result), "--rounds", "2", "--seed", "1"]}
+            capsys.readouterr()
+            assert cli([command, str(scenario)] + extra.get(command, [])) == 1
+            out, err = capsys.readouterr()
+            assert named in out + err and "Traceback" not in err
+            assert not NONFINITE.search(out)
+
+    # Each float of the document's first exponential and first inverse-power
+    # source, first aggregator and ground truth, one at a time, at each
+    # extreme, through every subcommand that reads a scenario.  numpy's
+    # overflow warnings are let through: run as a program, they are printed,
+    # not raised.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+    def test_extreme_values_exit_documented_codes(self, tmp_path, capsys, bounded):
+        doc = small_document(bounded)
+        families = [source["effort"]["family"] for source in doc["sources"]]
+        swept = {("sources", families.index(name)) for name in set(families)}
+        swept |= {("aggregators", 0), ("ground_truth",)}
+        base, solved = tmp_path / "base.json", tmp_path / "solved.json"
+        base.write_text(json.dumps(doc))
+        assert cli(["solve", str(base), "--output", str(solved)]) == 0
+        scenario, own = tmp_path / "scenario.json", tmp_path / "own.json"
+        for path in numeric_fields(doc):
+            if path[:2] not in swept and path[:1] not in swept:
+                continue
+            for value in (1e-300, 1e300, 5e-324, 1.7e308):
+                scenario.write_text(json.dumps(edited(doc, path, value)))
+                result = solved  # the edited document's own result, once solved
+                for argv in (["validate"], ["derive"], ["solve"], ["certify", "{result}"],
+                             ["welfare", "{result}"], ["sweep-alpha", "--alphas", "0.5,2"],
+                             ["simulate", "{result}", "--rounds", "2", "--seed", "1"]):
+                    capsys.readouterr()
+                    code = cli([argv[0], str(scenario)]
+                               + [arg.format(result=result) for arg in argv[1:]])
+                    out = capsys.readouterr().out
+                    assert code in (0, 1, 2, 3), (path, value, argv[0])
+                    if code != 0:
+                        continue
+                    if argv[0] == "solve":
+                        own.write_text(out)
+                        result, report = own, json.loads(out)
+                        if report["status"] == "none":  # exempt: NaN residual
+                            report["diagnostics"].pop("max_residual")
+                        out = json.dumps(report)
+                    if argv[0] == "sweep-alpha":  # exempt: a none point's max_a_total
+                        out = "\n".join(line.rsplit(",", 1)[0] if ",none," in line else line
+                                        for line in out.splitlines())
+                    assert not NONFINITE.search(out), (path, value, argv[0])
 
 
 class TestUsage:

@@ -12,6 +12,7 @@ from datamarket.effort import (
     EffortMap,
     EffortSet,
     EffortVarianceModel,
+    ExponentialVariance,
     effort_response,
     effort_response_derivative,
     exponential_model,
@@ -143,6 +144,20 @@ class TestIncentiveBounds:
         assert incentive_bounds(m) is incentive_bounds(m)
         effort_response(m, 1.5 * incentive_bounds(m).a_lower)
         assert incentive_bounds(m) is incentive_bounds(m)
+
+    @pytest.mark.parametrize("family, effort_set", [
+        # sigma(e_max) * sigma'(e_max) underflows to 0 at e_max = 1000
+        (ExponentialVariance(8.13, 1.5), EffortSet("bounded", e_max=1000.0)),
+        # sigma(0) * sigma'(0) underflows to 0
+        (ExponentialVariance(1e-300, 1.0), UNBOUNDED),
+    ], ids=["e_max", "sigma0"])
+    def test_nonfinite_bound_raises_at_construction(self, family, effort_set):
+        with pytest.raises(DomainError, match="incentive bound inf at effort .* is not finite"):
+            EffortVarianceModel(family, effort_set)
+
+    def test_set_at_construction(self):
+        m = inverse_power_model(1.2, 0.8, EffortSet("bounded", e_max=2.0))
+        assert vars(m)["incentive_bounds"] == incentive_bounds(m)
 
     @pytest.mark.parametrize("factor, bound", [(0.5, "lower"), (2.0, "upper")])
     def test_out_of_range_after_caching(self, factor, bound):

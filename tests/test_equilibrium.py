@@ -626,6 +626,24 @@ class TestOperatorSide:
         assert xi_matrix_csv(params).count("\n") == 513
         assert len(built) == 1
 
+    def test_welfare_reads_the_one_operator(self, monkeypatch):
+        # the efficiency predicate reads Xi's largest entry from the
+        # operator's terms: one operator built on fresh parameters, no Xi
+        spec = GenerationSpec(128, 4, family="mixed")
+        result = solve_unbounded(derive_parameters(generate_scenario(spec, 0)))
+        params = derive_parameters(generate_scenario(spec, 0))
+        built, calls = [], _count_assemblies(monkeypatch)
+        init = market.CouplingOperator.__init__
+
+        def counted(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(market.CouplingOperator, "__init__", counted)
+        report = price_of_anarchy(result, params)
+        assert len(built) == 1 and calls == []
+        assert not report.efficient_possible
+
     def test_bounded_never_assembles(self, monkeypatch):
         # P = 512: best responses read the operator's terms, and hold no
         # second copy of Xi while they sweep

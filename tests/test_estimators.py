@@ -11,11 +11,15 @@ from datamarket.errors import (
     ShapeError,
 )
 from datamarket.estimators import (
+    CONDITION_LIMIT,
     QueryDistribution,
+    _rank_deficient,
+    design_matrix,
     g_value,
     leave_one_out_weights,
     ols_coefficients,
     point_mass,
+    prediction_weights,
     validate_separability,
 )
 
@@ -131,6 +135,43 @@ class TestLeaveOneOutWeights:
     def test_flat_line_extrapolation(self):
         assert loo_predictions([(0.0,), (1.0,), (2.0,)], [1.0, 1.0, 4.0])[2] == \
             pytest.approx(1.0, abs=1e-12)
+
+
+class TestRankTest:
+    """The one rank test that the design fit and the leave-one-out fits run."""
+
+    def test_stack_of_grams(self):
+        turn = np.array([[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]])
+        grams = np.array([turn @ np.diag([1.0, 1e-11]) @ turn.T,  # condition 1e11
+                          turn @ np.diag([1.0, 1e-13]) @ turn.T,  # condition 1e13
+                          [[1.0, 1.0], [1.0, 1.0]],               # singular
+                          [[np.nan, 1.0], [1.0, 1.0]]])
+        np.testing.assert_array_equal(_rank_deficient(grams), [1, 2, 3])
+
+    # the Gram without the first point sums x1 * x2 = inf and -inf to NaN;
+    # numpy's overflow and invalid-value warnings on the way are expected
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_leave_one_out_gram_names_its_source(self):
+        points = [(0.0, 0.0), (1e200, 1e200), (1e200, -1e200), (1.0, 1.0), (2.0, 0.5)]
+        with pytest.raises(IllDefinedPaymentError, match="Gram condition inf") as info:
+            leave_one_out_weights(points, aggregator="b1", sources=list("abcde"))
+        assert (info.value.aggregator, info.value.source) == ("b1", "a")
+
+    # three points 1 - e, 1, 1 + e: design Gram condition about 6 / e^2
+    @pytest.mark.parametrize("spread, fails", [(7.7e-6, False), (7.7e-7, True)])
+    def test_prediction_weights_on_each_side_of_the_limit(self, spread, fails):
+        points = [(1.0 - spread,), (1.0,), (1.0 + spread,)]
+        X = design_matrix(points)
+        cond = np.linalg.cond(X.T @ X)
+        assert CONDITION_LIMIT / 100 < cond < 100 * CONDITION_LIMIT
+        assert (cond >= CONDITION_LIMIT) == fails
+        if not fails:
+            np.testing.assert_allclose(prediction_weights(points, [(1.0,)])[:, 0],
+                                       [1 / 3, 1 / 3, 1 / 3], rtol=1e-6)
+            return
+        with pytest.raises(IllDefinedEstimatorError) as info:
+            prediction_weights(points, [(1.0,)])
+        assert f"condition {cond:.3e} exceeds" in str(info.value)
 
 
 class TestSeparabilityMonteCarlo:

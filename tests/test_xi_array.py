@@ -39,7 +39,7 @@ from datamarket.market import (
     spectral_radius,
 )
 from datamarket.scenario import GenerationSpec, generate_scenario
-from datamarket.welfare import _largest_coupling, efficiency_predicate
+from datamarket.welfare import efficiency_predicate
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def test_operator_path_matches_dense_path(market):
 def test_largest_coupling_matches_assembled_max(market):
     params = derive_parameters(OPERATOR_MARKETS[market](), require_valid=False)
     largest = params.xi_matrix.max(initial=0.0)
-    assert _largest_coupling(params) == largest
+    assert params.coupling.largest_entry() == largest
     threshold = 0.0 if params.mode == MODE_DIRECT else ESTIMATOR_ZERO_TOL
     assert efficiency_predicate(params) is bool(largest <= threshold)
 
