@@ -41,6 +41,7 @@ from .errors import (
 from .market import derive_parameters, validate_scenario
 from .results import result_from_json, result_to_json, welfare_to_json
 from .scenario import (
+    _GENERATED_FAMILIES,
     GenerationSpec,
     generate_scenario_with_attempts,
     parse_scenario,
@@ -110,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["estimator_derived", "direct"],
                    default="estimator_derived")
-    p.add_argument("--family", choices=["exponential", "inverse_power", "mixed"],
-                   default="exponential")
+    p.add_argument("--family", choices=_GENERATED_FAMILIES,
+                   default=GenerationSpec.family)
     p.add_argument("--bounded", action="store_true")
     p.add_argument("--coupling-scale", type=float, default=0.3)
     p.add_argument("--sharing-density", type=float, default=1.0)
@@ -260,6 +261,7 @@ def _cmd_sweep_alpha(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
+    derive_parameters(scenario)  # refuses an invalid market, as certify and welfare do
     result = _load_result(args.result)
     rounds = iter_rounds(scenario, result, args.rounds, args.seed)
     _emit(reports.rounds_csv(scenario, rounds), args.output)

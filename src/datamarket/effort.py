@@ -15,8 +15,8 @@ range [a_lower, a_upper] on which the map is meaningful.
     exponential:    sigma(e) = sigma0 * exp(-lam * e)
     inverse_power:  sigma(e) = sigma0 * (1 + e) ** -k
 
-Each closed form is written once, as numpy ufuncs; `EffortMap` evaluates it
-for many sources at once, and the scalar API gives the same bits.
+Each family is written once, as its entry in `_CLOSED_FORMS`; `EffortMap`
+evaluates it for many sources at once, and the scalar API gives the same bits.
 
 All functions are pure and the model values immutable, so unrestricted
 concurrent use is safe.
@@ -67,71 +67,77 @@ class EffortSet:
 UNBOUNDED = EffortSet("unbounded")
 
 
+class _ClosedFormVariance:
+    """A family's methods, read from its _CLOSED_FORMS entry (sigma0, rate)."""
+
+    def __post_init__(self):
+        form = _CLOSED_FORMS[type(self)]
+        for name, value in zip(("sigma0", form.rate), vars(self).values()):
+            if not (value > 0 and math.isfinite(value)):
+                raise DomainError(f"{form.name} family requires {name} > 0")
+
+    def sigma(self, e: float) -> float:
+        return float(_CLOSED_FORMS[type(self)].sigma(e, *vars(self).values()))
+
+    def sigma_prime(self, e: float) -> float:
+        return float(_CLOSED_FORMS[type(self)].sigma_prime(e, *vars(self).values()))
+
+    def sigma_second(self, e: float) -> float:
+        return float(_CLOSED_FORMS[type(self)].sigma_second(e, *vars(self).values()))
+
+
 @dataclass(frozen=True)
-class ExponentialVariance:
+class ExponentialVariance(_ClosedFormVariance):
     """sigma(e) = sigma0 * exp(-lam * e)."""
 
     sigma0: float
     lam: float
 
-    def __post_init__(self):
-        if not (self.sigma0 > 0 and math.isfinite(self.sigma0)):
-            raise DomainError("exponential family requires sigma0 > 0")
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise DomainError("exponential family requires lambda > 0")
-
-    def sigma(self, e: float) -> float:
-        return _sigma_at(self, e)
-
-    def sigma_prime(self, e: float) -> float:
-        return -self.lam * self.sigma(e)
-
-    def sigma_second(self, e: float) -> float:
-        return self.lam * self.lam * self.sigma(e)
-
 
 @dataclass(frozen=True)
-class InversePowerVariance:
+class InversePowerVariance(_ClosedFormVariance):
     """sigma(e) = sigma0 * (1 + e) ** -k."""
 
     sigma0: float
     k: float
 
-    def __post_init__(self):
-        if not (self.sigma0 > 0 and math.isfinite(self.sigma0)):
-            raise DomainError("inverse_power family requires sigma0 > 0")
-        if not (self.k > 0 and math.isfinite(self.k)):
-            raise DomainError("inverse_power family requires k > 0")
 
-    def sigma(self, e: float) -> float:
-        return _sigma_at(self, e)
+@dataclass(frozen=True)
+class _ClosedForm:
+    """A family's class, its document name and rate-field name, and sigma,
+    sigma', sigma'' and the effort map over (e or a_total, sigma0, rate).
+    sigma and the effort map are numpy ufuncs: on floats these run the array
+    loops, so scalar and array evaluations agree bit for bit (a scalar ** is
+    a different routine, off in the last bit on some inputs)."""
 
-    def sigma_prime(self, e: float) -> float:
-        return -self.k * self.sigma0 * (1.0 + e) ** (-self.k - 1.0)
+    cls: type
+    name: str
+    rate: str
+    sigma: Callable
+    sigma_prime: Callable
+    sigma_second: Callable
+    effort: Callable
 
-    def sigma_second(self, e: float) -> float:
-        return self.k * (self.k + 1.0) * self.sigma0 * (1.0 + e) ** (-self.k - 2.0)
 
-
-#: sigma(e) and the effort map of each closed-form family, written once over
-#: its two fields (sigma0, then lam or k), as numpy ufuncs: on floats these
-#: run the array loops, so a scalar and an array evaluation agree bit for bit
-#: (a scalar ** is a different routine, off in the last bit on some inputs).
-_CLOSED_FORMS = {
-    ExponentialVariance: (
-        lambda e, sigma0, lam: sigma0 * np.exp(-lam * e),
+#: Every closed-form family, by class.
+_CLOSED_FORMS = {form.cls: form for form in (
+    _ClosedForm(
+        ExponentialVariance, "exponential", "lambda",
+        sigma=lambda e, sigma0, lam: sigma0 * np.exp(-lam * e),
+        # scaled as a Python float, which overflows to inf without a numpy warning
+        sigma_prime=lambda e, sigma0, lam: -lam * float(sigma0 * np.exp(-lam * e)),
+        sigma_second=lambda e, sigma0, lam: lam * lam * float(sigma0 * np.exp(-lam * e)),
         # root of 2*a*sigma*sigma' + 1 = 0:  exp(-2*lam*e) = 1/(2*a*lam*sigma0^2)
-        lambda a, sigma0, lam: np.log(2.0 * a * lam * np.square(sigma0)) / (2.0 * lam)),
-    InversePowerVariance: (
-        lambda e, sigma0, k: sigma0 * np.power(1.0 + e, -k),
+        effort=lambda a, sigma0, lam: np.log(2.0 * a * lam * np.square(sigma0)) / (2.0 * lam)),
+    _ClosedForm(
+        InversePowerVariance, "inverse_power", "k",
+        sigma=lambda e, sigma0, k: sigma0 * np.power(1.0 + e, -k),
+        sigma_prime=lambda e, sigma0, k: -k * sigma0 * (1.0 + e) ** (-k - 1.0),
+        sigma_second=lambda e, sigma0, k: k * (k + 1.0) * sigma0 * (1.0 + e) ** (-k - 2.0),
         # (1 + e) ** (2k + 1) = 2 * a * k * sigma0^2
-        lambda a, sigma0, k: np.power(2.0 * a * k * np.square(sigma0), 1.0 / (2.0 * k + 1.0))
-        - 1.0),
-}
-
-
-def _sigma_at(family: ExponentialVariance | InversePowerVariance, e: float) -> float:
-    return float(_CLOSED_FORMS[type(family)][0](e, *vars(family).values()))
+        effort=lambda a, sigma0, k: np.power(2.0 * a * k * np.square(sigma0),
+                                             1.0 / (2.0 * k + 1.0)) - 1.0),
+)}
 
 
 @dataclass(frozen=True)
@@ -186,11 +192,8 @@ class EffortVarianceModel:
 
     @property
     def family_name(self) -> str:
-        return {
-            ExponentialVariance: "exponential",
-            InversePowerVariance: "inverse_power",
-            CustomVariance: "custom",
-        }[type(self.family)]
+        form = _CLOSED_FORMS.get(type(self.family))
+        return form.name if form else "custom"
 
 
 def _incentive_at(model: EffortVarianceModel, e: float | None) -> float:
@@ -318,21 +321,22 @@ class EffortMap:
         self.e_max = np.array([m.effort_set.e_max if m.effort_set.bounded else math.inf
                                for m in self.models], dtype=float)
 
-    def _each(self, values: np.ndarray, index, form: int, custom) -> np.ndarray:
-        """Closed form `form` (0: sigma, 1: effort map), or custom(model, value)."""
+    def _each(self, values: np.ndarray, index, form: str, custom) -> np.ndarray:
+        """The closed forms' `form` ("sigma" or "effort"), or custom(model, value)."""
         index = np.arange(len(self.models)) if index is None else np.asarray(index)
         families = self.family[index]
         out = np.empty(len(values))
         for family, forms in _CLOSED_FORMS.items():
             rows = np.flatnonzero(families == family)
             at = index[rows]
-            out[rows] = forms[form](values[rows], self.sigma0[at], self.rate[at])
+            out[rows] = getattr(forms, form)(values[rows], self.sigma0[at], self.rate[at])
         for k in np.flatnonzero(families == CustomVariance).tolist():
             out[k] = custom(self.models[index[k]], float(values[k]))
         return out
 
     def sigma(self, efforts, index=None) -> np.ndarray:
-        return self._each(np.asarray(efforts, dtype=float), index, 0, EffortVarianceModel.sigma)
+        return self._each(np.asarray(efforts, dtype=float), index, "sigma",
+                          EffortVarianceModel.sigma)
 
     def efforts(self, a_total, index=None, *, clamp: bool = False,
                 slack: float = 0.0) -> np.ndarray:
@@ -352,7 +356,7 @@ class EffortMap:
         if bad.any():
             k = int(np.argmax(bad))
             _raise_out_of_range(float(values[k]), float(lower[k]), float(upper[k]))
-        efforts = self._each(values, index, 1, _solve_foc)
+        efforts = self._each(values, index, "effort", _solve_foc)
         # guard round-off at the ends of the range: a tiny negative at
         # a_total == a_lower, an overshoot past e_max at a_total == a_upper
         efforts[(-1e-15 < efforts) & (efforts < 0.0)] = 0.0

@@ -109,7 +109,8 @@ def prediction_weights(points, queries) -> np.ndarray:
     Raises IllDefinedEstimatorError on rank-deficient designs: too few
     points, or a Gram failing _rank_deficient, the leave-one-out fits' test."""
     X = design_matrix(points)
-    gram = X.T @ X
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram fails the rank test
+        gram = X.T @ X
     if X.shape[0] < X.shape[1]:
         raise IllDefinedEstimatorError(
             f"estimator is ill-defined: {X.shape[0]} points cannot identify "
@@ -136,10 +137,11 @@ def leave_one_out_weights(points, *, aggregator: str, sources) -> np.ndarray:
     k, p = X.shape
     if k == 1:
         return np.zeros((1, 1))  # no other point to predict from
-    outer = X[:, :, None] * X[:, None, :]                   # (k, p, p): x_l x_l^T
-    grams = np.zeros((k, p, p))
-    np.cumsum(outer[:-1], axis=0, out=grams[1:])           # rows before i
-    grams[:-1] += np.cumsum(outer[:0:-1], axis=0)[::-1]     # rows after i
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram fails the rank test
+        outer = X[:, :, None] * X[:, None, :]               # (k, p, p): x_l x_l^T
+        grams = np.zeros((k, p, p))
+        np.cumsum(outer[:-1], axis=0, out=grams[1:])       # rows before i
+        grams[:-1] += np.cumsum(outer[:0:-1], axis=0)[::-1]  # rows after i
     failing = _rank_deficient(grams)  # every one when k <= p: G_i has rank k - 1
     if failing.size:
         source, gram = str(sources[failing[0]]), grams[failing[0]]
@@ -166,7 +168,8 @@ def ols_coefficients(points, query_dist: QueryDistribution) -> np.ndarray:
         raise ShapeError(f"query dimension {query_dist.dimension} does not match "
                          f"feature dimension {pts.shape[1]}")
     W = prediction_weights(pts, query_dist.points())
-    return (W ** 2) @ query_dist.weights()
+    with np.errstate(over="ignore", invalid="ignore"):  # validation reports nonfinite-demand
+        return (W ** 2) @ query_dist.weights()
 
 
 def g_value(points, query_dist: QueryDistribution, variances) -> float:

@@ -254,10 +254,10 @@ def _net_demand(beta: np.ndarray, membership: np.ndarray, aggregators,
     table = np.zeros(membership.shape)
     table[pair_source, pair_aggregator] = beta
     rival_benefit = np.zeros(len(beta))
-    for j in range(len(ids)):
-        # exact zeros where s does not sell to j (table) or j == b (zeta)
-        rival_benefit += zeta[pair_aggregator, j] * table[pair_source, j]
-    with np.errstate(over="ignore"):  # validation reports it as nonfinite-demand
+    with np.errstate(over="ignore", invalid="ignore"):  # validation reports nonfinite-demand
+        for j in range(len(ids)):
+            # exact zeros where s does not sell to j (table) or j == b (zeta)
+            rival_benefit += zeta[pair_aggregator, j] * table[pair_source, j]
         gamma = (beta - rival_benefit) / scale[pair_aggregator]
         return gamma, np.bincount(pair_source, weights=gamma)
 

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effort import (
-    EffortMap,
-    EffortSet,
-    EffortVarianceModel,
-    ExponentialVariance,
-    InversePowerVariance,
-)
+from .effort import _CLOSED_FORMS, EffortMap, EffortSet, EffortVarianceModel
 from .errors import (
     DomainError,
     GenerationError,
@@ -47,9 +41,11 @@ _TOP_FIELDS = {"schema_version", "mode", "ground_truth", "sources",
                "aggregators", "direct_parameters"}
 _SOURCE_FIELDS = {"id", "feature", "effort", "sharing"}
 _AGG_FIELDS = {"id", "estimator", "query_distribution", "zeta", "eta"}
-_EFFORT_FIELDS = {"family", "sigma0", "lambda", "k", "set"}
-#: The other family's parameter, refused beside the family's own.
-_FOREIGN_PARAMETER = {"exponential": "k", "inverse_power": "lambda"}
+#: The closed-form families by document name, and the names generation takes.
+_FAMILIES = {form.name: form for form in _CLOSED_FORMS.values()}
+_GENERATED_FAMILIES = (*_FAMILIES, "mixed")
+#: Every effort field; a family reads "family", "sigma0", "set" and its own rate.
+_EFFORT_FIELDS = {"family", "sigma0", "set", *(form.rate for form in _FAMILIES.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +113,12 @@ def _no_unknown_fields(mapping, allowed, location):
 
 def _parse_effort(doc, location) -> EffortVarianceModel:
     """Reads exactly the fields _effort_to_dict writes: the family's own
-    parameter (not the other family's), and e_max only in a bounded set."""
+    rate field (not another family's), and e_max only in a bounded set."""
     _no_unknown_fields(doc, _EFFORT_FIELDS, location)
     family = _expect(doc, "family", str, location)
-    _no_unknown_fields(doc, _EFFORT_FIELDS - {_FOREIGN_PARAMETER.get(family)}, location)
+    form = _FAMILIES.get(family)
+    if form is not None:
+        _no_unknown_fields(doc, {"family", "sigma0", "set", form.rate}, location)
     set_doc = _expect(doc, "set", dict, location, default={"kind": "unbounded"})
     kind = _expect(set_doc, "kind", str, f"{location}.set")
     _no_unknown_fields(set_doc, {"kind", "e_max"} if kind == "bounded" else {"kind"},
@@ -132,19 +130,12 @@ def _parse_effort(doc, location) -> EffortVarianceModel:
         else:
             effort_set = EffortSet(kind)
         sigma0 = _expect(doc, "sigma0", float, location)
-        if family == "exponential":
-            model = EffortVarianceModel(
-                ExponentialVariance(sigma0, _expect(doc, "lambda", float, location)),
-                effort_set)
-        elif family == "inverse_power":
-            model = EffortVarianceModel(
-                InversePowerVariance(sigma0, _expect(doc, "k", float, location)),
-                effort_set)
-        else:
+        if form is None:
             raise ParseError(f"unknown effort family {family!r}", location=location)
+        return EffortVarianceModel(
+            form.cls(sigma0, _expect(doc, form.rate, float, location)), effort_set)
     except DomainError as exc:
         raise ParseError(str(exc), location=location) from exc
-    return model
 
 
 def _parse_source(doc, index) -> DataSourceSpec:
@@ -234,14 +225,11 @@ def parse_scenario(text: str) -> MarketScenario:
 # ---------------------------------------------------------------------------
 
 def _effort_to_dict(model: EffortVarianceModel) -> dict:
-    family = model.family
-    if isinstance(family, ExponentialVariance):
-        out = {"family": "exponential", "sigma0": family.sigma0,
-               "lambda": family.lam}
-    elif isinstance(family, InversePowerVariance):
-        out = {"family": "inverse_power", "sigma0": family.sigma0, "k": family.k}
-    else:
+    form = _CLOSED_FORMS.get(type(model.family))
+    if form is None:
         raise DomainError("custom effort families are not serializable")
+    sigma0, rate = vars(model.family).values()
+    out = {"family": form.name, "sigma0": sigma0, form.rate: rate}
     eset = model.effort_set
     out["set"] = ({"kind": "bounded", "e_max": eset.e_max}
                   if eset.bounded else {"kind": "unbounded"})
@@ -308,7 +296,7 @@ class GenerationSpec:
     n_sources: int
     n_aggregators: int
     dimension: int = 1
-    family: str = "exponential"     # exponential | inverse_power | mixed
+    family: str = "exponential"     # a name in _GENERATED_FAMILIES
     bounded: bool = False
     coupling_scale: float = 0.3     # direct mode only
     sharing_density: float = 1.0
@@ -327,7 +315,7 @@ class GenerationSpec:
                 f"estimator mode needs n_sources >= dimension + 2 "
                 f"(= {self.dimension + 2}) so leave-one-out designs stay "
                 f"invertible; got {self.n_sources}")
-        if self.family not in ("exponential", "inverse_power", "mixed"):
+        if self.family not in _GENERATED_FAMILIES:
             raise InfeasibleSpecError(f"unknown effort family {self.family!r}")
         if not 0.0 < self.sharing_density <= 1.0:
             raise InfeasibleSpecError("sharing density must lie in (0, 1]")
@@ -342,17 +330,14 @@ MAX_GENERATION_ATTEMPTS = 60
 
 def _draw_model(spec: GenerationSpec, rng, a_lower_target: float) -> EffortVarianceModel:
     """Family with its minimum incentive placed at a_lower_target, so demand
-    clears the participation region whatever the market size."""
+    clears the participation region whatever the market size; in both
+    families a_lower = 1/(2*rate*sigma0^2)."""
     family = spec.family
     if family == "mixed":
         family = "exponential" if rng.uniform() < 0.5 else "inverse_power"
-    if family == "exponential":
-        lam = float(rng.uniform(0.3, 3.0))
-        sigma0 = math.sqrt(1.0 / (2.0 * lam * a_lower_target))
-        return EffortVarianceModel(ExponentialVariance(sigma0, lam))
-    k = float(rng.uniform(0.5, 3.0))
-    sigma0 = math.sqrt(1.0 / (2.0 * k * a_lower_target))
-    return EffortVarianceModel(InversePowerVariance(sigma0, k))
+    rate = float(rng.uniform(0.3 if family == "exponential" else 0.5, 3.0))
+    sigma0 = math.sqrt(1.0 / (2.0 * rate * a_lower_target))
+    return EffortVarianceModel(_FAMILIES[family].cls(sigma0, rate))
 
 
 def _draw_sharing(spec: GenerationSpec, rng, sids, bids):

@@ -95,9 +95,10 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
         fit.update(((bid, other), columns.T) for bid, columns
                    in zip(readers, np.split(weights, ends, axis=1)))
     probs = {bid: queries[bid].weights() for bid in bids}
-    truth_at_atoms = {bid: np.array([scenario.ground_truth(p) for p in q.points()])
-                      for bid, q in queries.items()}
-    truth_at_sources = np.array([scenario.ground_truth(point) for point in features])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked per round below
+        truth_at_atoms = {bid: np.array([scenario.ground_truth(p) for p in q.points()])
+                          for bid, q in queries.items()}
+        truth_at_sources = np.array([scenario.ground_truth(point) for point in features])
     sigma = EffortMap([scenario.sources_by_id[sid].effort_model for sid in sids]).sigma(efforts)
 
     def atom_error(bid: str, fitted: np.ndarray) -> np.ndarray:

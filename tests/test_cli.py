@@ -12,7 +12,7 @@ import pytest
 from conftest import make_line_scenario, make_symmetric_direct
 
 from datamarket.cli import cli
-from datamarket.effort import EffortSet, exponential_model
+from datamarket.effort import _CLOSED_FORMS, EffortSet, exponential_model
 from datamarket.market import DataSourceSpec, MarketScenario
 from datamarket.scenario import GenerationSpec, generate_scenario, serialize_scenario
 
@@ -253,6 +253,17 @@ class TestGenerate:
 
     def test_infeasible_spec_exit_three(self):
         assert cli(["generate", "--n", "2", "--m", "1", "--d", "1"]) == 3
+        assert cli(["generate", "--n", "4", "--m", "1", "--family", "custom"]) == 3
+
+    @pytest.mark.parametrize("family", [form.name for form in _CLOSED_FORMS.values()]
+                             + ["mixed"])
+    def test_each_family_generates(self, tmp_path, family):
+        path = tmp_path / "scn.json"
+        assert cli(["generate", "--n", "6", "--m", "2", "--seed", "2", "--family", family,
+                    "--output", str(path)]) == 0
+        names = {s["effort"]["family"] for s in json.loads(path.read_text())["sources"]}
+        assert names == ({form.name for form in _CLOSED_FORMS.values()}
+                         if family == "mixed" else {family})
 
 
 class TestBadInput:
@@ -361,7 +372,7 @@ class TestNonfiniteInput:
         (False, ("sources", 0, "effort", "sigma0"), 1e-300,
          ("validate", "derive", "solve"), "sources[0].effort: incentive bound inf at effort 0"),
         (False, ("aggregators", 0, "eta"), 5e-324,
-         ("validate", "derive", "solve"), "[nonfinite-demand] (s001, b001)"),
+         ("validate", "derive", "solve", "simulate"), "[nonfinite-demand] (s001, b001)"),
         (False, ("ground_truth", "intercept"), 1e300,
          ("simulate",), "round 0 (seed 1) has a non-finite"),
     ], ids=["e_max", "sigma0", "eta", "intercept"])
@@ -382,10 +393,7 @@ class TestNonfiniteInput:
 
     # Each float of the document's first exponential and first inverse-power
     # source, first aggregator and ground truth, one at a time, at each
-    # extreme, through every subcommand that reads a scenario.  numpy's
-    # overflow warnings are let through: run as a program, they are printed,
-    # not raised.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # extreme, through every subcommand that reads a scenario.
     @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
     def test_extreme_values_exit_documented_codes(self, tmp_path, capsys, bounded):
         doc = small_document(bounded)

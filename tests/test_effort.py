@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from datamarket.effort import (
+    _CLOSED_FORMS,
     UNBOUNDED,
     CustomVariance,
     EffortMap,
@@ -234,12 +235,18 @@ class TestCustomFamily:
 
 class TestConstructionValidation:
     def test_bad_family_parameters(self):
-        with pytest.raises(DomainError):
-            exponential_model(0.0, 0.5)
-        with pytest.raises(DomainError):
-            exponential_model(1.0, -1.0)
-        with pytest.raises(DomainError):
+        # the document names are part of the file format
+        assert [(form.name, form.rate) for form in _CLOSED_FORMS.values()] == [
+            ("exponential", "lambda"), ("inverse_power", "k")]
+        with pytest.raises(DomainError, match="^inverse_power family requires k > 0$"):
             inverse_power_model(1.0, 0.0)
+        for form in _CLOSED_FORMS.values():
+            for bad in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(DomainError, match=f"^{form.name} family requires sigma0 > 0$"):
+                    form.cls(bad, 0.5)
+                with pytest.raises(DomainError,
+                                   match=f"^{form.name} family requires {form.rate} > 0$"):
+                    form.cls(1.0, bad)
 
     def test_bad_effort_sets(self):
         with pytest.raises(DomainError):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_line_scenario, make_symmetric_direct
 
-from datamarket.effort import EffortSet, exponential_model, inverse_power_model
+from datamarket.effort import _CLOSED_FORMS, EffortSet, EffortVarianceModel
 from datamarket.errors import GenerationError, InfeasibleSpecError, ParseError
 from datamarket.market import MODE_DIRECT, MODE_ESTIMATOR, derive_parameters, validate_scenario
 from datamarket.scenario import (
@@ -25,6 +25,8 @@ from datamarket.scenario import (
     serialize_scenario,
 )
 from datamarket.welfare import efficiency_predicate
+
+FORMS = list(_CLOSED_FORMS.values())
 
 
 class TestRoundTrip:
@@ -51,7 +53,7 @@ class TestRoundTrip:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 12), m=st.integers(1, 4), d=st.integers(1, 3),
-           family=st.sampled_from(["exponential", "inverse_power", "mixed"]),
+           family=st.sampled_from([form.name for form in FORMS] + ["mixed"]),
            bounded=st.booleans(), mode=st.sampled_from([MODE_ESTIMATOR, MODE_DIRECT]),
            density=st.floats(0.2, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_parse_of_serialize_is_identity(self, n, m, d, family, bounded, mode,
@@ -189,12 +191,13 @@ class TestParseErrors:
             parse_scenario('{"schema_version": 1' + "0" * 5000 + "}")
 
     def test_unknown_effort_family(self):
-        doc = self.doc()
-        doc["sources"][0]["effort"] = {"family": "quadratic", "sigma0": 1.0,
-                                       "set": {"kind": "unbounded"}}
-        with pytest.raises(ParseError) as exc:
-            parse_scenario(json.dumps(doc))
-        assert "quadratic" in str(exc.value)
+        # with no rate field, or with any family's
+        for rates in [{}] + [{form.rate: 0.5} for form in FORMS]:
+            doc = self.doc()
+            doc["sources"][0]["effort"] = {"family": "quadratic", "sigma0": 1.0,
+                                           "set": {"kind": "unbounded"}, **rates}
+            with pytest.raises(ParseError, match="unknown effort family 'quadratic'"):
+                parse_scenario(json.dumps(doc))
 
     @pytest.mark.parametrize("effort, location, field", [
         ({"family": "exponential", "sigma0": 1.0, "lambda": 0.5,
@@ -203,12 +206,12 @@ class TestParseErrors:
           "set": {"kind": "unbounded", "e_max": 5.0}}, ".set", "e_max"),
         ({"family": "exponential", "sigma0": 1.0, "lambda": 0.5,
           "set": {"kind": "bounded", "e_max": 5.0, "junk": 1}}, ".set", "junk"),
-        ({"family": "exponential", "sigma0": 1.0, "lambda": 0.5, "k": 2.0,
-          "set": {"kind": "unbounded"}}, "", "'k'"),
-        ({"family": "inverse_power", "sigma0": 1.0, "k": 2.0, "lambda": 0.5,
-          "set": {"kind": "unbounded"}}, "", "'lambda'"),
-    ], ids=["set-junk-and-e_max", "unbounded-e_max", "bounded-junk",
-            "k-on-exponential", "lambda-on-inverse_power"])
+    ] + [  # each family refuses every other family's rate field
+        ({"family": form.name, "sigma0": 1.0, form.rate: 0.5, other.rate: 2.0,
+          "set": {"kind": "unbounded"}}, "", repr(other.rate))
+        for form in FORMS for other in FORMS if other is not form
+    ], ids=["set-junk-and-e_max", "unbounded-e_max", "bounded-junk"] + [
+        f"{other.rate}-on-{form.name}" for form in FORMS for other in FORMS if other is not form])
     def test_effort_fields_not_read_are_refused(self, effort, location, field):
         # at the parent each of these parsed, and the field was dropped
         doc = self.doc()
@@ -218,15 +221,20 @@ class TestParseErrors:
         assert exc.value.location == "sources[0].effort" + location
         assert field in str(exc.value)
 
-    @pytest.mark.parametrize("model", [
-        exponential_model(1.0, 0.5), exponential_model(1.0, 0.5, EffortSet("bounded", 2.0)),
-        inverse_power_model(1.0, 2.0),
-        inverse_power_model(1.0, 2.0, EffortSet("bounded", 2.0)),
-    ], ids=["exponential", "exponential-bounded", "inverse_power", "inverse_power-bounded"])
-    def test_every_serialized_effort_parses(self, model):
-        # the parser accepts exactly the fields _effort_to_dict writes
+    @pytest.mark.parametrize("form, effort_set", [
+        (form, effort_set) for form in FORMS
+        for effort_set in (EffortSet("unbounded"), EffortSet("bounded", 2.0))
+    ], ids=[form.name + suffix for form in FORMS for suffix in ("", "-bounded")])
+    def test_every_serialized_effort_parses(self, form, effort_set):
+        # the parser accepts exactly the fields _effort_to_dict writes, under
+        # the family's document name and rate-field name
+        model = EffortVarianceModel(form.cls(1.0, 0.5), effort_set)
         effort = _effort_to_dict(model)
-        assert _parse_effort(effort, "effort") == model
+        assert list(effort) == ["family", "sigma0", form.rate, "set"]
+        assert (effort["family"], effort[form.rate]) == (form.name, 0.5)
+        parsed = _parse_effort(effort, "effort")
+        assert parsed == model and type(parsed.family) is form.cls
+        assert parsed.family_name == form.name
 
 
 #: Replacement values of the mutation sweep: every JSON type, the numbers the
@@ -304,6 +312,8 @@ class TestGeneration:
     def test_infeasible_spec(self):
         with pytest.raises(InfeasibleSpecError):
             GenerationSpec(n_sources=2, n_aggregators=1, dimension=1)
+        with pytest.raises(InfeasibleSpecError, match="unknown effort family 'custom'"):
+            GenerationSpec(n_sources=4, n_aggregators=1, family="custom")
 
     def test_bounded_generation_respects_hypothesis(self):
         spec = GenerationSpec(n_sources=4, n_aggregators=2, bounded=True,
@@ -329,4 +339,4 @@ class TestGeneration:
                               mode="direct")
         scenario = generate_scenario(spec, seed=2)
         names = {s.effort_model.family_name for s in scenario.sources}
-        assert names <= {"exponential", "inverse_power"}
+        assert names == {form.name for form in FORMS}

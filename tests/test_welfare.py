@@ -14,7 +14,7 @@ from conftest import (
 )
 
 from datamarket.equilibrium import solve_bounded, solve_unbounded
-from datamarket.errors import DomainError
+from datamarket.errors import DomainError, ScenarioValidationError
 from datamarket.market import derive_parameters
 from datamarket.results import welfare_to_json
 from datamarket.scenario import GenerationSpec, generate_scenario
@@ -77,6 +77,14 @@ class TestOptimalEfforts:
         params = derive_parameters(scn)
         opt = optimal_efforts(params)
         assert opt["s1"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_demand_below_minimum_is_refused(self):
+        # parameters derived without validation: the efficient effort would be negative
+        params = derive_parameters(make_symmetric_direct(beta_value=0.25), require_valid=False)
+        assert params.gamma_total[0] < params.a_lower[0]
+        with pytest.raises(ScenarioValidationError,
+                           match="source s1 is below the minimum incentive"):
+            optimal_efforts(params)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_golden_section_oracle(self, seed):
