@@ -231,18 +231,18 @@ def _coupled_system(params: DerivedParameters, alpha: float) -> np.ndarray:
     return system
 
 
-def _solve_coupled(params: DerivedParameters, alpha: float,
-                   ) -> tuple[np.ndarray, float, int] | None:
-    """(a over params.pairs, residual, products) solving a = alpha Xi a + gamma,
-    or None once alpha * rho(Xi) >= 1 - MARGINAL_BAND.
+def _solve_coupled(params: DerivedParameters, alphas: list[float],
+                   ) -> list[tuple[np.ndarray, float, int] | None]:
+    """Per alpha, (a over params.pairs, residual, products) solving
+    a = alpha Xi a + gamma, or None once alpha * rho(Xi) >= 1 - MARGINAL_BAND.
 
-    The fixed point a <- gamma + alpha Xi a is iterated from a = gamma when
-    the products predicted to shrink a step to float eps, log(eps) /
-    log(alpha rho) (1 at alpha rho = 0), number fewer than the budget P // 4,
-    with Xi a read from params.coupling.  From P of about 192 on, the budget
-    is at or below the cost of one LU-path solve (assembling Xi, building
-    I - alpha Xi, the LU and the residual product) counted in operator
-    products, timed with OpenBLAS on one thread (x86 Xeon, two runs each):
+    A point is summed as a Neumann series when the products predicted to
+    shrink its terms to float eps, log(eps) / log(alpha rho) (1 at
+    alpha rho = 0), number fewer than the budget P // 4, with Xi u read from
+    params.coupling.  From P of about 192 on, the budget is at or below the
+    cost of one LU-path solve (assembling Xi, building I - alpha Xi, the LU
+    and the residual product) counted in operator products, timed with
+    OpenBLAS on one thread (x86 Xeon, two runs each):
 
         P     sharing, m    one product   LU path incl. Xi's assembly
         96    full, 3       18-21 us      13-14
@@ -257,49 +257,72 @@ def _solve_coupled(params: DerivedParameters, alpha: float,
 
     At P = 96 the budget, 24 products, is above the LU path's cost.
 
-    Xi >= 0 and gamma > 0 make the iterates rise monotonically; the first
-    iterate whose step (its residual) is at most eps times each of its
-    elements is returned with the count of products taken.  The bound is per
-    element, so a pair whose demand is orders of magnitude below another's
-    keeps its relative accuracy.  When the budget runs out first (a
-    non-normal transient, a nilpotent chain), or P < 8, an LU solves
+    All summed points share one series, u_0 = gamma, u_{i+1} = top (Xi u_i),
+    for top the largest of their alphas: the Krylov space of Xi and gamma is
+    the same for every alpha.  Point alpha adds the terms (alpha / top)^i u_i
+    to its row of one (points x P) array of partial sums, and stops at its
+    first term that is at most eps times its sum in every element: that term
+    is the step a fixed-point iteration from a = gamma would take, so it is
+    the residual, and the point's `products` is i.  Xi >= 0 and gamma > 0
+    make the sums rise monotonically.  The bound is per element, so a pair
+    whose demand is orders of magnitude below another's keeps its relative
+    accuracy.  The series stops at the last point's stop, so a sweep takes
+    the products of its largest summed alpha alone; a point's answer
+    depends on its siblings only through the rounding of alpha / top.
+    When the budget runs out first (a non-normal transient, a nilpotent
+    chain), or is not predicted to suffice (always when P < 8), an LU solves
     (I - alpha Xi) a = gamma and `products` is 1; I - alpha Xi is built only
     then.  A singular system, or an answer whose residual or negativity
     exceeds 1e-9 times its largest element, raises NumericalFailureError
     with the condition number of I - alpha Xi."""
-    rho = alpha * params.spectral_radius
-    if rho >= 1.0 - MARGINAL_BAND:
-        return None
     xi, gamma = params.coupling, params.gamma
     eps = float(np.finfo(float).eps)
     budget = len(gamma) // 4
-    predicted = math.log(eps) / math.log(rho) if rho > 0.0 else 1.0
-    a_vec = None
-    if predicted < budget:
-        a = gamma
+    scaled = [alpha * params.spectral_radius for alpha in alphas]
+    summed = [k for k, rho in enumerate(scaled) if rho < 1.0 - MARGINAL_BAND
+              and (math.log(eps) / math.log(rho) if rho > 0.0 else 1.0) < budget]
+    answers: dict[int, tuple[np.ndarray, float, int]] = {}
+    if summed:
+        top = max(alphas[k] for k in summed) or 1.0  # all zero: no term past gamma
+        rows = np.array(summed)
+        ratios = np.array([alphas[k] for k in summed])[:, None] / top
+        sums, u = np.tile(gamma, (len(summed), 1)), gamma
         for products in range(1, budget + 1):
-            image = alpha * (xi @ a) + gamma
-            step = np.abs(a - image)  # the residual of a
-            if np.all(step <= eps * a):
-                a_vec, residual = a, float(step.max())
-                break
-            a = image
-    if a_vec is None:
-        products, system = 1, _coupled_system(params, alpha)
-        try:
-            a_vec = np.linalg.solve(system, gamma)
-        except np.linalg.LinAlgError as exc:
+            u = top * (xi @ u)
+            terms = ratios ** products * u
+            done = (terms <= eps * sums).all(axis=1)
+            if done.any():
+                for k, a, term in zip(rows[done].tolist(), sums[done], terms[done]):
+                    answers[k] = a, float(term.max()), products
+                going = ~done
+                if not going.any():
+                    break
+                rows, ratios, sums, terms = rows[going], ratios[going], sums[going], terms[going]
+            sums += terms
+    solved = []
+    for k, (alpha, rho) in enumerate(zip(alphas, scaled)):
+        if rho >= 1.0 - MARGINAL_BAND:
+            solved.append(None)
+            continue
+        if k in answers:
+            a_vec, residual, products = answers[k]
+        else:
+            products, system = 1, _coupled_system(params, alpha)
+            try:
+                a_vec = np.linalg.solve(system, gamma)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailureError(
+                    f"(I - alpha Xi) is singular at alpha={alpha} although alpha * rho = {rho} < 1",
+                    condition=float(np.linalg.cond(system))) from exc
+            residual = float(np.abs(a_vec - (alpha * (xi @ a_vec) + gamma)).max())
+        tolerance = 1e-9 * float(np.abs(a_vec).max())  # relative to a: scale-free
+        if not (residual <= tolerance and a_vec.min() >= -tolerance):  # NaN fails too
             raise NumericalFailureError(
-                f"(I - alpha Xi) is singular at alpha={alpha} although alpha * rho = {rho} < 1",
-                condition=float(np.linalg.cond(system))) from exc
-        residual = float(np.abs(a_vec - (alpha * (xi @ a_vec) + gamma)).max())
-    tolerance = 1e-9 * float(np.abs(a_vec).max())  # relative to a: scale-free
-    if not (residual <= tolerance and a_vec.min() >= -tolerance):  # NaN fails too
-        raise NumericalFailureError(
-            f"linear solve residual {residual} or negativity {float(a_vec.min())} "
-            f"exceeds {tolerance} (1e-9 of max |a|) inside the existence regime",
-            condition=float(np.linalg.cond(_coupled_system(params, alpha))))
-    return np.where(a_vec < 0, 0.0, a_vec), residual, products
+                f"linear solve residual {residual} or negativity {float(a_vec.min())} "
+                f"exceeds {tolerance} (1e-9 of max |a|) inside the existence regime",
+                condition=float(np.linalg.cond(_coupled_system(params, alpha))))
+        solved.append((np.where(a_vec < 0, 0.0, a_vec), residual, products))
+    return solved
 
 
 def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
@@ -307,16 +330,18 @@ def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
 
     Returns status "none" (with diagnostics) when the coupling radius reaches
     1, else the unique quality weights of a = Xi a + gamma, with the
-    c-degeneracy described by the polytope.  They come from at most P // 4
-    fixed-point products of the CouplingOperator when those are predicted
-    to suffice, and from an LU of I - Xi otherwise (see _solve_coupled);
-    diagnostics.iterations is the number of products, or 1 when the LU ran.
+    c-degeneracy described by the polytope.  They are _solve_coupled's
+    one-point answer at alpha = 1: a Neumann series of at most P // 4
+    CouplingOperator products when those are predicted to suffice, and an
+    LU of I - Xi otherwise.  diagnostics.iterations is the series' products
+    (the step that met the stop rule included), 1 when the LU ran, and 0 on
+    status "none".
     """
     params.require_valid()
     if params.effort_kind != "unbounded":
         raise DomainError("solve_unbounded requires all effort sets unbounded")
     rho = params.spectral_radius
-    solved = _solve_coupled(params, 1.0)
+    (solved,) = _solve_coupled(params, [1.0])
     if solved is None:
         diag = SolveDiagnostics(spectral_radius=rho, iterations=0,
                                 max_residual=math.nan,
@@ -593,20 +618,27 @@ class AlphaPoint:
 
 
 def alpha_sweep(params: DerivedParameters, alphas) -> list[AlphaPoint]:
-    """Re-solve with the coupling matrix scaled by each alpha >= 0.
+    """Re-solve with the coupling matrix scaled by each alpha >= 0, in order.
 
     The radius scales linearly, so existence flips to "none" once
     alpha * rho(Xi) reaches 1; approaching it from below the demands blow up
-    like 1/(1 - alpha * rho).  A failed solve inside the existence regime
-    raises NumericalFailureError, as in solve_unbounded."""
+    like 1/(1 - alpha * rho).  Every alpha is checked before any solve (a
+    bad one raises DomainError), then one _solve_coupled call serves them
+    all: the points summed as a Neumann series share one series, which
+    takes the products of the largest of their alphas alone and holds one
+    row of partial sums per point (points x P floats), and the rest run an
+    LU each.  A point matches its one-point sweep to rounding.  A failed
+    solve inside the existence regime raises NumericalFailureError, as in
+    solve_unbounded."""
     params.require_valid()
     if params.effort_kind != "unbounded":
         raise DomainError("alpha_sweep requires unbounded effort sets")
-    points = []
+    alphas = list(alphas)
     for alpha in alphas:
         if alpha < 0 or not math.isfinite(alpha):
             raise DomainError(f"alpha must be finite and nonnegative, got {alpha}")
-        solved = _solve_coupled(params, alpha)
+    points = []
+    for alpha, solved in zip(alphas, _solve_coupled(params, alphas)):
         max_total = (math.nan if solved is None
                      else float(np.bincount(params.pair_source, weights=solved[0]).max()))
         points.append(AlphaPoint(float(alpha), float(alpha * params.spectral_radius),

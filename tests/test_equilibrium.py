@@ -4,6 +4,7 @@ certification behavior."""
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -144,13 +145,7 @@ class TestSpectralRadius:
         # and one or two sweeps, where a start from ones took 54-75 products
         params = derive_parameters(generate_scenario(spec, 0))
         expected = params.spectral_radius  # read before the counter, uncounted
-        products = []
-        original = market.CouplingOperator.__matmul__
-
-        def counted(self, a):
-            products.append(1)
-            return original(self, a)
-        monkeypatch.setattr(market.CouplingOperator, "__matmul__", counted)
+        products = _count_products(monkeypatch)
         rho = spectral_radius(market.CouplingOperator(params.scenario, params.xi))
         assert abs(rho - expected) <= market.RADIUS_TOL * max(1.0, rho)
         assert len(products) <= 20
@@ -420,6 +415,18 @@ def _count_lu_calls(monkeypatch):
     return calls
 
 
+def _count_products(monkeypatch):
+    calls = []
+    matmul = market.CouplingOperator.__matmul__
+
+    def counted(self, a):
+        calls.append(1)
+        return matmul(self, a)
+
+    monkeypatch.setattr(market.CouplingOperator, "__matmul__", counted)
+    return calls
+
+
 def _count_assemblies(monkeypatch):
     calls = []
     toarray = market.CouplingOperator.toarray
@@ -491,6 +498,31 @@ class TestSolvePaths:
             total = np.bincount(params.pair_source, weights=reference).max()
             assert point.max_a_total == pytest.approx(total, rel=1e-12, abs=0)
             assert len(lu_calls) == (path == "lu"), (alpha * rho, path)
+
+    @pytest.mark.parametrize("case", sorted(SOLVE_PATH_CASES))
+    def test_one_sweep_serves_every_kind_of_point(self, case, monkeypatch):
+        # the table's points and a "none" point, out of order, in one call
+        build, scaled_radii, _, sweep_paths = SOLVE_PATH_CASES[case]
+        params = derive_parameters(build())
+        rho = params.spectral_radius
+        order = [len(scaled_radii), *reversed(range(len(scaled_radii)))]
+        targets = [(*scaled_radii, 1.5)[k] for k in order]
+        alphas = [target / rho for target in targets]
+        expected = [None if target >= 1.0 else
+                    np.bincount(params.pair_source, weights=_lu_answer(params, alpha)).max()
+                    for alpha, target in zip(alphas, targets)]
+        alone = [alpha_sweep(params, [alpha])[0] for alpha in alphas]
+        lu_calls = _count_lu_calls(monkeypatch)
+        points = alpha_sweep(params, alphas)
+        assert len(lu_calls) == sweep_paths.count("lu")
+        assert [p.alpha for p in points] == alphas
+        for point, single, total in zip(points, alone, expected):
+            if total is None:
+                assert point.status == single.status == STATUS_NONE
+                continue
+            assert point.status == STATUS_UNIQUE
+            assert point.max_a_total == pytest.approx(total, rel=1e-12, abs=0)
+            assert point.max_a_total == pytest.approx(single.max_a_total, rel=1e-12, abs=0)
 
     def test_exhausted_budget_falls_through_to_the_lu(self, monkeypatch):
         # the chain (s, b) <- (s + 1, j != b) is nilpotent: rho = 0 predicts
@@ -668,7 +700,7 @@ class TestOperatorSide:
         alpha = 0.9 / params.spectral_radius  # 343 predicted products
         expected = _lu_answer(params, alpha)
         lu_calls = _count_lu_calls(monkeypatch)
-        a_vec, _, products = _solve_coupled(params, alpha)
+        ((a_vec, _, products),) = _solve_coupled(params, [alpha])
         assert products == 1 and len(lu_calls) == 1
         np.testing.assert_allclose(a_vec, expected, rtol=1e-12, atol=0)
         (point,) = alpha_sweep(params, [alpha])
@@ -912,3 +944,67 @@ class TestAlphaSweep:
         p2, p25 = alpha_sweep(params, [2.0, 2.5])
         assert p2.status == STATUS_NONE and p25.status == STATUS_NONE
         assert math.isnan(p2.max_a_total)
+
+
+    def test_zero_alphas_alone(self):
+        # every summed point at alpha = 0: the series has no scale to divide by
+        params = derive_parameters(generate_scenario(GenerationSpec(60, 4), 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (point,) = alpha_sweep(params, [0.0])
+            zero, half = alpha_sweep(params, [0.0, 0.5 / params.spectral_radius])
+        gamma_total = np.bincount(params.pair_source, weights=params.gamma).max()
+        assert point.max_a_total == zero.max_a_total == gamma_total
+        reference = _lu_answer(params, 0.5 / params.spectral_radius)
+        assert half.max_a_total == pytest.approx(
+            np.bincount(params.pair_source, weights=reference).max(), rel=1e-12, abs=0)
+
+    def test_tiny_radius_beside_its_largest_scale(self, monkeypatch):
+        # rho = 1e-6: alpha = 1 adds terms scaled by (1 / top)^i, about 1e-6^i,
+        # beside alpha rho = 0.9.  P = 1400 puts both on the series (342
+        # predicted products against a budget of 350); a = 1 / (1 - alpha rho)
+        n, m = 40, 35
+        params = derive_parameters(make_coupled_direct(
+            n, m, lambda i, l: 1e-6 / ((n - 1) * (m - 1))))
+        rho = params.spectral_radius
+        assert rho == pytest.approx(1e-6, rel=1e-12)
+        lu_calls = _count_lu_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            top, one = alpha_sweep(params, [0.9 / rho, 1.0])
+        assert lu_calls == []
+        assert top.max_a_total == pytest.approx(m / (1.0 - 0.9), rel=1e-12, abs=0)
+        assert one.max_a_total == pytest.approx(m / (1.0 - rho), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("targets", [
+        (0.7,), (0.3, 0.7, 0.5), tuple(np.linspace(0.1, 0.7, 9)),
+    ], ids=lambda targets: f"{len(targets)}-points")
+    def test_a_sweep_costs_its_largest_point(self, targets, monkeypatch):
+        # P = 512, budget 128: every point is summed (101 predicted at 0.7)
+        params = derive_parameters(generate_scenario(GenerationSpec(128, 4), 0))
+        rho = params.spectral_radius  # read before the counter, uncounted
+        products = _count_products(monkeypatch)
+        lu_calls = _count_lu_calls(monkeypatch)
+        alpha_sweep(params, [max(targets) / rho])
+        alone = len(products)
+        del products[:]
+        alpha_sweep(params, [target / rho for target in targets])
+        assert len(products) == alone > 1
+        assert lu_calls == []
+        del products[:]
+        result = solve_unbounded(params)
+        assert result.diagnostics.iterations == len(products) > 1
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_a_bad_alpha_anywhere_fails_before_any_product(self, bad, monkeypatch):
+        params = derive_parameters(generate_scenario(GenerationSpec(60, 4), 0))
+        rho = params.spectral_radius
+        products = _count_products(monkeypatch)
+        with pytest.raises(DomainError, match="alpha"):
+            alpha_sweep(params, [0.25 / rho, 0.5 / rho, bad])
+        assert products == []
+
+    def test_a_generator_of_alphas(self):
+        params = derive_parameters(generate_scenario(GenerationSpec(60, 4), 0))
+        alphas = [0.25 / params.spectral_radius, 0.0, 0.999 / params.spectral_radius, 1e9]
+        assert alpha_sweep(params, (alpha for alpha in alphas)) == alpha_sweep(params, alphas)
