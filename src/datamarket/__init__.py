@@ -29,6 +29,8 @@ from .equilibrium import (
     AlphaPoint,
     CertificateReport,
     EquilibriumResult,
+    IdTable,
+    PolytopeTable,
     SolveDiagnostics,
     SourcePolytope,
     alpha_sweep,

@@ -21,7 +21,10 @@ coupling-strength sweep.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +57,54 @@ IMPROVEMENT_TOL = 1e-9
 # Result containers
 # ---------------------------------------------------------------------------
 
+class IdTable(Mapping):
+    """A read-only table keyed by id, over values held in id order.
+
+    `ids` is a tuple of ids or of (source, aggregator) pairs in ascending
+    order, and `array` (read-only) holds their values: one float per id, or
+    one row per id.  Reading an id gives a Python float (a list for a row).
+    The solvers and the result reader build these.  A plain dict stands in
+    for one anywhere a table is read, as `dataclasses.replace` gives it."""
+
+    __slots__ = ("ids", "array", "_index")
+
+    def __init__(self, ids, array: np.ndarray):
+        self.ids, self.array, self._index = tuple(ids), array, None
+        array.setflags(write=False)
+
+    @classmethod
+    def of(cls, table) -> IdTable:
+        """The table itself if it is an IdTable, else its values in id order."""
+        if isinstance(table, IdTable):
+            return table
+        ids = sorted(table)
+        return cls(ids, np.array([table[key] for key in ids], dtype=float))
+
+    def positions(self) -> dict:
+        """Each id's position in `ids`."""
+        if self._index is None:
+            self._index = dict(zip(self.ids, range(len(self.ids))))
+        return self._index
+
+    def __getitem__(self, key):
+        return self.array[self.positions()[key]].tolist()
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return f"IdTable({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class AParameters:
     """Quality weights per (source, aggregator) pair and their per-source sums."""
 
-    a: dict[tuple[str, str], float]
-    a_total: dict[str, float]
+    a: Mapping[tuple[str, str], float]
+    a_total: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -69,9 +114,55 @@ class SourcePolytope:
     The surplus (total minus the floor sum) equals the source's effort."""
 
     surplus: float
-    floors: dict[str, float]
+    floors: Mapping[str, float]
     total: float
     dimension: int
+
+
+class PolytopeTable(Mapping):
+    """The polytope as a read-only table keyed by source id, over two
+    IdTables: `floors` over the pairs, and `rows`, one (surplus, total,
+    dimension) row per source id.  Reading an id builds its SourcePolytope."""
+
+    __slots__ = ("floors", "rows", "_bounds")
+
+    def __init__(self, floors: IdTable, rows: IdTable):
+        self.floors, self.rows, self._bounds = floors, rows, None
+
+    @classmethod
+    def of(cls, polytope) -> PolytopeTable:
+        """The polytope itself if it is a PolytopeTable, else a mapping of
+        SourcePolytopes in id order."""
+        if isinstance(polytope, PolytopeTable):
+            return polytope
+        return cls(IdTable.of({(sid, bid): floor for sid, p in polytope.items()
+                               for bid, floor in p.floors.items()}),
+                   IdTable.of({sid: (p.surplus, p.total, p.dimension)
+                               for sid, p in polytope.items()}))
+
+    def bounds(self) -> list[int]:
+        """Each source's pairs are floors.ids[bounds[k]:bounds[k + 1]]."""
+        if self._bounds is None:
+            counts = Counter(sid for sid, _ in self.floors.ids)
+            self._bounds = [0, *itertools.accumulate(counts[sid] for sid in self.rows.ids)]
+        return self._bounds
+
+    def __getitem__(self, sid) -> SourcePolytope:
+        k = self.rows.positions()[sid]
+        surplus, total, dimension = self.rows.array[k].tolist()
+        lo, hi = self.bounds()[k:k + 2]
+        floors = IdTable((bid for _, bid in self.floors.ids[lo:hi]), self.floors.array[lo:hi])
+        return SourcePolytope(surplus=surplus, floors=floors, total=total,
+                              dimension=int(dimension))
+
+    def __iter__(self):
+        return iter(self.rows.ids)
+
+    def __len__(self) -> int:
+        return len(self.rows.ids)
+
+    def __repr__(self) -> str:
+        return f"PolytopeTable({dict(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -84,16 +175,52 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
+    """A solved market's tables (None when unsolved): IdTables and a
+    PolytopeTable over the market's pairs and source ids, or plain dicts."""
+
     status: str
     a: AParameters | None
-    canonical_c: dict[tuple[str, str], float] | None
-    polytope: dict[str, SourcePolytope] | None
-    efforts: dict[str, float] | None
+    canonical_c: Mapping[tuple[str, str], float] | None
+    polytope: Mapping[str, SourcePolytope] | None
+    efforts: Mapping[str, float] | None
     diagnostics: SolveDiagnostics
 
     @property
     def solved(self) -> bool:
         return self.status in (STATUS_UNIQUE, STATUS_BOUNDED)
+
+    def arrays(self, pairs, sids) -> tuple[np.ndarray, ...]:
+        """(a, a_total, canonical_c, efforts, polytope floors, polytope
+        (surplus, total, dimension) rows) over a market's pairs and source
+        ids, each read by _aligned.  A result of another market raises
+        ParseError naming the first mismatch."""
+        polytope = PolytopeTable.of(self.polytope)
+        return (_aligned(self.a.a, pairs, "a"), _aligned(self.a.a_total, sids, "a_total"),
+                _aligned(self.canonical_c, pairs, "canonical_c"),
+                _aligned(self.efforts, sids, "efforts"),
+                _aligned(polytope.floors, pairs, "polytope floors"),
+                _aligned(polytope.rows, sids, "polytope"))
+
+
+def _aligned(table, keys, name: str) -> np.ndarray:
+    """A table's values over `keys` (the market's pairs or source ids): an
+    IdTable's own array when its ids are `keys`, else read id by id."""
+    if isinstance(table, IdTable) and (table.ids is keys or table.ids == keys):
+        return table.array
+    return _lookup(table, keys, name)
+
+
+def _lookup(table, keys, name: str) -> np.ndarray:
+    """_aligned's fallback: the values of `keys`, read one by one.  A missing,
+    extra or wrongly kinded key (another market's table) raises ParseError
+    naming the first mismatch in id order."""
+    if len(table) != len(keys) or not all(key in table for key in keys):
+        first = _first_mismatch(keys, table)
+        shown = (f"pair ({', '.join(map(str, first))})" if isinstance(first, tuple)
+                 else f"source {first}")
+        raise ParseError(f"{name} does not match the scenario: first mismatched {shown}",
+                         location="result")
+    return np.array([table[key] for key in keys], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -109,38 +236,6 @@ def _efforts_and_variances(params: DerivedParameters, a_total: np.ndarray,
                                         clamp=params.effort_kind == "bounded")
     sigmas = params.effort_map.sigma(efforts, index)
     return efforts, sigmas * sigmas
-
-
-def _pair_dict(params: DerivedParameters, a_vec: np.ndarray) -> dict[tuple[str, str], float]:
-    return {pair: float(v) for pair, v in zip(params.pairs, a_vec)}
-
-
-def _vector(table, keys, name: str) -> np.ndarray:
-    """An id-keyed table's values in the order of `keys` (the market's pairs
-    or source ids).  A missing, extra or wrongly kinded key (another market's
-    table) raises ParseError naming the first mismatch in id order."""
-    if len(table) != len(keys) or not all(key in table for key in keys):
-        first = _first_mismatch(keys, table)
-        shown = (f"pair ({', '.join(map(str, first))})" if isinstance(first, tuple)
-                 else f"source {first}")
-        raise ParseError(f"{name} does not match the scenario: first mismatched {shown}",
-                         location="result")
-    return np.array([table[key] for key in keys], dtype=float)
-
-
-def result_arrays(result: EquilibriumResult, scenario) -> tuple[np.ndarray, ...]:
-    """(a, a_total, canonical_c, efforts, polytope floors, polytope (surplus,
-    total, dimension) rows) of a solved result over the scenario's sharing
-    pairs or source ids.  A result of another market raises ParseError
-    naming the first mismatch."""
-    pairs, sids = scenario.sharing_pairs(), scenario.source_ids
-    floors = {(sid, bid): floor for sid, p in result.polytope.items()
-              for bid, floor in p.floors.items()}
-    sources = {sid: (p.surplus, p.total, p.dimension) for sid, p in result.polytope.items()}
-    return (_vector(result.a.a, pairs, "a"), _vector(result.a.a_total, sids, "a_total"),
-            _vector(result.canonical_c, pairs, "canonical_c"),
-            _vector(result.efforts, sids, "efforts"), _vector(floors, pairs, "polytope floors"),
-            _vector(sources, sids, "polytope"))
 
 
 def payment_floors(params: DerivedParameters, a: np.ndarray,
@@ -162,14 +257,22 @@ def _contract(params: DerivedParameters, a_vec: np.ndarray, a_total: np.ndarray,
     return efforts, floors, floors + share * efforts[params.pair_source]
 
 
-def canonical_c(a: AParameters, params: DerivedParameters) -> dict[tuple[str, str], float]:
+def _polytope_rows(params: DerivedParameters, efforts: np.ndarray,
+                   floors: np.ndarray) -> np.ndarray:
+    """Each source's polytope row (surplus, total, dimension): its effort,
+    its floors' sum plus its effort, and its number of pairs less one."""
+    return np.column_stack((efforts, np.bincount(params.pair_source, weights=floors) + efforts,
+                            np.bincount(params.pair_source) - 1))
+
+
+def canonical_c(a: AParameters, params: DerivedParameters) -> IdTable:
     """Proportional-surplus selection: each aggregator covers its own expected
     penalty plus a share of the source's effort proportional to its quality
     weight.  Always lies in the equilibrium polytope and binds the sources'
     participation constraint exactly.  Another market's weights raise ParseError."""
-    c = _contract(params, _vector(a.a, params.pairs, "a"),
-                  _vector(a.a_total, params.scenario.source_ids, "a_total"))[2]
-    return _pair_dict(params, c)
+    c = _contract(params, _aligned(a.a, params.pairs, "a"),
+                  _aligned(a.a_total, params.scenario.source_ids, "a_total"))[2]
+    return IdTable(params.pairs, c)
 
 
 def polytope_membership(c, a: AParameters, params: DerivedParameters,
@@ -181,11 +284,11 @@ def polytope_membership(c, a: AParameters, params: DerivedParameters,
     if not 0.0 <= tol < math.inf:
         raise DomainError(f"polytope tolerance must be finite and nonnegative, got {tol}")
     sids = params.scenario.source_ids
-    efforts, floors, _ = _contract(params, _vector(a.a, params.pairs, "a"),
-                                   _vector(a.a_total, sids, "a_total"))
-    c = _vector(c, params.pairs, "c")
+    efforts, floors, _ = _contract(params, _aligned(a.a, params.pairs, "a"),
+                                   _aligned(a.a_total, sids, "a_total"))
+    c = _aligned(c, params.pairs, "c")
     totals = np.bincount(params.pair_source, weights=c)  # added in pair order
-    expected = np.bincount(params.pair_source, weights=floors) + efforts
+    expected = _polytope_rows(params, efforts, floors)[:, 1]
     off_sum, below = ~(np.abs(totals - expected) <= tol), ~(c >= floors - tol)
     violations: list[str] = []
     for k in np.flatnonzero(below | off_sum[params.pair_source]).tolist():
@@ -206,22 +309,17 @@ def polytope_membership(c, a: AParameters, params: DerivedParameters,
 
 def _finish(params: DerivedParameters, a_vec: np.ndarray,
             status: str, diagnostics: SolveDiagnostics) -> EquilibriumResult:
-    """The result of quality weights a_vec; its id-keyed tables are built here."""
-    sids = params.scenario.source_ids
+    """The result of quality weights a_vec, its tables over the market's
+    pairs and source ids."""
+    sids, pairs = params.scenario.source_ids, params.pairs
     totals = np.bincount(params.pair_source, weights=a_vec)
     efforts, floors, c = _contract(params, a_vec, totals)
-    polytope_totals = np.bincount(params.pair_source, weights=floors) + efforts
-    per_source: dict[str, dict[str, float]] = {sid: {} for sid in sids}
-    for (sid, bid), floor in zip(params.pairs, floors.tolist()):
-        per_source[sid][bid] = floor
-    polytope = {sid: SourcePolytope(surplus=e, floors=per_source[sid], total=t,
-                                    dimension=len(per_source[sid]) - 1)
-                for sid, e, t in zip(sids, efforts.tolist(), polytope_totals.tolist())}
+    rows = _polytope_rows(params, efforts, floors)
     return EquilibriumResult(
-        status=status,
-        a=AParameters(a=_pair_dict(params, a_vec), a_total=dict(zip(sids, totals.tolist()))),
-        canonical_c=_pair_dict(params, c), polytope=polytope,
-        efforts=dict(zip(sids, efforts.tolist())), diagnostics=diagnostics)
+        status=status, a=AParameters(a=IdTable(pairs, a_vec), a_total=IdTable(sids, totals)),
+        canonical_c=IdTable(pairs, c),
+        polytope=PolytopeTable(IdTable(pairs, floors), IdTable(sids, rows)),
+        efforts=IdTable(sids, efforts), diagnostics=diagnostics)
 
 
 def _coupled_system(params: DerivedParameters, alpha: float) -> np.ndarray:
@@ -394,15 +492,15 @@ def _targets(params: DerivedParameters, a_vec: np.ndarray, weights: np.ndarray,
                   params.a_upper[params.pair_source])
 
 
-def _best_responses(params: DerivedParameters, a: dict[tuple[str, str], float]
+def _best_responses(params: DerivedParameters, a: Mapping[tuple[str, str], float]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, targets, branches) over params.pairs, from an id-keyed table."""
-    a_vec = _vector(a, params.pairs, "a")
+    a_vec = _aligned(a, params.pairs, "a")
     return (a_vec, *_targets(params, a_vec, _variance_weights(params, a_vec)))
 
 
 def best_response_residual(params: DerivedParameters,
-                           a: dict[tuple[str, str], float]) -> float:
+                           a: Mapping[tuple[str, str], float]) -> float:
     """Sup-norm distance of a quality-weight table from its own best-response
     targets; zero exactly at a bounded-game equilibrium."""
     a_vec, targets, _ = _best_responses(params, a)
@@ -410,7 +508,7 @@ def best_response_residual(params: DerivedParameters,
 
 
 def branch_profile(params: DerivedParameters,
-                   a: dict[tuple[str, str], float]) -> dict[tuple[str, str], str]:
+                   a: Mapping[tuple[str, str], float]) -> dict[tuple[str, str], str]:
     """Which best-response branch each coordinate sits on ("interior",
     "at-minimum", "at-maximum"); all-interior means no clamp is active."""
     _, _, branches = _best_responses(params, a)
@@ -466,7 +564,7 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
     raise NonConvergenceError(
         f"best-response iteration did not reach tol={tol} within "
         f"{max_iter} sweeps (existence is guaranteed; consider more damping)",
-        last_iterate=_pair_dict(params, a), residual=residual, iterations=iterations)
+        last_iterate=IdTable(params.pairs, a), residual=residual, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +650,8 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
     if grid_points < 1 or not (0.0 < grid_radius < math.inf):
         raise DomainError(f"the grid needs grid_points >= 1 and a positive finite "
                           f"grid_radius, got {grid_points} and {grid_radius}")
-    a_vec, totals, claimed_c, claimed, claimed_floors, claimed_sources = result_arrays(
-        result, params.scenario)
+    a_vec, totals, claimed_c, claimed, claimed_floors, claimed_sources = result.arrays(
+        params.pairs, params.scenario.source_ids)
     a_sum = np.bincount(params.pair_source, weights=a_vec)
     weights = _variance_weights(params, a_vec)
     checks: list[CheckResult] = []
@@ -586,11 +684,9 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
                                  - claimed).max())
     worst_effort = float(np.abs(claimed - efforts).max())
     worst_total = float(np.abs(totals - a_sum).max())
-    implied_sources = np.column_stack((
-        efforts, np.bincount(params.pair_source, weights=floors) + efforts,
-        np.bincount(params.pair_source) - 1))
-    worst_polytope = float(np.maximum(np.abs(claimed_floors - floors).max(),
-                                      np.abs(claimed_sources - implied_sources).max()))
+    worst_polytope = float(np.maximum(
+        np.abs(claimed_floors - floors).max(),
+        np.abs(claimed_sources - _polytope_rows(params, efforts, floors)).max()))
     payments_ok = bool(np.all(surplus >= -1e-12))
     checks.append(CheckResult(
         "participation-binding",

@@ -1,5 +1,13 @@
 """Report serialization: JSON round-trips for solver results and CSV tables.
 
+Result and welfare documents are written as json.dumps(doc, indent=2) + "\n"
+would write them (fixed key order, tables in id order, float repr), but
+straight from the tables' arrays, one join per table.  A table value or
+diagnostic the reader would refuse raises DomainError instead of reaching
+a document.  The reader reads each table into an array in one pass and
+puts it in id order; only a table with a value that is not a finite float
+goes through the per-field path, so every ParseError names its field.
+
 CSV schemas (v1, fixed column order, full-precision decimals):
 
 - beta.csv:       source,aggregator,beta
@@ -16,6 +24,11 @@ import io
 import itertools
 import json
 import math
+import operator
+from collections import Counter
+from json.encoder import encode_basestring_ascii as _quoted
+
+import numpy as np
 
 from .equilibrium import (
     STATUS_BOUNDED,
@@ -23,19 +36,180 @@ from .equilibrium import (
     STATUS_UNIQUE,
     AParameters,
     EquilibriumResult,
+    IdTable,
+    PolytopeTable,
     SolveDiagnostics,
     SourcePolytope,
 )
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .market import DerivedParameters
-from .scenario import _expect, _nest, _number, _numbers_by_id, _pairs_by_id
+from .scenario import _expect, _number, _numbers_by_id, _pairs_by_id
 from .welfare import WelfareReport
 
 RESULT_SCHEMA_VERSION = 1
 
 
+# ---------------------------------------------------------------------------
+# JSON writing
+# ---------------------------------------------------------------------------
+
+def _object(fields, depth: int) -> str:
+    """The indent=2 text of an object nested `depth` deep, from its
+    '"key": value' field texts."""
+    if not fields:
+        return "{}"
+    inner = "\n" + "  " * (depth + 1)
+    return "{" + inner + ("," + inner).join(fields) + "\n" + "  " * depth + "}"
+
+
+def _keys(ids) -> list[str]:
+    """The '"id": ' prefix of each id's field."""
+    return [_quoted(key) + ": " for key in ids]
+
+
+def _values(table: IdTable, name: str) -> list:
+    """The table's values, a row's as a list.  A value that is not finite,
+    which no reader accepts, raises DomainError naming the table and the id."""
+    finite = np.isfinite(table.array).reshape(len(table.ids), -1).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise DomainError(f"table {name} has a non-finite value at {table.ids[k]}: "
+                          f"{table.array[k].tolist()}")
+    return table.array.tolist()
+
+
+def _fields(keys: list[str], table: IdTable, name: str) -> list[str]:
+    """Each value's field, after its key's prefix."""
+    return list(map(str.__add__, keys, map(float.__repr__, _values(table, name))))
+
+
+def _flat_table(table, name: str) -> str:
+    table = IdTable.of(table)
+    return _object(_fields(_keys(table.ids), table, name), 1)
+
+
+def _pair_fields(table: IdTable, name: str) -> list[str]:
+    """Each pair's field, keyed by its aggregator."""
+    return _fields(_keys(bid for _, bid in table.ids), table, name)
+
+
+def _pair_table(table, name: str) -> str:
+    """A table over pairs, as one object per source of its pairs' fields."""
+    table = IdTable.of(table)
+    counts = Counter(sid for sid, _ in table.ids)  # in id order, a source's pairs are a run
+    bounds = list(itertools.accumulate(counts.values(), initial=0))
+    fields = _pair_fields(table, name)
+    return _object([head + _object(fields[lo:hi], 2)
+                    for head, lo, hi in zip(_keys(counts), bounds, bounds[1:])], 1)
+
+
+#: One source's polytope entry, nested two deep, after its '"id": ' prefix.
+_POLYTOPE_ENTRY = ('{{\n      "surplus": {!r},\n      "floors": {},\n      "total": {!r},'
+                   '\n      "dimension": {:d}\n    }}').format
+
+
+def _polytope(polytope) -> str:
+    polytope = PolytopeTable.of(polytope)
+    floors, rows, bounds = polytope.floors, polytope.rows, polytope.bounds()
+    fields = _pair_fields(floors, "polytope floors")
+    return _object([head + _POLYTOPE_ENTRY(surplus, _object(fields[lo:hi], 3), total,
+                                           int(dimension))
+                    for head, lo, hi, (surplus, total, dimension)
+                    in zip(_keys(rows.ids), bounds, bounds[1:], _values(rows, "polytope"))], 1)
+
+
+def _scalar(value, name: str, nan: bool = False) -> str:
+    """A diagnostic's JSON text; one not finite raises DomainError, NaN
+    aside when `nan`."""
+    if not (math.isfinite(value) or (nan and math.isnan(value))):
+        raise DomainError(f"result diagnostic {name} is not finite: {value}")
+    return json.dumps(value)
+
+
+def result_to_json(result: EquilibriumResult) -> str:
+    """The canonical result document: fixed key order, tables in id order,
+    full-precision decimals.  A number the reader would refuse (anything
+    not finite but an unsolved result's NaN max_residual) raises DomainError."""
+    diagnostics = result.diagnostics
+    fields = [f'"schema_version": {RESULT_SCHEMA_VERSION}',
+              f'"status": {_quoted(result.status)}',
+              '"diagnostics": ' + _object([
+                  '"spectral_radius": ' + _scalar(diagnostics.spectral_radius,
+                                                  "spectral_radius"),
+                  f'"iterations": {json.dumps(diagnostics.iterations)}',
+                  '"max_residual": ' + _scalar(diagnostics.max_residual, "max_residual",
+                                               nan=result.status == STATUS_NONE),
+                  f'"marginal": {json.dumps(diagnostics.marginal)}'], 1)]
+    if result.solved:
+        fields += ['"a": ' + _pair_table(result.a.a, "a"),
+                   '"a_total": ' + _flat_table(result.a.a_total, "a_total"),
+                   '"canonical_c": ' + _pair_table(result.canonical_c, "canonical_c"),
+                   '"efforts": ' + _flat_table(result.efforts, "efforts"),
+                   '"polytope": ' + _polytope(result.polytope)]
+    return _object(fields, 0) + "\n"
+
+
+def welfare_to_json(report: WelfareReport) -> str:
+    return _object([
+        '"equilibrium_efforts": ' + _flat_table(report.equilibrium_efforts,
+                                                "equilibrium_efforts"),
+        '"optimal_efforts": ' + _flat_table(report.optimal_efforts, "optimal_efforts"),
+        *(f'"{name}": {json.dumps(getattr(report, name))}'
+          for name in ("cost_at_equilibrium", "cost_at_optimum", "poa",
+                       "efficient_possible", "offdiagonal_xi_max"))], 0) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON reading
+# ---------------------------------------------------------------------------
+
+def _finite(values: list) -> np.ndarray | None:
+    """values as an array when every one is a finite float, else None."""
+    if set(map(type, values)) != {float}:
+        return None
+    array = np.array(values)
+    return array if np.isfinite(array).all() else None
+
+
+def _in_order(ids, array: np.ndarray) -> IdTable:
+    """A table read in document order, put in id order."""
+    ids = tuple(ids)
+    if any(map(operator.ge, ids, ids[1:])):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids, array = tuple(ids[k] for k in order), array[order]
+    return IdTable(ids, array)
+
+
+def _read_ids(doc, key: str) -> IdTable:
+    """doc[key]: an object of finite numbers keyed by id."""
+    table = _expect(doc, key, dict, "result")
+    array = _finite(list(table.values()))
+    if array is None:
+        table = _numbers_by_id(doc, key, "result")
+        array = np.array(list(table.values()), dtype=float)
+    return _in_order(table, array)
+
+
+def _read_pairs(doc, key: str) -> IdTable:
+    """doc[key]: an object of _read_ids rows keyed by source id."""
+    rows = _expect(doc, key, dict, "result")
+    pairs, values = [], []
+    for sid, row in rows.items():
+        if type(row) is not dict:
+            array = None
+            break
+        pairs += zip(itertools.repeat(sid), row)
+        values += row.values()
+    else:
+        array = _finite(values)
+    if array is None:
+        table = _pairs_by_id(doc, key, "result")
+        pairs, array = list(table), np.array(list(table.values()), dtype=float)
+    return _in_order(pairs, array)
+
+
 def _source_polytope(doc, sid, location) -> SourcePolytope:
-    """doc[sid]: one source's polytope entry."""
+    """doc[sid]: one source's polytope entry, read field by field."""
     p, location = _expect(doc, sid, dict, location), f"{location}.{sid}"
     floors = _numbers_by_id(p, "floors", location)
     dimension = _expect(p, "dimension", int, location)
@@ -46,41 +220,41 @@ def _source_polytope(doc, sid, location) -> SourcePolytope:
                           total=_expect(p, "total", float, location), dimension=dimension)
 
 
-def result_to_dict(result: EquilibriumResult) -> dict:
-    doc = {
-        "schema_version": RESULT_SCHEMA_VERSION,
-        "status": result.status,
-        "diagnostics": {
-            "spectral_radius": result.diagnostics.spectral_radius,
-            "iterations": result.diagnostics.iterations,
-            "max_residual": result.diagnostics.max_residual,
-            "marginal": result.diagnostics.marginal,
-        },
-    }
-    if result.solved:
-        doc["a"] = _nest(result.a.a)
-        doc["a_total"] = {sid: result.a.a_total[sid]
-                          for sid in sorted(result.a.a_total)}
-        doc["canonical_c"] = _nest(result.canonical_c)
-        doc["efforts"] = {sid: result.efforts[sid] for sid in sorted(result.efforts)}
-        doc["polytope"] = {
-            sid: {
-                "surplus": p.surplus,
-                "floors": {bid: p.floors[bid] for bid in sorted(p.floors)},
-                "total": p.total,
-                "dimension": p.dimension,
-            }
-            for sid, p in sorted(result.polytope.items())
-        }
-    return doc
+def _read_polytope(sources: dict) -> PolytopeTable:
+    """The polytope object `sources`, keyed by source id."""
+    pairs, floors, numbers, dimensions = [], [], [], []
+    for sid, p in sources.items():
+        if type(p) is not dict:
+            break
+        bids, dimension = p.get("floors"), p.get("dimension")
+        if (type(bids) is not dict or type(dimension) is not int
+                or not 0 <= dimension < len(bids)):
+            break
+        pairs += zip(itertools.repeat(sid), bids)
+        floors += bids.values()
+        numbers += (p.get("surplus"), p.get("total"))
+        dimensions.append(dimension)
+    else:
+        floor_array, number_array = _finite(floors), _finite(numbers)
+        if floor_array is not None and number_array is not None:
+            rows = np.column_stack((number_array.reshape(-1, 2), dimensions))
+            return PolytopeTable(_in_order(pairs, floor_array), _in_order(sources, rows))
+    return PolytopeTable.of({sid: _source_polytope(sources, sid, "result.polytope")
+                             for sid in sources})
 
 
-def result_from_dict(doc: dict) -> EquilibriumResult:
+def result_from_json(text: str) -> EquilibriumResult:
     """A result document under the scenario number rule: numbers finite (an
     unsolved result's max_residual may be NaN), counts integers (a polytope's
     dimension below its number of floors), `marginal` a boolean, tables
-    objects keyed by id.  Unknown fields are ignored; anything else raises
-    ParseError naming the field."""
+    objects keyed by id, in any key order.  Unknown fields are ignored;
+    anything else raises ParseError naming the field."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
+        raise ParseError(f"result is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("result document root must be an object")
     version = _expect(doc, "schema_version", int, "result")
     if version != RESULT_SCHEMA_VERSION:
         raise ParseError(f"result schema_version {version} unsupported")
@@ -100,46 +274,12 @@ def result_from_dict(doc: dict) -> EquilibriumResult:
     if status == STATUS_NONE:
         return EquilibriumResult(status=status, a=None, canonical_c=None,
                                  polytope=None, efforts=None, diagnostics=diagnostics)
-    polytope_doc = _expect(doc, "polytope", dict, "result")
+    sources = _expect(doc, "polytope", dict, "result")
     return EquilibriumResult(
         status=status,
-        a=AParameters(a=_pairs_by_id(doc, "a", "result"),
-                      a_total=_numbers_by_id(doc, "a_total", "result")),
-        canonical_c=_pairs_by_id(doc, "canonical_c", "result"),
-        polytope={sid: _source_polytope(polytope_doc, sid, "result.polytope")
-                  for sid in polytope_doc},
-        efforts=_numbers_by_id(doc, "efforts", "result"),
-        diagnostics=diagnostics)
-
-
-def result_to_json(result: EquilibriumResult) -> str:
-    return json.dumps(result_to_dict(result), indent=2) + "\n"
-
-
-def result_from_json(text: str) -> EquilibriumResult:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
-        raise ParseError(f"result is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("result document root must be an object")
-    return result_from_dict(doc)
-
-
-def welfare_to_dict(report: WelfareReport) -> dict:
-    return {
-        "equilibrium_efforts": dict(sorted(report.equilibrium_efforts.items())),
-        "optimal_efforts": dict(sorted(report.optimal_efforts.items())),
-        "cost_at_equilibrium": report.cost_at_equilibrium,
-        "cost_at_optimum": report.cost_at_optimum,
-        "poa": report.poa,
-        "efficient_possible": report.efficient_possible,
-        "offdiagonal_xi_max": report.offdiagonal_xi_max,
-    }
-
-
-def welfare_to_json(report: WelfareReport) -> str:
-    return json.dumps(welfare_to_dict(report), indent=2) + "\n"
+        a=AParameters(a=_read_pairs(doc, "a"), a_total=_read_ids(doc, "a_total")),
+        canonical_c=_read_pairs(doc, "canonical_c"), polytope=_read_polytope(sources),
+        efforts=_read_ids(doc, "efforts"), diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

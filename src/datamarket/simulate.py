@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .effort import EffortMap
-from .equilibrium import EquilibriumResult, result_arrays
+from .equilibrium import EquilibriumResult
 from .errors import DomainError
 from .estimators import leave_one_out_weights, prediction_weights, trial_stream
 from .market import MODE_ESTIMATOR, MarketScenario
@@ -71,9 +71,9 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
     if scenario.mode != MODE_ESTIMATOR:
         raise DomainError("round simulation needs estimator-derived scenarios "
                           "(direct mode has no regression geometry)")
-    a, _, c, efforts, _, _ = result_arrays(result, scenario)
     sids, bids = scenario.source_ids, scenario.aggregator_ids
     pairs = scenario.sharing_pairs()
+    a, _, c, efforts, _, _ = result.arrays(pairs, sids)
     features = np.array([scenario.sources_by_id[sid].feature for sid in sids], dtype=float)
     membership = scenario.membership
     members = {bid: np.flatnonzero(membership[:, b]) for b, bid in enumerate(bids)}

@@ -17,19 +17,20 @@ entry of Xi forces over-provision and a price of anarchy above 1.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ScenarioValidationError
-from .equilibrium import EquilibriumResult, _efforts_and_variances, _vector, result_arrays
+from .equilibrium import EquilibriumResult, IdTable, _aligned, _efforts_and_variances
 from .market import MODE_DIRECT, ESTIMATOR_ZERO_TOL, DerivedParameters
 
 
 @dataclass(frozen=True)
 class WelfareReport:
-    equilibrium_efforts: dict[str, float]
-    optimal_efforts: dict[str, float]
+    equilibrium_efforts: Mapping[str, float]
+    optimal_efforts: Mapping[str, float]
     cost_at_equilibrium: float
     cost_at_optimum: float
     poa: float
@@ -37,19 +38,20 @@ class WelfareReport:
     offdiagonal_xi_max: float
 
 
-def social_cost(efforts: dict[str, float], params: DerivedParameters) -> float:
+def social_cost(efforts: Mapping[str, float], params: DerivedParameters) -> float:
     """Ex-ante social cost of an effort profile (payments excluded).  A table
     not keyed by the scenario's source ids raises ParseError."""
-    sids = params.scenario.source_ids
-    e = _vector(efforts, sids, "efforts")
-    for sid, effort in zip(sids, e.tolist()):
-        if not params.effort_model(sid).effort_set.contains(effort):
-            raise DomainError(f"effort {effort} of source {sid} outside its feasible set")
+    e = _aligned(efforts, params.scenario.source_ids, "efforts")
+    feasible = np.isfinite(e) & (e >= 0) & (e <= params.effort_map.e_max)  # inf if unbounded
+    if not feasible.all():
+        k = int(np.argmin(feasible))
+        raise DomainError(f"effort {e[k].tolist()} of source {params.scenario.source_ids[k]} "
+                          "outside its feasible set")
     sigma = params.effort_map.sigma(e)
     return float(np.sum(params.gamma_total * sigma * sigma + e))
 
 
-def optimal_efforts(params: DerivedParameters) -> dict[str, float]:
+def optimal_efforts(params: DerivedParameters) -> IdTable:
     """The unique social-cost minimizer.
 
     Per source this is the effort induced by its total demand; with bounded
@@ -64,7 +66,7 @@ def optimal_efforts(params: DerivedParameters) -> dict[str, float]:
             f"total demand {params.gamma_total[k]} of source {sids[k]} is below the "
             f"minimum incentive {params.a_lower[k]}; the efficient effort would be negative")
     efforts, _ = _efforts_and_variances(params, params.gamma_total)
-    return dict(zip(sids, efforts.tolist()))
+    return IdTable(sids, efforts)
 
 
 def efficiency_predicate(params: DerivedParameters) -> bool:
@@ -83,15 +85,17 @@ def price_of_anarchy(result: EquilibriumResult, params: DerivedParameters) -> We
     ParseError."""
     if not result.solved or result.efforts is None:
         raise DomainError("price of anarchy requires a solved equilibrium")
-    result_arrays(result, params.scenario)  # a result of another market raises ParseError
+    # every table is read, so a result of another market raises ParseError
+    sids = params.scenario.source_ids
+    efforts = IdTable(sids, result.arrays(params.pairs, sids)[3])
     optimum = optimal_efforts(params)
     cost_opt = social_cost(optimum, params)
-    cost_eq = social_cost(result.efforts, params)
+    cost_eq = social_cost(efforts, params)
     if cost_opt <= 0:
         # impossible under validation (positive demand, positive variance)
         raise DomainError(f"optimal social cost {cost_opt} is not positive")
     return WelfareReport(
-        equilibrium_efforts=dict(result.efforts),
+        equilibrium_efforts=efforts,
         optimal_efforts=optimum,
         cost_at_equilibrium=cost_eq,
         cost_at_optimum=cost_opt,

@@ -1,5 +1,7 @@
 """Shared scenario builders for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,45 @@ def xi_tables(params):
     return {bid: {(i, l): float(params.xi[b, position[i], position[l]])
                   for i in scenario.dataset(bid) for l in scenario.dataset(bid)}
             for b, bid in enumerate(scenario.aggregator_ids)}
+
+
+def _nested(table):
+    """A pair-keyed table as one object per source, ids sorted."""
+    out = {}
+    for (sid, bid), value in sorted(table.items()):
+        out.setdefault(sid, {})[bid] = value
+    return out
+
+
+def reference_result_json(result):
+    """The result document as json.dumps(..., indent=2) lays it out: the
+    reference the writer's bytes are checked against."""
+    d = result.diagnostics
+    doc = {"schema_version": 1, "status": result.status,
+           "diagnostics": {"spectral_radius": d.spectral_radius, "iterations": d.iterations,
+                           "max_residual": d.max_residual, "marginal": d.marginal}}
+    if result.solved:
+        doc["a"] = _nested(result.a.a)
+        doc["a_total"] = dict(sorted(result.a.a_total.items()))
+        doc["canonical_c"] = _nested(result.canonical_c)
+        doc["efforts"] = dict(sorted(result.efforts.items()))
+        doc["polytope"] = {sid: {"surplus": p.surplus, "floors": dict(sorted(p.floors.items())),
+                                 "total": p.total, "dimension": p.dimension}
+                           for sid, p in sorted(result.polytope.items())}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_welfare_json(report):
+    """The welfare document as json.dumps(..., indent=2) lays it out."""
+    return json.dumps({
+        "equilibrium_efforts": dict(sorted(report.equilibrium_efforts.items())),
+        "optimal_efforts": dict(sorted(report.optimal_efforts.items())),
+        "cost_at_equilibrium": report.cost_at_equilibrium,
+        "cost_at_optimum": report.cost_at_optimum,
+        "poa": report.poa,
+        "efficient_possible": report.efficient_possible,
+        "offdiagonal_xi_max": report.offdiagonal_xi_max,
+    }, indent=2) + "\n"
 
 
 @pytest.fixture
