@@ -75,7 +75,6 @@ from .market import (
     MarketScenario,
     ValidationReport,
     Violation,
-    assemble_xi_matrix,
     derive_beta,
     derive_gamma,
     derive_parameters,

@@ -244,7 +244,10 @@ def payment_floors(params: DerivedParameters, a: np.ndarray,
     the minimum constant term that keeps b's expected payment to s
     nonnegative.  `a` and the result run over params.pairs, `variances` over
     the source ids."""
-    return a * (params.xi @ variances)[params.pair_aggregator, params.pair_source]
+    penalty = variances[params.pair_source]  # the term i = s: xi_b(s, s) = 1
+    for rows, block in zip(params.aggregator_pairs, params.xi):
+        penalty[rows] += block @ variances[params.pair_source[rows]]
+    return a * penalty
 
 
 def _contract(params: DerivedParameters, a_vec: np.ndarray, a_total: np.ndarray,
@@ -471,16 +474,19 @@ def _variance_weights(params: DerivedParameters, a_vec: np.ndarray) -> np.ndarra
 
         w_b[s] = gamma[s, b] + sum_{j != b} sum_{i in D_b & D_j} a[i, j] xi_j(i, s),
 
-    read from the xi array, never from the solver's coupling matrix.  The
-    terms i = s sum to the same source's weight at its other aggregators, so
+    read from the xi blocks, one (m x |D_j|) @ X_j per aggregator j, never
+    from the solver's coupling matrix.  The terms i = s (xi_j(s, s) = 1) are
+    the rivals' sum, the same source's weight at its other aggregators, so
     w_b[s] is also the best-response total (interior target plus rivals)."""
     membership = params.scenario.membership
-    a_table = np.zeros(membership.shape)
-    a_table[params.pair_source, params.pair_aggregator] = a_vec
-    # u[j, b, i] = a[i, j] * [i in D_b] * [j != b], contracted with xi_j(i, s)
-    u = a_table.T[:, None, :] * membership.T * (1.0 - np.eye(membership.shape[1]))[:, :, None]
-    coupling = np.einsum("jbi,jis->bs", u, params.xi)
-    return params.gamma + coupling[params.pair_aggregator, params.pair_source]
+    coupling = np.zeros(membership.shape[::-1])  # [b, s]
+    for j, (rows, block) in enumerate(zip(params.aggregator_pairs, params.xi)):
+        members = params.pair_source[rows]
+        u = membership[members].T * a_vec[rows]  # u[b, i] = a[i, j] * [i in D_b]
+        u[j] = 0.0
+        coupling[:, members] += u @ block
+    rivals = np.bincount(params.pair_source, weights=a_vec)[params.pair_source] - a_vec
+    return params.gamma + rivals + coupling[params.pair_aggregator, params.pair_source]
 
 
 def _targets(params: DerivedParameters, a_vec: np.ndarray, weights: np.ndarray,
@@ -540,14 +546,12 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
     if not (0.0 < tol < math.inf):
         raise DomainError(f"tol must be positive and finite, got {tol}")
     lower, upper = params.a_lower[params.pair_source], params.a_upper[params.pair_source]
-    blocks = [np.flatnonzero(params.pair_aggregator == b)
-              for b in range(len(params.scenario.aggregator_ids))]
     a = params.gamma.copy()  # start from the decoupled demands
-    sums = [params.coupling.term(b, a) for b in range(len(blocks))]
+    sums = [params.coupling.term(b, a) for b in range(len(params.xi))]
     iterations = 0
     for iterations in range(1, max_iter + 1):
         residual = 0.0
-        for b, blk in enumerate(blocks):
+        for b, blk in enumerate(params.aggregator_pairs):
             interior = params.gamma[blk] + params.coupling.scatter(sums)[blk]
             own = a[blk]
             totals = np.bincount(params.pair_source, weights=a)

@@ -6,15 +6,17 @@ distribution, competition weights, payment scale).  From these we derive the
 contract parameters that drive everything downstream:
 
   beta[s, b]   relevance of source s's data to aggregator b's estimate,
-  xi[b, i, l]  coupling: weight of source l's variance inside the payment
-               aggregator b owes source s=i (leave-one-out geometry, dense),
+  xi[b][i, l]  coupling: weight of source l's variance inside the payment
+               aggregator b owes source i, over b's dataset (leave-one-out),
   gamma[s, b]  b's net demand for quality from s after subtracting the
                competition-weighted benefit to b's rivals,
   Xi           the square coupling matrix of the equilibrium system
                a = Xi a + gamma over (source, aggregator) pairs.
 
 Every table is a numpy array: beta and gamma over the sharing pairs (in
-`sharing_pairs()` order), per-source totals over `source_ids`, xi in id order.
+`sharing_pairs()` order), per-source totals over `source_ids`; xi is one
+read-only block per aggregator (id order) over `dataset(b)`, diagonal 0: the
+paper's xi_b(s, s) = 1 is added only where the own variance enters.
 
 Parameters can instead be entered directly (``direct`` mode) so analytic
 fixtures that no small regression design realizes stay testable in closed
@@ -118,6 +120,7 @@ class MarketScenario:
     aggregators_by_id: dict[str, AggregatorSpec] = field(init=False, repr=False,
                                                         compare=False)
     _datasets: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _sharing_pairs: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
     #: n x m booleans, [s, b] true when source s sells to aggregator b (id
     #: order); its nonzero entries, row by row, are the sharing pairs in order.
     membership: np.ndarray = field(init=False, repr=False, compare=False)
@@ -155,6 +158,9 @@ class MarketScenario:
         membership = np.array([[bid in self.sources_by_id[sid].sharing
                                 for bid in self.aggregator_ids] for sid in self.source_ids])
         object.__setattr__(self, "membership", membership)
+        object.__setattr__(self, "_sharing_pairs", tuple(
+            (self.source_ids[s], self.aggregator_ids[b])
+            for s, b in np.argwhere(membership).tolist()))
         object.__setattr__(self, "_datasets", {
             bid: tuple(self.source_ids[i] for i in np.flatnonzero(membership[:, b]).tolist())
             for b, bid in enumerate(self.aggregator_ids)})
@@ -215,13 +221,11 @@ class MarketScenario:
     def sharing_pairs(self) -> tuple[tuple[str, str], ...]:
         """All (source, aggregator) pairs with an active contract, in the
         fixed lexicographic order used to index the coupling matrix."""
-        return tuple((sid, bid)
-                     for sid in self.source_ids
-                     for bid in self.sources_by_id[sid].sharing)
+        return self._sharing_pairs
 
     def dataset_points(self, aggregator_id: str) -> np.ndarray:
-        return np.array([self.sources_by_id[sid].feature
-                         for sid in self.dataset(aggregator_id)], dtype=float)
+        return np.array([self.sources_by_id[sid].feature for sid in self.dataset(aggregator_id)],
+                        dtype=float).reshape(-1, self.dimension)  # (0, d) when nobody sells
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +278,27 @@ def derive_beta(scenario: MarketScenario) -> np.ndarray:
                       [scenario.aggregators_by_id[b] for b in scenario.aggregator_ids])
 
 
-def derive_xi(scenario: MarketScenario) -> np.ndarray:
-    """Coupling weights xi[b, i, l] (aggregators x sources x sources, id
-    order): the weight of source l's variance in b's leave-one-out prediction
-    at source i's feature point, 1 when i == l, and 0 unless both sources
-    sell to b.  Per aggregator, one leave_one_out_weights call: running Gram
-    sums, one batched solve and one product."""
+def derive_xi(scenario: MarketScenario) -> tuple[np.ndarray, ...]:
+    """Coupling blocks xi[b], read-only, one per aggregator in id order over
+    scenario.dataset(b) x scenario.dataset(b): [i, l] is the weight of source
+    l's variance in b's leave-one-out prediction at source i's feature point,
+    the squared leave-one-out weight, 0 on the diagonal (its readers add the
+    paper's xi_b(s, s) = 1).  One leave_one_out_weights call per block."""
     if scenario.mode != MODE_ESTIMATOR:
         raise DomainError("derive_xi applies to estimator-derived scenarios; "
                           "direct mode carries its own xi table")
-    membership = scenario.membership
-    n, m = membership.shape
-    features = np.array([scenario.sources_by_id[s].feature for s in scenario.source_ids])
-    ids = np.array(scenario.source_ids)
-    xi = np.zeros((m, n, n))
-    for b, bid in enumerate(scenario.aggregator_ids):
-        members = np.flatnonzero(membership[:, b])
-        block = leave_one_out_weights(features[members], aggregator=bid,
-                                      sources=ids[members]) ** 2
-        np.fill_diagonal(block, 1.0)
-        xi[b][np.ix_(members, members)] = block
-    return xi
+    blocks = []
+    for bid in scenario.aggregator_ids:
+        block = leave_one_out_weights(scenario.dataset_points(bid), aggregator=bid,
+                                      sources=scenario.dataset(bid))
+        blocks.append(np.square(block, out=block))
+    return _read_only(blocks)
+
+
+def _read_only(blocks) -> tuple[np.ndarray, ...]:
+    for block in blocks:
+        block.flags.writeable = False
+    return tuple(blocks)
 
 
 def derive_gamma(scenario: MarketScenario, beta: np.ndarray,
@@ -306,34 +310,27 @@ def derive_gamma(scenario: MarketScenario, beta: np.ndarray,
                        [scenario.aggregators_by_id[b] for b in scenario.aggregator_ids])
 
 
-def assemble_xi_matrix(scenario: MarketScenario, xi: np.ndarray,
+def assemble_xi_matrix(scenario: MarketScenario, xi: tuple[np.ndarray, ...],
                        ) -> tuple[np.ndarray, tuple[tuple[str, str], ...]]:
-    """Coupling matrix of the equilibrium system a = Xi a + gamma.
-
-    Rows/columns are the sharing pairs in lexicographic (source, aggregator)
-    order.  Entry at row (s, b), column (l, j) is xi[j, l, s] when j != b,
-    l != s, and both s and l sell to both j and b; otherwise 0.  The own-
-    aggregator (j == b) and own-source (l == s) blocks are identically zero.
-    Scattered from CouplingOperator's terms, the one description of its
-    sparsity.
-    """
+    """(CouplingOperator(scenario, xi).toarray(), scenario.sharing_pairs()).
+    The package calls it nowhere; bench/tracing.py traces it by name."""
     return CouplingOperator(scenario, xi).toarray(), scenario.sharing_pairs()
 
 
 class CouplingOperator:
-    """Xi as a product over the sharing pairs, from the xi array, with no
+    """Xi as a product over the sharing pairs, from the xi blocks, with no
     P x P matrix:
 
         (Xi a)[s, b] = sum_{j != b} sum_l X_j[l, s] a[l, j] [l sells to b],
 
-    where X_j is xi[j] on D_j x D_j (D_j the sources selling to j) with its
-    diagonal zeroed.  Per aggregator j, the columns b != j of the membership
-    restricted to D_j are deduplicated, so a full-sharing market costs one
-    matrix-vector product per aggregator.  The j = b term is left out by
-    selecting the columns b != j, never added and subtracted: a large weight
-    would not cancel exactly."""
+    where X_j is the block xi[j] on D_j x D_j (D_j the sources selling to
+    j), held as given: its zero diagonal leaves out l == s.  Per aggregator j,
+    the columns b != j of the membership restricted to D_j are deduplicated,
+    so a full-sharing market costs one matrix-vector product per aggregator.
+    The j = b term is left out by selecting the columns b != j, never added
+    and subtracted: a large weight would not cancel exactly."""
 
-    def __init__(self, scenario: MarketScenario, xi: np.ndarray):
+    def __init__(self, scenario: MarketScenario, xi: tuple[np.ndarray, ...]):
         membership = scenario.membership
         pair_source, pair_aggregator = np.nonzero(membership)
         pair_at = np.full(membership.shape, -1)
@@ -344,12 +341,10 @@ class CouplingOperator:
         aggregators = np.arange(membership.shape[1])
         for j in aggregators.tolist():
             members, others = np.flatnonzero(membership[:, j]), np.flatnonzero(aggregators != j)
-            block = xi[j][np.ix_(members, members)]
-            np.fill_diagonal(block, 0.0)
             keys = [membership[members, b].tobytes() for b in others.tolist()]
             distinct = list(dict.fromkeys(keys))  # [c]: D_j's column of a rival
             columns = np.frombuffer(b"".join(distinct), dtype=bool)
-            self._terms.append((pair_at[members, j], block,
+            self._terms.append((pair_at[members, j], xi[j],
                                 columns.reshape(len(distinct), len(members)).astype(float)))
             # row c of term j's sums lands at the pairs (s, b) of the rivals b
             # with column c; a source in D_j that does not sell to b has no pair
@@ -361,7 +356,7 @@ class CouplingOperator:
             offset += len(distinct) * len(members)
         self._gather = np.concatenate(gather)
         self._targets = np.concatenate(targets)
-        self.blocks = tuple(term[1] for term in self._terms)  # the X_j, in id order
+        self.blocks = tuple(xi)  # the X_j, in id order
 
     def __matmul__(self, a: np.ndarray) -> np.ndarray:
         return self.scatter([self.term(j, a) for j in range(len(self._terms))])
@@ -388,7 +383,7 @@ class CouplingOperator:
         return largest
 
     def toarray(self) -> np.ndarray:
-        """The assembled matrix (assemble_xi_matrix).  The sums entry c, s of
+        """The assembled P x P matrix.  The sums entry c, s of
         term j lands at the pair (s, b) of each rival b with column c, so that
         row of Xi holds columns[c] * X_j[:, s] at the pairs (l, j)."""
         matrix, offset = np.zeros(self.shape), 0
@@ -536,16 +531,17 @@ class ValidationReport:
 
 
 def _derive_tables(scenario: MarketScenario):
-    """(beta, xi): derived in estimator mode; in direct mode copied, the
-    id-keyed xi tables converted to the dense array."""
+    """(beta, xi): derived in estimator mode; in direct mode copied, each
+    id-keyed xi table read into its block (diagonal 0, as derive_xi's)."""
     if scenario.mode == MODE_ESTIMATOR:
         return derive_beta(scenario), derive_xi(scenario)
-    position = {sid: k for k, sid in enumerate(scenario.source_ids)}
-    xi = np.zeros((len(scenario.aggregator_ids), len(position), len(position)))
-    for b, bid in enumerate(scenario.aggregator_ids):
-        for (i, l), value in scenario.direct_xi[bid].items():
-            xi[b, position[i], position[l]] = value
-    return np.array([scenario.direct_beta[p] for p in scenario.sharing_pairs()]), xi
+    blocks = []
+    for bid in scenario.aggregator_ids:
+        ds, table = scenario.dataset(bid), scenario.direct_xi[bid]
+        blocks.append(np.array([[table[i, l] if i != l else 0.0 for l in ds] for i in ds],
+                               dtype=float).reshape(len(ds), len(ds)))
+    return (np.array([scenario.direct_beta[p] for p in scenario.sharing_pairs()]),
+            _read_only(blocks))
 
 
 def validate_scenario(scenario: MarketScenario) -> ValidationReport:
@@ -628,7 +624,8 @@ class DerivedParameters:
     gamma run over `pairs` (pair k is (source_ids[pair_source[k]],
     aggregator_ids[pair_aggregator[k]])); gamma_total, the effort map's
     models, a_lower and a_upper (inf for unbounded effort sets) over
-    scenario.source_ids.
+    scenario.source_ids.  xi holds derive_xi's blocks, the one copy of the
+    coupling weights; block b's rows follow b's pairs, aggregator_pairs[b].
 
     Xi is built on first read, as one CouplingOperator, `coupling`, which
     both solvers read (the radius, the fixed-point products, the residual
@@ -639,7 +636,7 @@ class DerivedParameters:
     scenario: MarketScenario
     mode: str
     beta: np.ndarray
-    xi: np.ndarray          # [b, i, l], aggregators x sources x sources, id order
+    xi: tuple[np.ndarray, ...]  # per aggregator, dataset x dataset, id order
     gamma: np.ndarray
     gamma_total: np.ndarray
     effort_map: EffortMap
@@ -649,9 +646,9 @@ class DerivedParameters:
     a_lower: np.ndarray = field(init=False, repr=False, compare=False)
     a_upper: np.ndarray = field(init=False, repr=False, compare=False)
     effort_kind: str = field(init=False, repr=False, compare=False)
-    pair_index: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     pair_source: np.ndarray = field(init=False, repr=False, compare=False)
     pair_aggregator: np.ndarray = field(init=False, repr=False, compare=False)
+    aggregator_pairs: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     # Filled on first read; derivation needs none of them.
     _xi_matrix: np.ndarray | None = field(default=None, init=False, repr=False,
                                           compare=False)
@@ -665,13 +662,14 @@ class DerivedParameters:
         object.__setattr__(self, "a_lower", self.effort_map.a_lower)
         object.__setattr__(self, "a_upper", self.effort_map.a_upper)
         object.__setattr__(self, "effort_kind", _effort_kind(self.scenario))
-        object.__setattr__(self, "pair_index", {p: k for k, p in enumerate(self.pairs)})
         object.__setattr__(self, "pair_source", pair_source)
         object.__setattr__(self, "pair_aggregator", pair_aggregator)
+        object.__setattr__(self, "aggregator_pairs", tuple(
+            np.flatnonzero(pair_aggregator == b) for b in range(len(self.xi))))
 
     @property
     def xi_matrix(self) -> np.ndarray:
-        """The assembled Xi (assemble_xi_matrix), scattered from `coupling`:
+        """The assembled Xi, scattered from `coupling`:
         an export for the LU path and xi_matrix.csv, one operator per market."""
         if self._xi_matrix is None:
             object.__setattr__(self, "_xi_matrix", self.coupling.toarray())
@@ -696,10 +694,8 @@ class DerivedParameters:
         return self.scenario.sources_by_id[source_id].effort_model
 
     def offdiagonal_xi_max(self) -> float:
-        # |xi| over the aggregators as one n x n table, not a copy of xi
-        largest = np.maximum(self.xi.max(axis=0), -self.xi.min(axis=0))
-        np.fill_diagonal(largest, 0.0)
-        return float(largest.max())
+        # every block is nonnegative (validated or squared) with a zero diagonal
+        return max(float(block.max(initial=0.0)) for block in self.xi)
 
     def require_valid(self) -> None:
         if not self.validation.ok:

@@ -308,13 +308,13 @@ def gamma_csv(params: DerivedParameters) -> str:
 
 
 def xi_csv(params: DerivedParameters) -> str:
-    """The xi array keyed by id, over each aggregator's dataset pairs."""
+    """The xi blocks keyed by id, over each aggregator's dataset pairs, with
+    the unit own weight xi_b(s, s) = 1 on the diagonal."""
     rows = [("aggregator", "paid_source", "coupled_source", "xi")]
-    sids = params.scenario.source_ids
-    for b, bid in enumerate(params.scenario.aggregator_ids):
-        members = params.pair_source[params.pair_aggregator == b].tolist()
-        rows += [(bid, sids[i], sids[l], float(params.xi[b, i, l]))
-                 for i in members for l in members]
+    for bid, block in zip(params.scenario.aggregator_ids, params.xi):
+        ds = params.scenario.dataset(bid)
+        rows += [(bid, i, l, 1.0 if i == l else v)
+                 for i, row in zip(ds, block.tolist()) for l, v in zip(ds, row)]
     return _csv(rows)
 
 

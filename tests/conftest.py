@@ -202,12 +202,28 @@ def pair_array(scenario, table):
     return np.array([table[pair] for pair in scenario.sharing_pairs()])
 
 
+def dense_xi(params):
+    """The xi blocks of derived parameters scattered into one dense array
+    xi[b, i, l] (aggregators x sources x sources, id order): the paper's
+    xi_b(i, l), 1 on each dataset's diagonal and 0 unless both sources sell
+    to b."""
+    membership = params.scenario.membership
+    n, m = membership.shape
+    xi = np.zeros((m, n, n))
+    for b, block in enumerate(params.xi):
+        members = np.flatnonzero(membership[:, b])
+        xi[b][np.ix_(members, members)] = block
+        xi[b, members, members] = 1.0
+    return xi
+
+
 def xi_tables(params):
-    """The dense xi array of derived parameters as id-keyed tables, the form
-    direct-mode input takes: {b: {(i, l): xi_b(i, l)}} over b's dataset."""
+    """The xi of derived parameters as id-keyed tables, the form direct-mode
+    input takes: {b: {(i, l): xi_b(i, l)}} over b's dataset."""
     scenario = params.scenario
     position = {sid: k for k, sid in enumerate(scenario.source_ids)}
-    return {bid: {(i, l): float(params.xi[b, position[i], position[l]])
+    xi = dense_xi(params)
+    return {bid: {(i, l): float(xi[b, position[i], position[l]])
                   for i in scenario.dataset(bid) for l in scenario.dataset(bid)}
             for b, bid in enumerate(scenario.aggregator_ids)}
 

@@ -394,10 +394,10 @@ def test_c10_partial_sharing():
     common = [p for p in singleton.pairs if p in set(flipped.pairs)]
     for row_pair in common:
         for col_pair in common:
-            before = singleton.xi_matrix[singleton.pair_index[row_pair],
-                                         singleton.pair_index[col_pair]]
-            after = flipped.xi_matrix[flipped.pair_index[row_pair],
-                                      flipped.pair_index[col_pair]]
+            before = singleton.xi_matrix[singleton.pairs.index(row_pair),
+                                         singleton.pairs.index(col_pair)]
+            after = flipped.xi_matrix[flipped.pairs.index(row_pair),
+                                      flipped.pairs.index(col_pair)]
             assert before == after
 
 

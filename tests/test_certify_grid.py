@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_line_scenario, make_random_direct, make_symmetric_direct
+from conftest import dense_xi, make_line_scenario, make_random_direct, make_symmetric_direct
 
 from datamarket.effort import CustomVariance, EffortVarianceModel, effort_response, variance_at
 from datamarket.equilibrium import (
@@ -74,14 +74,15 @@ def reduced_loss_terms(params, bid, a):
     clamp = params.effort_kind == "bounded"
     efforts = {sid: effort_at(params.effort_model(sid), totals[sid], clamp) for sid in sids}
     variances = {sid: variance_at(params.effort_model(sid), efforts[sid]) for sid in sids}
+    xi = dense_xi(params)
     terms = []
     for i in params.scenario.dataset(bid):
-        terms.append(params.gamma[params.pair_index[(i, bid)]] * variances[i])
+        terms.append(params.gamma[params.pairs.index((i, bid))] * variances[i])
         terms.append(efforts[i])
         for j in params.scenario.sources_by_id[i].sharing:
             if j == bid:
                 continue
-            terms.extend(a[(i, j)] * float(params.xi[column[j], position[i], position[l]])
+            terms.extend(a[(i, j)] * float(xi[column[j], position[i], position[l]])
                          * variances[l] for l in params.scenario.dataset(j))
     return terms
 

@@ -116,8 +116,8 @@ class TestSpectralRadius:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
     def test_operator_input_is_checked(self, bad):
         scenario = make_symmetric_direct()
-        xi = derive_parameters(scenario).xi.copy()
-        xi[0, 0, 1] = bad  # inside the first aggregator's stored block
+        xi = [block.copy() for block in derive_parameters(scenario).xi]
+        xi[0][0, 1] = bad  # inside the first aggregator's stored block
         with pytest.raises(DomainError):
             spectral_radius(market.CouplingOperator(scenario, xi))
 
@@ -183,7 +183,7 @@ class TestSolveUnbounded:
         result = solve_unbounded(params)
         assert result.status == STATUS_UNIQUE
         for pair in params.pairs:
-            assert result.a.a[pair] == pytest.approx(params.gamma[params.pair_index[pair]],
+            assert result.a.a[pair] == pytest.approx(params.gamma[params.pairs.index(pair)],
                                                      abs=1e-14)
 
     def test_symmetric_fixture_closed_form(self, symmetric_direct):
@@ -631,7 +631,8 @@ class TestOperatorSide:
         # the dense Xi, read on demand, is the assembled one bit for bit
         matrix = params.xi_matrix
         assert len(calls) == 1
-        np.testing.assert_array_equal(matrix, market.assemble_xi_matrix(scenario, params.xi)[0])
+        np.testing.assert_array_equal(matrix,
+                                      market.CouplingOperator(scenario, params.xi).toarray())
 
     @pytest.mark.parametrize("path", ["bounded", "unbounded-lu"])
     def test_one_operator_per_market(self, path, monkeypatch):
@@ -772,7 +773,7 @@ class TestCertification:
 
     @pytest.mark.parametrize("market_kind", ["unbounded", "bounded", "partial-sharing"])
     def test_reads_no_coupling_matrix(self, market_kind):
-        # the checks read the xi array only, so a NaN Xi, in either of the
+        # the checks read the xi blocks only, so a NaN Xi, in either of the
         # forms the solvers read (assembled, operator), changes nothing
         spec = {"unbounded": GenerationSpec(8, 3, family="mixed"),
                 "bounded": GenerationSpec(8, 3, family="mixed", bounded=True),
@@ -783,7 +784,7 @@ class TestCertification:
         blind = replace(params)  # the cached forms of Xi are not copied
         object.__setattr__(blind, "_xi_matrix", np.full_like(params.xi_matrix, np.nan))
         object.__setattr__(blind, "_coupling", market.CouplingOperator(
-            params.scenario, np.full_like(params.xi, np.nan)))
+            params.scenario, tuple(np.full_like(block, np.nan) for block in params.xi)))
         # NaN on every pair with coupling (a single-buyer source has none)
         assert np.isnan(blind.xi_matrix).all() and np.isnan(blind.coupling @ params.gamma).any()
         report = certify_equilibrium(result, blind)

@@ -14,13 +14,13 @@ from datamarket.market import (
     DataSourceSpec,
     GroundTruth,
     MarketScenario,
-    assemble_xi_matrix,
     derive_beta,
     derive_gamma,
     derive_parameters,
     derive_xi,
     validate_scenario,
 )
+from datamarket.results import xi_csv
 
 
 def two_point_scenario(query):
@@ -69,9 +69,13 @@ class TestDeriveBeta:
 
 class TestDeriveXi:
     def test_diagonal_is_one(self, line_two_aggregators):
-        xi = derive_xi(line_two_aggregators)
-        for table in xi:
-            assert np.all(np.diag(table) == 1.0)
+        # xi_b(s, s) = 1 is added where it is read: the stored blocks hold 0
+        params = derive_parameters(line_two_aggregators)
+        for block in derive_xi(line_two_aggregators):
+            assert np.all(np.diag(block) == 0.0)
+        rows = [line.split(",") for line in xi_csv(params).splitlines()[1:]]
+        assert all(float(v) == 1.0 for _, i, l, v in rows if i == l)
+        assert sum(i == l for _, i, l, _ in rows) == len(params.pairs)
 
     def test_hand_example_center_of_three(self):
         scn = make_line_scenario(n_aggregators=1)
@@ -160,13 +164,13 @@ class TestXiMatrix:
         xi = {"b1": {("s1", "s1"): 1.0}, "b2": {("s1", "s1"): 1.0}}
         scn = MarketScenario(sources, aggs, GroundTruth((1.0,), 0.0),
                              mode="direct", direct_beta=beta, direct_xi=xi)
-        matrix, pairs = assemble_xi_matrix(scn, derive_parameters(scn).xi)
+        matrix = derive_parameters(scn).xi_matrix
         assert matrix.shape == (2, 2)
         assert np.all(matrix == 0.0)
 
     def test_symmetric_pairing_structure(self, symmetric_direct):
-        matrix, pairs = assemble_xi_matrix(symmetric_direct,
-                                           derive_parameters(symmetric_direct).xi)
+        params = derive_parameters(symmetric_direct)
+        matrix, pairs = params.xi_matrix, params.pairs
         assert pairs == (("s1", "b1"), ("s1", "b2"), ("s2", "b1"), ("s2", "b2"))
         assert matrix.shape == (4, 4)
         # exactly one 0.5 per row, pairing (s, b) with the opposite pair
@@ -179,8 +183,8 @@ class TestXiMatrix:
         params = derive_parameters(line_two_aggregators)
         matrix, pairs = params.xi_matrix, params.pairs
         assert np.all(matrix >= 0)
-        for (s, b), row in params.pair_index.items():
-            for (l, j), col in params.pair_index.items():
+        for row, (s, b) in enumerate(pairs):
+            for col, (l, j) in enumerate(pairs):
                 if j == b or l == s:
                     assert matrix[row, col] == 0.0
 
@@ -302,14 +306,15 @@ class TestLookupsFilledAtConstruction:
         scenario = make_line_scenario(n_aggregators=2)
         keys = set(vars(scenario))
         for name in ("source_ids", "aggregator_ids", "sources_by_id",
-                     "aggregators_by_id", "_datasets"):
+                     "aggregators_by_id", "_datasets", "_sharing_pairs"):
             getattr(scenario, name)
         scenario.dataset("b1")
+        scenario.sharing_pairs()
         assert set(vars(scenario)) == keys
 
         params = derive_parameters(make_line_scenario(n_aggregators=2))
         keys = set(vars(params))
-        params.pair_index
+        params.aggregator_pairs
         assert set(vars(params)) == keys
 
     def test_membership_is_a_field_filled_at_construction(self):

@@ -51,7 +51,7 @@ def _branch(params, xi, a, sid, bid):
             if bid not in params.scenario.sources_by_id[l].sharing:
                 continue
             coupling += a[(l, j)] * xi[j][(l, sid)]
-    interior = params.gamma[params.pair_index[(sid, bid)]] + coupling
+    interior = params.gamma[params.pairs.index((sid, bid))] + coupling
     t = interior + rivals_same_source
     if t < bounds.a_lower:
         target, label = bounds.a_lower - rivals_same_source, "at-minimum"

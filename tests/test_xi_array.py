@@ -1,7 +1,11 @@
-"""The dense coupling array xi[b, i, l] and its readers against the id-keyed
+"""The coupling blocks xi[b] and their readers against the id-keyed
 references they replaced: one ordinary least-squares fit per left-out source
-for xi itself, and nested walks of the id-keyed tables for the coupling
-matrix Xi, the payment floors and the largest off-diagonal coupling."""
+for xi itself, nested walks of the id-keyed tables for the coupling matrix
+Xi, the payment floors and the largest off-diagonal coupling, and the dense
+xi[b, i, l] array the blocks replaced for the floors and variance weights."""
+
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from hypothesis import strategies as st
 from conftest import (
     OLS,
     by_pair,
+    dense_xi,
+    make_coupled_direct,
     make_disjoint_datasets,
     make_line_scenario,
     make_random_direct,
@@ -21,7 +27,15 @@ from conftest import (
 )
 
 from datamarket.effort import exponential_model
-from datamarket.equilibrium import MARGINAL_BAND, payment_floors, solve_unbounded
+from datamarket.equilibrium import (
+    MARGINAL_BAND,
+    STATUS_UNIQUE,
+    _variance_weights,
+    certify_equilibrium,
+    payment_floors,
+    solve_bounded,
+    solve_unbounded,
+)
 from datamarket.errors import IllDefinedEstimatorError, IllDefinedPaymentError
 from datamarket.estimators import leave_one_out_weights, ols_coefficients, point_mass
 from datamarket.market import (
@@ -33,17 +47,17 @@ from datamarket.market import (
     DataSourceSpec,
     GroundTruth,
     MarketScenario,
-    assemble_xi_matrix,
     derive_parameters,
     derive_xi,
     spectral_radius,
 )
+from datamarket.results import xi_csv, xi_matrix_csv
 from datamarket.scenario import GenerationSpec, generate_scenario
-from datamarket.welfare import efficiency_predicate
+from datamarket.welfare import efficiency_predicate, price_of_anarchy
 
 
 # ---------------------------------------------------------------------------
-# References: the id-keyed code the array replaced
+# References: the id-keyed code the arrays replaced
 # ---------------------------------------------------------------------------
 
 def reference_xi(scenario):
@@ -167,13 +181,15 @@ def test_xi_matches_per_source_fits(market):
     scenario = ESTIMATOR_MARKETS[market]()
     xi = derive_xi(scenario)
     reference = reference_xi(scenario)
-    ids = scenario.source_ids
-    assert xi.shape == (len(scenario.aggregator_ids), len(ids), len(ids))
-    for b, bid in enumerate(scenario.aggregator_ids):
-        for i, si in enumerate(ids):
-            for l, sl in enumerate(ids):
-                expected = reference[bid].get((si, sl), 0.0)
-                assert abs(xi[b, i, l] - expected) <= 1e-9 * abs(expected), (bid, si, sl)
+    assert len(xi) == len(scenario.aggregator_ids)
+    for bid, block in zip(scenario.aggregator_ids, xi):
+        ds = scenario.dataset(bid)
+        assert block.shape == (len(ds), len(ds)) and not block.flags.writeable
+        for i, si in enumerate(ds):
+            for l, sl in enumerate(ds):
+                # the unit diagonal is added by the readers, not stored
+                expected = 0.0 if si == sl else reference[bid][(si, sl)]
+                assert abs(block[i, l] - expected) <= 1e-9 * abs(expected), (bid, si, sl)
 
 
 @pytest.mark.parametrize("market", sorted(RANK_DEFICIENT))
@@ -225,7 +241,7 @@ def test_operator_product_matches_assembled_matrix(market):
     scenario = OPERATOR_MARKETS[market]()
     params = derive_parameters(scenario, require_valid=False)
     operator = CouplingOperator(scenario, params.xi)
-    matrix, _ = assemble_xi_matrix(scenario, params.xi)
+    matrix = params.xi_matrix
     assert operator.shape == matrix.shape
     rng = np.random.default_rng(7)
     for a in (rng.uniform(0.0, 1.0, len(params.pairs)),
@@ -264,14 +280,16 @@ def test_largest_coupling_matches_assembled_max(market):
 
 
 def test_solved_market_is_unchanged_by_direct_reentry_of_the_array():
-    # the array written back as direct-mode tables reproduces the solution
+    # the blocks written back as direct-mode tables reproduce the solution
     scenario = ESTIMATOR_MARKETS["partial-d2"]()
     params = derive_parameters(scenario)
     direct = MarketScenario(scenario.sources, scenario.aggregators, scenario.ground_truth,
                             mode="direct", direct_beta=by_pair(scenario, params.beta),
                             direct_xi=xi_tables(params))
     reparams = derive_parameters(direct)
-    np.testing.assert_array_equal(params.xi, reparams.xi)
+    assert len(params.xi) == len(reparams.xi)
+    for block, reblock in zip(params.xi, reparams.xi):
+        np.testing.assert_array_equal(block, reblock)
     assert solve_unbounded(params).a == solve_unbounded(reparams).a
 
 
@@ -318,3 +336,114 @@ def test_leave_one_out_weights_match_per_source_fits(points):
         expected = np.sqrt([reference[(si, ids[l])] for l in others])
         np.testing.assert_allclose(np.abs(weights[i, others]), expected, rtol=1e-9,
                                    atol=1e-9 * expected.max(), err_msg=si)
+
+
+# ---------------------------------------------------------------------------
+# The blocks as the one copy of xi
+# ---------------------------------------------------------------------------
+
+def _with_idle_aggregator():
+    """The direct market GenerationSpec(6, 2, family="mixed", mode="direct")
+    at seed 0, plus an aggregator "zz" nobody sells to: a (0, 0) block."""
+    scenario = generate_scenario(GenerationSpec(6, 2, family="mixed", mode="direct"), 0)
+    idle = AggregatorSpec("zz", OLS, point_mass((0.0,)))
+    return MarketScenario(scenario.sources, (*scenario.aggregators, idle),
+                          scenario.ground_truth, mode=MODE_DIRECT,
+                          direct_beta=scenario.direct_beta,
+                          direct_xi={**scenario.direct_xi, "zz": {}})
+
+
+# every reader that adds the unit diagonal, on: full and partial sharing,
+# a one-source dataset (no rival point: a 1 x 1 zero block), bounded
+# effort sets, direct mode, and an aggregator nobody sells to
+BLOCK_MARKETS = {
+    "full-d1": ESTIMATOR_MARKETS["full-d1"],
+    "partial-d2": ESTIMATOR_MARKETS["partial-d2"],
+    "one-source-dataset": lambda: make_coupled_direct(
+        5, 3, lambda i, l: 0.05 * (1 + i + 2 * l), sells=lambda i, b: b < 2 or i == 3),
+    "bounded": lambda: generate_scenario(
+        GenerationSpec(12, 3, family="mixed", bounded=True, sharing_density=0.7), 0),
+    "random-partial": DIRECT_MARKETS["random-partial"],
+    "idle-aggregator": _with_idle_aggregator,
+}
+
+
+def dense_floors(params, a, variances):
+    """payment_floors from the dense xi array, one product over all sources."""
+    return a * (dense_xi(params) @ variances)[params.pair_aggregator, params.pair_source]
+
+
+def dense_variance_weights(params, a_vec):
+    """_variance_weights from the dense xi array, one einsum:
+    u[j, b, i] = a[i, j] [i in D_b] [j != b], contracted with xi_j(i, s)."""
+    membership = params.scenario.membership
+    a_table = np.zeros(membership.shape)
+    a_table[params.pair_source, params.pair_aggregator] = a_vec
+    u = a_table.T[:, None, :] * membership.T * (1.0 - np.eye(membership.shape[1]))[:, :, None]
+    coupling = np.einsum("jbi,jis->bs", u, dense_xi(params))
+    return params.gamma + coupling[params.pair_aggregator, params.pair_source]
+
+
+@pytest.mark.parametrize("market", sorted(BLOCK_MARKETS))
+def test_blocked_readers_match_dense_reference(market):
+    params = derive_parameters(BLOCK_MARKETS[market](), require_valid=False)
+    if market == "one-source-dataset":
+        assert params.xi[2].shape == (1, 1)
+    rng = np.random.default_rng(5)
+    n = len(params.scenario.source_ids)
+    for a in (rng.uniform(0.5, 2.0, len(params.pairs)), np.abs(params.gamma)):
+        variances = rng.uniform(0.1, 3.0, n)
+        for got, expected in ((payment_floors(params, a, variances),
+                               dense_floors(params, a, variances)),
+                              (_variance_weights(params, a),
+                               dense_variance_weights(params, a))):
+            assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected))
+
+
+def test_aggregator_nobody_sells_to():
+    scenario = _with_idle_aggregator()
+    params = derive_parameters(scenario)
+    assert scenario.dataset("zz") == () and params.xi[2].shape == (0, 0)
+    result = solve_unbounded(params)
+    assert result.status == STATUS_UNIQUE
+    assert certify_equilibrium(result, params).passed
+    assert params.spectral_radius == pytest.approx(0.7891305087308003, rel=1e-12)
+    assert price_of_anarchy(result, params).poa == pytest.approx(1.5307884908202973,
+                                                                 rel=1e-12)
+    table, matrix = xi_csv(params), xi_matrix_csv(params)
+    assert len(table.splitlines()) == 73  # 2 x 6 x 6 dataset pairs, header
+    assert len(matrix.splitlines()) == 13
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "128ac92b806a3c9375364111f7327342aaf1f014c5729340ebf3f1550a0f86be")
+    assert hashlib.sha256(matrix.encode()).hexdigest() == (
+        "c6fcacc2b661c7ec63fa5b661a7f71996002ae8f47876045907ada31bf4ab2ce")
+
+
+def test_derived_block_of_an_aggregator_nobody_sells_to_is_empty():
+    scenario = _line_market([(0.0,), (1.0,), (3.0,), (4.0,)], {"b1": [0, 1, 2, 3], "b2": []})
+    assert [block.shape for block in derive_xi(scenario)] == [(4, 4), (0, 0)]
+
+
+@pytest.mark.parametrize("market", sorted(OPERATOR_MARKETS) + ["idle-aggregator"])
+def test_operator_reads_the_stored_blocks(market):
+    params = derive_parameters({**OPERATOR_MARKETS, **BLOCK_MARKETS}[market](),
+                               require_valid=False)
+    assert isinstance(params.xi, tuple)
+    assert len(params.coupling.blocks) == len(params.xi)
+    for block, stored in zip(params.coupling.blocks, params.xi):
+        assert np.shares_memory(block, stored) or block.size == 0
+        assert not stored.flags.writeable
+
+
+def test_derivation_holds_one_copy_of_the_blocks():
+    # n = 300, m = 10, full sharing: the dense m x n x n array plus the
+    # operator's copy of each block would take twice the blocks' bytes
+    scenario = generate_scenario(GenerationSpec(300, 10, family="mixed", zeta_max=0.1), 0)
+    tracemalloc.start()
+    try:
+        params = derive_parameters(scenario)
+        params.coupling
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sum(block.nbytes for block in params.xi)
