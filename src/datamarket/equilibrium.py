@@ -15,8 +15,8 @@ clamping at the incentive bounds.
 
 The module also provides a canonical (proportional-surplus) selection of c,
 polytope membership tests, an independent certification harness (analytic
-stationarity plus grid deviations of each aggregator's reduced loss), and a
-coupling-strength sweep.
+stationarity, an existence bound, and grid deviations of each aggregator's
+reduced loss), and a coupling-strength sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, NumericalFailureError, ParseError
 from .market import (  # noqa: F401  (spectral_radius is public here too)
+    RADIUS_TOL,
     DerivedParameters,
+    _arnoldi,
     _first_mismatch,
     spectral_radius,
 )
@@ -51,6 +53,10 @@ BOUNDARY_SLACK = 1e-9
 #: the largest tolerated improvement of a grid deviation.
 STATIONARITY_TOL = 1e-8
 IMPROVEMENT_TOL = 1e-9
+
+#: The Krylov solve stops once its least-squares residual for the largest
+#: alpha (see _solve_coupled) is at most KRYLOV_STOP times float eps.
+KRYLOV_STOP = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -325,104 +331,66 @@ def _finish(params: DerivedParameters, a_vec: np.ndarray,
         efforts=IdTable(sids, efforts), diagnostics=diagnostics)
 
 
-def _coupled_system(params: DerivedParameters, alpha: float) -> np.ndarray:
-    """The bits of np.eye(P) - alpha * Xi, with no second P x P temporary."""
-    system = np.multiply(params.xi_matrix, -alpha)
-    system.flat[::len(system) + 1] += 1.0
-    return system
-
-
 def _solve_coupled(params: DerivedParameters, alphas: list[float],
                    ) -> list[tuple[np.ndarray, float, int] | None]:
-    """Per alpha, (a over params.pairs, residual, products) solving
+    """Per alpha, (a over params.pairs, residual, basis size) solving
     a = alpha Xi a + gamma, or None once alpha * rho(Xi) >= 1 - MARGINAL_BAND.
 
-    A point is summed as a Neumann series when the products predicted to
-    shrink its terms to float eps, log(eps) / log(alpha rho) (1 at
-    alpha rho = 0), number fewer than the budget P // 4, with Xi u read from
-    params.coupling.  From P of about 192 on, the budget is at or below the
-    cost of one LU-path solve (assembling Xi, building I - alpha Xi, the LU
-    and the residual product) counted in operator products, timed with
-    OpenBLAS on one thread (x86 Xeon, two runs each):
-
-        P     sharing, m    one product   LU path incl. Xi's assembly
-        96    full, 3       18-21 us      13-14
-        192   full, 4       24-27 us      48-53
-        384   full, 4       33-38 us      213
-        512   full, 4       46-48 us      312-339
-        603   half, 8       67-89 us      203-235
-        1200  full, 8       118-132 us    630-700
-        1465  half, 10      269-304 us    436-439
-        2000  full, 10      289-298 us    1120-1144
-        3000  full, 10      493-540 us    1529-1765
-
-    At P = 96 the budget, 24 products, is above the LU path's cost.
-
-    All summed points share one series, u_0 = gamma, u_{i+1} = top (Xi u_i),
-    for top the largest of their alphas: the Krylov space of Xi and gamma is
-    the same for every alpha.  Point alpha adds the terms (alpha / top)^i u_i
-    to its row of one (points x P) array of partial sums, and stops at its
-    first term that is at most eps times its sum in every element: that term
-    is the step a fixed-point iteration from a = gamma would take, so it is
-    the residual, and the point's `products` is i.  Xi >= 0 and gamma > 0
-    make the sums rise monotonically.  The bound is per element, so a pair
-    whose demand is orders of magnitude below another's keeps its relative
-    accuracy.  The series stops at the last point's stop, so a sweep takes
-    the products of its largest summed alpha alone; a point's answer
-    depends on its siblings only through the rounding of alpha / top.
-    When the budget runs out first (a non-normal transient, a nilpotent
-    chain), or is not predicted to suffice (always when P < 8), an LU solves
-    (I - alpha Xi) a = gamma and `products` is 1; I - alpha Xi is built only
-    then.  A singular system, or an answer whose residual or negativity
-    exceeds 1e-9 times its largest element, raises NumericalFailureError
-    with the condition number of I - alpha Xi."""
+    alpha = 0 gives gamma.  The others share one Arnoldi basis V of
+    D^-1 Xi D from g = gamma / d, with D = diag d for d = gamma + Xi gamma
+    (a's first two terms at alpha = 1): scaled by gamma alone, a coupled
+    pair with 1e4 times its rivals' demand left answers 2.7e-12 off.  As
+    D^-1 Xi D V_k = V_(k+1) H_bar, a = d * (V_k y) |g| for the y minimising
+    |e_1 - (I_bar - alpha H_bar) y| = |r / d| / |g|, r a's residual (shifted
+    GMRES: Saad and Schultz 1986, Frommer and Glassner 1998).  The basis
+    grows until that minimum, Givens-updated per step for the largest alpha
+    (Saad 2003, sec. 6.5.3), is at most KRYLOV_STOP * eps, or until an
+    invariant subspace or P vectors end it.  Each answer is confirmed with
+    one operator product, whose residual r (`residual` is max |r|) then
+    refines it once on the same basis.  A residual or negativity above 1e-9
+    times max a (or NaN) raises NumericalFailureError with the condition
+    number of I - alpha Xi, assembled for that message only."""
     xi, gamma = params.coupling, params.gamma
-    eps = float(np.finfo(float).eps)
-    budget = len(gamma) // 4
-    scaled = [alpha * params.spectral_radius for alpha in alphas]
-    summed = [k for k, rho in enumerate(scaled) if rho < 1.0 - MARGINAL_BAND
-              and (math.log(eps) / math.log(rho) if rho > 0.0 else 1.0) < budget]
-    answers: dict[int, tuple[np.ndarray, float, int]] = {}
-    if summed:
-        top = max(alphas[k] for k in summed) or 1.0  # all zero: no term past gamma
-        rows = np.array(summed)
-        ratios = np.array([alphas[k] for k in summed])[:, None] / top
-        sums, u = np.tile(gamma, (len(summed), 1)), gamma
-        for products in range(1, budget + 1):
-            u = top * (xi @ u)
-            terms = ratios ** products * u
-            done = (terms <= eps * sums).all(axis=1)
-            if done.any():
-                for k, a, term in zip(rows[done].tolist(), sums[done], terms[done]):
-                    answers[k] = a, float(term.max()), products
-                going = ~done
-                if not going.any():
-                    break
-                rows, ratios, sums, terms = rows[going], ratios[going], sums[going], terms[going]
-            sums += terms
+    answers = {0.0: (gamma, 0.0, 0)}
+    inside = sorted({alpha for alpha in alphas
+                     if alpha > 0.0 and alpha * params.spectral_radius < 1.0 - MARGINAL_BAND})
+    if inside:
+        d = gamma + xi @ gamma
+        start = gamma / d
+        top, rotations, residual = inside[-1], [], 1.0
+        stop = KRYLOV_STOP * float(np.finfo(float).eps)
+        for V, H, k in _arnoldi(lambda v: xi @ (d * v) / d, start, len(gamma)):
+            column = (-top * H[:k + 1, k - 1]).tolist()  # of I_bar - top H_bar
+            column[k - 1] += 1.0
+            for i, (c, s) in enumerate(rotations):
+                column[i], column[i + 1] = (c * column[i] + s * column[i + 1],
+                                            c * column[i + 1] - s * column[i])
+            norm = math.hypot(column[k - 1], column[k])
+            rotations.append((column[k - 1] / norm, column[k] / norm))
+            residual *= abs(column[k]) / norm
+            if residual <= stop:
+                break
+        # every alpha's least-squares problem by one stacked QR; Q^T e_1 is Q's first row
+        q, R = np.linalg.qr(np.eye(k + 1, k) - np.multiply.outer(inside, H[:k + 1, :k]))
+        a = d * (np.linalg.solve(R, q[:, 0, :, None])[..., 0] @ V[:k] * np.linalg.norm(start))
+        r = np.array([gamma + alpha * (xi @ row) - row for alpha, row in zip(inside, a)])
+        rhs = np.einsum("pik,pi->pk", q, r / d @ V[:k + 1].T)  # Q^T V^T (r / d)
+        a += d * (np.linalg.solve(R, rhs[..., None])[..., 0] @ V[:k])
+        answers.update((alpha, (row, float(np.abs(res).max()), k))
+                       for alpha, row, res in zip(inside, a, r))
     solved = []
-    for k, (alpha, rho) in enumerate(zip(alphas, scaled)):
-        if rho >= 1.0 - MARGINAL_BAND:
+    for alpha in alphas:
+        if alpha not in answers:
             solved.append(None)
             continue
-        if k in answers:
-            a_vec, residual, products = answers[k]
-        else:
-            products, system = 1, _coupled_system(params, alpha)
-            try:
-                a_vec = np.linalg.solve(system, gamma)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailureError(
-                    f"(I - alpha Xi) is singular at alpha={alpha} although alpha * rho = {rho} < 1",
-                    condition=float(np.linalg.cond(system))) from exc
-            residual = float(np.abs(a_vec - (alpha * (xi @ a_vec) + gamma)).max())
+        a_vec, residual, k = answers[alpha]
         tolerance = 1e-9 * float(np.abs(a_vec).max())  # relative to a: scale-free
         if not (residual <= tolerance and a_vec.min() >= -tolerance):  # NaN fails too
             raise NumericalFailureError(
                 f"linear solve residual {residual} or negativity {float(a_vec.min())} "
                 f"exceeds {tolerance} (1e-9 of max |a|) inside the existence regime",
-                condition=float(np.linalg.cond(_coupled_system(params, alpha))))
-        solved.append((np.where(a_vec < 0, 0.0, a_vec), residual, products))
+                condition=float(np.linalg.cond(np.eye(len(gamma)) - alpha * params.xi_matrix)))
+        solved.append((np.where(a_vec < 0, 0.0, a_vec), residual, k))
     return solved
 
 
@@ -432,11 +400,9 @@ def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
     Returns status "none" (with diagnostics) when the coupling radius reaches
     1, else the unique quality weights of a = Xi a + gamma, with the
     c-degeneracy described by the polytope.  They are _solve_coupled's
-    one-point answer at alpha = 1: a Neumann series of at most P // 4
-    CouplingOperator products when those are predicted to suffice, and an
-    LU of I - Xi otherwise.  diagnostics.iterations is the series' products
-    (the step that met the stop rule included), 1 when the LU ran, and 0 on
-    status "none".
+    one-point answer at alpha = 1, read from one Krylov basis of
+    CouplingOperator products.  diagnostics.iterations is the basis size,
+    and 0 on status "none".
     """
     params.require_valid()
     if params.effort_kind != "unbounded":
@@ -468,16 +434,18 @@ def _clamp(interior: np.ndarray, rivals: np.ndarray, lower: np.ndarray,
     return np.maximum(0.0, target), branch
 
 
-def _variance_weights(params: DerivedParameters, a_vec: np.ndarray) -> np.ndarray:
-    """Per pair (s, b): the coefficient of sigma_s^2 in aggregator b's
-    reduced loss,
+def _variance_weights(params: DerivedParameters, a_vec: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(w, Xi a) over params.pairs: per pair (s, b), the coefficient of
+    sigma_s^2 in aggregator b's reduced loss,
 
         w_b[s] = gamma[s, b] + sum_{j != b} sum_{i in D_b & D_j} a[i, j] xi_j(i, s),
 
-    read from the xi blocks, one (m x |D_j|) @ X_j per aggregator j, never
-    from the solver's coupling matrix.  The terms i = s (xi_j(s, s) = 1) are
-    the rivals' sum, the same source's weight at its other aggregators, so
-    w_b[s] is also the best-response total (interior target plus rivals)."""
+    and its terms i != s, (Xi a)[s, b], read from the xi blocks, one
+    (m x |D_j|) @ X_j per aggregator j, never from the solver's coupling
+    matrix.  The terms i = s (xi_j(s, s) = 1) are the rivals' sum, the same
+    source's weight at its other aggregators, so w_b[s] is also the
+    best-response total (interior target plus rivals)."""
     membership = params.scenario.membership
     coupling = np.zeros(membership.shape[::-1])  # [b, s]
     for j, (rows, block) in enumerate(zip(params.aggregator_pairs, params.xi)):
@@ -486,7 +454,8 @@ def _variance_weights(params: DerivedParameters, a_vec: np.ndarray) -> np.ndarra
         u[j] = 0.0
         coupling[:, members] += u @ block
     rivals = np.bincount(params.pair_source, weights=a_vec)[params.pair_source] - a_vec
-    return params.gamma + rivals + coupling[params.pair_aggregator, params.pair_source]
+    coupled = coupling[params.pair_aggregator, params.pair_source]
+    return params.gamma + rivals + coupled, coupled
 
 
 def _targets(params: DerivedParameters, a_vec: np.ndarray, weights: np.ndarray,
@@ -502,7 +471,7 @@ def _best_responses(params: DerivedParameters, a: Mapping[tuple[str, str], float
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, targets, branches) over params.pairs, from an id-keyed table."""
     a_vec = _aligned(a, params.pairs, "a")
-    return (a_vec, *_targets(params, a_vec, _variance_weights(params, a_vec)))
+    return (a_vec, *_targets(params, a_vec, _variance_weights(params, a_vec)[0]))
 
 
 def best_response_residual(params: DerivedParameters,
@@ -641,10 +610,10 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
                         grid_radius: float = 0.5, grid_points: int = 11) -> CertificateReport:
     """Independent verification of a solved equilibrium.
 
-    (i) analytic stationarity (unbounded) or best-response branch consistency
-    (bounded); (ii) no single-coordinate feasible deviation on a symmetric
-    grid of `grid_points` points over [-grid_radius, grid_radius] improves
-    any aggregator's reduced loss; (iii) the document's constant terms bind
+    (i) analytic stationarity and the existence bound (unbounded) or
+    best-response branch consistency (bounded); (ii) no single-coordinate
+    feasible deviation on a symmetric grid of `grid_points` points over
+    [-grid_radius, grid_radius] improves any aggregator's reduced loss; (iii) the document's constant terms bind
     participation and keep payments nonnegative, and its efforts, totals and
     polytope are those its quality weights imply.  A result whose tables are
     not keyed by this scenario's pairs and sources raises ParseError.
@@ -657,15 +626,27 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
     a_vec, totals, claimed_c, claimed, claimed_floors, claimed_sources = result.arrays(
         params.pairs, params.scenario.source_ids)
     a_sum = np.bincount(params.pair_source, weights=a_vec)
-    weights = _variance_weights(params, a_vec)
+    weights, coupled = _variance_weights(params, a_vec)
     checks: list[CheckResult] = []
 
     if result.status == STATUS_UNIQUE:
         # sum_j a[s, j] - w_b[s] is a - (Xi a + gamma) at (s, b), read from xi
-        residual = float(np.abs(a_sum[params.pair_source] - weights).max())
+        gap = a_sum[params.pair_source] - weights
+        residual = float(np.abs(gap).max())
         checks.append(CheckResult(
             "stationarity", residual < STATIONARITY_TOL,
             f"fixed-point residual {residual:.3e} (tol {STATIONARITY_TOL:.1e})"))
+        # Xi >= 0 and a > 0: the ratios (Xi a)_i / a_i bracket rho(Xi) in [lo, h],
+        # and h < 1 proves a unique solution a*, with |a - a*|_a <= |r|_a / (1 - h)
+        # for |v|_a = max_i |v_i| / a_i; a_i <= 0 (or NaN) gives inf, and fails
+        ratios, errors = (np.divide(v, a_vec, out=np.full_like(a_vec, math.inf),
+                                    where=a_vec > 0) for v in (coupled, np.abs(gap)))
+        lo, h, rho = float(ratios.min()), float(ratios.max()), result.diagnostics.spectral_radius
+        bound = float(errors.max()) / (1.0 - h) if h < 1.0 else math.inf
+        checks.append(CheckResult(
+            "existence-bound", h < 1.0 and lo - RADIUS_TOL <= rho <= h + RADIUS_TOL,
+            f"Collatz-Wielandt bracket [{lo:.6e}, {h:.6e}] for spectral radius {rho:.6e} "
+            f"(margin {RADIUS_TOL:.0e}), error bound |r|_a / (1 - h) {bound:.3e}"))
     else:
         worst = float(np.abs(a_vec - _targets(params, a_vec, weights)[0]).max(initial=0.0))
         checks.append(CheckResult(
@@ -724,12 +705,10 @@ def alpha_sweep(params: DerivedParameters, alphas) -> list[AlphaPoint]:
     alpha * rho(Xi) reaches 1; approaching it from below the demands blow up
     like 1/(1 - alpha * rho).  Every alpha is checked before any solve (a
     bad one raises DomainError), then one _solve_coupled call serves them
-    all: the points summed as a Neumann series share one series, which
-    takes the products of the largest of their alphas alone and holds one
-    row of partial sums per point (points x P floats), and the rest run an
-    LU each.  A point matches its one-point sweep to rounding.  A failed
-    solve inside the existence regime raises NumericalFailureError, as in
-    solve_unbounded."""
+    all: one Krylov basis, grown for the largest alpha, plus one confirming
+    operator product per point.  A point matches its one-point sweep to
+    rounding.  A failed solve inside the existence regime raises
+    NumericalFailureError, as in solve_unbounded."""
     params.require_valid()
     if params.effort_kind != "unbounded":
         raise DomainError("alpha_sweep requires unbounded effort sets")

@@ -474,26 +474,40 @@ def _ritz_start(M, n: int) -> np.ndarray:
     that value is above 0 and |u| is strictly positive; the ones vector
     otherwise (a nilpotent matrix, say).  Any strictly positive start keeps
     the bracket a certificate; a good one only closes it sooner."""
-    steps = min(RADIUS_KRYLOV_DIM, n)
-    V = np.empty((steps + 1, n))
-    H = np.zeros((steps + 1, steps))
-    V[0] = 1.0 / math.sqrt(n)
-    for j in range(steps):
-        w = M @ V[j]
-        for _ in range(2):
-            h = V[:j + 1] @ w
-            w -= h @ V[:j + 1]
-            H[:j + 1, j] += h
-        H[j + 1, j] = np.linalg.norm(w)
-        if not H[j + 1, j] > 1e-12 * np.linalg.norm(H[:j + 2, j]):  # invariant subspace
-            steps = j + 1
-            break
-        V[j + 1] = w / H[j + 1, j]
+    *_, (V, H, steps) = _arnoldi(M.__matmul__, np.ones(n), min(RADIUS_KRYLOV_DIM, n))
     values, vectors = np.linalg.eig(H[:steps, :steps])
     real = np.where(values.imag == 0, values.real, -math.inf)
     top = int(np.argmax(real))
     u = np.abs(V[:steps].T @ vectors[:, top].real)
     return u if real[top] > 0 and np.all(u > 0) else np.ones(n)
+
+
+def _arnoldi(apply, start: np.ndarray, steps: int):
+    """Arnoldi on the map `apply` from `start` (Gram-Schmidt twice per step):
+    yields (V, H, k) after step k = 1..steps, V[:k + 1] orthonormal rows from
+    start / |start|, apply(V[i]) = H[:k + 1, i] @ V[:k + 1] for i < k.  A new
+    vector below 1e-12 of its column (an invariant subspace) ends it, with
+    H[k, k - 1] and V[k] set to 0.  V and H grow by doubling."""
+    size = min(steps, 16)
+    V, H = np.empty((size + 1, len(start))), np.zeros((size + 1, size))
+    V[0] = start / np.linalg.norm(start)
+    for j in range(steps):
+        if j == size:
+            size = min(2 * size, steps)
+            V = np.concatenate((V, np.empty((size + 1 - len(V), len(start)))))
+            H = np.pad(H, ((0, size + 1 - len(H)), (0, size - H.shape[1])))
+        w = apply(V[j])
+        for _ in range(2):
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
+            H[:j + 1, j] += h
+        H[j + 1, j] = np.linalg.norm(w)
+        if not H[j + 1, j] > 1e-12 * np.linalg.norm(H[:j + 2, j]):
+            H[j + 1, j], V[j + 1] = 0.0, 0.0
+            yield V, H, j + 1
+            return
+        V[j + 1] = w / H[j + 1, j]
+        yield V, H, j + 1
 
 
 def _eigenvalue_radius(M: np.ndarray) -> float:
@@ -628,10 +642,11 @@ class DerivedParameters:
     coupling weights; block b's rows follow b's pairs, aggregator_pairs[b].
 
     Xi is built on first read, as one CouplingOperator, `coupling`, which
-    both solvers read (the radius, the fixed-point products, the residual
-    check, and the best responses through its terms).  `xi_matrix` is the
-    assembled matrix, scattered from it on first read: an export that only
-    the LU path and xi_matrix.csv read (a stalled radius assembles its own)."""
+    both solvers read (the radius, the Krylov basis, the residual check, and
+    the best responses through its terms).  `xi_matrix` is the assembled
+    matrix, scattered from it on first read: an export that xi_matrix.csv
+    reads, and a failed solve's condition number (a stalled radius
+    assembles its own)."""
 
     scenario: MarketScenario
     mode: str
@@ -669,8 +684,9 @@ class DerivedParameters:
 
     @property
     def xi_matrix(self) -> np.ndarray:
-        """The assembled Xi, scattered from `coupling`:
-        an export for the LU path and xi_matrix.csv, one operator per market."""
+        """The assembled Xi, scattered from `coupling`: an export for
+        xi_matrix.csv and a failed solve's condition number, one operator
+        per market."""
         if self._xi_matrix is None:
             object.__setattr__(self, "_xi_matrix", self.coupling.toarray())
         return self._xi_matrix

@@ -14,6 +14,7 @@ from datamarket.effort import (
 from datamarket.estimators import EstimatorSpec, QueryDistribution, point_mass
 from datamarket.market import (
     AggregatorSpec,
+    CouplingOperator,
     DataSourceSpec,
     GroundTruth,
     MarketScenario,
@@ -215,6 +216,38 @@ def dense_xi(params):
         xi[b][np.ix_(members, members)] = block
         xi[b, members, members] = 1.0
     return xi
+
+
+def lu_answer(params, alpha=1.0):
+    """a = alpha Xi a + gamma by one dense LU of I - alpha Xi: the oracle
+    the Krylov solve is checked against."""
+    return np.linalg.solve(np.eye(len(params.gamma)) - alpha * params.xi_matrix, params.gamma)
+
+
+def count_products(monkeypatch):
+    """A list that gains an entry at every CouplingOperator product."""
+    calls = []
+    matmul = CouplingOperator.__matmul__
+
+    def counted(self, a):
+        calls.append(1)
+        return matmul(self, a)
+
+    monkeypatch.setattr(CouplingOperator, "__matmul__", counted)
+    return calls
+
+
+def count_assemblies(monkeypatch):
+    """A list that gains the shape of every dense Xi assembled from an operator."""
+    calls = []
+    toarray = CouplingOperator.toarray
+
+    def counted(self):
+        calls.append(self.shape)
+        return toarray(self)
+
+    monkeypatch.setattr(CouplingOperator, "toarray", counted)
+    return calls
 
 
 def xi_tables(params):

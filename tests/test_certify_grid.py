@@ -43,7 +43,7 @@ def _a_total(params, a):
 def one_pass(params, a, grid):
     """_worst_grid_deviation on an id-keyed table."""
     a_vec = np.array([a[pair] for pair in params.pairs])
-    return _worst_grid_deviation(params, a_vec, grid, _variance_weights(params, a_vec))
+    return _worst_grid_deviation(params, a_vec, grid, _variance_weights(params, a_vec)[0])
 
 
 def effort_at(model, a_total, clamp):

@@ -2,6 +2,7 @@
 the closed-form symmetric fixture, bounded/unbounded agreement, polytope and
 certification behavior."""
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -13,6 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    count_assemblies,
+    count_products,
+    lu_answer,
     make_coupled_direct,
     make_line_scenario,
     make_random_direct,
@@ -46,7 +50,7 @@ from datamarket.errors import (
     ScenarioValidationError,
 )
 from datamarket.market import derive_parameters
-from datamarket.results import xi_matrix_csv
+from datamarket.results import result_from_json, result_to_json, xi_matrix_csv
 from datamarket.scenario import GenerationSpec, generate_scenario
 from datamarket.welfare import price_of_anarchy
 
@@ -145,7 +149,7 @@ class TestSpectralRadius:
         # and one or two sweeps, where a start from ones took 54-75 products
         params = derive_parameters(generate_scenario(spec, 0))
         expected = params.spectral_radius  # read before the counter, uncounted
-        products = _count_products(monkeypatch)
+        products = count_products(monkeypatch)
         rho = spectral_radius(market.CouplingOperator(params.scenario, params.xi))
         assert abs(rho - expected) <= market.RADIUS_TOL * max(1.0, rho)
         assert len(products) <= 20
@@ -381,62 +385,28 @@ class TestCoupledSolve:
         solve_bounded(bounded)
         assert calls == [unbounded.xi_matrix.shape, bounded.xi_matrix.shape]
 
-    @pytest.mark.parametrize("failure", ["singular", "inaccurate", "nan"])
+    def test_arnoldi_basis_grows_past_its_first_block(self):
+        # 40 steps on a dense nonnegative 60 x 60 matrix: V and H double from
+        # 16 rows twice, and the basis stays orthonormal with M V_k = V_(k+1) H
+        M = np.random.default_rng(3).uniform(size=(60, 60))
+        *_, (V, H, k) = market._arnoldi(M.__matmul__, np.ones(60), 40)
+        assert k == 40 and len(V) == 41
+        np.testing.assert_allclose(V @ V.T, np.eye(k + 1), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(M @ V[:k].T, V.T @ H, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("failure", ["inaccurate", "nan"])
     def test_alpha_sweep_failed_solve(self, symmetric_direct, monkeypatch, failure):
+        # a failed least-squares solve on the basis fails the residual check
         params = derive_parameters(symmetric_direct)
 
         def broken(system, rhs):
-            if failure == "singular":
-                raise np.linalg.LinAlgError("Singular matrix")
             if failure == "nan":
                 return np.full_like(rhs, np.nan)
-            return rhs  # the decoupled demands, off by the coupling
+            return rhs  # the right-hand side, unsolved
 
         monkeypatch.setattr(np.linalg, "solve", broken)
         with pytest.raises(NumericalFailureError):
             alpha_sweep(params, [0.5])
-
-
-def _lu_answer(params, alpha=1.0):
-    """a = alpha Xi a + gamma by one dense LU, the reference for both paths."""
-    return np.linalg.solve(np.eye(len(params.gamma)) - alpha * params.xi_matrix,
-                           params.gamma)
-
-
-def _count_lu_calls(monkeypatch):
-    calls = []
-    solve = np.linalg.solve
-
-    def counted(system, rhs):
-        calls.append(system.shape)
-        return solve(system, rhs)
-
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    return calls
-
-
-def _count_products(monkeypatch):
-    calls = []
-    matmul = market.CouplingOperator.__matmul__
-
-    def counted(self, a):
-        calls.append(1)
-        return matmul(self, a)
-
-    monkeypatch.setattr(market.CouplingOperator, "__matmul__", counted)
-    return calls
-
-
-def _count_assemblies(monkeypatch):
-    calls = []
-    toarray = market.CouplingOperator.toarray
-
-    def counted(self):
-        calls.append(self.shape)
-        return toarray(self)
-
-    monkeypatch.setattr(market.CouplingOperator, "toarray", counted)
-    return calls
 
 
 def _scaled_demands(n, m, scale):
@@ -444,77 +414,77 @@ def _scaled_demands(n, m, scale):
     return np.random.default_rng(0).uniform(1.0, 2.0, size=(n, m)) * scale
 
 
-# (market, alpha * rho of each sweep point, path of solve_unbounded, path of
-# each sweep point).  Fixed-point products are predicted to cost less than one
-# LU while log(eps) / log(alpha rho) < P // 4: 12 products at alpha rho =
-# 0.05, 52 at 0.5, 101 at 0.7 and 342 at 0.9.
+# (market, alpha * rho of each sweep point): every point reads one Krylov
+# basis of the demand-scaled Xi, and none assembles Xi
 SOLVE_PATH_CASES = {
-    # P = 240, rho = 0.13: about 18 products at alpha = 1, and within the
-    # budget of 60 at alpha rho = 0.5; 0.999 takes the LU
-    "generated": (lambda: generate_scenario(GenerationSpec(60, 4), 0),
-                  (0.05, 0.5, 0.999), "fixed-point",
-                  ("fixed-point", "fixed-point", "lu")),
-    # P = 4: a budget of one product, below every prediction, so always the
-    # LU, up to alpha = 1.99
-    "symmetric": (make_symmetric_direct, (0.25, 0.5, 0.995), "lu", ("lu", "lu", "lu")),
-    # P = 120, rho = 0.99: too close to 1 for a budget of 30 products
+    # P = 240, rho = 0.13
+    "generated": (lambda: generate_scenario(GenerationSpec(60, 4), 0), (0.05, 0.5, 0.999)),
+    # P = 4: the basis ends at an invariant subspace
+    "symmetric": (make_symmetric_direct, (0.25, 0.5, 0.995)),
+    # P = 120, rho = 0.99
     "uniform-near-one": (lambda: make_coupled_direct(40, 3, lambda i, l: 0.99 / 78),
-                         (0.05, 0.99), "lu", ("fixed-point", "lu")),
+                         (0.05, 0.99)),
     # rho = 0.1 and a single-buyer source, decoupled, with 1e8 times the
-    # others' demand: a step bound of eps * max(a) would stop the others
-    # at a residual near 1e-8.  P = 241: alpha rho = 0.9 takes the LU
-    "single-buyer-giant": (make_single_buyer_giant, (0.05, 0.5, 0.9), "fixed-point",
-                           ("fixed-point", "fixed-point", "lu")),
-    # rho = 0.1 with every demand near 1e8: both paths' residuals, a few ulps
-    # of a, exceed 1e-9, which an absolute tolerance rejected.  P = 240
+    # others' demand: a residual bound of eps * max(a) would stop the others
+    # at a residual near 1e-8.  P = 241
+    "single-buyer-giant": (make_single_buyer_giant, (0.05, 0.5, 0.9)),
+    # rho = 0.5 with one source's demand 1e8 times the others', coupled to
+    # every pair: scaled by gamma alone, its columns would dwarf the others'
+    # and the basis break down early.  P = 120
+    "coupled-giant": (lambda: make_coupled_direct(
+        40, 3, lambda i, l: 0.5 / 78, beta=lambda i, b: 1e8 if i == 0 else 1.0 + 0.01 * i),
+        (0.05, 0.5, 0.99)),
+    # rho = 0.1 with every demand near 1e8: the residuals, a few ulps of a,
+    # exceed 1e-9, which an absolute tolerance rejected.  P = 240
     "demands-near-1e8": (lambda: make_coupled_direct(
         80, 3, lambda i, l: 0.1 / 158,
         beta=lambda i, b, beta=_scaled_demands(80, 3, 1e8): beta[i, b]),
-        (0.05, 0.5, 0.9), "fixed-point", ("fixed-point", "fixed-point", "lu")),
+        (0.05, 0.5, 0.9)),
 }
 
 
 class TestSolvePaths:
     @pytest.mark.parametrize("case", sorted(SOLVE_PATH_CASES))
     def test_both_paths_agree_with_the_lu(self, case, monkeypatch):
-        build, scaled_radii, solve_path, sweep_paths = SOLVE_PATH_CASES[case]
+        # solve_unbounded and one-point sweeps, each against the LU oracle
+        build, scaled_radii = SOLVE_PATH_CASES[case]
+        reference = derive_parameters(build())  # the oracle assembles its own Xi
         params = derive_parameters(build())
         rho = params.spectral_radius
         alphas = [target / rho for target in scaled_radii]
-        expected = [_lu_answer(params, alpha) for alpha in (1.0, *alphas)]
-        lu_calls = _count_lu_calls(monkeypatch)
+        expected = [lu_answer(reference, alpha) for alpha in (1.0, *alphas)]
+        assemblies = count_assemblies(monkeypatch)
 
         result = solve_unbounded(params)
         a_vec = np.array([result.a.a[p] for p in params.pairs])
         np.testing.assert_allclose(a_vec, expected[0], rtol=1e-12, atol=0)
-        # iterations counts the fixed-point products, or is 1 for the LU
-        assert (result.diagnostics.iterations > 1) == (solve_path == "fixed-point")
-        assert len(lu_calls) == (solve_path == "lu")
+        # iterations is the basis size, at most P
+        assert 1 <= result.diagnostics.iterations <= len(params.pairs)
 
-        for alpha, reference, path in zip(alphas, expected[1:], sweep_paths):
-            del lu_calls[:]
+        for alpha, oracle in zip(alphas, expected[1:]):
             (point,) = alpha_sweep(params, [alpha])
             assert point.status == STATUS_UNIQUE
-            total = np.bincount(params.pair_source, weights=reference).max()
+            total = np.bincount(params.pair_source, weights=oracle).max()
             assert point.max_a_total == pytest.approx(total, rel=1e-12, abs=0)
-            assert len(lu_calls) == (path == "lu"), (alpha * rho, path)
+        assert assemblies == []
 
     @pytest.mark.parametrize("case", sorted(SOLVE_PATH_CASES))
     def test_one_sweep_serves_every_kind_of_point(self, case, monkeypatch):
         # the table's points and a "none" point, out of order, in one call
-        build, scaled_radii, _, sweep_paths = SOLVE_PATH_CASES[case]
+        build, scaled_radii = SOLVE_PATH_CASES[case]
+        reference = derive_parameters(build())
         params = derive_parameters(build())
         rho = params.spectral_radius
         order = [len(scaled_radii), *reversed(range(len(scaled_radii)))]
         targets = [(*scaled_radii, 1.5)[k] for k in order]
         alphas = [target / rho for target in targets]
         expected = [None if target >= 1.0 else
-                    np.bincount(params.pair_source, weights=_lu_answer(params, alpha)).max()
+                    np.bincount(params.pair_source, weights=lu_answer(reference, alpha)).max()
                     for alpha, target in zip(alphas, targets)]
+        assemblies = count_assemblies(monkeypatch)
         alone = [alpha_sweep(params, [alpha])[0] for alpha in alphas]
-        lu_calls = _count_lu_calls(monkeypatch)
         points = alpha_sweep(params, alphas)
-        assert len(lu_calls) == sweep_paths.count("lu")
+        assert assemblies == []
         assert [p.alpha for p in points] == alphas
         for point, single, total in zip(points, alone, expected):
             if total is None:
@@ -524,17 +494,18 @@ class TestSolvePaths:
             assert point.max_a_total == pytest.approx(total, rel=1e-12, abs=0)
             assert point.max_a_total == pytest.approx(single.max_a_total, rel=1e-12, abs=0)
 
-    def test_exhausted_budget_falls_through_to_the_lu(self, monkeypatch):
-        # the chain (s, b) <- (s + 1, j != b) is nilpotent: rho = 0 predicts
-        # one product, but the steps, doubling, vanish only after n = 12
-        # products, past the budget P // 4 = 6
+    def test_nilpotent_chain_ends_its_basis_at_the_closed_form(self, monkeypatch):
+        # the chain (s, b) <- (s + 1, j != b) is nilpotent: rho = 0, and the
+        # steps of a fixed-point iteration, doubling, vanish only after n = 12
+        # products.  The basis ends at the invariant subspace it spans, and
+        # the answer is the closed form
         n = 12
         params = derive_parameters(make_coupled_direct(
             n, 2, lambda i, l: 2.0 if i == l + 1 else 0.0))
         assert params.spectral_radius == 0.0
-        lu_calls = _count_lu_calls(monkeypatch)
+        assemblies = count_assemblies(monkeypatch)
         result = solve_unbounded(params)
-        assert result.diagnostics.iterations == 1 and len(lu_calls) == 1
+        assert 1 < result.diagnostics.iterations <= n + 1 and assemblies == []
         # a[(s, b)] = sum over t < n - s of 2^t
         closed_form = [2.0 ** (n - params.pair_source[k]) - 1.0
                        for k in range(len(params.pairs))]
@@ -545,8 +516,7 @@ class TestSolvePaths:
     def test_inaccurate_answer_fails_at_every_scale(self, monkeypatch, scale):
         # an answer 1e-6 relative off fails the residual check whatever the
         # demands' scale; at 1e-6 its residual (~1e-12) is below an absolute
-        # 1e-9.  A fixed-point answer cannot fail it: its stop rule bounds its
-        # residual by eps * max(a).
+        # 1e-9.  The least-squares solves on the basis are made 1e-6 off
         beta = _scaled_demands(20, 3, scale)
         params = derive_parameters(make_coupled_direct(  # minimum incentive 1e-6
             20, 3, lambda i, l: 0.1 / 38, lambda i, b: beta[i, b],
@@ -558,7 +528,7 @@ class TestSolvePaths:
 
         monkeypatch.setattr(np.linalg, "solve", inaccurate)
         with pytest.raises(NumericalFailureError, match="residual") as exc:
-            solve_unbounded(params)  # P = 60 takes the LU
+            solve_unbounded(params)
         assert exc.value.condition >= 1.0
 
     def test_fixed_point_path_holds_no_second_coupling_matrix(self):
@@ -587,16 +557,14 @@ class TestSolvePaths:
 
 
 class TestOperatorSide:
-    """Both solve paths read Xi through the one CouplingOperator of each
-    market: the unbounded path assembles it only for an LU, and the bounded
-    best responses never."""
+    """Both solvers read Xi through the one CouplingOperator of each market,
+    and neither assembles it."""
 
-    # (market, alpha * rho of each sweep point), each within the budget P // 4
+    # (market, alpha * rho of each sweep point)
     NEVER_ASSEMBLED = {
-        # P = 192, the simulate-rounds market: 26 predicted products at
-        # alpha rho = 0.25, within 48
-        "n48-m4": (GenerationSpec(48, 4, family="mixed"), (0.25,)),
-        # P = 512: 101 at alpha rho = 0.7, within 128
+        # P = 192, the simulate-rounds market
+        "n48-m4": (GenerationSpec(48, 4, family="mixed"), (0.25, 0.99)),
+        # P = 512
         "n128-m4": (GenerationSpec(128, 4), (0.5, 0.7)),
     }
 
@@ -608,7 +576,7 @@ class TestOperatorSide:
     def test_never_assembles(self, shape, monkeypatch):
         spec, targets = self.NEVER_ASSEMBLED[shape]
         scenario = generate_scenario(spec, 0)
-        calls = _count_assemblies(monkeypatch)
+        calls = count_assemblies(monkeypatch)
         tracemalloc.start()
         try:
             params = derive_parameters(scenario)
@@ -634,11 +602,11 @@ class TestOperatorSide:
         np.testing.assert_array_equal(matrix,
                                       market.CouplingOperator(scenario, params.xi).toarray())
 
-    @pytest.mark.parametrize("path", ["bounded", "unbounded-lu"])
+    @pytest.mark.parametrize("path", ["bounded", "unbounded"])
     def test_one_operator_per_market(self, path, monkeypatch):
         # P = 512: the radius, the solve (best responses on the operator's
-        # terms, or an LU at alpha rho = 0.9) and the xi_matrix.csv export
-        # share one
+        # terms, or a sweep point at alpha rho = 0.9) and the xi_matrix.csv
+        # export share one
         built = []
         init = market.CouplingOperator.__init__
 
@@ -665,7 +633,7 @@ class TestOperatorSide:
         spec = GenerationSpec(128, 4, family="mixed")
         result = solve_unbounded(derive_parameters(generate_scenario(spec, 0)))
         params = derive_parameters(generate_scenario(spec, 0))
-        built, calls = [], _count_assemblies(monkeypatch)
+        built, calls = [], count_assemblies(monkeypatch)
         init = market.CouplingOperator.__init__
 
         def counted(self, *args):
@@ -680,7 +648,7 @@ class TestOperatorSide:
     def test_bounded_never_assembles(self, monkeypatch):
         # P = 512: best responses read the operator's terms, and hold no
         # second copy of Xi while they sweep
-        calls = _count_assemblies(monkeypatch)
+        calls = count_assemblies(monkeypatch)
         params = derive_parameters(generate_scenario(
             GenerationSpec(128, 4, family="mixed", bounded=True), 0))
         assert len(params.pairs) == 512
@@ -696,17 +664,23 @@ class TestOperatorSide:
         assert calls == []
         assert peak < len(params.pairs) ** 2 * np.dtype(float).itemsize
 
-    def test_lu_point_matches_the_oracle(self, scenario, monkeypatch):
+    def test_boundary_sweep_matches_the_oracle(self, scenario, monkeypatch):
+        # P = 512: one sweep up to the existence boundary reads one basis,
+        # assembles nothing and matches the LU at every point
+        targets = (0.5, 0.9, 0.99, 0.999)
+        reference = derive_parameters(scenario)
         params = derive_parameters(scenario)
-        alpha = 0.9 / params.spectral_radius  # 343 predicted products
-        expected = _lu_answer(params, alpha)
-        lu_calls = _count_lu_calls(monkeypatch)
-        ((a_vec, _, products),) = _solve_coupled(params, [alpha])
-        assert products == 1 and len(lu_calls) == 1
-        np.testing.assert_allclose(a_vec, expected, rtol=1e-12, atol=0)
-        (point,) = alpha_sweep(params, [alpha])
-        total = np.bincount(params.pair_source, weights=expected).max()
-        assert point.max_a_total == pytest.approx(total, rel=1e-12, abs=0)
+        alphas = [target / params.spectral_radius for target in targets]
+        expected = [lu_answer(reference, alpha) for alpha in alphas]
+        assemblies = count_assemblies(monkeypatch)
+        solved = _solve_coupled(params, alphas)
+        points = alpha_sweep(params, alphas)
+        assert assemblies == []
+        for (a_vec, _, size), point, oracle in zip(solved, points, expected):
+            assert size == solved[-1][2]
+            np.testing.assert_allclose(a_vec, oracle, rtol=1e-12, atol=0)
+            total = np.bincount(params.pair_source, weights=oracle).max()
+            assert point.max_a_total == pytest.approx(total, rel=1e-12, abs=0)
 
 
 class TestSolveBounded:
@@ -790,6 +764,19 @@ class TestCertification:
         report = certify_equilibrium(result, blind)
         assert report.passed, report.summary()
         assert report == expected
+
+    @pytest.mark.parametrize("radius", [5.0, 0.01])
+    def test_fails_on_an_impossible_radius(self, radius):
+        # rho = 0.2266 read from the document, edited past the bracket its
+        # own a gives, [0.0766, 0.753]: only the existence bound notices
+        params = derive_parameters(generate_scenario(GenerationSpec(24, 3, family="mixed"), 0))
+        doc = json.loads(result_to_json(solve_unbounded(params)))
+        assert certify_equilibrium(result_from_json(json.dumps(doc)), params).passed
+        doc["diagnostics"]["spectral_radius"] = radius
+        report = certify_equilibrium(result_from_json(json.dumps(doc)), params)
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["existence-bound"]
+        assert "bracket [7.655196e-02, 7.531417e-01]" in failed[0].detail
 
     @pytest.mark.parametrize("offset", [0.1, -0.1])
     def test_fails_on_corrupted_a(self, symmetric_direct, offset):
@@ -948,7 +935,8 @@ class TestAlphaSweep:
 
 
     def test_zero_alphas_alone(self):
-        # every summed point at alpha = 0: the series has no scale to divide by
+        # the largest point at alpha = 0: its basis is the ones vector alone,
+        # and the answer is the demands exactly
         params = derive_parameters(generate_scenario(GenerationSpec(60, 4), 0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -956,24 +944,23 @@ class TestAlphaSweep:
             zero, half = alpha_sweep(params, [0.0, 0.5 / params.spectral_radius])
         gamma_total = np.bincount(params.pair_source, weights=params.gamma).max()
         assert point.max_a_total == zero.max_a_total == gamma_total
-        reference = _lu_answer(params, 0.5 / params.spectral_radius)
+        reference = lu_answer(params, 0.5 / params.spectral_radius)
         assert half.max_a_total == pytest.approx(
             np.bincount(params.pair_source, weights=reference).max(), rel=1e-12, abs=0)
 
     def test_tiny_radius_beside_its_largest_scale(self, monkeypatch):
-        # rho = 1e-6: alpha = 1 adds terms scaled by (1 / top)^i, about 1e-6^i,
-        # beside alpha rho = 0.9.  P = 1400 puts both on the series (342
-        # predicted products against a budget of 350); a = 1 / (1 - alpha rho)
+        # rho = 1e-6: alpha = 1 beside alpha rho = 0.9, on the basis grown
+        # for the latter.  P = 1400; a = 1 / (1 - alpha rho)
         n, m = 40, 35
         params = derive_parameters(make_coupled_direct(
             n, m, lambda i, l: 1e-6 / ((n - 1) * (m - 1))))
         rho = params.spectral_radius
         assert rho == pytest.approx(1e-6, rel=1e-12)
-        lu_calls = _count_lu_calls(monkeypatch)
+        assemblies = count_assemblies(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             top, one = alpha_sweep(params, [0.9 / rho, 1.0])
-        assert lu_calls == []
+        assert assemblies == []
         assert top.max_a_total == pytest.approx(m / (1.0 - 0.9), rel=1e-12, abs=0)
         assert one.max_a_total == pytest.approx(m / (1.0 - rho), rel=1e-12, abs=0)
 
@@ -981,26 +968,27 @@ class TestAlphaSweep:
         (0.7,), (0.3, 0.7, 0.5), tuple(np.linspace(0.1, 0.7, 9)),
     ], ids=lambda targets: f"{len(targets)}-points")
     def test_a_sweep_costs_its_largest_point(self, targets, monkeypatch):
-        # P = 512, budget 128: every point is summed (101 predicted at 0.7)
+        # P = 512: a sweep grows the basis its largest point alone grows, and
+        # confirms each point with one product; one more scales the basis
         params = derive_parameters(generate_scenario(GenerationSpec(128, 4), 0))
         rho = params.spectral_radius  # read before the counter, uncounted
-        products = _count_products(monkeypatch)
-        lu_calls = _count_lu_calls(monkeypatch)
+        products = count_products(monkeypatch)
+        assemblies = count_assemblies(monkeypatch)
         alpha_sweep(params, [max(targets) / rho])
         alone = len(products)
         del products[:]
         alpha_sweep(params, [target / rho for target in targets])
-        assert len(products) == alone > 1
-        assert lu_calls == []
+        assert len(products) == alone - 1 + len(targets) and alone > 2
+        assert assemblies == []
         del products[:]
         result = solve_unbounded(params)
-        assert result.diagnostics.iterations == len(products) > 1
+        assert result.diagnostics.iterations == len(products) - 2 > 1
 
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     def test_a_bad_alpha_anywhere_fails_before_any_product(self, bad, monkeypatch):
         params = derive_parameters(generate_scenario(GenerationSpec(60, 4), 0))
         rho = params.spectral_radius
-        products = _count_products(monkeypatch)
+        products = count_products(monkeypatch)
         with pytest.raises(DomainError, match="alpha"):
             alpha_sweep(params, [0.25 / rho, 0.5 / rho, bad])
         assert products == []
