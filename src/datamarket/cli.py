@@ -123,8 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(path: Path) -> str:
     try:
-        return path.read_text()
-    except OSError as exc:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -135,7 +135,7 @@ def _write(path: Path, text: str | None) -> None:
         if text is None:
             path.mkdir(parents=True, exist_ok=True)
         else:
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 

@@ -389,7 +389,7 @@ def _solve_coupled(params: DerivedParameters, alphas: list[float],
             raise NumericalFailureError(
                 f"linear solve residual {residual} or negativity {float(a_vec.min())} "
                 f"exceeds {tolerance} (1e-9 of max |a|) inside the existence regime",
-                condition=float(np.linalg.cond(np.eye(len(gamma)) - alpha * params.xi_matrix)))
+                condition=float(np.linalg.cond(np.eye(len(gamma)) - alpha * xi.toarray())))
         solved.append((np.where(a_vec < 0, 0.0, a_vec), residual, k))
     return solved
 
@@ -610,13 +610,16 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
                         grid_radius: float = 0.5, grid_points: int = 11) -> CertificateReport:
     """Independent verification of a solved equilibrium.
 
-    (i) analytic stationarity and the existence bound (unbounded) or
-    best-response branch consistency (bounded); (ii) no single-coordinate
-    feasible deviation on a symmetric grid of `grid_points` points over
-    [-grid_radius, grid_radius] improves any aggregator's reduced loss; (iii) the document's constant terms bind
-    participation and keep payments nonnegative, and its efforts, totals and
-    polytope are those its quality weights imply.  A result whose tables are
-    not keyed by this scenario's pairs and sources raises ParseError.
+    (i) analytic stationarity and the existence bound (unbounded effort
+    sets) or best-response branch consistency (bounded), chosen by the
+    market's effort sets; a document status other than that solver's fails
+    the first check; (ii) no single-coordinate feasible deviation on a
+    symmetric grid of `grid_points` points over [-grid_radius, grid_radius]
+    improves any aggregator's reduced loss; (iii) the document's constant
+    terms bind participation and keep payments nonnegative, and its efforts,
+    totals and polytope are those its quality weights imply.  It reads the xi
+    blocks, never Xi.  A result whose tables are not keyed by this
+    scenario's pairs and sources raises ParseError.
     """
     if not result.solved or result.a is None:
         raise DomainError("certification requires a solved equilibrium")
@@ -628,14 +631,19 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
     a_sum = np.bincount(params.pair_source, weights=a_vec)
     weights, coupled = _variance_weights(params, a_vec)
     checks: list[CheckResult] = []
+    # the market's effort sets, not the document's status, choose the checks;
+    # a status that is not the market's fails the first one
+    status = STATUS_BOUNDED if params.effort_kind == "bounded" else STATUS_UNIQUE
+    relabelled = "" if result.status == status else (
+        f"; status {result.status} is not this market's {status}")
 
-    if result.status == STATUS_UNIQUE:
+    if status == STATUS_UNIQUE:
         # sum_j a[s, j] - w_b[s] is a - (Xi a + gamma) at (s, b), read from xi
         gap = a_sum[params.pair_source] - weights
         residual = float(np.abs(gap).max())
         checks.append(CheckResult(
-            "stationarity", residual < STATIONARITY_TOL,
-            f"fixed-point residual {residual:.3e} (tol {STATIONARITY_TOL:.1e})"))
+            "stationarity", residual < STATIONARITY_TOL and not relabelled,
+            f"fixed-point residual {residual:.3e} (tol {STATIONARITY_TOL:.1e})" + relabelled))
         # Xi >= 0 and a > 0: the ratios (Xi a)_i / a_i bracket rho(Xi) in [lo, h],
         # and h < 1 proves a unique solution a*, with |a - a*|_a <= |r|_a / (1 - h)
         # for |v|_a = max_i |v_i| / a_i; a_i <= 0 (or NaN) gives inf, and fails
@@ -650,8 +658,8 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
     else:
         worst = float(np.abs(a_vec - _targets(params, a_vec, weights)[0]).max(initial=0.0))
         checks.append(CheckResult(
-            "branch-consistency", worst < STATIONARITY_TOL,
-            f"best-response residual {worst:.3e} (tol {STATIONARITY_TOL:.1e})"))
+            "branch-consistency", worst < STATIONARITY_TOL and not relabelled,
+            f"best-response residual {worst:.3e} (tol {STATIONARITY_TOL:.1e})" + relabelled))
 
     # scaled after spacing, so the centre point is exactly 0 and skipped
     grid = grid_radius * np.linspace(-1.0, 1.0, grid_points)

@@ -643,10 +643,9 @@ class DerivedParameters:
 
     Xi is built on first read, as one CouplingOperator, `coupling`, which
     both solvers read (the radius, the Krylov basis, the residual check, and
-    the best responses through its terms).  `xi_matrix` is the assembled
-    matrix, scattered from it on first read: an export that xi_matrix.csv
-    reads, and a failed solve's condition number (a stalled radius
-    assembles its own)."""
+    the best responses through its terms).  No P x P copy is kept: the
+    dense Xi's readers (xi_matrix.csv, a failed solve's condition number, a
+    stalled radius) call coupling.toarray() where they run."""
 
     scenario: MarketScenario
     mode: str
@@ -665,8 +664,6 @@ class DerivedParameters:
     pair_aggregator: np.ndarray = field(init=False, repr=False, compare=False)
     aggregator_pairs: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     # Filled on first read; derivation needs none of them.
-    _xi_matrix: np.ndarray | None = field(default=None, init=False, repr=False,
-                                          compare=False)
     _coupling: CouplingOperator | None = field(default=None, init=False, repr=False,
                                                compare=False)
     _spectral_radius: float | None = field(default=None, init=False, repr=False,
@@ -681,15 +678,6 @@ class DerivedParameters:
         object.__setattr__(self, "pair_aggregator", pair_aggregator)
         object.__setattr__(self, "aggregator_pairs", tuple(
             np.flatnonzero(pair_aggregator == b) for b in range(len(self.xi))))
-
-    @property
-    def xi_matrix(self) -> np.ndarray:
-        """The assembled Xi, scattered from `coupling`: an export for
-        xi_matrix.csv and a failed solve's condition number, one operator
-        per market."""
-        if self._xi_matrix is None:
-            object.__setattr__(self, "_xi_matrix", self.coupling.toarray())
-        return self._xi_matrix
 
     @property
     def coupling(self) -> CouplingOperator:

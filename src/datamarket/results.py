@@ -43,7 +43,7 @@ from .equilibrium import (
 )
 from .errors import DomainError, ParseError
 from .market import DerivedParameters
-from .scenario import _expect, _number, _numbers_by_id, _pairs_by_id
+from .scenario import _expect, _load_json, _number, _numbers_by_id, _pairs_by_id
 from .welfare import WelfareReport
 
 RESULT_SCHEMA_VERSION = 1
@@ -249,10 +249,7 @@ def result_from_json(text: str) -> EquilibriumResult:
     dimension below its number of floors), `marginal` a boolean, tables
     objects keyed by id, in any key order.  Unknown fields are ignored;
     anything else raises ParseError naming the field."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
-        raise ParseError(f"result is not valid JSON: {exc}") from exc
+    doc = _load_json(text, "result is not valid JSON")
     if not isinstance(doc, dict):
         raise ParseError("result document root must be an object")
     version = _expect(doc, "schema_version", int, "result")
@@ -321,10 +318,8 @@ def xi_csv(params: DerivedParameters) -> str:
 def xi_matrix_csv(params: DerivedParameters) -> str:
     header = ["row_source", "row_aggregator"]
     header += [f"{s}:{b}" for (s, b) in params.pairs]
-    rows = [tuple(header)]
-    for k, (s, b) in enumerate(params.pairs):
-        rows.append((s, b, *(float(v) for v in params.xi_matrix[k])))
-    return _csv(rows)
+    rows = zip(params.pairs, params.coupling.toarray())  # Xi assembled for this export only
+    return _csv(itertools.chain([header], ((s, b, *row.tolist()) for (s, b), row in rows)))
 
 
 def sweep_csv(points) -> str:

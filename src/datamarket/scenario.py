@@ -184,15 +184,21 @@ def _parse_direct_tables(doc):
     return beta, {bid: _pairs_by_id(xi_doc, bid, f"{location}.xi") for bid in xi_doc}
 
 
+def _load_json(text: str, what: str):
+    """json.loads(text); malformed JSON (located by line), an integer literal
+    too long to convert and nesting too deep to decode raise ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what}: {exc}", location=f"line {exc.lineno}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+
+
 def parse_scenario(text: str) -> MarketScenario:
     """Parse and validate a scenario document; structured ParseError on any
     malformation, naming the offending field."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}", location=f"line {exc.lineno}") from exc
-    except ValueError as exc:  # an integer literal too long to convert
-        raise ParseError(f"not valid JSON: {exc}") from exc
+    doc = _load_json(text, "not valid JSON")
     _no_unknown_fields(doc, _TOP_FIELDS, "document")
     version = _expect(doc, "schema_version", int, "document")
     if version != SCHEMA_VERSION:

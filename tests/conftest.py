@@ -221,7 +221,8 @@ def dense_xi(params):
 def lu_answer(params, alpha=1.0):
     """a = alpha Xi a + gamma by one dense LU of I - alpha Xi: the oracle
     the Krylov solve is checked against."""
-    return np.linalg.solve(np.eye(len(params.gamma)) - alpha * params.xi_matrix, params.gamma)
+    return np.linalg.solve(np.eye(len(params.gamma)) - alpha * params.coupling.toarray(),
+                           params.gamma)
 
 
 def count_products(monkeypatch):

@@ -153,8 +153,8 @@ def test_c02_leontief_dichotomy():
         scenario = generate_scenario(spec, seed=2000 + k)
         params = derive_parameters(scenario)
         result = solve_unbounded(params)
-        oracle_rho = float(max(abs(np.linalg.eigvals(params.xi_matrix)))) \
-            if params.xi_matrix.size else 0.0
+        matrix = params.coupling.toarray()
+        oracle_rho = float(max(abs(np.linalg.eigvals(matrix)))) if matrix.size else 0.0
         assert (result.status == STATUS_NONE) == (oracle_rho >= 1.0 - 1e-9), \
             (k, result.status, oracle_rho)
         if result.status == STATUS_NONE:
@@ -162,8 +162,7 @@ def test_c02_leontief_dichotomy():
             continue
         exists += 1
         a_vec = np.array([result.a.a[p] for p in params.pairs])
-        residual = np.abs(a_vec - (params.xi_matrix @ a_vec
-                                   + params.gamma)).max()
+        residual = np.abs(a_vec - (matrix @ a_vec + params.gamma)).max()
         assert residual < 1e-9
         solved += 1
     assert exists >= 20 and missing >= 20, (exists, missing)
@@ -392,12 +391,13 @@ def test_c10_partial_sharing():
     assert result2.polytope["s3"].dimension == 0
     # coupling entries on the pairs common to both sharing structures match
     common = [p for p in singleton.pairs if p in set(flipped.pairs)]
+    matrix_before, matrix_after = singleton.coupling.toarray(), flipped.coupling.toarray()
     for row_pair in common:
         for col_pair in common:
-            before = singleton.xi_matrix[singleton.pairs.index(row_pair),
-                                         singleton.pairs.index(col_pair)]
-            after = flipped.xi_matrix[flipped.pairs.index(row_pair),
-                                      flipped.pairs.index(col_pair)]
+            before = matrix_before[singleton.pairs.index(row_pair),
+                                   singleton.pairs.index(col_pair)]
+            after = matrix_after[flipped.pairs.index(row_pair),
+                                 flipped.pairs.index(col_pair)]
             assert before == after
 
 

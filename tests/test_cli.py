@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +182,22 @@ class TestCertifyAndWelfare:
         corrupted.write_text(json.dumps(doc))
         assert cli(["certify", str(scenario), str(corrupted)]) == 2
 
+    @pytest.mark.parametrize("spec, seed, status", [
+        (GenerationSpec(24, 3, family="mixed"), 0, "converged_bounded"),
+        (GenerationSpec(48, 4, family="mixed", bounded=True), 3, "unique_a_infinite_c"),
+    ], ids=["unbounded-as-bounded", "bounded-as-unbounded"])
+    def test_certify_relabelled_result_exit_two(self, tmp_path, capsys, spec, seed, status):
+        scenario, out = tmp_path / "scenario.json", tmp_path / "result.json"
+        scenario.write_text(serialize_scenario(generate_scenario(spec, seed)))
+        assert cli(["solve", str(scenario), "--output", str(out)]) == 0
+        assert cli(["certify", str(scenario), str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["status"] = status
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli(["certify", str(scenario), str(out)]) == 2
+        assert f"status {status} is not this market's" in capsys.readouterr().out
+
     def test_welfare_report(self, symmetric_file, tmp_path):
         result = tmp_path / "result.json"
         report = tmp_path / "welfare.json"
@@ -314,6 +332,29 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("datamarket: cannot write ") and argv[-1] in err
         assert "Traceback" not in err
+
+    # run as a user runs it, in a process of its own: a document that is not
+    # UTF-8 (a UTF-16 byte-order mark), one nested too deep to decode, a
+    # directory and a missing file each exit 1 with one message
+    @pytest.mark.parametrize("command, document", [
+        ("validate", "utf16"), ("certify", "utf16"), ("validate", "nested"),
+        ("certify", "nested"), ("validate", "directory"), ("certify", "missing")])
+    def test_unreadable_document_exits_one_without_traceback(self, symmetric_file, tmp_path,
+                                                             command, document):
+        paths = {"utf16": tmp_path / "utf16.json", "nested": tmp_path / "nested.json",
+                 "directory": tmp_path, "missing": tmp_path / "missing.json"}
+        paths["utf16"].write_bytes(b"\xff\xfe{\x00}\x00")
+        paths["nested"].write_text("[" * 200_000)
+        # certify reads the scenario first, so the bad document is its result
+        argv = ([str(paths[document])] if command == "validate"
+                else [str(symmetric_file), str(paths[document])])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "datamarket.cli", command, *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("datamarket: ") and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("direction", ["above", "below-a_lower"])
     def test_a_total_off_its_a_exits_two(self, tmp_path, capsys, direction):

@@ -32,6 +32,7 @@ from datamarket.equilibrium import (
     SourcePolytope,
     _solve_coupled,
     alpha_sweep,
+    branch_profile,
     canonical_c,
     certify_equilibrium,
     payment_floors,
@@ -52,6 +53,7 @@ from datamarket.errors import (
 from datamarket.market import derive_parameters
 from datamarket.results import result_from_json, result_to_json, xi_matrix_csv
 from datamarket.scenario import GenerationSpec, generate_scenario
+from datamarket.simulate import iter_rounds
 from datamarket.welfare import price_of_anarchy
 
 
@@ -76,7 +78,7 @@ class TestSpectralRadius:
 
     def test_pairing_fixture(self, symmetric_direct):
         params = derive_parameters(symmetric_direct)
-        assert spectral_radius(params.xi_matrix) == pytest.approx(0.5, abs=1e-12)
+        assert spectral_radius(params.coupling.toarray()) == pytest.approx(0.5, abs=1e-12)
 
     def test_nilpotent(self):
         m = np.array([[0.0, 3.0], [0.0, 0.0]])
@@ -130,8 +132,9 @@ class TestSpectralRadius:
         # when started from ones; the Ritz start certifies it
         params = derive_parameters(generate_scenario(
             GenerationSpec(50, 2, mode="direct", coupling_scale=0.002), 0))
-        oracle = max(abs(np.linalg.eigvals(params.xi_matrix)))
-        assert abs(spectral_radius(params.xi_matrix) - oracle) <= 1e-12 * oracle
+        matrix = params.coupling.toarray()
+        oracle = max(abs(np.linalg.eigvals(matrix)))
+        assert abs(spectral_radius(matrix) - oracle) <= 1e-12 * oracle
         assert len(fallbacks) == 0
 
     def test_nilpotent_chain(self):
@@ -176,9 +179,10 @@ class TestSpectralRadiusOverTheSupport:
     def test_half_sharing_market(self):
         params = derive_parameters(generate_scenario(
             GenerationSpec(40, 4, dimension=2, sharing_density=0.6), 1))
-        assert not params.xi_matrix.any(axis=1).all()  # a single-buyer source
-        oracle = max(abs(np.linalg.eigvals(params.xi_matrix)))
-        assert abs(spectral_radius(params.xi_matrix) - oracle) <= 1e-10
+        matrix = params.coupling.toarray()
+        assert not matrix.any(axis=1).all()  # a single-buyer source
+        oracle = max(abs(np.linalg.eigvals(matrix)))
+        assert abs(spectral_radius(matrix) - oracle) <= 1e-10
 
 
 class TestSolveUnbounded:
@@ -226,7 +230,7 @@ class TestSolveUnbounded:
             assert result.diagnostics.spectral_radius >= 1 - 1e-9
             return
         a_vec = np.array([result.a.a[p] for p in params.pairs])
-        residual = np.abs(a_vec - (params.xi_matrix @ a_vec + params.gamma)).max()
+        residual = np.abs(a_vec - (params.coupling.toarray() @ a_vec + params.gamma)).max()
         assert residual < 1e-9
         for k, pair in enumerate(params.pairs):
             assert result.a.a[pair] >= params.gamma[k] - 1e-12
@@ -383,7 +387,7 @@ class TestCoupledSolve:
         assert [p.status for p in points] == [STATUS_UNIQUE, STATUS_UNIQUE, STATUS_NONE]
         solve_bounded(bounded)
         solve_bounded(bounded)
-        assert calls == [unbounded.xi_matrix.shape, bounded.xi_matrix.shape]
+        assert calls == [unbounded.coupling.shape, bounded.coupling.shape]
 
     def test_arnoldi_basis_grows_past_its_first_block(self):
         # 40 steps on a dense nonnegative 60 x 60 matrix: V and H double from
@@ -448,11 +452,10 @@ class TestSolvePaths:
     def test_both_paths_agree_with_the_lu(self, case, monkeypatch):
         # solve_unbounded and one-point sweeps, each against the LU oracle
         build, scaled_radii = SOLVE_PATH_CASES[case]
-        reference = derive_parameters(build())  # the oracle assembles its own Xi
         params = derive_parameters(build())
         rho = params.spectral_radius
         alphas = [target / rho for target in scaled_radii]
-        expected = [lu_answer(reference, alpha) for alpha in (1.0, *alphas)]
+        expected = [lu_answer(params, alpha) for alpha in (1.0, *alphas)]
         assemblies = count_assemblies(monkeypatch)
 
         result = solve_unbounded(params)
@@ -472,14 +475,13 @@ class TestSolvePaths:
     def test_one_sweep_serves_every_kind_of_point(self, case, monkeypatch):
         # the table's points and a "none" point, out of order, in one call
         build, scaled_radii = SOLVE_PATH_CASES[case]
-        reference = derive_parameters(build())
         params = derive_parameters(build())
         rho = params.spectral_radius
         order = [len(scaled_radii), *reversed(range(len(scaled_radii)))]
         targets = [(*scaled_radii, 1.5)[k] for k in order]
         alphas = [target / rho for target in targets]
         expected = [None if target >= 1.0 else
-                    np.bincount(params.pair_source, weights=lu_answer(reference, alpha)).max()
+                    np.bincount(params.pair_source, weights=lu_answer(params, alpha)).max()
                     for alpha, target in zip(alphas, targets)]
         assemblies = count_assemblies(monkeypatch)
         alone = [alpha_sweep(params, [alpha])[0] for alpha in alphas]
@@ -541,7 +543,7 @@ class TestSolvePaths:
         finally:
             tracemalloc.stop()
         assert result.diagnostics.iterations > 1
-        assert peak < params.xi_matrix.nbytes
+        assert peak < len(params.pairs) ** 2 * np.dtype(float).itemsize
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(n=st.integers(2, 40), m=st.integers(2, 4), seed=st.integers(0, 2**16))
@@ -596,11 +598,37 @@ class TestOperatorSide:
         dense_bytes = len(params.pairs) ** 2 * np.dtype(float).itemsize
         if len(params.pairs) >= 512:  # at P = 192 derivation alone peaks above Xi's size
             assert peak < dense_bytes
-        # the dense Xi, read on demand, is the assembled one bit for bit
-        matrix = params.xi_matrix
-        assert len(calls) == 1
-        np.testing.assert_array_equal(matrix,
-                                      market.CouplingOperator(scenario, params.xi).toarray())
+
+    # a bench shape (unbounded-certify, simulate-rounds; P = 192) and the
+    # north-star shape (P = 3000)
+    STORED_ONCE = {
+        "bench-n48-m4": GenerationSpec(48, 4, family="mixed"),
+        "north-star-n300-m10": GenerationSpec(300, 10, family="mixed", zeta_max=0.1),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(STORED_ONCE))
+    def test_xi_is_stored_once(self, shape, monkeypatch):
+        # solve, certify, welfare, a sweep and rounds assemble nothing, and
+        # the parameters keep no P x P array, not even after xi_matrix.csv
+        scenario = generate_scenario(self.STORED_ONCE[shape], 0)
+        calls = count_assemblies(monkeypatch)
+        params = derive_parameters(scenario)
+        result = solve_unbounded(params)
+        assert certify_equilibrium(result, params).passed
+        price_of_anarchy(result, params)
+        rho = params.spectral_radius
+        assert [p.status for p in alpha_sweep(params, [0.5 / rho, 0.99 / rho])] == \
+            [STATUS_UNIQUE] * 2
+        assert len(list(iter_rounds(scenario, result, 3, 0))) == 3
+        assert calls == []
+
+        def square_arrays():
+            return [name for name, value in vars(params).items()
+                    if isinstance(value, np.ndarray) and value.shape == params.coupling.shape]
+
+        assert square_arrays() == []
+        assert xi_matrix_csv(params).count("\n") == len(params.pairs) + 1
+        assert len(calls) == 1 and square_arrays() == []
 
     @pytest.mark.parametrize("path", ["bounded", "unbounded"])
     def test_one_operator_per_market(self, path, monkeypatch):
@@ -668,10 +696,9 @@ class TestOperatorSide:
         # P = 512: one sweep up to the existence boundary reads one basis,
         # assembles nothing and matches the LU at every point
         targets = (0.5, 0.9, 0.99, 0.999)
-        reference = derive_parameters(scenario)
         params = derive_parameters(scenario)
         alphas = [target / params.spectral_radius for target in targets]
-        expected = [lu_answer(reference, alpha) for alpha in alphas]
+        expected = [lu_answer(params, alpha) for alpha in alphas]
         assemblies = count_assemblies(monkeypatch)
         solved = _solve_coupled(params, alphas)
         points = alpha_sweep(params, alphas)
@@ -746,24 +773,25 @@ class TestCertification:
         assert report.passed, report.summary()
 
     @pytest.mark.parametrize("market_kind", ["unbounded", "bounded", "partial-sharing"])
-    def test_reads_no_coupling_matrix(self, market_kind):
-        # the checks read the xi blocks only, so a NaN Xi, in either of the
-        # forms the solvers read (assembled, operator), changes nothing
+    def test_reads_no_coupling_matrix(self, market_kind, monkeypatch):
+        # the checks read the xi blocks only: a NaN operator changes nothing,
+        # and no dense Xi is assembled
         spec = {"unbounded": GenerationSpec(8, 3, family="mixed"),
                 "bounded": GenerationSpec(8, 3, family="mixed", bounded=True),
                 "partial-sharing": GenerationSpec(10, 3, dimension=2, sharing_density=0.6)}
         params = derive_parameters(generate_scenario(spec[market_kind], 1))
         result = (solve_bounded if params.effort_kind == "bounded" else solve_unbounded)(params)
         expected = certify_equilibrium(result, params)
-        blind = replace(params)  # the cached forms of Xi are not copied
-        object.__setattr__(blind, "_xi_matrix", np.full_like(params.xi_matrix, np.nan))
+        blind = replace(params)  # the cached operator is not copied
         object.__setattr__(blind, "_coupling", market.CouplingOperator(
             params.scenario, tuple(np.full_like(block, np.nan) for block in params.xi)))
         # NaN on every pair with coupling (a single-buyer source has none)
-        assert np.isnan(blind.xi_matrix).all() and np.isnan(blind.coupling @ params.gamma).any()
+        assert np.isnan(blind.coupling @ params.gamma).any()
+        assemblies = count_assemblies(monkeypatch)
         report = certify_equilibrium(result, blind)
         assert report.passed, report.summary()
         assert report == expected
+        assert assemblies == []
 
     @pytest.mark.parametrize("radius", [5.0, 0.01])
     def test_fails_on_an_impossible_radius(self, radius):
@@ -777,6 +805,28 @@ class TestCertification:
         failed = [c for c in report.checks if not c.passed]
         assert [c.name for c in failed] == ["existence-bound"]
         assert "bracket [7.655196e-02, 7.531417e-01]" in failed[0].detail
+
+    @pytest.mark.parametrize("spec, seed, status, failing", [
+        (GenerationSpec(24, 3, family="mixed"), 0, STATUS_BOUNDED,
+         ["stationarity", "existence-bound"]),
+        (GenerationSpec(48, 4, family="mixed", bounded=True), 3, STATUS_UNIQUE,
+         ["branch-consistency"]),
+    ], ids=["unbounded-as-bounded", "bounded-as-unbounded"])
+    def test_fails_on_a_status_not_the_markets(self, spec, seed, status, failing):
+        # the market's effort sets choose the checks, so a relabelled answer
+        # skips none (here rho is also edited to 5, past the bracket), and the
+        # status fails the first check; the bounded answer is all interior
+        params = derive_parameters(generate_scenario(spec, seed))
+        solved = (solve_bounded if spec.bounded else solve_unbounded)(params)
+        assert certify_equilibrium(solved, params).passed
+        if spec.bounded:
+            assert set(branch_profile(params, solved.a.a).values()) == {"interior"}
+        doc = json.loads(result_to_json(solved))
+        doc["status"] = status
+        doc["diagnostics"]["spectral_radius"] = 5.0
+        report = certify_equilibrium(result_from_json(json.dumps(doc)), params)
+        assert [c.name for c in report.checks if not c.passed] == failing
+        assert f"status {status} is not this market's {solved.status}" in report.checks[0].detail
 
     @pytest.mark.parametrize("offset", [0.1, -0.1])
     def test_fails_on_corrupted_a(self, symmetric_direct, offset):

@@ -153,7 +153,7 @@ class TestXiMatrix:
     def test_single_aggregator_zero_matrix(self):
         scn = make_line_scenario(n_aggregators=1)
         params = derive_parameters(scn)
-        assert np.all(params.xi_matrix == 0.0)
+        assert np.all(params.coupling.toarray() == 0.0)
 
     def test_single_source_zero_matrix(self):
         model = exponential_model(1.0, 0.5)
@@ -164,13 +164,13 @@ class TestXiMatrix:
         xi = {"b1": {("s1", "s1"): 1.0}, "b2": {("s1", "s1"): 1.0}}
         scn = MarketScenario(sources, aggs, GroundTruth((1.0,), 0.0),
                              mode="direct", direct_beta=beta, direct_xi=xi)
-        matrix = derive_parameters(scn).xi_matrix
+        matrix = derive_parameters(scn).coupling.toarray()
         assert matrix.shape == (2, 2)
         assert np.all(matrix == 0.0)
 
     def test_symmetric_pairing_structure(self, symmetric_direct):
         params = derive_parameters(symmetric_direct)
-        matrix, pairs = params.xi_matrix, params.pairs
+        matrix, pairs = params.coupling.toarray(), params.pairs
         assert pairs == (("s1", "b1"), ("s1", "b2"), ("s2", "b1"), ("s2", "b2"))
         assert matrix.shape == (4, 4)
         # exactly one 0.5 per row, pairing (s, b) with the opposite pair
@@ -181,7 +181,7 @@ class TestXiMatrix:
 
     def test_zero_blocks_invariant(self, line_two_aggregators):
         params = derive_parameters(line_two_aggregators)
-        matrix, pairs = params.xi_matrix, params.pairs
+        matrix, pairs = params.coupling.toarray(), params.pairs
         assert np.all(matrix >= 0)
         for row, (s, b) in enumerate(pairs):
             for col, (l, j) in enumerate(pairs):
@@ -195,7 +195,7 @@ class TestXiMatrix:
                                 mode="direct", direct_beta=by_pair(scn, params.beta),
                                 direct_xi=xi_tables(params))
         reparams = derive_parameters(direct)
-        np.testing.assert_array_equal(params.xi_matrix, reparams.xi_matrix)
+        np.testing.assert_array_equal(params.coupling.toarray(), reparams.coupling.toarray())
         assert by_pair(scn, params.gamma) == by_pair(scn, reparams.gamma)
         assert params.pairs == reparams.pairs
 
@@ -209,8 +209,8 @@ class TestXiMatrix:
         reduced = MarketScenario(sources, full.aggregators[:1], full.ground_truth)
         params_red = derive_parameters(reduced)
         keep = [k for k, (s, b) in enumerate(params_full.pairs) if b == "b1"]
-        sub = params_full.xi_matrix[np.ix_(keep, keep)]
-        np.testing.assert_array_equal(sub, params_red.xi_matrix)
+        sub = params_full.coupling.toarray()[np.ix_(keep, keep)]
+        np.testing.assert_array_equal(sub, params_red.coupling.toarray())
 
 
 class TestValidation:

@@ -106,6 +106,12 @@ def test_integer_literal_too_long_to_convert_is_refused():
         result_from_json('{"schema_version": 1' + "0" * 5000 + "}")
 
 
+def test_nesting_too_deep_to_decode_is_refused():
+    # json.loads raises RecursionError, not JSONDecodeError
+    with pytest.raises(ParseError, match="not valid JSON"):
+        result_from_json("[" * 200_000)
+
+
 def test_unknown_fields_are_tolerated():
     doc = json.loads(TEXTS["solved"])
     doc["note"] = {"written by": "a later version"}

@@ -190,6 +190,11 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="not valid JSON"):
             parse_scenario('{"schema_version": 1' + "0" * 5000 + "}")
 
+    def test_nesting_too_deep_to_decode(self):
+        # json.loads raises RecursionError, not JSONDecodeError
+        with pytest.raises(ParseError, match="not valid JSON"):
+            parse_scenario("[" * 200_000)
+
     def test_unknown_effort_family(self):
         # with no rate field, or with any family's
         for rates in [{}] + [{form.rate: 0.5} for form in FORMS]:

@@ -146,7 +146,7 @@ class TestPriceOfAnarchy:
         # Xi = 0, so the weights are the demands
         params = derive_parameters(make_disjoint_datasets())
         assert params.offdiagonal_xi_max() > 0
-        assert not params.xi_matrix.any()
+        assert not params.coupling.toarray().any()
         report = price_of_anarchy(solve_unbounded(params), params)
         assert report.poa == 1.0
         assert report.efficient_possible is True

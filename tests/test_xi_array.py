@@ -209,12 +209,11 @@ def test_rank_deficient_design_names_the_reference_pair(market):
 @pytest.mark.parametrize("market", sorted(OPERATOR_MARKETS))
 def test_coupling_matrix_matches_double_loop(market):
     # the only reference for Xi's entries that is not derived from the
-    # operator: both the matrix and the operator's own scatter copy xi exactly
+    # operator: the operator's scatter copies xi exactly
     scenario = OPERATOR_MARKETS[market]()
     params = derive_parameters(scenario, require_valid=False)
     reference = reference_xi_matrix(scenario, xi_tables(params))
-    np.testing.assert_array_equal(params.xi_matrix, reference)
-    np.testing.assert_array_equal(CouplingOperator(scenario, params.xi).toarray(), reference)
+    np.testing.assert_array_equal(params.coupling.toarray(), reference)
 
 
 @pytest.mark.parametrize("market", sorted(ESTIMATOR_MARKETS) + sorted(DIRECT_MARKETS))
@@ -242,7 +241,7 @@ def test_operator_product_matches_assembled_matrix(market):
     scenario = OPERATOR_MARKETS[market]()
     params = derive_parameters(scenario, require_valid=False)
     operator = CouplingOperator(scenario, params.xi)
-    matrix = params.xi_matrix
+    matrix = operator.toarray()
     assert operator.shape == matrix.shape
     rng = np.random.default_rng(7)
     for a in (rng.uniform(0.0, 1.0, len(params.pairs)),
@@ -259,7 +258,7 @@ def test_operator_path_matches_dense_path(market):
     scenario = OPERATOR_MARKETS[market]()
     params = derive_parameters(scenario, require_valid=False)
     assert isinstance(params.coupling, CouplingOperator)
-    rho = spectral_radius(params.xi_matrix)
+    rho = spectral_radius(params.coupling.toarray())
     assert abs(params.spectral_radius - rho) <= RADIUS_TOL * max(1.0, rho)
     if not params.validation.ok or params.effort_kind != "unbounded":
         return
@@ -274,7 +273,7 @@ def test_operator_path_matches_dense_path(market):
 @pytest.mark.parametrize("market", sorted(OPERATOR_MARKETS))
 def test_largest_coupling_matches_assembled_max(market):
     params = derive_parameters(OPERATOR_MARKETS[market](), require_valid=False)
-    largest = params.xi_matrix.max(initial=0.0)
+    largest = params.coupling.toarray().max(initial=0.0)
     assert params.coupling.largest_entry() == largest
     threshold = 0.0 if params.mode == MODE_DIRECT else ESTIMATOR_ZERO_TOL
     assert efficiency_predicate(params) is bool(largest <= threshold)
