@@ -448,8 +448,8 @@ def _variance_weights(params: DerivedParameters, a_vec: np.ndarray,
     best-response total (interior target plus rivals)."""
     membership = params.scenario.membership
     coupling = np.zeros(membership.shape[::-1])  # [b, s]
-    for j, (rows, block) in enumerate(zip(params.aggregator_pairs, params.xi)):
-        members = params.pair_source[rows]
+    for j, (rows, members, block) in enumerate(zip(params.aggregator_pairs,
+                                                   params.scenario.members, params.xi)):
         u = membership[members].T * a_vec[rows]  # u[b, i] = a[i, j] * [i in D_b]
         u[j] = 0.0
         coupling[:, members] += u @ block

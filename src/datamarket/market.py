@@ -1,8 +1,11 @@
 """Market scenarios and derived contract parameters.
 
-A scenario holds the primitives: data sources (feature point, effort model,
+A scenario holds the primitives, data sources (feature point, effort model,
 which aggregators they sell to) and aggregators (estimator, query
-distribution, competition weights, payment scale).  From these we derive the
+distribution, competition weights, payment scale), each in id order, and
+indexes them once as arrays: the n x m membership, the sharing pairs (pair k
+is its k-th nonzero entry, row by row), each aggregator's pairs and dataset,
+the n x d features and the sources' EffortMap.  From these we derive the
 contract parameters that drive everything downstream:
 
   beta[s, b]   relevance of source s's data to aggregator b's estimate,
@@ -13,14 +16,12 @@ contract parameters that drive everything downstream:
   Xi           the square coupling matrix of the equilibrium system
                a = Xi a + gamma over (source, aggregator) pairs.
 
-Every table is a numpy array: beta and gamma over the sharing pairs (in
-`sharing_pairs()` order), per-source totals over `source_ids`; xi is one
-read-only block per aggregator (id order) over `dataset(b)`, diagonal 0: the
-paper's xi_b(s, s) = 1 is added only where the own variance enters.
-
-Parameters can instead be entered directly (``direct`` mode) so analytic
-fixtures that no small regression design realizes stay testable in closed
-form.  All derivations are pure functions over immutable scenarios.
+Every table is a numpy array: beta and gamma over the sharing pairs,
+per-source totals over `source_ids`; xi is one read-only block per
+aggregator over `dataset(b)`, diagonal 0: the paper's xi_b(s, s) = 1 is
+added only where the own variance enters.  Ids key dicts only at the I/O
+edge.  Parameters can instead be entered directly (``direct`` mode) so
+analytic fixtures stay testable in closed form.
 """
 
 from __future__ import annotations
@@ -104,45 +105,58 @@ def _first_mismatch(keys, others):
                key=lambda k: tuple(map(str, k)) if isinstance(k, tuple) else (str(k),))
 
 
+def _pair_index(membership: np.ndarray):
+    """(pair_source, pair_aggregator, aggregator_pairs, members), read-only:
+    pair k is the k-th nonzero [s, b] of the n x m membership, row by row;
+    aggregator_pairs[b] and members[b] are b's pair rows and source rows."""
+    pair_source, pair_aggregator = np.nonzero(membership)
+    aggregator_pairs = tuple(np.flatnonzero(pair_aggregator == b)
+                             for b in range(membership.shape[1]))
+    members = tuple(pair_source[rows] for rows in aggregator_pairs)
+    _read_only((pair_source, pair_aggregator, *aggregator_pairs, *members))
+    return pair_source, pair_aggregator, aggregator_pairs, members
+
+
 @dataclass(frozen=True, eq=False)
 class MarketScenario:
+    """The market's primitives, indexed once at construction: `sources` and
+    `aggregators` sorted by id, whatever their given order, and over that
+    order `membership` (n x m, [s, b] true when s sells to b), _pair_index's
+    arrays, `features` (n x d, read-only) and the sources' `effort_map`.
+    Every reader takes these; DerivedParameters binds the same objects."""
+
     sources: tuple[DataSourceSpec, ...]
     aggregators: tuple[AggregatorSpec, ...]
     ground_truth: GroundTruth
     mode: str = MODE_ESTIMATOR
     direct_beta: Mapping[tuple[str, str], float] | None = None
     direct_xi: Mapping[str, Mapping[tuple[str, str], float]] | None = None
-    # Lookups filled at construction, not cached on first read: writing to an
+    # Filled at construction, not cached on first read: writing to an
     # instance's __dict__ later slows every attribute read on it (CPython 3.11).
     source_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
     aggregator_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    sources_by_id: dict[str, DataSourceSpec] = field(init=False, repr=False, compare=False)
-    aggregators_by_id: dict[str, AggregatorSpec] = field(init=False, repr=False,
-                                                        compare=False)
-    _datasets: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
-    _sharing_pairs: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
-    #: n x m booleans, [s, b] true when source s sells to aggregator b (id
-    #: order); its nonzero entries, row by row, are the sharing pairs in order.
     membership: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_source: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_aggregator: np.ndarray = field(init=False, repr=False, compare=False)
+    aggregator_pairs: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    members: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    features: np.ndarray = field(init=False, repr=False, compare=False)
+    effort_map: EffortMap = field(init=False, repr=False, compare=False)
+    _sharing_pairs: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sources", tuple(self.sources))
-        object.__setattr__(self, "aggregators", tuple(self.aggregators))
-        if not self.sources or not self.aggregators:
+        sources = tuple(sorted(self.sources, key=lambda s: s.id))
+        aggregators = tuple(sorted(self.aggregators, key=lambda b: b.id))
+        if not sources or not aggregators:
             raise DomainError("a scenario needs at least one source and one aggregator")
-        sids = [s.id for s in self.sources]
-        bids = [b.id for b in self.aggregators]
+        sids, bids = tuple(s.id for s in sources), tuple(b.id for b in aggregators)
         for name, ids in (("source", sids), ("aggregator", bids)):
             dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
             if dupes:
                 raise DomainError(f"duplicate {name} ids {dupes}")
         if set(sids) & set(bids):
             raise DomainError("source and aggregator ids must be disjoint")
-        object.__setattr__(self, "source_ids", tuple(sorted(sids)))
-        object.__setattr__(self, "aggregator_ids", tuple(sorted(bids)))
-        object.__setattr__(self, "sources_by_id", {s.id: s for s in self.sources})
-        object.__setattr__(self, "aggregators_by_id", {b.id: b for b in self.aggregators})
-        dims = {len(s.feature) for s in self.sources}
+        dims = {len(s.feature) for s in sources}
         if len(dims) != 1:
             raise DomainError(f"sources mix feature dimensions {sorted(dims)}")
         d = dims.pop()
@@ -150,21 +164,24 @@ class MarketScenario:
             raise DomainError(f"ground truth has {len(self.ground_truth.coefficients)} "
                               f"coefficients for dimension {d}")
         known = set(bids)
-        for s in self.sources:
+        for s in sources:
             unknown = set(s.sharing) - known
             if unknown:
                 raise DomainError(f"source {s.id!r} shares with unknown "
                                   f"aggregators {sorted(unknown)}")
-        membership = np.array([[bid in self.sources_by_id[sid].sharing
-                                for bid in self.aggregator_ids] for sid in self.source_ids])
-        object.__setattr__(self, "membership", membership)
-        object.__setattr__(self, "_sharing_pairs", tuple(
-            (self.source_ids[s], self.aggregator_ids[b])
-            for s, b in np.argwhere(membership).tolist()))
-        object.__setattr__(self, "_datasets", {
-            bid: tuple(self.source_ids[i] for i in np.flatnonzero(membership[:, b]).tolist())
-            for b, bid in enumerate(self.aggregator_ids)})
-        for b in self.aggregators:
+        membership = np.array([[bid in s.sharing for bid in bids] for s in sources])
+        pair_source, pair_aggregator, aggregator_pairs, members = _pair_index(membership)
+        pairs = tuple((sids[s], bids[b])
+                      for s, b in zip(pair_source.tolist(), pair_aggregator.tolist()))
+        features = _read_only([np.array([s.feature for s in sources], dtype=float)])[0]
+        for name, value in dict(
+                sources=sources, aggregators=aggregators, source_ids=sids, aggregator_ids=bids,
+                membership=membership, pair_source=pair_source, pair_aggregator=pair_aggregator,
+                aggregator_pairs=aggregator_pairs, members=members, features=features,
+                effort_map=EffortMap(s.effort_model for s in sources),
+                _sharing_pairs=pairs).items():
+            object.__setattr__(self, name, value)
+        for b in aggregators:
             unknown = set(b.zeta) - known
             if unknown:
                 raise DomainError(f"aggregator {b.id!r} weights unknown "
@@ -212,46 +229,39 @@ class MarketScenario:
 
     @property
     def dimension(self) -> int:
-        return len(self.sources[0].feature)
+        return self.features.shape[1]
 
     def dataset(self, aggregator_id: str) -> tuple[str, ...]:
         """Sorted ids of the sources selling to this aggregator."""
-        return self._datasets.get(aggregator_id, ())
+        rows = dict(zip(self.aggregator_ids, self.members)).get(aggregator_id, np.empty(0, int))
+        return tuple(self.source_ids[s] for s in rows.tolist())
 
     def sharing_pairs(self) -> tuple[tuple[str, str], ...]:
         """All (source, aggregator) pairs with an active contract, in the
         fixed lexicographic order used to index the coupling matrix."""
         return self._sharing_pairs
 
-    def dataset_points(self, aggregator_id: str) -> np.ndarray:
-        return np.array([self.sources_by_id[sid].feature for sid in self.dataset(aggregator_id)],
-                        dtype=float).reshape(-1, self.dimension)  # (0, d) when nobody sells
-
 
 # ---------------------------------------------------------------------------
 # Parameter derivation
 # ---------------------------------------------------------------------------
 
-def _relevance(features: np.ndarray, membership: np.ndarray, aggregators,
-               ) -> np.ndarray:
-    """beta over the sharing pairs of `membership`: per aggregator (the
+def _relevance(features: np.ndarray, aggregator_pairs, members, aggregators) -> np.ndarray:
+    """beta over the sharing pairs (_pair_index's rows): per aggregator (the
     sequence `aggregators`, in id order), the separability coefficients of its
     dataset (rows of `features`) under its own query distribution.  Needs no
     effort model, so generation calls it before drawing any."""
-    pair_source, pair_aggregator = np.nonzero(membership)
-    beta = np.empty(len(pair_source))
-    for b, agg in enumerate(aggregators):
-        rows = np.flatnonzero(pair_aggregator == b)
-        beta[rows] = ols_coefficients(features[pair_source[rows]], agg.query_dist)
+    beta = np.empty(sum(len(rows) for rows in aggregator_pairs))
+    for rows, sources, agg in zip(aggregator_pairs, members, aggregators):
+        beta[rows] = ols_coefficients(features[sources], agg.query_dist)
     return beta
 
 
-def _net_demand(beta: np.ndarray, membership: np.ndarray, aggregators,
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _net_demand(beta: np.ndarray, membership: np.ndarray, pair_source: np.ndarray,
+                pair_aggregator: np.ndarray, aggregators) -> tuple[np.ndarray, np.ndarray]:
     """(gamma over the sharing pairs, gamma_total over the sources) from beta
-    over the same pairs; see derive_gamma.  Each rival sum runs over j in id
-    order and each total over b in id order, one addition at a time."""
-    pair_source, pair_aggregator = np.nonzero(membership)
+    over the same pairs (see _pair_index, derive_gamma).  Each rival sum runs
+    over j in id order and each total over b in id order, one at a time."""
     ids = [agg.id for agg in aggregators]
     zeta = np.array([[agg.zeta.get(j, 0.0) for j in ids] for agg in aggregators])
     scale = np.array([agg.payment_scale for agg in aggregators])
@@ -273,9 +283,8 @@ def derive_beta(scenario: MarketScenario) -> np.ndarray:
     if scenario.mode != MODE_ESTIMATOR:
         raise DomainError("derive_beta applies to estimator-derived scenarios; "
                           "direct mode carries its own beta table")
-    features = np.array([scenario.sources_by_id[s].feature for s in scenario.source_ids])
-    return _relevance(features, scenario.membership,
-                      [scenario.aggregators_by_id[b] for b in scenario.aggregator_ids])
+    return _relevance(scenario.features, scenario.aggregator_pairs, scenario.members,
+                      scenario.aggregators)
 
 
 def derive_xi(scenario: MarketScenario) -> tuple[np.ndarray, ...]:
@@ -288,8 +297,8 @@ def derive_xi(scenario: MarketScenario) -> tuple[np.ndarray, ...]:
         raise DomainError("derive_xi applies to estimator-derived scenarios; "
                           "direct mode carries its own xi table")
     blocks = []
-    for bid in scenario.aggregator_ids:
-        block = leave_one_out_weights(scenario.dataset_points(bid), aggregator=bid,
+    for bid, members in zip(scenario.aggregator_ids, scenario.members):
+        block = leave_one_out_weights(scenario.features[members], aggregator=bid,
                                       sources=scenario.dataset(bid))
         blocks.append(np.square(block, out=block))
     return _read_only(blocks)
@@ -306,8 +315,8 @@ def derive_gamma(scenario: MarketScenario, beta: np.ndarray,
     """Net demand gamma[s, b] = (beta[s, b] - sum over rivals j in B_s of
     zeta_j^b * beta[s, j]) / payment_scale_b over scenario.sharing_pairs()
     (beta runs over the same pairs), and its totals over scenario.source_ids."""
-    return _net_demand(beta, scenario.membership,
-                       [scenario.aggregators_by_id[b] for b in scenario.aggregator_ids])
+    return _net_demand(beta, scenario.membership, scenario.pair_source,
+                       scenario.pair_aggregator, scenario.aggregators)
 
 
 def assemble_xi_matrix(scenario: MarketScenario, xi: tuple[np.ndarray, ...],
@@ -331,20 +340,18 @@ class CouplingOperator:
     and subtracted: a large weight would not cancel exactly."""
 
     def __init__(self, scenario: MarketScenario, xi: tuple[np.ndarray, ...]):
-        membership = scenario.membership
-        pair_source, pair_aggregator = np.nonzero(membership)
+        membership, pair_source = scenario.membership, scenario.pair_source
         pair_at = np.full(membership.shape, -1)
-        pair_at[pair_source, pair_aggregator] = np.arange(len(pair_source))
+        pair_at[pair_source, scenario.pair_aggregator] = np.arange(len(pair_source))
         self.shape = (len(pair_source), len(pair_source))
         self._terms = []
         gather, targets, offset = [], [], 0
-        aggregators = np.arange(membership.shape[1])
-        for j in aggregators.tolist():
-            members, others = np.flatnonzero(membership[:, j]), np.flatnonzero(aggregators != j)
+        for j, members in enumerate(scenario.members):
+            others = np.delete(np.arange(membership.shape[1]), j)
             keys = [membership[members, b].tobytes() for b in others.tolist()]
             distinct = list(dict.fromkeys(keys))  # [c]: D_j's column of a rival
             columns = np.frombuffer(b"".join(distinct), dtype=bool)
-            self._terms.append((pair_at[members, j], xi[j],
+            self._terms.append((scenario.aggregator_pairs[j], xi[j],
                                 columns.reshape(len(distinct), len(members)).astype(float)))
             # row c of term j's sums lands at the pairs (s, b) of the rivals b
             # with column c; a source in D_j that does not sell to b has no pair
@@ -589,10 +596,9 @@ def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
             "mixed-effort-kinds", "sources",
             "all effort sets must share one kind (all bounded or all unbounded)"))
 
-    for bid in scenario.aggregator_ids:
-        agg = scenario.aggregators_by_id[bid]
+    for agg in scenario.aggregators:
         if agg.payment_scale != 1.0:
-            notes.append(f"aggregator {bid}: payment scale {agg.payment_scale} "
+            notes.append(f"aggregator {agg.id}: payment scale {agg.payment_scale} "
                          "normalized to 1 (demand rescaled accordingly)")
 
     if ill_defined is not None:
@@ -609,22 +615,19 @@ def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
                 "nonpositive-demand", f"({sid}, {bid})",
                 f"net demand {value} must be positive"))
 
-    for sid, total in zip(scenario.source_ids, gamma_total.tolist()):
-        model = scenario.sources_by_id[sid].effort_model
-        bounds = model.incentive_bounds
+    bounds = zip(scenario.effort_map.a_lower.tolist(), scenario.effort_map.a_upper.tolist())
+    for sid, total, (a_lower, a_upper) in zip(scenario.source_ids, gamma_total.tolist(), bounds):
         if not math.isfinite(total):
             violations.append(Violation(
                 "nonfinite-demand", sid, "total demand is not finite"))
-        elif total < bounds.a_lower:
+        elif total < a_lower:
             violations.append(Violation(
                 "demand-below-minimum", sid,
-                f"total demand {total} is below the minimum incentive "
-                f"{bounds.a_lower}"))
-        elif model.effort_set.bounded and total >= bounds.a_upper:
+                f"total demand {total} is below the minimum incentive {a_lower}"))
+        elif total >= a_upper:  # inf for unbounded effort sets
             violations.append(Violation(
                 "demand-above-saturation", sid,
-                f"total demand {total} is not below the saturation incentive "
-                f"{bounds.a_upper}"))
+                f"total demand {total} is not below the saturation incentive {a_upper}"))
     return ValidationReport(tuple(violations), tuple(notes))
 
 
@@ -634,12 +637,12 @@ def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
 
 @dataclass(frozen=True, eq=False)
 class DerivedParameters:
-    """Everything the solvers need, derived once from a scenario.  beta and
-    gamma run over `pairs` (pair k is (source_ids[pair_source[k]],
-    aggregator_ids[pair_aggregator[k]])); gamma_total, the effort map's
-    models, a_lower and a_upper (inf for unbounded effort sets) over
-    scenario.source_ids.  xi holds derive_xi's blocks, the one copy of the
-    coupling weights; block b's rows follow b's pairs, aggregator_pairs[b].
+    """Everything the solvers need, derived once from a scenario, whose
+    pair_source, pair_aggregator, aggregator_pairs and effort_map it binds
+    (the same objects).  beta and gamma run over `pairs`; gamma_total,
+    a_lower and a_upper (inf for unbounded effort sets) over source_ids.
+    xi holds derive_xi's blocks, the one copy of the coupling weights;
+    block b's rows follow b's pairs, aggregator_pairs[b].
 
     Xi is built on first read, as one CouplingOperator, `coupling`, which
     both solvers read (the radius, the Krylov basis, the residual check, and
@@ -653,10 +656,10 @@ class DerivedParameters:
     xi: tuple[np.ndarray, ...]  # per aggregator, dataset x dataset, id order
     gamma: np.ndarray
     gamma_total: np.ndarray
-    effort_map: EffortMap
     pairs: tuple[tuple[str, str], ...]
     validation: ValidationReport
     # Filled at construction, as on MarketScenario.
+    effort_map: EffortMap = field(init=False, repr=False, compare=False)
     a_lower: np.ndarray = field(init=False, repr=False, compare=False)
     a_upper: np.ndarray = field(init=False, repr=False, compare=False)
     effort_kind: str = field(init=False, repr=False, compare=False)
@@ -670,14 +673,12 @@ class DerivedParameters:
                                            compare=False)
 
     def __post_init__(self):
-        pair_source, pair_aggregator = np.nonzero(self.scenario.membership)
-        object.__setattr__(self, "a_lower", self.effort_map.a_lower)
-        object.__setattr__(self, "a_upper", self.effort_map.a_upper)
-        object.__setattr__(self, "effort_kind", _effort_kind(self.scenario))
-        object.__setattr__(self, "pair_source", pair_source)
-        object.__setattr__(self, "pair_aggregator", pair_aggregator)
-        object.__setattr__(self, "aggregator_pairs", tuple(
-            np.flatnonzero(pair_aggregator == b) for b in range(len(self.xi))))
+        scenario = self.scenario
+        for name in ("effort_map", "pair_source", "pair_aggregator", "aggregator_pairs"):
+            object.__setattr__(self, name, getattr(scenario, name))
+        object.__setattr__(self, "a_lower", scenario.effort_map.a_lower)
+        object.__setattr__(self, "a_upper", scenario.effort_map.a_upper)
+        object.__setattr__(self, "effort_kind", _effort_kind(scenario))
 
     @property
     def coupling(self) -> CouplingOperator:
@@ -695,7 +696,7 @@ class DerivedParameters:
         return self._spectral_radius
 
     def effort_model(self, source_id: str) -> EffortVarianceModel:
-        return self.scenario.sources_by_id[source_id].effort_model
+        return self.effort_map.models[self.scenario.source_ids.index(source_id)]
 
     def offdiagonal_xi_max(self) -> float:
         # every block is nonnegative (validated or squared) with a zero diagonal
@@ -720,12 +721,9 @@ def derive_parameters(scenario: MarketScenario, *,
     beta, xi = _derive_tables(scenario)
     gamma, gamma_total = derive_gamma(scenario, beta)
     validation = _validation_report(scenario, (gamma, gamma_total))
-    effort_map = EffortMap([scenario.sources_by_id[sid].effort_model
-                            for sid in scenario.source_ids])
     params = DerivedParameters(
         scenario=scenario, mode=scenario.mode, beta=beta, xi=xi, gamma=gamma,
-        gamma_total=gamma_total, effort_map=effort_map, pairs=scenario.sharing_pairs(),
-        validation=validation)
+        gamma_total=gamma_total, pairs=scenario.sharing_pairs(), validation=validation)
     if require_valid:
         params.require_valid()
     return params

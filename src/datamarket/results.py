@@ -246,9 +246,9 @@ def _read_polytope(sources: dict) -> PolytopeTable:
 def result_from_json(text: str) -> EquilibriumResult:
     """A result document under the scenario number rule: numbers finite (an
     unsolved result's max_residual may be NaN), counts integers (a polytope's
-    dimension below its number of floors), `marginal` a boolean, tables
-    objects keyed by id, in any key order.  Unknown fields are ignored;
-    anything else raises ParseError naming the field."""
+    dimension below its number of floors), spectral_radius and iterations not
+    negative, `marginal` a boolean, tables objects keyed by id, in any key
+    order.  Unknown fields are ignored; the rest raise ParseError naming it."""
     doc = _load_json(text, "result is not valid JSON")
     if not isinstance(doc, dict):
         raise ParseError("result document root must be an object")
@@ -268,6 +268,9 @@ def result_from_json(text: str) -> EquilibriumResult:
         iterations=_expect(diag_doc, "iterations", int, where),
         max_residual=residual,
         marginal=_expect(diag_doc, "marginal", bool, where, default=False))
+    for name in ("spectral_radius", "iterations"):
+        if getattr(diagnostics, name) < 0:
+            raise ParseError(f"field {name!r} must be nonnegative", location=where)
     if status == STATUS_NONE:
         return EquilibriumResult(status=status, a=None, canonical_c=None,
                                  polytope=None, efforts=None, diagnostics=diagnostics)

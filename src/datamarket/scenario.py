@@ -31,6 +31,7 @@ from .market import (
     GroundTruth,
     MarketScenario,
     _net_demand,
+    _pair_index,
     _relevance,
     validate_scenario,
 )
@@ -144,11 +145,13 @@ def _parse_source(doc, index) -> DataSourceSpec:
     sid = _expect(doc, "id", str, location)
     feature = _numbers(_expect(doc, "feature", list, location), "feature", location)
     sharing = _expect(doc, "sharing", list, location)
+    for j, b in enumerate(sharing):
+        if not isinstance(b, str):
+            raise ParseError(f"field 'sharing[{j}]' has type {type(b).__name__}", location=location)
     effort = _parse_effort(_expect(doc, "effort", dict, location),
                            f"{location}.effort")
     try:
-        return DataSourceSpec(sid, feature, effort,
-                              tuple(str(b) for b in sharing))
+        return DataSourceSpec(sid, feature, effort, tuple(sharing))
     except (DomainError, TypeError, ValueError) as exc:
         raise ParseError(str(exc), location=location) from exc
 
@@ -264,7 +267,7 @@ def scenario_to_dict(scenario: MarketScenario) -> dict:
                 "effort": _effort_to_dict(s.effort_model),
                 "sharing": list(s.sharing),
             }
-            for s in sorted(scenario.sources, key=lambda s: s.id)
+            for s in scenario.sources
         ],
         "aggregators": [
             {
@@ -276,7 +279,7 @@ def scenario_to_dict(scenario: MarketScenario) -> dict:
                 "zeta": {j: a.zeta[j] for j in sorted(a.zeta)},
                 "eta": a.payment_scale,
             }
-            for a in sorted(scenario.aggregators, key=lambda a: a.id)
+            for a in scenario.aggregators
         ],
     }
     if scenario.mode == MODE_DIRECT:
@@ -381,12 +384,12 @@ def _attempt(spec: GenerationSpec, rng) -> MarketScenario:
     bids = [f"b{k + 1:03d}" for k in range(spec.n_aggregators)]
     features = _latin_features(rng, spec.n_sources, spec.dimension)
     sharing = _draw_sharing(spec, rng, sids, bids)
-    datasets = {bid: [sid for sid in sids if bid in sharing[sid]] for bid in bids}
     membership = np.array([[bid in sharing[sid] for bid in bids] for sid in sids])
+    pair_source, pair_aggregator, aggregator_pairs, members = _pair_index(membership)
 
     aggregators = []
     for k, bid in enumerate(bids):
-        points = features[membership[:, k]]
+        points = features[members[k]]
         n_atoms = int(rng.integers(1, 4))
         atoms = []
         weights = rng.dirichlet(np.ones(n_atoms))
@@ -407,14 +410,16 @@ def _attempt(spec: GenerationSpec, rng) -> MarketScenario:
         direct_beta = {(sid, bid): float(rng.uniform(0.5, 2.0))
                        for sid in sids for bid in sharing[sid]}
         beta = np.array(list(direct_beta.values()))  # sharing-pair order
+        datasets = [[sids[i] for i in rows.tolist()] for rows in members]
         direct_xi = {
             bid: {(i, l): 1.0 if i == l else float(rng.uniform(0.0, spec.coupling_scale))
-                  for i in datasets[bid] for l in datasets[bid]}
-            for bid in bids}
+                  for i in ds for l in ds}
+            for bid, ds in zip(bids, datasets)}
     else:
         # relevance is pure geometry, derivable before any effort family exists
-        beta = _relevance(features, membership, aggregators)
-    gamma_total = dict(zip(sids, _net_demand(beta, membership, aggregators)[1].tolist()))
+        beta = _relevance(features, aggregator_pairs, members, aggregators)
+    gamma_total = dict(zip(sids, _net_demand(beta, membership, pair_source, pair_aggregator,
+                                             aggregators)[1].tolist()))
     if min(gamma_total.values()) <= 0:
         raise DomainError("competition cancelled some source's demand")  # retried
 

@@ -31,7 +31,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .effort import EffortMap
 from .equilibrium import EquilibriumResult
 from .errors import DomainError
 from .estimators import leave_one_out_weights, prediction_weights, trial_stream
@@ -71,65 +70,58 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
     if scenario.mode != MODE_ESTIMATOR:
         raise DomainError("round simulation needs estimator-derived scenarios "
                           "(direct mode has no regression geometry)")
-    sids, bids = scenario.source_ids, scenario.aggregator_ids
+    sids, bids, aggregators = scenario.source_ids, scenario.aggregator_ids, scenario.aggregators
     pairs = scenario.sharing_pairs()
     a, _, c, efforts, _, _ = result.arrays(pairs, sids)
-    features = np.array([scenario.sources_by_id[sid].feature for sid in sids], dtype=float)
-    membership = scenario.membership
-    members = {bid: np.flatnonzero(membership[:, b]) for b, bid in enumerate(bids)}
-    _, pair_aggregator = np.nonzero(membership)
-    rows = {bid: np.flatnonzero(pair_aggregator == b) for b, bid in enumerate(bids)}
-    queries = {bid: scenario.aggregators_by_id[bid].query_dist for bid in bids}
-    loo = {bid: leave_one_out_weights(features[members[bid]], aggregator=bid,
-                                      sources=np.array(sids)[members[bid]])
-           for bid in bids}
+    features, members, rows = scenario.features, scenario.members, scenario.aggregator_pairs
+    loo = [leave_one_out_weights(features[members[b]], aggregator=bid,
+                                 sources=scenario.dataset(bid)) for b, bid in enumerate(bids)]
     # fit[(b, j)]: j's fit evaluated at b's query atoms, for b itself and its
     # rivals; each dataset j is fitted once, at the atoms of every b reading it
     fit = {}
-    for other in bids:
-        readers = [bid for bid in bids if bid == other
-                   or scenario.aggregators_by_id[bid].zeta.get(other, 0.0) != 0.0]
-        atoms = [queries[bid].points() for bid in readers]
-        weights = prediction_weights(features[members[other]], np.vstack(atoms))
+    for j, other in enumerate(bids):
+        readers = [b for b, agg in enumerate(aggregators)
+                   if b == j or agg.zeta.get(other, 0.0) != 0.0]
+        atoms = [aggregators[b].query_dist.points() for b in readers]
+        weights = prediction_weights(features[members[j]], np.vstack(atoms))
         ends = np.cumsum([len(points) for points in atoms])[:-1]
-        fit.update(((bid, other), columns.T) for bid, columns
+        fit.update(((b, j), columns.T) for b, columns
                    in zip(readers, np.split(weights, ends, axis=1)))
-    probs = {bid: queries[bid].weights() for bid in bids}
+    probs = [agg.query_dist.weights() for agg in aggregators]
     with np.errstate(over="ignore", invalid="ignore"):  # checked per round below
-        truth_at_atoms = {bid: np.array([scenario.ground_truth(p) for p in q.points()])
-                          for bid, q in queries.items()}
+        truth_at_atoms = [np.array([scenario.ground_truth(p) for p in agg.query_dist.points()])
+                          for agg in aggregators]
         truth_at_sources = np.array([scenario.ground_truth(point) for point in features])
-    sigma = EffortMap([scenario.sources_by_id[sid].effort_model for sid in sids]).sigma(efforts)
+    sigma = scenario.effort_map.sigma(efforts)
 
-    def atom_error(bid: str, fitted: np.ndarray) -> np.ndarray:
+    def atom_error(b: int, fitted: np.ndarray) -> np.ndarray:
         # one dot per round, probabilities first, as a round played alone
-        return (probs[bid] @ ((fitted - truth_at_atoms[bid]) ** 2)[:, :, None])[:, 0]
+        return (probs[b] @ ((fitted - truth_at_atoms[b]) ** 2)[:, :, None])[:, 0]
 
-    def responses(y: np.ndarray, bid: str) -> np.ndarray:
+    def responses(y: np.ndarray, j: int) -> np.ndarray:
         # np.take's copy is C-contiguous; y[:, members] is strided, and
         # OpenBLAS's strided gemv moves results by an ulp
-        return np.take(y, members[bid], axis=1)
+        return np.take(y, members[j], axis=1)
 
-    def settle(bid: str, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    def settle(b: int, y: np.ndarray) -> tuple[np.ndarray, ...]:
         """(payments over b's pairs, estimates at b's atoms, b's loss) of
         each round of block y."""
-        agg = scenario.aggregators_by_id[bid]
-        own = responses(y, bid)
-        fitted = _per_round(fit[(bid, bid)], own)
-        loss = atom_error(bid, fitted)
-        for other, weight in agg.zeta.items():
+        own = responses(y, b)
+        fitted = _per_round(fit[(b, b)], own)
+        loss = atom_error(b, fitted)
+        for other, weight in aggregators[b].zeta.items():
             if weight != 0.0:
-                loss -= weight * atom_error(bid, _per_round(fit[(bid, other)],
-                                                            responses(y, other)))
+                j = bids.index(other)
+                loss -= weight * atom_error(b, _per_round(fit[(b, j)], responses(y, j)))
         # in place, so that a block holds at most two (rounds x k) arrays here:
         # `own` becomes the gap to the leave-one-out prediction, then
         # a * gap * gap (one product commuted), then the payment
-        own -= _per_round(loo[bid], own)
-        own *= a[rows[bid]] * own
-        paid = np.subtract(c[rows[bid]], own, out=own)
+        own -= _per_round(loo[b], own)
+        own *= a[rows[b]] * own
+        paid = np.subtract(c[rows[b]], own, out=own)
         # a running sum adds in pair order, as Python's sum over one round
         # does; a sum over the axis may add pairwise
-        loss += agg.payment_scale * paid.cumsum(axis=1)[:, -1]
+        loss += aggregators[b].payment_scale * paid.cumsum(axis=1)[:, -1]
         return paid, fitted, loss
 
     def play(seed: int, indices: Sequence[int]) -> Iterator[MarketRound]:
@@ -140,7 +132,7 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
             for r, index in enumerate(indices):
                 y[r] = truth_at_sources + sigma * trial_stream(seed, index).normal(size=len(sids))
             for b, bid in enumerate(bids):
-                payments[:, rows[bid]], estimates[bid], losses[:, b] = settle(bid, y)
+                payments[:, rows[b]], estimates[bid], losses[:, b] = settle(b, y)
         finite = np.logical_and.reduce([np.isfinite(values).all(axis=1) for values
                                         in (y, payments, losses, *estimates.values())])
         if not finite.all():
@@ -193,7 +185,7 @@ def payment_statistics(scenario: MarketScenario, result: EquilibriumResult,
     that expected compensation equals effort at the canonical contract."""
     if n_rounds < 2:
         raise DomainError("payment statistics need at least 2 rounds")
-    owner = np.nonzero(scenario.membership)[0]  # source of each payment of a round
+    owner = scenario.pair_source  # source of each payment of a round
     # Welford's update: no cancellation when the mean dwarfs the spread
     mean = np.zeros(len(scenario.source_ids))
     m2 = np.zeros(len(scenario.source_ids))

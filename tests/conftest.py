@@ -23,6 +23,20 @@ from datamarket.market import (
 OLS = EstimatorSpec("ols_with_intercept")
 
 
+def by_id(items):
+    """{id: item} of a scenario's sources or aggregators: the tests' own
+    lookup, built from the primitives rather than the package's index."""
+    return {item.id: item for item in items}
+
+
+def dataset_points(scenario, bid):
+    """|D_b| x d feature points of the sources selling to aggregator bid, in
+    id order, read from each source's own sharing set."""
+    points = [s.feature for s in sorted(scenario.sources, key=lambda s: s.id)
+              if bid in s.sharing]
+    return np.array(points, dtype=float).reshape(-1, len(scenario.ground_truth.coefficients))
+
+
 def make_symmetric_direct(xi_offdiag=0.5, beta_value=1.0, e_max=None,
                           sigma0=1.0, lam=0.5):
     """Two sources, two aggregators, full sharing, direct-mode parameters.

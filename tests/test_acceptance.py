@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OLS, make_line_scenario, make_symmetric_direct
+from conftest import OLS, by_id, make_line_scenario, make_symmetric_direct
 
 from datamarket.effort import (
     EffortSet,
@@ -202,7 +202,7 @@ def test_c03_certification():
         pair = params.pairs[k % len(params.pairs)]
         corrupted[pair] += 0.1 if k % 2 == 0 else -0.1
         totals = {sid: sum(corrupted[(sid, bid)]
-                           for bid in params.scenario.sources_by_id[sid].sharing)
+                           for bid in by_id(params.scenario.sources)[sid].sharing)
                   for sid in params.scenario.source_ids}
         bad = AParameters(a=corrupted, a_total=totals)
         from dataclasses import replace
@@ -225,7 +225,7 @@ def test_c04_participation_binding():
         if result.status != STATUS_UNIQUE:
             continue
         for sid in params.scenario.source_ids:
-            sharing = params.scenario.sources_by_id[sid].sharing
+            sharing = by_id(params.scenario.sources)[sid].sharing
             expected = sum(result.canonical_c[(sid, bid)]
                            - result.polytope[sid].floors[bid] for bid in sharing)
             assert abs(expected - result.efforts[sid]) <= 1e-9

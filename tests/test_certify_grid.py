@@ -11,7 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_xi, make_line_scenario, make_random_direct, make_symmetric_direct
+from conftest import (
+    by_id,
+    dense_xi,
+    make_line_scenario,
+    make_random_direct,
+    make_symmetric_direct,
+)
 
 from datamarket.effort import CustomVariance, EffortVarianceModel, effort_response, variance_at
 from datamarket.equilibrium import (
@@ -36,7 +42,8 @@ DEFAULT_GRID = np.linspace(-0.5, 0.5, 11)
 
 def _a_total(params, a):
     """Per-source sums of an id-keyed quality-weight table."""
-    return {sid: sum(a[(sid, bid)] for bid in params.scenario.sources_by_id[sid].sharing)
+    sources = by_id(params.scenario.sources)
+    return {sid: sum(a[(sid, bid)] for bid in sources[sid].sharing)
             for sid in params.scenario.source_ids}
 
 
@@ -79,7 +86,7 @@ def reduced_loss_terms(params, bid, a):
     for i in params.scenario.dataset(bid):
         terms.append(params.gamma[params.pairs.index((i, bid))] * variances[i])
         terms.append(efforts[i])
-        for j in params.scenario.sources_by_id[i].sharing:
+        for j in by_id(params.scenario.sources)[i].sharing:
             if j == bid:
                 continue
             terms.extend(a[(i, j)] * float(xi[column[j], position[i], position[l]])

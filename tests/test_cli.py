@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_line_scenario, make_symmetric_direct
+from conftest import by_id, make_line_scenario, make_symmetric_direct
 
 from datamarket.cli import cli
 from datamarket.effort import _CLOSED_FORMS, EffortSet, exponential_model
@@ -365,7 +365,7 @@ class TestBadInput:
         assert cli(["solve", str(path), "--output", str(result)]) == 0
         doc = json.loads(result.read_text())
         sid = next(s for s, p in doc["polytope"].items() if p["dimension"] == 0)
-        lower = scenario.sources_by_id[sid].effort_model.incentive_bounds.a_lower
+        lower = by_id(scenario.sources)[sid].effort_model.incentive_bounds.a_lower
         total = doc["a_total"][sid]
         moved = total + 0.5 * (total - lower) if direction == "above" else 0.5 * lower
         doc["a_total"][sid] = moved

@@ -9,7 +9,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import OLS, by_pair, make_line_scenario, make_random_direct, make_symmetric_direct
+from conftest import (
+    OLS,
+    by_id,
+    by_pair,
+    dataset_points,
+    make_line_scenario,
+    make_random_direct,
+    make_symmetric_direct,
+)
 
 from datamarket.effort import EffortSet, EffortVarianceModel, effort_response
 from datamarket.errors import DomainError
@@ -44,11 +52,11 @@ from datamarket.scenario import (
 # ---------------------------------------------------------------------------
 
 def reference_beta(scenario):
-    beta = {}
+    beta, aggregators = {}, by_id(scenario.aggregators)
     for bid in scenario.aggregator_ids:
         ds = scenario.dataset(bid)
-        agg = scenario.aggregators_by_id[bid]
-        h = ols_coefficients(scenario.dataset_points(bid), agg.query_dist)
+        agg = aggregators[bid]
+        h = ols_coefficients(dataset_points(scenario, bid), agg.query_dist)
         for sid, value in zip(ds, h):
             beta[(sid, bid)] = float(value)
     return beta
@@ -56,11 +64,12 @@ def reference_beta(scenario):
 
 def reference_gamma(scenario, beta):
     gamma, gamma_total = {}, {}
+    sources, aggregators = by_id(scenario.sources), by_id(scenario.aggregators)
     for sid in scenario.source_ids:
-        src = scenario.sources_by_id[sid]
+        src = sources[sid]
         total = 0.0
         for bid in src.sharing:
-            agg = scenario.aggregators_by_id[bid]
+            agg = aggregators[bid]
             rival_benefit = sum(agg.zeta.get(j, 0.0) * beta[(sid, j)]
                                 for j in src.sharing if j != bid)
             value = (beta[(sid, bid)] - rival_benefit) / agg.payment_scale
@@ -78,8 +87,9 @@ def reference_report(scenario, gamma, gamma_total):
         violations.append(Violation(
             "mixed-effort-kinds", "sources",
             "all effort sets must share one kind (all bounded or all unbounded)"))
+    sources, aggregators = by_id(scenario.sources), by_id(scenario.aggregators)
     for bid in scenario.aggregator_ids:
-        agg = scenario.aggregators_by_id[bid]
+        agg = aggregators[bid]
         if agg.payment_scale != 1.0:
             notes.append(f"aggregator {bid}: payment scale {agg.payment_scale} "
                          "normalized to 1 (demand rescaled accordingly)")
@@ -89,7 +99,7 @@ def reference_report(scenario, gamma, gamma_total):
                 "nonpositive-demand", f"({sid}, {bid})",
                 f"net demand {value} must be positive"))
     for sid in scenario.source_ids:
-        model = scenario.sources_by_id[sid].effort_model
+        model = sources[sid].effort_model
         bounds = model.incentive_bounds
         total = gamma_total[sid]
         if total < bounds.a_lower:

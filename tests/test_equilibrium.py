@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    by_id,
     count_assemblies,
     count_products,
     lu_answer,
@@ -277,7 +278,7 @@ class TestCanonicalC:
         result = solve_unbounded(params)
         assert result.status == STATUS_UNIQUE
         for sid in params.scenario.source_ids:
-            sharing = params.scenario.sources_by_id[sid].sharing
+            sharing = by_id(params.scenario.sources)[sid].sharing
             expected_payment = sum(
                 result.canonical_c[(sid, bid)] - result.polytope[sid].floors[bid]
                 for bid in sharing)

@@ -20,7 +20,23 @@ from datamarket.market import (
     derive_xi,
     validate_scenario,
 )
-from datamarket.results import xi_csv
+from datamarket import market
+from datamarket.equilibrium import certify_equilibrium, solve_bounded, solve_unbounded
+from datamarket.results import (
+    beta_csv,
+    gamma_csv,
+    result_from_json,
+    result_to_json,
+    xi_csv,
+    xi_matrix_csv,
+)
+from datamarket.scenario import (
+    GenerationSpec,
+    generate_scenario,
+    parse_scenario,
+    serialize_scenario,
+)
+from datamarket.simulate import iter_rounds, payment_statistics
 
 
 def two_point_scenario(query):
@@ -305,8 +321,9 @@ class TestLookupsFilledAtConstruction:
     def test_reads_add_no_instance_keys(self):
         scenario = make_line_scenario(n_aggregators=2)
         keys = set(vars(scenario))
-        for name in ("source_ids", "aggregator_ids", "sources_by_id",
-                     "aggregators_by_id", "_datasets", "_sharing_pairs"):
+        for name in ("source_ids", "aggregator_ids", "membership", "pair_source",
+                     "pair_aggregator", "aggregator_pairs", "members", "features",
+                     "effort_map", "_sharing_pairs", "dimension"):
             getattr(scenario, name)
         scenario.dataset("b1")
         scenario.sharing_pairs()
@@ -315,6 +332,7 @@ class TestLookupsFilledAtConstruction:
         params = derive_parameters(make_line_scenario(n_aggregators=2))
         keys = set(vars(params))
         params.aggregator_pairs
+        params.effort_model("s1")
         assert set(vars(params)) == keys
 
     def test_membership_is_a_field_filled_at_construction(self):
@@ -333,3 +351,55 @@ class TestLookupsFilledAtConstruction:
         assert params.effort_kind == "unbounded"
         bounded = derive_parameters(make_symmetric_direct(e_max=1.0))
         assert bounded.effort_kind == "bounded"
+
+
+def _pipeline_texts(scenario):
+    """Every deterministic text of one market: document, validation summary,
+    derived CSVs, result JSON and certificate."""
+    params = derive_parameters(scenario)
+    solve = solve_bounded if params.effort_kind == "bounded" else solve_unbounded
+    result = result_from_json(result_to_json(solve(params)))
+    return [serialize_scenario(scenario), validate_scenario(scenario).summary(),
+            beta_csv(params), gamma_csv(params), xi_csv(params), xi_matrix_csv(params),
+            result_to_json(result), certify_equilibrium(result, params).summary()]
+
+
+class TestIndexBuiltOnce:
+    """MarketScenario indexes the market once, in id order, and every reader
+    holds the scenario's own index and effort map."""
+
+    @pytest.mark.parametrize("spec", [
+        GenerationSpec(12, 3, family="mixed", sharing_density=0.7),
+        GenerationSpec(12, 3, family="mixed", bounded=True),
+        GenerationSpec(5, 3, mode="direct", sharing_density=0.7),
+    ], ids=["unbounded", "bounded", "direct"])
+    def test_input_order_does_not_matter(self, spec):
+        scenario = generate_scenario(spec, 0)
+        reversed_ = MarketScenario(scenario.sources[::-1], scenario.aggregators[::-1],
+                                   scenario.ground_truth, mode=scenario.mode,
+                                   direct_beta=scenario.direct_beta,
+                                   direct_xi=scenario.direct_xi)
+        assert [s.id for s in reversed_.sources] == sorted(s.id for s in scenario.sources)
+        assert [b.id for b in reversed_.aggregators] == sorted(
+            b.id for b in scenario.aggregators)
+        assert _pipeline_texts(reversed_) == _pipeline_texts(scenario)
+
+    def test_every_reader_holds_the_scenario_index(self, monkeypatch):
+        built, pair_index = [], market._pair_index
+        monkeypatch.setattr(market, "_pair_index",
+                            lambda membership: built.append(1) or pair_index(membership))
+        text = serialize_scenario(generate_scenario(GenerationSpec(10, 3, family="mixed"), 0))
+        built.clear()
+        params = derive_parameters(parse_scenario(text))
+        result = solve_unbounded(params)
+        assert certify_equilibrium(result, params).passed
+        assert len(list(iter_rounds(params.scenario, result, 3, seed=1))) == 3
+        payment_statistics(params.scenario, result, 2, seed=1)
+        assert built == [1]
+        scenario = params.scenario
+        for name in ("pair_source", "pair_aggregator", "aggregator_pairs", "effort_map"):
+            assert getattr(params, name) is getattr(scenario, name), name
+        assert not scenario.features.flags.writeable
+        assert not any(array.flags.writeable for array in (
+            scenario.pair_source, scenario.pair_aggregator, *scenario.aggregator_pairs,
+            *scenario.members))

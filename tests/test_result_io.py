@@ -94,6 +94,15 @@ def test_cast_values_are_refused(path, value):
         result_from_json(_corrupted(TEXTS["solved"], path, value)[0])
 
 
+@pytest.mark.parametrize("kind", ["solved", "bounded"])
+@pytest.mark.parametrize("field, value", [("iterations", -7), ("spectral_radius", -5.0)])
+def test_negative_diagnostics_are_refused(kind, field, value):
+    text = _corrupted(TEXTS[kind], ("diagnostics", field), value)[0]
+    with pytest.raises(ParseError, match=rf"^result\.diagnostics: field '{field}' must be "
+                                         "nonnegative$"):
+        result_from_json(text)
+
+
 def test_unsolved_residual_beyond_the_float_range_is_refused():
     text = _corrupted(TEXTS["unsolved"], ("diagnostics", "max_residual"), 10**400)[0]
     with pytest.raises(ParseError, match="max_residual"):

@@ -274,23 +274,46 @@ def _mutants(text):
             yield path, value, json.dumps(doc).replace(json.dumps(BIG_LITERAL), "1E400")
 
 
+#: Aggregator ids that str() makes of the sweep's True and 0: with the
+#: market's aggregators renamed to them, a sharing entry cast to a string
+#: names an existing aggregator and parses.
+LOOKALIKE_IDS = {'"b001"': '"True"', '"b002"': '"0"'}
+
+
 class TestMutationSweep:
+    @pytest.mark.parametrize("lookalikes", [False, True], ids=["plain-ids", "lookalike-ids"])
     @pytest.mark.parametrize("mode", [MODE_ESTIMATOR, MODE_DIRECT])
     @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
-    def test_mutants_parse_and_round_trip_or_raise_parse_error(self, mode, bounded):
+    def test_mutants_parse_and_round_trip_or_raise_parse_error(self, mode, bounded,
+                                                               lookalikes):
         text = serialize_scenario(generate_scenario(GenerationSpec(
             4, 2, family="mixed", bounded=bounded, mode=mode, sharing_density=0.7), 0))
+        for old, new in LOOKALIKE_IDS.items() if lookalikes else ():
+            text = text.replace(old, new)
         failures = []
         for path, value, mutant in _mutants(text):
             try:
                 canonical = serialize_scenario(parse_scenario(mutant))
                 if serialize_scenario(parse_scenario(canonical)) != canonical:
                     failures.append((path, value, "round trip differs"))
+                if path[-2:-1] == ("sharing",) and not isinstance(value, str):
+                    failures.append((path, value, "non-string aggregator id accepted"))
             except ParseError:
                 pass
             except Exception as exc:  # any other escape is what the sweep looks for
                 failures.append((path, value, repr(exc)))
         assert not failures, failures[:5]
+
+
+    @pytest.mark.parametrize("entry", [1, True, 1.0, None])
+    def test_non_string_sharing_entry_is_refused(self, entry):
+        # an aggregator named str(entry) exists, so only the type check refuses it
+        text = serialize_scenario(generate_scenario(GenerationSpec(4, 2), 0))
+        doc = json.loads(text.replace('"b001"', json.dumps(str(entry))))
+        doc["sources"][0]["sharing"][0] = entry
+        with pytest.raises(ParseError, match=rf"^sources\[0\]: field 'sharing\[0\]' has type "
+                                             rf"{type(entry).__name__}$"):
+            parse_scenario(json.dumps(doc))
 
 
 class TestGeneration:

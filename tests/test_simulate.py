@@ -10,7 +10,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from conftest import make_line_scenario
+from conftest import by_id, dataset_points, make_line_scenario
 
 from datamarket import simulate
 from datamarket.equilibrium import solve_unbounded
@@ -39,40 +39,40 @@ def _fit_weights(points, queries):
 def reference_round(scenario, result, seed, index):
     """(responses, payments, estimates, losses) of one round, every
     leave-one-out prediction from its own fit."""
+    sources, aggregators = by_id(scenario.sources), by_id(scenario.aggregators)
     rng = trial_stream(seed, index)
     noise = rng.normal(size=len(scenario.source_ids))
-    responses = {sid: scenario.ground_truth(scenario.sources_by_id[sid].feature)
-                 + scenario.sources_by_id[sid].effort_model.sigma(result.efforts[sid])
+    responses = {sid: scenario.ground_truth(sources[sid].feature)
+                 + sources[sid].effort_model.sigma(result.efforts[sid])
                  * float(eps)
                  for sid, eps in zip(scenario.source_ids, noise)}
 
     def error_at_atoms(bid, weights, y):
-        query = scenario.aggregators_by_id[bid].query_dist
+        query = aggregators[bid].query_dist
         truth = np.array([scenario.ground_truth(p) for p in query.points()])
         return float(query.weights() @ (weights @ y - truth) ** 2)
 
     payments, estimates, own_error, y_by_agg = {}, {}, {}, {}
     for bid in scenario.aggregator_ids:
         ds = scenario.dataset(bid)
-        points = scenario.dataset_points(bid)
+        points = dataset_points(scenario, bid)
         y = y_by_agg[bid] = np.array([responses[sid] for sid in ds])
-        atom_weights = _fit_weights(points, scenario.aggregators_by_id[bid]
-                                    .query_dist.points())
+        atom_weights = _fit_weights(points, aggregators[bid].query_dist.points())
         estimates[bid] = tuple(float(v) for v in atom_weights @ y)
         own_error[bid] = error_at_atoms(bid, atom_weights, y)
         for pos, sid in enumerate(ds):
             loo = _fit_weights(np.delete(points, pos, axis=0),
-                               np.array([scenario.sources_by_id[sid].feature]))[0]
+                               np.array([sources[sid].feature]))[0]
             gap = responses[sid] - float(loo @ np.delete(y, pos))
             payments[(sid, bid)] = (result.canonical_c[(sid, bid)]
                                     - result.a.a[(sid, bid)] * gap * gap)
     losses = {}
     for bid in scenario.aggregator_ids:
-        agg = scenario.aggregators_by_id[bid]
+        agg = aggregators[bid]
         value = own_error[bid]
         for other, weight in agg.zeta.items():
             if weight != 0.0:
-                rival = _fit_weights(scenario.dataset_points(other),
+                rival = _fit_weights(dataset_points(scenario, other),
                                      agg.query_dist.points())
                 value -= weight * error_at_atoms(bid, rival, y_by_agg[other])
         value += agg.payment_scale * sum(payments[(sid, bid)]
@@ -143,7 +143,7 @@ class TestSingleRound:
         quiet = replace(result, efforts={s: 60.0 for s in result.efforts})
         round_ = simulate_round(scenario, quiet, seed=1)
         for sid in scenario.source_ids:
-            truth = scenario.ground_truth(scenario.sources_by_id[sid].feature)
+            truth = scenario.ground_truth(by_id(scenario.sources)[sid].feature)
             assert round_.responses[sid] == pytest.approx(truth, abs=1e-12)
         for pair, payment in round_.payments.items():
             assert payment == pytest.approx(result.canonical_c[pair], abs=1e-12)
@@ -171,10 +171,10 @@ class TestSingleRound:
         from datamarket.estimators import design_matrix
         for bid in scenario.aggregator_ids:
             ds = scenario.dataset(bid)
-            X = design_matrix(scenario.dataset_points(bid))
+            X = design_matrix(dataset_points(scenario, bid))
             y = np.array([round_.responses[s] for s in ds])
             coef = np.linalg.solve(X.T @ X, X.T @ y)
-            atoms = scenario.aggregators_by_id[bid].query_dist.points()
+            atoms = by_id(scenario.aggregators)[bid].query_dist.points()
             expected = design_matrix(atoms) @ coef
             np.testing.assert_allclose(round_.estimates[bid], expected, atol=1e-10)
 
@@ -226,10 +226,11 @@ class TestBatches:
         n = 200
         stats = payment_statistics(scenario, shifted, n_rounds=n, seed=5)
         totals = {sid: [] for sid in scenario.source_ids}
+        sources = by_id(scenario.sources)
         for round_ in iter_rounds(scenario, shifted, n, seed=5):
             for sid in scenario.source_ids:
                 totals[sid].append(sum(round_.payments[(sid, bid)]
-                                       for bid in scenario.sources_by_id[sid].sharing))
+                                       for bid in sources[sid].sharing))
         for sid, values in totals.items():
             expected = np.std(values, ddof=1) / np.sqrt(n)
             assert abs(stats.se_total[sid] - expected) <= 1e-9 * expected

@@ -13,7 +13,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_line_scenario, make_random_direct, make_symmetric_direct, xi_tables
+from conftest import (
+    by_id,
+    make_line_scenario,
+    make_random_direct,
+    make_symmetric_direct,
+    xi_tables,
+)
 
 from datamarket.effort import CustomVariance, EffortSet, EffortVarianceModel, effort_response
 from datamarket.equilibrium import (
@@ -39,7 +45,8 @@ def _branch(params, xi, a, sid, bid):
     negative demands floored at zero; xi holds the id-keyed tables.  Returns
     (target, branch label)."""
     bounds = params.effort_model(sid).incentive_bounds
-    sharing = params.scenario.sources_by_id[sid].sharing
+    sources = by_id(params.scenario.sources)
+    sharing = sources[sid].sharing
     rivals_same_source = sum(a[(sid, j)] for j in sharing if j != bid)
     coupling = 0.0
     for j in sharing:
@@ -48,7 +55,7 @@ def _branch(params, xi, a, sid, bid):
         for l in params.scenario.dataset(j):
             if l == sid:
                 continue
-            if bid not in params.scenario.sources_by_id[l].sharing:
+            if bid not in sources[l].sharing:
                 continue
             coupling += a[(l, j)] * xi[j][(l, sid)]
     interior = params.gamma[params.pairs.index((sid, bid))] + coupling

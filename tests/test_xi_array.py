@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     OLS,
+    by_id,
     by_pair,
     dense_xi,
     lu_answer,
@@ -63,7 +64,7 @@ from datamarket.welfare import efficiency_predicate, price_of_anarchy
 
 def reference_xi(scenario):
     """{b: {(i, l): xi}} from one OLS fit per left-out source."""
-    xi = {}
+    xi, sources = {}, by_id(scenario.sources)
     for bid in scenario.aggregator_ids:
         ds = scenario.dataset(bid)
         table = {}
@@ -72,9 +73,9 @@ def reference_xi(scenario):
             others = [sid for sid in ds if sid != i]
             if not others:
                 continue
-            pts = np.array([scenario.sources_by_id[sid].feature for sid in others])
+            pts = np.array([sources[sid].feature for sid in others])
             try:
-                h = ols_coefficients(pts, point_mass(scenario.sources_by_id[i].feature))
+                h = ols_coefficients(pts, point_mass(sources[i].feature))
             except IllDefinedEstimatorError as exc:
                 raise IllDefinedPaymentError(str(exc), aggregator=bid, source=i) from exc
             for l, value in zip(others, h):
@@ -87,15 +88,15 @@ def reference_xi_matrix(scenario, xi):
     """The double loop over pairs, fed id-keyed tables."""
     pairs = scenario.sharing_pairs()
     index = {pair: k for k, pair in enumerate(pairs)}
-    matrix = np.zeros((len(pairs), len(pairs)))
+    matrix, sources = np.zeros((len(pairs), len(pairs))), by_id(scenario.sources)
     for (s, b), row in index.items():
-        sharing_s = scenario.sources_by_id[s].sharing
+        sharing_s = sources[s].sharing
         for (l, j), col in index.items():
             if j == b or l == s:
                 continue
             if j not in sharing_s:
                 continue
-            if b not in scenario.sources_by_id[l].sharing:
+            if b not in sources[l].sharing:
                 continue
             matrix[row, col] = xi[j][(l, s)]
     return matrix
@@ -317,7 +318,7 @@ def loo_designs(draw):
 def test_leave_one_out_weights_match_per_source_fits(points):
     scenario = _line_market(points, {"b1": list(range(len(points)))})
     ids = scenario.source_ids
-    features = np.array([scenario.sources_by_id[sid].feature for sid in ids])
+    features = np.array([by_id(scenario.sources)[sid].feature for sid in ids])
     try:
         reference = reference_xi(scenario)["b1"]
     except IllDefinedPaymentError as expected:
