@@ -4,7 +4,7 @@ Subcommands:
 
   validate    <scenario>                    check well-posedness, exit 1 on violations
   derive      <scenario> [--output DIR]     emit beta/xi/gamma tables and the coupling matrix
-  solve       <scenario> [solver flags]     solve for the equilibrium, emit the result JSON
+  solve       <scenario> [--output FILE]    solve for the equilibrium, emit the result JSON
   certify     <scenario> <result>           independently verify a solved result
   welfare     <scenario> <result>           social cost, optimal efforts, price of anarchy
   sweep-alpha <scenario> --alphas A,B,...   rescaled-coupling sweep (CSV)
@@ -72,10 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve for the equilibrium")
     p.add_argument("scenario", type=Path)
-    p.add_argument("--bounded-damping", type=float, default=0.5,
-                   help="damping for the bounded best-response iteration")
-    p.add_argument("--max-iter", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--output", type=Path, default=None,
                    help="result JSON path (default: stdout)")
 
@@ -207,11 +203,7 @@ def _cmd_derive(args) -> int:
 def _cmd_solve(args) -> int:
     scenario = _load_scenario(args.scenario)
     params = derive_parameters(scenario)
-    if params.effort_kind == "bounded":
-        result = solve_bounded(params, damping=args.bounded_damping,
-                               max_iter=args.max_iter, tol=args.tol)
-    else:
-        result = solve_unbounded(params)
+    result = (solve_bounded if params.effort_kind == "bounded" else solve_unbounded)(params)
     _emit(result_to_json(result), args.output)
     _info(_result_summary(result))
     if result.status == STATUS_NONE:

@@ -54,6 +54,17 @@ BOUNDARY_SLACK = 1e-9
 STATIONARITY_TOL = 1e-8
 IMPROVEMENT_TOL = 1e-9
 
+#: The contract rule shared by polytope_membership and the certificate's
+#: participation-binding check: the largest tolerated constant-term residual.
+CONTRACT_TOL = 1e-9
+
+#: The bounded solver's step: the damping that every reference pins.
+BOUNDED_DAMPING = 0.5
+#: Its sweep budget: only a stalled iteration reaches it.
+BOUNDED_MAX_ITER = 100_000
+#: Its stop: two orders below STATIONARITY_TOL, so its answers certify.
+BOUNDED_TOL = 1e-10
+
 #: The Krylov solve stops once its least-squares residual for the largest
 #: alpha (see _solve_coupled) is at most KRYLOV_STOP times float eps.
 KRYLOV_STOP = 1.0
@@ -284,21 +295,18 @@ def canonical_c(a: AParameters, params: DerivedParameters) -> IdTable:
     return IdTable(params.pairs, c)
 
 
-def polytope_membership(c, a: AParameters, params: DerivedParameters,
-                        tol: float = 1e-9):
+def polytope_membership(c, a: AParameters, params: DerivedParameters):
     """Check whether a candidate c table lies in the equilibrium polytope of
-    the given quality weights.  Returns (member, violations, dimensions); a
-    NaN fails both tests.  Weights or a c table of another market raise
-    ParseError, a negative or non-finite tol DomainError."""
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"polytope tolerance must be finite and nonnegative, got {tol}")
+    the given quality weights, within CONTRACT_TOL.  Returns (member,
+    violations, dimensions); a NaN fails both tests.  Weights or a c table
+    of another market raise ParseError."""
     sids = params.scenario.source_ids
     efforts, floors, _ = _contract(params, _aligned(a.a, params.pairs, "a"),
                                    _aligned(a.a_total, sids, "a_total"))
     c = _aligned(c, params.pairs, "c")
     totals = np.bincount(params.pair_source, weights=c)  # added in pair order
     expected = _polytope_rows(params, efforts, floors)[:, 1]
-    off_sum, below = ~(np.abs(totals - expected) <= tol), ~(c >= floors - tol)
+    off_sum, below = ~(np.abs(totals - expected) <= CONTRACT_TOL), ~(c >= floors - CONTRACT_TOL)
     violations: list[str] = []
     for k in np.flatnonzero(below | off_sum[params.pair_source]).tolist():
         (sid, bid), s = params.pairs[k], params.pair_source[k]
@@ -490,35 +498,30 @@ def branch_profile(params: DerivedParameters,
     return {pair: _BRANCHES[k] for pair, k in zip(params.pairs, branches.tolist())}
 
 
-def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
-                  max_iter: int = 100_000, tol: float = 1e-10) -> EquilibriumResult:
+def solve_bounded(params: DerivedParameters) -> EquilibriumResult:
     """Damped sequential best responses for bounded effort sets.
 
     Aggregators update in id order (Gauss-Seidel: later updates see earlier
-    ones), each coordinate moving a `damping` fraction toward its
+    ones), each coordinate moving a BOUNDED_DAMPING fraction toward its
     best-response target.  One aggregator's coordinates update together, as
     one vector step: the target of (s, b) reads a[(s, j)] and a[(l, j)] only
     for j != b, so this gives the coordinate-by-coordinate iterates up to
     summation order.  Its coupling is params.coupling's terms, kept between
-    steps: after b moves only term b (b's pairs alone) is recomputed.
-    Deterministic for fixed options.  Exhausting max_iter raises
-    NonConvergenceError carrying the last iterate; existence is guaranteed,
-    so non-convergence is a solver limitation, never a nonexistence claim.
+    steps: after b moves only term b (b's pairs alone) is recomputed.  It
+    stops once a sweep moves no coordinate by BOUNDED_TOL; the constants fix
+    which point of a saturated source's set of equilibria it returns.
+    Exhausting BOUNDED_MAX_ITER sweeps raises NonConvergenceError carrying
+    the last iterate; existence is guaranteed, so non-convergence is a
+    solver limitation, never a nonexistence claim.
     """
     params.require_valid()
     if params.effort_kind != "bounded":
         raise DomainError("solve_bounded requires all effort sets bounded")
-    if not (0.0 < damping <= 1.0):
-        raise DomainError(f"damping must lie in (0, 1], got {damping}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
-    if not (0.0 < tol < math.inf):
-        raise DomainError(f"tol must be positive and finite, got {tol}")
     lower, upper = params.a_lower[params.pair_source], params.a_upper[params.pair_source]
     a = params.gamma.copy()  # start from the decoupled demands
     sums = [params.coupling.term(b, a) for b in range(len(params.xi))]
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, BOUNDED_MAX_ITER + 1):
         residual = 0.0
         for b, blk in enumerate(params.aggregator_pairs):
             interior = params.gamma[blk] + params.coupling.scatter(sums)[blk]
@@ -528,15 +531,15 @@ def solve_bounded(params: DerivedParameters, *, damping: float = 0.5,
                                lower[blk], upper[blk])
             delta = target - own
             residual = max(residual, float(np.abs(delta).max(initial=0.0)))
-            a[blk] += damping * delta
+            a[blk] += BOUNDED_DAMPING * delta
             sums[b] = params.coupling.term(b, a)  # term b reads b's own pairs only
-        if residual < tol:
+        if residual < BOUNDED_TOL:
             diag = SolveDiagnostics(spectral_radius=params.spectral_radius,
                                     iterations=iterations, max_residual=residual)
             return _finish(params, a, STATUS_BOUNDED, diag)
     raise NonConvergenceError(
-        f"best-response iteration did not reach tol={tol} within "
-        f"{max_iter} sweeps (existence is guaranteed; consider more damping)",
+        f"best-response iteration did not settle below {BOUNDED_TOL:.0e} within "
+        f"{BOUNDED_MAX_ITER} sweeps (an equilibrium exists: a solver limitation)",
         last_iterate=IdTable(params.pairs, a), residual=residual, iterations=iterations)
 
 
@@ -611,15 +614,15 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
     """Independent verification of a solved equilibrium.
 
     (i) analytic stationarity and the existence bound (unbounded effort
-    sets) or best-response branch consistency (bounded), chosen by the
-    market's effort sets; a document status other than that solver's fails
-    the first check; (ii) no single-coordinate feasible deviation on a
-    symmetric grid of `grid_points` points over [-grid_radius, grid_radius]
-    improves any aggregator's reduced loss; (iii) the document's constant
-    terms bind participation and keep payments nonnegative, and its efforts,
-    totals and polytope are those its quality weights imply.  It reads the xi
-    blocks, never Xi.  A result whose tables are not keyed by this
-    scenario's pairs and sources raises ParseError.
+    sets) or best-response branch consistency and the radius bracket
+    (bounded), chosen by the market's effort sets; a document status other
+    than that solver's fails the first check; (ii) no single-coordinate
+    feasible deviation on a symmetric grid of `grid_points` points over
+    [-grid_radius, grid_radius] improves any aggregator's reduced loss;
+    (iii) the document's constant terms bind participation and keep payments
+    nonnegative, and its efforts, totals and polytope are those its quality
+    weights imply.  It reads the xi blocks, never Xi.  A result whose tables
+    are not keyed by this scenario's pairs and sources raises ParseError.
     """
     if not result.solved or result.a is None:
         raise DomainError("certification requires a solved equilibrium")
@@ -630,6 +633,13 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
         params.pairs, params.scenario.source_ids)
     a_sum = np.bincount(params.pair_source, weights=a_vec)
     weights, coupled = _variance_weights(params, a_vec)
+    # Xi >= 0, a >= 0: lo, the least ratio (Xi a)_i / a_i over a_i > 0, and h, the
+    # largest (inf at a_i <= 0 or NaN), bracket rho(Xi); only unbounded sets need h < 1
+    ratios = np.divide(coupled, a_vec, out=np.full_like(a_vec, math.inf), where=a_vec > 0)
+    lo, h, rho = float(ratios.min()), float(ratios.max()), result.diagnostics.spectral_radius
+    in_bracket = lo - RADIUS_TOL <= rho <= h + RADIUS_TOL
+    bracket = (f"Collatz-Wielandt bracket [{lo:.6e}, {h:.6e}] for spectral radius {rho:.6e} "
+               f"(margin {RADIUS_TOL:.0e})")
     checks: list[CheckResult] = []
     # the market's effort sets, not the document's status, choose the checks;
     # a status that is not the market's fails the first one
@@ -644,22 +654,18 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
         checks.append(CheckResult(
             "stationarity", residual < STATIONARITY_TOL and not relabelled,
             f"fixed-point residual {residual:.3e} (tol {STATIONARITY_TOL:.1e})" + relabelled))
-        # Xi >= 0 and a > 0: the ratios (Xi a)_i / a_i bracket rho(Xi) in [lo, h],
-        # and h < 1 proves a unique solution a*, with |a - a*|_a <= |r|_a / (1 - h)
-        # for |v|_a = max_i |v_i| / a_i; a_i <= 0 (or NaN) gives inf, and fails
-        ratios, errors = (np.divide(v, a_vec, out=np.full_like(a_vec, math.inf),
-                                    where=a_vec > 0) for v in (coupled, np.abs(gap)))
-        lo, h, rho = float(ratios.min()), float(ratios.max()), result.diagnostics.spectral_radius
+        # h < 1 proves a unique a*, |a - a*|_a <= |r|_a / (1 - h), |v|_a = max_i |v_i| / a_i
+        errors = np.divide(np.abs(gap), a_vec, out=np.full_like(a_vec, math.inf), where=a_vec > 0)
         bound = float(errors.max()) / (1.0 - h) if h < 1.0 else math.inf
         checks.append(CheckResult(
-            "existence-bound", h < 1.0 and lo - RADIUS_TOL <= rho <= h + RADIUS_TOL,
-            f"Collatz-Wielandt bracket [{lo:.6e}, {h:.6e}] for spectral radius {rho:.6e} "
-            f"(margin {RADIUS_TOL:.0e}), error bound |r|_a / (1 - h) {bound:.3e}"))
+            "existence-bound", h < 1.0 and in_bracket,
+            f"{bracket}, error bound |r|_a / (1 - h) {bound:.3e}"))
     else:
         worst = float(np.abs(a_vec - _targets(params, a_vec, weights)[0]).max(initial=0.0))
         checks.append(CheckResult(
             "branch-consistency", worst < STATIONARITY_TOL and not relabelled,
             f"best-response residual {worst:.3e} (tol {STATIONARITY_TOL:.1e})" + relabelled))
+        checks.append(CheckResult("radius-bracket", in_bracket, bracket))
 
     # scaled after spacing, so the centre point is exactly 0 and skipped
     grid = grid_radius * np.linspace(-1.0, 1.0, grid_points)
@@ -683,7 +689,7 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
     payments_ok = bool(np.all(surplus >= -1e-12))
     checks.append(CheckResult(
         "participation-binding",
-        bool(np.max([worst_binding, worst_effort, worst_total, worst_polytope]) < 1e-9)
+        bool(np.max([worst_binding, worst_effort, worst_total, worst_polytope]) < CONTRACT_TOL)
         and payments_ok,
         f"payment-vs-effort residual {worst_binding:.3e}, "
         f"effort-vs-total residual {worst_effort:.3e}, "

@@ -77,7 +77,7 @@ class NumericalFailureError(SolverError):
 
 class NonConvergenceError(SolverError):
     """Iteration budget exhausted.  Not a nonexistence claim: carries the last
-    iterate and residual so the caller can inspect or restart."""
+    iterate, its residual and the sweep count for inspection."""
 
     def __init__(self, message: str, *, last_iterate=None, residual: float = float("nan"),
                  iterations: int = 0):

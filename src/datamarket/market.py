@@ -579,9 +579,9 @@ def validate_scenario(scenario: MarketScenario) -> ValidationReport:
 
 
 def _effort_kind(scenario: MarketScenario) -> str:
-    """The sources' one effort-set kind, or "mixed"."""
-    kinds = {s.effort_model.effort_set.kind for s in scenario.sources}
-    return kinds.pop() if len(kinds) == 1 else "mixed"
+    """The sources' one effort-set kind, or "mixed" (e_max is finite exactly on bounded sets)."""
+    bounded = np.isfinite(scenario.effort_map.e_max)
+    return "bounded" if bounded.all() else "mixed" if bounded.any() else "unbounded"
 
 
 def _validation_report(scenario: MarketScenario, demand: tuple | None = None,

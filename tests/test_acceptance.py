@@ -278,7 +278,7 @@ def test_c06_bounded_solver():
             sharing_density=1.0 if k % 3 else 0.8)
         scenario = generate_scenario(spec, seed=6000 + k)
         params = derive_parameters(scenario)
-        result = solve_bounded(params, max_iter=100_000, tol=1e-10)
+        result = solve_bounded(params)
         assert result.status == "converged_bounded"
         assert best_response_residual(params, result.a.a) < 1e-8
         profile = branch_profile(params, result.a.a)

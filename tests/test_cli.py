@@ -61,11 +61,15 @@ class TestSolve:
         assert doc["status"] == "converged_bounded"
         assert doc["a_total"]["s1"] == pytest.approx(3.0, abs=1e-8)
 
-    def test_unreachable_tolerance_exit_one(self, tmp_path):
+    @pytest.mark.parametrize("flag, value", [("--tol", "1e-10"), ("--max-iter", "100000"),
+                                             ("--bounded-damping", "0.5")])
+    def test_solver_options_are_usage_errors(self, tmp_path, flag, value):
+        # the bounded solver's damping, budget and stop are constants: a
+        # market has one answer, whatever the command line
         path = tmp_path / "bounded.json"
         path.write_text(serialize_scenario(
             make_symmetric_direct(e_max=math.log(3.0))))
-        assert cli(["solve", str(path), "--tol", "0"]) == 1
+        assert cli(["solve", str(path), flag, value]) == 3
 
 
 class TestValidate:
@@ -181,6 +185,19 @@ class TestCertifyAndWelfare:
         corrupted = tmp_path / "corrupted.json"
         corrupted.write_text(json.dumps(doc))
         assert cli(["certify", str(scenario), str(corrupted)]) == 2
+
+    def test_certify_bounded_radius_out_of_bracket_exit_two(self, tmp_path, capsys):
+        scenario, out = tmp_path / "scenario.json", tmp_path / "result.json"
+        scenario.write_text(serialize_scenario(generate_scenario(
+            GenerationSpec(24, 3, family="mixed", bounded=True), 0)))
+        assert cli(["solve", str(scenario), "--output", str(out)]) == 0
+        assert cli(["certify", str(scenario), str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["diagnostics"]["spectral_radius"] = 1e6
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli(["certify", str(scenario), str(out)]) == 2
+        assert "[FAIL] radius-bracket" in capsys.readouterr().out
 
     @pytest.mark.parametrize("spec, seed, status", [
         (GenerationSpec(24, 3, family="mixed"), 0, "converged_bounded"),

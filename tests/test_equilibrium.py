@@ -337,15 +337,6 @@ class TestCanonicalC:
             f"pair ({pair[0]}, {pair[1]}): constant term nan below floor "
             f"{result.polytope[pair[0]].floors[pair[1]]}")
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
-    def test_membership_refuses_a_bad_tolerance(self, symmetric_direct, tol):
-        params = derive_parameters(symmetric_direct)
-        result = solve_unbounded(params)
-        shifted = dict(result.canonical_c)
-        shifted[("s1", "b1")] += 5.0
-        with pytest.raises(DomainError, match="tolerance"):
-            polytope_membership(shifted, result.a, params, tol=tol)
-
     def test_single_aggregator_polytope_is_a_point(self):
         params = derive_parameters(make_line_scenario(n_aggregators=1))
         result = solve_unbounded(params)
@@ -735,8 +726,8 @@ class TestSolveBounded:
 
     def test_deterministic_iterates(self):
         params = derive_parameters(make_symmetric_direct(e_max=math.log(3.0)))
-        r1 = solve_bounded(params, damping=0.4, tol=1e-10)
-        r2 = solve_bounded(params, damping=0.4, tol=1e-10)
+        r1 = solve_bounded(params)
+        r2 = solve_bounded(params)
         assert r1.a.a == r2.a.a
         assert r1.diagnostics == r2.diagnostics
 
@@ -747,23 +738,15 @@ class TestSolveBounded:
         assert result.status == STATUS_BOUNDED
         for sid in ("s1", "s2"):
             assert result.a.a_total[sid] <= 3.0 + 1e-8
+        # the radius bracket asks no h < 1 of a bounded result
+        assert result.diagnostics.spectral_radius == pytest.approx(1.4)
+        report = certify_equilibrium(result, params)
+        assert report.passed, report.summary()
 
     def test_refuses_unbounded_sets(self, symmetric_direct):
         params = derive_parameters(symmetric_direct)
         with pytest.raises(DomainError):
             solve_bounded(params)
-
-    def test_bad_damping(self):
-        params = derive_parameters(make_symmetric_direct(e_max=1.0))
-        with pytest.raises(DomainError):
-            solve_bounded(params, damping=0.0)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
-    def test_unreachable_tolerance(self, tol):
-        # no sweep can meet such a tol: all max_iter sweeps would run
-        params = derive_parameters(make_symmetric_direct(e_max=math.log(3.0)))
-        with pytest.raises(DomainError, match="tol must be positive and finite"):
-            solve_bounded(params, tol=tol)
 
 
 class TestCertification:
@@ -807,11 +790,25 @@ class TestCertification:
         assert [c.name for c in failed] == ["existence-bound"]
         assert "bracket [7.655196e-02, 7.531417e-01]" in failed[0].detail
 
+    @pytest.mark.parametrize("radius", [1e6, 0.01])
+    def test_bounded_fails_on_a_radius_outside_its_bracket(self, radius):
+        # bounded equilibria exist at any coupling, so h may pass 1, but rho
+        # = 0.2266 must still lie in the bracket [0.0737, 0.750] of its own a
+        params = derive_parameters(generate_scenario(
+            GenerationSpec(24, 3, family="mixed", bounded=True), 0))
+        doc = json.loads(result_to_json(solve_bounded(params)))
+        assert certify_equilibrium(result_from_json(json.dumps(doc)), params).passed
+        doc["diagnostics"]["spectral_radius"] = radius
+        report = certify_equilibrium(result_from_json(json.dumps(doc)), params)
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["radius-bracket"]
+        assert "bracket [7.371640e-02, 7.503181e-01]" in failed[0].detail
+
     @pytest.mark.parametrize("spec, seed, status, failing", [
         (GenerationSpec(24, 3, family="mixed"), 0, STATUS_BOUNDED,
          ["stationarity", "existence-bound"]),
         (GenerationSpec(48, 4, family="mixed", bounded=True), 3, STATUS_UNIQUE,
-         ["branch-consistency"]),
+         ["branch-consistency", "radius-bracket"]),
     ], ids=["unbounded-as-bounded", "bounded-as-unbounded"])
     def test_fails_on_a_status_not_the_markets(self, spec, seed, status, failing):
         # the market's effort sets choose the checks, so a relabelled answer

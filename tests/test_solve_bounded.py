@@ -21,6 +21,7 @@ from conftest import (
     xi_tables,
 )
 
+from datamarket import equilibrium
 from datamarket.effort import CustomVariance, EffortSet, EffortVarianceModel, effort_response
 from datamarket.equilibrium import (
     _best_responses,
@@ -166,22 +167,24 @@ def test_markets_cover_clamped_and_interior_equilibria():
 
 
 @pytest.mark.parametrize("damping", [0.3, 1.0])
-def test_matches_reference_at_other_damping(damping):
+def test_matches_reference_at_other_damping(damping, monkeypatch):
     params = derive_parameters(MARKETS["estimator-partial"]())
     reference, sweeps, _ = gauss_seidel_reference(params, damping=damping)
-    result = solve_bounded(params, damping=damping)
+    monkeypatch.setattr(equilibrium, "BOUNDED_DAMPING", damping)
+    result = solve_bounded(params)
     assert result.diagnostics.iterations == sweeps
     assert_close(result.a.a, reference)
 
 
 @pytest.mark.parametrize("market", ["estimator-partial", "custom-family",
                                     "symmetric-clamped", "c06-14"])
-def test_exhausted_budget_carries_reference_iterate(market):
+def test_exhausted_budget_carries_reference_iterate(market, monkeypatch):
     params = derive_parameters(MARKETS[market]())
     reference, sweeps, residual = gauss_seidel_reference(params, max_iter=3)
     assert sweeps is None
+    monkeypatch.setattr(equilibrium, "BOUNDED_MAX_ITER", 3)
     with pytest.raises(NonConvergenceError) as info:
-        solve_bounded(params, max_iter=3)
+        solve_bounded(params)
     assert info.value.iterations == 3
     assert abs(info.value.residual - residual) <= REL_TOL * residual
     assert_close(info.value.last_iterate, reference)
