@@ -75,11 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", type=Path, default=None,
                    help="result JSON path (default: stdout)")
 
-    p = sub.add_parser("certify", help="verify a solved result")
+    p = sub.add_parser("certify", help="verify a solved result; its grid follows its weights")
     p.add_argument("scenario", type=Path)
     p.add_argument("result", type=Path)
-    p.add_argument("--grid-radius", type=float, default=0.5)
-    p.add_argument("--grid-points", type=int, default=11)
 
     p = sub.add_parser("welfare", help="social cost and price of anarchy")
     p.add_argument("scenario", type=Path)
@@ -218,8 +216,7 @@ def _cmd_certify(args) -> int:
     if not result.solved:
         _info("result has no solved equilibrium to certify")
         return EXIT_SOLVER
-    report = certify_equilibrium(result, params, grid_radius=args.grid_radius,
-                                 grid_points=args.grid_points)
+    report = certify_equilibrium(result, params)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_SOLVER
 
@@ -253,7 +250,7 @@ def _cmd_sweep_alpha(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
-    derive_parameters(scenario)  # refuses an invalid market, as certify and welfare do
+    validate_scenario(scenario).require_ok()  # refuses an invalid market, as certify and welfare do
     result = _load_result(args.result)
     rounds = iter_rounds(scenario, result, args.rounds, args.seed)
     _emit(reports.rounds_csv(scenario, rounds), args.output)

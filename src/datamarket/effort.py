@@ -338,12 +338,11 @@ class EffortMap:
         return self._each(np.asarray(efforts, dtype=float), index, "sigma",
                           EffortVarianceModel.sigma)
 
-    def efforts(self, a_total, index=None, *, clamp: bool = False,
-                slack: float = 0.0) -> np.ndarray:
-        """Efforts induced by totals a_total (see effort_response).  Totals
-        within slack * max(1, a_lower) outside an incentive bound snap onto
-        it; clamp (the bounded solver's projection) projects all onto
-        [a_lower, a_upper].  Then the first total out of range raises."""
+    def _snap(self, a_total, index, clamp: bool, slack: float):
+        """(totals, in range, a_lower, a_upper) over `index`: totals within
+        slack * max(1, a_lower) outside an incentive bound snapped onto it,
+        or, with clamp (the bounded solver's projection), all projected onto
+        [a_lower, a_upper]; in range where then positive, finite and inside."""
         values = np.array(a_total, dtype=float, ndmin=1)
         at = slice(None) if index is None else np.asarray(index)
         lower, upper = self.a_lower[at], self.a_upper[at]
@@ -352,15 +351,29 @@ class EffortMap:
         values = np.where((upper < values) & (values <= upper + margin), upper, values)
         if clamp:
             values = np.minimum(np.maximum(values, lower), upper)
-        bad = ~(np.isfinite(values) & (values > 0)) | (values < lower) | (values > upper)
-        if bad.any():
-            k = int(np.argmax(bad))
+        ok = np.isfinite(values) & (values > 0) & (values >= lower) & (values <= upper)
+        return values, ok, lower, upper
+
+    def in_range(self, a_total, index=None, *, clamp: bool = False,
+                 slack: float = 0.0) -> np.ndarray:
+        """Whether efforts() evaluates each total (False where it raises)."""
+        return self._snap(a_total, index, clamp, slack)[1]
+
+    def efforts(self, a_total, index=None, *, clamp: bool = False,
+                slack: float = 0.0) -> np.ndarray:
+        """Efforts induced by totals a_total (see effort_response).  Totals
+        within slack * max(1, a_lower) outside an incentive bound snap onto
+        it; clamp (the bounded solver's projection) projects all onto
+        [a_lower, a_upper].  Then the first total out of range raises."""
+        values, ok, lower, upper = self._snap(a_total, index, clamp, slack)
+        if not ok.all():
+            k = int(np.argmin(ok))
             _raise_out_of_range(float(values[k]), float(lower[k]), float(upper[k]))
         efforts = self._each(values, index, "effort", _solve_foc)
         # guard round-off at the ends of the range: a tiny negative at
         # a_total == a_lower, an overshoot past e_max at a_total == a_upper
         efforts[(-1e-15 < efforts) & (efforts < 0.0)] = 0.0
-        return np.minimum(efforts, self.e_max[at])
+        return np.minimum(efforts, self.e_max if index is None else self.e_max[index])
 
 
 def _raise_out_of_range(a_total: float, a_lower: float, a_upper: float):

@@ -53,6 +53,8 @@ BOUNDARY_SLACK = 1e-9
 #: the largest tolerated improvement of a grid deviation.
 STATIONARITY_TOL = 1e-8
 IMPROVEMENT_TOL = 1e-9
+#: Grid steps per unit of a source's least positive weight: |t| <= 0.5 keeps weights >= 0.
+GRID_STEPS = (-0.5, -0.4, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 #: The contract rule shared by polytope_membership and the certificate's
 #: participation-binding check: the largest tolerated constant-term residual.
@@ -253,6 +255,19 @@ def _efforts_and_variances(params: DerivedParameters, a_total: np.ndarray,
                                         clamp=params.effort_kind == "bounded")
     sigmas = params.effort_map.sigma(efforts, index)
     return efforts, sigmas * sigmas
+
+
+def _efforts_in_range(params: DerivedParameters, a_total: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(efforts, variances, in range) of every source at totals a_total,
+    evaluated only where a total is in its incentive range (see
+    _efforts_and_variances) and NaN elsewhere, where that would raise."""
+    in_range = params.effort_map.in_range(a_total, slack=BOUNDARY_SLACK,
+                                          clamp=params.effort_kind == "bounded")
+    efforts, variances = np.full((2, len(a_total)), math.nan)
+    at = np.flatnonzero(in_range)
+    efforts[at], variances[at] = _efforts_and_variances(params, a_total[at], at)
+    return efforts, variances, in_range
 
 
 def payment_floors(params: DerivedParameters, a: np.ndarray,
@@ -566,72 +581,76 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray, grid,
-                          weights: np.ndarray) -> tuple[float, str]:
-    """Largest improvement of any aggregator's reduced loss over the feasible
-    single-coordinate deviations on the grid, and where it occurs ("" when no
-    deviation improves).
+def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray,
+                          weights: np.ndarray, efforts: np.ndarray,
+                          variances: np.ndarray) -> tuple[float, np.ndarray, str]:
+    """Largest improvement of any aggregator's reduced loss over the scored
+    single-coordinate deviations, which were scored (pairs in visiting order
+    by GRID_STEPS), and where the largest occurs ("" when none improves).
 
-    The reduced loss of aggregator b (own estimation loss, plus payment
-    obligations created by rivals' contracts, plus the efforts it helps
-    compensate) is linear in the variances and efforts.  Deviating a[(s, b)]
-    by delta moves only a_total[s], hence only e_s and sigma_s^2, whose
-    coefficient in b's loss is the variance weight w_b[s] (`weights`).  So
-    the deviation improves b's loss by -(w_b[s] * (change in sigma_s^2) +
-    (change in e_s)).  Efforts are evaluated once per (source, delta) in the
-    source's incentive range, as one array.  Feasibility and the loss are
-    both judged on the totals of `a_vec`.  The first of equal improvements
-    is reported, visiting aggregators in id order, each one's sources in id
-    order, then the grid in order.
+    Source s steps by t * a_min[s], t in GRID_STEPS, a_min[s] its least
+    positive weight; none without one, or with NaN `efforts` (a total out of
+    range).  A step is scored where the total stays in the incentive range
+    and the weight nonnegative.  The reduced loss of aggregator b (own
+    estimation loss, plus payment obligations created by rivals' contracts,
+    plus the efforts it helps compensate) is linear in the variances and
+    efforts.  Deviating a[(s, b)] by delta moves only a_total[s], hence only
+    e_s and sigma_s^2, whose coefficient in b's loss is the variance weight
+    w_b[s] (`weights`), so it improves b's loss by -(w_b[s] * (change in
+    sigma_s^2) + (change in e_s)).  Efforts are evaluated once per (source,
+    step) in range, as one array.  The first of equal improvements is
+    reported, visiting aggregators, then their sources, in id order, then
+    the steps in order.
     """
-    grid = np.asarray(grid, dtype=float)
     order = np.argsort(params.pair_aggregator, kind="stable")
     source = params.pair_source[order]
     totals = np.bincount(params.pair_source, weights=a_vec)
-    shifted = totals[:, None] + grid
-    in_range = ((grid != 0.0) & (shifted >= params.a_lower[:, None])
-                & (shifted <= params.a_upper[:, None]))  # a_upper is inf if unbounded
-    base_efforts, base_variances = _efforts_and_variances(params, totals)
-    efforts = np.repeat(base_efforts[:, None], len(grid), axis=1)
-    variances = np.repeat(base_variances[:, None], len(grid), axis=1)
+    a_min = np.full(len(totals), math.nan)  # fmin skips NaN: stays NaN with no positive weight
+    np.fmin.at(a_min, params.pair_source, np.where(a_vec > 0, a_vec, math.nan))
+    deltas = a_min[:, None] * np.array(GRID_STEPS)
+    shifted = totals[:, None] + deltas
+    in_range = ((shifted >= params.a_lower[:, None]) & (shifted <= params.a_upper[:, None])
+                & ~np.isnan(efforts)[:, None])  # a_upper is inf if unbounded
+    grid_efforts = np.repeat(efforts[:, None], len(GRID_STEPS), axis=1)
+    grid_variances = np.repeat(variances[:, None], len(GRID_STEPS), axis=1)
     at, steps = np.nonzero(in_range)
-    efforts[at, steps], variances[at, steps] = _efforts_and_variances(
+    grid_efforts[at, steps], grid_variances[at, steps] = _efforts_and_variances(
         params, shifted[at, steps], at)
-    feasible = in_range[source] & (a_vec[order, None] + grid >= 0)
-    improvement = -(weights[order, None] * (variances[source] - base_variances[source, None])
-                    + (efforts[source] - base_efforts[source, None]))
-    improvement = np.where(feasible & (improvement > 0.0), improvement, 0.0)
+    scored = in_range[source] & (a_vec[order, None] + deltas[source] >= 0)
+    improvement = -(weights[order, None] * (grid_variances[source] - variances[source, None])
+                    + (grid_efforts[source] - efforts[source, None]))
+    improvement = np.where(scored & (improvement > 0.0), improvement, 0.0)
     worst = float(improvement.max(initial=0.0))
     if worst == 0.0:
-        return 0.0, ""
-    best = int(np.argmax(improvement))  # the first maximum, in visiting order
-    sid, bid = params.pairs[order[best // len(grid)]]
-    return worst, f"aggregator {bid}, pair ({sid}, {bid}), delta {grid[best % len(grid)]:+.3f}"
+        return 0.0, scored, ""
+    best, step = divmod(int(np.argmax(improvement)), len(GRID_STEPS))  # the first maximum
+    (sid, bid), s = params.pairs[order[best]], source[best]
+    return worst, scored, (f"aggregator {bid}, pair ({sid}, {bid}), delta {deltas[s, step]:+.3e} "
+                           f"({GRID_STEPS[step]:+.1f} x a_min {a_min[s]:.3e})")
 
 
-def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
-                        grid_radius: float = 0.5, grid_points: int = 11) -> CertificateReport:
+def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters) -> CertificateReport:
     """Independent verification of a solved equilibrium.
 
     (i) analytic stationarity and the existence bound (unbounded effort
     sets) or best-response branch consistency and the radius bracket
     (bounded), chosen by the market's effort sets; a document status other
-    than that solver's fails the first check; (ii) no single-coordinate
-    feasible deviation on a symmetric grid of `grid_points` points over
-    [-grid_radius, grid_radius] improves any aggregator's reduced loss;
+    than that solver's fails the first check; (ii) no scored deviation of
+    one weight by GRID_STEPS times its source's least positive weight
+    improves any aggregator's reduced loss (see _worst_grid_deviation);
     (iii) the document's constant terms bind participation and keep payments
     nonnegative, and its efforts, totals and polytope are those its quality
-    weights imply.  It reads the xi blocks, never Xi.  A result whose tables
-    are not keyed by this scenario's pairs and sources raises ParseError.
+    weights imply; a sum of its weights out of its source's incentive range
+    fails (iii), naming the first such source, and no efforts are evaluated
+    there.  It reads the xi blocks, never Xi.  A result whose tables are not
+    keyed by this scenario's pairs and sources raises ParseError.
     """
     if not result.solved or result.a is None:
         raise DomainError("certification requires a solved equilibrium")
-    if grid_points < 1 or not (0.0 < grid_radius < math.inf):
-        raise DomainError(f"the grid needs grid_points >= 1 and a positive finite "
-                          f"grid_radius, got {grid_points} and {grid_radius}")
     a_vec, totals, claimed_c, claimed, claimed_floors, claimed_sources = result.arrays(
         params.pairs, params.scenario.source_ids)
     a_sum = np.bincount(params.pair_source, weights=a_vec)
+    efforts, variances, in_range = _efforts_in_range(params, a_sum)
     weights, coupled = _variance_weights(params, a_vec)
     # Xi >= 0, a >= 0: lo, the least ratio (Xi a)_i / a_i over a_i > 0, and h, the
     # largest (inf at a_i <= 0 or NaN), bracket rho(Xi); only unbounded sets need h < 1
@@ -667,17 +686,15 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
             f"best-response residual {worst:.3e} (tol {STATIONARITY_TOL:.1e})" + relabelled))
         checks.append(CheckResult("radius-bracket", in_bracket, bracket))
 
-    # scaled after spacing, so the centre point is exactly 0 and skipped
-    grid = grid_radius * np.linspace(-1.0, 1.0, grid_points)
-    worst_improvement, worst_at = _worst_grid_deviation(params, a_vec, grid, weights)
+    gain, scored, gain_at = _worst_grid_deviation(params, a_vec, weights, efforts, variances)
     checks.append(CheckResult(
-        "best-response-grid", worst_improvement <= IMPROVEMENT_TOL,
-        f"largest grid improvement {worst_improvement:.3e}"
-        + (f" at {worst_at}" if worst_at else "")))
+        "best-response-grid", gain <= IMPROVEMENT_TOL,
+        f"largest grid improvement {gain:.3e} over {scored.sum()} scored deviations"
+        + (f" at {gain_at}" if gain_at else "")))
 
     # the document's c, efforts, totals and polytope, against values
     # recomputed from its quality weights; NaN anywhere fails the check
-    efforts, floors, _ = _contract(params, a_vec, a_sum)
+    floors = payment_floors(params, a_vec, variances)
     surplus = claimed_c - floors
     worst_binding = float(np.abs(np.bincount(params.pair_source, weights=surplus)
                                  - claimed).max())
@@ -687,15 +704,21 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters, *,
         np.abs(claimed_floors - floors).max(),
         np.abs(claimed_sources - _polytope_rows(params, efforts, floors)).max()))
     payments_ok = bool(np.all(surplus >= -1e-12))
+    out_of_range = ""
+    if not in_range.all():
+        k = int(np.argmin(in_range))
+        out_of_range = (f", source {params.scenario.source_ids[k]}: total {float(a_sum[k])!r} "
+                        f"outside its incentive range [{float(params.a_lower[k])!r}, "
+                        f"{float(params.a_upper[k])!r}]")
     checks.append(CheckResult(
         "participation-binding",
         bool(np.max([worst_binding, worst_effort, worst_total, worst_polytope]) < CONTRACT_TOL)
-        and payments_ok,
+        and payments_ok and bool(in_range.all()),
         f"payment-vs-effort residual {worst_binding:.3e}, "
         f"effort-vs-total residual {worst_effort:.3e}, "
         f"total-vs-a residual {worst_total:.3e}, "
         f"polytope residual {worst_polytope:.3e}, "
-        f"nonnegative payments: {payments_ok}"))
+        f"nonnegative payments: {payments_ok}" + out_of_range))
 
     return CertificateReport(all(c.passed for c in checks), tuple(checks))
 

@@ -122,21 +122,19 @@ def prediction_weights(points, queries) -> np.ndarray:
     return X @ np.linalg.solve(gram, design_matrix(queries).T)
 
 
-def leave_one_out_weights(points, *, aggregator: str, sources) -> np.ndarray:
-    """W[i, l]: the weight that the OLS fit on every point but i places on
-    point l's response when it predicts at point i (W[i, i] = 0).
+def leave_one_out_grams(points, *, aggregator: str, sources) -> tuple[np.ndarray, np.ndarray]:
+    """(X, G): the design rows of `points` and the Grams of their
+    leave-one-out fits, G_i = sum_{l != i} x_l x_l^T (none for one point).
 
-    Each leave-one-out Gram G_i = sum_{l != i} x_l x_l^T is a running sum of
-    the rows' outer products before i plus one of those after i: still a sum
-    over the other rows, never the downdate G - x_i x_i^T, so its rank test
-    is that of a separate fit.  The first rank-deficient one raises
-    IllDefinedPaymentError naming the aggregator and the source id (from
-    `sources`) of the point left out.  Then one batched solve gives
-    z_i = G_i^{-1} x_i, and W[i, l] = z_i . x_l is one (k x p)(p x k) product."""
+    Each G_i is a running sum of the rows' outer products before i plus one
+    of those after i: still a sum over the other rows, never the downdate
+    G - x_i x_i^T, so its rank test is that of a separate fit.  The first
+    rank-deficient one raises IllDefinedPaymentError naming the aggregator
+    and the source id (from `sources`) of the point left out."""
     X = design_matrix(points)
     k, p = X.shape
     if k == 1:
-        return np.zeros((1, 1))  # no other point to predict from
+        return X, np.zeros((0, p, p))  # no fit without the one point
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram fails the rank test
         outer = X[:, :, None] * X[:, None, :]               # (k, p, p): x_l x_l^T
         grams = np.zeros((k, p, p))
@@ -151,6 +149,19 @@ def leave_one_out_weights(points, *, aggregator: str, sources) -> np.ndarray:
             f"{source!r} is rank deficient ({k - 1} points for {p} parameters, Gram "
             f"condition {cond:.3e}, limit {CONDITION_LIMIT:.0e})",
             aggregator=aggregator, source=source)
+    return X, grams
+
+
+def leave_one_out_weights(points, *, aggregator: str, sources) -> np.ndarray:
+    """W[i, l]: the weight that the OLS fit on every point but i places on
+    point l's response when it predicts at point i (W[i, i] = 0).
+
+    The Grams G_i and their rank test are leave_one_out_grams's.  Then one
+    batched solve gives z_i = G_i^{-1} x_i, and W[i, l] = z_i . x_l is one
+    (k x p)(p x k) product."""
+    X, grams = leave_one_out_grams(points, aggregator=aggregator, sources=sources)
+    if len(X) == 1:
+        return np.zeros((1, 1))  # no other point to predict from
     weights = np.linalg.solve(grams, X[:, :, None])[:, :, 0] @ X.T
     np.fill_diagonal(weights, 0.0)
     return weights

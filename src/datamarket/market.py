@@ -40,6 +40,7 @@ from .estimators import (
     FeaturePoint,
     QueryDistribution,
     as_feature_point,
+    leave_one_out_grams,
     leave_one_out_weights,
     ols_coefficients,
 )
@@ -550,19 +551,32 @@ class ValidationReport:
         lines += [f"  note: {n}" for n in self.notes]
         return "\n".join(lines)
 
+    def require_ok(self) -> None:
+        """Raise ScenarioValidationError listing the violations, if any."""
+        if not self.ok:
+            raise ScenarioValidationError("scenario failed validation:\n" + self.summary(),
+                                          violations=self.violations)
+
+
+def _beta(scenario: MarketScenario) -> np.ndarray:
+    """beta: derived in estimator mode, copied in direct mode."""
+    if scenario.mode == MODE_ESTIMATOR:
+        return derive_beta(scenario)
+    return np.array([scenario.direct_beta[p] for p in scenario.sharing_pairs()])
+
 
 def _derive_tables(scenario: MarketScenario):
     """(beta, xi): derived in estimator mode; in direct mode copied, each
     id-keyed xi table read into its block (diagonal 0, as derive_xi's)."""
+    beta = _beta(scenario)
     if scenario.mode == MODE_ESTIMATOR:
-        return derive_beta(scenario), derive_xi(scenario)
+        return beta, derive_xi(scenario)
     blocks = []
     for bid in scenario.aggregator_ids:
         ds, table = scenario.dataset(bid), scenario.direct_xi[bid]
         blocks.append(np.array([[table[i, l] if i != l else 0.0 for l in ds] for i in ds],
                                dtype=float).reshape(len(ds), len(ds)))
-    return (np.array([scenario.direct_beta[p] for p in scenario.sharing_pairs()]),
-            _read_only(blocks))
+    return beta, _read_only(blocks)
 
 
 def validate_scenario(scenario: MarketScenario) -> ValidationReport:
@@ -570,9 +584,14 @@ def validate_scenario(scenario: MarketScenario) -> ValidationReport:
 
     Returns a structured report; nothing is raised so callers can decide
     whether to proceed, but solvers refuse scenarios whose report is not ok.
+    It runs derive_xi's rank tests, in derive_xi's order, without its blocks.
     """
     try:
-        beta, _ = _derive_tables(scenario)
+        beta = _beta(scenario)
+        if scenario.mode == MODE_ESTIMATOR:
+            for bid, members in zip(scenario.aggregator_ids, scenario.members):
+                leave_one_out_grams(scenario.features[members], aggregator=bid,
+                                    sources=scenario.dataset(bid))
     except IllDefinedEstimatorError as exc:
         return _validation_report(scenario, ill_defined=str(exc))
     return _validation_report(scenario, derive_gamma(scenario, beta))
@@ -703,10 +722,7 @@ class DerivedParameters:
         return max(float(block.max(initial=0.0)) for block in self.xi)
 
     def require_valid(self) -> None:
-        if not self.validation.ok:
-            raise ScenarioValidationError(
-                "scenario failed validation:\n" + self.validation.summary(),
-                violations=self.validation.violations)
+        self.validation.require_ok()
 
 
 def derive_parameters(scenario: MarketScenario, *,

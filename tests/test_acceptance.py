@@ -196,7 +196,7 @@ def test_c03_certification():
     assert len(cases) >= 10
 
     for k, (params, result) in enumerate(cases):
-        report = certify_equilibrium(result, params, grid_radius=0.5, grid_points=11)
+        report = certify_equilibrium(result, params)
         assert report.passed, report.summary()
         corrupted = dict(result.a.a)
         pair = params.pairs[k % len(params.pairs)]
@@ -206,8 +206,7 @@ def test_c03_certification():
                   for sid in params.scenario.source_ids}
         bad = AParameters(a=corrupted, a_total=totals)
         from dataclasses import replace
-        assert not certify_equilibrium(replace(result, a=bad), params,
-                                       grid_radius=0.5, grid_points=11).passed
+        assert not certify_equilibrium(replace(result, a=bad), params).passed
 
 
 @criterion(4, "participation binds: payments equal effort analytically and over 1e5 rounds")

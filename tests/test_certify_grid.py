@@ -1,7 +1,9 @@
 """The one-pass best-response grid of certify_equilibrium against the
 brute-force reference: recompute an aggregator's whole reduced loss at every
-grid point.  Both must report the same largest improvement (within 1e-12
-relative) at the same location, on solved and on corrupted quality weights."""
+step of the grid.  Both must report the same largest improvement (within
+1e-12 relative) at the same location, on solved and on corrupted quality
+weights.  Each source steps by GRID_STEPS times its smallest positive
+weight, so the grid follows the weights it tests."""
 
 import math
 from dataclasses import replace
@@ -19,10 +21,13 @@ from conftest import (
     make_symmetric_direct,
 )
 
+from datamarket import equilibrium
 from datamarket.effort import CustomVariance, EffortVarianceModel, effort_response, variance_at
 from datamarket.equilibrium import (
     BOUNDARY_SLACK,
+    GRID_STEPS,
     AParameters,
+    _efforts_in_range,
     _variance_weights,
     _worst_grid_deviation,
     certify_equilibrium,
@@ -33,7 +38,6 @@ from datamarket.market import MarketScenario, derive_parameters
 from datamarket.scenario import GenerationSpec, generate_scenario
 
 REL_TOL = 1e-12
-DEFAULT_GRID = np.linspace(-0.5, 0.5, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +51,25 @@ def _a_total(params, a):
             for sid in params.scenario.source_ids}
 
 
-def one_pass(params, a, grid):
-    """_worst_grid_deviation on an id-keyed table."""
+def one_pass(params, a):
+    """_worst_grid_deviation on an id-keyed table: (improvement, location)."""
     a_vec = np.array([a[pair] for pair in params.pairs])
-    return _worst_grid_deviation(params, a_vec, grid, _variance_weights(params, a_vec)[0])
+    totals = np.bincount(params.pair_source, weights=a_vec)
+    efforts, variances, _ = _efforts_in_range(params, totals)
+    worst, _, location = _worst_grid_deviation(
+        params, a_vec, _variance_weights(params, a_vec)[0], efforts, variances)
+    return worst, location
+
+
+def source_steps(params, a):
+    """{source: [(t, a_min, delta)]}: delta = a_min * t for t in GRID_STEPS,
+    a_min the source's smallest positive weight; none for a source without one."""
+    steps = {}
+    for sid, source in by_id(params.scenario.sources).items():
+        a_min = min((a[(sid, bid)] for bid in source.sharing if a[(sid, bid)] > 0),
+                    default=None)
+        steps[sid] = [] if a_min is None else [(t, a_min, a_min * t) for t in GRID_STEPS]
+    return steps
 
 
 def effort_at(model, a_total, clamp):
@@ -94,21 +113,20 @@ def reduced_loss_terms(params, bid, a):
     return terms
 
 
-def brute_force_grid(params, a, totals, grid):
+def brute_force_grid(params, a, totals):
     """Largest grid improvement and its location, recomputing the whole loss
-    at every feasible deviation.  The difference of the two losses is summed
-    exactly: plain summation rounds a loss near 10 by about 1e-15, which is
-    1e-11 of a 1e-4 improvement."""
+    at every feasible deviation of source_steps.  The difference of the two
+    losses is summed exactly: plain summation rounds a loss near 10 by about
+    1e-15, which is 1e-11 of a 1e-4 improvement."""
     bounded = params.effort_kind == "bounded"
+    steps = source_steps(params, a)
     worst_improvement = 0.0
     worst_at = ""
     for bid in params.scenario.aggregator_ids:
         base = reduced_loss_terms(params, bid, a)
         for sid in params.scenario.dataset(bid):
             bounds = params.effort_model(sid).incentive_bounds
-            for delta in grid:
-                if delta == 0.0:
-                    continue
+            for step, a_min, delta in steps[sid]:
                 new_value = a[(sid, bid)] + delta
                 new_total = totals[sid] + delta
                 if new_value < 0 or new_total < bounds.a_lower:
@@ -121,7 +139,8 @@ def brute_force_grid(params, a, totals, grid):
                     base + [-t for t in reduced_loss_terms(params, bid, perturbed)])
                 if improvement > worst_improvement:
                     worst_improvement = improvement
-                    worst_at = f"aggregator {bid}, pair ({sid}, {bid}), delta {delta:+.3f}"
+                    worst_at = (f"aggregator {bid}, pair ({sid}, {bid}), delta {delta:+.3e} "
+                                f"({step:+.1f} x a_min {a_min:.3e})")
     return worst_improvement, worst_at
 
 
@@ -158,6 +177,23 @@ MARKETS = {
 }
 
 
+def _bench_markets():
+    """bench/workloads.py's certified markets at seeds 0 and 11: name ->
+    (spec, generation seed)."""
+    markets = {}
+    for seed in (0, 11):
+        for k, (n, m) in enumerate([(32, 3), (32, 4), (40, 3), (40, 4), (48, 3), (48, 4)]):
+            markets[f"unbounded-certify/{seed}/n{n}-m{m}"] = (
+                GenerationSpec(n, m, family="mixed"), seed * 1000 + k)
+        for k, n in enumerate((64, 80, 96)):
+            markets[f"bounded-best-response/{seed}/n{n}-m4"] = (
+                GenerationSpec(n, 4, family="mixed", bounded=True), seed * 1000 + k)
+    return markets
+
+
+BENCH_MARKETS = _bench_markets()
+
+
 def _solved(scenario):
     params = derive_parameters(scenario)
     solve = solve_bounded if params.effort_kind == "bounded" else solve_unbounded
@@ -170,12 +206,6 @@ def _corrupt(params, a, rng, low=0.8, high=1.25):
     """Every weight scaled by its own random factor, with consistent totals."""
     bad = {pair: value * rng.uniform(low, high) for pair, value in a.items()}
     return bad, _a_total(params, bad)
-
-
-def _fine_grid(a, points=41):
-    # scaled after spacing, so the centre point is exactly 0 and skipped:
-    # np.linspace(-r, r, k) can put a 1e-16 step there, scored as noise
-    return 3.0 * max(a.values()) * np.linspace(-1.0, 1.0, points)
 
 
 def assert_same(fast, reference):
@@ -191,8 +221,8 @@ def assert_same(fast, reference):
 def test_solved_market_matches_reference(market):
     params, result = _solved(MARKETS[market]())
     a, totals = result.a.a, result.a.a_total
-    reference = brute_force_grid(params, a, totals, DEFAULT_GRID)
-    assert_same(one_pass(params, a, DEFAULT_GRID), reference)
+    reference = brute_force_grid(params, a, totals)
+    assert_same(one_pass(params, a), reference)
     report = certify_equilibrium(result, params)
     grid_check = next(c for c in report.checks if c.name == "best-response-grid")
     assert grid_check.passed == (reference[0] <= 1e-9)
@@ -203,14 +233,12 @@ def test_solved_market_matches_reference(market):
 def test_corrupted_weights_on_fine_grid_match_reference(market):
     params, result = _solved(MARKETS[market]())
     bad, totals = _corrupt(params, result.a.a, np.random.default_rng(1))
-    grid = _fine_grid(bad)
-    reference = brute_force_grid(params, bad, totals, grid)
+    reference = brute_force_grid(params, bad, totals)
     assert reference[0] > 0.0  # a gainful deviation exists, so the location is tested
-    assert_same(one_pass(params, bad, grid), reference)
+    assert_same(one_pass(params, bad), reference)
 
     corrupted = replace(result, a=AParameters(a=bad, a_total=totals))
-    report = certify_equilibrium(corrupted, params, grid_radius=3.0 * max(bad.values()),
-                                 grid_points=41)
+    report = certify_equilibrium(corrupted, params)
     grid_check = next(c for c in report.checks if c.name == "best-response-grid")
     assert grid_check.passed == (reference[0] <= 1e-9)
     assert grid_check.detail.endswith(f" at {reference[1]}")
@@ -222,11 +250,10 @@ def test_exact_ties_report_the_first_location():
     params, result = _solved(make_symmetric_direct())
     bad = {pair: 0.5 * value for pair, value in result.a.a.items()}
     totals = _a_total(params, bad)
-    grid = _fine_grid(bad)
-    reference = brute_force_grid(params, bad, totals, grid)
+    reference = brute_force_grid(params, bad, totals)
     assert reference[0] > 0.0
     assert reference[1].startswith("aggregator b1, pair (s1, b1)")
-    assert_same(one_pass(params, bad, grid), reference)
+    assert_same(one_pass(params, bad), reference)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -241,24 +268,65 @@ def test_random_direct_markets_match_reference(seed, n, m, bounded, density, spr
     result = (solve_bounded if bounded else solve_unbounded)(params)
     assume(result.solved)
     a, totals = result.a.a, result.a.a_total
-    assert_same(one_pass(params, a, DEFAULT_GRID),
-                brute_force_grid(params, a, totals, DEFAULT_GRID))
+    assert_same(one_pass(params, a), brute_force_grid(params, a, totals))
     bad, bad_totals = _corrupt(params, a, rng, 1.0 - spread, 1.0 + spread)
     assume(all(bad_totals[s] >= params.effort_model(s).incentive_bounds.a_lower
                for s in bad_totals))
-    grid = _fine_grid(bad)
-    assert_same(one_pass(params, bad, grid),
-                brute_force_grid(params, bad, bad_totals, grid))
+    assert_same(one_pass(params, bad), brute_force_grid(params, bad, bad_totals))
 
 
-@pytest.mark.parametrize("grid_points", [11, 21])
-def test_grid_centre_is_exactly_zero(grid_points):
-    # np.linspace(-3.9, 3.9, k) puts a ~1e-16 step at the centre; scored, it
-    # gave a noise-level improvement reported at "delta +0.000"
-    assert np.linspace(-3.9, 3.9, grid_points)[grid_points // 2] != 0.0
-    params, result = _solved(MARKETS["unbounded"]())
-    for radius in (3.9, *np.linspace(0.5, 10.0, 20)):
-        report = certify_equilibrium(result, params, grid_radius=float(radius),
-                                     grid_points=grid_points)
-        grid_check = next(c for c in report.checks if c.name == "best-response-grid")
-        assert not grid_check.detail.endswith(("delta +0.000", "delta -0.000"))
+@pytest.mark.parametrize("market", sorted(MARKETS))
+def test_no_scored_step_is_zero(market, monkeypatch):
+    # a zero step (np.linspace(-3.9, 3.9, 11) put a ~1e-16 one at the centre)
+    # is scored as noise: every shifted total the grid evaluates must differ
+    # from its source's own total
+    params, result = _solved(MARKETS[market]())
+    a_vec = result.a.a.array
+    totals = np.bincount(params.pair_source, weights=a_vec)
+    efforts, variances, _ = _efforts_in_range(params, totals)
+    evaluated = []
+
+    def recording(params, a_total, index=None):
+        evaluated.append((a_total, index))
+        return evaluate(params, a_total, index)
+
+    evaluate = equilibrium._efforts_and_variances
+    monkeypatch.setattr(equilibrium, "_efforts_and_variances", recording)
+    _, scored, _ = _worst_grid_deviation(params, a_vec, _variance_weights(params, a_vec)[0],
+                                         efforts, variances)
+    [(shifted, index)] = evaluated
+    assert scored.any() and len(shifted) > 0
+    assert np.all(shifted != totals[index])
+
+
+@pytest.mark.parametrize("market", sorted(BENCH_MARKETS))
+def test_every_positive_weight_scores_a_negative_step(market):
+    # the grid follows the weights: at a fixed +-0.5 every negative step
+    # made a weight negative, so no bench market scored one
+    params, result = _solved(generate_scenario(*BENCH_MARKETS[market]))
+    a_vec = result.a.a.array
+    efforts, variances, in_range = _efforts_in_range(
+        params, np.bincount(params.pair_source, weights=a_vec))
+    assert in_range.all()
+    _, scored, _ = _worst_grid_deviation(params, a_vec, _variance_weights(params, a_vec)[0],
+                                         efforts, variances)
+    positive = a_vec[np.argsort(params.pair_aggregator, kind="stable")] > 0
+    negative_steps = np.array(GRID_STEPS) < 0
+    assert scored[positive][:, negative_steps].any(axis=1).all()
+    if params.effort_kind == "unbounded":
+        assert scored[:, ~negative_steps].any(axis=1).all()
+
+
+@pytest.mark.parametrize("market", [name for name in sorted(BENCH_MARKETS)
+                                    if name.startswith("unbounded")])
+def test_one_weight_raised_by_a_quarter_fails_the_grid(market):
+    params, result = _solved(generate_scenario(*BENCH_MARKETS[market]))
+    assert certify_equilibrium(result, params).passed
+    sid, bid = params.pairs[0]
+    bad = dict(result.a.a)
+    bad[(sid, bid)] *= 1.25
+    corrupted = replace(result, a=AParameters(a=bad, a_total=_a_total(params, bad)))
+    grid_check = next(c for c in certify_equilibrium(corrupted, params).checks
+                      if c.name == "best-response-grid")
+    assert not grid_check.passed
+    assert f"pair ({sid}, {bid})" in grid_check.detail

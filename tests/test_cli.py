@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,14 @@ class TestSolve:
         path.write_text(serialize_scenario(
             make_symmetric_direct(e_max=math.log(3.0))))
         assert cli(["solve", str(path), flag, value]) == 3
+
+    @pytest.mark.parametrize("flag", ["--grid-radius", "--grid-points"])
+    def test_grid_options_are_usage_errors(self, symmetric_file, tmp_path, flag):
+        # the certificate's grid follows each source's smallest positive
+        # weight, so there is nothing to set
+        result = tmp_path / "result.json"
+        assert cli(["solve", str(symmetric_file), "--output", str(result)]) == 0
+        assert cli(["certify", str(symmetric_file), str(result), flag, "1"]) == 3
 
 
 class TestValidate:
@@ -303,11 +312,6 @@ class TestGenerate:
 
 class TestBadInput:
     @pytest.mark.parametrize("args, code", [
-        (["certify", "{scenario}", "{result}", "--grid-points", "-1"], 1),
-        (["certify", "{scenario}", "{result}", "--grid-points", "0"], 1),
-        (["certify", "{scenario}", "{result}", "--grid-radius", "inf"], 1),
-        (["certify", "{scenario}", "{result}", "--grid-radius", "nan"], 1),
-        (["certify", "{scenario}", "{result}", "--grid-radius", "0"], 1),
         (["simulate", "{scenario}", "{result}", "--rounds", "2", "--seed", "-1",
           "--output", "{out}"], 1),
         (["generate", "--n", "8", "--m", "2", "--seed", "-3", "--output", "{out}"], 3),
@@ -375,7 +379,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("direction", ["above", "below-a_lower"])
     def test_a_total_off_its_a_exits_two(self, tmp_path, capsys, direction):
-        # a single-buyer source's total moved, a grid reaching past a_lower
+        # a single-buyer source's total moved, below a_lower too
         scenario = generate_scenario(GenerationSpec(8, 2, sharing_density=0.5), 0)
         path, result = tmp_path / "scenario.json", tmp_path / "result.json"
         path.write_text(serialize_scenario(scenario))
@@ -388,10 +392,36 @@ class TestBadInput:
         doc["a_total"][sid] = moved
         result.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert cli(["certify", str(path), str(result), "--grid-radius", str(2.0 * moved),
-                    "--grid-points", "201"]) == 2
+        assert cli(["certify", str(path), str(result)]) == 2
         failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
         assert len(failed) == 1 and "participation-binding" in failed[0]
+
+    @pytest.mark.parametrize("bounded, value", [
+        (False, "half-a_lower"), (False, "zero"), (False, "negative"), (True, "zero")])
+    def test_weight_out_of_incentive_range_exits_two(self, tmp_path, capsys, bounded, value):
+        # a single-buyer source's weight and total both moved out of range:
+        # a failed check, with no traceback and no warning on stderr
+        scenario = generate_scenario(
+            GenerationSpec(8, 2, family="mixed", sharing_density=0.5, bounded=bounded), 0)
+        path, result = tmp_path / "scenario.json", tmp_path / "result.json"
+        path.write_text(serialize_scenario(scenario))
+        assert cli(["solve", str(path), "--output", str(result)]) == 0
+        doc = json.loads(result.read_text())
+        sid = next(s for s, p in doc["polytope"].items() if p["dimension"] == 0)
+        [bid] = by_id(scenario.sources)[sid].sharing
+        lower = by_id(scenario.sources)[sid].effort_model.incentive_bounds.a_lower
+        moved = {"half-a_lower": 0.5 * lower, "zero": 0.0,
+                 "negative": -doc["a"][sid][bid]}[value]
+        doc["a"][sid][bid] = doc["a_total"][sid] = moved
+        result.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli(["certify", str(path), str(result)]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("certification FAILED") and err == ""
+        if not bounded:
+            assert f"source {sid}: total {moved!r} outside its incentive range" in out
 
 
 def small_document(bounded):

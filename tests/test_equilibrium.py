@@ -914,9 +914,9 @@ class TestCertification:
 
     @pytest.mark.parametrize("direction", ["above", "below-a_lower"])
     def test_a_total_off_its_a_fails_instead_of_raising(self, direction):
-        # a single-buyer source's total moved, a grid reaching past a_lower:
-        # feasibility and effort are judged on the sum of a, so only the
-        # total-vs-a residual notices
+        # a single-buyer source's total moved, below a_lower too: feasibility
+        # and effort are judged on the sum of a, so only the total-vs-a
+        # residual notices
         params = derive_parameters(generate_scenario(
             GenerationSpec(8, 2, sharing_density=0.5), 0))
         result = solve_unbounded(params)
@@ -926,19 +926,34 @@ class TestCertification:
         moved = total + 0.5 * (total - lower) if direction == "above" else 0.5 * lower
         bad = replace(result, a=AParameters(a=result.a.a,
                                             a_total={**result.a.a_total, sid: moved}))
-        report = certify_equilibrium(bad, params, grid_radius=2.0 * moved, grid_points=201)
+        report = certify_equilibrium(bad, params)
         failed = [c for c in report.checks if not c.passed]
         assert [c.name for c in failed] == ["participation-binding"]
         assert f"total-vs-a residual {abs(moved - total):.3e}" in failed[0].detail
 
-    @pytest.mark.parametrize("options", [{"grid_points": 0}, {"grid_points": -1},
-                                         {"grid_radius": 0.0}, {"grid_radius": -0.5},
-                                         {"grid_radius": math.inf},
-                                         {"grid_radius": math.nan}])
-    def test_refuses_an_empty_or_unbounded_grid(self, symmetric_direct, options):
-        params = derive_parameters(symmetric_direct)
-        with pytest.raises(DomainError, match="grid"):
-            certify_equilibrium(solve_unbounded(params), params, **options)
+    @pytest.mark.parametrize("bounded, value", [
+        (False, "half-a_lower"), (False, "zero"), (False, "negative"), (True, "zero")])
+    def test_weight_out_of_incentive_range_fails_naming_its_source(self, bounded, value):
+        # a single-buyer source's weight and total both moved out of range:
+        # efforts are evaluated only at the totals in range, so nothing raises
+        # and no warning is given
+        params = derive_parameters(generate_scenario(
+            GenerationSpec(8, 2, family="mixed", sharing_density=0.5, bounded=bounded), 0))
+        result = (solve_bounded if bounded else solve_unbounded)(params)
+        sid = next(s for s, p in result.polytope.items() if p.dimension == 0)
+        pair = next(p for p in params.pairs if p[0] == sid)
+        moved = {"half-a_lower": 0.5 * params.effort_model(sid).incentive_bounds.a_lower,
+                 "zero": 0.0, "negative": -result.a.a[pair]}[value]
+        bad = replace(result, a=AParameters(a={**result.a.a, pair: moved},
+                                            a_total={**result.a.a_total, sid: moved}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = certify_equilibrium(bad, params)
+        assert not report.passed
+        if not bounded:  # a bounded total is clamped onto its range
+            check = next(c for c in report.checks if c.name == "participation-binding")
+            assert not check.passed
+            assert f"source {sid}: total {moved!r} outside its incentive range" in check.detail
 
     def test_requires_solved_result(self):
         params = derive_parameters(make_symmetric_direct(xi_offdiag=1.0))
