@@ -101,16 +101,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a random scenario")
     p.add_argument("--n", type=int, required=True, help="number of sources")
     p.add_argument("--m", type=int, required=True, help="number of aggregators")
-    p.add_argument("--d", type=int, default=1, help="feature dimension")
+    p.add_argument("--d", type=int, default=GenerationSpec.dimension, help="feature dimension")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["estimator_derived", "direct"],
-                   default="estimator_derived")
+                   default=GenerationSpec.mode)
     p.add_argument("--family", choices=_GENERATED_FAMILIES,
                    default=GenerationSpec.family)
     p.add_argument("--bounded", action="store_true")
-    p.add_argument("--coupling-scale", type=float, default=0.3)
-    p.add_argument("--sharing-density", type=float, default=1.0)
-    p.add_argument("--zeta-max", type=float, default=0.3)
+    p.add_argument("--coupling-scale", type=float, default=GenerationSpec.coupling_scale)
+    p.add_argument("--sharing-density", type=float, default=GenerationSpec.sharing_density)
+    p.add_argument("--zeta-max", type=float, default=GenerationSpec.zeta_max)
     p.add_argument("--output", type=Path, default=None)
     return parser
 
@@ -177,8 +177,6 @@ def _cmd_validate(args) -> int:
 def _cmd_derive(args) -> int:
     scenario = _load_scenario(args.scenario)
     params = derive_parameters(scenario, require_valid=False)
-    if any(v.code == "nonfinite-demand" for v in params.validation.violations):
-        params.require_valid()  # an ill-posed market's tables, but none holding inf or NaN
     tables = {
         "beta.csv": reports.beta_csv(params),
         "gamma.csv": reports.gamma_csv(params),

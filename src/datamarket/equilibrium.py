@@ -57,7 +57,8 @@ IMPROVEMENT_TOL = 1e-9
 GRID_STEPS = (-0.5, -0.4, -0.3, -0.2, -0.1, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 #: The contract rule shared by polytope_membership and the certificate's
-#: participation-binding check: the largest tolerated constant-term residual.
+#: participation-binding check: the largest tolerated constant-term residual,
+#: and the most a constant term may fall below its floor (c >= floor - tol).
 CONTRACT_TOL = 1e-9
 
 #: The bounded solver's step: the damping that every reference pins.
@@ -427,7 +428,7 @@ def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
     CouplingOperator products.  diagnostics.iterations is the basis size,
     and 0 on status "none".
     """
-    params.require_valid()
+    params.validation.require_ok()
     if params.effort_kind != "unbounded":
         raise DomainError("solve_unbounded requires all effort sets unbounded")
     rho = params.spectral_radius
@@ -529,7 +530,7 @@ def solve_bounded(params: DerivedParameters) -> EquilibriumResult:
     the last iterate; existence is guaranteed, so non-convergence is a
     solver limitation, never a nonexistence claim.
     """
-    params.require_valid()
+    params.validation.require_ok()
     if params.effort_kind != "bounded":
         raise DomainError("solve_bounded requires all effort sets bounded")
     lower, upper = params.a_lower[params.pair_source], params.a_upper[params.pair_source]
@@ -639,11 +640,12 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters) ->
     one weight by GRID_STEPS times its source's least positive weight
     improves any aggregator's reduced loss (see _worst_grid_deviation);
     (iii) the document's constant terms bind participation and keep payments
-    nonnegative, and its efforts, totals and polytope are those its quality
-    weights imply; a sum of its weights out of its source's incentive range
-    fails (iii), naming the first such source, and no efforts are evaluated
-    there.  It reads the xi blocks, never Xi.  A result whose tables are not
-    keyed by this scenario's pairs and sources raises ParseError.
+    nonnegative (c >= floor - CONTRACT_TOL, polytope_membership's rule), and
+    its efforts, totals and polytope are those its quality weights imply; a
+    sum of its weights out of its source's incentive range fails (iii),
+    naming the first such source, and no efforts are evaluated there.  It
+    reads the xi blocks, never Xi.  A result whose tables are not keyed by
+    this scenario's pairs and sources raises ParseError.
     """
     if not result.solved or result.a is None:
         raise DomainError("certification requires a solved equilibrium")
@@ -703,7 +705,7 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters) ->
     worst_polytope = float(np.maximum(
         np.abs(claimed_floors - floors).max(),
         np.abs(claimed_sources - _polytope_rows(params, efforts, floors)).max()))
-    payments_ok = bool(np.all(surplus >= -1e-12))
+    payments_ok = bool(np.all(claimed_c >= floors - CONTRACT_TOL))
     out_of_range = ""
     if not in_range.all():
         k = int(np.argmin(in_range))
@@ -746,7 +748,7 @@ def alpha_sweep(params: DerivedParameters, alphas) -> list[AlphaPoint]:
     operator product per point.  A point matches its one-point sweep to
     rounding.  A failed solve inside the existence regime raises
     NumericalFailureError, as in solve_unbounded."""
-    params.require_valid()
+    params.validation.require_ok()
     if params.effort_kind != "unbounded":
         raise DomainError("alpha_sweep requires unbounded effort sets")
     alphas = list(alphas)

@@ -558,25 +558,31 @@ class ValidationReport:
                                           violations=self.violations)
 
 
-def _beta(scenario: MarketScenario) -> np.ndarray:
-    """beta: derived in estimator mode, copied in direct mode."""
-    if scenario.mode == MODE_ESTIMATOR:
-        return derive_beta(scenario)
-    return np.array([scenario.direct_beta[p] for p in scenario.sharing_pairs()])
-
-
-def _derive_tables(scenario: MarketScenario):
-    """(beta, xi): derived in estimator mode; in direct mode copied, each
-    id-keyed xi table read into its block (diagonal 0, as derive_xi's)."""
-    beta = _beta(scenario)
-    if scenario.mode == MODE_ESTIMATOR:
-        return beta, derive_xi(scenario)
-    blocks = []
-    for bid in scenario.aggregator_ids:
-        ds, table = scenario.dataset(bid), scenario.direct_xi[bid]
-        blocks.append(np.array([[table[i, l] if i != l else 0.0 for l in ds] for i in ds],
-                               dtype=float).reshape(len(ds), len(ds)))
-    return beta, _read_only(blocks)
+def _derivation(scenario: MarketScenario, *, blocks: bool):
+    """(tables, report) of one pass: tables (beta, xi, gamma, gamma_total),
+    None if the estimator is ill-defined.  beta and xi are derived, or read
+    from direct mode's tables (xi's diagonal 0); without `blocks` xi is
+    None and only derive_xi's rank tests run, in its aggregator order."""
+    xi = []
+    try:
+        if scenario.mode == MODE_DIRECT:
+            beta = np.array([scenario.direct_beta[p] for p in scenario.sharing_pairs()])
+            for bid in scenario.aggregator_ids if blocks else ():
+                ds, table = scenario.dataset(bid), scenario.direct_xi[bid]
+                xi.append(np.array([[table[i, l] if i != l else 0.0 for l in ds] for i in ds],
+                                   dtype=float).reshape(len(ds), len(ds)))
+        elif blocks:
+            beta, xi = derive_beta(scenario), derive_xi(scenario)
+        else:
+            beta = derive_beta(scenario)
+            for bid, members in zip(scenario.aggregator_ids, scenario.members):
+                leave_one_out_grams(scenario.features[members], aggregator=bid,
+                                    sources=scenario.dataset(bid))
+    except IllDefinedEstimatorError as exc:
+        return None, _validation_report(scenario, ill_defined=str(exc))
+    demand = derive_gamma(scenario, beta)
+    tables = (beta, _read_only(xi) if blocks else None, *demand)
+    return tables, _validation_report(scenario, demand)
 
 
 def validate_scenario(scenario: MarketScenario) -> ValidationReport:
@@ -584,17 +590,9 @@ def validate_scenario(scenario: MarketScenario) -> ValidationReport:
 
     Returns a structured report; nothing is raised so callers can decide
     whether to proceed, but solvers refuse scenarios whose report is not ok.
-    It runs derive_xi's rank tests, in derive_xi's order, without its blocks.
+    It is derive_parameters's pass, running only derive_xi's rank tests.
     """
-    try:
-        beta = _beta(scenario)
-        if scenario.mode == MODE_ESTIMATOR:
-            for bid, members in zip(scenario.aggregator_ids, scenario.members):
-                leave_one_out_grams(scenario.features[members], aggregator=bid,
-                                    sources=scenario.dataset(bid))
-    except IllDefinedEstimatorError as exc:
-        return _validation_report(scenario, ill_defined=str(exc))
-    return _validation_report(scenario, derive_gamma(scenario, beta))
+    return _derivation(scenario, blocks=False)[1]
 
 
 def _effort_kind(scenario: MarketScenario) -> str:
@@ -721,25 +719,22 @@ class DerivedParameters:
         # every block is nonnegative (validated or squared) with a zero diagonal
         return max(float(block.max(initial=0.0)) for block in self.xi)
 
-    def require_valid(self) -> None:
-        self.validation.require_ok()
-
 
 def derive_parameters(scenario: MarketScenario, *,
                       require_valid: bool = True) -> DerivedParameters:
-    """Derive beta/xi/gamma and the incentive bounds; Xi waits for its
-    first reader (see DerivedParameters).
+    """Derive beta/xi/gamma and the incentive bounds, with validate_scenario's
+    report; Xi waits for its first reader (see DerivedParameters).
 
-    With require_valid (the default) a scenario whose validation report has
-    violations raises ScenarioValidationError; pass False to inspect derived
-    tables of an ill-posed market.
+    With require_valid (the default) a report with violations raises its
+    ScenarioValidationError; pass False to inspect derived tables of an
+    ill-posed market, which still raises where no table is left to inspect
+    (an ill-defined estimator, a nonfinite-demand violation).
     """
-    beta, xi = _derive_tables(scenario)
-    gamma, gamma_total = derive_gamma(scenario, beta)
-    validation = _validation_report(scenario, (gamma, gamma_total))
-    params = DerivedParameters(
+    tables, validation = _derivation(scenario, blocks=True)
+    if require_valid or tables is None or any(
+            v.code == "nonfinite-demand" for v in validation.violations):
+        validation.require_ok()
+    beta, xi, gamma, gamma_total = tables
+    return DerivedParameters(
         scenario=scenario, mode=scenario.mode, beta=beta, xi=xi, gamma=gamma,
         gamma_total=gamma_total, pairs=scenario.sharing_pairs(), validation=validation)
-    if require_valid:
-        params.require_valid()
-    return params

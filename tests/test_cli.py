@@ -236,6 +236,24 @@ class TestCertifyAndWelfare:
         assert doc["efficient_possible"] is False
 
 
+class TestNoEquilibrium:
+    # rho = 9.21: solve reports status none, and the commands that need a
+    # solved equilibrium refuse its result
+    def test_commands_after_a_none_result(self, tmp_path, capsys):
+        scenario, result = tmp_path / "scenario.json", tmp_path / "result.json"
+        assert cli(["generate", "--n", "6", "--m", "3", "--mode", "direct", "--coupling-scale",
+                    "2", "--seed", "0", "--output", str(scenario)]) == 0
+        capsys.readouterr()
+        assert cli(["solve", str(scenario), "--output", str(result)]) == 0
+        assert json.loads(result.read_text())["status"] == "none"
+        assert "no equilibrium exists at this coupling level" in capsys.readouterr().err
+        assert cli(["certify", str(scenario), str(result)]) == 2
+        assert "result has no solved equilibrium to certify" in capsys.readouterr().err
+        for command, *options in (["welfare"], ["simulate", "--rounds", "1", "--seed", "0"]):
+            assert cli([command, str(scenario), str(result), *options]) == 1, command
+            assert capsys.readouterr().err.endswith(" requires a solved equilibrium\n"), command
+
+
 class TestResultOfAnotherMarket:
     # markets a (8 sources) and b (9 sources); certify b with a's result,
     # welfare and simulate a with b's result
@@ -294,6 +312,11 @@ class TestGenerate:
         assert cli(["validate", str(path)]) == 0
         result = tmp_path / "result.json"
         assert cli(["solve", str(path), "--output", str(result)]) in (0,)
+
+    def test_defaults_are_the_generation_spec_defaults(self, capsys):
+        assert cli(["generate", "--n", "6", "--m", "2"]) == 0
+        assert capsys.readouterr().out == serialize_scenario(
+            generate_scenario(GenerationSpec(6, 2), 0))
 
     def test_infeasible_spec_exit_three(self):
         assert cli(["generate", "--n", "2", "--m", "1", "--d", "1"]) == 3

@@ -777,6 +777,28 @@ class TestCertification:
         assert report == expected
         assert assemblies == []
 
+    @pytest.mark.parametrize("shift, member", [(0.0, True), (5e-11, True), (1e-8, False)],
+                             ids=["vertex", "within-tolerance", "below-floor"])
+    def test_payments_are_judged_as_polytope_membership_judges_them(self, shift, member):
+        # s001's whole surplus on its first pair, its other pairs at their
+        # floors (a vertex), then `shift` moved from its second pair to its
+        # first: both checks judge the floor within CONTRACT_TOL
+        params = derive_parameters(generate_scenario(GenerationSpec(24, 3, family="mixed"), 0))
+        result = solve_unbounded(params)
+        polytope, c = result.polytope["s001"], dict(result.canonical_c)
+        first, second, *rest = [bid for sid, bid in params.pairs if sid == "s001"]
+        for bid in (second, *rest):
+            c[("s001", bid)] = polytope.floors[bid]
+        c[("s001", first)] = polytope.floors[first] + polytope.surplus + shift
+        c[("s001", second)] -= shift
+        assert polytope_membership(c, result.a, params)[0] is member
+        report = certify_equilibrium(replace(result, canonical_c=c), params)
+        assert report.passed is member, report.summary()
+        if not member:
+            failed = [check for check in report.checks if not check.passed]
+            assert [check.name for check in failed] == ["participation-binding"]
+            assert failed[0].detail.endswith("nonnegative payments: False")
+
     @pytest.mark.parametrize("radius", [5.0, 0.01])
     def test_fails_on_an_impossible_radius(self, radius):
         # rho = 0.2266 read from the document, edited past the bracket its

@@ -1,6 +1,8 @@
 """Parameter derivation: relevance, coupling, demand, and the coupling
 matrix, against hand linear algebra and structural invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,19 @@ class TestValidation:
             derive_parameters(scn)
         params = derive_parameters(scn, require_valid=False)
         assert not params.validation.ok
+
+    def test_nonfinite_demand_is_refused_whatever_require_valid(self):
+        # an eta of 5e-324 makes b1's net demand infinite: its tables hold
+        # no number to inspect, so require_valid=False refuses it too
+        scn = make_line_scenario(n_aggregators=2)
+        aggs = (replace(scn.aggregators[0], payment_scale=5e-324), scn.aggregators[1])
+        scn = MarketScenario(scn.sources, aggs, scn.ground_truth)
+        report = validate_scenario(scn)
+        assert {v.code for v in report.violations} == {"nonfinite-demand"}
+        for require_valid in (True, False):
+            with pytest.raises(ScenarioValidationError) as got:
+                derive_parameters(scn, require_valid=require_valid)
+            assert got.value.violations == report.violations
 
 
 class TestConstructionErrors:

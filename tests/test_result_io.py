@@ -6,6 +6,7 @@ silently cast value)."""
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,23 @@ def test_nesting_too_deep_to_decode_is_refused():
     # json.loads raises RecursionError, not JSONDecodeError
     with pytest.raises(ParseError, match="not valid JSON"):
         result_from_json("[" * 200_000)
+
+
+def test_integer_weights_read_as_their_floats():
+    # every value of a and a_total a JSON integer: read field by field, they
+    # give the ids and float64 arrays of the same document written with floats
+    def written(number):
+        doc = json.loads(TEXTS["solved"])
+        doc["a"] = {sid: {bid: number(round(1000 * v)) for bid, v in row.items()}
+                    for sid, row in doc["a"].items()}
+        doc["a_total"] = {sid: number(round(1000 * v)) for sid, v in doc["a_total"].items()}
+        return result_from_json(json.dumps(doc))
+
+    integers, floats = written(int), written(float)
+    for got, expected in ((integers.a.a, floats.a.a), (integers.a.a_total, floats.a.a_total)):
+        assert got.ids == expected.ids
+        assert got.array.dtype == np.float64
+        np.testing.assert_array_equal(got.array, expected.array)
 
 
 def test_unknown_fields_are_tolerated():

@@ -28,6 +28,7 @@ from conftest import (
     xi_tables,
 )
 
+from datamarket.cli import cli
 from datamarket.effort import exponential_model
 from datamarket.equilibrium import (
     MARGINAL_BAND,
@@ -38,7 +39,11 @@ from datamarket.equilibrium import (
     solve_bounded,
     solve_unbounded,
 )
-from datamarket.errors import IllDefinedEstimatorError, IllDefinedPaymentError
+from datamarket.errors import (
+    IllDefinedEstimatorError,
+    IllDefinedPaymentError,
+    ScenarioValidationError,
+)
 from datamarket.estimators import leave_one_out_weights, ols_coefficients, point_mass
 from datamarket.market import (
     ESTIMATOR_ZERO_TOL,
@@ -52,9 +57,10 @@ from datamarket.market import (
     derive_parameters,
     derive_xi,
     spectral_radius,
+    validate_scenario,
 )
 from datamarket.results import xi_csv, xi_matrix_csv
-from datamarket.scenario import GenerationSpec, generate_scenario
+from datamarket.scenario import GenerationSpec, generate_scenario, serialize_scenario
 from datamarket.welfare import efficiency_predicate, price_of_anarchy
 
 
@@ -205,6 +211,35 @@ def test_rank_deficient_design_names_the_reference_pair(market):
                                                         expected.value.source)
     assert type(got.value.source) is str
     assert f"excluding source {expected.value.source!r}" in str(got.value)
+
+
+@pytest.mark.parametrize("market", sorted(RANK_DEFICIENT))
+@pytest.mark.parametrize("require_valid", [True, False])
+def test_rank_deficient_design_is_refused_with_the_validation_report(market, require_valid):
+    # no table is left to inspect, so require_valid=False refuses it too
+    scenario = RANK_DEFICIENT[market]()
+    report = validate_scenario(scenario)
+    assert [v.code for v in report.violations] == ["ill-defined-estimator"]
+    with pytest.raises(ScenarioValidationError) as got:
+        derive_parameters(scenario, require_valid=require_valid)
+    assert str(got.value) == "scenario failed validation:\n" + report.summary()
+    assert got.value.violations == report.violations
+
+
+def test_every_subcommand_prints_the_ill_defined_estimator(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(serialize_scenario(RANK_DEFICIENT["second-aggregator"]()))
+    unread = str(tmp_path / "missing.json")  # the market is refused before a result is read
+    expected = ("invalid (1 violation(s))\n  [ill-defined-estimator] scenario: aggregator "
+                "'b2': leave-one-out design excluding source 's2' is rank deficient (")
+    for command, *options in (["validate"], ["derive"], ["solve"], ["certify", unread],
+                              ["welfare", unread], ["sweep-alpha", "--alphas", "0.5"],
+                              ["simulate", unread, "--rounds", "1", "--seed", "0"]):
+        capsys.readouterr()
+        assert cli([command, str(scenario), *options]) == 1, command
+        out, err = capsys.readouterr()
+        assert expected in (out if command == "validate" else err), command
+        assert command == "validate" or (out == "" and err.startswith("datamarket: ")), command
 
 
 @pytest.mark.parametrize("market", sorted(OPERATOR_MARKETS))
