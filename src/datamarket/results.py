@@ -16,6 +16,10 @@ CSV schemas (v1, fixed column order, full-precision decimals):
 - xi_matrix.csv:  row_source,row_aggregator then one column per (source:aggregator) pair
 - sweep-alpha:    alpha,rho,status,max_a_total
 - rounds:         round then y_<source>..., p_<source>_<aggregator>..., loss_<aggregator>...
+
+An id field, or a column label holding an id, that contains a comma, a double
+quote, CR or LF is quoted as RFC 4180 says: wrapped in double quotes, each
+inner double quote doubled.  Other fields are written as they are.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quoted
 
@@ -40,6 +45,7 @@ from .equilibrium import (
     PolytopeTable,
     SolveDiagnostics,
     SourcePolytope,
+    _aligned,
 )
 from .errors import DomainError, ParseError
 from .market import DerivedParameters
@@ -286,8 +292,16 @@ def result_from_json(text: str) -> EquilibriumResult:
 # CSV emission (full double precision; schemas documented above)
 # ---------------------------------------------------------------------------
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _field(text: str) -> str:
+    """An id or a label as one CSV field, quoted when it must be."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
 def _csv(rows) -> str:
-    """Rows of Python ints, floats and strings; str of a float is its repr."""
+    """Rows of Python ints, floats and CSV fields; str of a float is its repr."""
     buffer = io.StringIO()
     for row in rows:
         buffer.write(",".join(map(str, row)) + "\n")
@@ -296,7 +310,7 @@ def _csv(rows) -> str:
 
 def _pair_csv(params: DerivedParameters, name: str, values) -> str:
     return _csv([("source", "aggregator", name),
-                 *((s, b, v) for (s, b), v in zip(params.pairs, values.tolist()))])
+                 *((_field(s), _field(b), v) for (s, b), v in zip(params.pairs, values.tolist()))])
 
 
 def beta_csv(params: DerivedParameters) -> str:
@@ -312,17 +326,18 @@ def xi_csv(params: DerivedParameters) -> str:
     the unit own weight xi_b(s, s) = 1 on the diagonal."""
     rows = [("aggregator", "paid_source", "coupled_source", "xi")]
     for bid, block in zip(params.scenario.aggregator_ids, params.xi):
-        ds = params.scenario.dataset(bid)
-        rows += [(bid, i, l, 1.0 if i == l else v)
+        label, ds = _field(bid), list(map(_field, params.scenario.dataset(bid)))
+        rows += [(label, i, l, 1.0 if i == l else v)
                  for i, row in zip(ds, block.tolist()) for l, v in zip(ds, row)]
     return _csv(rows)
 
 
 def xi_matrix_csv(params: DerivedParameters) -> str:
     header = ["row_source", "row_aggregator"]
-    header += [f"{s}:{b}" for (s, b) in params.pairs]
+    header += [_field(f"{s}:{b}") for (s, b) in params.pairs]
     rows = zip(params.pairs, params.coupling.toarray())  # Xi assembled for this export only
-    return _csv(itertools.chain([header], ((s, b, *row.tolist()) for (s, b), row in rows)))
+    return _csv(itertools.chain([header], ((_field(s), _field(b), *row.tolist())
+                                           for (s, b), row in rows)))
 
 
 def sweep_csv(points) -> str:
@@ -332,10 +347,11 @@ def sweep_csv(points) -> str:
 
 
 def rounds_csv(scenario, rounds) -> str:
-    """Streamed per-round table; column blocks follow sorted ids."""
+    """Per-round table in sorted id order; a round of another market raises ParseError."""
     sids, pairs, bids = scenario.source_ids, scenario.sharing_pairs(), scenario.aggregator_ids
     header = ["round", *(f"y_{s}" for s in sids), *(f"p_{s}_{b}" for s, b in pairs),
               *(f"loss_{b}" for b in bids)]
-    return _csv(itertools.chain([header], (
-        [r.index, *map(r.responses.__getitem__, sids), *map(r.payments.__getitem__, pairs),
-         *map(r.losses.__getitem__, bids)] for r in rounds)))
+    return _csv(itertools.chain([map(_field, header)], (
+        [r.index, *_aligned(r.responses, sids, "responses").tolist(),
+         *_aligned(r.payments, pairs, "payments").tolist(),
+         *_aligned(r.losses, bids, "losses").tolist()] for r in rounds)))

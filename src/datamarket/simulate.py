@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .equilibrium import EquilibriumResult
+from .equilibrium import EquilibriumResult, IdTable
 from .errors import DomainError
 from .estimators import leave_one_out_weights, prediction_weights, trial_stream
 from .market import MODE_ESTIMATOR, MarketScenario
@@ -41,10 +41,10 @@ from .market import MODE_ESTIMATOR, MarketScenario
 class MarketRound:
     seed: int
     index: int
-    responses: dict[str, float]
-    payments: dict[tuple[str, str], float]
+    responses: IdTable  # per source, a read-only view of the round's row of its block
+    payments: IdTable  # per pair, likewise
     estimates: dict[str, tuple[float, ...]]  # per aggregator, at its query atoms
-    losses: dict[str, float]
+    losses: IdTable  # per aggregator, likewise
 
 
 #: Rounds played per block: enough to spread numpy's per-call cost thin, few
@@ -63,10 +63,12 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
     """play(seed, indices) -> the MarketRounds of those indices, played as
     one block, with everything a round reads computed once: the
     response-linear weights of the feature layout and the contract at the
-    solved equilibrium (pairs in sharing-pair order).  A result whose tables
-    are not keyed by this scenario's pairs and sources raises ParseError; a
-    round with a non-finite response, payment, estimate or loss raises
-    DomainError naming the first such round of the block."""
+    solved equilibrium (pairs in sharing-pair order).  An unsolved result
+    raises DomainError, one not keyed by this scenario's pairs and sources
+    ParseError; a round with a non-finite response, payment, estimate or
+    loss raises DomainError naming the first such round of the block."""
+    if not result.solved:
+        raise DomainError("round simulation requires a solved equilibrium")
     if scenario.mode != MODE_ESTIMATOR:
         raise DomainError("round simulation needs estimator-derived scenarios "
                           "(direct mode has no regression geometry)")
@@ -76,12 +78,13 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
     features, members, rows = scenario.features, scenario.members, scenario.aggregator_pairs
     loo = [leave_one_out_weights(features[members[b]], aggregator=bid,
                                  sources=scenario.dataset(bid)) for b, bid in enumerate(bids)]
+    rivals = [{bids.index(other): weight for other, weight in agg.zeta.items() if weight != 0.0}
+              for agg in aggregators]
     # fit[(b, j)]: j's fit evaluated at b's query atoms, for b itself and its
     # rivals; each dataset j is fitted once, at the atoms of every b reading it
     fit = {}
-    for j, other in enumerate(bids):
-        readers = [b for b, agg in enumerate(aggregators)
-                   if b == j or agg.zeta.get(other, 0.0) != 0.0]
+    for j in range(len(bids)):
+        readers = [b for b in range(len(bids)) if b == j or j in rivals[b]]
         atoms = [aggregators[b].query_dist.points() for b in readers]
         weights = prediction_weights(features[members[j]], np.vstack(atoms))
         ends = np.cumsum([len(points) for points in atoms])[:-1]
@@ -109,10 +112,8 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
         own = responses(y, b)
         fitted = _per_round(fit[(b, b)], own)
         loss = atom_error(b, fitted)
-        for other, weight in aggregators[b].zeta.items():
-            if weight != 0.0:
-                j = bids.index(other)
-                loss -= weight * atom_error(b, _per_round(fit[(b, j)], responses(y, j)))
+        for j, weight in rivals[b].items():
+            loss -= weight * atom_error(b, _per_round(fit[(b, j)], responses(y, j)))
         # in place, so that a block holds at most two (rounds x k) arrays here:
         # `own` becomes the gap to the leave-one-out prediction, then
         # a * gap * gap (one product commuted), then the payment
@@ -139,12 +140,10 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
             raise DomainError(f"round {indices[int(np.argmin(finite))]} (seed {seed}) has a "
                               "non-finite response, payment, estimate or loss")
         for r, index in enumerate(indices):
-            yield MarketRound(seed=seed, index=index,
-                              responses=dict(zip(sids, y[r].tolist())),
-                              payments=dict(zip(pairs, payments[r].tolist())),
+            yield MarketRound(seed=seed, index=index, responses=IdTable(sids, y[r]),
+                              payments=IdTable(pairs, payments[r]), losses=IdTable(bids, losses[r]),
                               estimates={bid: tuple(fitted[r].tolist())
-                                         for bid, fitted in estimates.items()},
-                              losses=dict(zip(bids, losses[r].tolist())))
+                                         for bid, fitted in estimates.items()})
 
     return play
 
@@ -152,22 +151,20 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
 def simulate_round(scenario: MarketScenario, result: EquilibriumResult,
                    seed: int, *, index: int = 0) -> MarketRound:
     """Play a single market round at the solved equilibrium."""
-    if not result.solved:
-        raise DomainError("round simulation requires a solved equilibrium")
     return next(_round_player(scenario, result)(seed, (index,)))
 
 
 def iter_rounds(scenario: MarketScenario, result: EquilibriumResult,
                 n_rounds: int, seed: int) -> Iterator[MarketRound]:
-    """Stream n_rounds reproducible rounds (round r uses substream r), played
-    in blocks of at most ROUND_BLOCK."""
-    if not result.solved:
-        raise DomainError("round simulation requires a solved equilibrium")
+    """Stream n_rounds reproducible rounds (round r uses substream r), played in
+    blocks of at most ROUND_BLOCK.  Every guard runs at the call."""
     if n_rounds < 1:
         raise DomainError("n_rounds must be at least 1")
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
     play = _round_player(scenario, result)
-    for start in range(0, n_rounds, ROUND_BLOCK):
-        yield from play(seed, range(start, min(start + ROUND_BLOCK, n_rounds)))
+    return (round_ for start in range(0, n_rounds, ROUND_BLOCK)
+            for round_ in play(seed, range(start, min(start + ROUND_BLOCK, n_rounds))))
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,7 @@ def payment_statistics(scenario: MarketScenario, result: EquilibriumResult,
     mean = np.zeros(len(scenario.source_ids))
     m2 = np.zeros(len(scenario.source_ids))
     for count, round_ in enumerate(iter_rounds(scenario, result, n_rounds, seed), 1):
-        total = np.bincount(owner, weights=list(round_.payments.values()))
+        total = np.bincount(owner, weights=round_.payments.array)
         delta = total - mean
         mean += delta / count
         m2 += delta * (total - mean)

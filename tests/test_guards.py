@@ -15,7 +15,7 @@ from datamarket.equilibrium import solve_unbounded
 from datamarket.effort import exponential_model
 from datamarket.errors import DomainError, InfeasibleSpecError, ParseError
 from datamarket.market import DataSourceSpec, MarketScenario, derive_parameters
-from datamarket.results import result_from_json, result_to_json
+from datamarket.results import result_from_json, result_to_json, rounds_csv
 from datamarket.scenario import GenerationSpec
 from datamarket.simulate import iter_rounds, payment_statistics
 
@@ -62,9 +62,13 @@ GUARDS = {
     "spec-zeta-max-1.5": (InfeasibleSpecError, r"zeta_max must lie in \[0, 1\]",
                           lambda: GenerationSpec(6, 2, zeta_max=1.5)),
     "rounds-0": (DomainError, "n_rounds must be at least 1",
-                 lambda: list(iter_rounds(*_line(8), 0, 7))),
+                 lambda: iter_rounds(*_line(8), 0, 7)),
     "rounds-of-none": (DomainError, "round simulation requires a solved equilibrium",
-                       lambda: list(iter_rounds(*_line(4), 2, 7))),
+                       lambda: iter_rounds(*_line(4), 2, 7)),
+    "rounds-negative-seed": (DomainError, "seed must be a nonnegative integer, got -1",
+                             lambda: iter_rounds(*_line(8), 2, -1)),
+    "rounds-csv-of-another-market": (ParseError, "first mismatched source s5",
+                                     lambda: rounds_csv(_line(4)[0], iter_rounds(*_line(8), 2, 7))),
     "statistics-1-round": (DomainError, "payment statistics need at least 2 rounds",
                            lambda: payment_statistics(*_line(8), 1, 7)),
     "result-not-an-object": (ParseError, "result document root must be an object",

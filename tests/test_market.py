@@ -1,6 +1,8 @@
 """Parameter derivation: relevance, coupling, demand, and the coupling
 matrix, against hand linear algebra and structural invariants."""
 
+import csv
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +31,7 @@ from datamarket.results import (
     gamma_csv,
     result_from_json,
     result_to_json,
+    rounds_csv,
     xi_csv,
     xi_matrix_csv,
 )
@@ -418,3 +421,40 @@ class TestIndexBuiltOnce:
         assert not any(array.flags.writeable for array in (
             scenario.pair_source, scenario.pair_aggregator, *scenario.aggregator_pairs,
             *scenario.members))
+
+
+def _renamed(scenario, names):
+    """The scenario with the ids in `names` renamed, everywhere they appear."""
+    def new(key):
+        return names.get(key, key)
+
+    sources = tuple(replace(s, id=new(s.id), sharing=tuple(map(new, s.sharing)))
+                    for s in scenario.sources)
+    aggregators = tuple(replace(b, id=new(b.id), zeta={new(k): z for k, z in b.zeta.items()})
+                        for b in scenario.aggregators)
+    return MarketScenario(sources, aggregators, scenario.ground_truth)
+
+
+def test_csv_ids_are_quoted_when_they_must_be():
+    # ids with a comma, a double quote, CR or LF are legal; every CSV quotes
+    # them, so each row keeps the header's columns and the ids read back
+    scenario = _renamed(make_line_scenario(n_aggregators=2, zeta=0.1, n_points=8),
+                        {"s1": "s,1", "s2": 's"2', "s3": "s\r3", "b1": "b\n1"})
+    params = derive_parameters(scenario)
+    result = solve_unbounded(params)
+    pairs, sids, bids = params.pairs, scenario.source_ids, scenario.aggregator_ids
+    tables = {name: list(csv.reader(io.StringIO(text, newline=""))) for name, text in {
+        "beta": beta_csv(params), "gamma": gamma_csv(params), "xi": xi_csv(params),
+        "xi_matrix": xi_matrix_csv(params),
+        "rounds": rounds_csv(scenario, iter_rounds(scenario, result, 3, seed=1))}.items()}
+    for name, (header, *rows) in tables.items():
+        assert rows and {len(row) for row in rows} == {len(header)}, name
+    for name in ("beta", "gamma", "xi_matrix"):
+        assert [tuple(row[:2]) for row in tables[name][1:]] == list(pairs), name
+    xi_rows = tables["xi"][1:]
+    assert {row[0] for row in xi_rows} == set(bids)
+    assert {row[1] for row in xi_rows} == {row[2] for row in xi_rows} == set(sids)
+    assert tables["xi_matrix"][0][2:] == [f"{s}:{b}" for s, b in pairs]
+    assert tables["rounds"][0] == ["round", *(f"y_{s}" for s in sids),
+                                   *(f"p_{s}_{b}" for s, b in pairs),
+                                   *(f"loss_{b}" for b in bids)]

@@ -13,7 +13,7 @@ import pytest
 from conftest import by_id, dataset_points, make_line_scenario
 
 from datamarket import simulate
-from datamarket.equilibrium import solve_unbounded
+from datamarket.equilibrium import IdTable, solve_unbounded
 from datamarket.errors import DomainError
 from datamarket.estimators import design_matrix, trial_stream
 from datamarket.market import derive_parameters
@@ -164,6 +164,19 @@ class TestSingleRound:
         none_result = replace(result, status="none")
         with pytest.raises(DomainError):
             simulate_round(scenario, none_result, seed=0)
+
+    def test_round_tables_are_read_only_views_of_the_block(self, solved_line):
+        scenario, _, result = solved_line
+        round_ = simulate_round(scenario, result, seed=5)
+        for table, ids in ((round_.responses, scenario.source_ids),
+                           (round_.payments, scenario.sharing_pairs()),
+                           (round_.losses, scenario.aggregator_ids)):
+            assert isinstance(table, IdTable) and table.ids == ids
+            assert not table.array.flags.writeable
+            # equal, as a mapping, to the id-keyed dict of Python floats
+            built = dict(zip(ids, table.array.tolist()))
+            assert table == built and dict(table) == built
+            assert all(type(value) is float for value in table.values())
 
     def test_estimates_are_ols_fits(self, solved_line):
         scenario, _, result = solved_line
