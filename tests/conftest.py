@@ -19,6 +19,7 @@ from datamarket.market import (
     GroundTruth,
     MarketScenario,
 )
+from datamarket.scenario import GenerationSpec
 
 OLS = EstimatorSpec("ols_with_intercept")
 
@@ -27,6 +28,23 @@ def by_id(items):
     """{id: item} of a scenario's sources or aggregators: the tests' own
     lookup, built from the primitives rather than the package's index."""
     return {item.id: item for item in items}
+
+
+def _bench_markets():
+    """bench/workloads.py's certified markets at seeds 0 and 11: name ->
+    (spec, generation seed)."""
+    markets = {}
+    for seed in (0, 11):
+        for k, (n, m) in enumerate([(32, 3), (32, 4), (40, 3), (40, 4), (48, 3), (48, 4)]):
+            markets[f"unbounded-certify/{seed}/n{n}-m{m}"] = (
+                GenerationSpec(n, m, family="mixed"), seed * 1000 + k)
+        for k, n in enumerate((64, 80, 96)):
+            markets[f"bounded-best-response/{seed}/n{n}-m4"] = (
+                GenerationSpec(n, 4, family="mixed", bounded=True), seed * 1000 + k)
+    return markets
+
+
+BENCH_MARKETS = _bench_markets()
 
 
 def dataset_points(scenario, bid):

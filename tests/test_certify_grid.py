@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BENCH_MARKETS,
     by_id,
     dense_xi,
     make_line_scenario,
@@ -175,23 +176,6 @@ MARKETS = {
     "symmetric": make_symmetric_direct,
     "custom-family": _custom_line,
 }
-
-
-def _bench_markets():
-    """bench/workloads.py's certified markets at seeds 0 and 11: name ->
-    (spec, generation seed)."""
-    markets = {}
-    for seed in (0, 11):
-        for k, (n, m) in enumerate([(32, 3), (32, 4), (40, 3), (40, 4), (48, 3), (48, 4)]):
-            markets[f"unbounded-certify/{seed}/n{n}-m{m}"] = (
-                GenerationSpec(n, m, family="mixed"), seed * 1000 + k)
-        for k, n in enumerate((64, 80, 96)):
-            markets[f"bounded-best-response/{seed}/n{n}-m4"] = (
-                GenerationSpec(n, 4, family="mixed", bounded=True), seed * 1000 + k)
-    return markets
-
-
-BENCH_MARKETS = _bench_markets()
 
 
 def _solved(scenario):

@@ -1,10 +1,13 @@
 """Effort map tests: closed forms against an independent root-find oracle,
 monotonicity, first-order-condition residuals, and incentive bounds."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+
+from conftest import BENCH_MARKETS
 
 from datamarket.effort import (
     _CLOSED_FORMS,
@@ -23,6 +26,13 @@ from datamarket.effort import (
 )
 from datamarket.equilibrium import BOUNDARY_SLACK
 from datamarket.errors import DomainError, IncentiveRangeError
+from datamarket.scenario import (
+    GenerationSpec,
+    _parse_effort,
+    generate_scenario,
+    parse_scenario,
+    serialize_scenario,
+)
 
 
 def foc_bisect_oracle(model, a_total, lo=0.0, hi=None, iters=200):
@@ -345,3 +355,31 @@ class TestArrayEvaluation:
             assert type(effort_response(model, 4.0)) is float
             assert type(model.sigma(1.0)) is float
             assert type(variance_at(model, 1.0)) is float
+
+
+#: The bench markets, and a bounded inverse-power market on which Python's
+#: scalar ** and numpy's power part ways at some sources' e_max.
+EFFORT_MARKETS = {**BENCH_MARKETS, "inverse-power-bounded/n300-m4": (
+    GenerationSpec(300, 4, family="inverse_power", bounded=True), 0)}
+
+
+@pytest.mark.parametrize("market", sorted(EFFORT_MARKETS))
+def test_scenario_effort_map_equals_its_models_bit_for_bit(market):
+    # each source's model, read field by field from the document, sets its
+    # incentive bounds with the scalar _incentive_at
+    scenario = generate_scenario(*EFFORT_MARKETS[market])
+    text = serialize_scenario(scenario)
+    models = [_parse_effort(s["effort"], "effort") for s in json.loads(text)["sources"]]
+    expected = {
+        "sigma0": [tuple(vars(m.family).values())[0] for m in models],
+        "rate": [tuple(vars(m.family).values())[1] for m in models],
+        "e_max": [m.effort_set.e_max if m.effort_set.bounded else math.inf for m in models],
+        "a_lower": [m.incentive_bounds.a_lower for m in models],
+        "a_upper": [m.incentive_bounds.a_upper for m in models]}
+    for built in (scenario, parse_scenario(text)):
+        for name, values in expected.items():
+            assert getattr(built.effort_map, name).tolist() == values, name
+    if market.startswith("inverse-power"):
+        e, k = np.array(expected["e_max"]), np.array(expected["rate"])
+        assert (np.power(1.0 + e, -k - 1.0).tolist()
+                != [(1.0 + x) ** (-y - 1.0) for x, y in zip(e.tolist(), k.tolist())])

@@ -1,6 +1,8 @@
 """Scenario document round-trips, parse-error reporting, and deterministic
 generation."""
 
+import functools
+import hashlib
 import json
 import math
 
@@ -280,30 +282,54 @@ def _mutants(text):
 LOOKALIKE_IDS = {'"b001"': '"True"', '"b002"': '"0"'}
 
 
+#: The sweep's eight configurations: mode x bounded x lookalike ids.
+SWEEP_CONFIGS = [(mode, bounded, lookalikes) for mode in (MODE_ESTIMATOR, MODE_DIRECT)
+                 for bounded in (False, True) for lookalikes in (False, True)]
+#: SHA-256 of _sweep's listings over SWEEP_CONFIGS: every mutant's ParseError
+#: (location and text) or the SHA-256 of its canonical text.
+SWEEP_LISTING_SHA256 = "942d11d3a66b27e9c08b270d62a9e7f7cbb224df7553536e783bde36ec00e818"
+
+
+@functools.cache
+def _sweep(mode, bounded, lookalikes):
+    """(failures, listing) of the mutation sweep of one configuration: what
+    escaped other than a ParseError or broke the round trip, and one line per
+    mutant naming its ParseError or hashing its canonical text."""
+    text = serialize_scenario(generate_scenario(GenerationSpec(
+        4, 2, family="mixed", bounded=bounded, mode=mode, sharing_density=0.7), 0))
+    for old, new in LOOKALIKE_IDS.items() if lookalikes else ():
+        text = text.replace(old, new)
+    failures, listing = [], []
+    for path, value, mutant in _mutants(text):
+        try:
+            canonical = serialize_scenario(parse_scenario(mutant))
+            if serialize_scenario(parse_scenario(canonical)) != canonical:
+                failures.append((path, value, "round trip differs"))
+            if path[-2:-1] == ("sharing",) and not isinstance(value, str):
+                failures.append((path, value, "non-string aggregator id accepted"))
+            outcome = hashlib.sha256(canonical.encode()).hexdigest()
+        except ParseError as exc:
+            outcome = f"ParseError at {exc.location!r}: {exc}"
+        except Exception as exc:  # any other escape is what the sweep looks for
+            failures.append((path, value, repr(exc)))
+            outcome = repr(exc)
+        listing.append(f"{path!r} {value!r} {outcome}")
+    return failures, listing
+
+
 class TestMutationSweep:
     @pytest.mark.parametrize("lookalikes", [False, True], ids=["plain-ids", "lookalike-ids"])
     @pytest.mark.parametrize("mode", [MODE_ESTIMATOR, MODE_DIRECT])
     @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
     def test_mutants_parse_and_round_trip_or_raise_parse_error(self, mode, bounded,
                                                                lookalikes):
-        text = serialize_scenario(generate_scenario(GenerationSpec(
-            4, 2, family="mixed", bounded=bounded, mode=mode, sharing_density=0.7), 0))
-        for old, new in LOOKALIKE_IDS.items() if lookalikes else ():
-            text = text.replace(old, new)
-        failures = []
-        for path, value, mutant in _mutants(text):
-            try:
-                canonical = serialize_scenario(parse_scenario(mutant))
-                if serialize_scenario(parse_scenario(canonical)) != canonical:
-                    failures.append((path, value, "round trip differs"))
-                if path[-2:-1] == ("sharing",) and not isinstance(value, str):
-                    failures.append((path, value, "non-string aggregator id accepted"))
-            except ParseError:
-                pass
-            except Exception as exc:  # any other escape is what the sweep looks for
-                failures.append((path, value, repr(exc)))
+        failures, _ = _sweep(mode, bounded, lookalikes)
         assert not failures, failures[:5]
 
+    def test_every_mutant_keeps_its_refusal_or_canonical_text(self):
+        # pins which field each refusal names, not only that one is raised
+        listing = "\n".join(line for config in SWEEP_CONFIGS for line in _sweep(*config)[1])
+        assert hashlib.sha256(listing.encode()).hexdigest() == SWEEP_LISTING_SHA256
 
     @pytest.mark.parametrize("entry", [1, True, 1.0, None])
     def test_non_string_sharing_entry_is_refused(self, entry):

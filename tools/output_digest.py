@@ -10,11 +10,12 @@ parent commit and on the change, from each checkout's root, and diffing:
 The markets are the benchmark's markets at seeds 0 and 11 (all four
 workloads), the three north-star shapes (n=300, m=10, family "mixed",
 zeta_max 0.1: full sharing, half sharing with d=2, bounded) and one
-direct-mode market.  For each it hashes the scenario text, the validation
-summary, the beta, gamma and xi CSVs (xi_matrix.csv too where P <= 400), the
-solved result's JSON, its certificate text and welfare JSON, a five-point
-alpha sweep CSV (unbounded markets) and, in estimator mode, a 30-round
-rounds CSV and payment_statistics.  It imports datamarket from ./src and takes no flags.
+direct-mode market.  For each it hashes the scenario text, its parse ->
+serialize round trip, the validation summary, the beta, gamma and xi CSVs
+(xi_matrix.csv too where P <= 400), the solved result's JSON, its
+certificate text and welfare JSON, a five-point alpha sweep CSV (unbounded
+markets) and, in estimator mode, a 30-round rounds CSV and
+payment_statistics.  It imports datamarket from ./src and takes no flags.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ def outputs(spec: dm.GenerationSpec, seed: int):
     scenario = dm.parse_scenario(text)
     params = dm.derive_parameters(scenario, require_valid=False)
     yield "scenario", text
+    yield "scenario round trip", dm.serialize_scenario(scenario)
     yield "validation", dm.validate_scenario(scenario).summary()
     yield "beta.csv", results.beta_csv(params)
     yield "gamma.csv", results.gamma_csv(params)
