@@ -222,24 +222,26 @@ class EquilibriumResult:
                 _aligned(polytope.rows, sids, "polytope"))
 
 
-def _aligned(table, keys, name: str) -> np.ndarray:
-    """A table's values over `keys` (the market's pairs or source ids): an
-    IdTable's own array when its ids are `keys`, else read id by id."""
+def _aligned(table, keys, name: str, location: str = "result",
+             kind: str = "source") -> np.ndarray:
+    """A table's values over `keys` (the market's pairs, or its ids of
+    `kind`): an IdTable's own array when its ids are `keys`, else read id by
+    id."""
     if isinstance(table, IdTable) and (table.ids is keys or table.ids == keys):
         return table.array
-    return _lookup(table, keys, name)
+    return _lookup(table, keys, name, location, kind)
 
 
-def _lookup(table, keys, name: str) -> np.ndarray:
+def _lookup(table, keys, name: str, location: str, kind: str) -> np.ndarray:
     """_aligned's fallback: the values of `keys`, read one by one.  A missing,
-    extra or wrongly kinded key (another market's table) raises ParseError
-    naming the first mismatch in id order."""
+    extra or wrongly kinded key (another market's table) raises ParseError at
+    `location`, naming the first mismatch in id order."""
     if len(table) != len(keys) or not all(key in table for key in keys):
         first = _first_mismatch(keys, table)
         shown = (f"pair ({', '.join(map(str, first))})" if isinstance(first, tuple)
-                 else f"source {first}")
+                 else f"{kind} {first}")
         raise ParseError(f"{name} does not match the scenario: first mismatched {shown}",
-                         location="result")
+                         location=location)
     return np.array([table[key] for key in keys], dtype=float)
 
 

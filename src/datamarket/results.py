@@ -352,6 +352,7 @@ def rounds_csv(scenario, rounds) -> str:
     header = ["round", *(f"y_{s}" for s in sids), *(f"p_{s}_{b}" for s, b in pairs),
               *(f"loss_{b}" for b in bids)]
     return _csv(itertools.chain([map(_field, header)], (
-        [r.index, *_aligned(r.responses, sids, "responses").tolist(),
-         *_aligned(r.payments, pairs, "payments").tolist(),
-         *_aligned(r.losses, bids, "losses").tolist()] for r in rounds)))
+        [r.index, *_aligned(r.responses, sids, "responses", f"round {r.index}").tolist(),
+         *_aligned(r.payments, pairs, "payments", f"round {r.index}").tolist(),
+         *_aligned(r.losses, bids, "losses", f"round {r.index}", "aggregator").tolist()]
+        for r in rounds)))

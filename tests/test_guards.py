@@ -42,6 +42,12 @@ def _with_rival(rival):
     return MarketScenario(scenario.sources, aggregators, scenario.ground_truth)
 
 
+def _round_with_losses(losses):
+    scenario, result = _line(8)
+    played = next(iter_rounds(scenario, result, 1, 7))
+    return rounds_csv(scenario, [replace(played, losses=losses)])
+
+
 def _schema_version(version):
     doc = json.loads(result_to_json(_line(8)[1]))
     doc["schema_version"] = version
@@ -69,6 +75,9 @@ GUARDS = {
                              lambda: iter_rounds(*_line(8), 2, -1)),
     "rounds-csv-of-another-market": (ParseError, "first mismatched source s5",
                                      lambda: rounds_csv(_line(4)[0], iter_rounds(*_line(8), 2, 7))),
+    "rounds-csv-losses-of-another-aggregator": (
+        ParseError, "^round 0: losses does not match the scenario: first mismatched aggregator b2$",
+        lambda: _round_with_losses({"b1": 1.0, "b9": 2.0})),
     "statistics-1-round": (DomainError, "payment statistics need at least 2 rounds",
                            lambda: payment_statistics(*_line(8), 1, 7)),
     "result-not-an-object": (ParseError, "result document root must be an object",
