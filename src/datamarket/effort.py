@@ -16,7 +16,8 @@ range [a_lower, a_upper] on which the map is meaningful.
     inverse_power:  sigma(e) = sigma0 * (1 + e) ** -k
 
 Each family is written once, as its entry in `_CLOSED_FORMS`; `EffortMap`
-evaluates it for many sources at once, and the scalar API gives the same bits.
+evaluates it for many sources at once, from columns of their parameters, and
+the scalar API gives the same bits.
 
 All functions are pure and the model values immutable, so unrestricted
 concurrent use is safe.
@@ -80,10 +81,12 @@ class _ClosedFormVariance:
         return float(_CLOSED_FORMS[type(self)].sigma(e, *vars(self).values()))
 
     def sigma_prime(self, e: float) -> float:
-        return float(_CLOSED_FORMS[type(self)].sigma_prime(e, *vars(self).values()))
+        with np.errstate(over="ignore"):  # overflows to inf, as Python floats do
+            return float(_CLOSED_FORMS[type(self)].sigma_prime(e, *vars(self).values()))
 
     def sigma_second(self, e: float) -> float:
-        return float(_CLOSED_FORMS[type(self)].sigma_second(e, *vars(self).values()))
+        with np.errstate(over="ignore"):
+            return float(_CLOSED_FORMS[type(self)].sigma_second(e, *vars(self).values()))
 
 
 @dataclass(frozen=True)
@@ -102,13 +105,22 @@ class InversePowerVariance(_ClosedFormVariance):
     k: float
 
 
+def _pow(base, exponent):
+    """base ** exponent by Python's float power, elementwise on arrays:
+    numpy's power rounds some (base, exponent) pairs differently, and
+    sigma' and sigma'' have always been evaluated with **."""
+    if isinstance(base, np.ndarray):
+        return np.array([b ** x for b, x in zip(base.tolist(), exponent.tolist())], dtype=float)
+    return base ** exponent
+
+
 @dataclass(frozen=True)
 class _ClosedForm:
     """A family's class, its document name and rate-field name, and sigma,
-    sigma', sigma'' and the effort map over (e or a_total, sigma0, rate).
-    sigma and the effort map are numpy ufuncs: on floats these run the array
-    loops, so scalar and array evaluations agree bit for bit (a scalar ** is
-    a different routine, off in the last bit on some inputs)."""
+    sigma', sigma'' and the effort map over (e or a_total, sigma0, rate),
+    each on floats or on arrays alike.  sigma and the effort map are numpy
+    ufuncs: on floats these run the array loops, so scalar and array
+    evaluations agree bit for bit; sigma' and sigma'' power by _pow."""
 
     cls: type
     name: str
@@ -124,20 +136,24 @@ _CLOSED_FORMS = {form.cls: form for form in (
     _ClosedForm(
         ExponentialVariance, "exponential", "lambda",
         sigma=lambda e, sigma0, lam: sigma0 * np.exp(-lam * e),
-        # scaled as a Python float, which overflows to inf without a numpy warning
-        sigma_prime=lambda e, sigma0, lam: -lam * float(sigma0 * np.exp(-lam * e)),
-        sigma_second=lambda e, sigma0, lam: lam * lam * float(sigma0 * np.exp(-lam * e)),
+        sigma_prime=lambda e, sigma0, lam: -lam * (sigma0 * np.exp(-lam * e)),
+        sigma_second=lambda e, sigma0, lam: lam * lam * (sigma0 * np.exp(-lam * e)),
         # root of 2*a*sigma*sigma' + 1 = 0:  exp(-2*lam*e) = 1/(2*a*lam*sigma0^2)
         effort=lambda a, sigma0, lam: np.log(2.0 * a * lam * np.square(sigma0)) / (2.0 * lam)),
     _ClosedForm(
         InversePowerVariance, "inverse_power", "k",
         sigma=lambda e, sigma0, k: sigma0 * np.power(1.0 + e, -k),
-        sigma_prime=lambda e, sigma0, k: -k * sigma0 * (1.0 + e) ** (-k - 1.0),
-        sigma_second=lambda e, sigma0, k: k * (k + 1.0) * sigma0 * (1.0 + e) ** (-k - 2.0),
+        sigma_prime=lambda e, sigma0, k: -k * sigma0 * _pow(1.0 + e, -k - 1.0),
+        sigma_second=lambda e, sigma0, k: k * (k + 1.0) * sigma0 * _pow(1.0 + e, -k - 2.0),
         # (1 + e) ** (2k + 1) = 2 * a * k * sigma0^2
         effort=lambda a, sigma0, k: np.power(2.0 * a * k * np.square(sigma0),
                                              1.0 / (2.0 * k + 1.0)) - 1.0),
 )}
+#: The closed forms in family-code order: EffortMap's code of a source's
+#: family is its position here, and _CUSTOM marks a custom family.
+_FORMS = tuple(_CLOSED_FORMS.values())
+_CODES = {form.cls: code for code, form in enumerate(_FORMS)}
+_CUSTOM = len(_FORMS)
 
 
 @dataclass(frozen=True)
@@ -206,6 +222,19 @@ def _incentive_at(model: EffortVarianceModel, e: float | None) -> float:
     if not math.isfinite(bound):
         raise DomainError(f"incentive bound {bound} at effort {e} is not finite")
     return bound
+
+
+def _incentives(family: np.ndarray, sigma0: np.ndarray, rate: np.ndarray,
+                e: np.ndarray) -> np.ndarray:
+    """_incentive_at of each closed-form row at effort e[k], over the arrays:
+    NaN where e is NaN, and on custom rows."""
+    slope = np.full(len(family), np.nan)
+    with np.errstate(all="ignore"):  # a bound that is not finite fails EffortMap's check
+        for code, form in enumerate(_FORMS):
+            rows = np.flatnonzero((family == code) & ~np.isnan(e))
+            args = e[rows], sigma0[rows], rate[rows]
+            slope[rows] = 2.0 * form.sigma(*args) * form.sigma_prime(*args)
+        return -1.0 / slope
 
 
 def exponential_model(sigma0: float, lam: float,
@@ -302,36 +331,70 @@ def _solve_foc(model: EffortVarianceModel, a_total: float) -> float:
 
 
 class EffortMap:
-    """The effort map and sigma of a sequence of models, over numpy arrays
-    of their parameters, gathered once (a_upper and e_max are inf for
-    unbounded sets).  An evaluation takes values and the indices of their
-    models (all models, in order, when None).  Custom families go through
-    the bracketed root-finder, the only per-point loop."""
+    """The effort map and sigma of n sources, over columns of their
+    parameters: `family` codes (positions in _FORMS, _CUSTOM for a custom
+    family), `sigma0`, `rate` and `e_max` (inf for an unbounded set), and
+    `custom`, each custom row's model.  The incentive bounds `a_lower` and
+    `a_upper` are computed at construction, per family over the arrays, as
+    _incentive_at computes them, so they equal the models' bits; a row whose
+    model would raise DomainError raises it.  An evaluation takes values and
+    the indices of their sources (all, in order, when None).  Custom
+    families go through the bracketed root-finder, the only per-point loop."""
 
-    def __init__(self, models):
-        self.models = tuple(models)
-        params = [tuple(vars(m.family).values()) if type(m.family) in _CLOSED_FORMS
-                  else (1.0, 1.0) for m in self.models]
-        bounds = [m.incentive_bounds for m in self.models]
-        self.family = np.array([type(m.family) for m in self.models], dtype=object)
-        self.sigma0 = np.array([p[0] for p in params], dtype=float)
-        self.rate = np.array([p[1] for p in params], dtype=float)
-        self.a_lower = np.array([b.a_lower for b in bounds], dtype=float)
-        self.a_upper = np.array([b.a_upper for b in bounds], dtype=float)
-        self.e_max = np.array([m.effort_set.e_max if m.effort_set.bounded else math.inf
-                               for m in self.models], dtype=float)
+    def __init__(self, family, sigma0, rate, e_max, custom=None):
+        self.family = np.asarray(family, dtype=np.int8)
+        self.sigma0, self.rate, self.e_max = (np.array(v, dtype=float)
+                                              for v in (sigma0, rate, e_max))
+        self.custom = dict(custom or {})
+        closed = self.family != _CUSTOM
+        # the checks of the family, its EffortSet and IncentiveBounds
+        ok = ~closed | ((self.sigma0 > 0) & (self.rate > 0) & (self.e_max > 0)
+                        & np.isfinite(self.sigma0) & np.isfinite(self.rate))
+        self.a_lower = _incentives(self.family, self.sigma0, self.rate,
+                                   np.where(ok, 0.0, np.nan))
+        self.a_upper = _incentives(self.family, self.sigma0, self.rate,
+                                   np.where(ok & np.isfinite(self.e_max), self.e_max, np.nan))
+        self.a_upper[np.isinf(self.e_max)] = math.inf
+        for k, model in self.custom.items():
+            self.a_lower[k], self.a_upper[k] = vars(model.incentive_bounds).values()
+        ok &= (np.isfinite(self.a_lower) & (self.a_lower > 0) & (self.a_upper > self.a_lower)
+               & (np.isfinite(self.a_upper) | np.isinf(self.e_max)))
+        if not ok.all():
+            k = int(np.argmin(ok))
+            self.model(k)  # raises the DomainError of source k
+            raise DomainError(f"effort parameters of source {k} are out of range")
+
+    @classmethod
+    def of(cls, models) -> EffortMap:
+        """The map of a sequence of models (each custom one kept as it is)."""
+        models = tuple(models)
+        codes = [_CODES.get(type(m.family), _CUSTOM) for m in models]
+        params = [tuple(vars(m.family).values()) if code != _CUSTOM else (1.0, 1.0)
+                  for m, code in zip(models, codes)]
+        return cls(codes, [p[0] for p in params], [p[1] for p in params],
+                   [m.effort_set.e_max if m.effort_set.bounded else math.inf for m in models],
+                   {k: m for k, (m, code) in enumerate(zip(models, codes)) if code == _CUSTOM})
+
+    def model(self, k: int) -> EffortVarianceModel:
+        """Source k's model: a custom family's own, else built from the columns."""
+        if k in self.custom:
+            return self.custom[k]
+        e_max = float(self.e_max[k])
+        return EffortVarianceModel(
+            _FORMS[self.family[k]].cls(float(self.sigma0[k]), float(self.rate[k])),
+            UNBOUNDED if e_max == math.inf else EffortSet("bounded", e_max=e_max))
 
     def _each(self, values: np.ndarray, index, form: str, custom) -> np.ndarray:
         """The closed forms' `form` ("sigma" or "effort"), or custom(model, value)."""
-        index = np.arange(len(self.models)) if index is None else np.asarray(index)
+        index = np.arange(len(self.family)) if index is None else np.asarray(index)
         families = self.family[index]
         out = np.empty(len(values))
-        for family, forms in _CLOSED_FORMS.items():
-            rows = np.flatnonzero(families == family)
+        for code, forms in enumerate(_FORMS):
+            rows = np.flatnonzero(families == code)
             at = index[rows]
             out[rows] = getattr(forms, form)(values[rows], self.sigma0[at], self.rate[at])
-        for k in np.flatnonzero(families == CustomVariance).tolist():
-            out[k] = custom(self.models[index[k]], float(values[k]))
+        for k in np.flatnonzero(families == _CUSTOM).tolist():
+            out[k] = custom(self.custom[int(index[k])], float(values[k]))
         return out
 
     def sigma(self, efforts, index=None) -> np.ndarray:
@@ -394,7 +457,7 @@ def effort_response(model: EffortVarianceModel, a_total: float) -> float:
     IncentiveRangeError; there is no silent clamping here (only the bounded
     equilibrium solver clamps, explicitly).
     """
-    return float(EffortMap((model,)).efforts(a_total)[0])
+    return float(EffortMap.of((model,)).efforts(a_total)[0])
 
 
 def effort_response_derivative(model: EffortVarianceModel, a_total: float) -> float:

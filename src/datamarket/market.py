@@ -55,6 +55,9 @@ ESTIMATOR_ZERO_TOL = 1e-14
 
 @dataclass(frozen=True)
 class DataSourceSpec:
+    """One source as MarketScenario takes it, and as scenario.sources
+    shows it: a view built from the scenario's columns."""
+
     id: str
     feature: FeaturePoint
     effort_model: EffortVarianceModel
@@ -118,70 +121,93 @@ def _pair_index(membership: np.ndarray):
     return pair_source, pair_aggregator, aggregator_pairs, members
 
 
-@dataclass(frozen=True, eq=False)
+def _source_columns(sources) -> tuple:
+    """(ids, features, sharing, EffortMap) of DataSourceSpecs, in id order:
+    the columns MarketScenario indexes."""
+    sources = sorted(sources, key=lambda s: s.id)
+    return ([s.id for s in sources], [s.feature for s in sources],
+            [s.sharing for s in sources], EffortMap.of(s.effort_model for s in sources))
+
+
 class MarketScenario:
-    """The market's primitives, indexed once at construction: `sources` and
-    `aggregators` sorted by id, whatever their given order, and over that
-    order `membership` (n x m, [s, b] true when s sells to b), _pair_index's
-    arrays, `features` (n x d, read-only) and the sources' `effort_map`.
-    Every reader takes these; DerivedParameters binds the same objects."""
+    """The market's primitives, indexed once at construction.  The sources
+    are columns in id order: `source_ids`, `features` (n x d, read-only),
+    `membership` (n x m, [s, b] true when s sells to b) and `effort_map`
+    (family code, sigma0, rate and e_max per source); `aggregators` are
+    AggregatorSpecs sorted by id, and over that order stand _pair_index's
+    arrays.  Every reader takes these; DerivedParameters binds the same
+    objects.  `sources` builds DataSourceSpec views on each read.
 
-    sources: tuple[DataSourceSpec, ...]
-    aggregators: tuple[AggregatorSpec, ...]
-    ground_truth: GroundTruth
-    mode: str = MODE_ESTIMATOR
-    direct_beta: Mapping[tuple[str, str], float] | None = None
-    direct_xi: Mapping[str, Mapping[tuple[str, str], float]] | None = None
-    # Filled at construction, not cached on first read: writing to an
-    # instance's __dict__ later slows every attribute read on it (CPython 3.11).
-    source_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    aggregator_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    membership: np.ndarray = field(init=False, repr=False, compare=False)
-    pair_source: np.ndarray = field(init=False, repr=False, compare=False)
-    pair_aggregator: np.ndarray = field(init=False, repr=False, compare=False)
-    aggregator_pairs: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    members: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    features: np.ndarray = field(init=False, repr=False, compare=False)
-    effort_map: EffortMap = field(init=False, repr=False, compare=False)
-    _sharing_pairs: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+    MarketScenario(sources, aggregators, ground_truth, ...) takes
+    DataSourceSpecs in any order; the parser and the generator hand their
+    columns to _from_columns, the same indexing pass.  Every attribute is
+    set at construction, never cached on first read: writing to an
+    instance's __dict__ later slows every attribute read on it (CPython
+    3.11).  The instance is immutable."""
 
-    def __post_init__(self):
-        sources = tuple(sorted(self.sources, key=lambda s: s.id))
-        aggregators = tuple(sorted(self.aggregators, key=lambda b: b.id))
-        if not sources or not aggregators:
+    def __init__(self, sources, aggregators, ground_truth: GroundTruth,
+                 mode: str = MODE_ESTIMATOR,
+                 direct_beta: Mapping[tuple[str, str], float] | None = None,
+                 direct_xi: Mapping[str, Mapping[tuple[str, str], float]] | None = None):
+        self._index(*_source_columns(sources), aggregators, ground_truth, mode,
+                    direct_beta, direct_xi)
+
+    @classmethod
+    def _from_columns(cls, ids, features, sharing, effort_map: EffortMap, aggregators,
+                      ground_truth: GroundTruth, mode: str = MODE_ESTIMATOR,
+                      direct_beta=None, direct_xi=None) -> MarketScenario:
+        """The scenario of source columns already in id order: ids, feature
+        points, each source's aggregator ids, and their EffortMap."""
+        scenario = cls.__new__(cls)
+        scenario._index(ids, features, sharing, effort_map, aggregators, ground_truth, mode,
+                        direct_beta, direct_xi)
+        return scenario
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MarketScenario is immutable; cannot set {name!r}")
+
+    def _index(self, sids, features, sharing, effort_map, aggregators, ground_truth, mode,
+               direct_beta, direct_xi):
+        aggregators = tuple(sorted(aggregators, key=lambda b: b.id))
+        if not sids or not aggregators:
             raise DomainError("a scenario needs at least one source and one aggregator")
-        sids, bids = tuple(s.id for s in sources), tuple(b.id for b in aggregators)
+        sids, bids = tuple(sids), tuple(b.id for b in aggregators)
         for name, ids in (("source", sids), ("aggregator", bids)):
-            dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
-            if dupes:
+            if len(set(ids)) != len(ids):
+                dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
                 raise DomainError(f"duplicate {name} ids {dupes}")
         if set(sids) & set(bids):
             raise DomainError("source and aggregator ids must be disjoint")
-        dims = {len(s.feature) for s in sources}
+        dims = set(map(len, features))
         if len(dims) != 1:
             raise DomainError(f"sources mix feature dimensions {sorted(dims)}")
         d = dims.pop()
-        if len(self.ground_truth.coefficients) != d:
-            raise DomainError(f"ground truth has {len(self.ground_truth.coefficients)} "
+        if len(ground_truth.coefficients) != d:
+            raise DomainError(f"ground truth has {len(ground_truth.coefficients)} "
                               f"coefficients for dimension {d}")
-        known = set(bids)
-        for s in sources:
-            unknown = set(s.sharing) - known
-            if unknown:
-                raise DomainError(f"source {s.id!r} shares with unknown "
-                                  f"aggregators {sorted(unknown)}")
-        membership = np.array([[bid in s.sharing for bid in bids] for s in sources])
+        column = {bid: b for b, bid in enumerate(bids)}
+        rows, columns = [], []
+        for s, (sid, shares) in enumerate(zip(sids, sharing)):
+            try:
+                columns += map(column.__getitem__, shares)
+            except KeyError:
+                raise DomainError(f"source {sid!r} shares with unknown aggregators "
+                                  f"{sorted(set(shares) - set(bids))}") from None
+            rows += [s] * len(shares)
+        membership = np.zeros((len(sids), len(bids)), dtype=bool)
+        membership[rows, columns] = True
         pair_source, pair_aggregator, aggregator_pairs, members = _pair_index(membership)
         pairs = tuple((sids[s], bids[b])
                       for s, b in zip(pair_source.tolist(), pair_aggregator.tolist()))
-        features = _read_only([np.array([s.feature for s in sources], dtype=float)])[0]
         for name, value in dict(
-                sources=sources, aggregators=aggregators, source_ids=sids, aggregator_ids=bids,
-                membership=membership, pair_source=pair_source, pair_aggregator=pair_aggregator,
-                aggregator_pairs=aggregator_pairs, members=members, features=features,
-                effort_map=EffortMap(s.effort_model for s in sources),
-                _sharing_pairs=pairs).items():
+                aggregators=aggregators, ground_truth=ground_truth, mode=mode,
+                direct_beta=direct_beta, direct_xi=direct_xi, source_ids=sids,
+                aggregator_ids=bids, membership=membership, pair_source=pair_source,
+                pair_aggregator=pair_aggregator, aggregator_pairs=aggregator_pairs,
+                members=members, features=_read_only([np.array(features, dtype=float)])[0],
+                effort_map=effort_map, _sharing_pairs=pairs).items():
             object.__setattr__(self, name, value)
+        known = set(bids)
         for b in aggregators:
             unknown = set(b.zeta) - known
             if unknown:
@@ -190,12 +216,22 @@ class MarketScenario:
             if b.query_dist.dimension != d:
                 raise DomainError(f"aggregator {b.id!r} query dimension "
                                   f"{b.query_dist.dimension} != feature dimension {d}")
-        if self.mode not in (MODE_ESTIMATOR, MODE_DIRECT):
-            raise DomainError(f"unknown parameter mode {self.mode!r}")
-        if self.mode == MODE_DIRECT:
+        if mode not in (MODE_ESTIMATOR, MODE_DIRECT):
+            raise DomainError(f"unknown parameter mode {mode!r}")
+        if mode == MODE_DIRECT:
             self._check_direct_tables()
-        elif self.direct_beta is not None or self.direct_xi is not None:
+        elif direct_beta is not None or direct_xi is not None:
             raise DomainError("direct parameter tables given in estimator mode")
+
+    @property
+    def sources(self) -> tuple[DataSourceSpec, ...]:
+        """Each source as a DataSourceSpec, in id order, built from the
+        columns on each read."""
+        bids = self.aggregator_ids
+        return tuple(DataSourceSpec(sid, feature, self.effort_map.model(k),
+                                    tuple(bids[b] for b in np.flatnonzero(row).tolist()))
+                     for k, (sid, feature, row) in enumerate(zip(
+                         self.source_ids, self.features.tolist(), self.membership)))
 
     def _check_direct_tables(self):
         if self.direct_beta is None or self.direct_xi is None:
@@ -713,7 +749,7 @@ class DerivedParameters:
         return self._spectral_radius
 
     def effort_model(self, source_id: str) -> EffortVarianceModel:
-        return self.effort_map.models[self.scenario.source_ids.index(source_id)]
+        return self.effort_map.model(self.scenario.source_ids.index(source_id))
 
     def offdiagonal_xi_max(self) -> float:
         # every block is nonnegative (validated or squared) with a zero diagonal

@@ -49,7 +49,7 @@ from .equilibrium import (
 )
 from .errors import DomainError, ParseError
 from .market import DerivedParameters
-from .scenario import _expect, _load_json, _number, _numbers_by_id, _pairs_by_id
+from .scenario import _expect, _load_json, _number, _numbers_by_id, _object, _pairs_by_id
 from .welfare import WelfareReport
 
 RESULT_SCHEMA_VERSION = 1
@@ -58,15 +58,6 @@ RESULT_SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # JSON writing
 # ---------------------------------------------------------------------------
-
-def _object(fields, depth: int) -> str:
-    """The indent=2 text of an object nested `depth` deep, from its
-    '"key": value' field texts."""
-    if not fields:
-        return "{}"
-    inner = "\n" + "  " * (depth + 1)
-    return "{" + inner + ("," + inner).join(fields) + "\n" + "  " * depth + "}"
-
 
 def _keys(ids) -> list[str]:
     """The '"id": ' prefix of each id's field."""

@@ -8,13 +8,17 @@ parameters reproduce exactly from a saved document.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quoted
+from typing import Mapping
 
 import numpy as np
 
-from .effort import _CLOSED_FORMS, EffortMap, EffortSet, EffortVarianceModel
+from .effort import _CUSTOM, _FORMS, EffortMap, EffortSet, EffortVarianceModel
 from .errors import (
     DomainError,
     GenerationError,
@@ -33,6 +37,7 @@ from .market import (
     _net_demand,
     _pair_index,
     _relevance,
+    _source_columns,
     validate_scenario,
 )
 
@@ -42,11 +47,15 @@ _TOP_FIELDS = {"schema_version", "mode", "ground_truth", "sources",
                "aggregators", "direct_parameters"}
 _SOURCE_FIELDS = {"id", "feature", "effort", "sharing"}
 _AGG_FIELDS = {"id", "estimator", "query_distribution", "zeta", "eta"}
-#: The closed-form families by document name, and the names generation takes.
-_FAMILIES = {form.name: form for form in _CLOSED_FORMS.values()}
-_GENERATED_FAMILIES = (*_FAMILIES, "mixed")
+#: A closed-form family's code (see effort._FORMS), rate field and effort
+#: fields, by document name; generation also takes "mixed".
+_FAMILY_FIELDS = {form.name: (code, form.rate, {"family", "sigma0", form.rate, "set"})
+                  for code, form in enumerate(_FORMS)}
+_GENERATED_FAMILIES = (*_FAMILY_FIELDS, "mixed")
 #: Every effort field; a family reads "family", "sigma0", "set" and its own rate.
-_EFFORT_FIELDS = {"family", "sigma0", "set", *(form.rate for form in _FAMILIES.values())}
+_EFFORT_FIELDS = set().union(*(fields for _, _, fields in _FAMILY_FIELDS.values()))
+#: The fields of an effort set, by kind.
+_SET_FIELDS = {"unbounded": {"kind"}, "bounded": {"kind", "e_max"}}
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +122,12 @@ def _no_unknown_fields(mapping, allowed, location):
 
 
 def _parse_effort(doc, location) -> EffortVarianceModel:
-    """Reads exactly the fields _effort_to_dict writes: the family's own
+    """Reads exactly the effort fields serialize_scenario writes: the family's own
     rate field (not another family's), and e_max only in a bounded set."""
     _no_unknown_fields(doc, _EFFORT_FIELDS, location)
     family = _expect(doc, "family", str, location)
-    form = _FAMILIES.get(family)
-    if form is not None:
-        _no_unknown_fields(doc, {"family", "sigma0", "set", form.rate}, location)
+    code, rate_field, fields = _FAMILY_FIELDS.get(family, (None, None, _EFFORT_FIELDS))
+    _no_unknown_fields(doc, fields, location)
     set_doc = _expect(doc, "set", dict, location, default={"kind": "unbounded"})
     kind = _expect(set_doc, "kind", str, f"{location}.set")
     _no_unknown_fields(set_doc, {"kind", "e_max"} if kind == "bounded" else {"kind"},
@@ -131,10 +139,10 @@ def _parse_effort(doc, location) -> EffortVarianceModel:
         else:
             effort_set = EffortSet(kind)
         sigma0 = _expect(doc, "sigma0", float, location)
-        if form is None:
+        if code is None:
             raise ParseError(f"unknown effort family {family!r}", location=location)
         return EffortVarianceModel(
-            form.cls(sigma0, _expect(doc, form.rate, float, location)), effort_set)
+            _FORMS[code].cls(sigma0, _expect(doc, rate_field, float, location)), effort_set)
     except DomainError as exc:
         raise ParseError(str(exc), location=location) from exc
 
@@ -187,6 +195,43 @@ def _parse_direct_tables(doc):
     return beta, {bid: _pairs_by_id(xi_doc, bid, f"{location}.xi") for bid in xi_doc}
 
 
+def _read_columns(docs):
+    """The sources list as MarketScenario's columns (ids, features, sharing,
+    EffortMap), in id order, read in one pass with the types and the
+    finiteness checked over whole columns.  None unless every entry is in
+    the writer's own form and EffortMap accepts the effort parameters: then
+    _parse_source reads the list entry by entry, and its ParseError names
+    the first offending field."""
+    ids, features, sharing, codes, sigma0, rate, e_max, numbers = ([] for _ in range(8))
+    try:
+        for doc in sorted(docs, key=operator.itemgetter("id")):
+            effort = doc["effort"]
+            code, rate_field, fields = _FAMILY_FIELDS[effort["family"]]
+            set_doc = effort["set"]
+            if (doc.keys() != _SOURCE_FIELDS or effort.keys() != fields
+                    or set_doc.keys() != _SET_FIELDS[set_doc["kind"]]):
+                return None
+            ids.append(doc["id"])
+            features.append(doc["feature"])
+            sharing.append(doc["sharing"])
+            codes.append(code)
+            sigma0.append(effort["sigma0"])
+            rate.append(effort[rate_field])
+            e_max.append(set_doc.get("e_max", math.inf))  # inf: unbounded
+            numbers += doc["feature"]
+            if "e_max" in set_doc:
+                numbers.append(set_doc["e_max"])
+        numbers += sigma0 + rate
+        if not (set(map(type, ids)) <= {str} and set(map(type, features)) <= {list}
+                and set(map(type, sharing)) <= {list} and all(features) and all(sharing)
+                and set(map(type, itertools.chain.from_iterable(sharing))) <= {str}
+                and set(map(type, numbers)) <= {float} and np.isfinite(numbers).all()):
+            return None
+        return ids, features, sharing, EffortMap(codes, sigma0, rate, e_max)
+    except (KeyError, TypeError, AttributeError, DomainError):
+        return None
+
+
 def _load_json(text: str, what: str):
     """json.loads(text); malformed JSON (located by line), an integer literal
     too long to convert and nesting too deep to decode raise ParseError."""
@@ -216,15 +261,17 @@ def parse_scenario(text: str) -> MarketScenario:
         _expect(gt_doc, "intercept", float, "ground_truth"))
 
     sources_doc = _expect(doc, "sources", list, "document")
-    sources = tuple(_parse_source(s, k) for k, s in enumerate(sources_doc))
+    columns = _read_columns(sources_doc)
+    if columns is None:  # the per-field reader raises the first row's ParseError
+        columns = _source_columns(_parse_source(s, k) for k, s in enumerate(sources_doc))
     agg_doc = _expect(doc, "aggregators", list, "document")
     aggregators = tuple(_parse_aggregator(a, k) for k, a in enumerate(agg_doc))
     direct_beta = direct_xi = None
     if "direct_parameters" in doc:
         direct_beta, direct_xi = _parse_direct_tables(doc["direct_parameters"])
     try:
-        return MarketScenario(sources, aggregators, ground_truth, mode=mode,
-                              direct_beta=direct_beta, direct_xi=direct_xi)
+        return MarketScenario._from_columns(*columns, aggregators, ground_truth, mode=mode,
+                                            direct_beta=direct_beta, direct_xi=direct_xi)
     except DomainError as exc:
         raise ParseError(str(exc), location="document") from exc
 
@@ -233,67 +280,91 @@ def parse_scenario(text: str) -> MarketScenario:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _effort_to_dict(model: EffortVarianceModel) -> dict:
-    form = _CLOSED_FORMS.get(type(model.family))
-    if form is None:
+def _object(fields, depth: int, brackets: str = "{}") -> str:
+    """The indent=2 text of an object nested `depth` deep, from its
+    '"key": value' field texts; with brackets "[]", of an array from its
+    item texts."""
+    if not fields:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(fields) + "\n" + "  " * depth + brackets[1]
+
+
+def _floats(values, depth: int) -> str:
+    return _object(list(map(float.__repr__, map(float, values))), depth, "[]")
+
+
+def _nested(table: Mapping[tuple[str, str], float], depth: int) -> str:
+    """A table keyed by id pairs, as an object of objects keyed by the
+    first id then the second, in id order."""
+    rows: dict[str, list[str]] = {}
+    for (first, second), value in sorted(table.items()):
+        rows.setdefault(first, []).append(f"{_quoted(second)}: {float(value)!r}")
+    return _object([f"{_quoted(first)}: {_object(fields, depth + 1)}"
+                    for first, fields in rows.items()], depth)
+
+
+#: One source's entry in "sources", nested two deep, from its id, feature,
+#: family, sigma0, rate field, rate, set and sharing texts.
+_SOURCE_ENTRY = ('{{\n      "id": {},\n      "feature": {},\n      "effort": {{\n'
+                 '        "family": {},\n        "sigma0": {!r},\n        {}: {!r},\n'
+                 '        "set": {}\n      }},\n      "sharing": {}\n    }}').format
+_UNBOUNDED_SET = '{\n          "kind": "unbounded"\n        }'
+_BOUNDED_SET = '{{\n          "kind": "bounded",\n          "e_max": {!r}\n        }}'.format
+
+
+def _sources_text(scenario: MarketScenario) -> list[str]:
+    """Each source's entry, from the columns; a custom effort family, which
+    has no document form, raises DomainError."""
+    effort = scenario.effort_map
+    if (effort.family == _CUSTOM).any():
         raise DomainError("custom effort families are not serializable")
-    sigma0, rate = vars(model.family).values()
-    out = {"family": form.name, "sigma0": sigma0, form.rate: rate}
-    eset = model.effort_set
-    out["set"] = ({"kind": "bounded", "e_max": eset.e_max}
-                  if eset.bounded else {"kind": "unbounded"})
-    return out
+    forms = [(_quoted(form.name), _quoted(form.rate)) for form in _FORMS]
+    bids = [_quoted(bid) for bid in scenario.aggregator_ids]
+    entries = []
+    for sid, feature, code, sigma0, rate, e_max, row in zip(
+            scenario.source_ids, scenario.features.tolist(), effort.family.tolist(),
+            effort.sigma0.tolist(), effort.rate.tolist(), effort.e_max.tolist(),
+            scenario.membership.tolist()):
+        name, rate_field = forms[code]
+        entries.append(_SOURCE_ENTRY(
+            _quoted(sid), _floats(feature, 3), name, sigma0, rate_field, rate,
+            _UNBOUNDED_SET if e_max == math.inf else _BOUNDED_SET(e_max),
+            _object([bid for bid, sold in zip(bids, row) if sold], 3, "[]")))
+    return entries
 
 
-def _nest(table: dict[tuple[str, str], float]) -> dict[str, dict[str, float]]:
-    out: dict[str, dict[str, float]] = {}
-    for (first, second), v in sorted(table.items()):
-        out.setdefault(first, {})[second] = v
-    return out
-
-
-def scenario_to_dict(scenario: MarketScenario) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": scenario.mode,
-        "ground_truth": {
-            "coefficients": list(scenario.ground_truth.coefficients),
-            "intercept": scenario.ground_truth.intercept,
-        },
-        "sources": [
-            {
-                "id": s.id,
-                "feature": list(s.feature),
-                "effort": _effort_to_dict(s.effort_model),
-                "sharing": list(s.sharing),
-            }
-            for s in scenario.sources
-        ],
-        "aggregators": [
-            {
-                "id": a.id,
-                "estimator": a.estimator.kind,
-                "query_distribution": [
-                    {"point": list(p), "probability": w} for p, w in a.query_dist.atoms
-                ],
-                "zeta": {j: a.zeta[j] for j in sorted(a.zeta)},
-                "eta": a.payment_scale,
-            }
-            for a in scenario.aggregators
-        ],
-    }
-    if scenario.mode == MODE_DIRECT:
-        doc["direct_parameters"] = {
-            "beta": _nest(scenario.direct_beta),
-            "xi": {bid: _nest(scenario.direct_xi[bid]) for bid in sorted(scenario.direct_xi)},
-        }
-    return doc
+def _aggregator_text(agg: AggregatorSpec) -> str:
+    return _object([
+        f'"id": {_quoted(agg.id)}',
+        f'"estimator": {_quoted(agg.estimator.kind)}',
+        '"query_distribution": ' + _object([
+            _object([f'"point": {_floats(point, 5)}', f'"probability": {float(w)!r}'], 4)
+            for point, w in agg.query_dist.atoms], 3, "[]"),
+        '"zeta": ' + _object([f"{_quoted(j)}: {float(agg.zeta[j])!r}"
+                              for j in sorted(agg.zeta)], 3),
+        f'"eta": {float(agg.payment_scale)!r}'], 2)
 
 
 def serialize_scenario(scenario: MarketScenario) -> str:
-    """Canonical document text: fixed key order, id-sorted sections,
-    full-precision decimals."""
-    return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+    """Canonical document text, as json.dumps(doc, indent=2) + "\n" writes
+    it (fixed key order, id-sorted sections, float repr), written straight
+    from the scenario's columns."""
+    truth = scenario.ground_truth
+    fields = [f'"schema_version": {SCHEMA_VERSION}',
+              f'"mode": {_quoted(scenario.mode)}',
+              '"ground_truth": ' + _object([f'"coefficients": {_floats(truth.coefficients, 2)}',
+                                            f'"intercept": {float(truth.intercept)!r}'], 1),
+              '"sources": ' + _object(_sources_text(scenario), 1, "[]"),
+              '"aggregators": ' + _object(list(map(_aggregator_text, scenario.aggregators)),
+                                          1, "[]")]
+    if scenario.mode == MODE_DIRECT:
+        xi = scenario.direct_xi
+        fields.append('"direct_parameters": ' + _object([
+            '"beta": ' + _nested(scenario.direct_beta, 2),
+            '"xi": ' + _object([f"{_quoted(bid)}: {_nested(xi[bid], 3)}" for bid in sorted(xi)],
+                               2)], 1))
+    return _object(fields, 0) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -337,35 +408,44 @@ class GenerationSpec:
 MAX_GENERATION_ATTEMPTS = 60
 
 
-def _draw_model(spec: GenerationSpec, rng, a_lower_target: float) -> EffortVarianceModel:
-    """Family with its minimum incentive placed at a_lower_target, so demand
-    clears the participation region whatever the market size; in both
-    families a_lower = 1/(2*rate*sigma0^2)."""
-    family = spec.family
-    if family == "mixed":
-        family = "exponential" if rng.uniform() < 0.5 else "inverse_power"
-    rate = float(rng.uniform(0.3 if family == "exponential" else 0.5, 3.0))
-    sigma0 = math.sqrt(1.0 / (2.0 * rate * a_lower_target))
-    return EffortVarianceModel(_FAMILIES[family].cls(sigma0, rate))
+def _draw_efforts(spec: GenerationSpec, rng, gamma_total: np.ndarray) -> EffortMap:
+    """Each source's family, with its minimum incentive placed a random
+    fraction below its total demand, so demand clears the participation
+    region whatever the market size; in both families
+    a_lower = 1/(2*rate*sigma0^2).  Each source draws, in id order, the
+    fraction, its family (when mixed) and its rate."""
+    draws = rng.random((len(gamma_total), 3 if spec.family == "mixed" else 2))
+    exponential, inverse_power = (_FAMILY_FIELDS[name][0]
+                                  for name in ("exponential", "inverse_power"))
+    if spec.family == "mixed":
+        codes = np.where(draws[:, 1] < 0.5, exponential, inverse_power)
+    else:
+        codes = np.full(len(gamma_total), _FAMILY_FIELDS[spec.family][0])
+    low = np.where(codes == exponential, 0.3, 0.5)
+    # uniform(low, high) is low + (high - low) * u, in these operations
+    rate = low + (3.0 - low) * draws[:, -1]
+    a_lower_target = gamma_total * (0.05 + (0.6 - 0.05) * draws[:, 0])
+    with np.errstate(divide="ignore", over="ignore"):  # EffortMap refuses an infinite sigma0
+        sigma0 = np.sqrt(1.0 / (2.0 * rate * a_lower_target))
+    return EffortMap(codes, sigma0, rate, np.full(len(codes), math.inf))
 
 
-def _draw_sharing(spec: GenerationSpec, rng, sids, bids):
-    sharing = {sid: [bid for bid in bids if rng.uniform() < spec.sharing_density]
-               for sid in sids}
-    for sid in sids:
-        if not sharing[sid]:
-            sharing[sid] = [bids[int(rng.integers(0, len(bids)))]]
+def _draw_membership(spec: GenerationSpec, rng) -> np.ndarray:
+    """n x m: whether source s sells to aggregator b.  Each entry is drawn
+    in row order; a source left with none sells to one aggregator drawn at
+    random, and in estimator mode each aggregator short of dimension + 2
+    sellers gains sellers drawn from its outsiders."""
+    n, m = spec.n_sources, spec.n_aggregators
+    membership = rng.random((n, m)) < spec.sharing_density
+    for s in np.flatnonzero(~membership.any(axis=1)).tolist():
+        membership[s, int(rng.integers(0, m))] = True
     if spec.mode == MODE_ESTIMATOR:
-        need = spec.dimension + 2
-        for bid in bids:
-            holders = [sid for sid in sids if bid in sharing[sid]]
-            missing = need - len(holders)
+        for b in range(m):
+            outsiders = np.flatnonzero(~membership[:, b])
+            missing = spec.dimension + 2 - (n - len(outsiders))
             if missing > 0:
-                outsiders = [sid for sid in sids if bid not in sharing[sid]]
-                picks = rng.permutation(len(outsiders))[:missing]
-                for p in picks:
-                    sharing[outsiders[int(p)]].append(bid)
-    return {sid: tuple(sorted(set(v))) for sid, v in sharing.items()}
+                membership[outsiders[rng.permutation(len(outsiders))[:missing]], b] = True
+    return membership
 
 
 def _latin_features(rng, n: int, d: int) -> np.ndarray:
@@ -383,8 +463,7 @@ def _attempt(spec: GenerationSpec, rng) -> MarketScenario:
     sids = [f"s{k + 1:03d}" for k in range(spec.n_sources)]
     bids = [f"b{k + 1:03d}" for k in range(spec.n_aggregators)]
     features = _latin_features(rng, spec.n_sources, spec.dimension)
-    sharing = _draw_sharing(spec, rng, sids, bids)
-    membership = np.array([[bid in sharing[sid] for bid in bids] for sid in sids])
+    membership = _draw_membership(spec, rng)
     pair_source, pair_aggregator, aggregator_pairs, members = _pair_index(membership)
 
     aggregators = []
@@ -405,11 +484,11 @@ def _attempt(spec: GenerationSpec, rng) -> MarketScenario:
                                      rng.uniform(-2.0, 2.0, size=spec.dimension)),
                                float(rng.uniform(-1.0, 1.0)))
 
+    pairs = [(sids[s], bids[b]) for s, b in zip(pair_source.tolist(), pair_aggregator.tolist())]
     direct_beta = direct_xi = None
     if spec.mode == MODE_DIRECT:
-        direct_beta = {(sid, bid): float(rng.uniform(0.5, 2.0))
-                       for sid in sids for bid in sharing[sid]}
-        beta = np.array(list(direct_beta.values()))  # sharing-pair order
+        beta = rng.uniform(0.5, 2.0, size=len(pairs))
+        direct_beta = dict(zip(pairs, beta.tolist()))
         datasets = [[sids[i] for i in rows.tolist()] for rows in members]
         direct_xi = {
             bid: {(i, l): 1.0 if i == l else float(rng.uniform(0.0, spec.coupling_scale))
@@ -418,28 +497,21 @@ def _attempt(spec: GenerationSpec, rng) -> MarketScenario:
     else:
         # relevance is pure geometry, derivable before any effort family exists
         beta = _relevance(features, aggregator_pairs, members, aggregators)
-    gamma_total = dict(zip(sids, _net_demand(beta, membership, pair_source, pair_aggregator,
-                                             aggregators)[1].tolist()))
-    if min(gamma_total.values()) <= 0:
+    gamma_total = _net_demand(beta, membership, pair_source, pair_aggregator, aggregators)[1]
+    if min(gamma_total.tolist()) <= 0:
         raise DomainError("competition cancelled some source's demand")  # retried
 
-    # minimum incentives sized a random fraction below each total demand
-    models = {sid: _draw_model(spec, rng,
-                               gamma_total[sid] * float(rng.uniform(0.05, 0.6)))
-              for sid in sids}
+    effort = _draw_efforts(spec, rng, gamma_total)
     if spec.bounded:
         # caps a random factor above total demand satisfy the saturation
         # hypothesis by construction
-        a_upper = [gamma_total[sid] * float(rng.uniform(1.1, 2.5)) for sid in sids]
-        e_max = EffortMap([models[sid] for sid in sids]).efforts(a_upper).tolist()
-        models = {sid: EffortVarianceModel(models[sid].family, EffortSet("bounded", e_max=e))
-                  for sid, e in zip(sids, e_max)}
-    sources = tuple(DataSourceSpec(sid, tuple(map(float, features[k])), models[sid],
-                                   sharing[sid])
-                    for k, sid in enumerate(sids))
-    return MarketScenario(sources, tuple(aggregators), ground_truth,
-                          mode=spec.mode, direct_beta=direct_beta,
-                          direct_xi=direct_xi)
+        a_upper = gamma_total * rng.uniform(1.1, 2.5, size=len(sids))
+        effort = EffortMap(effort.family, effort.sigma0, effort.rate, effort.efforts(a_upper))
+    bounds = np.cumsum(membership.sum(axis=1)).tolist()
+    sharing = [[bid for _, bid in pairs[lo:hi]] for lo, hi in zip([0, *bounds], bounds)]
+    return MarketScenario._from_columns(sids, features, sharing, effort, aggregators,
+                                        ground_truth, mode=spec.mode,
+                                        direct_beta=direct_beta, direct_xi=direct_xi)
 
 
 def generate_scenario(spec: GenerationSpec, seed: int) -> MarketScenario:

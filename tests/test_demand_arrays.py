@@ -1,9 +1,11 @@
 """beta, gamma and gamma_total as arrays against the id-keyed dict loops they
 replaced: the loops of derive_beta and derive_gamma, the inline relevance and
-demand loops of scenario generation, and the demand checks of validation.
+demand loops and the one-scalar-at-a-time draws of scenario generation, and
+the demand checks of validation.
 The arithmetic is unchanged, so every value must be equal, not close, and
 generation must yield the same documents."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,13 @@ from conftest import (
     make_symmetric_direct,
 )
 
-from datamarket.effort import EffortSet, EffortVarianceModel, effort_response
+from datamarket.effort import (
+    EffortSet,
+    EffortVarianceModel,
+    ExponentialVariance,
+    InversePowerVariance,
+    effort_response,
+)
 from datamarket.errors import DomainError
 from datamarket.estimators import EstimatorSpec, QueryDistribution, ols_coefficients
 from datamarket.market import (
@@ -39,8 +47,6 @@ from datamarket.market import (
 from datamarket.scenario import (
     MAX_GENERATION_ATTEMPTS,
     GenerationSpec,
-    _draw_model,
-    _draw_sharing,
     _latin_features,
     generate_scenario_with_attempts,
     serialize_scenario,
@@ -115,12 +121,42 @@ def reference_report(scenario, gamma, gamma_total):
     return ValidationReport(tuple(violations), tuple(notes))
 
 
+def reference_draw_model(spec, rng, a_lower_target):
+    """A source's effort model, drawn one scalar at a time."""
+    family = spec.family
+    if family == "mixed":
+        family = "exponential" if rng.uniform() < 0.5 else "inverse_power"
+    rate = float(rng.uniform(0.3 if family == "exponential" else 0.5, 3.0))
+    sigma0 = math.sqrt(1.0 / (2.0 * rate * a_lower_target))
+    cls = ExponentialVariance if family == "exponential" else InversePowerVariance
+    return EffortVarianceModel(cls(sigma0, rate))
+
+
+def reference_draw_sharing(spec, rng, sids, bids):
+    """Each source's aggregator ids, drawn one scalar at a time."""
+    sharing = {sid: [bid for bid in bids if rng.uniform() < spec.sharing_density]
+               for sid in sids}
+    for sid in sids:
+        if not sharing[sid]:
+            sharing[sid] = [bids[int(rng.integers(0, len(bids)))]]
+    if spec.mode == MODE_ESTIMATOR:
+        need = spec.dimension + 2
+        for bid in bids:
+            holders = [sid for sid in sids if bid in sharing[sid]]
+            missing = need - len(holders)
+            if missing > 0:
+                outsiders = [sid for sid in sids if bid not in sharing[sid]]
+                for p in rng.permutation(len(outsiders))[:missing]:
+                    sharing[outsiders[int(p)]].append(bid)
+    return {sid: tuple(sorted(set(v))) for sid, v in sharing.items()}
+
+
 def reference_attempt(spec, rng):
     """One generation draw, with relevance and total demand computed inline."""
     sids = [f"s{k + 1:03d}" for k in range(spec.n_sources)]
     bids = [f"b{k + 1:03d}" for k in range(spec.n_aggregators)]
     features = _latin_features(rng, spec.n_sources, spec.dimension)
-    sharing = _draw_sharing(spec, rng, sids, bids)
+    sharing = reference_draw_sharing(spec, rng, sids, bids)
     datasets = {bid: [sid for sid in sids if bid in sharing[sid]] for bid in bids}
 
     aggregators = []
@@ -170,8 +206,8 @@ def reference_attempt(spec, rng):
     if min(gamma_total.values()) <= 0:
         raise DomainError("competition cancelled some source's demand")
 
-    models = {sid: _draw_model(spec, rng,
-                               gamma_total[sid] * float(rng.uniform(0.05, 0.6)))
+    models = {sid: reference_draw_model(spec, rng,
+                                         gamma_total[sid] * float(rng.uniform(0.05, 0.6)))
               for sid in sids}
     effort_sets = {sid: EffortSet("unbounded") for sid in sids}
     if spec.bounded:

@@ -295,7 +295,7 @@ class TestArrayEvaluation:
     def test_array_and_scalar_are_bitwise_equal(self, bounded):
         rng = np.random.default_rng(3)
         models = _random_models(rng, bounded)
-        emap = EffortMap(models)
+        emap = EffortMap.of(models)
         # every model at a_lower, inside its range and (bounded) at a_upper
         index = np.repeat(np.arange(len(models)), 3)
         upper = np.where(np.isfinite(emap.a_upper), emap.a_upper, 50.0 * emap.a_lower)
@@ -313,7 +313,7 @@ class TestArrayEvaluation:
     @pytest.mark.parametrize("bounded", [False, True])
     def test_totals_inside_the_slack_snap_onto_the_bound(self, bounded):
         models = _random_models(np.random.default_rng(4), bounded, count=9)
-        emap = EffortMap(models)
+        emap = EffortMap.of(models)
         margin = 0.5 * BOUNDARY_SLACK * np.maximum(1.0, emap.a_lower)
         efforts = emap.efforts(emap.a_lower - margin, slack=BOUNDARY_SLACK)
         assert efforts.tolist() == [effort_response(m, float(b))
@@ -331,7 +331,7 @@ class TestArrayEvaluation:
     def test_out_of_range_payload_matches_the_scalar_error(self, factor, bound):
         models = [exponential_model(1.0, 0.5, EffortSet("bounded", e_max=math.log(4.0))),
                   inverse_power_model(2.0, 1.5, EffortSet("bounded", e_max=1.0))]
-        emap = EffortMap(models)
+        emap = EffortMap.of(models)
         limit = (emap.a_lower if bound == "lower" else emap.a_upper)[1]
         totals = [1.5, factor * limit]  # the first total is in range
         with pytest.raises(IncentiveRangeError) as scalar:
@@ -345,7 +345,7 @@ class TestArrayEvaluation:
 
     @pytest.mark.parametrize("total", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_or_non_finite_total_is_a_domain_error(self, total):
-        emap = EffortMap([exponential_model(1.0, 0.5)] * 2)
+        emap = EffortMap.of([exponential_model(1.0, 0.5)] * 2)
         with pytest.raises(DomainError, match="positive and finite"):
             emap.efforts([2.0, total])
 

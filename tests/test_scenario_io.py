@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,15 +16,19 @@ from conftest import make_line_scenario, make_symmetric_direct
 
 from datamarket.effort import _CLOSED_FORMS, EffortSet, EffortVarianceModel
 from datamarket.errors import GenerationError, InfeasibleSpecError, ParseError
-from datamarket.market import MODE_DIRECT, MODE_ESTIMATOR, derive_parameters, validate_scenario
+from datamarket.market import (
+    MODE_DIRECT,
+    MODE_ESTIMATOR,
+    MarketScenario,
+    derive_parameters,
+    validate_scenario,
+)
 from datamarket.scenario import (
     GenerationSpec,
-    _effort_to_dict,
     _parse_effort,
     generate_scenario,
     generate_scenario_with_attempts,
     parse_scenario,
-    scenario_to_dict,
     serialize_scenario,
 )
 from datamarket.welfare import efficiency_predicate
@@ -45,7 +50,7 @@ class TestRoundTrip:
 
     def test_canonicalization_is_stable(self):
         scenario = make_symmetric_direct()
-        doc = scenario_to_dict(scenario)
+        doc = json.loads(serialize_scenario(scenario))
         # a shuffled but semantically identical document parses to the same
         # canonical text
         doc["sources"] = list(reversed(doc["sources"]))
@@ -83,7 +88,7 @@ class TestRoundTrip:
 
 class TestParseErrors:
     def doc(self, **overrides):
-        base = scenario_to_dict(make_symmetric_direct())
+        base = json.loads(serialize_scenario(make_symmetric_direct()))
         base.update(overrides)
         return base
 
@@ -233,10 +238,13 @@ class TestParseErrors:
         for effort_set in (EffortSet("unbounded"), EffortSet("bounded", 2.0))
     ], ids=[form.name + suffix for form in FORMS for suffix in ("", "-bounded")])
     def test_every_serialized_effort_parses(self, form, effort_set):
-        # the parser accepts exactly the fields _effort_to_dict writes, under
-        # the family's document name and rate-field name
+        # the parser accepts exactly the effort fields serialize_scenario
+        # writes, under the family's document name and rate-field name
         model = EffortVarianceModel(form.cls(1.0, 0.5), effort_set)
-        effort = _effort_to_dict(model)
+        line = make_line_scenario()
+        scenario = MarketScenario(tuple(replace(s, effort_model=model) for s in line.sources),
+                                  line.aggregators, line.ground_truth)
+        effort = json.loads(serialize_scenario(scenario))["sources"][0]["effort"]
         assert list(effort) == ["family", "sigma0", form.rate, "set"]
         assert (effort["family"], effort[form.rate]) == (form.name, 0.5)
         parsed = _parse_effort(effort, "effort")
