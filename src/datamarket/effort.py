@@ -346,9 +346,8 @@ class EffortMap:
         self.sigma0, self.rate, self.e_max = (np.array(v, dtype=float)
                                               for v in (sigma0, rate, e_max))
         self.custom = dict(custom or {})
-        closed = self.family != _CUSTOM
         # the checks of the family, its EffortSet and IncentiveBounds
-        ok = ~closed | ((self.sigma0 > 0) & (self.rate > 0) & (self.e_max > 0)
+        ok = (self.family == _CUSTOM) | ((self.sigma0 > 0) & (self.rate > 0) & (self.e_max > 0)
                         & np.isfinite(self.sigma0) & np.isfinite(self.rate))
         self.a_lower = _incentives(self.family, self.sigma0, self.rate,
                                    np.where(ok, 0.0, np.nan))

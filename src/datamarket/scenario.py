@@ -290,8 +290,16 @@ def _object(fields, depth: int, brackets: str = "{}") -> str:
     return brackets[0] + inner + ("," + inner).join(fields) + "\n" + "  " * depth + brackets[1]
 
 
+def _float(value) -> str:
+    """A number as json.dumps writes it: NaN and the infinities, which a
+    library-built ground truth or query may hold, as JSON's extensions
+    (the parser refuses them)."""
+    value = float(value)
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
 def _floats(values, depth: int) -> str:
-    return _object(list(map(float.__repr__, map(float, values))), depth, "[]")
+    return _object(list(map(_float, values)), depth, "[]")
 
 
 def _nested(table: Mapping[tuple[str, str], float], depth: int) -> str:
@@ -314,8 +322,9 @@ _BOUNDED_SET = '{{\n          "kind": "bounded",\n          "e_max": {!r}\n     
 
 
 def _sources_text(scenario: MarketScenario) -> list[str]:
-    """Each source's entry, from the columns; a custom effort family, which
-    has no document form, raises DomainError."""
+    """Each source's entry, from the columns, whose numbers are finite
+    (checked at construction), so each is its float repr.  A custom effort
+    family, which has no document form, raises DomainError."""
     effort = scenario.effort_map
     if (effort.family == _CUSTOM).any():
         raise DomainError("custom effort families are not serializable")
@@ -328,7 +337,8 @@ def _sources_text(scenario: MarketScenario) -> list[str]:
             scenario.membership.tolist()):
         name, rate_field = forms[code]
         entries.append(_SOURCE_ENTRY(
-            _quoted(sid), _floats(feature, 3), name, sigma0, rate_field, rate,
+            _quoted(sid), _object(list(map(float.__repr__, feature)), 3, "[]"), name, sigma0,
+            rate_field, rate,
             _UNBOUNDED_SET if e_max == math.inf else _BOUNDED_SET(e_max),
             _object([bid for bid, sold in zip(bids, row) if sold], 3, "[]")))
     return entries
@@ -339,11 +349,11 @@ def _aggregator_text(agg: AggregatorSpec) -> str:
         f'"id": {_quoted(agg.id)}',
         f'"estimator": {_quoted(agg.estimator.kind)}',
         '"query_distribution": ' + _object([
-            _object([f'"point": {_floats(point, 5)}', f'"probability": {float(w)!r}'], 4)
+            _object([f'"point": {_floats(point, 5)}', f'"probability": {_float(w)}'], 4)
             for point, w in agg.query_dist.atoms], 3, "[]"),
-        '"zeta": ' + _object([f"{_quoted(j)}: {float(agg.zeta[j])!r}"
-                              for j in sorted(agg.zeta)], 3),
-        f'"eta": {float(agg.payment_scale)!r}'], 2)
+        '"zeta": ' + _object([f"{_quoted(j)}: {_float(agg.zeta[j])}" for j in sorted(agg.zeta)],
+                             3),
+        f'"eta": {_float(agg.payment_scale)}'], 2)
 
 
 def serialize_scenario(scenario: MarketScenario) -> str:
@@ -354,7 +364,7 @@ def serialize_scenario(scenario: MarketScenario) -> str:
     fields = [f'"schema_version": {SCHEMA_VERSION}',
               f'"mode": {_quoted(scenario.mode)}',
               '"ground_truth": ' + _object([f'"coefficients": {_floats(truth.coefficients, 2)}',
-                                            f'"intercept": {float(truth.intercept)!r}'], 1),
+                                            f'"intercept": {_float(truth.intercept)}'], 1),
               '"sources": ' + _object(_sources_text(scenario), 1, "[]"),
               '"aggregators": ' + _object(list(map(_aggregator_text, scenario.aggregators)),
                                           1, "[]")]

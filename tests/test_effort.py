@@ -357,6 +357,19 @@ class TestArrayEvaluation:
             assert type(variance_at(model, 1.0)) is float
 
 
+@pytest.mark.parametrize("sigma0, rate, e_max", [
+    (-1.0, 0.5, math.inf), (1.0, 0.0, math.inf), (1.0, 0.5, -2.0), (1.0, 0.5, 0.0),
+    (1e200, 1e200, math.inf),  # sigma'(0) overflows: a_lower rounds to 0
+], ids=["negative-sigma0", "zero-rate", "negative-e_max", "zero-e_max", "a_lower-0"])
+def test_out_of_range_columns_raise_the_models_own_error(sigma0, rate, e_max):
+    with pytest.raises(DomainError) as model_error:
+        EffortVarianceModel(ExponentialVariance(sigma0, rate),
+                            UNBOUNDED if e_max == math.inf else EffortSet("bounded", e_max=e_max))
+    with pytest.raises(DomainError) as column_error:
+        EffortMap([0, 0], [1.0, sigma0], [0.5, rate], [math.inf, e_max])
+    assert str(column_error.value) == str(model_error.value)
+
+
 #: The bench markets, and a bounded inverse-power market on which Python's
 #: scalar ** and numpy's power part ways at some sources' e_max.
 EFFORT_MARKETS = {**BENCH_MARKETS, "inverse-power-bounded/n300-m4": (

@@ -19,6 +19,7 @@ from datamarket.errors import GenerationError, InfeasibleSpecError, ParseError
 from datamarket.market import (
     MODE_DIRECT,
     MODE_ESTIMATOR,
+    GroundTruth,
     MarketScenario,
     derive_parameters,
     validate_scenario,
@@ -76,6 +77,15 @@ class TestRoundTrip:
         assert serialize_scenario(reparsed) == text
         assert reparsed.mode == scenario.mode
         np.testing.assert_array_equal(reparsed.membership, scenario.membership)
+
+    def test_non_finite_library_numbers_are_written_as_json_does(self):
+        # the writer spells them as JSON's extensions, so the parser names the field
+        line = make_line_scenario()
+        scenario = MarketScenario(line.sources, line.aggregators,
+                                  GroundTruth((math.inf,), math.nan))
+        with pytest.raises(ParseError, match=r"^ground_truth: field 'coefficients\[0\]' "
+                                             r"must be a finite number, got inf$"):
+            parse_scenario(serialize_scenario(scenario))
 
     def test_derived_parameters_survive_round_trip(self):
         scenario = make_line_scenario(n_aggregators=2, zeta=0.1, n_points=8)
