@@ -153,7 +153,7 @@ def _load_result(path: Path):
     return result_from_json(_read(path))
 
 
-def _result_summary(result) -> str:
+def _result_summary(result, params) -> str:
     lines = [f"status: {result.status}",
              f"spectral radius: {result.diagnostics.spectral_radius!r}"
              + (" (marginal)" if result.diagnostics.marginal else ""),
@@ -161,10 +161,10 @@ def _result_summary(result) -> str:
     if result.solved:
         lines.append(f"max residual: {result.diagnostics.max_residual!r}")
         lines.append("source  a_total  effort  polytope_dim")
-        for sid in sorted(result.a.a_total):
-            lines.append(f"  {sid}  {result.a.a_total[sid]!r}  "
-                         f"{result.efforts[sid]!r}  "
-                         f"{result.polytope[sid].dimension}")
+        sids = params.scenario.source_ids
+        _, a_total, _, efforts, _, rows = result.arrays(params.pairs, sids)
+        lines += [f"  {sid}  {total!r}  {effort!r}  {int(row[2])}" for sid, total, effort, row
+                  in zip(sids, a_total.tolist(), efforts.tolist(), rows.tolist())]
     return "\n".join(lines)
 
 
@@ -201,7 +201,7 @@ def _cmd_solve(args) -> int:
     params = derive_parameters(scenario)
     result = (solve_bounded if params.effort_kind == "bounded" else solve_unbounded)(params)
     _emit(result_to_json(result), args.output)
-    _info(_result_summary(result))
+    _info(_result_summary(result, params))
     if result.status == STATUS_NONE:
         _info("no equilibrium exists at this coupling level")
     return EXIT_OK

@@ -21,8 +21,10 @@ reduced loss), and a coupling-strength sweep.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import operator
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from .market import (  # noqa: F401  (spectral_radius is public here too)
     DerivedParameters,
     _arnoldi,
     _first_mismatch,
+    _id_order,
     spectral_radius,
 )
 
@@ -80,11 +83,11 @@ KRYLOV_STOP = 1.0
 class IdTable(Mapping):
     """A read-only table keyed by id, over values held in id order.
 
-    `ids` is a tuple of ids or of (source, aggregator) pairs in ascending
-    order, and `array` (read-only) holds their values: one float per id, or
-    one row per id.  Reading an id gives a Python float (a list for a row).
-    The solvers and the result reader build these.  A plain dict stands in
-    for one anywhere a table is read, as `dataclasses.replace` gives it."""
+    `ids` is a tuple of ids or of (source, aggregator) pairs in id order
+    (market._id_order), and `array` (read-only) holds their values: one
+    float per id, or one row per id.  Reading an id gives a Python float (a
+    list for a row).  IdTable.of is the one rule that puts a table in id
+    order; every reader of a table, a plain dict included, goes through it."""
 
     __slots__ = ("ids", "array", "_index")
 
@@ -93,12 +96,21 @@ class IdTable(Mapping):
         array.setflags(write=False)
 
     @classmethod
-    def of(cls, table) -> IdTable:
-        """The table itself if it is an IdTable, else its values in id order."""
+    def of(cls, table, array: np.ndarray | None = None) -> IdTable:
+        """The table itself if it is an IdTable, else its values (table[id], or
+        the rows of `array` in the order of `table`'s ids) in id order."""
         if isinstance(table, IdTable):
             return table
-        ids = sorted(table)
-        return cls(ids, np.array([table[key] for key in ids], dtype=float))
+        ids = tuple(table)
+        if array is None:
+            array = np.array([table[key] for key in ids], dtype=float)
+        ordered = False
+        with contextlib.suppress(TypeError):  # an id and a pair compare only under _id_order
+            ordered = not any(map(operator.ge, ids, ids[1:]))  # a written document's ids ascend
+        if ordered:
+            return cls(ids, array)
+        order = sorted(range(len(ids)), key=lambda k: _id_order(ids[k]))
+        return cls((ids[k] for k in order), array[order])
 
     def positions(self) -> dict:
         """Each id's position in `ids`."""
@@ -196,7 +208,8 @@ class SolveDiagnostics:
 @dataclass(frozen=True)
 class EquilibriumResult:
     """A solved market's tables (None when unsolved): IdTables and a
-    PolytopeTable over the market's pairs and source ids, or plain dicts."""
+    PolytopeTable over the market's pairs and source ids.  Any other
+    mapping is read through IdTable.of, the one id-order rule."""
 
     status: str
     a: AParameters | None
@@ -224,25 +237,18 @@ class EquilibriumResult:
 
 def _aligned(table, keys, name: str, location: str = "result",
              kind: str = "source") -> np.ndarray:
-    """A table's values over `keys` (the market's pairs, or its ids of
-    `kind`): an IdTable's own array when its ids are `keys`, else read id by
-    id."""
-    if isinstance(table, IdTable) and (table.ids is keys or table.ids == keys):
+    """IdTable.of(table)'s array, when its ids are `keys` (the market's
+    pairs, or its ids of `kind`).  A missing, extra or wrongly kinded key
+    (another market's table) raises ParseError at `location`, naming the
+    first mismatch in id order."""
+    table = IdTable.of(table)
+    if table.ids is keys or table.ids == keys:
         return table.array
-    return _lookup(table, keys, name, location, kind)
-
-
-def _lookup(table, keys, name: str, location: str, kind: str) -> np.ndarray:
-    """_aligned's fallback: the values of `keys`, read one by one.  A missing,
-    extra or wrongly kinded key (another market's table) raises ParseError at
-    `location`, naming the first mismatch in id order."""
-    if len(table) != len(keys) or not all(key in table for key in keys):
-        first = _first_mismatch(keys, table)
-        shown = (f"pair ({', '.join(map(str, first))})" if isinstance(first, tuple)
-                 else f"{kind} {first}")
-        raise ParseError(f"{name} does not match the scenario: first mismatched {shown}",
-                         location=location)
-    return np.array([table[key] for key in keys], dtype=float)
+    first = _first_mismatch(keys, table.ids)
+    shown = (f"pair ({', '.join(map(str, first))})" if isinstance(first, tuple)
+             else f"{kind} {first}")
+    raise ParseError(f"{name} does not match the scenario: first mismatched {shown}",
+                     location=location)
 
 
 # ---------------------------------------------------------------------------

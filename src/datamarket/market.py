@@ -103,10 +103,14 @@ class GroundTruth:
                      + self.intercept)
 
 
+def _id_order(key) -> tuple:
+    """Id order's sort key, under which any two keys compare: s1 < (s1, b1)."""
+    return tuple(map(str, key)) if isinstance(key, tuple) else (str(key),)
+
+
 def _first_mismatch(keys, others):
     """The first key, in id order, in just one of the two (ids or id pairs)."""
-    return min(set(keys).symmetric_difference(others),
-               key=lambda k: tuple(map(str, k)) if isinstance(k, tuple) else (str(k),))
+    return min(set(keys).symmetric_difference(others), key=_id_order)
 
 
 def _pair_index(membership: np.ndarray):
@@ -594,11 +598,12 @@ class ValidationReport:
                                           violations=self.violations)
 
 
-def _derivation(scenario: MarketScenario, *, blocks: bool):
+def _derivation(scenario: MarketScenario, *, blocks: bool, beta: np.ndarray | None = None):
     """(tables, report) of one pass: tables (beta, xi, gamma, gamma_total),
     None if the estimator is ill-defined.  beta and xi are derived, or read
     from direct mode's tables (xi's diagonal 0); without `blocks` xi is
-    None and only derive_xi's rank tests run, in its aggregator order."""
+    None, only derive_xi's rank tests run, in its aggregator order, and an
+    estimator market's given `beta` (generation's) is not derived again."""
     xi = []
     try:
         if scenario.mode == MODE_DIRECT:
@@ -610,7 +615,7 @@ def _derivation(scenario: MarketScenario, *, blocks: bool):
         elif blocks:
             beta, xi = derive_beta(scenario), derive_xi(scenario)
         else:
-            beta = derive_beta(scenario)
+            beta = derive_beta(scenario) if beta is None else beta
             for bid, members in zip(scenario.aggregator_ids, scenario.members):
                 leave_one_out_grams(scenario.features[members], aggregator=bid,
                                     sources=scenario.dataset(bid))

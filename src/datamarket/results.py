@@ -28,7 +28,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import re
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quoted
@@ -80,8 +79,20 @@ def _fields(keys: list[str], table: IdTable, name: str) -> list[str]:
     return list(map(str.__add__, keys, map(float.__repr__, _values(table, name))))
 
 
-def _flat_table(table, name: str) -> str:
+def _id_table(table, name: str, pairs: bool = False) -> IdTable:
+    """IdTable.of(table).  A key that is not an id (a pair of ids where
+    `pairs`), which no reader accepts, raises DomainError naming the table."""
     table = IdTable.of(table)
+    for key in table.ids:
+        if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], str)
+                and isinstance(key[1], str) if pairs else isinstance(key, str)):
+            raise DomainError(f"table {name} has a key that is not "
+                              f"{'a pair of ids' if pairs else 'an id'}: {key!r}")
+    return table
+
+
+def _flat_table(table, name: str) -> str:
+    table = _id_table(table, name)
     return _object(_fields(_keys(table.ids), table, name), 1)
 
 
@@ -92,7 +103,7 @@ def _pair_fields(table: IdTable, name: str) -> list[str]:
 
 def _pair_table(table, name: str) -> str:
     """A table over pairs, as one object per source of its pairs' fields."""
-    table = IdTable.of(table)
+    table = _id_table(table, name, pairs=True)
     counts = Counter(sid for sid, _ in table.ids)  # in id order, a source's pairs are a run
     bounds = list(itertools.accumulate(counts.values(), initial=0))
     fields = _pair_fields(table, name)
@@ -107,7 +118,8 @@ _POLYTOPE_ENTRY = ('{{\n      "surplus": {!r},\n      "floors": {},\n      "tota
 
 def _polytope(polytope) -> str:
     polytope = PolytopeTable.of(polytope)
-    floors, rows, bounds = polytope.floors, polytope.rows, polytope.bounds()
+    floors = _id_table(polytope.floors, "polytope floors", pairs=True)
+    rows, bounds = _id_table(polytope.rows, "polytope"), polytope.bounds()
     fields = _pair_fields(floors, "polytope floors")
     return _object([head + _POLYTOPE_ENTRY(surplus, _object(fields[lo:hi], 3), total,
                                            int(dimension))
@@ -168,41 +180,23 @@ def _finite(values: list) -> np.ndarray | None:
     return array if np.isfinite(array).all() else None
 
 
-def _in_order(ids, array: np.ndarray) -> IdTable:
-    """A table read in document order, put in id order."""
-    ids = tuple(ids)
-    if any(map(operator.ge, ids, ids[1:])):
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        ids, array = tuple(ids[k] for k in order), array[order]
-    return IdTable(ids, array)
-
-
 def _read_ids(doc, key: str) -> IdTable:
     """doc[key]: an object of finite numbers keyed by id."""
     table = _expect(doc, key, dict, "result")
     array = _finite(list(table.values()))
     if array is None:
-        table = _numbers_by_id(doc, key, "result")
-        array = np.array(list(table.values()), dtype=float)
-    return _in_order(table, array)
+        return IdTable.of(_numbers_by_id(doc, key, "result"))
+    return IdTable.of(table, array)
 
 
 def _read_pairs(doc, key: str) -> IdTable:
     """doc[key]: an object of _read_ids rows keyed by source id."""
     rows = _expect(doc, key, dict, "result")
-    pairs, values = [], []
-    for sid, row in rows.items():
-        if type(row) is not dict:
-            array = None
-            break
-        pairs += zip(itertools.repeat(sid), row)
-        values += row.values()
-    else:
-        array = _finite(values)
-    if array is None:
-        table = _pairs_by_id(doc, key, "result")
-        pairs, array = list(table), np.array(list(table.values()), dtype=float)
-    return _in_order(pairs, array)
+    if all(type(row) is dict for row in rows.values()):
+        array = _finite([value for row in rows.values() for value in row.values()])
+        if array is not None:
+            return IdTable.of([(sid, bid) for sid, row in rows.items() for bid in row], array)
+    return IdTable.of(_pairs_by_id(doc, key, "result"))
 
 
 def _source_polytope(doc, sid, location) -> SourcePolytope:
@@ -219,23 +213,15 @@ def _source_polytope(doc, sid, location) -> SourcePolytope:
 
 def _read_polytope(sources: dict) -> PolytopeTable:
     """The polytope object `sources`, keyed by source id."""
-    pairs, floors, numbers, dimensions = [], [], [], []
-    for sid, p in sources.items():
-        if type(p) is not dict:
-            break
-        bids, dimension = p.get("floors"), p.get("dimension")
-        if (type(bids) is not dict or type(dimension) is not int
-                or not 0 <= dimension < len(bids)):
-            break
-        pairs += zip(itertools.repeat(sid), bids)
-        floors += bids.values()
-        numbers += (p.get("surplus"), p.get("total"))
-        dimensions.append(dimension)
-    else:
-        floor_array, number_array = _finite(floors), _finite(numbers)
-        if floor_array is not None and number_array is not None:
-            rows = np.column_stack((number_array.reshape(-1, 2), dimensions))
-            return PolytopeTable(_in_order(pairs, floor_array), _in_order(sources, rows))
+    entries = sources.values()
+    if all(type(p) is dict and type(p.get("floors")) is dict and type(p.get("dimension")) is int
+           and 0 <= p["dimension"] < len(p["floors"]) for p in entries):
+        floors = _finite([value for p in entries for value in p["floors"].values()])
+        numbers = _finite([p.get(field) for p in entries for field in ("surplus", "total")])
+        if floors is not None and numbers is not None:
+            rows = np.column_stack((numbers.reshape(-1, 2), [p["dimension"] for p in entries]))
+            pairs = [(sid, bid) for sid, p in sources.items() for bid in p["floors"]]
+            return PolytopeTable(IdTable.of(pairs, floors), IdTable.of(sources, rows))
     return PolytopeTable.of({sid: _source_polytope(sources, sid, "result.polytope")
                              for sid in sources})
 

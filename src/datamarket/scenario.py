@@ -34,11 +34,11 @@ from .market import (
     DataSourceSpec,
     GroundTruth,
     MarketScenario,
+    _derivation,
     _net_demand,
     _pair_index,
     _relevance,
     _source_columns,
-    validate_scenario,
 )
 
 SCHEMA_VERSION = 1
@@ -469,7 +469,7 @@ def _latin_features(rng, n: int, d: int) -> np.ndarray:
     return coords
 
 
-def _attempt(spec: GenerationSpec, rng) -> MarketScenario:
+def _attempt(spec: GenerationSpec, rng) -> tuple[MarketScenario, np.ndarray]:
     sids = [f"s{k + 1:03d}" for k in range(spec.n_sources)]
     bids = [f"b{k + 1:03d}" for k in range(spec.n_aggregators)]
     features = _latin_features(rng, spec.n_sources, spec.dimension)
@@ -520,8 +520,8 @@ def _attempt(spec: GenerationSpec, rng) -> MarketScenario:
     bounds = np.cumsum(membership.sum(axis=1)).tolist()
     sharing = [[bid for _, bid in pairs[lo:hi]] for lo, hi in zip([0, *bounds], bounds)]
     return MarketScenario._from_columns(sids, features, sharing, effort, aggregators,
-                                        ground_truth, mode=spec.mode,
-                                        direct_beta=direct_beta, direct_xi=direct_xi)
+                                        ground_truth, mode=spec.mode, direct_beta=direct_beta,
+                                        direct_xi=direct_xi), beta
 
 
 def generate_scenario(spec: GenerationSpec, seed: int) -> MarketScenario:
@@ -546,11 +546,11 @@ def generate_scenario_with_attempts(spec: GenerationSpec, seed: int
     last_failure = "no attempt recorded"
     for attempt in range(MAX_GENERATION_ATTEMPTS):
         try:
-            scenario = _attempt(spec, trial_stream(seed, attempt))
+            scenario, beta = _attempt(spec, trial_stream(seed, attempt))
         except DomainError as exc:
             last_failure = str(exc)
             continue
-        report = validate_scenario(scenario)
+        report = _derivation(scenario, blocks=False, beta=beta)[1]  # validate_scenario(scenario)
         if report.ok:
             return scenario, attempt + 1
         last_failure = "; ".join(v.message for v in report.violations[:3])

@@ -19,7 +19,13 @@ from conftest import (
 )
 
 from datamarket import equilibrium
-from datamarket.equilibrium import IdTable, certify_equilibrium, solve_bounded, solve_unbounded
+from datamarket.equilibrium import (
+    AParameters,
+    IdTable,
+    certify_equilibrium,
+    solve_bounded,
+    solve_unbounded,
+)
 from datamarket.errors import DomainError, ParseError
 from datamarket.market import MarketScenario, derive_parameters
 from datamarket.results import result_from_json, result_to_json, welfare_to_json
@@ -101,16 +107,21 @@ def test_welfare_writer_matches_the_indent_2_reference(market):
     assert welfare_to_json(report) == reference_welfare_json(report)
 
 
-def test_a_plain_dict_result_writes_the_same_bytes():
-    # dataclasses.replace with plain dicts, tables in any key order
-    _, result = _solved("solved")
-    plain = replace(
+def _plain(result):
+    """The result with every table a plain dict in reverse id order."""
+    return replace(
         result,
+        a=AParameters(a=dict(list(result.a.a.items())[::-1]),
+                      a_total=dict(list(result.a.a_total.items())[::-1])),
         canonical_c=dict(list(result.canonical_c.items())[::-1]),
         efforts=dict(list(result.efforts.items())[::-1]),
         polytope={sid: replace(p, floors=dict(p.floors))
                   for sid, p in list(result.polytope.items())[::-1]})
-    assert result_to_json(plain) == result_to_json(result)
+
+
+def test_a_plain_dict_result_writes_the_same_bytes():
+    _, result = _solved("solved")
+    assert result_to_json(_plain(result)) == result_to_json(result)
 
 
 @pytest.mark.parametrize("table, key", [("efforts", "s001"), ("a_total", "s006"),
@@ -125,6 +136,30 @@ def test_writer_refuses_a_value_the_reader_refuses(table, key, value):
     shown = re.escape(str(key))
     with pytest.raises(DomainError, match=f"table {table} .* at {shown}"):
         result_to_json(bad)
+
+
+PAIR = ("s001", "b001")
+# case -> (the table named, a write of a result r or a welfare report w with it wrongly keyed)
+WRONG_KEYS = {
+    "pair-in-efforts": ("efforts", lambda r, w: result_to_json(
+        replace(r, efforts={**r.efforts, PAIR: 1.0}))),
+    "int-in-a": ("a", lambda r, w: result_to_json(
+        replace(r, a=replace(r.a, a={**r.a.a, 7: 1.0})))),
+    "ids-mixed-with-pairs-in-a": ("a", lambda r, w: result_to_json(
+        replace(r, a=replace(r.a, a={**r.a.a, **r.a.a_total})))),
+    "source-ids-in-canonical_c": ("canonical_c", lambda r, w: result_to_json(
+        replace(r, canonical_c=dict(r.efforts)))),
+    "pair-in-optimal_efforts": ("optimal_efforts", lambda r, w: welfare_to_json(
+        replace(w, optimal_efforts={**w.optimal_efforts, PAIR: 1.0}))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KEYS))
+def test_writer_refuses_a_key_the_reader_refuses(case):
+    params, result = _solved("solved")
+    table, write = WRONG_KEYS[case]
+    with pytest.raises(DomainError, match=f"table {table} has a key that is not"):
+        write(result, price_of_anarchy(result, params))
 
 
 @pytest.mark.parametrize("field", ["surplus", "total"])
@@ -179,33 +214,19 @@ def test_a_document_of_another_market_raises_the_first_mismatch(entry):
     assert messages[0] == messages[1]
 
 
-def _count_lookups(monkeypatch):
-    calls = []
-    lookup = equilibrium._lookup
-
-    def counted(*args):
-        calls.append(args[2])
-        return lookup(*args)
-
-    monkeypatch.setattr(equilibrium, "_lookup", counted)
-    return calls
-
-
 @pytest.mark.parametrize("source", ["solver", "document"])
-def test_no_lookup_by_id_between_solve_and_certify(monkeypatch, source):
+def test_no_lookup_by_id_between_solve_and_certify(source):
     params, result = _solved("solved")
-    text = result_to_json(result)
     if source == "document":
-        result = result_from_json(text)
-        assert result == result_from_json(text)
-    lookups = _count_lookups(monkeypatch)
-    assert certify_equilibrium(result, params).passed
-    price_of_anarchy(result, params)
-    next(iter_rounds(params.scenario, result, 1, 0))
-    assert lookups == []
-    plain = replace(result, efforts=dict(result.efforts))
-    certify_equilibrium(plain, params)
-    assert lookups == ["efforts"]  # the count sees the fallback
+        result = result_from_json(result_to_json(result))
+    pairs, sids = params.pairs, params.scenario.source_ids
+    for table, keys in [(result.a.a, pairs), (result.a.a_total, sids),
+                        (result.canonical_c, pairs), (result.efforts, sids),
+                        (result.polytope.floors, pairs), (result.polytope.rows, sids)]:
+        assert equilibrium._aligned(table, keys, "table") is table.array  # no copy
+    certificate = certify_equilibrium(result, params)
+    assert certificate.passed
+    assert certify_equilibrium(_plain(result), params).summary() == certificate.summary()
 
 
 def test_tables_are_read_only_id_keyed_views():

@@ -52,7 +52,7 @@ def _table(result, kind):
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-@pytest.mark.parametrize("corruption", ["missing", "extra", "wrong-kind"])
+@pytest.mark.parametrize("corruption", ["missing", "extra", "wrong-kind", "mixed", "int-key"])
 def test_mismatched_table_raises_parse_error(market, entry, corruption):
     params, result = market
     kind, call = ENTRY_POINTS[entry]
@@ -65,10 +65,17 @@ def test_mismatched_table_raises_parse_error(market, entry, corruption):
     elif corruption == "extra":
         table[("s999", "b001") if kind == "pair" else "s999"] = 1.0
         expected = "pair (s999, b001)" if kind == "pair" else "source s999"
-    else:
+    elif corruption == "wrong-kind":
         table = _table(result, "source" if kind == "pair" else "pair")
         # id order puts source s001 before its pair (s001, b001)
         expected = "source s001"
+    elif corruption == "mixed":
+        # the market's own table and one key of the other kind
+        table["s001" if kind == "pair" else ("s001", "b001")] = 1.0
+        expected = "source s001" if kind == "pair" else "pair (s001, b001)"
+    else:
+        table[7] = 1.0  # a key that compares with no id
+        expected = "source 7"
     with pytest.raises(ParseError, match=re.escape(f"first mismatched {expected}")):
         call(params, result, table)
 
