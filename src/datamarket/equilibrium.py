@@ -22,10 +22,8 @@ reduced loss), and a coupling-strength sweep.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import operator
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -87,7 +85,7 @@ class IdTable(Mapping):
     (market._id_order), and `array` (read-only) holds their values: one
     float per id, or one row per id.  Reading an id gives a Python float (a
     list for a row).  IdTable.of is the one rule that puts a table in id
-    order; every reader of a table, a plain dict included, goes through it."""
+    order; every reader of a table, an IdTable or a plain dict, goes through it."""
 
     __slots__ = ("ids", "array", "_index")
 
@@ -97,12 +95,12 @@ class IdTable(Mapping):
 
     @classmethod
     def of(cls, table, array: np.ndarray | None = None) -> IdTable:
-        """The table itself if it is an IdTable, else its values (table[id], or
-        the rows of `array` in the order of `table`'s ids) in id order."""
-        if isinstance(table, IdTable):
-            return table
+        """The table's values (an IdTable's array, table[id], or the rows of
+        `array` in the order of `table`'s ids) in id order."""
         ids = tuple(table)
-        if array is None:
+        if isinstance(table, IdTable):
+            array = table.array
+        elif array is None:
             array = np.array([table[key] for key in ids], dtype=float)
         ordered = False
         with contextlib.suppress(TypeError):  # an id and a pair compare only under _id_order
@@ -129,6 +127,12 @@ class IdTable(Mapping):
 
     def __repr__(self) -> str:
         return f"IdTable({dict(self)!r})"
+
+
+def _runs(pairs) -> dict:
+    """Source id -> (lo, hi) of `pairs` in id order: its pairs are pairs[lo:hi]."""
+    ends = {sid: k for k, (sid, _) in enumerate(pairs, 1)}
+    return dict(zip(ends, zip([0, *ends.values()], ends.values())))
 
 
 @dataclass(frozen=True)
@@ -163,26 +167,19 @@ class PolytopeTable(Mapping):
 
     @classmethod
     def of(cls, polytope) -> PolytopeTable:
-        """The polytope itself if it is a PolytopeTable, else a mapping of
-        SourcePolytopes in id order."""
+        """A PolytopeTable's tables, or a mapping of SourcePolytopes, in id order."""
         if isinstance(polytope, PolytopeTable):
-            return polytope
+            return cls(IdTable.of(polytope.floors), IdTable.of(polytope.rows))
         return cls(IdTable.of({(sid, bid): floor for sid, p in polytope.items()
                                for bid, floor in p.floors.items()}),
                    IdTable.of({sid: (p.surplus, p.total, p.dimension)
                                for sid, p in polytope.items()}))
 
-    def bounds(self) -> list[int]:
-        """Each source's pairs are floors.ids[bounds[k]:bounds[k + 1]]."""
-        if self._bounds is None:
-            counts = Counter(sid for sid, _ in self.floors.ids)
-            self._bounds = [0, *itertools.accumulate(counts[sid] for sid in self.rows.ids)]
-        return self._bounds
-
     def __getitem__(self, sid) -> SourcePolytope:
-        k = self.rows.positions()[sid]
-        surplus, total, dimension = self.rows.array[k].tolist()
-        lo, hi = self.bounds()[k:k + 2]
+        if self._bounds is None:
+            self._bounds = _runs(self.floors.ids)
+        surplus, total, dimension = self.rows[sid]
+        lo, hi = self._bounds.get(sid, (0, 0))  # a source with no floors has no run
         floors = IdTable((bid for _, bid in self.floors.ids[lo:hi]), self.floors.array[lo:hi])
         return SourcePolytope(surplus=surplus, floors=floors, total=total,
                               dimension=int(dimension))
@@ -209,7 +206,8 @@ class SolveDiagnostics:
 class EquilibriumResult:
     """A solved market's tables (None when unsolved): IdTables and a
     PolytopeTable over the market's pairs and source ids.  Any other
-    mapping is read through IdTable.of, the one id-order rule."""
+    mapping, or an IdTable over the ids in another order, is read through
+    IdTable.of, the one id-order rule."""
 
     status: str
     a: AParameters | None
@@ -227,7 +225,9 @@ class EquilibriumResult:
         (surplus, total, dimension) rows) over a market's pairs and source
         ids, each read by _aligned.  A result of another market raises
         ParseError naming the first mismatch."""
-        polytope = PolytopeTable.of(self.polytope)
+        polytope = self.polytope
+        if not isinstance(polytope, PolytopeTable):  # _aligned orders a PolytopeTable's tables
+            polytope = PolytopeTable.of(polytope)
         return (_aligned(self.a.a, pairs, "a"), _aligned(self.a.a_total, sids, "a_total"),
                 _aligned(self.canonical_c, pairs, "canonical_c"),
                 _aligned(self.efforts, sids, "efforts"),
@@ -237,18 +237,19 @@ class EquilibriumResult:
 
 def _aligned(table, keys, name: str, location: str = "result",
              kind: str = "source") -> np.ndarray:
-    """IdTable.of(table)'s array, when its ids are `keys` (the market's
-    pairs, or its ids of `kind`).  A missing, extra or wrongly kinded key
-    (another market's table) raises ParseError at `location`, naming the
-    first mismatch in id order."""
-    table = IdTable.of(table)
-    if table.ids is keys or table.ids == keys:
-        return table.array
-    first = _first_mismatch(keys, table.ids)
-    shown = (f"pair ({', '.join(map(str, first))})" if isinstance(first, tuple)
-             else f"{kind} {first}")
-    raise ParseError(f"{name} does not match the scenario: first mismatched {shown}",
-                     location=location)
+    """The table's array when its ids are `keys` (the market's pairs, or its
+    ids of `kind`), after IdTable.of unless it is an IdTable over `keys`.  A
+    missing, extra, repeated or wrongly kinded key (another market's table)
+    raises ParseError at `location`, naming the first mismatch in id order."""
+    if not (isinstance(table, IdTable) and (table.ids is keys or table.ids == keys)):
+        table = IdTable.of(table)
+        if table.ids != keys:
+            first = _first_mismatch(keys, table.ids)
+            shown = (f"pair ({', '.join(map(str, first))})" if isinstance(first, tuple)
+                     else f"{kind} {first}")
+            raise ParseError(f"{name} does not match the scenario: first mismatched {shown}",
+                             location=location)
+    return table.array
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ class DataSourceSpec:
         object.__setattr__(self, "feature", as_feature_point(self.feature))
         if not self.sharing:
             raise DomainError(f"source {self.id!r} has an empty sharing set")
-        object.__setattr__(self, "sharing", tuple(sorted(set(self.sharing))))
+        object.__setattr__(self, "sharing", tuple(sorted(set(self.sharing), key=_id_order)))
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,9 @@ def _id_order(key) -> tuple:
 
 
 def _first_mismatch(keys, others):
-    """The first key, in id order, in just one of the two (ids or id pairs)."""
-    return min(set(keys).symmetric_difference(others), key=_id_order)
+    """The first key, in id order, in just one of the two, else repeated in `others`."""
+    return min(set(keys).symmetric_difference(others)
+               or [key for key, count in Counter(others).items() if count > 1], key=_id_order)
 
 
 def _pair_index(membership: np.ndarray):
@@ -143,8 +144,9 @@ class MarketScenario:
     objects.  `sources` builds DataSourceSpec views on each read.
 
     MarketScenario(sources, aggregators, ground_truth, ...) takes
-    DataSourceSpecs in any order; the parser and the generator hand their
-    columns to _from_columns, the same indexing pass.  Every attribute is
+    DataSourceSpecs in any order and refuses an id that is not a string, so
+    the market's order is _id_order's; the parser and the generator hand
+    their columns to _from_columns, the same indexing pass.  Every attribute is
     set at construction, never cached on first read: writing to an
     instance's __dict__ later slows every attribute read on it (CPython
     3.11).  The instance is immutable."""
@@ -153,6 +155,11 @@ class MarketScenario:
                  mode: str = MODE_ESTIMATOR,
                  direct_beta: Mapping[tuple[str, str], float] | None = None,
                  direct_xi: Mapping[str, Mapping[tuple[str, str], float]] | None = None):
+        sources, aggregators = tuple(sources), tuple(aggregators)
+        for kind, specs in (("source", sources), ("aggregator", aggregators)):
+            for spec in specs:
+                if not isinstance(spec.id, str):
+                    raise DomainError(f"{kind} id {spec.id!r} is not a string")
         self._index(*_source_columns(sources), aggregators, ground_truth, mode,
                     direct_beta, direct_xi)
 
@@ -196,7 +203,7 @@ class MarketScenario:
                 columns += map(column.__getitem__, shares)
             except KeyError:
                 raise DomainError(f"source {sid!r} shares with unknown aggregators "
-                                  f"{sorted(set(shares) - set(bids))}") from None
+                                  f"{sorted(set(shares) - set(bids), key=_id_order)}") from None
             rows += [s] * len(shares)
         membership = np.zeros((len(sids), len(bids)), dtype=bool)
         membership[rows, columns] = True
@@ -216,7 +223,7 @@ class MarketScenario:
             unknown = set(b.zeta) - known
             if unknown:
                 raise DomainError(f"aggregator {b.id!r} weights unknown "
-                                  f"rivals {sorted(unknown)}")
+                                  f"rivals {sorted(unknown, key=_id_order)}")
             if b.query_dist.dimension != d:
                 raise DomainError(f"aggregator {b.id!r} query dimension "
                                   f"{b.query_dist.dimension} != feature dimension {d}")

@@ -29,7 +29,6 @@ import itertools
 import json
 import math
 import re
-from collections import Counter
 from json.encoder import encode_basestring_ascii as _quoted
 
 import numpy as np
@@ -45,6 +44,7 @@ from .equilibrium import (
     SolveDiagnostics,
     SourcePolytope,
     _aligned,
+    _runs,
 )
 from .errors import DomainError, ParseError
 from .market import DerivedParameters
@@ -79,10 +79,9 @@ def _fields(keys: list[str], table: IdTable, name: str) -> list[str]:
     return list(map(str.__add__, keys, map(float.__repr__, _values(table, name))))
 
 
-def _id_table(table, name: str, pairs: bool = False) -> IdTable:
-    """IdTable.of(table).  A key that is not an id (a pair of ids where
-    `pairs`), which no reader accepts, raises DomainError naming the table."""
-    table = IdTable.of(table)
+def _id_keys(table: IdTable, name: str, pairs: bool = False) -> IdTable:
+    """The table, when every key is an id (a pair of ids where `pairs`); any
+    other key, which no reader accepts, raises DomainError naming the table."""
     for key in table.ids:
         if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], str)
                 and isinstance(key[1], str) if pairs else isinstance(key, str)):
@@ -92,23 +91,22 @@ def _id_table(table, name: str, pairs: bool = False) -> IdTable:
 
 
 def _flat_table(table, name: str) -> str:
-    table = _id_table(table, name)
+    table = _id_keys(IdTable.of(table), name)
     return _object(_fields(_keys(table.ids), table, name), 1)
 
 
-def _pair_fields(table: IdTable, name: str) -> list[str]:
-    """Each pair's field, keyed by its aggregator."""
-    return _fields(_keys(bid for _, bid in table.ids), table, name)
+def _pair_objects(table: IdTable, name: str, depth: int) -> dict:
+    """Source id -> the object, nested `depth` deep, of its pairs' fields
+    keyed by aggregator: the run of its pairs in the table's id order."""
+    table = _id_keys(table, name, pairs=True)
+    fields = _fields(_keys(bid for _, bid in table.ids), table, name)
+    return {sid: _object(fields[lo:hi], depth) for sid, (lo, hi) in _runs(table.ids).items()}
 
 
 def _pair_table(table, name: str) -> str:
     """A table over pairs, as one object per source of its pairs' fields."""
-    table = _id_table(table, name, pairs=True)
-    counts = Counter(sid for sid, _ in table.ids)  # in id order, a source's pairs are a run
-    bounds = list(itertools.accumulate(counts.values(), initial=0))
-    fields = _pair_fields(table, name)
-    return _object([head + _object(fields[lo:hi], 2)
-                    for head, lo, hi in zip(_keys(counts), bounds, bounds[1:])], 1)
+    objects = _pair_objects(IdTable.of(table), name, 2)
+    return _object(list(map(str.__add__, _keys(objects), objects.values())), 1)
 
 
 #: One source's polytope entry, nested two deep, after its '"id": ' prefix.
@@ -118,13 +116,11 @@ _POLYTOPE_ENTRY = ('{{\n      "surplus": {!r},\n      "floors": {},\n      "tota
 
 def _polytope(polytope) -> str:
     polytope = PolytopeTable.of(polytope)
-    floors = _id_table(polytope.floors, "polytope floors", pairs=True)
-    rows, bounds = _id_table(polytope.rows, "polytope"), polytope.bounds()
-    fields = _pair_fields(floors, "polytope floors")
-    return _object([head + _POLYTOPE_ENTRY(surplus, _object(fields[lo:hi], 3), total,
-                                           int(dimension))
-                    for head, lo, hi, (surplus, total, dimension)
-                    in zip(_keys(rows.ids), bounds, bounds[1:], _values(rows, "polytope"))], 1)
+    floors = _pair_objects(polytope.floors, "polytope floors", 3)
+    rows = _id_keys(polytope.rows, "polytope")
+    return _object([head + _POLYTOPE_ENTRY(surplus, floors.get(sid, "{}"), total, int(dimension))
+                    for sid, head, (surplus, total, dimension)
+                    in zip(rows.ids, _keys(rows.ids), _values(rows, "polytope"))], 1)
 
 
 def _scalar(value, name: str, nan: bool = False) -> str:

@@ -130,8 +130,7 @@ def _parse_effort(doc, location) -> EffortVarianceModel:
     _no_unknown_fields(doc, fields, location)
     set_doc = _expect(doc, "set", dict, location, default={"kind": "unbounded"})
     kind = _expect(set_doc, "kind", str, f"{location}.set")
-    _no_unknown_fields(set_doc, {"kind", "e_max"} if kind == "bounded" else {"kind"},
-                       f"{location}.set")
+    _no_unknown_fields(set_doc, _SET_FIELDS.get(kind, {"kind"}), f"{location}.set")
     try:
         if kind == "bounded":
             effort_set = EffortSet("bounded", e_max=_expect(

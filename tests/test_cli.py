@@ -20,6 +20,16 @@ from datamarket.market import DataSourceSpec, MarketScenario
 from datamarket.scenario import GenerationSpec, generate_scenario, serialize_scenario
 
 
+def _run_cli(*argv):
+    """`python -m datamarket.cli argv...` in a process of its own, with this
+    checkout's `src` on its path, so it runs with nothing installed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "datamarket.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.fixture
 def symmetric_file(tmp_path):
     path = tmp_path / "symmetric.json"
@@ -392,11 +402,7 @@ class TestBadInput:
         # certify reads the scenario first, so the bad document is its result
         argv = ([str(paths[document])] if command == "validate"
                 else [str(symmetric_file), str(paths[document])])
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "datamarket.cli", command, *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = _run_cli(command, *argv)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("datamarket: ") and "Traceback" not in proc.stderr
 
@@ -551,7 +557,6 @@ class TestUsage:
         assert cli(["simulate", "scenario.json", "result.json"]) == 3
 
     def test_console_script_help(self):
-        proc = subprocess.run([sys.executable, "-m", "datamarket.cli", "--help"],
-                              capture_output=True, text=True)
+        proc = _run_cli("--help")
         assert proc.returncode == 0
         assert "sweep-alpha" in proc.stdout

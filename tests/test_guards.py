@@ -35,11 +35,21 @@ def _with_source(k, **changes):
     return MarketScenario(tuple(sources), scenario.aggregators, scenario.ground_truth)
 
 
-def _with_rival(rival):
+def _with_rival(zeta):
     scenario = make_line_scenario(n_aggregators=2)
-    aggregators = (replace(scenario.aggregators[0], zeta={rival: 0.1}),
+    aggregators = (replace(scenario.aggregators[0], zeta=zeta),
                    *scenario.aggregators[1:])
     return MarketScenario(scenario.sources, aggregators, scenario.ground_truth)
+
+
+def _with_ids(source_ids, aggregator_id="b1"):
+    """The two-aggregator line market on one point per source id, its
+    sources and its first aggregator renamed."""
+    scenario = make_line_scenario(n_aggregators=2, n_points=len(source_ids))
+    sources = [replace(s, id=sid) for s, sid in zip(scenario.sources, source_ids)]
+    aggregators = (replace(scenario.aggregators[0], id=aggregator_id),
+                   *scenario.aggregators[1:])
+    return MarketScenario(sources, aggregators, scenario.ground_truth)
 
 
 def _round_with_losses(losses):
@@ -86,8 +96,19 @@ GUARDS = {
                         lambda: _schema_version(2)),
     "mixed-dimensions": (DomainError, r"sources mix feature dimensions \[1, 2\]",
                          lambda: _with_source(1, feature=(1.0, 0.0))),
+    "int-source-ids": (DomainError, "^source id 1 is not a string$",
+                       lambda: _with_ids((1, 2))),
+    "int-and-str-source-ids": (DomainError, "^source id 1 is not a string$",
+                               lambda: _with_ids((1, "s2"))),
+    "int-aggregator-id": (DomainError, "^aggregator id 1 is not a string$",
+                          lambda: _with_ids(("s1", "s2"), aggregator_id=1)),
     "unknown-rival": (DomainError, r"aggregator 'b1' weights unknown rivals \['b9'\]",
-                      lambda: _with_rival("b9")),
+                      lambda: _with_rival({"b9": 0.1})),
+    "unknown-int-and-str-rivals": (DomainError, r"weights unknown rivals \[1, 'b9'\]$",
+                                   lambda: _with_rival({1: 0.1, "b9": 0.1})),
+    "unknown-int-and-str-sharing": (DomainError, r"'s1' shares with unknown aggregators "
+                                    r"\[0, 'b9'\]$",
+                                    lambda: _with_source(0, sharing=(0, "b1", "b9"))),
     "nan-coordinate": (DomainError, "feature point has non-finite coordinate",
                        lambda: DataSourceSpec("s1", (math.nan,), exponential_model(8.0, 1.0),
                                               ("b1",))),
