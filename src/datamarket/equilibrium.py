@@ -33,7 +33,6 @@ from .errors import DomainError, NonConvergenceError, NumericalFailureError, Par
 from .market import (  # noqa: F401  (spectral_radius is public here too)
     RADIUS_TOL,
     DerivedParameters,
-    _arnoldi,
     _first_mismatch,
     _id_order,
     spectral_radius,
@@ -369,31 +368,35 @@ def _solve_coupled(params: DerivedParameters, alphas: list[float],
     """Per alpha, (a over params.pairs, residual, basis size) solving
     a = alpha Xi a + gamma, or None once alpha * rho(Xi) >= 1 - MARGINAL_BAND.
 
-    alpha = 0 gives gamma.  The others share one Arnoldi basis V of
-    D^-1 Xi D from g = gamma / d, with D = diag d for d = gamma + Xi gamma
-    (a's first two terms at alpha = 1): scaled by gamma alone, a coupled
-    pair with 1e4 times its rivals' demand left answers 2.7e-12 off.  As
-    D^-1 Xi D V_k = V_(k+1) H_bar, a = d * (V_k y) |g| for the y minimising
-    |e_1 - (I_bar - alpha H_bar) y| = |r / d| / |g|, r a's residual (shifted
-    GMRES: Saad and Schultz 1986, Frommer and Glassner 1998).  The basis
-    grows until that minimum, Givens-updated per step for the largest alpha
-    (Saad 2003, sec. 6.5.3), is at most KRYLOV_STOP * eps, or until an
-    invariant subspace or P vectors end it.  Each answer is confirmed with
-    one operator product, whose residual r (`residual` is max |r|) then
-    refines it once on the same basis.  A residual or negativity above 1e-9
-    times max a (or NaN) raises NumericalFailureError with the condition
-    number of I - alpha Xi, assembled for that message only."""
+    alpha = 0 gives gamma.  The others read the market's one Krylov basis,
+    params.krylov: V of D^-1 Xi D from g = gamma / d, with D = diag d for d =
+    gamma + Xi gamma (a's first two terms at alpha = 1): scaled by gamma
+    alone, a coupled pair with 1e4 times its rivals' demand left answers
+    2.7e-12 off.  As D^-1 Xi D V_k = V_(k+1) H_bar, a = d * (V_k y) |g| for
+    the y minimising |e_1 - (I_bar - alpha H_bar) y| = |r / d| / |g|, r a's
+    residual (shifted GMRES: Saad and Schultz 1986, Frommer and Glassner
+    1998).  k is the first basis size at which that minimum, Givens-updated
+    per step for the largest alpha from the stored H (Saad 2003, sec.
+    6.5.3), is at most KRYLOV_STOP * eps, or the size at which an invariant
+    subspace or P vectors end the basis; the basis grows only past the steps
+    an earlier reader grew, and k (so a) is the same whoever grew them.
+    Each answer is confirmed with one operator product, whose residual r
+    (`residual` is max |r|) then refines it once on the same basis.  A
+    residual or negativity above 1e-9 times max a (or NaN) raises
+    NumericalFailureError with the condition number of I - alpha Xi,
+    assembled for that message only."""
     xi, gamma = params.coupling, params.gamma
     answers = {0.0: (gamma, 0.0, 0)}
     inside = sorted({alpha for alpha in alphas
                      if alpha > 0.0 and alpha * params.spectral_radius < 1.0 - MARGINAL_BAND})
     if inside:
-        d = gamma + xi @ gamma
-        start = gamma / d
-        top, rotations, residual = inside[-1], [], 1.0
+        basis = params.krylov
+        d, start = basis.d, basis.start
+        top, rotations, residual, k = inside[-1], [], 1.0, 0
         stop = KRYLOV_STOP * float(np.finfo(float).eps)
-        for V, H, k in _arnoldi(lambda v: xi @ (d * v) / d, start, len(gamma)):
-            column = (-top * H[:k + 1, k - 1]).tolist()  # of I_bar - top H_bar
+        while residual > stop and basis.grow(k + 1) > k:
+            k += 1
+            column = (-top * basis.H[:k + 1, k - 1]).tolist()  # of I_bar - top H_bar
             column[k - 1] += 1.0
             for i, (c, s) in enumerate(rotations):
                 column[i], column[i + 1] = (c * column[i] + s * column[i + 1],
@@ -401,8 +404,7 @@ def _solve_coupled(params: DerivedParameters, alphas: list[float],
             norm = math.hypot(column[k - 1], column[k])
             rotations.append((column[k - 1] / norm, column[k] / norm))
             residual *= abs(column[k]) / norm
-            if residual <= stop:
-                break
+        V, H = basis.V, basis.H
         # every alpha's least-squares problem by one stacked QR; Q^T e_1 is Q's first row
         q, R = np.linalg.qr(np.eye(k + 1, k) - np.multiply.outer(inside, H[:k + 1, :k]))
         a = d * (np.linalg.solve(R, q[:, 0, :, None])[..., 0] @ V[:k] * np.linalg.norm(start))
@@ -751,12 +753,15 @@ def alpha_sweep(params: DerivedParameters, alphas) -> list[AlphaPoint]:
 
     The radius scales linearly, so existence flips to "none" once
     alpha * rho(Xi) reaches 1; approaching it from below the demands blow up
-    like 1/(1 - alpha * rho).  Every alpha is checked before any solve (a
-    bad one raises DomainError), then one _solve_coupled call serves them
-    all: one Krylov basis, grown for the largest alpha, plus one confirming
-    operator product per point.  A point matches its one-point sweep to
-    rounding.  A failed solve inside the existence regime raises
-    NumericalFailureError, as in solve_unbounded."""
+    like 1/(1 - alpha * rho).  Every alpha is checked before any solve: a
+    negative or non-finite one raises DomainError before any product, and
+    one whose alpha * rho is not finite once rho is read.  Then one
+    _solve_coupled call serves them all from the market's one Krylov basis,
+    grown past the steps the radius and earlier solves left only if its
+    largest alpha needs more, plus one confirming operator product per
+    point.  A point matches its one-point sweep to rounding.  A failed solve
+    inside the existence regime raises NumericalFailureError, as in
+    solve_unbounded."""
     params.validation.require_ok()
     if params.effort_kind != "unbounded":
         raise DomainError("alpha_sweep requires unbounded effort sets")
@@ -764,10 +769,14 @@ def alpha_sweep(params: DerivedParameters, alphas) -> list[AlphaPoint]:
     for alpha in alphas:
         if alpha < 0 or not math.isfinite(alpha):
             raise DomainError(f"alpha must be finite and nonnegative, got {alpha}")
+    rho = params.spectral_radius
+    for alpha in alphas:
+        if not math.isfinite(alpha * rho):
+            raise DomainError(f"alpha {alpha} times the spectral radius {rho} is not finite")
     points = []
     for alpha, solved in zip(alphas, _solve_coupled(params, alphas)):
         max_total = (math.nan if solved is None
                      else float(np.bincount(params.pair_source, weights=solved[0]).max()))
-        points.append(AlphaPoint(float(alpha), float(alpha * params.spectral_radius),
+        points.append(AlphaPoint(float(alpha), float(alpha * rho),
                                  STATUS_NONE if solved is None else STATUS_UNIQUE, max_total))
     return points

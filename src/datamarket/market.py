@@ -460,8 +460,9 @@ RADIUS_TOL = 1e-10
 RADIUS_MAX_SWEEPS = 100_000
 #: Arnoldi steps (products) behind the power iteration's start vector: at 12
 #: a periodic two-aggregator market's first bracket matches eigvals to 1.5e-13
-#: relative (10 steps: 6e-12), and the n=150 shapes take 13 products (full
-#: sharing) and 25-28 (half sharing), where ones took 60-68 and 33-40.
+#: relative (10 steps: 6e-12).  A market reads them from its KrylovBasis,
+#: which its solve extends: radius, solve and a 3-point sweep then take 18
+#: products (n=150 full sharing) and 30 (half sharing, d=2), not 35 and 52.
 RADIUS_KRYLOV_DIM = 12
 
 
@@ -470,34 +471,63 @@ def spectral_radius(matrix) -> float:
     CouplingOperator (whose stored blocks must then be finite and
     nonnegative).
 
-    Shift-free power iteration from a strictly positive start x_0 (see
-    _ritz_start), certified each sweep by the Collatz-Wielandt interval
-    [min_i (Mx)_i/x_i, max_i (Mx)_i/x_i] over the support x_i > 0: the zero
-    set of x = M^t x_0 is that of M^t 1, closed under M's out-edges, so M is
-    block-triangular with a nilpotent block there and rho(M) is the radius
-    on the support (a zero row of Xi costs nothing).  Started from the Ritz
+    Shift-free power iteration from a strictly positive start x_0, certified
+    each sweep by the Collatz-Wielandt interval (see _power_bracket).  The
+    start is |u| for the Ritz vector u of the largest real Ritz value of a
+    RADIUS_KRYLOV_DIM-step Arnoldi pass from the ones vector (_ritz_vector),
+    or the ones vector where that value is not above 0 or |u| has a zero
+    entry (a nilpotent matrix, say).  A market's params.spectral_radius
+    starts from its solve's basis instead (KrylovBasis.radius_start).
+    """
+    if not isinstance(matrix, CouplingOperator):
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise DomainError(f"spectral radius needs a square matrix, got shape {matrix.shape}")
+    return _power_bracket(matrix, _ones_start)
+
+
+def _ones_start(M) -> np.ndarray:
+    """spectral_radius's start: |u| from a RADIUS_KRYLOV_DIM-step basis from
+    ones, else ones."""
+    n = M.shape[0]
+    *_, (V, H, steps) = _arnoldi(M.__matmul__, np.ones(n), min(RADIUS_KRYLOV_DIM, n))
+    u = _ritz_vector(V, H, steps)
+    return np.ones(n) if u is None else u
+
+
+def _ritz_vector(V: np.ndarray, H: np.ndarray, steps: int) -> np.ndarray | None:
+    """|u| for the Ritz vector u = V_k^T y of the largest real Ritz value of
+    the basis's first `steps` vectors (H_k y = theta y), or None unless that
+    value is above 0 and |u| strictly positive.  Any strictly positive start
+    keeps the bracket a certificate; a good one only closes it sooner."""
+    values, vectors = np.linalg.eig(H[:steps, :steps])
+    real = np.where(values.imag == 0, values.real, -math.inf)
+    top = int(np.argmax(real))
+    u = np.abs(V[:steps].T @ vectors[:, top].real)
+    return u if real[top] > 0 and np.all(u > 0) else None
+
+
+def _power_bracket(M, start) -> float:
+    """rho(M) by power iteration from the strictly positive start(M), called
+    once M's entries are checked finite and nonnegative (0 if none is above 0).
+
+    Each sweep is certified by the Collatz-Wielandt interval [min_i
+    (Mx)_i/x_i, max_i (Mx)_i/x_i] over the support x_i > 0: the zero set of x
+    = M^t x_0 is that of M^t 1, closed under M's out-edges, so M is
+    block-triangular with a nilpotent block there and rho(M) is the radius on
+    the support (a zero row of Xi costs nothing).  Started from a Ritz
     vector, the bracket of a full-sharing market typically closes within
     RADIUS_TOL on the first sweep, periodic ones (eigenvalues +/- rho)
-    included.  Where it
-    oscillates instead (some reducible matrices, or a periodic one started
-    from ones), the stall returns max |eigenvalue| from one dense LAPACK
-    call (np.linalg.eigvals), exact to rounding for every matrix; an
-    operator is assembled only then.
-    """
-    if isinstance(matrix, CouplingOperator):
-        M, entries = matrix, matrix.blocks
-    else:
-        M = np.asarray(matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise DomainError(f"spectral radius needs a square matrix, got shape {M.shape}")
-        entries = (M,)
+    included.  Where it oscillates instead (some reducible matrices, or a
+    periodic one started from ones), the stall returns max |eigenvalue| from
+    one dense LAPACK call (np.linalg.eigvals), exact to rounding for every
+    matrix; an operator is assembled only then."""
+    entries = M.blocks if isinstance(M, CouplingOperator) else (M,)
     if not all(np.all(np.isfinite(e)) and not np.any(e < 0) for e in entries):
         raise DomainError("spectral radius is defined here for finite nonnegative matrices")
-    n = M.shape[0]
-    if n == 0 or not any(e.any() for e in entries):
+    if M.shape[0] == 0 or not any(e.any() for e in entries):
         return 0.0
-
-    x = _ritz_start(M, n)
+    x = start(M)
     best_width = math.inf
     since_improvement = 0
     for _ in range(RADIUS_MAX_SWEEPS):
@@ -522,19 +552,49 @@ def spectral_radius(matrix) -> float:
     return _eigenvalue_radius(M.toarray() if isinstance(M, CouplingOperator) else M)
 
 
-def _ritz_start(M, n: int) -> np.ndarray:
-    """Start of spectral_radius's power iteration: |u| for the Ritz vector u
-    of the largest real Ritz value of a RADIUS_KRYLOV_DIM-step Arnoldi pass
-    from the normalised ones vector (Gram-Schmidt run twice per step), when
-    that value is above 0 and |u| is strictly positive; the ones vector
-    otherwise (a nilpotent matrix, say).  Any strictly positive start keeps
-    the bracket a certificate; a good one only closes it sooner."""
-    *_, (V, H, steps) = _arnoldi(M.__matmul__, np.ones(n), min(RADIUS_KRYLOV_DIM, n))
-    values, vectors = np.linalg.eig(H[:steps, :steps])
-    real = np.where(values.imag == 0, values.real, -math.inf)
-    top = int(np.argmax(real))
-    u = np.abs(V[:steps].T @ vectors[:, top].real)
-    return u if real[top] > 0 and np.all(u > 0) else np.ones(n)
+class KrylovBasis:
+    """A market's one Arnoldi basis, of D^-1 Xi D from g = gamma / d, where D =
+    diag d for d = gamma + Xi gamma (a's first two terms at alpha = 1): one
+    _arnoldi pass that each reader resumes (grow), its state after the last
+    step in V, H and k, D^-1 Xi D V[:k] = V[:k + 1] H[:k + 1, :k].  As D^-1 Xi
+    D is similar to Xi, D u is a Ritz vector of Xi for one u of the basis:
+    params.spectral_radius reads its first RADIUS_KRYLOV_DIM steps
+    (radius_start), and equilibrium._solve_coupled the steps its largest
+    alpha needs.  Each step depends only on those before it, so every reader
+    reads the same numbers whoever grew them."""
+
+    __slots__ = ("d", "start", "V", "H", "k", "_steps")
+
+    def __init__(self, coupling: CouplingOperator, gamma: np.ndarray):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d = gamma + coupling @ gamma  # radius_start checks what extreme demands make of it
+            self.d, self.start = d, gamma / d
+        self._steps = _arnoldi(lambda v: coupling @ (d * v) / d, self.start, len(gamma))
+        self.V, self.H, self.k = None, None, 0
+
+    def grow(self, k: int) -> int:
+        """Resume the pass until the basis holds k vectors, or it ends (an
+        invariant subspace, or P vectors); returns the basis size."""
+        while self.k < k and self._steps is not None:
+            step = next(self._steps, None)
+            if step is None:
+                self._steps = None  # the pass has ended
+            else:
+                self.V, self.H, self.k = step
+        return self.k
+
+    def radius_start(self, M: CouplingOperator) -> np.ndarray:
+        """params.spectral_radius's power start: d * |u| for the Ritz vector u
+        (_ritz_vector) of the basis's first RADIUS_KRYLOV_DIM steps, where d
+        and g are finite and strictly positive and so is d * |u|;
+        spectral_radius's start from ones otherwise."""
+        d, g = self.d, self.start
+        if np.all(np.isfinite(d) & (d > 0) & np.isfinite(g) & (g > 0)):
+            steps = min(self.grow(RADIUS_KRYLOV_DIM), RADIUS_KRYLOV_DIM)
+            u = _ritz_vector(self.V, self.H, steps)
+            if u is not None and np.all(d * u > 0):
+                return d * u
+        return _ones_start(M)
 
 
 def _arnoldi(apply, start: np.ndarray, steps: int):
@@ -671,28 +731,33 @@ def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
         return ValidationReport(tuple(violations), tuple(notes))
 
     gamma, gamma_total = demand
-    for (sid, bid), value in zip(scenario.sharing_pairs(), gamma.tolist()):
+    pairs = scenario.sharing_pairs()
+    for k in np.flatnonzero(~(np.isfinite(gamma) & (gamma > 0))).tolist():
+        (sid, bid), value = pairs[k], float(gamma[k])
         if not math.isfinite(value):
             violations.append(Violation(
                 "nonfinite-demand", f"({sid}, {bid})", "net demand is not finite"))
-        elif value <= 0:
+        else:
             violations.append(Violation(
                 "nonpositive-demand", f"({sid}, {bid})",
                 f"net demand {value} must be positive"))
 
-    bounds = zip(scenario.effort_map.a_lower.tolist(), scenario.effort_map.a_upper.tolist())
-    for sid, total, (a_lower, a_upper) in zip(scenario.source_ids, gamma_total.tolist(), bounds):
+    a_lower, a_upper = scenario.effort_map.a_lower, scenario.effort_map.a_upper
+    flagged = ~np.isfinite(gamma_total) | (gamma_total < a_lower) | (gamma_total >= a_upper)
+    for s in np.flatnonzero(flagged).tolist():
+        sid, total = scenario.source_ids[s], float(gamma_total[s])
         if not math.isfinite(total):
             violations.append(Violation(
                 "nonfinite-demand", sid, "total demand is not finite"))
-        elif total < a_lower:
+        elif total < a_lower[s]:
             violations.append(Violation(
                 "demand-below-minimum", sid,
-                f"total demand {total} is below the minimum incentive {a_lower}"))
-        elif total >= a_upper:  # inf for unbounded effort sets
+                f"total demand {total} is below the minimum incentive {float(a_lower[s])}"))
+        else:  # a_upper is inf for unbounded effort sets
             violations.append(Violation(
                 "demand-above-saturation", sid,
-                f"total demand {total} is not below the saturation incentive {a_upper}"))
+                f"total demand {total} is not below the saturation incentive "
+                f"{float(a_upper[s])}"))
     return ValidationReport(tuple(violations), tuple(notes))
 
 
@@ -713,7 +778,9 @@ class DerivedParameters:
     both solvers read (the radius, the Krylov basis, the residual check, and
     the best responses through its terms).  No P x P copy is kept: the
     dense Xi's readers (xi_matrix.csv, a failed solve's condition number, a
-    stalled radius) call coupling.toarray() where they run."""
+    stalled radius) call coupling.toarray() where they run.  The one Krylov
+    basis that the radius and every solve read, `krylov` (see KrylovBasis),
+    is built on first read and kept too: (k + 1) x P floats for k steps."""
 
     scenario: MarketScenario
     mode: str
@@ -736,6 +803,7 @@ class DerivedParameters:
                                                compare=False)
     _spectral_radius: float | None = field(default=None, init=False, repr=False,
                                            compare=False)
+    _krylov: KrylovBasis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scenario = self.scenario
@@ -753,11 +821,20 @@ class DerivedParameters:
         return self._coupling
 
     @property
+    def krylov(self) -> KrylovBasis:
+        """The market's one KrylovBasis, built on first read."""
+        if self._krylov is None:
+            object.__setattr__(self, "_krylov", KrylovBasis(self.coupling, self.gamma))
+        return self._krylov
+
+    @property
     def spectral_radius(self) -> float:
         """rho(Xi), computed on first read and kept in a declared field, not
-        a cached_property (see MarketScenario)."""
+        a cached_property (see MarketScenario): spectral_radius's power
+        bracket, started from the Krylov basis (KrylovBasis.radius_start)."""
         if self._spectral_radius is None:
-            object.__setattr__(self, "_spectral_radius", spectral_radius(self.coupling))
+            object.__setattr__(self, "_spectral_radius",
+                               _power_bracket(self.coupling, self.krylov.radius_start))
         return self._spectral_radius
 
     def effort_model(self, source_id: str) -> EffortVarianceModel:

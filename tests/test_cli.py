@@ -263,6 +263,20 @@ class TestNoEquilibrium:
             assert cli([command, str(scenario), str(result), *options]) == 1, command
             assert capsys.readouterr().err.endswith(" requires a solved equilibrium\n"), command
 
+    def test_sweep_whose_scaled_radius_overflows(self, tmp_path, capsys):
+        # alpha 1e308 times rho = 9.21 is not finite: exit 1 naming the
+        # alpha, and no CSV, so no rho of inf
+        scenario, out = tmp_path / "scenario.json", tmp_path / "sweep.csv"
+        assert cli(["generate", "--n", "6", "--m", "3", "--mode", "direct", "--coupling-scale",
+                    "2", "--seed", "0", "--output", str(scenario)]) == 0
+        capsys.readouterr()
+        assert cli(["sweep-alpha", str(scenario), "--alphas", "0.05,1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "alpha 1e+308 times the spectral radius" in captured.err
+        assert cli(["sweep-alpha", str(scenario), "--alphas", "1e308",
+                    "--output", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestResultOfAnotherMarket:
     # markets a (8 sources) and b (9 sources); certify b with a's result,

@@ -362,14 +362,15 @@ class TestWeightsOfAnotherMarket:
 
 class TestCoupledSolve:
     def test_one_spectral_radius_per_parameters(self, monkeypatch):
+        # every radius, a market's or spectral_radius's, is one power bracket
         calls = []
-        original = market.spectral_radius
+        original = market._power_bracket
 
-        def counted(matrix, **options):
+        def counted(matrix, start):
             calls.append(matrix.shape)
-            return original(matrix, **options)
+            return original(matrix, start)
 
-        monkeypatch.setattr(market, "spectral_radius", counted)
+        monkeypatch.setattr(market, "_power_bracket", counted)
         unbounded = derive_parameters(generate_scenario(GenerationSpec(8, 2), 0))
         bounded = derive_parameters(make_symmetric_direct(e_max=math.log(3.0)))
         assert calls == []  # derivation reads no radius
@@ -548,6 +549,95 @@ class TestSolvePaths:
         result = solve_unbounded(params)
         a_vec = np.array([result.a.a[p] for p in params.pairs])
         assert np.all(a_vec >= params.gamma)
+
+
+class TestOneKrylovBasis:
+    """The radius, the solve and every sweep point read one Arnoldi basis
+    per market (params.krylov), which each extends only past the steps
+    already grown."""
+
+    # bench/workloads.py's large-market shapes at seed 0, and their sweep
+    LARGE_MARKET = {
+        "full-d1": (GenerationSpec(150, 8, family="mixed", zeta_max=0.1), 0, 18),
+        "half-d2": (GenerationSpec(150, 8, dimension=2, family="mixed", zeta_max=0.1,
+                                   sharing_density=0.5), 1, 30),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(LARGE_MARKET))
+    def test_large_market_products(self, shape, monkeypatch):
+        # a basis per reader took 35 (full-d1) and 52 (half-d2) products
+        spec, seed, most = self.LARGE_MARKET[shape]
+        params = derive_parameters(generate_scenario(spec, seed))
+        products = count_products(monkeypatch)
+        assert params.spectral_radius < 1.0
+        assert solve_unbounded(params).status == STATUS_UNIQUE
+        alpha_sweep(params, [0.25, 0.5, 0.75])
+        assert len(products) <= most
+
+    @pytest.mark.parametrize("seed, n, m", [
+        (k, n, m) for k, (n, m) in enumerate([(32, 3), (32, 4), (40, 3), (40, 4), (48, 3), (48, 4)])
+    ])
+    def test_certify_shapes_radius_and_solve(self, seed, n, m, monkeypatch):
+        # the unbounded-certify shapes at seed 0: a basis per reader took 24-26
+        params = derive_parameters(generate_scenario(GenerationSpec(n, m, family="mixed"), seed))
+        products = count_products(monkeypatch)
+        assert params.spectral_radius < 1.0
+        assert solve_unbounded(params).status == STATUS_UNIQUE
+        assert len(products) <= 15
+
+    @pytest.mark.parametrize("case", sorted(SOLVE_PATH_CASES))
+    def test_the_answer_does_not_depend_on_who_grew_the_basis(self, case):
+        # fresh, after the radius, and after a sweep past alpha = 1 that grew
+        # the basis further: the same steps, the same k, the same bits of a
+        build, _ = SOLVE_PATH_CASES[case]
+        scenario = build()
+        fresh = solve_unbounded(derive_parameters(scenario))
+        params = derive_parameters(scenario)
+        assert params.spectral_radius < 1.0
+        after_radius = solve_unbounded(params)
+        params = derive_parameters(scenario)
+        rho = params.spectral_radius
+        top = 0.999 / rho
+        assert top > 1.0
+        (point,) = alpha_sweep(params, [top])
+        after_sweep = solve_unbounded(params)
+        assert params.krylov.k >= after_sweep.diagnostics.iterations
+        for result in (after_radius, after_sweep):
+            assert np.array_equal(result.a.a.array, fresh.a.a.array)
+            assert result.diagnostics == fresh.diagnostics
+        (alone,) = alpha_sweep(derive_parameters(scenario), [top])
+        assert point.max_a_total == pytest.approx(alone.max_a_total, rel=1e-12, abs=0)
+
+    def test_a_grown_basis_is_read_past_its_reallocation(self):
+        # half-d2, P = 599: a sweep at alpha rho = 0.999 grows 30 steps, past
+        # the 16 rows V starts with; the solve's 11 read the copied rows
+        spec, seed, _ = self.LARGE_MARKET["half-d2"]
+        scenario = generate_scenario(spec, seed)
+        fresh = solve_unbounded(derive_parameters(scenario))
+        params = derive_parameters(scenario)
+        alpha_sweep(params, [0.999 / params.spectral_radius])
+        assert params.krylov.k > 16 > fresh.diagnostics.iterations
+        assert np.array_equal(solve_unbounded(params).a.a.array, fresh.a.a.array)
+
+    @pytest.mark.parametrize("case", ["overflow", "zero-demand"])
+    def test_demands_that_cannot_scale_start_the_radius_from_ones(self, case):
+        # d = gamma + Xi gamma overflows (rho = 1.5, demands near 8e307), or a
+        # zero demand makes g = gamma / d 0 (an invalid market, derived for
+        # inspection): the radius starts from spectral_radius's basis from
+        # ones, as for the operator alone, with no warning
+        if case == "overflow":
+            scenario = make_coupled_direct(20, 2, lambda i, l: 1.5 / 19,
+                                           lambda i, b: 8e307 * (1.0 + 0.001 * i))
+        else:
+            scenario = make_coupled_direct(20, 2, lambda i, l: 0.1 / 19,
+                                           lambda i, b: 0.0 if i == b == 0 else 1.0)
+        params = derive_parameters(scenario, require_valid=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rho = params.spectral_radius
+        assert not np.all(np.isfinite(params.krylov.d) & (params.krylov.start > 0))
+        assert rho == spectral_radius(params.coupling)
+        assert rho == pytest.approx(1.5 if case == "overflow" else 0.1, rel=1e-10)
 
 
 class TestOperatorSide:
@@ -1052,22 +1142,22 @@ class TestAlphaSweep:
     @pytest.mark.parametrize("targets", [
         (0.7,), (0.3, 0.7, 0.5), tuple(np.linspace(0.1, 0.7, 9)),
     ], ids=lambda targets: f"{len(targets)}-points")
-    def test_a_sweep_costs_its_largest_point(self, targets, monkeypatch):
-        # P = 512: a sweep grows the basis its largest point alone grows, and
-        # confirms each point with one product; one more scales the basis
+    def test_a_sweep_after_a_solve_costs_one_product_per_point(self, targets, monkeypatch):
+        # P = 512: the radius and the solve grow the market's one basis past
+        # what the sweep's largest point needs, so the sweep reads it and
+        # only confirms each point with one product; a second solve, one
         params = derive_parameters(generate_scenario(GenerationSpec(128, 4), 0))
-        rho = params.spectral_radius  # read before the counter, uncounted
+        rho = params.spectral_radius
+        result = solve_unbounded(params)
+        assert result.diagnostics.iterations > 1
         products = count_products(monkeypatch)
         assemblies = count_assemblies(monkeypatch)
-        alpha_sweep(params, [max(targets) / rho])
-        alone = len(products)
-        del products[:]
         alpha_sweep(params, [target / rho for target in targets])
-        assert len(products) == alone - 1 + len(targets) and alone > 2
-        assert assemblies == []
+        assert len(products) == len(targets)
         del products[:]
-        result = solve_unbounded(params)
-        assert result.diagnostics.iterations == len(products) - 2 > 1
+        again = solve_unbounded(params)
+        assert len(products) == 1 and assemblies == []
+        assert np.array_equal(again.a.a.array, result.a.a.array)
 
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
     def test_a_bad_alpha_anywhere_fails_before_any_product(self, bad, monkeypatch):
