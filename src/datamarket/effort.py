@@ -81,11 +81,11 @@ class _ClosedFormVariance:
         return float(_CLOSED_FORMS[type(self)].sigma(e, *vars(self).values()))
 
     def sigma_prime(self, e: float) -> float:
-        with np.errstate(over="ignore"):  # overflows to inf, as Python floats do
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as Python floats give
             return float(_CLOSED_FORMS[type(self)].sigma_prime(e, *vars(self).values()))
 
     def sigma_second(self, e: float) -> float:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return float(_CLOSED_FORMS[type(self)].sigma_second(e, *vars(self).values()))
 
 
@@ -105,22 +105,21 @@ class InversePowerVariance(_ClosedFormVariance):
     k: float
 
 
-def _pow(base, exponent):
-    """base ** exponent by Python's float power, elementwise on arrays:
-    numpy's power rounds some (base, exponent) pairs differently, and
-    sigma' and sigma'' have always been evaluated with **."""
-    if isinstance(base, np.ndarray):
-        return np.array([b ** x for b, x in zip(base.tolist(), exponent.tolist())], dtype=float)
-    return base ** exponent
+def _incentive(sigma, sigma_prime):
+    """-1/(2*sigma*sigma'): by the first-order condition, the total weight
+    at which an effort of these sigma and sigma' is optimal, on floats or on
+    arrays alike.  Where 2*sigma*sigma' is 0, floats raise ZeroDivisionError
+    and arrays give +-inf (under the caller's errstate)."""
+    return -1.0 / (2.0 * sigma * sigma_prime)
 
 
 @dataclass(frozen=True)
 class _ClosedForm:
     """A family's class, its document name and rate-field name, and sigma,
-    sigma', sigma'' and the effort map over (e or a_total, sigma0, rate),
-    each on floats or on arrays alike.  sigma and the effort map are numpy
+    sigma', sigma'', the effort map and the incentive bound over (e or
+    a_total, sigma0, rate), each on floats or on arrays alike.  All are numpy
     ufuncs: on floats these run the array loops, so scalar and array
-    evaluations agree bit for bit; sigma' and sigma'' power by _pow."""
+    evaluations agree bit for bit."""
 
     cls: type
     name: str
@@ -129,6 +128,9 @@ class _ClosedForm:
     sigma_prime: Callable
     sigma_second: Callable
     effort: Callable
+
+    def incentive(self, e, sigma0, rate):
+        return _incentive(self.sigma(e, sigma0, rate), self.sigma_prime(e, sigma0, rate))
 
 
 #: Every closed-form family, by class.
@@ -143,8 +145,8 @@ _CLOSED_FORMS = {form.cls: form for form in (
     _ClosedForm(
         InversePowerVariance, "inverse_power", "k",
         sigma=lambda e, sigma0, k: sigma0 * np.power(1.0 + e, -k),
-        sigma_prime=lambda e, sigma0, k: -k * sigma0 * _pow(1.0 + e, -k - 1.0),
-        sigma_second=lambda e, sigma0, k: k * (k + 1.0) * sigma0 * _pow(1.0 + e, -k - 2.0),
+        sigma_prime=lambda e, sigma0, k: -k * sigma0 * np.power(1.0 + e, -k - 1.0),
+        sigma_second=lambda e, sigma0, k: k * (k + 1.0) * sigma0 * np.power(1.0 + e, -k - 2.0),
         # (1 + e) ** (2k + 1) = 2 * a * k * sigma0^2
         effort=lambda a, sigma0, k: np.power(2.0 * a * k * np.square(sigma0),
                                              1.0 / (2.0 * k + 1.0)) - 1.0),
@@ -213,28 +215,17 @@ class EffortVarianceModel:
 
 
 def _incentive_at(model: EffortVarianceModel, e: float | None) -> float:
-    """-1/(2*sigma(e)*sigma'(e)), the total weight at which effort e is
-    optimal: +inf at e None (no cap), DomainError where it is not finite."""
+    """The model's _incentive at effort e: +inf at e None (no cap),
+    DomainError where it is not finite."""
     if e is None:
         return math.inf
-    slope = 2.0 * model.sigma(e) * model.sigma_prime(e)
-    bound = -1.0 / slope if slope else math.inf
+    try:
+        bound = _incentive(model.sigma(e), model.sigma_prime(e))
+    except ZeroDivisionError:  # 2*sigma*sigma' underflowed to 0
+        bound = math.inf
     if not math.isfinite(bound):
         raise DomainError(f"incentive bound {bound} at effort {e} is not finite")
     return bound
-
-
-def _incentives(family: np.ndarray, sigma0: np.ndarray, rate: np.ndarray,
-                e: np.ndarray) -> np.ndarray:
-    """_incentive_at of each closed-form row at effort e[k], over the arrays:
-    NaN where e is NaN, and on custom rows."""
-    slope = np.full(len(family), np.nan)
-    with np.errstate(all="ignore"):  # a bound that is not finite fails EffortMap's check
-        for code, form in enumerate(_FORMS):
-            rows = np.flatnonzero((family == code) & ~np.isnan(e))
-            args = e[rows], sigma0[rows], rate[rows]
-            slope[rows] = 2.0 * form.sigma(*args) * form.sigma_prime(*args)
-        return -1.0 / slope
 
 
 def exponential_model(sigma0: float, lam: float,
@@ -335,11 +326,12 @@ class EffortMap:
     parameters: `family` codes (positions in _FORMS, _CUSTOM for a custom
     family), `sigma0`, `rate` and `e_max` (inf for an unbounded set), and
     `custom`, each custom row's model.  The incentive bounds `a_lower` and
-    `a_upper` are computed at construction, per family over the arrays, as
-    _incentive_at computes them, so they equal the models' bits; a row whose
-    model would raise DomainError raises it.  An evaluation takes values and
-    the indices of their sources (all, in order, when None).  Custom
-    families go through the bracketed root-finder, the only per-point loop."""
+    `a_upper` are computed at construction with the models' own _incentive,
+    in one pass per family over the arrays and through each custom row's
+    callables, so they equal the models' bits; a row whose model would raise
+    DomainError raises it.  An evaluation takes values and the indices of
+    their sources (all, in order, when None).  Custom families go through
+    the bracketed root-finder, the only per-point loop."""
 
     def __init__(self, family, sigma0, rate, e_max, custom=None):
         self.family = np.asarray(family, dtype=np.int8)
@@ -349,13 +341,13 @@ class EffortMap:
         # the checks of the family, its EffortSet and IncentiveBounds
         ok = (self.family == _CUSTOM) | ((self.sigma0 > 0) & (self.rate > 0) & (self.e_max > 0)
                         & np.isfinite(self.sigma0) & np.isfinite(self.rate))
-        self.a_lower = _incentives(self.family, self.sigma0, self.rate,
-                                   np.where(ok, 0.0, np.nan))
-        self.a_upper = _incentives(self.family, self.sigma0, self.rate,
-                                   np.where(ok & np.isfinite(self.e_max), self.e_max, np.nan))
-        self.a_upper[np.isinf(self.e_max)] = math.inf
-        for k, model in self.custom.items():
-            self.a_lower[k], self.a_upper[k] = vars(model.incentive_bounds).values()
+        # a_lower at effort 0 of every row, a_upper at each finite e_max
+        n, capped = len(self.family), np.flatnonzero(np.isfinite(self.e_max))
+        with np.errstate(all="ignore"):  # a bound that is not finite fails the check below
+            bounds = self._each(np.concatenate((np.zeros(n), self.e_max[capped])),
+                                np.concatenate((np.arange(n), capped)), "incentive", _incentive_at)
+        self.a_lower, self.a_upper = bounds[:n], np.where(np.isinf(self.e_max), math.inf, np.nan)
+        self.a_upper[capped] = bounds[n:]
         ok &= (np.isfinite(self.a_lower) & (self.a_lower > 0) & (self.a_upper > self.a_lower)
                & (np.isfinite(self.a_upper) | np.isinf(self.e_max)))
         if not ok.all():
@@ -384,7 +376,7 @@ class EffortMap:
             UNBOUNDED if e_max == math.inf else EffortSet("bounded", e_max=e_max))
 
     def _each(self, values: np.ndarray, index, form: str, custom) -> np.ndarray:
-        """The closed forms' `form` ("sigma" or "effort"), or custom(model, value)."""
+        """The closed forms' `form` ("sigma", "effort" or "incentive"), or custom(model, value)."""
         index = np.arange(len(self.family)) if index is None else np.asarray(index)
         families = self.family[index]
         out = np.empty(len(values))

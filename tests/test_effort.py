@@ -296,6 +296,9 @@ class TestArrayEvaluation:
         rng = np.random.default_rng(3)
         models = _random_models(rng, bounded)
         emap = EffortMap.of(models)
+        # the map computes its bounds, custom rows' too, to the models' bits
+        assert emap.a_lower.tolist() == [m.incentive_bounds.a_lower for m in models]
+        assert emap.a_upper.tolist() == [m.incentive_bounds.a_upper for m in models]
         # every model at a_lower, inside its range and (bounded) at a_upper
         index = np.repeat(np.arange(len(models)), 3)
         upper = np.where(np.isfinite(emap.a_upper), emap.a_upper, 50.0 * emap.a_lower)
@@ -357,16 +360,19 @@ class TestArrayEvaluation:
             assert type(variance_at(model, 1.0)) is float
 
 
+@pytest.mark.parametrize("code, form", enumerate(_CLOSED_FORMS.values()),
+                         ids=[form.name for form in _CLOSED_FORMS.values()])
 @pytest.mark.parametrize("sigma0, rate, e_max", [
     (-1.0, 0.5, math.inf), (1.0, 0.0, math.inf), (1.0, 0.5, -2.0), (1.0, 0.5, 0.0),
     (1e200, 1e200, math.inf),  # sigma'(0) overflows: a_lower rounds to 0
 ], ids=["negative-sigma0", "zero-rate", "negative-e_max", "zero-e_max", "a_lower-0"])
-def test_out_of_range_columns_raise_the_models_own_error(sigma0, rate, e_max):
+def test_out_of_range_columns_raise_the_models_own_error(code, form, sigma0, rate, e_max):
+    # family codes are positions in _CLOSED_FORMS
     with pytest.raises(DomainError) as model_error:
-        EffortVarianceModel(ExponentialVariance(sigma0, rate),
+        EffortVarianceModel(form.cls(sigma0, rate),
                             UNBOUNDED if e_max == math.inf else EffortSet("bounded", e_max=e_max))
     with pytest.raises(DomainError) as column_error:
-        EffortMap([0, 0], [1.0, sigma0], [0.5, rate], [math.inf, e_max])
+        EffortMap([code, code], [1.0, sigma0], [0.5, rate], [math.inf, e_max])
     assert str(column_error.value) == str(model_error.value)
 
 

@@ -171,6 +171,24 @@ class TestParseErrors:
             parse_scenario(json.dumps(doc))
         assert exc.value.location == f"{section}[0]"
 
+    @pytest.mark.parametrize("reverse, bad_sigma0, bad_feature, location, message", [
+        (False, 1, 3, "sources[1].effort", "sigma0 > 0"),
+        (False, 3, 1, "sources[1]", "field 'feature[0]' has type str"),
+        (True, 0, 3, "sources[0].effort", "sigma0 > 0"),  # entry 3 comes first by id
+    ], ids=["effort-first", "feature-first", "reversed-list"])
+    def test_first_bad_source_in_document_order_wins(self, reverse, bad_sigma0, bad_feature,
+                                                     location, message):
+        # the column reader reads in id order; the error is the per-field reader's
+        doc = json.loads(serialize_scenario(
+            generate_scenario(GenerationSpec(6, 2, family="mixed"), 0)))
+        if reverse:
+            doc["sources"].reverse()
+        doc["sources"][bad_sigma0]["effort"]["sigma0"] = -1
+        doc["sources"][bad_feature]["feature"] = ["x"]
+        with pytest.raises(ParseError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert exc.value.location == location and message in str(exc.value)
+
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["direct_parameters"]["beta"].update(s9={"b1": 1.0}),
         lambda doc: doc["direct_parameters"]["beta"]["s1"].update(b9=1.0),

@@ -11,7 +11,9 @@ The markets are the benchmark's markets at seeds 0 and 11 (all four
 workloads), the three north-star shapes (n=300, m=10, family "mixed",
 zeta_max 0.1: full sharing, half sharing with d=2, bounded) and one
 direct-mode market.  For each it hashes the scenario text, its parse ->
-serialize round trip, the validation summary, the beta, gamma and xi CSVs
+serialize round trip, the bytes of the effort map's incentive bounds
+a_lower and a_upper (no written output shows their last bits), the
+validation summary, the beta, gamma and xi CSVs
 (xi_matrix.csv too where P <= 400), the solved result's JSON, its
 certificate text and welfare JSON, a five-point alpha sweep CSV (unbounded
 markets) and, in estimator mode, a 30-round rounds CSV and
@@ -64,12 +66,14 @@ def markets():
 
 
 def outputs(spec: dm.GenerationSpec, seed: int):
-    """(output name, text) for one market."""
+    """(output name, text or bytes) for one market."""
     text = dm.serialize_scenario(dm.generate_scenario(spec, seed))
     scenario = dm.parse_scenario(text)
     params = dm.derive_parameters(scenario, require_valid=False)
     yield "scenario", text
     yield "scenario round trip", dm.serialize_scenario(scenario)
+    effort_map = scenario.effort_map
+    yield "effort bounds", effort_map.a_lower.tobytes() + effort_map.a_upper.tobytes()
     yield "validation", dm.validate_scenario(scenario).summary()
     yield "beta.csv", results.beta_csv(params)
     yield "gamma.csv", results.gamma_csv(params)
@@ -93,7 +97,8 @@ def outputs(spec: dm.GenerationSpec, seed: int):
 def main() -> None:
     for name, spec, seed in markets():
         for output, text in outputs(spec, seed):
-            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            data = text if isinstance(text, bytes) else text.encode("utf-8")
+            digest = hashlib.sha256(data).hexdigest()
             print(f"{name:36} {output:20} {digest}", flush=True)
 
 
