@@ -546,28 +546,30 @@ def solve_bounded(params: DerivedParameters) -> EquilibriumResult:
         raise DomainError("solve_bounded requires all effort sets bounded")
     lower, upper = params.a_lower[params.pair_source], params.a_upper[params.pair_source]
     a = params.gamma.copy()  # start from the decoupled demands
-    sums = [params.coupling.term(b, a) for b in range(len(params.xi))]
-    iterations = 0
-    for iterations in range(1, BOUNDED_MAX_ITER + 1):
-        residual = 0.0
-        for b, blk in enumerate(params.aggregator_pairs):
-            interior = params.gamma[blk] + params.coupling.scatter(sums)[blk]
-            own = a[blk]
-            totals = np.bincount(params.pair_source, weights=a)
-            target, _ = _clamp(interior, totals[params.pair_source[blk]] - own,
-                               lower[blk], upper[blk])
-            delta = target - own
-            residual = max(residual, float(np.abs(delta).max(initial=0.0)))
-            a[blk] += BOUNDED_DAMPING * delta
-            sums[b] = params.coupling.term(b, a)  # term b reads b's own pairs only
-        if residual < BOUNDED_TOL:
-            diag = SolveDiagnostics(spectral_radius=params.spectral_radius,
-                                    iterations=iterations, max_residual=residual)
-            return _finish(params, a, STATUS_BOUNDED, diag)
-    raise NonConvergenceError(
-        f"best-response iteration did not settle below {BOUNDED_TOL:.0e} within "
-        f"{BOUNDED_MAX_ITER} sweeps (an equilibrium exists: a solver limitation)",
-        last_iterate=IdTable(params.pairs, a), residual=residual, iterations=iterations)
+    with np.errstate(over="ignore"):  # a coupled sum past the float range clamps to upper
+        sums = [params.coupling.term(b, a) for b in range(len(params.xi))]
+        for iterations in range(1, BOUNDED_MAX_ITER + 1):
+            residual = 0.0
+            for b, blk in enumerate(params.aggregator_pairs):
+                interior = params.gamma[blk] + params.coupling.scatter(sums)[blk]
+                own = a[blk]
+                totals = np.bincount(params.pair_source, weights=a)
+                target, _ = _clamp(interior, totals[params.pair_source[blk]] - own,
+                                   lower[blk], upper[blk])
+                delta = target - own
+                residual = max(residual, float(np.abs(delta).max(initial=0.0)))
+                a[blk] += BOUNDED_DAMPING * delta
+                sums[b] = params.coupling.term(b, a)  # term b reads b's own pairs only
+            if residual < BOUNDED_TOL:
+                break
+        else:
+            raise NonConvergenceError(
+                f"best-response iteration did not settle below {BOUNDED_TOL:.0e} within "
+                f"{BOUNDED_MAX_ITER} sweeps (an equilibrium exists: a solver limitation)",
+                last_iterate=IdTable(params.pairs, a), residual=residual, iterations=iterations)
+    diag = SolveDiagnostics(spectral_radius=params.spectral_radius,
+                            iterations=iterations, max_residual=residual)
+    return _finish(params, a, STATUS_BOUNDED, diag)
 
 
 # ---------------------------------------------------------------------------

@@ -469,47 +469,26 @@ RADIUS_KRYLOV_DIM = 12
 def spectral_radius(matrix) -> float:
     """Spectral radius of a nonnegative square matrix, or of Xi given as a
     CouplingOperator (whose stored blocks must then be finite and
-    nonnegative).
+    nonnegative); inf where it exceeds the float range.
 
     Shift-free power iteration from a strictly positive start x_0, certified
-    each sweep by the Collatz-Wielandt interval (see _power_bracket).  The
-    start is |u| for the Ritz vector u of the largest real Ritz value of a
-    RADIUS_KRYLOV_DIM-step Arnoldi pass from the ones vector (_ritz_vector),
-    or the ones vector where that value is not above 0 or |u| has a zero
-    entry (a nilpotent matrix, say).  A market's params.spectral_radius
-    starts from its solve's basis instead (KrylovBasis.radius_start).
+    each sweep by the Collatz-Wielandt interval (see _power_bracket), from
+    the Ritz start of a KrylovBasis from the ones vector, or the ones vector
+    itself where that basis gives none (a nilpotent matrix, say).  A
+    market's params.spectral_radius tries its own basis first.
     """
     if not isinstance(matrix, CouplingOperator):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DomainError(f"spectral radius needs a square matrix, got shape {matrix.shape}")
-    return _power_bracket(matrix, _ones_start)
+    return _power_bracket(matrix, None)
 
 
-def _ones_start(M) -> np.ndarray:
-    """spectral_radius's start: |u| from a RADIUS_KRYLOV_DIM-step basis from
-    ones, else ones."""
-    n = M.shape[0]
-    *_, (V, H, steps) = _arnoldi(M.__matmul__, np.ones(n), min(RADIUS_KRYLOV_DIM, n))
-    u = _ritz_vector(V, H, steps)
-    return np.ones(n) if u is None else u
-
-
-def _ritz_vector(V: np.ndarray, H: np.ndarray, steps: int) -> np.ndarray | None:
-    """|u| for the Ritz vector u = V_k^T y of the largest real Ritz value of
-    the basis's first `steps` vectors (H_k y = theta y), or None unless that
-    value is above 0 and |u| strictly positive.  Any strictly positive start
-    keeps the bracket a certificate; a good one only closes it sooner."""
-    values, vectors = np.linalg.eig(H[:steps, :steps])
-    real = np.where(values.imag == 0, values.real, -math.inf)
-    top = int(np.argmax(real))
-    u = np.abs(V[:steps].T @ vectors[:, top].real)
-    return u if real[top] > 0 and np.all(u > 0) else None
-
-
-def _power_bracket(M, start) -> float:
-    """rho(M) by power iteration from the strictly positive start(M), called
-    once M's entries are checked finite and nonnegative (0 if none is above 0).
+def _power_bracket(M, basis: KrylovBasis | None) -> float:
+    """rho(M) by power iteration, called once M's entries are checked finite
+    and nonnegative (0 if none is above 0), from the first of: the Ritz start
+    of `basis` (a KrylovBasis of M, scaled or not), that of a basis of M from
+    the ones vector, and the ones vector (see KrylovBasis.ritz_start).
 
     Each sweep is certified by the Collatz-Wielandt interval [min_i
     (Mx)_i/x_i, max_i (Mx)_i/x_i] over the support x_i > 0: the zero set of x
@@ -519,110 +498,125 @@ def _power_bracket(M, start) -> float:
     vector, the bracket of a full-sharing market typically closes within
     RADIUS_TOL on the first sweep, periodic ones (eigenvalues +/- rho)
     included.  Where it oscillates instead (some reducible matrices, or a
-    periodic one started from ones), the stall returns max |eigenvalue| from
-    one dense LAPACK call (np.linalg.eigvals), exact to rounding for every
-    matrix; an operator is assembled only then."""
+    periodic one started from ones), or an iterate overflows, the sweeps
+    stop and max |eigenvalue| from one dense LAPACK call (np.linalg.eigvals)
+    decides, exact to rounding for every matrix; an operator is assembled
+    only then."""
     entries = M.blocks if isinstance(M, CouplingOperator) else (M,)
     if not all(np.all(np.isfinite(e)) and not np.any(e < 0) for e in entries):
         raise DomainError("spectral radius is defined here for finite nonnegative matrices")
-    if M.shape[0] == 0 or not any(e.any() for e in entries):
+    n = M.shape[0]
+    if n == 0 or not any(e.any() for e in entries):
         return 0.0
-    x = start(M)
+    x = None if basis is None else basis.ritz_start()
+    if x is None:
+        x = KrylovBasis(M, np.ones(n)).ritz_start()
+    if x is None:
+        x = np.ones(n)
     best_width = math.inf
     since_improvement = 0
-    for _ in range(RADIUS_MAX_SWEEPS):
-        y = M @ x
-        norm = y.max()
-        if norm == 0.0:
-            return 0.0  # positive vector annihilated: nilpotent direction only
-        support = x > 0
-        ratios = y[support] / x[support]
-        lo, hi = float(ratios.min()), float(ratios.max())
-        width = hi - lo
-        if width <= RADIUS_TOL * max(1.0, hi):
-            return 0.5 * (lo + hi)
-        if width < 0.5 * best_width:
-            best_width = width
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if since_improvement >= 100:
-                break  # oscillating interval: periodic or reducible
-        x = y / norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(RADIUS_MAX_SWEEPS):
+            y = M @ x
+            norm = y.max()
+            if norm == 0.0:
+                return 0.0  # positive vector annihilated: nilpotent direction only
+            if not math.isfinite(norm):
+                break  # overflowed: rho is near or past the float range
+            support = x > 0
+            ratios = y[support] / x[support]
+            lo, hi = float(ratios.min()), float(ratios.max())
+            width = hi - lo
+            if width <= RADIUS_TOL * max(1.0, hi):
+                return 0.5 * (lo + hi)
+            if width < 0.5 * best_width:
+                best_width = width
+                since_improvement = 0
+            else:
+                since_improvement += 1
+                if since_improvement >= 100:
+                    break  # oscillating interval: periodic or reducible
+            x = y / norm
     return _eigenvalue_radius(M.toarray() if isinstance(M, CouplingOperator) else M)
 
 
 class KrylovBasis:
-    """A market's one Arnoldi basis, of D^-1 Xi D from g = gamma / d, where D =
-    diag d for d = gamma + Xi gamma (a's first two terms at alpha = 1): one
-    _arnoldi pass that each reader resumes (grow), its state after the last
-    step in V, H and k, D^-1 Xi D V[:k] = V[:k + 1] H[:k + 1, :k].  As D^-1 Xi
-    D is similar to Xi, D u is a Ritz vector of Xi for one u of the basis:
-    params.spectral_radius reads its first RADIUS_KRYLOV_DIM steps
-    (radius_start), and equilibrium._solve_coupled the steps its largest
-    alpha needs.  Each step depends only on those before it, so every reader
-    reads the same numbers whoever grew them."""
+    """An Arnoldi basis of D^-1 M D from `start`, for D = diag d (the
+    identity unless d is given), grown on demand by Gram-Schmidt twice per
+    step.  After k steps V[:k + 1] holds orthonormal rows from start /
+    |start| and D^-1 M D V[:k]^T = V[:k + 1]^T H[:k + 1, :k].  A new vector
+    whose norm is below 1e-12 of its column's (an invariant subspace) or
+    not finite ends the basis with H[k, k - 1] and V[k] set to 0; so does
+    its n-th vector, for n = len(start).  V and H grow by doubling.  Each step depends only on those
+    before it, so every reader reads the same numbers whoever grew them.
 
-    __slots__ = ("d", "start", "V", "H", "k", "_steps")
+    A market's one basis, params.krylov (see `scaled`), is read by
+    params.spectral_radius (ritz_start) and by equilibrium._solve_coupled
+    (the steps its largest alpha needs)."""
 
-    def __init__(self, coupling: CouplingOperator, gamma: np.ndarray):
+    __slots__ = ("M", "d", "start", "V", "H", "k", "_ended")
+
+    def __init__(self, M, start: np.ndarray, d: np.ndarray | None = None):
+        n = len(start)
+        self.M, self.start, self.d = M, start, np.ones(n) if d is None else d
+        size = min(n, 16)
+        self.V, self.H = np.empty((size + 1, n)), np.zeros((size + 1, size))
+        self.V[0] = start / np.linalg.norm(start)
+        self.k, self._ended = 0, False
+
+    @classmethod
+    def scaled(cls, coupling: CouplingOperator, gamma: np.ndarray) -> KrylovBasis:
+        """A market's basis: of D^-1 Xi D from g = gamma / d, for d = gamma +
+        Xi gamma (a's first two terms at alpha = 1).  As D^-1 Xi D is similar
+        to Xi, D u is a Ritz vector of Xi for one u of the basis."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            d = gamma + coupling @ gamma  # radius_start checks what extreme demands make of it
-            self.d, self.start = d, gamma / d
-        self._steps = _arnoldi(lambda v: coupling @ (d * v) / d, self.start, len(gamma))
-        self.V, self.H, self.k = None, None, 0
+            d = gamma + coupling @ gamma  # ritz_start checks what extreme demands make of it
+            return cls(coupling, gamma / d, d)
 
     def grow(self, k: int) -> int:
-        """Resume the pass until the basis holds k vectors, or it ends (an
-        invariant subspace, or P vectors); returns the basis size."""
-        while self.k < k and self._steps is not None:
-            step = next(self._steps, None)
-            if step is None:
-                self._steps = None  # the pass has ended
-            else:
-                self.V, self.H, self.k = step
+        """Extend the basis until it holds k vectors, or it ends; returns the
+        basis size."""
+        n = len(self.start)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            while self.k < min(k, n) and not self._ended:
+                j = self.k
+                if j == self.H.shape[1]:  # storage full: double it
+                    more = min(2 * j, n) - j
+                    self.V = np.concatenate((self.V, np.empty((more, n))))
+                    self.H = np.pad(self.H, ((0, more), (0, more)))
+                V, H = self.V, self.H
+                w = self.M @ (self.d * V[j]) / self.d
+                for _ in range(2):
+                    h = V[:j + 1] @ w
+                    w -= h @ V[:j + 1]
+                    H[:j + 1, j] += h
+                H[j + 1, j] = np.linalg.norm(w)
+                self.k = j + 1
+                if H[j + 1, j] > 1e-12 * np.linalg.norm(H[:j + 2, j]):
+                    V[j + 1] = w / H[j + 1, j]
+                else:
+                    H[j + 1, j], V[j + 1], self._ended = 0.0, 0.0, True
         return self.k
 
-    def radius_start(self, M: CouplingOperator) -> np.ndarray:
-        """params.spectral_radius's power start: d * |u| for the Ritz vector u
-        (_ritz_vector) of the basis's first RADIUS_KRYLOV_DIM steps, where d
-        and g are finite and strictly positive and so is d * |u|;
-        spectral_radius's start from ones otherwise."""
+    def ritz_start(self) -> np.ndarray | None:
+        """The power iteration's start: d * |u| for the Ritz vector u = V_k^T
+        y of the largest real Ritz value theta of the first k =
+        RADIUS_KRYLOV_DIM steps (H_k y = theta y), or None unless d and the
+        start are finite and strictly positive, H_k is finite (no step
+        overflowed), theta > 0 and d * |u| is strictly positive.  Any strictly
+        positive start keeps the bracket a certificate; a good one only
+        closes it sooner."""
         d, g = self.d, self.start
-        if np.all(np.isfinite(d) & (d > 0) & np.isfinite(g) & (g > 0)):
-            steps = min(self.grow(RADIUS_KRYLOV_DIM), RADIUS_KRYLOV_DIM)
-            u = _ritz_vector(self.V, self.H, steps)
-            if u is not None and np.all(d * u > 0):
-                return d * u
-        return _ones_start(M)
-
-
-def _arnoldi(apply, start: np.ndarray, steps: int):
-    """Arnoldi on the map `apply` from `start` (Gram-Schmidt twice per step):
-    yields (V, H, k) after step k = 1..steps, V[:k + 1] orthonormal rows from
-    start / |start|, apply(V[i]) = H[:k + 1, i] @ V[:k + 1] for i < k.  A new
-    vector below 1e-12 of its column (an invariant subspace) ends it, with
-    H[k, k - 1] and V[k] set to 0.  V and H grow by doubling."""
-    size = min(steps, 16)
-    V, H = np.empty((size + 1, len(start))), np.zeros((size + 1, size))
-    V[0] = start / np.linalg.norm(start)
-    for j in range(steps):
-        if j == size:
-            size = min(2 * size, steps)
-            V = np.concatenate((V, np.empty((size + 1 - len(V), len(start)))))
-            H = np.pad(H, ((0, size + 1 - len(H)), (0, size - H.shape[1])))
-        w = apply(V[j])
-        for _ in range(2):
-            h = V[:j + 1] @ w
-            w -= h @ V[:j + 1]
-            H[:j + 1, j] += h
-        H[j + 1, j] = np.linalg.norm(w)
-        if not H[j + 1, j] > 1e-12 * np.linalg.norm(H[:j + 2, j]):
-            H[j + 1, j], V[j + 1] = 0.0, 0.0
-            yield V, H, j + 1
-            return
-        V[j + 1] = w / H[j + 1, j]
-        yield V, H, j + 1
+        if not np.all(np.isfinite(d) & (d > 0) & np.isfinite(g) & (g > 0)):
+            return None
+        k = min(self.grow(RADIUS_KRYLOV_DIM), RADIUS_KRYLOV_DIM)
+        if not np.all(np.isfinite(self.H[:k, :k])):
+            return None
+        values, vectors = np.linalg.eig(self.H[:k, :k])
+        real = np.where(values.imag == 0, values.real, -math.inf)
+        top = int(np.argmax(real))
+        u = d * np.abs(self.V[:k].T @ vectors[:, top].real)
+        return u if real[top] > 0 and np.all(u > 0) else None
 
 
 def _eigenvalue_radius(M: np.ndarray) -> float:
@@ -824,17 +818,17 @@ class DerivedParameters:
     def krylov(self) -> KrylovBasis:
         """The market's one KrylovBasis, built on first read."""
         if self._krylov is None:
-            object.__setattr__(self, "_krylov", KrylovBasis(self.coupling, self.gamma))
+            object.__setattr__(self, "_krylov", KrylovBasis.scaled(self.coupling, self.gamma))
         return self._krylov
 
     @property
     def spectral_radius(self) -> float:
         """rho(Xi), computed on first read and kept in a declared field, not
         a cached_property (see MarketScenario): spectral_radius's power
-        bracket, started from the Krylov basis (KrylovBasis.radius_start)."""
+        bracket, started from the Krylov basis (KrylovBasis.ritz_start)."""
         if self._spectral_radius is None:
             object.__setattr__(self, "_spectral_radius",
-                               _power_bracket(self.coupling, self.krylov.radius_start))
+                               _power_bracket(self.coupling, self.krylov))
         return self._spectral_radius
 
     def effort_model(self, source_id: str) -> EffortVarianceModel:

@@ -494,6 +494,20 @@ def numeric_fields(doc, path=()):
 NONFINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
+def exempt(command, out):
+    """A successful command's stdout without the two non-finite values it may
+    print: a none result's NaN residual, and a none sweep point's max_a_total."""
+    if command == "solve":
+        report = json.loads(out)
+        if report["status"] == "none":
+            report["diagnostics"].pop("max_residual")
+        return json.dumps(report)
+    if command == "sweep-alpha":
+        return "\n".join(line.rsplit(",", 1)[0] if ",none," in line else line
+                         for line in out.splitlines())
+    return out
+
+
 class TestNonfiniteInput:
     # one field at a value whose bound, net demand or round is not finite:
     # exit 1 naming the field, pair or round, nothing non-finite on stdout
@@ -553,14 +567,38 @@ class TestNonfiniteInput:
                         continue
                     if argv[0] == "solve":
                         own.write_text(out)
-                        result, report = own, json.loads(out)
-                        if report["status"] == "none":  # exempt: NaN residual
-                            report["diagnostics"].pop("max_residual")
-                        out = json.dumps(report)
-                    if argv[0] == "sweep-alpha":  # exempt: a none point's max_a_total
-                        out = "\n".join(line.rsplit(",", 1)[0] if ",none," in line else line
-                                        for line in out.splitlines())
-                    assert not NONFINITE.search(out), (path, value, argv[0])
+                        result = own
+                    assert not NONFINITE.search(exempt(argv[0], out)), (path, value, argv[0])
+
+    # A direct market whose coupling entries are finite but whose products
+    # overflow: at 1e200 the demand-scaled Krylov basis does (rho is 4.6e200),
+    # at 1e308 rho itself exceeds the float range.  Validation and derivation
+    # pass; the radius falls back to a start from ones, and a radius past the
+    # float range fails the result's diagnostics check.
+    @pytest.mark.parametrize("scale, bounded, codes, message", [
+        ("1e200", False, {"solve": 0, "sweep-alpha": 0}, "no equilibrium exists"),
+        ("1e200", True, {"solve": 0, "sweep-alpha": 1}, "requires unbounded effort sets"),
+        ("1e308", False, {"solve": 1, "sweep-alpha": 1}, "spectral radius inf is not finite"),
+        ("1e308", True, {"solve": 1, "sweep-alpha": 1}, "spectral_radius is not finite: inf"),
+    ], ids=["1e200", "1e200-bounded", "1e308", "1e308-bounded"])
+    def test_coupling_past_the_float_range(self, tmp_path, capsys, scale, bounded, codes,
+                                           message):
+        scenario = tmp_path / "scenario.json"
+        assert cli(["generate", "--n", "6", "--m", "3", "--mode", "direct", "--seed", "0",
+                    "--coupling-scale", scale, "--output", str(scenario)]
+                   + (["--bounded"] if bounded else [])) == 0
+        errors = ""
+        for argv in (["validate"], ["derive"], ["solve"], ["sweep-alpha", "--alphas", "0.5"]):
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = cli([argv[0], str(scenario)] + argv[1:])
+            out, err = capsys.readouterr()
+            assert code == codes.get(argv[0], 0), argv[0]
+            assert "Traceback" not in err
+            assert not NONFINITE.search(exempt(argv[0], out) if code == 0 else out), argv[0]
+            errors += err
+        assert message in errors
 
 
 class TestUsage:

@@ -138,6 +138,27 @@ class TestSpectralRadius:
         assert abs(spectral_radius(matrix) - oracle) <= 1e-12 * oracle
         assert len(fallbacks) == 0
 
+    @pytest.mark.parametrize("reader", ["operator", "market"])
+    def test_coupling_whose_products_overflow(self, reader):
+        # a direct market at coupling scale 1e200 (rho = 4.6e200): the norms
+        # of both Krylov bases overflow or underflow, so the bracket starts
+        # from the ones vector
+        params = derive_parameters(generate_scenario(
+            GenerationSpec(6, 3, mode="direct", coupling_scale=1e200), 0))
+        oracle = max(abs(np.linalg.eigvals(params.coupling.toarray())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rho = (spectral_radius(params.coupling) if reader == "operator"
+                   else params.spectral_radius)
+        assert abs(rho - oracle) <= market.RADIUS_TOL * oracle
+
+    def test_radius_past_the_float_range(self, fallbacks):
+        # the power iterate overflows: the eigenvalues decide, and give inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert spectral_radius(np.full((2, 2), 1e308)) == math.inf
+        assert len(fallbacks) == 1
+
     def test_nilpotent_chain(self):
         m = np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
         assert spectral_radius(m) == 0.0
@@ -386,10 +407,32 @@ class TestCoupledSolve:
         # 40 steps on a dense nonnegative 60 x 60 matrix: V and H double from
         # 16 rows twice, and the basis stays orthonormal with M V_k = V_(k+1) H
         M = np.random.default_rng(3).uniform(size=(60, 60))
-        *_, (V, H, k) = market._arnoldi(M.__matmul__, np.ones(60), 40)
-        assert k == 40 and len(V) == 41
+        basis = market.KrylovBasis(M, np.ones(60))
+        assert basis.grow(40) == basis.k == 40
+        V, H, k = basis.V[:41], basis.H[:41, :40], basis.k
         np.testing.assert_allclose(V @ V.T, np.eye(k + 1), rtol=0, atol=1e-13)
         np.testing.assert_allclose(M @ V[:k].T, V.T @ H, rtol=0, atol=1e-12)
+
+    def test_arnoldi_basis_resumes_bit_for_bit(self):
+        # grown in three calls, across both reallocations, or in one: the
+        # same steps, so the same k and the same bits of V and H
+        M = np.random.default_rng(3).uniform(size=(60, 60))
+        resumed, once = market.KrylovBasis(M, np.ones(60)), market.KrylovBasis(M, np.ones(60))
+        for k in (5, 17, 40):
+            resumed.grow(k)
+        assert resumed.k == once.grow(40) == 40
+        assert np.array_equal(resumed.V[:41], once.V[:41])
+        assert np.array_equal(resumed.H[:41, :40], once.H[:41, :40])
+
+    def test_ritz_start_does_not_depend_on_how_far_the_basis_grew(self):
+        # a market's basis grown past RADIUS_KRYLOV_DIM by a sweep near
+        # alpha rho = 1 gives the radius the start of a fresh basis
+        params = derive_parameters(generate_scenario(GenerationSpec(60, 4), 0))
+        alpha_sweep(params, [0.999 / params.spectral_radius])
+        assert params.krylov.k > market.RADIUS_KRYLOV_DIM
+        fresh = market.KrylovBasis.scaled(params.coupling, params.gamma)
+        assert np.array_equal(params.krylov.ritz_start(), fresh.ritz_start())
+        assert fresh.k == market.RADIUS_KRYLOV_DIM
 
     @pytest.mark.parametrize("failure", ["inaccurate", "nan"])
     def test_alpha_sweep_failed_solve(self, symmetric_direct, monkeypatch, failure):
