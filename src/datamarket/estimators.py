@@ -122,49 +122,54 @@ def prediction_weights(points, queries) -> np.ndarray:
     return X @ np.linalg.solve(gram, design_matrix(queries).T)
 
 
-def leave_one_out_grams(points, *, aggregator: str, sources) -> tuple[np.ndarray, np.ndarray]:
-    """(X, G): the design rows of `points` and the Grams of their
-    leave-one-out fits, G_i = sum_{l != i} x_l x_l^T (none for one point).
+def leave_one_out_weights(features, members, *, aggregators, sources) -> tuple[np.ndarray, ...]:
+    """W_b[i, l], one read-only array per aggregator over its dataset, rows
+    members[b] (an index array) of the n x d `features`: the weight that the
+    OLS fit on all its points but i places on point l's response when it
+    predicts at point i (W_b[i, i] = 0).  Each distinct dataset is fitted
+    once, and the aggregators buying it share one array.
 
-    Each G_i is a running sum of the rows' outer products before i plus one
-    of those after i: still a sum over the other rows, never the downdate
-    G - x_i x_i^T, so its rank test is that of a separate fit.  The first
-    rank-deficient one raises IllDefinedPaymentError naming the aggregator
-    and the source id (from `sources`) of the point left out."""
-    X = design_matrix(points)
-    k, p = X.shape
-    if k == 1:
-        return X, np.zeros((0, p, p))  # no fit without the one point
+    The designs are stacked, padded with zero rows.  Each leave-one-out Gram
+    G_i is a running sum of the rows' outer products before i plus one of
+    those after i, never the downdate G - x_i x_i^T, so its rank test is that
+    of a separate fit.  The first rank-deficient fit, by aggregator then
+    point, raises IllDefinedPaymentError naming the aggregator (from
+    `aggregators`) and the id (from `sources`, one per row of `features`) of
+    the point left out.  One batched solve gives z_i = G_i^{-1} x_i, and
+    W[i, l] = z_i . x_l is one (k x p)(p x k) product per dataset."""
+    first = {}  # dataset -> its first aggregator, which fits it
+    fitter = [first.setdefault(rows.tobytes(), b) for b, rows in enumerate(members)]
+    distinct = list(first.values())
+    sizes = np.array([len(members[b]) for b in distinct])
+    designs = np.zeros((len(distinct), sizes.max(), features.shape[1] + 1))
+    for t, b in enumerate(distinct):
+        designs[t, :sizes[t]] = design_matrix(features[members[b]])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram fails the rank test
-        outer = X[:, :, None] * X[:, None, :]               # (k, p, p): x_l x_l^T
-        grams = np.zeros((k, p, p))
-        np.cumsum(outer[:-1], axis=0, out=grams[1:])       # rows before i
-        grams[:-1] += np.cumsum(outer[:0:-1], axis=0)[::-1]  # rows after i
+        outer = designs[:, :, :, None] * designs[:, :, None, :]  # x_l x_l^T, 0 on padding
+        grams = np.zeros_like(outer)
+        np.cumsum(outer[:, :-1], axis=1, out=grams[:, 1:])           # rows before i
+        grams[:, :-1] += np.cumsum(outer[:, :0:-1], axis=1)[:, ::-1]  # rows after i
+    fits = (np.arange(designs.shape[1]) < sizes[:, None]) & (sizes[:, None] > 1)
+    grams = grams[fits]  # by dataset, then point; a one-point dataset has no fit
     failing = _rank_deficient(grams)  # every one when k <= p: G_i has rank k - 1
     if failing.size:
-        source, gram = str(sources[failing[0]]), grams[failing[0]]
+        (t, i), gram = np.argwhere(fits)[failing[0]], grams[failing[0]]
+        aggregator, source = aggregators[distinct[t]], str(sources[members[distinct[t]][i]])
         cond = math.inf if np.isnan(gram).any() else np.linalg.cond(gram)  # SVD of a NaN fails
         raise IllDefinedPaymentError(
-            f"aggregator {aggregator!r}: leave-one-out design excluding source "
-            f"{source!r} is rank deficient ({k - 1} points for {p} parameters, Gram "
+            f"aggregator {aggregator!r}: leave-one-out design excluding source {source!r} is "
+            f"rank deficient ({sizes[t] - 1} points for {designs.shape[2]} parameters, Gram "
             f"condition {cond:.3e}, limit {CONDITION_LIMIT:.0e})",
             aggregator=aggregator, source=source)
-    return X, grams
-
-
-def leave_one_out_weights(points, *, aggregator: str, sources) -> np.ndarray:
-    """W[i, l]: the weight that the OLS fit on every point but i places on
-    point l's response when it predicts at point i (W[i, i] = 0).
-
-    The Grams G_i and their rank test are leave_one_out_grams's.  Then one
-    batched solve gives z_i = G_i^{-1} x_i, and W[i, l] = z_i . x_l is one
-    (k x p)(p x k) product."""
-    X, grams = leave_one_out_grams(points, aggregator=aggregator, sources=sources)
-    if len(X) == 1:
-        return np.zeros((1, 1))  # no other point to predict from
-    weights = np.linalg.solve(grams, X[:, :, None])[:, :, 0] @ X.T
-    np.fill_diagonal(weights, 0.0)
-    return weights
+    solved = np.linalg.solve(grams, designs[fits][:, :, None])[:, :, 0]
+    weights = {}
+    for b, k, X, z in zip(distinct, sizes, designs,
+                          np.split(solved, np.cumsum(fits.sum(axis=1))[:-1])):
+        block = z @ X[:k].T if len(z) else np.zeros((k, k))  # no fit, no weight
+        np.fill_diagonal(block, 0.0)
+        block.flags.writeable = False
+        weights[b] = block
+    return tuple(weights[b] for b in fitter)
 
 
 def ols_coefficients(points, query_dist: QueryDistribution) -> np.ndarray:

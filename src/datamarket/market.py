@@ -40,7 +40,6 @@ from .estimators import (
     FeaturePoint,
     QueryDistribution,
     as_feature_point,
-    leave_one_out_grams,
     leave_one_out_weights,
     ols_coefficients,
 )
@@ -340,16 +339,17 @@ def derive_xi(scenario: MarketScenario) -> tuple[np.ndarray, ...]:
     scenario.dataset(b) x scenario.dataset(b): [i, l] is the weight of source
     l's variance in b's leave-one-out prediction at source i's feature point,
     the squared leave-one-out weight, 0 on the diagonal (its readers add the
-    paper's xi_b(s, s) = 1).  One leave_one_out_weights call per block."""
+    paper's xi_b(s, s) = 1).  Aggregators with one dataset share its block."""
     if scenario.mode != MODE_ESTIMATOR:
         raise DomainError("derive_xi applies to estimator-derived scenarios; "
                           "direct mode carries its own xi table")
-    blocks = []
-    for bid, members in zip(scenario.aggregator_ids, scenario.members):
-        block = leave_one_out_weights(scenario.features[members], aggregator=bid,
-                                      sources=scenario.dataset(bid))
-        blocks.append(np.square(block, out=block))
-    return _read_only(blocks)
+    weights = leave_one_out_weights(scenario.features, scenario.members,
+                                    aggregators=scenario.aggregator_ids,
+                                    sources=scenario.source_ids)
+    for w in {id(w): w for w in weights}.values():  # each distinct array once
+        w.flags.writeable = True  # a new array held only here: a squared copy costs validation
+        np.square(w, out=w)
+    return _read_only(weights)
 
 
 def _read_only(blocks) -> tuple[np.ndarray, ...]:
@@ -547,8 +547,10 @@ class KrylovBasis:
     |start| and D^-1 M D V[:k]^T = V[:k + 1]^T H[:k + 1, :k].  A new vector
     whose norm is below 1e-12 of its column's (an invariant subspace) or
     not finite ends the basis with H[k, k - 1] and V[k] set to 0; so does
-    its n-th vector, for n = len(start).  V and H grow by doubling.  Each step depends only on those
-    before it, so every reader reads the same numbers whoever grew them.
+    its n-th vector, for n = len(start).  Both norms are _norm's, finite
+    wherever the entries and |v| are.  V and H grow by doubling.  Each step
+    depends only on those before it, so every reader reads the same numbers
+    whoever grew them.
 
     A market's one basis, params.krylov (see `scaled`), is read by
     params.spectral_radius (ritz_start) and by equilibrium._solve_coupled
@@ -590,9 +592,9 @@ class KrylovBasis:
                     h = V[:j + 1] @ w
                     w -= h @ V[:j + 1]
                     H[:j + 1, j] += h
-                H[j + 1, j] = np.linalg.norm(w)
+                H[j + 1, j] = _norm(w)
                 self.k = j + 1
-                if H[j + 1, j] > 1e-12 * np.linalg.norm(H[:j + 2, j]):
+                if H[j + 1, j] > 1e-12 * _norm(H[:j + 2, j]):
                     V[j + 1] = w / H[j + 1, j]
                 else:
                     H[j + 1, j], V[j + 1], self._ended = 0.0, 0.0, True
@@ -617,6 +619,16 @@ class KrylovBasis:
         top = int(np.argmax(real))
         u = d * np.abs(self.V[:k].T @ vectors[:, top].real)
         return u if real[top] > 0 and np.all(u > 0) else None
+
+
+def _norm(v: np.ndarray) -> float:
+    """|v|, scaled by max |v| where the plain norm of a finite v overflows
+    (it squares the entries); the plain norm everywhere else."""
+    norm = np.linalg.norm(v)
+    if norm == math.inf and np.all(np.isfinite(v)):
+        scale = np.abs(v).max()
+        norm = scale * np.linalg.norm(v / scale)
+    return norm
 
 
 def _eigenvalue_radius(M: np.ndarray) -> float:
@@ -659,32 +671,27 @@ class ValidationReport:
                                           violations=self.violations)
 
 
-def _derivation(scenario: MarketScenario, *, blocks: bool, beta: np.ndarray | None = None):
-    """(tables, report) of one pass: tables (beta, xi, gamma, gamma_total),
-    None if the estimator is ill-defined.  beta and xi are derived, or read
-    from direct mode's tables (xi's diagonal 0); without `blocks` xi is
-    None, only derive_xi's rank tests run, in its aggregator order, and an
+def _derivation(scenario: MarketScenario, *, beta: np.ndarray | None = None):
+    """(tables, report) of the one pass that validate_scenario,
+    derive_parameters and generation run: tables (beta, xi, gamma,
+    gamma_total), None if the estimator is ill-defined.  beta and xi are
+    derived, or read from direct mode's tables (xi's diagonal 0); an
     estimator market's given `beta` (generation's) is not derived again."""
-    xi = []
     try:
         if scenario.mode == MODE_DIRECT:
             beta = np.array([scenario.direct_beta[p] for p in scenario.sharing_pairs()])
-            for bid in scenario.aggregator_ids if blocks else ():
+            xi = []
+            for bid in scenario.aggregator_ids:
                 ds, table = scenario.dataset(bid), scenario.direct_xi[bid]
                 xi.append(np.array([[table[i, l] if i != l else 0.0 for l in ds] for i in ds],
                                    dtype=float).reshape(len(ds), len(ds)))
-        elif blocks:
-            beta, xi = derive_beta(scenario), derive_xi(scenario)
         else:
             beta = derive_beta(scenario) if beta is None else beta
-            for bid, members in zip(scenario.aggregator_ids, scenario.members):
-                leave_one_out_grams(scenario.features[members], aggregator=bid,
-                                    sources=scenario.dataset(bid))
+            xi = derive_xi(scenario)
     except IllDefinedEstimatorError as exc:
         return None, _validation_report(scenario, ill_defined=str(exc))
     demand = derive_gamma(scenario, beta)
-    tables = (beta, _read_only(xi) if blocks else None, *demand)
-    return tables, _validation_report(scenario, demand)
+    return (beta, _read_only(xi), *demand), _validation_report(scenario, demand)
 
 
 def validate_scenario(scenario: MarketScenario) -> ValidationReport:
@@ -692,9 +699,9 @@ def validate_scenario(scenario: MarketScenario) -> ValidationReport:
 
     Returns a structured report; nothing is raised so callers can decide
     whether to proceed, but solvers refuse scenarios whose report is not ok.
-    It is derive_parameters's pass, running only derive_xi's rank tests.
+    It is derive_parameters's pass, blocks and all, keeping only the report.
     """
-    return _derivation(scenario, blocks=False)[1]
+    return _derivation(scenario)[1]
 
 
 def _effort_kind(scenario: MarketScenario) -> str:
@@ -765,8 +772,8 @@ class DerivedParameters:
     pair_source, pair_aggregator, aggregator_pairs and effort_map it binds
     (the same objects).  beta and gamma run over `pairs`; gamma_total,
     a_lower and a_upper (inf for unbounded effort sets) over source_ids.
-    xi holds derive_xi's blocks, the one copy of the coupling weights;
-    block b's rows follow b's pairs, aggregator_pairs[b].
+    xi holds derive_xi's blocks, one array per distinct dataset (shared by
+    its aggregators); block b's rows follow b's pairs, aggregator_pairs[b].
 
     Xi is built on first read, as one CouplingOperator, `coupling`, which
     both solvers read (the radius, the Krylov basis, the residual check, and
@@ -779,7 +786,7 @@ class DerivedParameters:
     scenario: MarketScenario
     mode: str
     beta: np.ndarray
-    xi: tuple[np.ndarray, ...]  # per aggregator, dataset x dataset, id order
+    xi: tuple[np.ndarray, ...]  # per aggregator, dataset x dataset, id order, shared
     gamma: np.ndarray
     gamma_total: np.ndarray
     pairs: tuple[tuple[str, str], ...]
@@ -849,7 +856,7 @@ def derive_parameters(scenario: MarketScenario, *,
     ill-posed market, which still raises where no table is left to inspect
     (an ill-defined estimator, a nonfinite-demand violation).
     """
-    tables, validation = _derivation(scenario, blocks=True)
+    tables, validation = _derivation(scenario)
     if require_valid or tables is None or any(
             v.code == "nonfinite-demand" for v in validation.violations):
         validation.require_ok()

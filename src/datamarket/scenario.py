@@ -549,7 +549,7 @@ def generate_scenario_with_attempts(spec: GenerationSpec, seed: int
         except DomainError as exc:
             last_failure = str(exc)
             continue
-        report = _derivation(scenario, blocks=False, beta=beta)[1]  # validate_scenario(scenario)
+        report = _derivation(scenario, beta=beta)[1]  # validate_scenario(scenario)
         if report.ok:
             return scenario, attempt + 1
         last_failure = "; ".join(v.message for v in report.violations[:3])

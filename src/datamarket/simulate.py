@@ -62,8 +62,8 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
                   ) -> Callable[[int, Sequence[int]], Iterator[MarketRound]]:
     """play(seed, indices) -> the MarketRounds of those indices, played as
     one block, with everything a round reads computed once: the
-    response-linear weights of the feature layout and the contract at the
-    solved equilibrium (pairs in sharing-pair order).  An unsolved result
+    response-linear weights (one fit per distinct dataset) and the contract
+    at the solved equilibrium (pairs in sharing-pair order).  An unsolved result
     raises DomainError, one not keyed by this scenario's pairs and sources
     ParseError; a round with a non-finite response, payment, estimate or
     loss raises DomainError naming the first such round of the block."""
@@ -76,8 +76,7 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
     pairs = scenario.sharing_pairs()
     a, _, c, efforts, _, _ = result.arrays(pairs, sids)
     features, members, rows = scenario.features, scenario.members, scenario.aggregator_pairs
-    loo = [leave_one_out_weights(features[members[b]], aggregator=bid,
-                                 sources=scenario.dataset(bid)) for b, bid in enumerate(bids)]
+    loo = leave_one_out_weights(features, members, aggregators=bids, sources=sids)
     rivals = [{bids.index(other): weight for other, weight in agg.zeta.items() if weight != 0.0}
               for agg in aggregators]
     # fit[(b, j)]: j's fit evaluated at b's query atoms, for b itself and its

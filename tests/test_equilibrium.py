@@ -413,6 +413,20 @@ class TestCoupledSolve:
         np.testing.assert_allclose(V @ V.T, np.eye(k + 1), rtol=0, atol=1e-13)
         np.testing.assert_allclose(M @ V[:k].T, V.T @ H, rtol=0, atol=1e-12)
 
+    def test_arnoldi_basis_grows_where_the_plain_norm_overflows(self):
+        # couplings near 1e200: |Xi 1| squares entries past the float range,
+        # yet every entry is finite, so the basis is not an invariant subspace
+        scenario = generate_scenario(
+            GenerationSpec(6, 3, mode="direct", coupling_scale=1e200), 0)
+        params = derive_parameters(scenario, require_valid=False)
+        M = params.coupling.toarray()
+        basis = market.KrylovBasis(params.coupling, np.ones(M.shape[0]))
+        k = basis.grow(12)
+        assert k > 1
+        V, H = basis.V[:k + 1], basis.H[:k + 1, :k]
+        np.testing.assert_allclose(V @ V.T, np.eye(k + 1), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(M @ V[:k].T, V.T @ H, rtol=0, atol=1e-13 * np.abs(M).max())
+
     def test_arnoldi_basis_resumes_bit_for_bit(self):
         # grown in three calls, across both reallocations, or in one: the
         # same steps, so the same k and the same bits of V and H

@@ -117,8 +117,8 @@ class TestGValue:
 
 def loo_predictions(points, responses):
     """Each point's prediction from the fit on all the other points."""
-    weights = leave_one_out_weights(points, aggregator="b1",
-                                    sources=[f"s{k + 1}" for k in range(len(points))])
+    weights = leave_one_out_weights(np.array(points), [np.arange(len(points))], aggregators=["b1"],
+                                    sources=[f"s{k + 1}" for k in range(len(points))])[0]
     return weights @ np.asarray(responses, dtype=float)
 
 
@@ -152,7 +152,8 @@ class TestRankTest:
     def test_nan_leave_one_out_gram_names_its_source(self):
         points = [(0.0, 0.0), (1e200, 1e200), (1e200, -1e200), (1.0, 1.0), (2.0, 0.5)]
         with pytest.raises(IllDefinedPaymentError, match="Gram condition inf") as info:
-            leave_one_out_weights(points, aggregator="b1", sources=list("abcde"))
+            leave_one_out_weights(np.array(points), [np.arange(5)], aggregators=["b1"],
+                                  sources=list("abcde"))
         assert (info.value.aggregator, info.value.source) == ("b1", "a")
 
     # three points 1 - e, 1, 1 + e: design Gram condition about 6 / e^2

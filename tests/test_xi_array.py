@@ -173,6 +173,11 @@ RANK_DEFICIENT = {
     "collinear-d2": lambda: _line_market(
         [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (0.0, 1.0)],
         {"b1": [0, 1, 2, 3, 4]}),
+    # b2 and b4 buy one dataset, singular without s3; b3's two points fail
+    # too: the first failing fit, by aggregator then point, is b2's without s3
+    "shared-dataset": lambda: _line_market(
+        [(0.0,), (1.0,), (2.0,), (5.0,), (5.0,), (7.0,)],
+        {"b1": [0, 1, 2, 3], "b2": [2, 3, 4], "b3": [0, 5], "b4": [2, 3, 4]}),
     # nearly collinear: condition far above the limit, not exactly singular
     "near-collinear-d2": lambda: _line_market(
         [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0 + 1e-9), (0.0, 1.0)],
@@ -349,29 +354,40 @@ def loo_designs(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(points=loo_designs())
-def test_leave_one_out_weights_match_per_source_fits(points):
-    scenario = _line_market(points, {"b1": list(range(len(points)))})
-    ids = scenario.source_ids
+@given(points=loo_designs(), data=st.data())
+def test_leave_one_out_weights_match_per_source_fits(points, data):
+    # b2 buys b1's dataset, b3 another nonempty subset of the points
+    subset = data.draw(st.sets(st.integers(0, len(points) - 1), min_size=1))
+    everyone = list(range(len(points)))
+    scenario = _line_market(points, {"b1": everyone, "b2": everyone, "b3": sorted(subset)})
+    ids, bids = scenario.source_ids, scenario.aggregator_ids
     features = np.array([by_id(scenario.sources)[sid].feature for sid in ids])
     try:
-        reference = reference_xi(scenario)["b1"]
+        reference = reference_xi(scenario)
     except IllDefinedPaymentError as expected:
         with pytest.raises(IllDefinedPaymentError) as got:
-            leave_one_out_weights(features, aggregator="b1", sources=np.array(ids))
+            leave_one_out_weights(features, scenario.members, aggregators=bids,
+                                  sources=np.array(ids))
         assert (got.value.aggregator, got.value.source) == (expected.aggregator,
                                                             expected.source)
         return
-    weights = leave_one_out_weights(features, aggregator="b1", sources=np.array(ids))
-    for i, si in enumerate(ids):
-        assert weights[i, i] == 0.0
-        others = [l for l in range(len(ids)) if l != i]
-        # the reference holds squared weights; a weight that is 0 in exact
-        # arithmetic is rounding noise in both, so the floor is 1e-9 of the
-        # row's largest weight
-        expected = np.sqrt([reference[(si, ids[l])] for l in others])
-        np.testing.assert_allclose(np.abs(weights[i, others]), expected, rtol=1e-9,
-                                   atol=1e-9 * expected.max(), err_msg=si)
+    blocks = leave_one_out_weights(features, scenario.members, aggregators=bids,
+                                   sources=np.array(ids))
+    assert blocks[1] is blocks[0]
+    for bid, weights in zip(bids, blocks):
+        ds = scenario.dataset(bid)
+        assert not weights.flags.writeable
+        for i, si in enumerate(ds):
+            assert weights[i, i] == 0.0
+            others = [l for l in range(len(ds)) if l != i]
+            if not others:
+                continue
+            # the reference holds squared weights; a weight that is 0 in exact
+            # arithmetic is rounding noise in both, so the floor is 1e-9 of the
+            # row's largest weight
+            expected = np.sqrt([reference[bid][(si, ds[l])] for l in others])
+            np.testing.assert_allclose(np.abs(weights[i, others]), expected, rtol=1e-9,
+                                       atol=1e-9 * expected.max(), err_msg=f"{bid} {si}")
 
 
 # ---------------------------------------------------------------------------
@@ -483,3 +499,25 @@ def test_derivation_holds_one_copy_of_the_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * sum(block.nbytes for block in params.xi)
+
+
+# ---------------------------------------------------------------------------
+# One fit per distinct dataset
+# ---------------------------------------------------------------------------
+
+def test_full_sharing_holds_one_block():
+    params = derive_parameters(generate_scenario(GenerationSpec(48, 4, family="mixed"), 0))
+    assert len(params.xi) == 4
+    assert all(block is params.xi[0] for block in params.xi)
+    assert not params.xi[0].flags.writeable
+
+
+def test_aggregators_with_one_dataset_share_its_block():
+    # b1 and b3 buy s1-s4, b2 buys s2-s7: b1's block is padded in the stack
+    points = [(0.0,), (1.0,), (3.0,), (4.0,), (6.0,), (7.0,), (9.0,)]
+    datasets = {"b1": [0, 1, 2, 3], "b2": [1, 2, 3, 4, 5, 6], "b3": [0, 1, 2, 3]}
+    b1, b2, b3 = derive_xi(_line_market(points, datasets))
+    assert b1 is b3 and b2 is not b1
+    for block, rows in ((b1, datasets["b1"]), (b2, datasets["b2"])):
+        alone = derive_xi(_line_market([points[k] for k in rows], {"b1": list(range(len(rows)))}))
+        assert np.array_equal(block, alone[0])  # squared once, bit for bit

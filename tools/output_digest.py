@@ -13,7 +13,9 @@ zeta_max 0.1: full sharing, half sharing with d=2, bounded) and one
 direct-mode market.  For each it hashes the scenario text, its parse ->
 serialize round trip, the bytes of the effort map's incentive bounds
 a_lower and a_upper (no written output shows their last bits), the
-validation summary, the beta, gamma and xi CSVs
+validation summary, the number of distinct xi blocks that derive_parameters
+holds (printed, not hashed: one of m under full sharing), the beta, gamma
+and xi CSVs
 (xi_matrix.csv too where P <= 400), the solved result's JSON, its
 certificate text and welfare JSON, a five-point alpha sweep CSV (unbounded
 markets) and, in estimator mode, a 30-round rounds CSV and
@@ -66,7 +68,7 @@ def markets():
 
 
 def outputs(spec: dm.GenerationSpec, seed: int):
-    """(output name, text or bytes) for one market."""
+    """(output name, text or bytes to hash, or a count to print) for one market."""
     text = dm.serialize_scenario(dm.generate_scenario(spec, seed))
     scenario = dm.parse_scenario(text)
     params = dm.derive_parameters(scenario, require_valid=False)
@@ -75,6 +77,7 @@ def outputs(spec: dm.GenerationSpec, seed: int):
     effort_map = scenario.effort_map
     yield "effort bounds", effort_map.a_lower.tobytes() + effort_map.a_upper.tobytes()
     yield "validation", dm.validate_scenario(scenario).summary()
+    yield "distinct xi blocks", len({id(block) for block in params.xi})
     yield "beta.csv", results.beta_csv(params)
     yield "gamma.csv", results.gamma_csv(params)
     yield "xi.csv", results.xi_csv(params)
@@ -96,10 +99,11 @@ def outputs(spec: dm.GenerationSpec, seed: int):
 
 def main() -> None:
     for name, spec, seed in markets():
-        for output, text in outputs(spec, seed):
-            data = text if isinstance(text, bytes) else text.encode("utf-8")
-            digest = hashlib.sha256(data).hexdigest()
-            print(f"{name:36} {output:20} {digest}", flush=True)
+        for output, value in outputs(spec, seed):
+            if not isinstance(value, int):  # a count is printed as it is
+                data = value if isinstance(value, bytes) else value.encode("utf-8")
+                value = hashlib.sha256(data).hexdigest()
+            print(f"{name:36} {output:20} {value}", flush=True)
 
 
 if __name__ == "__main__":
