@@ -32,7 +32,9 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError, NumericalFailureError, ParseError
 from .market import (  # noqa: F401  (spectral_radius is public here too)
     RADIUS_TOL,
+    CouplingOperator,
     DerivedParameters,
+    _block_groups,
     _first_mismatch,
     _id_order,
     spectral_radius,
@@ -286,8 +288,10 @@ def payment_floors(params: DerivedParameters, a: np.ndarray,
     nonnegative.  `a` and the result run over params.pairs, `variances` over
     the source ids."""
     penalty = variances[params.pair_source]  # the term i = s: xi_b(s, s) = 1
-    for rows, block in zip(params.aggregator_pairs, params.xi):
-        penalty[rows] += block @ variances[params.pair_source[rows]]
+    for block, group in _block_groups(params.xi):  # each distinct block once
+        spread = block @ variances[params.scenario.members[group[0]]]
+        for j in group:
+            penalty[params.aggregator_pairs[j]] += spread
     return a * penalty
 
 
@@ -476,20 +480,13 @@ def _variance_weights(params: DerivedParameters, a_vec: np.ndarray,
 
         w_b[s] = gamma[s, b] + sum_{j != b} sum_{i in D_b & D_j} a[i, j] xi_j(i, s),
 
-    and its terms i != s, (Xi a)[s, b], read from the xi blocks, one
-    (m x |D_j|) @ X_j per aggregator j, never from the solver's coupling
-    matrix.  The terms i = s (xi_j(s, s) = 1) are the rivals' sum, the same
-    source's weight at its other aggregators, so w_b[s] is also the
-    best-response total (interior target plus rivals)."""
-    membership = params.scenario.membership
-    coupling = np.zeros(membership.shape[::-1])  # [b, s]
-    for j, (rows, members, block) in enumerate(zip(params.aggregator_pairs,
-                                                   params.scenario.members, params.xi)):
-        u = membership[members].T * a_vec[rows]  # u[b, i] = a[i, j] * [i in D_b]
-        u[j] = 0.0
-        coupling[:, members] += u @ block
+    and its terms i != s, (Xi a)[s, b], by a CouplingOperator of its own
+    built from the xi blocks, never by params.coupling.  The terms i = s
+    (xi_j(s, s) = 1) are the rivals' sum, the same source's weight at its
+    other aggregators, so w_b[s] is also the best-response total (interior
+    target plus rivals)."""
+    coupled = CouplingOperator(params.scenario, params.xi) @ a_vec
     rivals = np.bincount(params.pair_source, weights=a_vec)[params.pair_source] - a_vec
-    coupled = coupling[params.pair_aggregator, params.pair_source]
     return params.gamma + rivals + coupled, coupled
 
 
@@ -533,10 +530,10 @@ def solve_bounded(params: DerivedParameters) -> EquilibriumResult:
     best-response target.  One aggregator's coordinates update together, as
     one vector step: the target of (s, b) reads a[(s, j)] and a[(l, j)] only
     for j != b, so this gives the coordinate-by-coordinate iterates up to
-    summation order.  Its coupling is params.coupling's terms, kept between
-    steps: after b moves only term b (b's pairs alone) is recomputed.  It
-    stops once a sweep moves no coordinate by BOUNDED_TOL; the constants fix
-    which point of a saturated source's set of equilibria it returns.
+    summation order.  Each step reads (Xi a) at b's pairs afresh from
+    params.coupling (CouplingOperator.at); nothing is kept between steps.
+    It stops once a sweep moves no coordinate by BOUNDED_TOL; the constants
+    fix which point of a saturated source's set of equilibria it returns.
     Exhausting BOUNDED_MAX_ITER sweeps raises NonConvergenceError carrying
     the last iterate; existence is guaranteed, so non-convergence is a
     solver limitation, never a nonexistence claim.
@@ -547,11 +544,10 @@ def solve_bounded(params: DerivedParameters) -> EquilibriumResult:
     lower, upper = params.a_lower[params.pair_source], params.a_upper[params.pair_source]
     a = params.gamma.copy()  # start from the decoupled demands
     with np.errstate(over="ignore"):  # a coupled sum past the float range clamps to upper
-        sums = [params.coupling.term(b, a) for b in range(len(params.xi))]
         for iterations in range(1, BOUNDED_MAX_ITER + 1):
             residual = 0.0
             for b, blk in enumerate(params.aggregator_pairs):
-                interior = params.gamma[blk] + params.coupling.scatter(sums)[blk]
+                interior = params.gamma[blk] + params.coupling.at(b, a)
                 own = a[blk]
                 totals = np.bincount(params.pair_source, weights=a)
                 target, _ = _clamp(interior, totals[params.pair_source[blk]] - own,
@@ -559,7 +555,6 @@ def solve_bounded(params: DerivedParameters) -> EquilibriumResult:
                 delta = target - own
                 residual = max(residual, float(np.abs(delta).max(initial=0.0)))
                 a[blk] += BOUNDED_DAMPING * delta
-                sums[b] = params.coupling.term(b, a)  # term b reads b's own pairs only
             if residual < BOUNDED_TOL:
                 break
         else:

@@ -346,7 +346,7 @@ def derive_xi(scenario: MarketScenario) -> tuple[np.ndarray, ...]:
     weights = leave_one_out_weights(scenario.features, scenario.members,
                                     aggregators=scenario.aggregator_ids,
                                     sources=scenario.source_ids)
-    for w in {id(w): w for w in weights}.values():  # each distinct array once
+    for w, _ in _block_groups(weights):  # each distinct array once
         w.flags.writeable = True  # a new array held only here: a squared copy costs validation
         np.square(w, out=w)
     return _read_only(weights)
@@ -374,17 +374,25 @@ def assemble_xi_matrix(scenario: MarketScenario, xi: tuple[np.ndarray, ...],
     return CouplingOperator(scenario, xi).toarray(), scenario.sharing_pairs()
 
 
+def _block_groups(xi) -> list[tuple[np.ndarray, list[int]]]:
+    """(block, its aggregators) per distinct array object of xi, first seen first."""
+    groups: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for j, block in enumerate(xi):
+        groups.setdefault(id(block), (block, []))[1].append(j)
+    return list(groups.values())
+
+
 class CouplingOperator:
     """Xi as a product over the sharing pairs, from the xi blocks, with no
-    P x P matrix:
+    P x P matrix.  The aggregators of one block X_g (see _block_groups), as
+    given, form a group g over one dataset D_g, and for s in D_g
 
-        (Xi a)[s, b] = sum_{j != b} sum_l X_j[l, s] a[l, j] [l sells to b],
+        (Xi a)[s, b] = sum_g sum_{l in D_g} U_g[b, l] X_g[l, s],
+        U_g[b, l] = [l sells to b] sum_{j in g, j != b} a[l, j]:
 
-    where X_j is the block xi[j] on D_j x D_j (D_j the sources selling to
-    j), held as given: its zero diagonal leaves out l == s.  Per aggregator j,
-    the columns b != j of the membership restricted to D_j are deduplicated,
-    so a full-sharing market costs one matrix-vector product per aggregator.
-    The j = b term is left out by selecting the columns b != j, never added
+    one (rows x |D_g|)(|D_g| x |D_g|) product per group, over the rows b
+    that reach a pair, so one under full sharing.  X_g's zero diagonal
+    leaves out l == s; the j = b term is left out of U_g's sum, never added
     and subtracted: a large weight would not cancel exactly."""
 
     def __init__(self, scenario: MarketScenario, xi: tuple[np.ndarray, ...]):
@@ -392,61 +400,56 @@ class CouplingOperator:
         pair_at = np.full(membership.shape, -1)
         pair_at[pair_source, scenario.pair_aggregator] = np.arange(len(pair_source))
         self.shape = (len(pair_source), len(pair_source))
-        self._terms = []
-        gather, targets, offset = [], [], 0
-        for j, members in enumerate(scenario.members):
-            others = np.delete(np.arange(membership.shape[1]), j)
-            keys = [membership[members, b].tobytes() for b in others.tolist()]
-            distinct = list(dict.fromkeys(keys))  # [c]: D_j's column of a rival
-            columns = np.frombuffer(b"".join(distinct), dtype=bool)
-            self._terms.append((scenario.aggregator_pairs[j], xi[j],
-                                columns.reshape(len(distinct), len(members)).astype(float)))
-            # row c of term j's sums lands at the pairs (s, b) of the rivals b
-            # with column c; a source in D_j that does not sell to b has no pair
-            at = pair_at[np.ix_(members, others)].T
-            b, s = np.nonzero(at >= 0)
-            column = np.array([distinct.index(key) for key in keys], dtype=np.intp)
-            gather.append(offset + column[b] * len(members) + s)
-            targets.append(at[b, s])
-            offset += len(distinct) * len(members)
-        self._gather = np.concatenate(gather)
-        self._targets = np.concatenate(targets)
         self.blocks = tuple(xi)  # the X_j, in id order
+        self._sources, self._members = membership.shape[0], scenario.members
+        self._groups, targets = [], []
+        for block, group in _block_groups(xi):
+            members = scenario.members[group[0]]
+            others = np.arange(membership.shape[1])[:, None] != group  # [b, k]: j_k != b
+            sells = membership[members].T  # [b, l]
+            live = others.any(axis=1) & sells.any(axis=1)  # the rows b that reach a pair
+            row = np.where(live, np.cumsum(live) - 1, -1)  # b's row of U_g, or -1
+            # entry [row[b], s] of U_g X_g lands at the pair (s, b), if s sells to b
+            at = pair_at[members][:, live].T.ravel()
+            gather = np.flatnonzero(at >= 0)
+            targets.append(at[gather])
+            inputs = pair_at[members][:, group].T  # [k, l]: the pair (l, j_k)
+            self._groups.append((block, members, inputs, others[live].astype(float),
+                                 sells[live].astype(float), row, gather))
+        self._targets = np.concatenate(targets)
 
     def __matmul__(self, a: np.ndarray) -> np.ndarray:
-        return self.scatter([self.term(j, a) for j in range(len(self._terms))])
-
-    def term(self, j: int, a: np.ndarray) -> np.ndarray:
-        """Aggregator j's sums (rivals' distinct columns times X_j): a at j's pairs only."""
-        inputs, block, columns = self._terms[j]
-        return ((columns * a[inputs]) @ block).ravel()
-
-    def scatter(self, sums: list[np.ndarray]) -> np.ndarray:
-        """Xi a from every aggregator's term(j, a), in id order."""
+        sums = [((others @ a[inputs] * sells) @ block).ravel()[gather]
+                for block, _, inputs, others, sells, _, gather in self._groups]
         # float even with no coupling: bincount over no weights counts, in int64
-        return np.bincount(self._targets, weights=np.concatenate(sums)[self._gather],
+        return np.bincount(self._targets, weights=np.concatenate(sums),
                            minlength=self.shape[0]).astype(float, copy=False)
 
+    def at(self, b: int, a: np.ndarray) -> np.ndarray:
+        """(Xi a) at aggregator b's pairs: the product restricted to row b."""
+        coupled = np.zeros(self._sources)
+        for block, members, inputs, others, sells, row, _ in self._groups:
+            if row[b] >= 0:
+                coupled[members] += (others[row[b]] @ a[inputs] * sells[row[b]]) @ block
+        return coupled[self._members[b]]
+
     def largest_entry(self) -> float:
-        """The largest entry of Xi, 0 with no coupling: X_j[l, s] is an
-        entry wherever some rival column on D_j holds both l and s."""
-        largest = 0.0
-        for _, block, columns in self._terms:
-            held = columns > 0  # as booleans: a float product takes longer
-            both = (held[:, :, None] & held[:, None, :]).any(axis=0)
-            largest = max(largest, float(np.max(block, where=both, initial=0.0)))
-        return largest
+        """The largest entry of Xi, 0 with no coupling: X_g[l, s] is an
+        entry wherever some row of group g holds both l and s."""
+        return max(float(np.max(block, where=sells.T @ sells > 0, initial=0.0))
+                   for block, _, _, _, sells, _, _ in self._groups)
 
     def toarray(self) -> np.ndarray:
-        """The assembled P x P matrix.  The sums entry c, s of
-        term j lands at the pair (s, b) of each rival b with column c, so that
-        row of Xi holds columns[c] * X_j[:, s] at the pairs (l, j)."""
+        """The assembled P x P matrix.  Entry [c, s] of group g's product
+        lands at the pair (s, b) of its row b, so that row of Xi holds
+        [l sells to b] X_g[l, s] at the pairs (l, j) of each j in g but b."""
         matrix, offset = np.zeros(self.shape), 0
-        for inputs, block, columns in self._terms:
-            here = (self._gather >= offset) & (self._gather < offset + columns.size)
-            c, s = np.divmod(self._gather[here] - offset, len(inputs))
-            matrix[self._targets[here, None], inputs] = columns[c] * block.T[s]
-            offset += columns.size
+        for block, _, inputs, others, sells, _, gather in self._groups:
+            targets = self._targets[offset:offset + len(gather)]
+            c, s = np.divmod(gather, block.shape[0])
+            for k, columns in enumerate(inputs):  # 0 where j_k is the row's b: no entry
+                matrix[targets[:, None], columns] = others[c, k, None] * sells[c] * block.T[s]
+            offset += len(gather)
         return matrix
 
 
@@ -502,7 +505,7 @@ def _power_bracket(M, basis: KrylovBasis | None) -> float:
     stop and max |eigenvalue| from one dense LAPACK call (np.linalg.eigvals)
     decides, exact to rounding for every matrix; an operator is assembled
     only then."""
-    entries = M.blocks if isinstance(M, CouplingOperator) else (M,)
+    entries = [e for e, _ in _block_groups(M.blocks)] if isinstance(M, CouplingOperator) else (M,)
     if not all(np.all(np.isfinite(e)) and not np.any(e < 0) for e in entries):
         raise DomainError("spectral radius is defined here for finite nonnegative matrices")
     n = M.shape[0]
@@ -777,11 +780,12 @@ class DerivedParameters:
 
     Xi is built on first read, as one CouplingOperator, `coupling`, which
     both solvers read (the radius, the Krylov basis, the residual check, and
-    the best responses through its terms).  No P x P copy is kept: the
-    dense Xi's readers (xi_matrix.csv, a failed solve's condition number, a
-    stalled radius) call coupling.toarray() where they run.  The one Krylov
-    basis that the radius and every solve read, `krylov` (see KrylovBasis),
-    is built on first read and kept too: (k + 1) x P floats for k steps."""
+    the best responses, through `at`); the certificate builds its own from
+    xi.  No P x P copy is kept: the dense Xi's readers (xi_matrix.csv, a
+    failed solve's condition number, a stalled radius) call
+    coupling.toarray() where they run.  The one Krylov basis that the radius
+    and every solve read, `krylov` (see KrylovBasis), is built on first read
+    and kept too: (k + 1) x P floats for k steps."""
 
     scenario: MarketScenario
     mode: str
@@ -843,7 +847,7 @@ class DerivedParameters:
 
     def offdiagonal_xi_max(self) -> float:
         # every block is nonnegative (validated or squared) with a zero diagonal
-        return max(float(block.max(initial=0.0)) for block in self.xi)
+        return max(float(block.max(initial=0.0)) for block, _ in _block_groups(self.xi))
 
 
 def derive_parameters(scenario: MarketScenario, *,
