@@ -462,63 +462,52 @@ def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
 _BRANCHES = ("at-minimum", "interior", "at-maximum")
 
 
-def _clamp(interior: np.ndarray, rivals: np.ndarray, lower: np.ndarray,
-           upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, branches indexing _BRANCHES) of coordinates (s, b) with the
-    given interior targets: the incentive interval is enforced on the total
-    interior + rivals, rivals = sum_{j != b} a[(s, j)], then targets floor at 0."""
+def _best_response(params: DerivedParameters, a_vec: np.ndarray, totals: np.ndarray,
+                   interior: np.ndarray, rows: slice | np.ndarray = slice(None),
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(targets, branches indexing _BRANCHES, totals interior + rivals) of
+    the pairs `rows` (all by default), at their interior targets gamma + Xi a
+    and a_vec's per-source `totals`; each target holds all other coordinates
+    fixed.  The incentive interval is enforced on the total, rivals =
+    totals[s] - a[(s, b)], then targets floor at 0."""
+    source = params.pair_source[rows]
+    rivals = totals[source] - a_vec[rows]
     total = interior + rivals
+    lower, upper = params.a_lower[source], params.a_upper[source]
     branch = np.where(total < lower, 0, np.where(total > upper, 2, 1))
     target = np.choose(branch, (lower - rivals, interior, upper - rivals))
-    return np.maximum(0.0, target), branch
+    return np.maximum(0.0, target), branch, total
 
 
 def _variance_weights(params: DerivedParameters, a_vec: np.ndarray,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(w, Xi a) over params.pairs: per pair (s, b), the coefficient of
-    sigma_s^2 in aggregator b's reduced loss,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, targets, branches) over params.pairs: per pair (s, b), the
+    coefficient of sigma_s^2 in aggregator b's reduced loss,
 
         w_b[s] = gamma[s, b] + sum_{j != b} sum_{i in D_b & D_j} a[i, j] xi_j(i, s),
 
-    and its terms i != s, (Xi a)[s, b], by a CouplingOperator of its own
-    built from the xi blocks, never by params.coupling.  The terms i = s
-    (xi_j(s, s) = 1) are the rivals' sum, the same source's weight at its
-    other aggregators, so w_b[s] is also the best-response total (interior
-    target plus rivals)."""
-    coupled = CouplingOperator(params.scenario, params.xi) @ a_vec
-    rivals = np.bincount(params.pair_source, weights=a_vec)[params.pair_source] - a_vec
-    return params.gamma + rivals + coupled, coupled
-
-
-def _targets(params: DerivedParameters, a_vec: np.ndarray, weights: np.ndarray,
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, branches) over params.pairs: every coordinate's best-response
-    target holding all others fixed, from the variance weights of a_vec."""
-    rivals = np.bincount(params.pair_source, weights=a_vec)[params.pair_source] - a_vec
-    return _clamp(weights - rivals, rivals, params.a_lower[params.pair_source],
-                  params.a_upper[params.pair_source])
-
-
-def _best_responses(params: DerivedParameters, a: Mapping[tuple[str, str], float]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, targets, branches) over params.pairs, from an id-keyed table."""
-    a_vec = _aligned(a, params.pairs, "a")
-    return (a_vec, *_targets(params, a_vec, _variance_weights(params, a_vec)[0]))
+    which is _best_response's total (its terms i = s, xi_j(s, s) = 1, are
+    the rivals' sum), and b's best-response target and branch for s.  Xi a
+    is read from the xi blocks, never from params.coupling."""
+    interior = params.gamma + CouplingOperator(params.scenario, params.xi) @ a_vec
+    targets, branches, weights = _best_response(
+        params, a_vec, np.bincount(params.pair_source, weights=a_vec), interior)
+    return weights, targets, branches
 
 
 def best_response_residual(params: DerivedParameters,
                            a: Mapping[tuple[str, str], float]) -> float:
     """Sup-norm distance of a quality-weight table from its own best-response
     targets; zero exactly at a bounded-game equilibrium."""
-    a_vec, targets, _ = _best_responses(params, a)
-    return float(np.abs(a_vec - targets).max(initial=0.0))
+    a_vec = _aligned(a, params.pairs, "a")
+    return float(np.abs(a_vec - _variance_weights(params, a_vec)[1]).max(initial=0.0))
 
 
 def branch_profile(params: DerivedParameters,
                    a: Mapping[tuple[str, str], float]) -> dict[tuple[str, str], str]:
     """Which best-response branch each coordinate sits on ("interior",
     "at-minimum", "at-maximum"); all-interior means no clamp is active."""
-    _, _, branches = _best_responses(params, a)
+    branches = _variance_weights(params, _aligned(a, params.pairs, "a"))[2]
     return {pair: _BRANCHES[k] for pair, k in zip(params.pairs, branches.tolist())}
 
 
@@ -531,7 +520,8 @@ def solve_bounded(params: DerivedParameters) -> EquilibriumResult:
     one vector step: the target of (s, b) reads a[(s, j)] and a[(l, j)] only
     for j != b, so this gives the coordinate-by-coordinate iterates up to
     summation order.  Each step reads (Xi a) at b's pairs afresh from
-    params.coupling (CouplingOperator.at); nothing is kept between steps.
+    params.coupling (CouplingOperator.at) and clamps by _best_response, the
+    rule the certificate also checks; nothing is kept between steps.
     It stops once a sweep moves no coordinate by BOUNDED_TOL; the constants
     fix which point of a saturated source's set of equilibria it returns.
     Exhausting BOUNDED_MAX_ITER sweeps raises NonConvergenceError carrying
@@ -541,18 +531,15 @@ def solve_bounded(params: DerivedParameters) -> EquilibriumResult:
     params.validation.require_ok()
     if params.effort_kind != "bounded":
         raise DomainError("solve_bounded requires all effort sets bounded")
-    lower, upper = params.a_lower[params.pair_source], params.a_upper[params.pair_source]
     a = params.gamma.copy()  # start from the decoupled demands
     with np.errstate(over="ignore"):  # a coupled sum past the float range clamps to upper
         for iterations in range(1, BOUNDED_MAX_ITER + 1):
             residual = 0.0
             for b, blk in enumerate(params.aggregator_pairs):
                 interior = params.gamma[blk] + params.coupling.at(b, a)
-                own = a[blk]
-                totals = np.bincount(params.pair_source, weights=a)
-                target, _ = _clamp(interior, totals[params.pair_source[blk]] - own,
-                                   lower[blk], upper[blk])
-                delta = target - own
+                target = _best_response(params, a, np.bincount(params.pair_source, weights=a),
+                                        interior, blk)[0]
+                delta = target - a[blk]
                 residual = max(residual, float(np.abs(delta).max(initial=0.0)))
                 a[blk] += BOUNDED_DAMPING * delta
             if residual < BOUNDED_TOL:
@@ -590,7 +577,7 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray,
+def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray, totals: np.ndarray,
                           weights: np.ndarray, efforts: np.ndarray,
                           variances: np.ndarray) -> tuple[float, np.ndarray, str]:
     """Largest improvement of any aggregator's reduced loss over the scored
@@ -603,7 +590,7 @@ def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray,
     and the weight nonnegative.  The reduced loss of aggregator b (own
     estimation loss, plus payment obligations created by rivals' contracts,
     plus the efforts it helps compensate) is linear in the variances and
-    efforts.  Deviating a[(s, b)] by delta moves only a_total[s], hence only
+    efforts.  Deviating a[(s, b)] by delta moves only totals[s], hence only
     e_s and sigma_s^2, whose coefficient in b's loss is the variance weight
     w_b[s] (`weights`), so it improves b's loss by -(w_b[s] * (change in
     sigma_s^2) + (change in e_s)).  Efforts are evaluated once per (source,
@@ -613,7 +600,6 @@ def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray,
     """
     order = np.argsort(params.pair_aggregator, kind="stable")
     source = params.pair_source[order]
-    totals = np.bincount(params.pair_source, weights=a_vec)
     a_min = np.full(len(totals), math.nan)  # fmin skips NaN: stays NaN with no positive weight
     np.fmin.at(a_min, params.pair_source, np.where(a_vec > 0, a_vec, math.nan))
     deltas = a_min[:, None] * np.array(GRID_STEPS)
@@ -641,19 +627,20 @@ def _worst_grid_deviation(params: DerivedParameters, a_vec: np.ndarray,
 def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters) -> CertificateReport:
     """Independent verification of a solved equilibrium.
 
-    (i) analytic stationarity and the existence bound (unbounded effort
-    sets) or best-response branch consistency and the radius bracket
-    (bounded), chosen by the market's effort sets; a document status other
-    than that solver's fails the first check; (ii) no scored deviation of
-    one weight by GRID_STEPS times its source's least positive weight
-    improves any aggregator's reduced loss (see _worst_grid_deviation);
-    (iii) the document's constant terms bind participation and keep payments
-    nonnegative (c >= floor - CONTRACT_TOL, polytope_membership's rule), and
-    its efforts, totals and polytope are those its quality weights imply; a
-    sum of its weights out of its source's incentive range fails (iii),
-    naming the first such source, and no efforts are evaluated there.  It
-    reads the xi blocks, never Xi.  A result whose tables are not keyed by
-    this scenario's pairs and sources raises ParseError.
+    (i) analytic stationarity max |a - (gamma + Xi a)| and the existence
+    bound (unbounded effort sets) or branch consistency by the solver's own
+    rule, _best_response, and the radius bracket (bounded), chosen by the
+    market's effort sets; a document status other than that solver's fails
+    the first check; (ii) no scored deviation of one weight by GRID_STEPS
+    times its source's least positive weight improves any aggregator's
+    reduced loss (see _worst_grid_deviation); (iii) the document's constant
+    terms bind participation and keep payments nonnegative (c >= floor -
+    CONTRACT_TOL, polytope_membership's rule), and its efforts, totals and
+    polytope are those its quality weights imply; a sum of its weights out
+    of its source's incentive range fails (iii), naming the first such
+    source, and no efforts are evaluated there.  It sums the weights per
+    source once and reads the xi blocks, never Xi.  A result whose tables
+    are not keyed by this scenario's pairs and sources raises ParseError.
     """
     if not result.solved or result.a is None:
         raise DomainError("certification requires a solved equilibrium")
@@ -661,7 +648,9 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters) ->
         params.pairs, params.scenario.source_ids)
     a_sum = np.bincount(params.pair_source, weights=a_vec)
     efforts, variances, in_range = _efforts_in_range(params, a_sum)
-    weights, coupled = _variance_weights(params, a_vec)
+    coupled = CouplingOperator(params.scenario, params.xi) @ a_vec
+    interior = params.gamma + coupled
+    targets, _, weights = _best_response(params, a_vec, a_sum, interior)
     # Xi >= 0, a >= 0: lo, the least ratio (Xi a)_i / a_i over a_i > 0, and h, the
     # largest (inf at a_i <= 0 or NaN), bracket rho(Xi); only unbounded sets need h < 1
     ratios = np.divide(coupled, a_vec, out=np.full_like(a_vec, math.inf), where=a_vec > 0)
@@ -677,8 +666,7 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters) ->
         f"; status {result.status} is not this market's {status}")
 
     if status == STATUS_UNIQUE:
-        # sum_j a[s, j] - w_b[s] is a - (Xi a + gamma) at (s, b), read from xi
-        gap = a_sum[params.pair_source] - weights
+        gap = a_vec - interior  # a - (gamma + Xi a), Xi a read from xi
         residual = float(np.abs(gap).max())
         checks.append(CheckResult(
             "stationarity", residual < STATIONARITY_TOL and not relabelled,
@@ -690,13 +678,13 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters) ->
             "existence-bound", h < 1.0 and in_bracket,
             f"{bracket}, error bound |r|_a / (1 - h) {bound:.3e}"))
     else:
-        worst = float(np.abs(a_vec - _targets(params, a_vec, weights)[0]).max(initial=0.0))
+        worst = float(np.abs(a_vec - targets).max(initial=0.0))
         checks.append(CheckResult(
             "branch-consistency", worst < STATIONARITY_TOL and not relabelled,
             f"best-response residual {worst:.3e} (tol {STATIONARITY_TOL:.1e})" + relabelled))
         checks.append(CheckResult("radius-bracket", in_bracket, bracket))
 
-    gain, scored, gain_at = _worst_grid_deviation(params, a_vec, weights, efforts, variances)
+    gain, scored, gain_at = _worst_grid_deviation(params, a_vec, a_sum, weights, efforts, variances)
     checks.append(CheckResult(
         "best-response-grid", gain <= IMPROVEMENT_TOL,
         f"largest grid improvement {gain:.3e} over {scored.sum()} scored deviations"

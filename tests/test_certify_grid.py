@@ -58,7 +58,7 @@ def one_pass(params, a):
     totals = np.bincount(params.pair_source, weights=a_vec)
     efforts, variances, _ = _efforts_in_range(params, totals)
     worst, _, location = _worst_grid_deviation(
-        params, a_vec, _variance_weights(params, a_vec)[0], efforts, variances)
+        params, a_vec, totals, _variance_weights(params, a_vec)[0], efforts, variances)
     return worst, location
 
 
@@ -276,8 +276,8 @@ def test_no_scored_step_is_zero(market, monkeypatch):
 
     evaluate = equilibrium._efforts_and_variances
     monkeypatch.setattr(equilibrium, "_efforts_and_variances", recording)
-    _, scored, _ = _worst_grid_deviation(params, a_vec, _variance_weights(params, a_vec)[0],
-                                         efforts, variances)
+    _, scored, _ = _worst_grid_deviation(params, a_vec, totals,
+                                         _variance_weights(params, a_vec)[0], efforts, variances)
     [(shifted, index)] = evaluated
     assert scored.any() and len(shifted) > 0
     assert np.all(shifted != totals[index])
@@ -289,11 +289,11 @@ def test_every_positive_weight_scores_a_negative_step(market):
     # made a weight negative, so no bench market scored one
     params, result = _solved(generate_scenario(*BENCH_MARKETS[market]))
     a_vec = result.a.a.array
-    efforts, variances, in_range = _efforts_in_range(
-        params, np.bincount(params.pair_source, weights=a_vec))
+    totals = np.bincount(params.pair_source, weights=a_vec)
+    efforts, variances, in_range = _efforts_in_range(params, totals)
     assert in_range.all()
-    _, scored, _ = _worst_grid_deviation(params, a_vec, _variance_weights(params, a_vec)[0],
-                                         efforts, variances)
+    _, scored, _ = _worst_grid_deviation(params, a_vec, totals,
+                                         _variance_weights(params, a_vec)[0], efforts, variances)
     positive = a_vec[np.argsort(params.pair_aggregator, kind="stable")] > 0
     negative_steps = np.array(GRID_STEPS) < 0
     assert scored[positive][:, negative_steps].any(axis=1).all()

@@ -5,7 +5,8 @@ per coordinate within 1e-12 relative; on a too-small sweep budget both must
 raise NonConvergenceError with the same last iterate and residual.  The
 certificate's best responses (`best_response_residual`, `branch_profile`)
 must match `_branch` too: the same targets within 1e-12 relative and the
-same branch labels."""
+same branch labels, and the solver's one-aggregator call of the shared rule
+(`_best_response`) must be the all-pairs call restricted to that block."""
 
 import math
 from dataclasses import replace
@@ -24,7 +25,8 @@ from conftest import (
 from datamarket import equilibrium
 from datamarket.effort import CustomVariance, EffortSet, EffortVarianceModel, effort_response
 from datamarket.equilibrium import (
-    _best_responses,
+    _best_response,
+    _variance_weights,
     best_response_residual,
     branch_profile,
     solve_bounded,
@@ -209,7 +211,7 @@ def test_best_responses_match_reference(market):
     solved, scaled = _probe_weights(params)
     for a in (solved, *scaled):
         reference = {pair: _branch(params, xi, a, *pair) for pair in params.pairs}
-        _, targets, _ = _best_responses(params, a)
+        _, targets, _ = _variance_weights(params, np.array([a[pair] for pair in params.pairs]))
         assert_close(dict(zip(params.pairs, targets.tolist())),
                      {pair: target for pair, (target, _) in reference.items()})
         assert branch_profile(params, a) == {pair: label
@@ -227,3 +229,20 @@ def test_probe_weights_reach_every_branch():
         for a in _probe_weights(params)[1]:
             labels |= set(branch_profile(params, a).values())
     assert labels == {"at-minimum", "interior", "at-maximum"}
+
+
+@pytest.mark.parametrize("market", sorted(MARKETS))
+def test_one_block_best_response_is_the_all_pairs_rule(market):
+    # solve_bounded's call for aggregator b and the certificate's all-pairs
+    # call must be one rule: bit for bit on b's rows, on every branch
+    params = derive_parameters(MARKETS[market]())
+    solved, scaled = _probe_weights(params)
+    for a in (solved, *scaled):
+        a_vec = np.array([a[pair] for pair in params.pairs])
+        totals = np.bincount(params.pair_source, weights=a_vec)
+        interior = params.gamma + params.coupling @ a_vec
+        everywhere = _best_response(params, a_vec, totals, interior)
+        for blk in params.aggregator_pairs:
+            block = _best_response(params, a_vec, totals, interior[blk], blk)
+            for got, expected in zip(block, everywhere):
+                assert np.array_equal(got, expected[blk])

@@ -17,6 +17,8 @@ validation summary, the number of distinct xi blocks that derive_parameters
 holds (printed, not hashed: one of m under full sharing), the beta, gamma
 and xi CSVs
 (xi_matrix.csv too where P <= 400), the solved result's JSON, its
+diagnostics.iterations (printed, not hashed: the bounded sweep count or the
+Krylov basis size, so a moved result.json shows whether the count moved), its
 certificate text and welfare JSON, a five-point alpha sweep CSV (unbounded
 markets) and, in estimator mode, a 30-round rounds CSV and
 payment_statistics.  It imports datamarket from ./src and takes no flags.
@@ -84,9 +86,11 @@ def outputs(spec: dm.GenerationSpec, seed: int):
     if len(params.pairs) <= XI_MATRIX_MAX_PAIRS:
         yield "xi_matrix.csv", results.xi_matrix_csv(params)
     solve = dm.solve_bounded if params.effort_kind == "bounded" else dm.solve_unbounded
-    result_text = dm.result_to_json(solve(params))
+    solved = solve(params)
+    result_text = dm.result_to_json(solved)
     result = dm.result_from_json(result_text)
     yield "result.json", result_text
+    yield "iterations", solved.diagnostics.iterations
     yield "certificate", dm.certify_equilibrium(result, params).summary()
     yield "welfare.json", dm.welfare_to_json(dm.price_of_anarchy(result, params))
     if params.effort_kind != "bounded":
