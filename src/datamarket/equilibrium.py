@@ -70,10 +70,6 @@ BOUNDED_MAX_ITER = 100_000
 #: Its stop: two orders below STATIONARITY_TOL, so its answers certify.
 BOUNDED_TOL = 1e-10
 
-#: The Krylov solve stops once its least-squares residual for the largest
-#: alpha (see _solve_coupled) is at most KRYLOV_STOP times float eps.
-KRYLOV_STOP = 1.0
-
 
 # ---------------------------------------------------------------------------
 # Result containers
@@ -381,24 +377,25 @@ def _solve_coupled(params: DerivedParameters, alphas: list[float],
     residual (shifted GMRES: Saad and Schultz 1986, Frommer and Glassner
     1998).  k is the first basis size at which that minimum, Givens-updated
     per step for the largest alpha from the stored H (Saad 2003, sec.
-    6.5.3), is at most KRYLOV_STOP * eps, or the size at which an invariant
-    subspace or P vectors end the basis; the basis grows only past the steps
-    an earlier reader grew, and k (so a) is the same whoever grew them.
-    Each answer is confirmed with one operator product, whose residual r
+    6.5.3), is at most float eps, or the size at which an invariant subspace
+    or P vectors end the basis; the basis grows only past the steps an
+    earlier reader grew, and k (so a) is the same whoever grew them.  Each
+    answer is confirmed with one operator product, whose residual r
     (`residual` is max |r|) then refines it once on the same basis.  A
     residual or negativity above 1e-9 times max a (or NaN) raises
-    NumericalFailureError with the condition number of I - alpha Xi,
-    assembled for that message only."""
-    xi, gamma = params.coupling, params.gamma
-    answers = {0.0: (gamma, 0.0, 0)}
+    NumericalFailureError naming alpha, 1 - alpha rho and k, whose condition
+    is cond(R) of I_bar - alpha H_bar = QR (inf for a non-finite R; 1 at
+    alpha = 0, whose system is I): a Krylov estimate, as I - alpha Xi is
+    never assembled."""
+    xi, gamma, rho = params.coupling, params.gamma, params.spectral_radius
+    answers = {0.0: (gamma, 0.0, 0, np.eye(1))}
     inside = sorted({alpha for alpha in alphas
-                     if alpha > 0.0 and alpha * params.spectral_radius < 1.0 - MARGINAL_BAND})
+                     if alpha > 0.0 and alpha * rho < 1.0 - MARGINAL_BAND})
     if inside:
         basis = params.krylov
         d, start = basis.d, basis.start
         top, rotations, residual, k = inside[-1], [], 1.0, 0
-        stop = KRYLOV_STOP * float(np.finfo(float).eps)
-        while residual > stop and basis.grow(k + 1) > k:
+        while residual > np.finfo(float).eps and basis.grow(k + 1) > k:
             k += 1
             column = (-top * basis.H[:k + 1, k - 1]).tolist()  # of I_bar - top H_bar
             column[k - 1] += 1.0
@@ -415,20 +412,21 @@ def _solve_coupled(params: DerivedParameters, alphas: list[float],
         r = np.array([gamma + alpha * (xi @ row) - row for alpha, row in zip(inside, a)])
         rhs = np.einsum("pik,pi->pk", q, r / d @ V[:k + 1].T)  # Q^T V^T (r / d)
         a += d * (np.linalg.solve(R, rhs[..., None])[..., 0] @ V[:k])
-        answers.update((alpha, (row, float(np.abs(res).max()), k))
-                       for alpha, row, res in zip(inside, a, r))
+        answers.update((alpha, (row, float(np.abs(res).max()), k, factor))
+                       for alpha, row, res, factor in zip(inside, a, r, R))
     solved = []
     for alpha in alphas:
         if alpha not in answers:
             solved.append(None)
             continue
-        a_vec, residual, k = answers[alpha]
+        a_vec, residual, k, factor = answers[alpha]
         tolerance = 1e-9 * float(np.abs(a_vec).max())  # relative to a: scale-free
         if not (residual <= tolerance and a_vec.min() >= -tolerance):  # NaN fails too
             raise NumericalFailureError(
-                f"linear solve residual {residual} or negativity {float(a_vec.min())} "
-                f"exceeds {tolerance} (1e-9 of max |a|) inside the existence regime",
-                condition=float(np.linalg.cond(np.eye(len(gamma)) - alpha * xi.toarray())))
+                f"linear solve at alpha {alpha} (1 - alpha rho = {1.0 - alpha * rho}, basis "
+                f"size {k}): residual {residual} or negativity {float(a_vec.min())} exceeds "
+                f"{tolerance} (1e-9 of max |a|) inside the existence regime",
+                condition=float(np.linalg.cond(factor)) if np.isfinite(factor).all() else math.inf)
         solved.append((np.where(a_vec < 0, 0.0, a_vec), residual, k))
     return solved
 

@@ -68,7 +68,8 @@ class SolverError(DataMarketError):
 
 
 class NumericalFailureError(SolverError):
-    """A linear solve failed inside its guaranteed-solvable regime."""
+    """A linear solve failed inside its guaranteed-solvable regime; `condition` is
+    a Krylov estimate of cond(I - alpha Xi) (see equilibrium._solve_coupled)."""
 
     def __init__(self, message: str, *, condition: float = float("nan")):
         super().__init__(message)

@@ -781,9 +781,9 @@ class DerivedParameters:
     Xi is built on first read, as one CouplingOperator, `coupling`, which
     both solvers read (the radius, the Krylov basis, the residual check, and
     the best responses, through `at`); the certificate builds its own from
-    xi.  No P x P copy is kept: the dense Xi's readers (xi_matrix.csv, a
-    failed solve's condition number, a stalled radius) call
-    coupling.toarray() where they run.  The one Krylov basis that the radius
+    xi.  No P x P copy is kept: the dense Xi's two readers (xi_matrix.csv
+    and a stalled radius) call coupling.toarray() where they run; no solve,
+    sweep or certificate does.  The one Krylov basis that the radius
     and every solve read, `krylov` (see KrylovBasis), is built on first read
     and kept too: (k + 1) x P floats for k steps."""
 

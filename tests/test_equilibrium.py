@@ -4,6 +4,7 @@ certification behavior."""
 
 import json
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -583,6 +584,50 @@ class TestSolvePaths:
             solve_unbounded(params)
         assert exc.value.condition >= 1.0
 
+    @pytest.mark.parametrize("entry, alpha", [("solve", 1.0), ("sweep", 0.5)])
+    def test_failure_at_scale_assembles_nothing(self, monkeypatch, entry, alpha):
+        # north-star full sharing, P = 3000, with the least-squares solves
+        # made 1e-6 off: the error names the failing point and reads its
+        # condition from that point's k x k least-squares factor.  Assembling
+        # and factoring a dense I - alpha Xi instead took 7.3-7.6 s and a
+        # 159 MB peak (2 cores, one BLAS thread)
+        params = derive_parameters(generate_scenario(
+            GenerationSpec(300, 10, family="mixed", zeta_max=0.1), 0))
+        assert len(params.pairs) == 3000 and params.spectral_radius < 0.5
+        k = solve_unbounded(params).diagnostics.iterations  # alpha = 1 sets k for both
+        solve = np.linalg.solve
+
+        def inaccurate(system, rhs):
+            return solve(system, rhs) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(np.linalg, "solve", inaccurate)
+        assemblies = count_assemblies(monkeypatch)
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(NumericalFailureError, match="residual") as exc:
+                if entry == "solve":
+                    solve_unbounded(params)
+                else:
+                    alpha_sweep(params, [0.5, 1.0])
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 50e6 and assemblies == []
+        assert exc.value.condition >= 1.0
+        assert f"at alpha {alpha} (1 - alpha rho = {1.0 - alpha * params.spectral_radius}, " \
+            f"basis size {k})" in str(exc.value)
+
+    def test_non_finite_factor_gives_infinite_condition(self, monkeypatch):
+        # an SVD of a NaN factor fails: the condition reads inf instead
+        params = derive_parameters(make_coupled_direct(20, 3, lambda i, l: 0.1 / 38))
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda system: [x * math.nan for x in qr(system)])
+        with pytest.raises(NumericalFailureError, match="residual nan") as exc:
+            solve_unbounded(params)
+        assert exc.value.condition == math.inf
+
     def test_fixed_point_path_holds_no_second_coupling_matrix(self):
         params = derive_parameters(generate_scenario(GenerationSpec(128, 4), 0))
         assert len(params.pairs) >= 500
@@ -737,6 +782,25 @@ class TestOperatorSide:
         dense_bytes = len(params.pairs) ** 2 * np.dtype(float).itemsize
         if len(params.pairs) >= 512:  # at P = 192 derivation alone peaks above Xi's size
             assert peak < dense_bytes
+
+    # the radius's stall fallback (see market._power_bracket) assembles Xi:
+    # both large-market shapes at bench seed 0 and the north-star full and
+    # half-sharing (d=2) shapes (P = 1200, 599, 3000, 1465) never reach it
+    RADIUS_WITHOUT_FALLBACK = {
+        **{f"large-market-{key}": (spec, seed)
+           for key, (spec, seed, _) in TestOneKrylovBasis.LARGE_MARKET.items()},
+        "north-star-full": (GenerationSpec(300, 10, family="mixed", zeta_max=0.1), 0),
+        "north-star-half-d2": (GenerationSpec(300, 10, dimension=2, family="mixed",
+                                              zeta_max=0.1, sharing_density=0.5), 0),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(RADIUS_WITHOUT_FALLBACK))
+    def test_radius_assembles_nothing(self, shape, monkeypatch):
+        spec, seed = self.RADIUS_WITHOUT_FALLBACK[shape]
+        params = derive_parameters(generate_scenario(spec, seed))
+        assemblies = count_assemblies(monkeypatch)
+        assert 0.0 < params.spectral_radius < 1.0
+        assert assemblies == []
 
     # a bench shape (unbounded-certify, simulate-rounds; P = 192) and the
     # north-star shape (P = 3000)
