@@ -331,10 +331,11 @@ class EffortMap:
     callables, so they equal the models' bits; a row whose model would raise
     DomainError raises it.  An evaluation takes values and the indices of
     their sources (all, in order, when None).  Custom families go through
-    the bracketed root-finder, the only per-point loop."""
+    the bracketed root-finder, the only per-point loop.  The six columns are
+    read-only, the four given ones copied from the caller's arrays."""
 
     def __init__(self, family, sigma0, rate, e_max, custom=None):
-        self.family = np.asarray(family, dtype=np.int8)
+        self.family = np.array(family, dtype=np.int8)
         self.sigma0, self.rate, self.e_max = (np.array(v, dtype=float)
                                               for v in (sigma0, rate, e_max))
         self.custom = dict(custom or {})
@@ -354,6 +355,8 @@ class EffortMap:
             k = int(np.argmin(ok))
             self.model(k)  # raises the DomainError of source k
             raise DomainError(f"effort parameters of source {k} are out of range")
+        for column in (self.family, self.sigma0, self.rate, self.e_max, self.a_lower, self.a_upper):
+            column.flags.writeable = False
 
     @classmethod
     def of(cls, models) -> EffortMap:

@@ -21,22 +21,21 @@ reduced loss), and a coupling-strength sweep.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, NumericalFailureError, ParseError
-from .market import (  # noqa: F401  (spectral_radius is public here too)
+from .market import (  # noqa: F401  (IdTable and spectral_radius are public here too)
     RADIUS_TOL,
     CouplingOperator,
     DerivedParameters,
+    IdTable,
     _block_groups,
     _first_mismatch,
-    _id_order,
+    _runs,
     spectral_radius,
 )
 
@@ -74,63 +73,6 @@ BOUNDED_TOL = 1e-10
 # ---------------------------------------------------------------------------
 # Result containers
 # ---------------------------------------------------------------------------
-
-class IdTable(Mapping):
-    """A read-only table keyed by id, over values held in id order.
-
-    `ids` is a tuple of ids or of (source, aggregator) pairs in id order
-    (market._id_order), and `array` (read-only) holds their values: one
-    float per id, or one row per id.  Reading an id gives a Python float (a
-    list for a row).  IdTable.of is the one rule that puts a table in id
-    order; every reader of a table, an IdTable or a plain dict, goes through it."""
-
-    __slots__ = ("ids", "array", "_index")
-
-    def __init__(self, ids, array: np.ndarray):
-        self.ids, self.array, self._index = tuple(ids), array, None
-        array.setflags(write=False)
-
-    @classmethod
-    def of(cls, table, array: np.ndarray | None = None) -> IdTable:
-        """The table's values (an IdTable's array, table[id], or the rows of
-        `array` in the order of `table`'s ids) in id order."""
-        ids = tuple(table)
-        if isinstance(table, IdTable):
-            array = table.array
-        elif array is None:
-            array = np.array([table[key] for key in ids], dtype=float)
-        ordered = False
-        with contextlib.suppress(TypeError):  # an id and a pair compare only under _id_order
-            ordered = not any(map(operator.ge, ids, ids[1:]))  # a written document's ids ascend
-        if ordered:
-            return cls(ids, array)
-        order = sorted(range(len(ids)), key=lambda k: _id_order(ids[k]))
-        return cls((ids[k] for k in order), array[order])
-
-    def positions(self) -> dict:
-        """Each id's position in `ids`."""
-        if self._index is None:
-            self._index = dict(zip(self.ids, range(len(self.ids))))
-        return self._index
-
-    def __getitem__(self, key):
-        return self.array[self.positions()[key]].tolist()
-
-    def __iter__(self):
-        return iter(self.ids)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __repr__(self) -> str:
-        return f"IdTable({dict(self)!r})"
-
-
-def _runs(pairs) -> dict:
-    """Source id -> (lo, hi) of `pairs` in id order: its pairs are pairs[lo:hi]."""
-    ends = {sid: k for k, (sid, _) in enumerate(pairs, 1)}
-    return dict(zip(ends, zip([0, *ends.values()], ends.values())))
-
 
 @dataclass(frozen=True)
 class AParameters:
@@ -382,8 +324,9 @@ def _solve_coupled(params: DerivedParameters, alphas: list[float],
     earlier reader grew, and k (so a) is the same whoever grew them.  Each
     answer is confirmed with one operator product, whose residual r
     (`residual` is max |r|) then refines it once on the same basis.  A
-    residual or negativity above 1e-9 times max a (or NaN) raises
-    NumericalFailureError naming alpha, 1 - alpha rho and k, whose condition
+    residual above 1e-9 times max a, or a weight below -1e-9 times it (or
+    NaN), raises NumericalFailureError naming alpha, 1 - alpha rho, k and
+    the checks that failed, whose condition
     is cond(R) of I_bar - alpha H_bar = QR (inf for a non-finite R; 1 at
     alpha = 0, whose system is I): a Krylov estimate, as I - alpha Xi is
     never assembled."""
@@ -421,11 +364,14 @@ def _solve_coupled(params: DerivedParameters, alphas: list[float],
             continue
         a_vec, residual, k, factor = answers[alpha]
         tolerance = 1e-9 * float(np.abs(a_vec).max())  # relative to a: scale-free
-        if not (residual <= tolerance and a_vec.min() >= -tolerance):  # NaN fails too
+        least = float(a_vec.min())
+        failed = [f"residual {residual} exceeds {tolerance}"] if not residual <= tolerance else []
+        if not least >= -tolerance:  # NaN fails both checks
+            failed.append(f"negativity {least} is below -{tolerance}")
+        if failed:
             raise NumericalFailureError(
                 f"linear solve at alpha {alpha} (1 - alpha rho = {1.0 - alpha * rho}, basis "
-                f"size {k}): residual {residual} or negativity {float(a_vec.min())} exceeds "
-                f"{tolerance} (1e-9 of max |a|) inside the existence regime",
+                f"size {k}): {' and '.join(failed)} (1e-9 of max |a|) in the existence regime",
                 condition=float(np.linalg.cond(factor)) if np.isfinite(factor).all() else math.inf)
         solved.append((np.where(a_vec < 0, 0.0, a_vec), residual, k))
     return solved

@@ -26,10 +26,14 @@ analytic fixtures stay testable in closed form.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import operator
+import types
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -78,7 +82,7 @@ class AggregatorSpec:
     payment_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "zeta", dict(self.zeta))
+        object.__setattr__(self, "zeta", types.MappingProxyType(dict(self.zeta)))
         if self.id in self.zeta:
             raise DomainError(f"aggregator {self.id!r} declares a self-competition weight")
         for j, z in self.zeta.items():
@@ -107,6 +111,63 @@ def _id_order(key) -> tuple:
     return tuple(map(str, key)) if isinstance(key, tuple) else (str(key),)
 
 
+class IdTable(Mapping):
+    """A read-only table keyed by id, over values held in id order.
+
+    `ids` is a tuple of ids or of (source, aggregator) pairs in id order
+    (_id_order), and `array` (read-only) holds their values: one
+    float per id, or one row per id.  Reading an id gives a Python float (a
+    list for a row).  IdTable.of is the one rule that puts a table in id
+    order; every reader of a table, an IdTable or a plain dict, goes through it."""
+
+    __slots__ = ("ids", "array", "_index")
+
+    def __init__(self, ids, array: np.ndarray):
+        self.ids, self.array, self._index = tuple(ids), array, None
+        array.setflags(write=False)
+
+    @classmethod
+    def of(cls, table, array: np.ndarray | None = None) -> IdTable:
+        """The table's values (an IdTable's array, table[id], or the rows of
+        `array` in the order of `table`'s ids) in id order."""
+        ids = tuple(table)
+        if isinstance(table, IdTable):
+            array = table.array
+        elif array is None:
+            array = np.array([table[key] for key in ids], dtype=float)
+        ordered = False
+        with contextlib.suppress(TypeError):  # an id and a pair compare only under _id_order
+            ordered = not any(map(operator.ge, ids, ids[1:]))  # a written document's ids ascend
+        if ordered:
+            return cls(ids, array)
+        order = sorted(range(len(ids)), key=lambda k: _id_order(ids[k]))
+        return cls((ids[k] for k in order), array[order])
+
+    def positions(self) -> dict:
+        """Each id's position in `ids`."""
+        if self._index is None:
+            self._index = dict(zip(self.ids, range(len(self.ids))))
+        return self._index
+
+    def __getitem__(self, key):
+        return self.array[self.positions()[key]].tolist()
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return f"IdTable({dict(self)!r})"
+
+
+def _runs(pairs) -> dict:
+    """Source id -> (lo, hi) of `pairs` in id order: its pairs are pairs[lo:hi]."""
+    ends = {sid: k for k, (sid, _) in enumerate(pairs, 1)}
+    return dict(zip(ends, zip([0, *ends.values()], ends.values())))
+
+
 def _first_mismatch(keys, others):
     """The first key, in id order, in just one of the two, else repeated in `others`."""
     return min(set(keys).symmetric_difference(others)
@@ -114,14 +175,15 @@ def _first_mismatch(keys, others):
 
 
 def _pair_index(membership: np.ndarray):
-    """(pair_source, pair_aggregator, aggregator_pairs, members), read-only:
-    pair k is the k-th nonzero [s, b] of the n x m membership, row by row;
-    aggregator_pairs[b] and members[b] are b's pair rows and source rows."""
+    """(pair_source, pair_aggregator, aggregator_pairs, members), read-only,
+    as the membership they index becomes: pair k is the k-th nonzero [s, b]
+    of the n x m membership, row by row; aggregator_pairs[b] and members[b]
+    are b's pair rows and source rows."""
     pair_source, pair_aggregator = np.nonzero(membership)
     aggregator_pairs = tuple(np.flatnonzero(pair_aggregator == b)
                              for b in range(membership.shape[1]))
     members = tuple(pair_source[rows] for rows in aggregator_pairs)
-    _read_only((pair_source, pair_aggregator, *aggregator_pairs, *members))
+    _read_only((membership, pair_source, pair_aggregator, *aggregator_pairs, *members))
     return pair_source, pair_aggregator, aggregator_pairs, members
 
 
@@ -148,7 +210,11 @@ class MarketScenario:
     their columns to _from_columns, the same indexing pass.  Every attribute is
     set at construction, never cached on first read: writing to an
     instance's __dict__ later slows every attribute read on it (CPython
-    3.11).  The instance is immutable."""
+    3.11).  The instance is immutable and every table read-only: the arrays
+    above, the EffortMap's columns, each aggregator's `zeta` (a mapping
+    proxy) and, in direct mode, `direct_beta`, an IdTable over the sharing
+    pairs, and `direct_xi`, a mapping proxy from aggregator id (in id
+    order) to an IdTable over b's dataset pairs (i, l), with its diagonal 1."""
 
     def __init__(self, sources, aggregators, ground_truth: GroundTruth,
                  mode: str = MODE_ESTIMATOR,
@@ -244,35 +310,39 @@ class MarketScenario:
                          self.source_ids, self.features.tolist(), self.membership)))
 
     def _check_direct_tables(self):
+        """Hold direct_beta and each direct_xi[b] as IdTables, checked; a
+        table's first violation is the first in id order."""
         if self.direct_beta is None or self.direct_xi is None:
             raise DomainError("direct mode requires beta and xi tables")
-        beta = {(s, b): float(v) for (s, b), v in dict(self.direct_beta).items()}
-        expected = set(self.sharing_pairs())
-        if set(beta) != expected:
+        beta, expected = IdTable.of(self.direct_beta), self._sharing_pairs
+        if beta.ids != expected:
             raise DomainError("direct beta table must cover exactly the sharing pairs "
                               f"(first mismatch {_first_mismatch(beta, expected)})")
-        if any(not math.isfinite(v) for v in beta.values()):
+        if not np.isfinite(beta.array).all():
             raise DomainError("direct beta values must be finite")
-        xi = {b: {pair: float(v) for pair, v in table.items()}
-              for b, table in dict(self.direct_xi).items()}
+        xi = {b: IdTable.of(table) for b, table in dict(self.direct_xi).items()}
         if set(xi) != set(self.aggregator_ids):
             raise DomainError("direct xi tables must name exactly the aggregators "
                               f"(first mismatch {_first_mismatch(xi, self.aggregator_ids)!r})")
-        for b, table in sorted(xi.items()):
-            ds = self.dataset(b)
-            expected_pairs = {(i, l) for i in ds for l in ds}
-            if set(table) != expected_pairs:
+        for b in self.aggregator_ids:
+            table, ds = xi[b], self.dataset(b)
+            expected = tuple(itertools.product(ds, repeat=2))
+            if table.ids != expected:
                 raise DomainError(f"direct xi table of {b!r} must cover its dataset pairs "
-                                  f"(first mismatch {_first_mismatch(table, expected_pairs)})")
-            for (i, l), v in table.items():
-                if i == l and v != 1.0:
+                                  f"(first mismatch {_first_mismatch(table, expected)})")
+            values = table.array.reshape(len(ds), len(ds))
+            not_one = np.eye(len(ds), dtype=bool) & (values != 1.0)
+            bad = np.flatnonzero(not_one | ~(np.isfinite(values) & (values >= 0)))
+            if len(bad):
+                (i, l), v = table.ids[bad[0]], float(table.array[bad[0]])
+                if not_one.flat[bad[0]]:
                     raise DomainError(f"diagonal xi must be 1 (aggregator {b!r}, "
                                       f"source {i!r} has {v})")
-                if v < 0 or not math.isfinite(v):
-                    raise DomainError(f"xi values must be nonnegative and finite "
-                                      f"(aggregator {b!r}, pair {(i, l)})")
+                raise DomainError(f"xi values must be nonnegative and finite "
+                                  f"(aggregator {b!r}, pair {(i, l)})")
         object.__setattr__(self, "direct_beta", beta)
-        object.__setattr__(self, "direct_xi", xi)
+        object.__setattr__(self, "direct_xi",
+                           types.MappingProxyType({b: xi[b] for b in self.aggregator_ids}))
 
     @property
     def dimension(self) -> int:
@@ -682,18 +752,16 @@ def _derivation(scenario: MarketScenario, *, beta: np.ndarray | None = None):
     estimator market's given `beta` (generation's) is not derived again."""
     try:
         if scenario.mode == MODE_DIRECT:
-            beta = np.array([scenario.direct_beta[p] for p in scenario.sharing_pairs()])
-            xi = []
-            for bid in scenario.aggregator_ids:
-                ds, table = scenario.dataset(bid), scenario.direct_xi[bid]
-                xi.append(np.array([[table[i, l] if i != l else 0.0 for l in ds] for i in ds],
-                                   dtype=float).reshape(len(ds), len(ds)))
+            beta, xi = scenario.direct_beta.array, []
+            for table, rows in zip(scenario.direct_xi.values(), scenario.members):
+                xi.append(table.array.reshape(len(rows), len(rows)).copy())
+                np.fill_diagonal(xi[-1], 0.0)
         else:
             beta = derive_beta(scenario) if beta is None else beta
             xi = derive_xi(scenario)
     except IllDefinedEstimatorError as exc:
         return None, _validation_report(scenario, ill_defined=str(exc))
-    demand = derive_gamma(scenario, beta)
+    beta, *demand = _read_only((beta, *derive_gamma(scenario, beta)))
     return (beta, _read_only(xi), *demand), _validation_report(scenario, demand)
 
 
@@ -785,7 +853,8 @@ class DerivedParameters:
     and a stalled radius) call coupling.toarray() where they run; no solve,
     sweep or certificate does.  The one Krylov basis that the radius
     and every solve read, `krylov` (see KrylovBasis), is built on first read
-    and kept too: (k + 1) x P floats for k steps."""
+    and kept too: (k + 1) x P floats for k steps.  The instance is immutable
+    and every table read-only."""
 
     scenario: MarketScenario
     mode: str

@@ -44,11 +44,24 @@ from .equilibrium import (
     SolveDiagnostics,
     SourcePolytope,
     _aligned,
-    _runs,
 )
 from .errors import DomainError, ParseError
 from .market import DerivedParameters
-from .scenario import _expect, _load_json, _number, _numbers_by_id, _object, _pairs_by_id
+from .scenario import (
+    _expect,
+    _fields,
+    _finite,
+    _id_keys,
+    _keys,
+    _load_json,
+    _number,
+    _numbers_by_id,
+    _object,
+    _pair_objects,
+    _pair_table,
+    _read_pairs,
+    _values,
+)
 from .welfare import WelfareReport
 
 RESULT_SCHEMA_VERSION = 1
@@ -58,55 +71,9 @@ RESULT_SCHEMA_VERSION = 1
 # JSON writing
 # ---------------------------------------------------------------------------
 
-def _keys(ids) -> list[str]:
-    """The '"id": ' prefix of each id's field."""
-    return [_quoted(key) + ": " for key in ids]
-
-
-def _values(table: IdTable, name: str) -> list:
-    """The table's values, a row's as a list.  A value that is not finite,
-    which no reader accepts, raises DomainError naming the table and the id."""
-    finite = np.isfinite(table.array).reshape(len(table.ids), -1).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise DomainError(f"table {name} has a non-finite value at {table.ids[k]}: "
-                          f"{table.array[k].tolist()}")
-    return table.array.tolist()
-
-
-def _fields(keys: list[str], table: IdTable, name: str) -> list[str]:
-    """Each value's field, after its key's prefix."""
-    return list(map(str.__add__, keys, map(float.__repr__, _values(table, name))))
-
-
-def _id_keys(table: IdTable, name: str, pairs: bool = False) -> IdTable:
-    """The table, when every key is an id (a pair of ids where `pairs`); any
-    other key, which no reader accepts, raises DomainError naming the table."""
-    for key in table.ids:
-        if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], str)
-                and isinstance(key[1], str) if pairs else isinstance(key, str)):
-            raise DomainError(f"table {name} has a key that is not "
-                              f"{'a pair of ids' if pairs else 'an id'}: {key!r}")
-    return table
-
-
 def _flat_table(table, name: str) -> str:
     table = _id_keys(IdTable.of(table), name)
     return _object(_fields(_keys(table.ids), table, name), 1)
-
-
-def _pair_objects(table: IdTable, name: str, depth: int) -> dict:
-    """Source id -> the object, nested `depth` deep, of its pairs' fields
-    keyed by aggregator: the run of its pairs in the table's id order."""
-    table = _id_keys(table, name, pairs=True)
-    fields = _fields(_keys(bid for _, bid in table.ids), table, name)
-    return {sid: _object(fields[lo:hi], depth) for sid, (lo, hi) in _runs(table.ids).items()}
-
-
-def _pair_table(table, name: str) -> str:
-    """A table over pairs, as one object per source of its pairs' fields."""
-    objects = _pair_objects(IdTable.of(table), name, 2)
-    return _object(list(map(str.__add__, _keys(objects), objects.values())), 1)
 
 
 #: One source's polytope entry, nested two deep, after its '"id": ' prefix.
@@ -146,9 +113,10 @@ def result_to_json(result: EquilibriumResult) -> str:
                                                nan=result.status == STATUS_NONE),
                   f'"marginal": {json.dumps(diagnostics.marginal)}'], 1)]
     if result.solved:
-        fields += ['"a": ' + _pair_table(result.a.a, "a"),
+        fields += ['"a": ' + _pair_table(IdTable.of(result.a.a), "a", 1),
                    '"a_total": ' + _flat_table(result.a.a_total, "a_total"),
-                   '"canonical_c": ' + _pair_table(result.canonical_c, "canonical_c"),
+                   '"canonical_c": ' + _pair_table(IdTable.of(result.canonical_c),
+                                                   "canonical_c", 1),
                    '"efforts": ' + _flat_table(result.efforts, "efforts"),
                    '"polytope": ' + _polytope(result.polytope)]
     return _object(fields, 0) + "\n"
@@ -168,14 +136,6 @@ def welfare_to_json(report: WelfareReport) -> str:
 # JSON reading
 # ---------------------------------------------------------------------------
 
-def _finite(values: list) -> np.ndarray | None:
-    """values as an array when every one is a finite float, else None."""
-    if set(map(type, values)) != {float}:
-        return None
-    array = np.array(values)
-    return array if np.isfinite(array).all() else None
-
-
 def _read_ids(doc, key: str) -> IdTable:
     """doc[key]: an object of finite numbers keyed by id."""
     table = _expect(doc, key, dict, "result")
@@ -183,16 +143,6 @@ def _read_ids(doc, key: str) -> IdTable:
     if array is None:
         return IdTable.of(_numbers_by_id(doc, key, "result"))
     return IdTable.of(table, array)
-
-
-def _read_pairs(doc, key: str) -> IdTable:
-    """doc[key]: an object of _read_ids rows keyed by source id."""
-    rows = _expect(doc, key, dict, "result")
-    if all(type(row) is dict for row in rows.values()):
-        array = _finite([value for row in rows.values() for value in row.values()])
-        if array is not None:
-            return IdTable.of([(sid, bid) for sid, row in rows.items() for bid in row], array)
-    return IdTable.of(_pairs_by_id(doc, key, "result"))
 
 
 def _source_polytope(doc, sid, location) -> SourcePolytope:
@@ -256,8 +206,8 @@ def result_from_json(text: str) -> EquilibriumResult:
     sources = _expect(doc, "polytope", dict, "result")
     return EquilibriumResult(
         status=status,
-        a=AParameters(a=_read_pairs(doc, "a"), a_total=_read_ids(doc, "a_total")),
-        canonical_c=_read_pairs(doc, "canonical_c"), polytope=_read_polytope(sources),
+        a=AParameters(a=_read_pairs(doc, "a", "result"), a_total=_read_ids(doc, "a_total")),
+        canonical_c=_read_pairs(doc, "canonical_c", "result"), polytope=_read_polytope(sources),
         efforts=_read_ids(doc, "efforts"), diagnostics=diagnostics)
 
 

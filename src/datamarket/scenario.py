@@ -3,7 +3,8 @@
 The on-disk format is JSON with an explicit schema_version.  Serialization is
 canonical (fixed key order, sections sorted by id, shortest round-trip float
 representation), so parse -> serialize -> parse is the identity and derived
-parameters reproduce exactly from a saved document.
+parameters reproduce exactly from a saved document.  Tables keyed by id
+pairs are read and written by one codec, which result documents share.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quoted
-from typing import Mapping
 
 import numpy as np
 
@@ -33,11 +33,13 @@ from .market import (
     AggregatorSpec,
     DataSourceSpec,
     GroundTruth,
+    IdTable,
     MarketScenario,
     _derivation,
     _net_demand,
     _pair_index,
     _relevance,
+    _runs,
     _source_columns,
 )
 
@@ -109,6 +111,26 @@ def _pairs_by_id(doc, key, location) -> dict[tuple[str, str], float]:
     rows = _expect(doc, key, dict, location)
     return {(sid, bid): v for sid in rows
             for bid, v in _numbers_by_id(rows, sid, f"{location}.{key}").items()}
+
+
+def _finite(values: list) -> np.ndarray | None:
+    """values as an array when every one is a finite float, else None."""
+    if set(map(type, values)) != {float}:
+        return None
+    array = np.array(values)
+    return array if np.isfinite(array).all() else None
+
+
+def _read_pairs(doc, key: str, location: str) -> IdTable:
+    """doc[key]: an object of rows of finite numbers keyed by source id, as
+    an IdTable over the pairs, read in one pass; a table with a value that
+    is not a finite float is read by _pairs_by_id, which names the field."""
+    rows = _expect(doc, key, dict, location)
+    if all(type(row) is dict for row in rows.values()):
+        array = _finite([value for row in rows.values() for value in row.values()])
+        if array is not None:
+            return IdTable.of([(sid, bid) for sid, row in rows.items() for bid in row], array)
+    return IdTable.of(_pairs_by_id(doc, key, location))
 
 
 def _no_unknown_fields(mapping, allowed, location):
@@ -189,9 +211,9 @@ def _parse_aggregator(doc, index) -> AggregatorSpec:
 def _parse_direct_tables(doc):
     location = "direct_parameters"
     _no_unknown_fields(doc, {"beta", "xi"}, location)
-    beta = _pairs_by_id(doc, "beta", location)
+    beta = _read_pairs(doc, "beta", location)
     xi_doc = _expect(doc, "xi", dict, location)
-    return beta, {bid: _pairs_by_id(xi_doc, bid, f"{location}.xi") for bid in xi_doc}
+    return beta, {bid: _read_pairs(xi_doc, bid, f"{location}.xi") for bid in xi_doc}
 
 
 def _read_columns(docs):
@@ -301,14 +323,53 @@ def _floats(values, depth: int) -> str:
     return _object(list(map(_float, values)), depth, "[]")
 
 
-def _nested(table: Mapping[tuple[str, str], float], depth: int) -> str:
-    """A table keyed by id pairs, as an object of objects keyed by the
-    first id then the second, in id order."""
-    rows: dict[str, list[str]] = {}
-    for (first, second), value in sorted(table.items()):
-        rows.setdefault(first, []).append(f"{_quoted(second)}: {float(value)!r}")
-    return _object([f"{_quoted(first)}: {_object(fields, depth + 1)}"
-                    for first, fields in rows.items()], depth)
+def _keys(ids) -> list[str]:
+    """The '"id": ' prefix of each id's field, each distinct id quoted once."""
+    ids = list(ids)
+    quoted = {key: _quoted(key) + ": " for key in dict.fromkeys(ids)}
+    return list(map(quoted.__getitem__, ids))
+
+
+def _values(table: IdTable, name: str) -> list:
+    """The table's values, a row's as a list.  A value that is not finite,
+    which no reader accepts, raises DomainError naming the table and the id."""
+    finite = np.isfinite(table.array)
+    if not finite.all():
+        k = int(np.argmin(finite.reshape(len(table.ids), -1).all(axis=1)))
+        raise DomainError(f"table {name} has a non-finite value at {table.ids[k]}: "
+                          f"{table.array[k].tolist()}")
+    return table.array.tolist()
+
+
+def _fields(keys: list[str], table: IdTable, name: str) -> list[str]:
+    """Each value's field, after its key's prefix."""
+    return [f"{key}{value!r}" for key, value in zip(keys, _values(table, name))]
+
+
+def _id_keys(table: IdTable, name: str, pairs: bool = False) -> IdTable:
+    """The table, when every key is an id (a pair of ids where `pairs`); any
+    other key, which no reader accepts, raises DomainError naming the table."""
+    for key in table.ids:
+        if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], str)
+                and isinstance(key[1], str) if pairs else isinstance(key, str)):
+            raise DomainError(f"table {name} has a key that is not "
+                              f"{'a pair of ids' if pairs else 'an id'}: {key!r}")
+    return table
+
+
+def _pair_objects(table: IdTable, name: str, depth: int) -> dict:
+    """Source id -> the object, nested `depth` deep, of its pairs' fields
+    keyed by aggregator: the run of its pairs in the table's id order."""
+    table = _id_keys(table, name, pairs=True)
+    fields = _fields(_keys(map(operator.itemgetter(1), table.ids)), table, name)
+    return {sid: _object(fields[lo:hi], depth) for sid, (lo, hi) in _runs(table.ids).items()}
+
+
+def _pair_table(table: IdTable, name: str, depth: int) -> str:
+    """An IdTable over pairs, in id order, as an object nested `depth` deep
+    with one object per source of its pairs' fields."""
+    objects = _pair_objects(table, name, depth + 1)
+    return _object(list(map(str.__add__, _keys(objects), objects.values())), depth)
 
 
 #: One source's entry in "sources", nested two deep, from its id, feature,
@@ -368,11 +429,10 @@ def serialize_scenario(scenario: MarketScenario) -> str:
               '"aggregators": ' + _object(list(map(_aggregator_text, scenario.aggregators)),
                                           1, "[]")]
     if scenario.mode == MODE_DIRECT:
-        xi = scenario.direct_xi
         fields.append('"direct_parameters": ' + _object([
-            '"beta": ' + _nested(scenario.direct_beta, 2),
-            '"xi": ' + _object([f"{_quoted(bid)}: {_nested(xi[bid], 3)}" for bid in sorted(xi)],
-                               2)], 1))
+            '"beta": ' + _pair_table(scenario.direct_beta, "beta", 2),
+            '"xi": ' + _object([f"{_quoted(bid)}: {_pair_table(table, 'xi', 3)}"
+                                for bid, table in scenario.direct_xi.items()], 2)], 1))
     return _object(fields, 0) + "\n"
 
 
@@ -497,12 +557,14 @@ def _attempt(spec: GenerationSpec, rng) -> tuple[MarketScenario, np.ndarray]:
     direct_beta = direct_xi = None
     if spec.mode == MODE_DIRECT:
         beta = rng.uniform(0.5, 2.0, size=len(pairs))
-        direct_beta = dict(zip(pairs, beta.tolist()))
-        datasets = [[sids[i] for i in rows.tolist()] for rows in members]
-        direct_xi = {
-            bid: {(i, l): 1.0 if i == l else float(rng.uniform(0.0, spec.coupling_scale))
-                  for i in ds for l in ds}
-            for bid, ds in zip(bids, datasets)}
+        direct_beta, direct_xi = IdTable(pairs, beta), {}
+        for bid, rows in zip(bids, members):
+            # the off-diagonal entries in row order, as one draw each in that order
+            xi = np.ones((len(rows), len(rows)))
+            xi[~np.eye(len(rows), dtype=bool)] = rng.uniform(
+                0.0, spec.coupling_scale, size=len(rows) * (len(rows) - 1))
+            ds = [sids[i] for i in rows.tolist()]
+            direct_xi[bid] = IdTable(itertools.product(ds, repeat=2), xi.ravel())
     else:
         # relevance is pure geometry, derivable before any effort family exists
         beta = _relevance(features, aggregator_pairs, members, aggregators)

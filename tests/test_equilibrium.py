@@ -618,6 +618,7 @@ class TestSolvePaths:
         assert exc.value.condition >= 1.0
         assert f"at alpha {alpha} (1 - alpha rho = {1.0 - alpha * params.spectral_radius}, " \
             f"basis size {k})" in str(exc.value)
+        assert "negativity" not in str(exc.value)  # every weight is positive: only the residual
 
     def test_non_finite_factor_gives_infinite_condition(self, monkeypatch):
         # an SVD of a NaN factor fails: the condition reads inf instead

@@ -3,7 +3,9 @@ matrix, against hand linear algebra and structural invariants."""
 
 import csv
 import io
+import math
 from dataclasses import replace
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -286,6 +288,37 @@ class TestValidation:
             assert got.value.violations == report.violations
 
 
+#: A write to each table of a direct scenario and of its derived parameters, by name.
+TABLE_WRITES = {
+    "membership": lambda scn, params: setitem(scn.membership, (0, 0), False),
+    **{f"effort_map.{column}": lambda scn, params, column=column: setitem(
+        getattr(scn.effort_map, column), 0, 2.0)
+       for column in ("family", "sigma0", "rate", "e_max", "a_lower", "a_upper")},
+    "aggregator zeta": lambda scn, params: setitem(scn.aggregators[0].zeta, "b2", 0.5),
+    "direct_beta entry": lambda scn, params: setitem(scn.direct_beta, ("s1", "b1"), -1.0),
+    "direct_beta array": lambda scn, params: setitem(scn.direct_beta.array, 0, -1.0),
+    "direct_xi[b] entry": lambda scn, params: setitem(scn.direct_xi["b1"], ("s1", "s2"), -1.0),
+    "direct_xi[b] array": lambda scn, params: setitem(scn.direct_xi["b1"].array, 1, -1.0),
+    "direct_xi": lambda scn, params: setitem(scn.direct_xi, "b1", {}),
+    **{f"derived {name}": lambda scn, params, name=name: setitem(getattr(params, name), 0, 9.0)
+       for name in ("beta", "gamma", "gamma_total")},
+}
+
+
+@pytest.mark.parametrize("write", sorted(TABLE_WRITES))
+def test_tables_are_read_only(write):
+    scn = make_symmetric_direct()
+    params = derive_parameters(scn)
+    with pytest.raises((ValueError, TypeError)):
+        TABLE_WRITES[write](scn, params)
+    again = derive_parameters(scn)
+    for before, after in ((params.beta, again.beta), (params.gamma, again.gamma),
+                          *zip(params.xi, again.xi)):
+        np.testing.assert_array_equal(after, before)
+    np.testing.assert_array_equal(params.beta, np.ones(4))
+    np.testing.assert_array_equal(params.xi[0], [[0.0, 0.5], [0.5, 0.0]])
+
+
 class TestConstructionErrors:
     def test_direct_diagonal_must_be_one(self):
         scn = make_symmetric_direct()
@@ -295,6 +328,17 @@ class TestConstructionErrors:
             MarketScenario(scn.sources, scn.aggregators, scn.ground_truth,
                            mode="direct", direct_beta=scn.direct_beta,
                            direct_xi=bad_xi)
+
+    def test_first_xi_violation_in_id_order(self):
+        # b1's table lists a bad diagonal before a negative entry that comes
+        # first in id order: the negative entry is the one reported
+        scn = make_symmetric_direct()
+        xi = {**scn.direct_xi, "b1": {("s2", "s2"): 0.5, ("s1", "s2"): -0.5,
+                                      ("s1", "s1"): 1.0, ("s2", "s1"): math.nan}}
+        with pytest.raises(DomainError, match=r"^xi values must be nonnegative and finite "
+                                              r"\(aggregator 'b1', pair \('s1', 's2'\)\)$"):
+            MarketScenario(scn.sources, scn.aggregators, scn.ground_truth,
+                           mode="direct", direct_beta=scn.direct_beta, direct_xi=xi)
 
     def test_duplicate_ids(self):
         model = exponential_model(1.0, 0.5)

@@ -59,6 +59,27 @@ class TestRoundTrip:
         shuffled = json.dumps(doc)
         assert serialize_scenario(parse_scenario(shuffled)) == serialize_scenario(scenario)
 
+    def test_direct_tables_in_reverse_id_order(self):
+        # every beta and xi row, and every key in it, listed in reverse id order
+        scenario = generate_scenario(GenerationSpec(6, 3, mode=MODE_DIRECT,
+                                                    sharing_density=0.7), 0)
+        text = serialize_scenario(scenario)
+        doc = json.loads(text)
+
+        def reverse(rows):
+            return {sid: dict(reversed(row.items())) for sid, row in reversed(rows.items())}
+
+        tables = doc["direct_parameters"]
+        tables["beta"] = reverse(tables["beta"])
+        tables["xi"] = {bid: reverse(table) for bid, table in reversed(tables["xi"].items())}
+        reparsed = parse_scenario(json.dumps(doc))
+        assert reparsed.direct_beta.ids == scenario.sharing_pairs()
+        assert list(reparsed.direct_xi) == list(scenario.aggregator_ids)
+        for bid, table in reparsed.direct_xi.items():
+            ds = scenario.dataset(bid)
+            assert table.ids == tuple((i, l) for i in ds for l in ds)
+        assert serialize_scenario(reparsed) == text
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 12), m=st.integers(1, 4), d=st.integers(1, 3),
            family=st.sampled_from([form.name for form in FORMS] + ["mixed"]),

@@ -33,6 +33,7 @@ from datamarket.effort import exponential_model
 from datamarket.equilibrium import (
     MARGINAL_BAND,
     STATUS_UNIQUE,
+    IdTable,
     _variance_weights,
     certify_equilibrium,
     payment_floors,
@@ -60,7 +61,12 @@ from datamarket.market import (
     validate_scenario,
 )
 from datamarket.results import xi_csv, xi_matrix_csv
-from datamarket.scenario import GenerationSpec, generate_scenario, serialize_scenario
+from datamarket.scenario import (
+    GenerationSpec,
+    generate_scenario,
+    parse_scenario,
+    serialize_scenario,
+)
 from datamarket.welfare import efficiency_predicate, price_of_anarchy
 
 
@@ -352,6 +358,24 @@ def test_solved_market_is_unchanged_by_direct_reentry_of_the_array():
     assert solve_unbounded(params).a == solve_unbounded(reparams).a
 
 
+def test_large_market_reentered_as_direct_tables():
+    # the large-market full-d1 market's tables, entered as direct mode: held
+    # as IdTables, the same beta and blocks bit for bit, a canonical round trip
+    scenario = generate_scenario(GenerationSpec(150, 8, family="mixed", zeta_max=0.1), 0)
+    params = derive_parameters(scenario)
+    direct = MarketScenario(scenario.sources, scenario.aggregators, scenario.ground_truth,
+                            mode=MODE_DIRECT, direct_beta=by_pair(scenario, params.beta),
+                            direct_xi=xi_tables(params))
+    assert isinstance(direct.direct_beta, IdTable)
+    assert all(isinstance(table, IdTable) for table in direct.direct_xi.values())
+    reparams = derive_parameters(direct)
+    np.testing.assert_array_equal(reparams.beta, params.beta)
+    for block, reblock in zip(params.xi, reparams.xi):
+        np.testing.assert_array_equal(reblock, block)
+    text = serialize_scenario(direct)
+    assert serialize_scenario(parse_scenario(text)) == text
+
+
 @st.composite
 def loo_designs(draw):
     """Feature points for leave_one_out_weights: d in {1, 2, 3}, k from d + 2
@@ -487,6 +511,8 @@ def test_aggregator_nobody_sells_to():
         "128ac92b806a3c9375364111f7327342aaf1f014c5729340ebf3f1550a0f86be")
     assert hashlib.sha256(matrix.encode()).hexdigest() == (
         "c6fcacc2b661c7ec63fa5b661a7f71996002ae8f47876045907ada31bf4ab2ce")
+    text = serialize_scenario(scenario)  # the idle aggregator's xi table has no entry
+    assert '"zz": {}' in text and serialize_scenario(parse_scenario(text)) == text
 
 
 def test_derived_block_of_an_aggregator_nobody_sells_to_is_empty():

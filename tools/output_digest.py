@@ -8,20 +8,21 @@ parent commit and on the change, from each checkout's root, and diffing:
     diff before.txt after.txt                      # empty: byte-identical
 
 The markets are the benchmark's markets at seeds 0 and 11 (all four
-workloads), the three north-star shapes (n=300, m=10, family "mixed",
-zeta_max 0.1: full sharing, half sharing with d=2, bounded) and one
-direct-mode market.  For each it hashes the scenario text, its parse ->
-serialize round trip, the bytes of the effort map's incentive bounds
-a_lower and a_upper (no written output shows their last bits), the
+workloads, read from bench/workloads.py, so the listing follows the
+benchmark's shapes, specs and seeds), the three north-star shapes (n=300,
+m=10, family "mixed", zeta_max 0.1: full sharing, half sharing with d=2,
+bounded) and one direct-mode market.  For each it hashes the scenario text,
+its parse -> serialize round trip, the bytes of the effort map's incentive
+bounds a_lower and a_upper (no written output shows their last bits), the
 validation summary, the number of distinct xi blocks that derive_parameters
 holds (printed, not hashed: one of m under full sharing), the beta, gamma
-and xi CSVs
-(xi_matrix.csv too where P <= 400), the solved result's JSON, its
-diagnostics.iterations (printed, not hashed: the bounded sweep count or the
-Krylov basis size, so a moved result.json shows whether the count moved), its
-certificate text and welfare JSON, a five-point alpha sweep CSV (unbounded
-markets) and, in estimator mode, a 30-round rounds CSV and
-payment_statistics.  It imports datamarket from ./src and takes no flags.
+and xi CSVs (xi_matrix.csv too where P <= 400), the solved result's JSON,
+its diagnostics.iterations (printed, not hashed: the bounded sweep count or
+the Krylov basis size, so a moved result.json shows whether the count
+moved), its certificate text and welfare JSON, a five-point alpha sweep CSV
+(unbounded markets) and, in estimator mode, a 30-round rounds CSV and
+payment_statistics.  It imports datamarket from ./src and the workloads
+from ./bench, and takes no flags.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ import hashlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import datamarket as dm  # noqa: E402
 from datamarket import results  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 #: alpha_sweep factors: below, at and past the existence bound of most markets.
 SWEEP = (0.25, 0.5, 1.0, 1.5, 2.0)
@@ -43,22 +46,11 @@ XI_MATRIX_MAX_PAIRS = 400
 
 def markets():
     """(name, spec, generation seed): bench/workloads.py's plans at seeds 0
-    and 11, the north-star shapes and a direct-mode market."""
+    and 11, in WORKLOADS order, the north-star shapes and a direct-mode market."""
     for seed in (0, 11):
-        shapes = [(32, 3), (32, 4), (40, 3), (40, 4), (48, 3), (48, 4)]
-        for k, (n, m) in enumerate(shapes):
-            yield (f"unbounded-certify/{seed}/n{n}-m{m}",
-                   dm.GenerationSpec(n, m, family="mixed"), seed * 1000 + k)
-        for k, n in enumerate((64, 80, 96)):
-            yield (f"bounded-best-response/{seed}/n{n}-m4",
-                   dm.GenerationSpec(n, 4, family="mixed", bounded=True), seed * 1000 + k)
-        yield (f"large-market/{seed}/full-d1",
-               dm.GenerationSpec(150, 8, family="mixed", zeta_max=0.1), seed * 1000)
-        yield (f"large-market/{seed}/half-d2",
-               dm.GenerationSpec(150, 8, dimension=2, family="mixed", zeta_max=0.1,
-                                 sharing_density=0.5), seed * 1000 + 1)
-        yield (f"simulate-rounds/{seed}/market",
-               dm.GenerationSpec(48, 4, family="mixed"), seed * 1000)
+        for name, workload in WORKLOADS.items():
+            for key, spec, gen_seed in workload.plan(seed, False):
+                yield f"{name}/{seed}/{key}", spec, gen_seed
     north_star = dm.GenerationSpec(300, 10, family="mixed", zeta_max=0.1)
     yield "north-star/full", north_star, 0
     yield ("north-star/half-d2",
