@@ -781,6 +781,19 @@ def _effort_kind(scenario: MarketScenario) -> str:
     return "bounded" if bounded.all() else "mixed" if bounded.any() else "unbounded"
 
 
+def _demand_violations(gamma: np.ndarray, pairs):
+    """Validation's demand rule: a violation for each pair whose net demand
+    is not finite and positive.  Generation applies it as soon as a draw's
+    demand is known."""
+    for k in np.flatnonzero(~(np.isfinite(gamma) & (gamma > 0))).tolist():
+        (sid, bid), value = pairs[k], float(gamma[k])
+        if not math.isfinite(value):
+            yield Violation("nonfinite-demand", f"({sid}, {bid})", "net demand is not finite")
+        else:
+            yield Violation("nonpositive-demand", f"({sid}, {bid})",
+                            f"net demand {value} must be positive")
+
+
 def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
                        *, ill_defined: str | None = None) -> ValidationReport:
     """The checks of validate_scenario, given the derived (gamma, gamma_total)
@@ -803,16 +816,7 @@ def _validation_report(scenario: MarketScenario, demand: tuple | None = None,
         return ValidationReport(tuple(violations), tuple(notes))
 
     gamma, gamma_total = demand
-    pairs = scenario.sharing_pairs()
-    for k in np.flatnonzero(~(np.isfinite(gamma) & (gamma > 0))).tolist():
-        (sid, bid), value = pairs[k], float(gamma[k])
-        if not math.isfinite(value):
-            violations.append(Violation(
-                "nonfinite-demand", f"({sid}, {bid})", "net demand is not finite"))
-        else:
-            violations.append(Violation(
-                "nonpositive-demand", f"({sid}, {bid})",
-                f"net demand {value} must be positive"))
+    violations += _demand_violations(gamma, scenario.sharing_pairs())
 
     a_lower, a_upper = scenario.effort_map.a_lower, scenario.effort_map.a_upper
     flagged = ~np.isfinite(gamma_total) | (gamma_total < a_lower) | (gamma_total >= a_upper)

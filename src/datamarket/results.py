@@ -24,7 +24,6 @@ inner double quote doubled.  Other fields are written as they are.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -49,7 +48,6 @@ from .errors import DomainError, ParseError
 from .market import DerivedParameters
 from .scenario import (
     _expect,
-    _fields,
     _finite,
     _id_keys,
     _keys,
@@ -58,8 +56,8 @@ from .scenario import (
     _numbers_by_id,
     _object,
     _pair_objects,
-    _pair_table,
-    _read_pairs,
+    _read_table,
+    _table,
     _values,
 )
 from .welfare import WelfareReport
@@ -70,11 +68,6 @@ RESULT_SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 # JSON writing
 # ---------------------------------------------------------------------------
-
-def _flat_table(table, name: str) -> str:
-    table = _id_keys(IdTable.of(table), name)
-    return _object(_fields(_keys(table.ids), table, name), 1)
-
 
 #: One source's polytope entry, nested two deep, after its '"id": ' prefix.
 _POLYTOPE_ENTRY = ('{{\n      "surplus": {!r},\n      "floors": {},\n      "total": {!r},'
@@ -113,20 +106,20 @@ def result_to_json(result: EquilibriumResult) -> str:
                                                nan=result.status == STATUS_NONE),
                   f'"marginal": {json.dumps(diagnostics.marginal)}'], 1)]
     if result.solved:
-        fields += ['"a": ' + _pair_table(IdTable.of(result.a.a), "a", 1),
-                   '"a_total": ' + _flat_table(result.a.a_total, "a_total"),
-                   '"canonical_c": ' + _pair_table(IdTable.of(result.canonical_c),
-                                                   "canonical_c", 1),
-                   '"efforts": ' + _flat_table(result.efforts, "efforts"),
+        fields += ['"a": ' + _table(IdTable.of(result.a.a), "a", 1, pairs=True),
+                   '"a_total": ' + _table(IdTable.of(result.a.a_total), "a_total", 1),
+                   '"canonical_c": ' + _table(IdTable.of(result.canonical_c), "canonical_c", 1,
+                                              pairs=True),
+                   '"efforts": ' + _table(IdTable.of(result.efforts), "efforts", 1),
                    '"polytope": ' + _polytope(result.polytope)]
     return _object(fields, 0) + "\n"
 
 
 def welfare_to_json(report: WelfareReport) -> str:
     return _object([
-        '"equilibrium_efforts": ' + _flat_table(report.equilibrium_efforts,
-                                                "equilibrium_efforts"),
-        '"optimal_efforts": ' + _flat_table(report.optimal_efforts, "optimal_efforts"),
+        '"equilibrium_efforts": ' + _table(IdTable.of(report.equilibrium_efforts),
+                                           "equilibrium_efforts", 1),
+        '"optimal_efforts": ' + _table(IdTable.of(report.optimal_efforts), "optimal_efforts", 1),
         *(f'"{name}": {json.dumps(getattr(report, name))}'
           for name in ("cost_at_equilibrium", "cost_at_optimum", "poa",
                        "efficient_possible", "offdiagonal_xi_max"))], 0) + "\n"
@@ -135,15 +128,6 @@ def welfare_to_json(report: WelfareReport) -> str:
 # ---------------------------------------------------------------------------
 # JSON reading
 # ---------------------------------------------------------------------------
-
-def _read_ids(doc, key: str) -> IdTable:
-    """doc[key]: an object of finite numbers keyed by id."""
-    table = _expect(doc, key, dict, "result")
-    array = _finite(list(table.values()))
-    if array is None:
-        return IdTable.of(_numbers_by_id(doc, key, "result"))
-    return IdTable.of(table, array)
-
 
 def _source_polytope(doc, sid, location) -> SourcePolytope:
     """doc[sid]: one source's polytope entry, read field by field."""
@@ -206,9 +190,11 @@ def result_from_json(text: str) -> EquilibriumResult:
     sources = _expect(doc, "polytope", dict, "result")
     return EquilibriumResult(
         status=status,
-        a=AParameters(a=_read_pairs(doc, "a", "result"), a_total=_read_ids(doc, "a_total")),
-        canonical_c=_read_pairs(doc, "canonical_c", "result"), polytope=_read_polytope(sources),
-        efforts=_read_ids(doc, "efforts"), diagnostics=diagnostics)
+        a=AParameters(a=_read_table(doc, "a", "result", pairs=True),
+                      a_total=_read_table(doc, "a_total", "result")),
+        canonical_c=_read_table(doc, "canonical_c", "result", pairs=True),
+        polytope=_read_polytope(sources), efforts=_read_table(doc, "efforts", "result"),
+        diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +211,7 @@ def _field(text: str) -> str:
 
 def _csv(rows) -> str:
     """Rows of Python ints, floats and CSV fields; str of a float is its repr."""
-    buffer = io.StringIO()
-    for row in rows:
-        buffer.write(",".join(map(str, row)) + "\n")
-    return buffer.getvalue()
+    return "".join([",".join(map(str, row)) + "\n" for row in rows])
 
 
 def _pair_csv(params: DerivedParameters, name: str, values) -> str:

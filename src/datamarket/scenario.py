@@ -3,8 +3,9 @@
 The on-disk format is JSON with an explicit schema_version.  Serialization is
 canonical (fixed key order, sections sorted by id, shortest round-trip float
 representation), so parse -> serialize -> parse is the identity and derived
-parameters reproduce exactly from a saved document.  Tables keyed by id
-pairs are read and written by one codec, which result documents share.
+parameters reproduce exactly from a saved document.  Tables keyed by id,
+or by id pair, are read by _read_table and written by _table (each zeta
+object by its _pair_objects), which result documents share.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .market import (
     GroundTruth,
     IdTable,
     MarketScenario,
+    _demand_violations,
     _derivation,
     _net_demand,
     _pair_index,
@@ -106,13 +108,6 @@ def _numbers_by_id(doc, key, location) -> dict[str, float]:
     return {name: _number(v, name, location) for name, v in table.items()}
 
 
-def _pairs_by_id(doc, key, location) -> dict[tuple[str, str], float]:
-    """doc[key]: an object of _numbers_by_id rows keyed by source id."""
-    rows = _expect(doc, key, dict, location)
-    return {(sid, bid): v for sid in rows
-            for bid, v in _numbers_by_id(rows, sid, f"{location}.{key}").items()}
-
-
 def _finite(values: list) -> np.ndarray | None:
     """values as an array when every one is a finite float, else None."""
     if set(map(type, values)) != {float}:
@@ -121,16 +116,22 @@ def _finite(values: list) -> np.ndarray | None:
     return array if np.isfinite(array).all() else None
 
 
-def _read_pairs(doc, key: str, location: str) -> IdTable:
-    """doc[key]: an object of rows of finite numbers keyed by source id, as
-    an IdTable over the pairs, read in one pass; a table with a value that
-    is not a finite float is read by _pairs_by_id, which names the field."""
-    rows = _expect(doc, key, dict, location)
-    if all(type(row) is dict for row in rows.values()):
-        array = _finite([value for row in rows.values() for value in row.values()])
+def _read_table(doc, key: str, location: str, pairs: bool = False) -> IdTable:
+    """doc[key]: an object of finite numbers keyed by id, or with `pairs` an
+    object of such objects keyed by source id, as an IdTable in id order,
+    read in one pass.  A table with a value that is not a finite float is
+    read by _numbers_by_id, row by row for pairs, which names the field."""
+    table = _expect(doc, key, dict, location)
+    rows = table.values() if pairs else [table]
+    if set(map(type, rows)) <= {dict}:
+        array = _finite(list(itertools.chain.from_iterable(map(dict.values, rows))))
         if array is not None:
-            return IdTable.of([(sid, bid) for sid, row in rows.items() for bid in row], array)
-    return IdTable.of(_pairs_by_id(doc, key, location))
+            return IdTable.of([(sid, bid) for sid, row in table.items() for bid in row]
+                              if pairs else table, array)
+    if not pairs:
+        return IdTable.of(_numbers_by_id(doc, key, location))
+    return IdTable.of({(sid, bid): v for sid in table
+                       for bid, v in _numbers_by_id(table, sid, f"{location}.{key}").items()})
 
 
 def _no_unknown_fields(mapping, allowed, location):
@@ -211,9 +212,9 @@ def _parse_aggregator(doc, index) -> AggregatorSpec:
 def _parse_direct_tables(doc):
     location = "direct_parameters"
     _no_unknown_fields(doc, {"beta", "xi"}, location)
-    beta = _read_pairs(doc, "beta", location)
+    beta = _read_table(doc, "beta", location, pairs=True)
     xi_doc = _expect(doc, "xi", dict, location)
-    return beta, {bid: _read_pairs(xi_doc, bid, f"{location}.xi") for bid in xi_doc}
+    return beta, {bid: _read_table(xi_doc, bid, f"{location}.xi", pairs=True) for bid in xi_doc}
 
 
 def _read_columns(docs):
@@ -308,7 +309,7 @@ def _object(fields, depth: int, brackets: str = "{}") -> str:
     if not fields:
         return brackets
     inner = "\n" + "  " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(fields) + "\n" + "  " * depth + brackets[1]
+    return f"{brackets[0]}{inner}{(',' + inner).join(fields)}\n{'  ' * depth}{brackets[1]}"
 
 
 def _float(value) -> str:
@@ -365,9 +366,11 @@ def _pair_objects(table: IdTable, name: str, depth: int) -> dict:
     return {sid: _object(fields[lo:hi], depth) for sid, (lo, hi) in _runs(table.ids).items()}
 
 
-def _pair_table(table: IdTable, name: str, depth: int) -> str:
-    """An IdTable over pairs, in id order, as an object nested `depth` deep
-    with one object per source of its pairs' fields."""
+def _table(table: IdTable, name: str, depth: int, pairs: bool = False) -> str:
+    """An IdTable, in id order, as an object nested `depth` deep: its
+    fields, or with `pairs` one object per source of its pairs' fields."""
+    if not pairs:
+        return _object(_fields(_keys(_id_keys(table, name).ids), table, name), depth)
     objects = _pair_objects(table, name, depth + 1)
     return _object(list(map(str.__add__, _keys(objects), objects.values())), depth)
 
@@ -404,15 +407,15 @@ def _sources_text(scenario: MarketScenario) -> list[str]:
     return entries
 
 
-def _aggregator_text(agg: AggregatorSpec) -> str:
+def _aggregator_text(agg: AggregatorSpec, zeta: str) -> str:
+    """One aggregator's entry, nested two deep, with its zeta object's text."""
     return _object([
         f'"id": {_quoted(agg.id)}',
         f'"estimator": {_quoted(agg.estimator.kind)}',
         '"query_distribution": ' + _object([
             _object([f'"point": {_floats(point, 5)}', f'"probability": {_float(w)}'], 4)
             for point, w in agg.query_dist.atoms], 3, "[]"),
-        '"zeta": ' + _object([f"{_quoted(j)}: {_float(agg.zeta[j])}" for j in sorted(agg.zeta)],
-                             3),
+        '"zeta": ' + zeta,
         f'"eta": {_float(agg.payment_scale)}'], 2)
 
 
@@ -421,17 +424,21 @@ def serialize_scenario(scenario: MarketScenario) -> str:
     it (fixed key order, id-sorted sections, float repr), written straight
     from the scenario's columns."""
     truth = scenario.ground_truth
+    # every aggregator's zeta as one table keyed by (aggregator, rival): one pass of
+    # the writer, whose fixed cost per table exceeds a small zeta's own
+    zeta = _pair_objects(IdTable.of({(agg.id, j): z for agg in scenario.aggregators
+                                     for j, z in agg.zeta.items()}), "zeta", 3)
     fields = [f'"schema_version": {SCHEMA_VERSION}',
               f'"mode": {_quoted(scenario.mode)}',
               '"ground_truth": ' + _object([f'"coefficients": {_floats(truth.coefficients, 2)}',
                                             f'"intercept": {_float(truth.intercept)}'], 1),
               '"sources": ' + _object(_sources_text(scenario), 1, "[]"),
-              '"aggregators": ' + _object(list(map(_aggregator_text, scenario.aggregators)),
-                                          1, "[]")]
+              '"aggregators": ' + _object([_aggregator_text(agg, zeta.get(agg.id, "{}"))
+                                           for agg in scenario.aggregators], 1, "[]")]
     if scenario.mode == MODE_DIRECT:
         fields.append('"direct_parameters": ' + _object([
-            '"beta": ' + _pair_table(scenario.direct_beta, "beta", 2),
-            '"xi": ' + _object([f"{_quoted(bid)}: {_pair_table(table, 'xi', 3)}"
+            '"beta": ' + _table(scenario.direct_beta, "beta", 2, pairs=True),
+            '"xi": ' + _object([f"{_quoted(bid)}: {_table(table, 'xi', 3, pairs=True)}"
                                 for bid, table in scenario.direct_xi.items()], 2)], 1))
     return _object(fields, 0) + "\n"
 
@@ -528,7 +535,14 @@ def _latin_features(rng, n: int, d: int) -> np.ndarray:
     return coords
 
 
-def _attempt(spec: GenerationSpec, rng) -> tuple[MarketScenario, np.ndarray]:
+def _reject(violations) -> None:
+    """Refuse a draw with violations, by the first three of their messages."""
+    if violations:
+        raise DomainError("; ".join(v.message for v in violations[:3]))  # retried
+
+
+def _attempt(spec: GenerationSpec, rng) -> MarketScenario:
+    """One draw; DomainError when validation refuses it (see _reject)."""
     sids = [f"s{k + 1:03d}" for k in range(spec.n_sources)]
     bids = [f"b{k + 1:03d}" for k in range(spec.n_aggregators)]
     features = _latin_features(rng, spec.n_sources, spec.dimension)
@@ -554,9 +568,13 @@ def _attempt(spec: GenerationSpec, rng) -> tuple[MarketScenario, np.ndarray]:
                                float(rng.uniform(-1.0, 1.0)))
 
     pairs = [(sids[s], bids[b]) for s, b in zip(pair_source.tolist(), pair_aggregator.tolist())]
+    # direct mode draws beta; relevance is pure geometry, known before any effort family
+    beta = (rng.uniform(0.5, 2.0, size=len(pairs)) if spec.mode == MODE_DIRECT
+            else _relevance(features, aggregator_pairs, members, aggregators))
+    gamma, gamma_total = _net_demand(beta, membership, pair_source, pair_aggregator, aggregators)
+    _reject(list(_demand_violations(gamma, pairs)))  # before any xi or effort is drawn
     direct_beta = direct_xi = None
     if spec.mode == MODE_DIRECT:
-        beta = rng.uniform(0.5, 2.0, size=len(pairs))
         direct_beta, direct_xi = IdTable(pairs, beta), {}
         for bid, rows in zip(bids, members):
             # the off-diagonal entries in row order, as one draw each in that order
@@ -565,12 +583,6 @@ def _attempt(spec: GenerationSpec, rng) -> tuple[MarketScenario, np.ndarray]:
                 0.0, spec.coupling_scale, size=len(rows) * (len(rows) - 1))
             ds = [sids[i] for i in rows.tolist()]
             direct_xi[bid] = IdTable(itertools.product(ds, repeat=2), xi.ravel())
-    else:
-        # relevance is pure geometry, derivable before any effort family exists
-        beta = _relevance(features, aggregator_pairs, members, aggregators)
-    gamma_total = _net_demand(beta, membership, pair_source, pair_aggregator, aggregators)[1]
-    if min(gamma_total.tolist()) <= 0:
-        raise DomainError("competition cancelled some source's demand")  # retried
 
     effort = _draw_efforts(spec, rng, gamma_total)
     if spec.bounded:
@@ -580,9 +592,11 @@ def _attempt(spec: GenerationSpec, rng) -> tuple[MarketScenario, np.ndarray]:
         effort = EffortMap(effort.family, effort.sigma0, effort.rate, effort.efforts(a_upper))
     bounds = np.cumsum(membership.sum(axis=1)).tolist()
     sharing = [[bid for _, bid in pairs[lo:hi]] for lo, hi in zip([0, *bounds], bounds)]
-    return MarketScenario._from_columns(sids, features, sharing, effort, aggregators,
-                                        ground_truth, mode=spec.mode, direct_beta=direct_beta,
-                                        direct_xi=direct_xi), beta
+    scenario = MarketScenario._from_columns(sids, features, sharing, effort, aggregators,
+                                            ground_truth, mode=spec.mode,
+                                            direct_beta=direct_beta, direct_xi=direct_xi)
+    _reject(_derivation(scenario, beta=beta)[1].violations)  # validate_scenario(scenario)
+    return scenario
 
 
 def generate_scenario(spec: GenerationSpec, seed: int) -> MarketScenario:
@@ -607,14 +621,9 @@ def generate_scenario_with_attempts(spec: GenerationSpec, seed: int
     last_failure = "no attempt recorded"
     for attempt in range(MAX_GENERATION_ATTEMPTS):
         try:
-            scenario, beta = _attempt(spec, trial_stream(seed, attempt))
+            return _attempt(spec, trial_stream(seed, attempt)), attempt + 1
         except DomainError as exc:
             last_failure = str(exc)
-            continue
-        report = _derivation(scenario, beta=beta)[1]  # validate_scenario(scenario)
-        if report.ok:
-            return scenario, attempt + 1
-        last_failure = "; ".join(v.message for v in report.violations[:3])
     raise GenerationError(
         f"no valid scenario in {MAX_GENERATION_ATTEMPTS} attempts for "
         f"spec {spec} seed {seed} (last failure: {last_failure})",

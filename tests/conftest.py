@@ -1,6 +1,8 @@
 """Shared scenario builders for the test suite."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from datamarket.market import (
     GroundTruth,
     MarketScenario,
 )
-from datamarket.scenario import GenerationSpec
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import WORKLOADS  # noqa: E402
 
 OLS = EstimatorSpec("ols_with_intercept")
 
@@ -31,17 +35,11 @@ def by_id(items):
 
 
 def _bench_markets():
-    """bench/workloads.py's certified markets at seeds 0 and 11: name ->
-    (spec, generation seed)."""
-    markets = {}
-    for seed in (0, 11):
-        for k, (n, m) in enumerate([(32, 3), (32, 4), (40, 3), (40, 4), (48, 3), (48, 4)]):
-            markets[f"unbounded-certify/{seed}/n{n}-m{m}"] = (
-                GenerationSpec(n, m, family="mixed"), seed * 1000 + k)
-        for k, n in enumerate((64, 80, 96)):
-            markets[f"bounded-best-response/{seed}/n{n}-m4"] = (
-                GenerationSpec(n, 4, family="mixed", bounded=True), seed * 1000 + k)
-    return markets
+    """bench/workloads.py's certified markets at seeds 0 and 11, read from
+    its plans: name -> (spec, generation seed)."""
+    return {f"{name}/{seed}/{key}": (spec, gen_seed) for seed in (0, 11)
+            for name in ("unbounded-certify", "bounded-best-response")
+            for key, spec, gen_seed in WORKLOADS[name].plan(seed, False)}
 
 
 BENCH_MARKETS = _bench_markets()

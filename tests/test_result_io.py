@@ -3,8 +3,10 @@ writer produces reads back to the same bytes, and any one field replaced by
 a value of the wrong kind raises ParseError (never a traceback, never a
 silently cast value)."""
 
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -17,7 +19,12 @@ from datamarket.equilibrium import solve_bounded, solve_unbounded
 from datamarket.errors import ParseError
 from datamarket.market import derive_parameters
 from datamarket.results import result_from_json, result_to_json
-from datamarket.scenario import GenerationSpec, generate_scenario
+from datamarket.scenario import (
+    GenerationSpec,
+    generate_scenario,
+    parse_scenario,
+    serialize_scenario,
+)
 
 
 def _text(scenario, solve):
@@ -122,18 +129,44 @@ def test_nesting_too_deep_to_decode_is_refused():
         result_from_json("[" * 200_000)
 
 
-def test_integer_weights_read_as_their_floats():
-    # every value of a and a_total a JSON integer: read field by field, they
-    # give the ids and float64 arrays of the same document written with floats
-    def written(number):
-        doc = json.loads(TEXTS["solved"])
-        doc["a"] = {sid: {bid: number(round(1000 * v)) for bid, v in row.items()}
-                    for sid, row in doc["a"].items()}
-        doc["a_total"] = {sid: number(round(1000 * v)) for sid, v in doc["a_total"].items()}
-        return result_from_json(json.dumps(doc))
+def _whole(value, number):
+    """A number, or each number of nested objects, as `number` of its whole
+    thousandths; a 1 (xi's diagonal) stays 1."""
+    if isinstance(value, dict):
+        return {key: _whole(v, number) for key, v in value.items()}
+    return number(1 if value == 1 else round(1000 * value))
 
-    integers, floats = written(int), written(float)
-    for got, expected in ((integers.a.a, floats.a.a), (integers.a.a_total, floats.a.a_total)):
+
+DIRECT = serialize_scenario(generate_scenario(GenerationSpec(6, 3, mode="direct",
+                                                             sharing_density=0.7), 0))
+#: (document, its reader, the key paths of some of its tables, those tables as read)
+WHOLE_TABLES = {
+    "a": (TEXTS["solved"], result_from_json, [("a",), ("a_total",)],
+          lambda result: [result.a.a, result.a.a_total]),
+    "canonical_c": (TEXTS["solved"], result_from_json, [("canonical_c",)],
+                    lambda result: [result.canonical_c]),
+    "efforts": (TEXTS["solved"], result_from_json, [("efforts",)],
+                lambda result: [result.efforts]),
+    "direct": (DIRECT, parse_scenario, [("direct_parameters", "beta"),
+                                        ("direct_parameters", "xi")],
+               lambda scenario: [scenario.direct_beta, *scenario.direct_xi.values()]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WHOLE_TABLES))
+def test_integer_weights_read_as_their_floats(kind):
+    # every value of the tables a JSON integer: read field by field, they
+    # give the ids and float64 arrays of the same document written with floats
+    text, read, paths, tables = WHOLE_TABLES[kind]
+
+    def written(number):
+        doc = json.loads(text)
+        for *parents, key in paths:
+            parent = functools.reduce(operator.getitem, parents, doc)
+            parent[key] = _whole(parent[key], number)
+        return tables(read(json.dumps(doc)))
+
+    for got, expected in zip(written(int), written(float), strict=True):
         assert got.ids == expected.ids
         assert got.array.dtype == np.float64
         np.testing.assert_array_equal(got.array, expected.array)

@@ -451,3 +451,23 @@ class TestGeneration:
         scenario = generate_scenario(spec, seed=2)
         names = {s.effort_model.family_name for s in scenario.sources}
         assert names == {form.name for form in FORMS}
+
+    @pytest.mark.parametrize("spec", [
+        GenerationSpec(60, 4, mode=MODE_DIRECT),
+        GenerationSpec(40, 5, dimension=2, sharing_density=0.6),
+    ], ids=["direct", "estimator-partial-d2"])
+    def test_demand_rejects_a_draw_before_it_is_built(self, spec, monkeypatch):
+        # every draw of these fails validation's demand rule, which generation
+        # applies before drawing xi or efforts, so no scenario is ever built
+        built = []
+        from_columns = MarketScenario._from_columns.__func__
+
+        def counted(cls, *args, **kwargs):
+            built.append(1)
+            return from_columns(cls, *args, **kwargs)
+
+        monkeypatch.setattr(MarketScenario, "_from_columns", classmethod(counted))
+        with pytest.raises(GenerationError, match=r"last failure: net demand -?[0-9.e+-]+ "
+                                                  r"must be positive"):
+            generate_scenario(spec, 2)
+        assert built == []
