@@ -12,17 +12,18 @@ Subcommands:
   generate    --n N --m M [...]             seeded random scenario document
 
 Exit codes: 0 success, 1 validation/input failure, 2 solver or certification
-failure, 3 usage error.  Primary outputs are byte-identical across runs with
-identical inputs and seeds; human-readable summaries go to stderr.
+failure, 3 usage error.  Outputs (validate's and certify's reports too) are
+byte-identical for identical inputs and seeds; summaries go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from . import results as reports
+from . import results
 from .equilibrium import (
     STATUS_NONE,
     alpha_sweep,
@@ -39,7 +40,6 @@ from .errors import (
     SolverError,
 )
 from .market import derive_parameters, validate_scenario
-from .results import result_from_json, result_to_json, welfare_to_json
 from .scenario import (
     _GENERATED_FAMILIES,
     GenerationSpec,
@@ -134,23 +134,23 @@ def _write(path: Path, text: str | None) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str, output: Path | None) -> None:
-    if output is None:
+def _emit(text: str, output: Path | None = None) -> None:
+    if output is not None:
+        return _write(output, text)
+    if sys.stdout is None:  # the process started with its stdout closed
+        raise ParseError("cannot write stdout: it is closed")
+    try:
         sys.stdout.write(text)
-    else:
-        _write(output, text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit cannot fail again
+        os.close(devnull)
+        raise ParseError(f"cannot write stdout: {exc}") from exc
 
 
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _load_scenario(path: Path):
-    return parse_scenario(_read(path))
-
-
-def _load_result(path: Path):
-    return result_from_json(_read(path))
 
 
 def _result_summary(result, params) -> str:
@@ -169,38 +169,33 @@ def _result_summary(result, params) -> str:
 
 
 def _cmd_validate(args) -> int:
-    report = validate_scenario(_load_scenario(args.scenario))
-    print(report.summary())
+    report = validate_scenario(parse_scenario(_read(args.scenario)))
+    _emit(f"{report.summary()}\n")
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
 def _cmd_derive(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = parse_scenario(_read(args.scenario))
     params = derive_parameters(scenario, require_valid=False)
-    tables = {
-        "beta.csv": reports.beta_csv(params),
-        "gamma.csv": reports.gamma_csv(params),
-        "xi.csv": reports.xi_csv(params),
-        "xi_matrix.csv": reports.xi_matrix_csv(params),
-    }
-    if args.output is None:
-        for name, text in tables.items():
-            print(f"# {name}")
-            sys.stdout.write(text)
-    else:
+    tables = {"beta.csv": results.beta_csv, "gamma.csv": results.gamma_csv,
+              "xi.csv": results.xi_csv, "xi_matrix.csv": results.xi_matrix_csv}
+    if args.output is not None:
         _write(args.output, None)
-        for name, text in tables.items():
-            _write(args.output / name, text)
+    for name, table in tables.items():  # each text is written, then dropped
+        if args.output is None:
+            _emit(f"# {name}\n")
+        _emit(table(params), None if args.output is None else args.output / name)
+    if args.output is not None:
         _info(f"wrote {', '.join(tables)} to {args.output}")
     _info(params.validation.summary())
     return EXIT_OK if params.validation.ok else EXIT_VALIDATION
 
 
 def _cmd_solve(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = parse_scenario(_read(args.scenario))
     params = derive_parameters(scenario)
     result = (solve_bounded if params.effort_kind == "bounded" else solve_unbounded)(params)
-    _emit(result_to_json(result), args.output)
+    _emit(results.result_to_json(result), args.output)
     _info(_result_summary(result, params))
     if result.status == STATUS_NONE:
         _info("no equilibrium exists at this coupling level")
@@ -208,23 +203,23 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = parse_scenario(_read(args.scenario))
     params = derive_parameters(scenario)
-    result = _load_result(args.result)
+    result = results.result_from_json(_read(args.result))
     if not result.solved:
         _info("result has no solved equilibrium to certify")
         return EXIT_SOLVER
     report = certify_equilibrium(result, params)
-    print(report.summary())
+    _emit(f"{report.summary()}\n")
     return EXIT_OK if report.passed else EXIT_SOLVER
 
 
 def _cmd_welfare(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = parse_scenario(_read(args.scenario))
     params = derive_parameters(scenario)
-    result = _load_result(args.result)
+    result = results.result_from_json(_read(args.result))
     report = price_of_anarchy(result, params)
-    _emit(welfare_to_json(report), args.output)
+    _emit(results.welfare_to_json(report), args.output)
     _info(f"social cost at equilibrium: {report.cost_at_equilibrium!r}")
     _info(f"social cost at optimum:     {report.cost_at_optimum!r}")
     _info(f"price of anarchy:           {report.poa!r}")
@@ -239,19 +234,19 @@ def _cmd_sweep_alpha(args) -> int:
         raise DomainError(f"--alphas must be comma-separated numbers: {exc}") from exc
     if not alphas:
         raise DomainError("--alphas must name at least one factor")
-    scenario = _load_scenario(args.scenario)
+    scenario = parse_scenario(_read(args.scenario))
     params = derive_parameters(scenario)
     points = alpha_sweep(params, alphas)
-    _emit(reports.sweep_csv(points), args.output)
+    _emit(results.sweep_csv(points), args.output)
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = parse_scenario(_read(args.scenario))
     validate_scenario(scenario).require_ok()  # refuses an invalid market, as certify and welfare do
-    result = _load_result(args.result)
+    result = results.result_from_json(_read(args.result))
     rounds = iter_rounds(scenario, result, args.rounds, args.seed)
-    _emit(reports.rounds_csv(scenario, rounds), args.output)
+    _emit(results.rounds_csv(scenario, rounds), args.output)
     return EXIT_OK
 
 
@@ -290,13 +285,13 @@ def cli(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except InfeasibleSpecError as exc:
-        print(f"datamarket: infeasible request: {exc}", file=sys.stderr)
+        _info(f"datamarket: infeasible request: {exc}")
         return EXIT_USAGE
     except (SolverError, GenerationError) as exc:
-        print(f"datamarket: solver failure: {exc}", file=sys.stderr)
+        _info(f"datamarket: solver failure: {exc}")
         return EXIT_SOLVER
     except DataMarketError as exc:  # parse, validation and domain errors
-        print(f"datamarket: {exc}", file=sys.stderr)
+        _info(f"datamarket: {exc}")
         return EXIT_VALIDATION
 
 

@@ -535,7 +535,7 @@ RADIUS_MAX_SWEEPS = 100_000
 #: a periodic two-aggregator market's first bracket matches eigvals to 1.5e-13
 #: relative (10 steps: 6e-12).  A market reads them from its KrylovBasis,
 #: which its solve extends: radius, solve and a 3-point sweep then take 18
-#: products (n=150 full sharing) and 30 (half sharing, d=2), not 35 and 52.
+#: products (n=150 full sharing) and 30 (half sharing, d=2).
 RADIUS_KRYLOV_DIM = 12
 
 

@@ -20,14 +20,18 @@ from datamarket.market import DataSourceSpec, MarketScenario
 from datamarket.scenario import GenerationSpec, generate_scenario, serialize_scenario
 
 
-def _run_cli(*argv):
-    """`python -m datamarket.cli argv...` in a process of its own, with this
-    checkout's `src` on its path, so it runs with nothing installed."""
+def _cli_env():
+    """The environment with this checkout's `src` on PYTHONPATH, so that
+    `python -m datamarket.cli` runs with nothing installed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _run_cli(*argv):
+    """`python -m datamarket.cli argv...` in a process of its own."""
     return subprocess.run([sys.executable, "-m", "datamarket.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
 
 
 @pytest.fixture
@@ -400,6 +404,27 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("datamarket: cannot write ") and argv[-1] in err
         assert "Traceback" not in err
+
+    # a reader that closes stdout early, as `derive market.json | head -c 20`
+    # does: exit 1 with one line, and no traceback, nor the interpreter's
+    # "Exception ignored" from its flush of stdout at exit
+    def test_closed_stdout_exits_one(self, tmp_path):
+        path = tmp_path / "market.json"
+        path.write_text(serialize_scenario(generate_scenario(GenerationSpec(48, 4), 0)))
+        with subprocess.Popen([sys.executable, "-m", "datamarket.cli", "derive", str(path)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=_cli_env()) as proc:
+            proc.stdout.read(20)  # about 1 MB follows, far past a pipe's buffer
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        lines = err.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("datamarket: cannot write stdout")
+
+    def test_stdout_closed_at_start_exits_one(self, symmetric_file, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", None)  # what a process started with fd 1 closed sees
+        assert cli(["validate", str(symmetric_file)]) == 1
+        assert capsys.readouterr().err == "datamarket: cannot write stdout: it is closed\n"
 
     # run as a user runs it, in a process of its own: a document that is not
     # UTF-8 (a UTF-16 byte-order mark), one nested too deep to decode, a

@@ -21,14 +21,22 @@ its diagnostics.iterations (printed, not hashed: the bounded sweep count or
 the Krylov basis size, so a moved result.json shows whether the count
 moved), its certificate text and welfare JSON, a five-point alpha sweep CSV
 (unbounded markets) and, in estimator mode, a 30-round rounds CSV and
-payment_statistics.  It imports datamarket from ./src and the workloads
-from ./bench, and takes no flags.
+payment_statistics.  On the seed-0 unbounded-certify n32-m3 market and the
+direct-mode market it also runs seven subcommands in-process through cli()
+(validate, derive without --output, solve, certify, welfare, sweep-alpha
+and, in estimator mode, simulate) and hashes each one's stdout and stderr
+bytes, printing its exit code.  It imports datamarket from ./src and the
+workloads from ./bench, and takes no flags.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import itertools
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,12 +44,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import datamarket as dm  # noqa: E402
 from datamarket import results  # noqa: E402
+from datamarket.cli import cli  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 #: alpha_sweep factors: below, at and past the existence bound of most markets.
 SWEEP = (0.25, 0.5, 1.0, 1.5, 2.0)
 ROUNDS = 30
 XI_MATRIX_MAX_PAIRS = 400
+CLI_MARKETS = ("unbounded-certify/0/n32-m3", "direct/n6-m3")
 
 
 def markets():
@@ -93,9 +103,35 @@ def outputs(spec: dm.GenerationSpec, seed: int):
         yield "payment_statistics", repr(dm.payment_statistics(scenario, result, ROUNDS, 2))
 
 
+def cli_outputs(spec: dm.GenerationSpec, seed: int):
+    """(output name, stdout or stderr text, or an exit code) of each subcommand
+    run in-process on one market; solve's stdout is the result the others read."""
+    scenario = dm.generate_scenario(spec, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        market, result = Path(tmp) / "market.json", Path(tmp) / "result.json"
+        market.write_text(dm.serialize_scenario(scenario), encoding="utf-8")
+        commands = [("validate",), ("derive",), ("solve",), ("certify", result),
+                    ("welfare", result),
+                    ("sweep-alpha", "--alphas", ",".join(map(str, SWEEP)))]
+        if scenario.mode == "estimator_derived":
+            commands.append(("simulate", result, "--rounds", str(ROUNDS), "--seed", "1"))
+        for command, *rest in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli([command, str(market), *map(str, rest)])
+            if command == "solve":
+                result.write_text(out.getvalue(), encoding="utf-8")
+            yield f"cli {command} exit", code
+            yield f"cli {command} stdout", out.getvalue()
+            yield f"cli {command} stderr", err.getvalue()
+
+
 def main() -> None:
     for name, spec, seed in markets():
-        for output, value in outputs(spec, seed):
+        listing = outputs(spec, seed)
+        if name in CLI_MARKETS:
+            listing = itertools.chain(listing, cli_outputs(spec, seed))
+        for output, value in listing:
             if not isinstance(value, int):  # a count is printed as it is
                 data = value if isinstance(value, bytes) else value.encode("utf-8")
                 value = hashlib.sha256(data).hexdigest()
