@@ -30,9 +30,7 @@ from .equilibrium import (
     CertificateReport,
     EquilibriumResult,
     IdTable,
-    PolytopeTable,
     SolveDiagnostics,
-    SourcePolytope,
     alpha_sweep,
     best_response_residual,
     branch_profile,

@@ -23,6 +23,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import results
 from .equilibrium import (
     STATUS_NONE,
@@ -162,9 +164,10 @@ def _result_summary(result, params) -> str:
         lines.append(f"max residual: {result.diagnostics.max_residual!r}")
         lines.append("source  a_total  effort  polytope_dim")
         sids = params.scenario.source_ids
-        _, a_total, _, efforts, _, rows = result.arrays(params.pairs, sids)
-        lines += [f"  {sid}  {total!r}  {effort!r}  {int(row[2])}" for sid, total, effort, row
-                  in zip(sids, a_total.tolist(), efforts.tolist(), rows.tolist())]
+        _, a_total, _, efforts = result.arrays(params.pairs, sids)
+        dimensions = np.bincount(params.pair_source) - 1
+        lines += [f"  {sid}  {total!r}  {effort!r}  {dim}" for sid, total, effort, dim
+                  in zip(sids, a_total.tolist(), efforts.tolist(), dimensions.tolist())]
     return "\n".join(lines)
 
 

@@ -35,7 +35,6 @@ from .market import (  # noqa: F401  (IdTable and spectral_radius are public her
     IdTable,
     _block_groups,
     _first_mismatch,
-    _runs,
     spectral_radius,
 )
 
@@ -83,57 +82,6 @@ class AParameters:
 
 
 @dataclass(frozen=True)
-class SourcePolytope:
-    """Feasible constant terms for one source: the simplex slice
-    {c_s : sum_b c_s^b = total, c_s^b >= floors[b]} of dimension |B_s| - 1.
-    The surplus (total minus the floor sum) equals the source's effort."""
-
-    surplus: float
-    floors: Mapping[str, float]
-    total: float
-    dimension: int
-
-
-class PolytopeTable(Mapping):
-    """The polytope as a read-only table keyed by source id, over two
-    IdTables: `floors` over the pairs, and `rows`, one (surplus, total,
-    dimension) row per source id.  Reading an id builds its SourcePolytope."""
-
-    __slots__ = ("floors", "rows", "_bounds")
-
-    def __init__(self, floors: IdTable, rows: IdTable):
-        self.floors, self.rows, self._bounds = floors, rows, None
-
-    @classmethod
-    def of(cls, polytope) -> PolytopeTable:
-        """A PolytopeTable's tables, or a mapping of SourcePolytopes, in id order."""
-        if isinstance(polytope, PolytopeTable):
-            return cls(IdTable.of(polytope.floors), IdTable.of(polytope.rows))
-        return cls(IdTable.of({(sid, bid): floor for sid, p in polytope.items()
-                               for bid, floor in p.floors.items()}),
-                   IdTable.of({sid: (p.surplus, p.total, p.dimension)
-                               for sid, p in polytope.items()}))
-
-    def __getitem__(self, sid) -> SourcePolytope:
-        if self._bounds is None:
-            self._bounds = _runs(self.floors.ids)
-        surplus, total, dimension = self.rows[sid]
-        lo, hi = self._bounds.get(sid, (0, 0))  # a source with no floors has no run
-        floors = IdTable((bid for _, bid in self.floors.ids[lo:hi]), self.floors.array[lo:hi])
-        return SourcePolytope(surplus=surplus, floors=floors, total=total,
-                              dimension=int(dimension))
-
-    def __iter__(self):
-        return iter(self.rows.ids)
-
-    def __len__(self) -> int:
-        return len(self.rows.ids)
-
-    def __repr__(self) -> str:
-        return f"PolytopeTable({dict(self)!r})"
-
-
-@dataclass(frozen=True)
 class SolveDiagnostics:
     spectral_radius: float
     iterations: int
@@ -143,15 +91,15 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """A solved market's tables (None when unsolved): IdTables and a
-    PolytopeTable over the market's pairs and source ids.  Any other
-    mapping, or an IdTable over the ids in another order, is read through
-    IdTable.of, the one id-order rule."""
+    """A solved market's tables (None when unsolved): IdTables over the
+    market's pairs and source ids.  Any other mapping, or an IdTable over
+    the ids in another order, is read through IdTable.of, the one id-order
+    rule.  The polytope of constant terms is the market's: see
+    polytope_membership."""
 
     status: str
     a: AParameters | None
     canonical_c: Mapping[tuple[str, str], float] | None
-    polytope: Mapping[str, SourcePolytope] | None
     efforts: Mapping[str, float] | None
     diagnostics: SolveDiagnostics
 
@@ -160,18 +108,12 @@ class EquilibriumResult:
         return self.status in (STATUS_UNIQUE, STATUS_BOUNDED)
 
     def arrays(self, pairs, sids) -> tuple[np.ndarray, ...]:
-        """(a, a_total, canonical_c, efforts, polytope floors, polytope
-        (surplus, total, dimension) rows) over a market's pairs and source
-        ids, each read by _aligned.  A result of another market raises
+        """(a, a_total, canonical_c, efforts) over a market's pairs and
+        source ids, each read by _aligned.  A result of another market raises
         ParseError naming the first mismatch."""
-        polytope = self.polytope
-        if not isinstance(polytope, PolytopeTable):  # _aligned orders a PolytopeTable's tables
-            polytope = PolytopeTable.of(polytope)
         return (_aligned(self.a.a, pairs, "a"), _aligned(self.a.a_total, sids, "a_total"),
                 _aligned(self.canonical_c, pairs, "canonical_c"),
-                _aligned(self.efforts, sids, "efforts"),
-                _aligned(polytope.floors, pairs, "polytope floors"),
-                _aligned(polytope.rows, sids, "polytope"))
+                _aligned(self.efforts, sids, "efforts"))
 
 
 def _aligned(table, keys, name: str, location: str = "result",
@@ -243,14 +185,6 @@ def _contract(params: DerivedParameters, a_vec: np.ndarray, a_total: np.ndarray,
     return efforts, floors, floors + share * efforts[params.pair_source]
 
 
-def _polytope_rows(params: DerivedParameters, efforts: np.ndarray,
-                   floors: np.ndarray) -> np.ndarray:
-    """Each source's polytope row (surplus, total, dimension): its effort,
-    its floors' sum plus its effort, and its number of pairs less one."""
-    return np.column_stack((efforts, np.bincount(params.pair_source, weights=floors) + efforts,
-                            np.bincount(params.pair_source) - 1))
-
-
 def canonical_c(a: AParameters, params: DerivedParameters) -> IdTable:
     """Proportional-surplus selection: each aggregator covers its own expected
     penalty plus a share of the source's effort proportional to its quality
@@ -271,7 +205,7 @@ def polytope_membership(c, a: AParameters, params: DerivedParameters):
                                    _aligned(a.a_total, sids, "a_total"))
     c = _aligned(c, params.pairs, "c")
     totals = np.bincount(params.pair_source, weights=c)  # added in pair order
-    expected = _polytope_rows(params, efforts, floors)[:, 1]
+    expected = np.bincount(params.pair_source, weights=floors) + efforts
     off_sum, below = ~(np.abs(totals - expected) <= CONTRACT_TOL), ~(c >= floors - CONTRACT_TOL)
     violations: list[str] = []
     for k in np.flatnonzero(below | off_sum[params.pair_source]).tolist():
@@ -296,13 +230,10 @@ def _finish(params: DerivedParameters, a_vec: np.ndarray,
     pairs and source ids."""
     sids, pairs = params.scenario.source_ids, params.pairs
     totals = np.bincount(params.pair_source, weights=a_vec)
-    efforts, floors, c = _contract(params, a_vec, totals)
-    rows = _polytope_rows(params, efforts, floors)
+    efforts, _, c = _contract(params, a_vec, totals)
     return EquilibriumResult(
         status=status, a=AParameters(a=IdTable(pairs, a_vec), a_total=IdTable(sids, totals)),
-        canonical_c=IdTable(pairs, c),
-        polytope=PolytopeTable(IdTable(pairs, floors), IdTable(sids, rows)),
-        efforts=IdTable(sids, efforts), diagnostics=diagnostics)
+        canonical_c=IdTable(pairs, c), efforts=IdTable(sids, efforts), diagnostics=diagnostics)
 
 
 def _solve_coupled(params: DerivedParameters, alphas: list[float],
@@ -397,7 +328,7 @@ def solve_unbounded(params: DerivedParameters) -> EquilibriumResult:
                                 max_residual=math.nan,
                                 marginal=abs(rho - 1.0) < MARGINAL_BAND)
         return EquilibriumResult(status=STATUS_NONE, a=None, canonical_c=None,
-                                 polytope=None, efforts=None, diagnostics=diag)
+                                 efforts=None, diagnostics=diag)
     a_vec, residual, products = solved
     diag = SolveDiagnostics(spectral_radius=rho, iterations=products, max_residual=residual)
     return _finish(params, a_vec, STATUS_UNIQUE, diag)
@@ -579,17 +510,16 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters) ->
     times its source's least positive weight improves any aggregator's
     reduced loss (see _worst_grid_deviation); (iii) the document's constant
     terms bind participation and keep payments nonnegative (c >= floor -
-    CONTRACT_TOL, polytope_membership's rule), and its efforts, totals and
-    polytope are those its quality weights imply; a sum of its weights out
-    of its source's incentive range fails (iii), naming the first such
-    source, and no efforts are evaluated there.  It sums the weights per
+    CONTRACT_TOL, polytope_membership's rule), and its efforts are those
+    its quality weights imply; a sum of its weights out of its source's
+    incentive range fails (iii), naming the first such source, and no
+    efforts are evaluated there.  It sums the weights per
     source once and reads the xi blocks, never Xi.  A result whose tables
     are not keyed by this scenario's pairs and sources raises ParseError.
     """
     if not result.solved or result.a is None:
         raise DomainError("certification requires a solved equilibrium")
-    a_vec, totals, claimed_c, claimed, claimed_floors, claimed_sources = result.arrays(
-        params.pairs, params.scenario.source_ids)
+    a_vec, _, claimed_c, claimed = result.arrays(params.pairs, params.scenario.source_ids)
     a_sum = np.bincount(params.pair_source, weights=a_vec)
     efforts, variances, in_range = _efforts_in_range(params, a_sum)
     coupled = CouplingOperator(params.scenario, params.xi) @ a_vec
@@ -634,17 +564,13 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters) ->
         f"largest grid improvement {gain:.3e} over {scored.sum()} scored deviations"
         + (f" at {gain_at}" if gain_at else "")))
 
-    # the document's c, efforts, totals and polytope, against values
-    # recomputed from its quality weights; NaN anywhere fails the check
+    # the document's c and efforts, against values recomputed from its
+    # quality weights; NaN anywhere fails the check
     floors = payment_floors(params, a_vec, variances)
     surplus = claimed_c - floors
     worst_binding = float(np.abs(np.bincount(params.pair_source, weights=surplus)
                                  - claimed).max())
     worst_effort = float(np.abs(claimed - efforts).max())
-    worst_total = float(np.abs(totals - a_sum).max())
-    worst_polytope = float(np.maximum(
-        np.abs(claimed_floors - floors).max(),
-        np.abs(claimed_sources - _polytope_rows(params, efforts, floors)).max()))
     payments_ok = bool(np.all(claimed_c >= floors - CONTRACT_TOL))
     out_of_range = ""
     if not in_range.all():
@@ -654,12 +580,10 @@ def certify_equilibrium(result: EquilibriumResult, params: DerivedParameters) ->
                         f"{float(params.a_upper[k])!r}]")
     checks.append(CheckResult(
         "participation-binding",
-        bool(np.max([worst_binding, worst_effort, worst_total, worst_polytope]) < CONTRACT_TOL)
+        bool(np.max([worst_binding, worst_effort]) < CONTRACT_TOL)
         and payments_ok and bool(in_range.all()),
         f"payment-vs-effort residual {worst_binding:.3e}, "
         f"effort-vs-total residual {worst_effort:.3e}, "
-        f"total-vs-a residual {worst_total:.3e}, "
-        f"polytope residual {worst_polytope:.3e}, "
         f"nonnegative payments: {payments_ok}" + out_of_range))
 
     return CertificateReport(all(c.passed for c in checks), tuple(checks))

@@ -39,49 +39,20 @@ from .equilibrium import (
     AParameters,
     EquilibriumResult,
     IdTable,
-    PolytopeTable,
     SolveDiagnostics,
-    SourcePolytope,
     _aligned,
 )
 from .errors import DomainError, ParseError
-from .market import DerivedParameters
-from .scenario import (
-    _expect,
-    _finite,
-    _id_keys,
-    _keys,
-    _load_json,
-    _number,
-    _numbers_by_id,
-    _object,
-    _pair_objects,
-    _read_table,
-    _table,
-    _values,
-)
+from .market import DerivedParameters, _runs
+from .scenario import _expect, _load_json, _number, _object, _read_table, _table
 from .welfare import WelfareReport
 
-RESULT_SCHEMA_VERSION = 1
+RESULT_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
 # JSON writing
 # ---------------------------------------------------------------------------
-
-#: One source's polytope entry, nested two deep, after its '"id": ' prefix.
-_POLYTOPE_ENTRY = ('{{\n      "surplus": {!r},\n      "floors": {},\n      "total": {!r},'
-                   '\n      "dimension": {:d}\n    }}').format
-
-
-def _polytope(polytope) -> str:
-    polytope = PolytopeTable.of(polytope)
-    floors = _pair_objects(polytope.floors, "polytope floors", 3)
-    rows = _id_keys(polytope.rows, "polytope")
-    return _object([head + _POLYTOPE_ENTRY(surplus, floors.get(sid, "{}"), total, int(dimension))
-                    for sid, head, (surplus, total, dimension)
-                    in zip(rows.ids, _keys(rows.ids), _values(rows, "polytope"))], 1)
-
 
 def _scalar(value, name: str, nan: bool = False) -> str:
     """A diagnostic's JSON text; one not finite raises DomainError, NaN
@@ -107,11 +78,9 @@ def result_to_json(result: EquilibriumResult) -> str:
                   f'"marginal": {json.dumps(diagnostics.marginal)}'], 1)]
     if result.solved:
         fields += ['"a": ' + _table(IdTable.of(result.a.a), "a", 1, pairs=True),
-                   '"a_total": ' + _table(IdTable.of(result.a.a_total), "a_total", 1),
                    '"canonical_c": ' + _table(IdTable.of(result.canonical_c), "canonical_c", 1,
                                               pairs=True),
-                   '"efforts": ' + _table(IdTable.of(result.efforts), "efforts", 1),
-                   '"polytope": ' + _polytope(result.polytope)]
+                   '"efforts": ' + _table(IdTable.of(result.efforts), "efforts", 1)]
     return _object(fields, 0) + "\n"
 
 
@@ -129,45 +98,28 @@ def welfare_to_json(report: WelfareReport) -> str:
 # JSON reading
 # ---------------------------------------------------------------------------
 
-def _source_polytope(doc, sid, location) -> SourcePolytope:
-    """doc[sid]: one source's polytope entry, read field by field."""
-    p, location = _expect(doc, sid, dict, location), f"{location}.{sid}"
-    floors = _numbers_by_id(p, "floors", location)
-    dimension = _expect(p, "dimension", int, location)
-    if not 0 <= dimension < len(floors):
-        raise ParseError(f"field 'dimension' must lie in [0, {len(floors)}) "
-                         f"for {len(floors)} floors", location=location)
-    return SourcePolytope(surplus=_expect(p, "surplus", float, location), floors=floors,
-                          total=_expect(p, "total", float, location), dimension=dimension)
-
-
-def _read_polytope(sources: dict) -> PolytopeTable:
-    """The polytope object `sources`, keyed by source id."""
-    entries = sources.values()
-    if all(type(p) is dict and type(p.get("floors")) is dict and type(p.get("dimension")) is int
-           and 0 <= p["dimension"] < len(p["floors"]) for p in entries):
-        floors = _finite([value for p in entries for value in p["floors"].values()])
-        numbers = _finite([p.get(field) for p in entries for field in ("surplus", "total")])
-        if floors is not None and numbers is not None:
-            rows = np.column_stack((numbers.reshape(-1, 2), [p["dimension"] for p in entries]))
-            pairs = [(sid, bid) for sid, p in sources.items() for bid in p["floors"]]
-            return PolytopeTable(IdTable.of(pairs, floors), IdTable.of(sources, rows))
-    return PolytopeTable.of({sid: _source_polytope(sources, sid, "result.polytope")
-                             for sid in sources})
+def _totals(a: IdTable) -> IdTable:
+    """Each source's sum of its weights, added in pair order as _finish adds
+    them, so a read total is the solver's to the last bit."""
+    runs = _runs(a.ids)
+    source = np.repeat(np.arange(len(runs)), [hi - lo for lo, hi in runs.values()])
+    return IdTable(runs, np.bincount(source, weights=a.array))
 
 
 def result_from_json(text: str) -> EquilibriumResult:
     """A result document under the scenario number rule: numbers finite (an
-    unsolved result's max_residual may be NaN), counts integers (a polytope's
-    dimension below its number of floors), spectral_radius and iterations not
-    negative, `marginal` a boolean, tables objects keyed by id, in any key
-    order.  Unknown fields are ignored; the rest raise ParseError naming it."""
+    unsolved result's max_residual may be NaN), iterations an integer,
+    spectral_radius and iterations not negative, `marginal` a boolean, tables
+    objects keyed by id, in any key order.  a_total is derived from `a`.
+    Another schema_version, or any field the rule refuses, raises ParseError
+    naming it; unknown fields are ignored."""
     doc = _load_json(text, "result is not valid JSON")
     if not isinstance(doc, dict):
         raise ParseError("result document root must be an object")
     version = _expect(doc, "schema_version", int, "result")
     if version != RESULT_SCHEMA_VERSION:
-        raise ParseError(f"result schema_version {version} unsupported")
+        raise ParseError(f"result schema_version {version} unsupported: this reader reads "
+                         f"version {RESULT_SCHEMA_VERSION}; run solve again to rewrite it")
     status = _expect(doc, "status", str, "result")
     if status not in (STATUS_UNIQUE, STATUS_BOUNDED, STATUS_NONE):
         raise ParseError(f"unknown status {status!r}", location="result")
@@ -186,15 +138,12 @@ def result_from_json(text: str) -> EquilibriumResult:
             raise ParseError(f"field {name!r} must be nonnegative", location=where)
     if status == STATUS_NONE:
         return EquilibriumResult(status=status, a=None, canonical_c=None,
-                                 polytope=None, efforts=None, diagnostics=diagnostics)
-    sources = _expect(doc, "polytope", dict, "result")
+                                 efforts=None, diagnostics=diagnostics)
+    a = _read_table(doc, "a", "result", pairs=True)
     return EquilibriumResult(
-        status=status,
-        a=AParameters(a=_read_table(doc, "a", "result", pairs=True),
-                      a_total=_read_table(doc, "a_total", "result")),
+        status=status, a=AParameters(a=a, a_total=_totals(a)),
         canonical_c=_read_table(doc, "canonical_c", "result", pairs=True),
-        polytope=_read_polytope(sources), efforts=_read_table(doc, "efforts", "result"),
-        diagnostics=diagnostics)
+        efforts=_read_table(doc, "efforts", "result"), diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

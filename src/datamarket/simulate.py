@@ -74,7 +74,7 @@ def _round_player(scenario: MarketScenario, result: EquilibriumResult
                           "(direct mode has no regression geometry)")
     sids, bids, aggregators = scenario.source_ids, scenario.aggregator_ids, scenario.aggregators
     pairs = scenario.sharing_pairs()
-    a, _, c, efforts, _, _ = result.arrays(pairs, sids)
+    a, _, c, efforts = result.arrays(pairs, sids)
     features, members, rows = scenario.features, scenario.members, scenario.aggregator_pairs
     loo = leave_one_out_weights(features, members, aggregators=bids, sources=sids)
     rivals = [{bids.index(other): weight for other, weight in agg.zeta.items() if weight != 0.0}

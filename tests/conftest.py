@@ -13,6 +13,7 @@ from datamarket.effort import (
     exponential_model,
     inverse_power_model,
 )
+from datamarket.equilibrium import payment_floors
 from datamarket.estimators import EstimatorSpec, QueryDistribution, point_mass
 from datamarket.market import (
     AggregatorSpec,
@@ -300,21 +301,30 @@ def _nested(table):
     return out
 
 
+def contract_floors(params, result):
+    """({pair: floor}, {source: floors' sum plus effort}) at a solved
+    result's weights and efforts: the floors by payment_floors, and the sum
+    that polytope_membership asks each source's constant terms to reach."""
+    efforts = np.array([result.efforts[sid] for sid in params.scenario.source_ids])
+    sigmas = params.effort_map.sigma(efforts)
+    a_vec = np.array([result.a.a[pair] for pair in params.pairs])
+    floors = payment_floors(params, a_vec, sigmas * sigmas)
+    totals = np.bincount(params.pair_source, weights=floors) + efforts
+    return (dict(zip(params.pairs, floors.tolist())),
+            dict(zip(params.scenario.source_ids, totals.tolist())))
+
+
 def reference_result_json(result):
     """The result document as json.dumps(..., indent=2) lays it out: the
     reference the writer's bytes are checked against."""
     d = result.diagnostics
-    doc = {"schema_version": 1, "status": result.status,
+    doc = {"schema_version": 2, "status": result.status,
            "diagnostics": {"spectral_radius": d.spectral_radius, "iterations": d.iterations,
                            "max_residual": d.max_residual, "marginal": d.marginal}}
     if result.solved:
         doc["a"] = _nested(result.a.a)
-        doc["a_total"] = dict(sorted(result.a.a_total.items()))
         doc["canonical_c"] = _nested(result.canonical_c)
         doc["efforts"] = dict(sorted(result.efforts.items()))
-        doc["polytope"] = {sid: {"surplus": p.surplus, "floors": dict(sorted(p.floors.items())),
-                                 "total": p.total, "dimension": p.dimension}
-                           for sid, p in sorted(result.polytope.items())}
     return json.dumps(doc, indent=2) + "\n"
 
 

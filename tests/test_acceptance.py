@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OLS, by_id, make_line_scenario, make_symmetric_direct
+from conftest import OLS, by_id, contract_floors, make_line_scenario, make_symmetric_direct
 
 from datamarket.effort import (
     EffortSet,
@@ -223,10 +223,11 @@ def test_c04_participation_binding():
         result = solve_unbounded(params)
         if result.status != STATUS_UNIQUE:
             continue
+        floors, _ = contract_floors(params, result)
         for sid in params.scenario.source_ids:
             sharing = by_id(params.scenario.sources)[sid].sharing
-            expected = sum(result.canonical_c[(sid, bid)]
-                           - result.polytope[sid].floors[bid] for bid in sharing)
+            expected = sum(result.canonical_c[(sid, bid)] - floors[(sid, bid)]
+                           for bid in sharing)
             assert abs(expected - result.efforts[sid]) <= 1e-9
 
     scenario = make_line_scenario(n_aggregators=2, zeta=0.1, n_points=8)
@@ -378,16 +379,14 @@ def test_c10_partial_sharing():
 
     singleton = derive_parameters(build(("b1",)))
     result = solve_unbounded(singleton)
-    assert all(p.dimension == 0 for p in result.polytope.values())
     member, violations, dims = polytope_membership(result.canonical_c,
                                                    result.a, singleton)
-    assert member and all(d == 0 for d in dims.values())
+    assert member and dims == {"s1": 0, "s2": 0, "s3": 0}
 
     flipped = derive_parameters(build(("b1", "b2")))
     result2 = solve_unbounded(flipped)
-    assert result2.polytope["s1"].dimension == 1
-    assert result2.polytope["s2"].dimension == 0
-    assert result2.polytope["s3"].dimension == 0
+    member, violations, dims = polytope_membership(result2.canonical_c, result2.a, flipped)
+    assert member and dims == {"s1": 1, "s2": 0, "s3": 0}
     # coupling entries on the pairs common to both sharing structures match
     common = [p for p in singleton.pairs if p in set(flipped.pairs)]
     matrix_before, matrix_after = singleton.coupling.toarray(), flipped.coupling.toarray()

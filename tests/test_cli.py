@@ -74,7 +74,7 @@ class TestSolve:
         assert cli(["solve", str(path), "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["status"] == "converged_bounded"
-        assert doc["a_total"]["s1"] == pytest.approx(3.0, abs=1e-8)
+        assert sum(doc["a"]["s1"].values()) == pytest.approx(3.0, abs=1e-8)
 
     @pytest.mark.parametrize("flag, value", [("--tol", "1e-10"), ("--max-iter", "100000"),
                                              ("--bounded-damping", "0.5")])
@@ -187,14 +187,13 @@ class TestCertifyAndWelfare:
         cli(["solve", str(symmetric_file), "--output", str(out)])
         doc = json.loads(out.read_text())
         doc["a"]["s1"]["b1"] += 0.1
-        doc["a_total"]["s1"] += 0.1
         corrupted = tmp_path / "corrupted.json"
         corrupted.write_text(json.dumps(doc))
         assert cli(["certify", str(symmetric_file), str(corrupted)]) == 2
 
     @pytest.mark.parametrize("field, value", [("canonical_c", 1e6), ("efforts", 123.0)])
     def test_certify_checks_document_c_and_efforts(self, tmp_path, field, value):
-        # every c set to 1e6, or every effort to 123, with a and a_total intact
+        # every c set to 1e6, or every effort to 123, with a intact
         scenario = tmp_path / "scenario.json"
         scenario.write_text(serialize_scenario(generate_scenario(GenerationSpec(8, 2), 0)))
         out = tmp_path / "result.json"
@@ -445,29 +444,34 @@ class TestBadInput:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("datamarket: ") and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("direction", ["above", "below-a_lower"])
-    def test_a_total_off_its_a_exits_two(self, tmp_path, capsys, direction):
-        # a single-buyer source's total moved, below a_lower too
-        scenario = generate_scenario(GenerationSpec(8, 2, sharing_density=0.5), 0)
-        path, result = tmp_path / "scenario.json", tmp_path / "result.json"
-        path.write_text(serialize_scenario(scenario))
-        assert cli(["solve", str(path), "--output", str(result)]) == 0
+    # a result written under schema 1 (with a_total and the polytope) is
+    # refused by each subcommand that reads one: exit 1 with the reader's
+    # message, which names both versions and the way to upgrade, no output
+    @pytest.mark.parametrize("args", [
+        ["certify", "{scenario}", "{result}"],
+        ["welfare", "{scenario}", "{result}", "--output", "{out}"],
+        ["simulate", "{scenario}", "{result}", "--rounds", "2", "--seed", "0",
+         "--output", "{out}"],
+    ], ids=lambda args: args[0])
+    def test_version_one_result_exits_one(self, line_file, tmp_path, capsys, args):
+        result, out = tmp_path / "result.json", tmp_path / "out"
+        assert cli(["solve", str(line_file), "--output", str(result)]) == 0
         doc = json.loads(result.read_text())
-        sid = next(s for s, p in doc["polytope"].items() if p["dimension"] == 0)
-        lower = by_id(scenario.sources)[sid].effort_model.incentive_bounds.a_lower
-        total = doc["a_total"][sid]
-        moved = total + 0.5 * (total - lower) if direction == "above" else 0.5 * lower
-        doc["a_total"][sid] = moved
+        doc["schema_version"] = 1
         result.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert cli(["certify", str(path), str(result)]) == 2
-        failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
-        assert len(failed) == 1 and "participation-binding" in failed[0]
+        paths = {"scenario": line_file, "result": result, "out": out}
+        assert cli([arg.format(**paths) for arg in args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"^datamarket: .*schema_version 1 unsupported: .* version 2; "
+                         r"run solve again", captured.err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("bounded, value", [
         (False, "half-a_lower"), (False, "zero"), (False, "negative"), (True, "zero")])
     def test_weight_out_of_incentive_range_exits_two(self, tmp_path, capsys, bounded, value):
-        # a single-buyer source's weight and total both moved out of range:
+        # a single-buyer source's weight, so its total, moved out of range:
         # a failed check, with no traceback and no warning on stderr
         scenario = generate_scenario(
             GenerationSpec(8, 2, family="mixed", sharing_density=0.5, bounded=bounded), 0)
@@ -475,12 +479,12 @@ class TestBadInput:
         path.write_text(serialize_scenario(scenario))
         assert cli(["solve", str(path), "--output", str(result)]) == 0
         doc = json.loads(result.read_text())
-        sid = next(s for s, p in doc["polytope"].items() if p["dimension"] == 0)
-        [bid] = by_id(scenario.sources)[sid].sharing
+        sid, [bid] = next((sid, source.sharing) for sid, source
+                          in sorted(by_id(scenario.sources).items()) if len(source.sharing) == 1)
         lower = by_id(scenario.sources)[sid].effort_model.incentive_bounds.a_lower
         moved = {"half-a_lower": 0.5 * lower, "zero": 0.0,
                  "negative": -doc["a"][sid][bid]}[value]
-        doc["a"][sid][bid] = doc["a_total"][sid] = moved
+        doc["a"][sid][bid] = moved
         result.write_text(json.dumps(doc))
         capsys.readouterr()
         with warnings.catch_warnings():

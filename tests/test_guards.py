@@ -92,8 +92,8 @@ GUARDS = {
                            lambda: payment_statistics(*_line(8), 1, 7)),
     "result-not-an-object": (ParseError, "result document root must be an object",
                              lambda: result_from_json("[]")),
-    "result-schema-2": (ParseError, "result schema_version 2 unsupported",
-                        lambda: _schema_version(2)),
+    "result-schema-3": (ParseError, "result schema_version 3 unsupported",
+                        lambda: _schema_version(3)),
     "mixed-dimensions": (DomainError, r"sources mix feature dimensions \[1, 2\]",
                          lambda: _with_source(1, feature=(1.0, 0.0))),
     "int-source-ids": (DomainError, "^source id 1 is not a string$",

@@ -23,6 +23,7 @@ from datamarket.equilibrium import (
     AParameters,
     IdTable,
     certify_equilibrium,
+    polytope_membership,
     solve_bounded,
     solve_unbounded,
 )
@@ -54,7 +55,8 @@ def _renamed(scenario, names):
 def _escaped_ids():
     """Ids JSON must escape (a quote, a backslash, a non-ASCII letter, a
     control character); the last source sells to one aggregator only, so
-    its polytope has dimension 0.  Read back from its own document."""
+    its polytope of constant terms has dimension 0.  Read back from its own
+    document."""
     base = make_coupled_direct(4, 2, lambda i, l: 0.05, sells=lambda i, b: i < 3 or b == 0)
     names = {"s01": 's"q', "s02": "s\\b", "s03": "sé", "s04": "s\x01c",
              "b01": 'b"1', "b02": "b\\2"}
@@ -88,13 +90,15 @@ def test_writer_matches_the_indent_2_reference(market):
 
 
 def test_the_markets_cover_each_document_kind():
-    results = {market: _solved(market)[1] for market in MARKETS}
+    solved = {market: _solved(market) for market in MARKETS}
+    results = {market: result for market, (_, result) in solved.items()}
     assert results["unsolved"].diagnostics.marginal is False
     assert results["unsolved-marginal"].diagnostics.marginal is True
     assert math.isnan(results["unsolved-marginal"].diagnostics.max_residual)
     assert results["bounded"].status == "converged_bounded"
     for market in ("partial-sharing", "escaped-ids"):
-        assert 0 in {p.dimension for p in results[market].polytope.values()}
+        params, result = solved[market]
+        assert 0 in polytope_membership(result.canonical_c, result.a, params)[2].values()
     text = result_to_json(results["escaped-ids"])
     assert r'"s\"q"' in text and r'"s\\b"' in text
     assert r'"s\u00e9"' in text and r'"s\u0001c"' in text
@@ -114,9 +118,7 @@ def _plain(result):
         a=AParameters(a=dict(list(result.a.a.items())[::-1]),
                       a_total=dict(list(result.a.a_total.items())[::-1])),
         canonical_c=dict(list(result.canonical_c.items())[::-1]),
-        efforts=dict(list(result.efforts.items())[::-1]),
-        polytope={sid: replace(p, floors=dict(p.floors))
-                  for sid, p in list(result.polytope.items())[::-1]})
+        efforts=dict(list(result.efforts.items())[::-1]))
 
 
 def test_a_plain_dict_result_writes_the_same_bytes():
@@ -124,13 +126,13 @@ def test_a_plain_dict_result_writes_the_same_bytes():
     assert result_to_json(_plain(result)) == result_to_json(result)
 
 
-@pytest.mark.parametrize("table, key", [("efforts", "s001"), ("a_total", "s006"),
+@pytest.mark.parametrize("table, key", [("efforts", "s001"), ("a", ("s006", "b002")),
                                         ("canonical_c", ("s002", "b001"))])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_writer_refuses_a_value_the_reader_refuses(table, key, value):
     _, result = _solved("solved")
-    if table == "a_total":
-        bad = replace(result, a=replace(result.a, a_total={**result.a.a_total, key: value}))
+    if table == "a":
+        bad = replace(result, a=replace(result.a, a={**result.a.a, key: value}))
     else:
         bad = replace(result, **{table: {**getattr(result, table), key: value}})
     shown = re.escape(str(key))
@@ -160,15 +162,6 @@ def test_writer_refuses_a_key_the_reader_refuses(case):
     table, write = WRONG_KEYS[case]
     with pytest.raises(DomainError, match=f"table {table} has a key that is not"):
         write(result, price_of_anarchy(result, params))
-
-
-@pytest.mark.parametrize("field", ["surplus", "total"])
-def test_writer_refuses_a_non_finite_polytope_entry(field):
-    _, result = _solved("solved")
-    entry = replace(result.polytope["s003"], **{field: math.nan})
-    bad = replace(result, polytope={**result.polytope, "s003": entry})
-    with pytest.raises(DomainError, match="table polytope .* at s003"):
-        result_to_json(bad)
 
 
 def test_writer_refuses_a_non_finite_residual_of_a_solved_result():
@@ -221,8 +214,7 @@ def test_no_lookup_by_id_between_solve_and_certify(source):
         result = result_from_json(result_to_json(result))
     pairs, sids = params.pairs, params.scenario.source_ids
     for table, keys in [(result.a.a, pairs), (result.a.a_total, sids),
-                        (result.canonical_c, pairs), (result.efforts, sids),
-                        (result.polytope.floors, pairs), (result.polytope.rows, sids)]:
+                        (result.canonical_c, pairs), (result.efforts, sids)]:
         assert equilibrium._aligned(table, keys, "table") is table.array  # no copy
     certificate = certify_equilibrium(result, params)
     assert certificate.passed
@@ -240,6 +232,5 @@ def test_tables_are_read_only_id_keyed_views():
         a.array[0] = 1.0
     with pytest.raises(TypeError):
         a[params.pairs[0]] = 1.0
-    entry = result.polytope["s001"]
-    assert entry.dimension == len(entry.floors) - 1
-    assert np.isclose(entry.total, sum(entry.floors.values()) + entry.surplus)
+    member, _, dimensions = polytope_membership(result.canonical_c, result.a, params)
+    assert member and dimensions["s001"] == sum(sid == "s001" for sid, _ in params.pairs) - 1

@@ -10,7 +10,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from conftest import by_id, dataset_points, make_line_scenario
+from conftest import by_id, contract_floors, dataset_points, make_line_scenario
 
 from datamarket import simulate
 from datamarket.equilibrium import IdTable, solve_unbounded
@@ -256,7 +256,7 @@ class TestBatches:
         for round_ in iter_rounds(scenario, result, n, seed=31):
             for pair in sums:
                 sums[pair] += round_.payments[pair]
+        floors, _ = contract_floors(params, result)
         for sid, bid in sums:
-            floor = result.polytope[sid].floors[bid]
-            expected = result.canonical_c[(sid, bid)] - floor
+            expected = result.canonical_c[(sid, bid)] - floors[(sid, bid)]
             assert sums[(sid, bid)] / n == pytest.approx(expected, abs=0.02)

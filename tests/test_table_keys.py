@@ -14,8 +14,6 @@ import pytest
 from datamarket.equilibrium import (
     AParameters,
     IdTable,
-    PolytopeTable,
-    SourcePolytope,
     best_response_residual,
     branch_profile,
     canonical_c,
@@ -80,8 +78,7 @@ def test_rounds_csv_of_a_permuted_round(market):
 def test_result_to_json_of_a_permuted_result(market):
     _, result = market
     permuted = replace(result, a=replace(result.a, a=_permuted(result.a.a)),
-                       polytope=PolytopeTable(_permuted(result.polytope.floors),
-                                              result.polytope.rows))
+                       canonical_c=_permuted(result.canonical_c))
     assert result_to_json(permuted) == result_to_json(result)
 
 
@@ -117,18 +114,3 @@ def test_mismatched_table_raises_parse_error(market, entry, corruption):
         expected = "pair (s001, b001)" if kind == "pair" else "source s001"
     with pytest.raises(ParseError, match=re.escape(f"first mismatched {expected}")):
         call(params, result, table)
-
-
-@pytest.mark.parametrize("entry", ["certify_equilibrium", "price_of_anarchy", "iter_rounds"])
-def test_polytope_of_an_extra_source_raises_parse_error(market, entry):
-    # an extra source with no floors adds no pair, so only the polytope's
-    # own source keys can show it
-    params, result = market
-    extra = SourcePolytope(surplus=1.0, floors={}, total=1.0, dimension=0)
-    bad = replace(result, polytope={**result.polytope, "s999": extra})
-    read = {"certify_equilibrium": lambda: certify_equilibrium(bad, params),
-            "price_of_anarchy": lambda: price_of_anarchy(bad, params),
-            "iter_rounds": lambda: next(iter_rounds(params.scenario, bad, 1, 0))}[entry]
-    with pytest.raises(ParseError, match=re.escape("polytope does not match the scenario: "
-                                                   "first mismatched source s999")):
-        read()
